@@ -17,6 +17,7 @@ type t = {
   link_allocs : (Discovery.link, link_alloc) Hashtbl.t;
   mutable switches : int;
   mutable links : int;
+  mutable links_exhausted : int;
   mutable snapshots : int;
   mutable on_switch_reported : int64 -> unit;
 }
@@ -28,28 +29,33 @@ let physical_ports ports =
          Rf_openflow.Of_port.is_physical p.port_no)
        ports)
 
+(* [None] when the range is exhausted: the link stays unconfigured. *)
 let alloc_for t link =
   match Hashtbl.find_opt t.link_allocs link with
-  | Some a -> a (* a re-appearing link keeps its addresses *)
+  | Some a -> Some a (* a re-appearing link keeps its addresses *)
   | None ->
-      let a, b, len = Ip_alloc.alloc_p2p t.alloc in
-      let a = { la_a = a; la_b = b; la_len = len } in
-      Hashtbl.replace t.link_allocs link a;
-      a
+      Option.map
+        (fun (a, b, len) ->
+          let a = { la_a = a; la_b = b; la_len = len } in
+          Hashtbl.replace t.link_allocs link a;
+          a)
+        (Ip_alloc.alloc_p2p t.alloc)
 
 let link_up_msg t link =
-  let alloc = alloc_for t link in
-  Rf_rpc.Rpc_msg.Link_up
-    {
-      a_dpid = link.Discovery.la_dpid;
-      a_port = link.Discovery.la_port;
-      a_ip = alloc.la_a;
-      a_prefix_len = alloc.la_len;
-      b_dpid = link.Discovery.lb_dpid;
-      b_port = link.Discovery.lb_port;
-      b_ip = alloc.la_b;
-      b_prefix_len = alloc.la_len;
-    }
+  Option.map
+    (fun alloc ->
+      Rf_rpc.Rpc_msg.Link_up
+        {
+          a_dpid = link.Discovery.la_dpid;
+          a_port = link.Discovery.la_port;
+          a_ip = alloc.la_a;
+          a_prefix_len = alloc.la_len;
+          b_dpid = link.Discovery.lb_dpid;
+          b_port = link.Discovery.lb_port;
+          b_ip = alloc.la_b;
+          b_prefix_len = alloc.la_len;
+        })
+    (alloc_for t link)
 
 let edge_msgs t dpid =
   List.filter_map
@@ -81,7 +87,7 @@ let snapshot t =
       switches
   in
   let edges = List.concat_map (fun (dpid, _) -> edge_msgs t dpid) switches in
-  let links = List.map (link_up_msg t) (Discovery.links t.disc) in
+  let links = List.filter_map (link_up_msg t) (Discovery.links t.disc) in
   Rf_sim.Engine.record t.engine ~component:"autoconf" ~event:"snapshot"
     (Printf.sprintf "%d switches, %d edges, %d links"
        (List.length switch_msgs) (List.length edges) (List.length links));
@@ -98,6 +104,7 @@ let create engine disc rpc config =
       link_allocs = Hashtbl.create 64;
       switches = 0;
       links = 0;
+      links_exhausted = 0;
       snapshots = 0;
       on_switch_reported = (fun _ -> ());
     }
@@ -112,6 +119,11 @@ let create engine disc rpc config =
   let links_seen =
     Rf_obs.Metrics.counter metrics ~help:"Links reported over RPC"
       "autoconf_links_total"
+  in
+  let alloc_exhausted =
+    Rf_obs.Metrics.counter metrics
+      ~help:"Links left unconfigured because the IP range is exhausted"
+      "autoconf_alloc_exhausted_total"
   in
   let discovery_latency =
     Rf_obs.Metrics.histogram metrics
@@ -152,11 +164,19 @@ let create engine disc rpc config =
       List.iter (Rf_rpc.Rpc_client.send rpc) (edge_msgs t dpid);
       t.on_switch_reported dpid);
   Discovery.set_on_link_up disc (fun link ->
-      t.links <- t.links + 1;
-      Rf_obs.Metrics.incr links_seen;
-      Rf_sim.Engine.record engine ~component:"autoconf" ~event:"link-detected"
-        (Format.asprintf "%a" Discovery.pp_link link);
-      Rf_rpc.Rpc_client.send rpc (link_up_msg t link));
+      let desc = Format.asprintf "%a" Discovery.pp_link link in
+      match link_up_msg t link with
+      | Some msg ->
+          t.links <- t.links + 1;
+          Rf_obs.Metrics.incr links_seen;
+          Rf_sim.Engine.record engine ~component:"autoconf"
+            ~event:"link-detected" desc;
+          Rf_rpc.Rpc_client.send rpc msg
+      | None ->
+          t.links_exhausted <- t.links_exhausted + 1;
+          Rf_obs.Metrics.incr alloc_exhausted;
+          Rf_sim.Engine.record engine ~component:"autoconf"
+            ~event:"alloc-exhausted" desc);
   Discovery.set_on_switch_down disc (fun dpid ->
       Rf_rpc.Rpc_client.send rpc (Rf_rpc.Rpc_msg.Switch_down { dpid }));
   Discovery.set_on_link_down disc (fun link ->
@@ -175,6 +195,8 @@ let allocator t = t.alloc
 let switches_reported t = t.switches
 
 let links_reported t = t.links
+
+let links_exhausted t = t.links_exhausted
 
 let snapshots_built t = t.snapshots
 

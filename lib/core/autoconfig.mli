@@ -5,7 +5,12 @@
     carrying (dpid, port count); a detected link triggers allocation of
     a /30 from the administrator's range and a [Link_up] RPC carrying
     the VM interface addresses; host-facing subnets from the
-    administrator's static input are pushed as [Edge_subnet] RPCs. *)
+    administrator's static input are pushed as [Edge_subnet] RPCs.
+
+    A link detected after the range is exhausted is a reported fault,
+    not an exception: it counts in [autoconf_alloc_exhausted_total],
+    leaves an [alloc-exhausted] trace record, and stays unconfigured —
+    no [Link_up] is sent and snapshots omit it. *)
 
 open Rf_packet
 
@@ -43,6 +48,12 @@ val allocator : t -> Ip_alloc.t
 val switches_reported : t -> int
 
 val links_reported : t -> int
+(** Links sent as [Link_up] (each detection counts, so a re-appearing
+    link counts again). *)
+
+val links_exhausted : t -> int
+(** Link detections left unconfigured because the range was
+    exhausted. *)
 
 val set_on_switch_reported : t -> (int64 -> unit) -> unit
 (** For GUI/experiment instrumentation. *)

@@ -12,10 +12,12 @@ let create range =
   { range; next_block = 0; capacity = 1 lsl (32 - len - 2) }
 
 let alloc_p2p t =
-  if t.next_block >= t.capacity then failwith "Ip_alloc: range exhausted";
-  let base = Ipv4_addr.Prefix.host t.range (t.next_block * 4) in
-  t.next_block <- t.next_block + 1;
-  (Ipv4_addr.add base 1, Ipv4_addr.add base 2, 30)
+  if t.next_block >= t.capacity then None
+  else begin
+    let base = Ipv4_addr.Prefix.host t.range (t.next_block * 4) in
+    t.next_block <- t.next_block + 1;
+    Some (Ipv4_addr.add base 1, Ipv4_addr.add base 2, 30)
+  end
 
 let allocated_blocks t = t.next_block
 

@@ -11,11 +11,11 @@ val create : Ipv4_addr.Prefix.t -> t
     comfortably; raises [Invalid_argument] for prefixes longer than
     /28. *)
 
-val alloc_p2p : t -> Ipv4_addr.t * Ipv4_addr.t * int
+val alloc_p2p : t -> (Ipv4_addr.t * Ipv4_addr.t * int) option
 (** The two usable host addresses (.1 and .2) of the next free /30 and
-    the prefix length (30). Raises [Failure] when the range is
-    exhausted — with 1000 switches and a /16 range this does not
-    happen; the administrator must size the range to the network. *)
+    the prefix length (30), or [None] once the range is exhausted —
+    with 1000 switches and a /16 range this does not happen; the
+    administrator must size the range to the network. *)
 
 val allocated_blocks : t -> int
 

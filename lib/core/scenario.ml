@@ -59,6 +59,15 @@ let default_options =
 
 type host_plan = { hp_subnet : Ipv4_addr.Prefix.t; hp_ip : Ipv4_addr.t }
 
+(* One VM's selected routes as the reconvergence probe last saw them.
+   [rv_rib] and [rv_generation] tell whether they are still current. *)
+type route_view = {
+  rv_dpid : int64;
+  rv_rib : Rf_routing.Rib.t;
+  rv_generation : int;
+  rv_routes : Rf_routing.Rib.route list;
+}
+
 type t = {
   engine : Rf_sim.Engine.t;
   topo : Topology.t;
@@ -79,19 +88,21 @@ type t = {
   mutable vm_ready_listeners : (int64 -> unit) list;
   mutable converged_at : Rf_sim.Vtime.t option;
   fault_handle : Rf_sim.Faults.handle;
-  mutable route_digest : string;
+  mutable route_views : route_view list;
   mutable last_route_change_at : Rf_sim.Vtime.t option;
   opts : options;
 }
 
+let host_subnet k =
+  if k < 1 || k > 0xffff then
+    invalid_arg
+      (Printf.sprintf "Scenario.host_subnet: host %d out of 1..65535" k);
+  Ipv4_addr.Prefix.make (Ipv4_addr.of_octets 10 (k lsr 8) (k land 0xff) 0) 24
+
 let host_plans_of topo =
   List.mapi
     (fun i name ->
-      let k = i + 1 in
-      let subnet =
-        Ipv4_addr.Prefix.make (Ipv4_addr.of_octets 10 0 (k land 0xff) 0) 24
-      in
-      ignore ((k lsr 8) land 0xff);
+      let subnet = host_subnet (i + 1) in
       (name, { hp_subnet = subnet; hp_ip = Ipv4_addr.Prefix.host subnet 2 }))
     (Topology.hosts topo)
 
@@ -112,6 +123,59 @@ let edges_of_plans topo plans =
           Some (d, sw_port, plan.hp_subnet)
       | (Some _ | None), (Some _ | None) -> None)
     (Topology.edges topo)
+
+(* Reconvergence compares routes by what forwarding sees: prefix, next
+   hop and interface. Protocol, distance and metric are ignored. *)
+let same_route (a : Rf_routing.Rib.route) (b : Rf_routing.Rib.route) =
+  Ipv4_addr.Prefix.equal a.r_prefix b.r_prefix
+  && Option.equal Ipv4_addr.equal a.r_next_hop b.r_next_hop
+  && String.equal a.r_iface b.r_iface
+
+(* The views for [vms] (dpid order, like [views]) and whether the VM set
+   or any VM's selected routes differ from [views]. A VM whose RIB is
+   the same object at the same generation cannot have changed, so its
+   view is reused; only the others are re-read. The cost per call is
+   thus proportional to what changed, not to the size of all RIBs. *)
+let refresh_route_views views vms =
+  let changed = ref false in
+  let rec walk views vms =
+    match vms with
+    | [] ->
+        (match views with [] -> () | _ :: _ -> changed := true);
+        []
+    | (dpid, vm) :: vms -> (
+        let rib = Rf_routeflow.Vm.rib vm in
+        let generation = Rf_routing.Rib.generation rib in
+        match views with
+        | v :: views
+          when Int64.equal v.rv_dpid dpid && v.rv_rib == rib
+               && v.rv_generation = generation ->
+            v :: walk views vms
+        | _ ->
+            let routes = Rf_routing.Rib.selected rib in
+            let views =
+              match views with
+              | v :: views ->
+                  if
+                    not
+                      (Int64.equal v.rv_dpid dpid
+                      && List.equal same_route v.rv_routes routes)
+                  then changed := true;
+                  views
+              | [] ->
+                  changed := true;
+                  []
+            in
+            {
+              rv_dpid = dpid;
+              rv_rib = rib;
+              rv_generation = generation;
+              rv_routes = routes;
+            }
+            :: walk views vms)
+  in
+  let views = walk views vms in
+  (views, !changed)
 
 let build ?(options = default_options) topo =
   let engine = Rf_sim.Engine.create ~seed:options.seed () in
@@ -432,7 +496,7 @@ let build ?(options = default_options) topo =
       vm_ready_listeners = [];
       converged_at = None;
       fault_handle;
-      route_digest = "";
+      route_views = [];
       last_route_change_at = None;
       opts = options;
     }
@@ -470,28 +534,10 @@ let build ?(options = default_options) topo =
            Rf_routing.Rib.size (Rf_routeflow.Vm.rib vm) >= n_subnets)
          (Rf_system.vms rf_sys)
   in
-  (* Only pay for route-table digests when a fault plan is active — the
-     digest walks every VM's RIB once per simulated second, too costly
-     for the 1000-switch scaling runs. *)
-  let digest_routes () =
-    let buf = Buffer.create 256 in
-    List.iter
-      (fun (dpid, vm) ->
-        Buffer.add_string buf (Printf.sprintf "vm-%Ld:" dpid);
-        List.iter
-          (fun (r : Rf_routing.Rib.route) ->
-            Buffer.add_string buf
-              (Printf.sprintf "%s/%s/%s;"
-                 (Ipv4_addr.Prefix.to_string r.r_prefix)
-                 (match r.r_next_hop with
-                 | Some nh -> Ipv4_addr.to_string nh
-                 | None -> "direct")
-                 r.r_iface))
-          (Rf_routing.Rib.selected (Rf_routeflow.Vm.rib vm));
-        Buffer.add_char buf '\n')
-      (Rf_system.vms rf_sys)
-    |> fun () -> Buffer.contents buf
-  in
+  (* Reconvergence probe, only when a fault plan is active: once per
+     simulated second, {!refresh_route_views} compares every VM's
+     selected routes with the previous tick's, re-projecting only the
+     VMs whose RIB changed generation. *)
   let track_routes = not (Rf_sim.Faults.is_empty options.faults) in
   ignore
     (Rf_sim.Engine.periodic
@@ -513,11 +559,12 @@ let build ?(options = default_options) topo =
            Rf_obs.Tracer.span_end tracer sp
          end;
          if track_routes then begin
-           let d = digest_routes () in
-           if d <> t.route_digest then begin
-             t.route_digest <- d;
+           let views, changed =
+             refresh_route_views t.route_views (Rf_system.vms rf_sys)
+           in
+           t.route_views <- views;
+           if changed then
              t.last_route_change_at <- Some (Rf_sim.Engine.now engine)
-           end
          end));
   t
 

@@ -4,9 +4,9 @@
     (discovery + autoconfig + RPC client), and the RF-controller (RPC
     server + RouteFlow + VMs), plus the red/green GUI.
 
-    Host subnets are assigned 10.0.k.0/24 in host-name order: host = .2,
-    VM gateway = .1; these become the administrator's static edge input
-    to the topology controller. *)
+    The k-th host in host-name order gets the subnet [host_subnet k]:
+    host = .2, VM gateway = .1; these become the administrator's static
+    edge input to the topology controller. *)
 
 open Rf_packet
 
@@ -56,6 +56,12 @@ type options = {
           (default) adds no meta keys, keeping every pinned
           fingerprint unchanged *)
 }
+
+val host_subnet : int -> Ipv4_addr.Prefix.t
+(** [host_subnet k] is 10.(k / 256).(k mod 256).0/24, the subnet of the
+    k-th host (1-based); 10.0.k.0/24 for k <= 255. Raises
+    [Invalid_argument] outside 1..65535, so {!build} rejects topologies
+    with more than 65,535 hosts. *)
 
 val default_options : options
 (** seed 42, paper-era RouteFlow params (8 s serialized boots), 5 s
@@ -166,5 +172,10 @@ val reconverged_at : t -> Rf_sim.Vtime.t option
 (** Time of the last observed route-table change at or after the last
     injected fault — the moment the routing control platform settled
     into its post-fault state. [None] until a fault has fired and some
-    VM's selected routes have changed since (route tables are digested
-    once per simulated second, only when a fault plan is present). *)
+    VM's selected routes have changed since. Only runs with a fault
+    plan track this: once per simulated second every VM's selected
+    (prefix, next hop, interface) triples are compared with the previous
+    second's, so a change reverted within the same second is no change.
+    The comparison re-reads only VMs whose RIB
+    {!Rf_routing.Rib.generation} moved since the last tick, so its cost
+    follows the routes that changed, not the size of the network. *)

@@ -36,13 +36,22 @@ type t = {
   table : slot Prefix_trie.t;
   mutable listeners : (event -> unit) list;
   mutable n_selected : int;
+  mutable generation : int;
 }
 
-let create () = { table = Prefix_trie.create (); listeners = []; n_selected = 0 }
+let create () =
+  {
+    table = Prefix_trie.create ();
+    listeners = [];
+    n_selected = 0;
+    generation = 0;
+  }
 
 let add_listener t f = t.listeners <- t.listeners @ [ f ]
 
-let notify t e = List.iter (fun f -> f e) t.listeners
+let notify t e =
+  t.generation <- t.generation + 1;
+  List.iter (fun f -> f e) t.listeners
 
 let route_better a b =
   match Int.compare a.r_distance b.r_distance with
@@ -136,6 +145,8 @@ let selected t =
   |> List.sort (fun a b -> Ipv4_addr.Prefix.compare a.r_prefix b.r_prefix)
 
 let size t = t.n_selected
+
+let generation t = t.generation
 
 let pp_route ppf r =
   Format.fprintf ppf "%a [%s/%d] metric %d%a dev %s" Ipv4_addr.Prefix.pp

@@ -49,6 +49,11 @@ val selected : t -> route list
 
 val size : t -> int
 
+val generation : t -> int
+(** Bumped on every [Best_added], [Best_changed] and [Best_removed]
+    notification, so an unchanged generation means an unchanged
+    selected set. Starts at 0. *)
+
 val add_listener : t -> (event -> unit) -> unit
 
 val pp_route : Format.formatter -> route -> unit

@@ -18,10 +18,15 @@ let ip = Ipv4_addr.of_string_exn
 
 (* --- ip allocation -------------------------------------------------------- *)
 
+let alloc_exn a =
+  match Ip_alloc.alloc_p2p a with
+  | Some block -> block
+  | None -> Alcotest.fail "range exhausted"
+
 let test_alloc_disjoint_blocks () =
   let a = Ip_alloc.create (pfx "172.16.0.0/24") in
-  let x1, y1, len1 = Ip_alloc.alloc_p2p a in
-  let x2, y2, _ = Ip_alloc.alloc_p2p a in
+  let x1, y1, len1 = alloc_exn a in
+  let x2, y2, _ = alloc_exn a in
   Alcotest.(check int) "len 30" 30 len1;
   Alcotest.(check string) "first .1" "172.16.0.1" (Ipv4_addr.to_string x1);
   Alcotest.(check string) "first .2" "172.16.0.2" (Ipv4_addr.to_string y1);
@@ -35,10 +40,10 @@ let test_alloc_exhaustion () =
   let a = Ip_alloc.create (pfx "10.0.0.0/28") in
   Alcotest.(check int) "capacity" 4 (Ip_alloc.capacity_blocks a);
   for _ = 1 to 4 do
-    ignore (Ip_alloc.alloc_p2p a)
+    ignore (alloc_exn a)
   done;
-  Alcotest.check_raises "exhausted" (Failure "Ip_alloc: range exhausted")
-    (fun () -> ignore (Ip_alloc.alloc_p2p a))
+  Alcotest.(check bool) "exhausted" true (Ip_alloc.alloc_p2p a = None);
+  Alcotest.(check int) "no block past capacity" 4 (Ip_alloc.allocated_blocks a)
 
 let test_alloc_rejects_tiny_range () =
   Alcotest.check_raises "too small"
@@ -126,6 +131,33 @@ let test_autoconfig_reports_everything () =
   Alcotest.(check int) "blocks = links" 5
     (Ip_alloc.allocated_blocks (Autoconfig.allocator ac))
 
+(* A /28 holds four /30 blocks, so a 6-ring leaves two links without
+   addresses: reported, skipped, and the run carries on. *)
+let test_autoconfig_exhaustion_is_reported () =
+  let options =
+    { quick_options with Scenario.ip_range = pfx "10.9.0.0/28" }
+  in
+  let s = Scenario.build ~options (Topo_gen.ring 6) in
+  Scenario.run_for s (Vtime.span_s 60.0);
+  let ac = Scenario.autoconfig s in
+  Alcotest.(check int) "exhausted links" 2 (Autoconfig.links_exhausted ac);
+  Alcotest.(check int) "configured links" 4 (Autoconfig.links_reported ac);
+  Alcotest.(check int) "blocks" 4
+    (Ip_alloc.allocated_blocks (Autoconfig.allocator ac));
+  let metrics = Engine.metrics (Scenario.engine s) in
+  Alcotest.(check int) "exhaustion counter" 2
+    (Rf_obs.Metrics.counter_value
+       (Rf_obs.Metrics.counter metrics "autoconf_alloc_exhausted_total"));
+  let link_ups =
+    List.filter
+      (function Rf_rpc.Rpc_msg.Link_up _ -> true | _ -> false)
+      (Autoconfig.snapshot ac)
+  in
+  Alcotest.(check int) "snapshot skips unconfigured links" 4
+    (List.length link_ups);
+  Alcotest.(check int) "every switch still configured" 6
+    (Rf_routeflow.Rf_system.configured_count (Scenario.rf_system s))
+
 let test_autoconfig_link_flap_reuses_addresses () =
   let topo = Topo_gen.ring 4 in
   let options =
@@ -147,6 +179,38 @@ let test_autoconfig_link_flap_reuses_addresses () =
     Ip_alloc.allocated_blocks (Autoconfig.allocator (Scenario.autoconfig s))
   in
   Alcotest.(check int) "no new allocation" blocks_before blocks_after
+
+(* --- host subnets --------------------------------------------------------------- *)
+
+let test_host_subnets_distinct () =
+  let topo = Topo_gen.ring 3 in
+  let names = List.init 300 (Printf.sprintf "h%03d") in
+  List.iter
+    (fun name ->
+      Rf_net.Topology.add_host topo name;
+      ignore
+        (Rf_net.Topology.connect topo (Rf_net.Topology.Host name)
+           (Rf_net.Topology.Switch 1L)))
+    names;
+  let s = Scenario.build ~options:quick_options topo in
+  let subnets =
+    List.sort_uniq compare
+      (List.map
+         (fun name ->
+           Ipv4_addr.Prefix.to_string
+             (Ipv4_addr.Prefix.make (Scenario.host_ip s name) 24))
+         names)
+  in
+  Alcotest.(check int) "300 distinct subnets" 300 (List.length subnets);
+  Alcotest.(check string) "host 1 keeps 10.0.1.0/24" "10.0.1.0/24"
+    (Ipv4_addr.Prefix.to_string (Scenario.host_subnet 1));
+  Alcotest.(check string) "host 257" "10.1.1.0/24"
+    (Ipv4_addr.Prefix.to_string (Scenario.host_subnet 257));
+  Alcotest.(check string) "host 65535" "10.255.255.0/24"
+    (Ipv4_addr.Prefix.to_string (Scenario.host_subnet 65535));
+  Alcotest.check_raises "past 65535 hosts"
+    (Invalid_argument "Scenario.host_subnet: host 65536 out of 1..65535")
+    (fun () -> ignore (Scenario.host_subnet 65536))
 
 (* --- experiments (small instances) ------------------------------------------------- *)
 
@@ -229,6 +293,10 @@ let suite =
       test_autoconfig_reports_everything;
     Alcotest.test_case "link flap reuses addresses" `Quick
       test_autoconfig_link_flap_reuses_addresses;
+    Alcotest.test_case "address exhaustion is a reported fault" `Quick
+      test_autoconfig_exhaustion_is_reported;
+    Alcotest.test_case "300 hosts get 300 distinct subnets" `Quick
+      test_host_subnets_distinct;
     Alcotest.test_case "fig3 rows sane on small rings" `Quick test_fig3_rows_sane;
     Alcotest.test_case "parallel boot ablation helps" `Quick
       test_ablation_parallel_boot_helps;

@@ -21,4 +21,5 @@ let () = Alcotest.run "routeflow-autoconf" [
       ("profiler", Test_profiler.suite);
       ("shard", Test_shard.suite);
       ("auditor", Test_auditor.suite);
+      ("route-track", Test_route_track.suite);
     ]
