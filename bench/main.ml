@@ -583,73 +583,6 @@ let run_traffic () =
   Experiment.print_traffic_scaling ~show_rate:true std
     (Experiment.traffic_scaling ())
 
-(* E11 json, same "rfauto-bench-v1" envelope as the micro suite: the
-   meta block pins the workload and the run digest (identical for every
-   shard count, or the run would have failed), the suite rows carry the
-   per-shard-count figures. speedup is wall-clock vs the 1-shard run of
-   the same sweep; bound is the Amdahl limit of the cut actually used,
-   advisor_bound the advisor's limit for its own proposed cut (null for
-   1 shard). *)
-let write_shard_json path (r : Experiment.shard_result) =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\"schema\":\"rfauto-bench-v1\",";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "\"meta\":{\"schema_version\":%d,\"seed\":%d,\"suite\":\"shard\",\"k\":%d,\"horizon_s\":%.1f,\"hosts\":%d,\"flows\":%d,\"digest\":\"%s\",\"fingerprint\":\"%s\",\"deterministic\":%b,\"legacy_agrees\":%b},"
-       bench_schema_version r.Experiment.sh_seed r.Experiment.sh_k
-       r.Experiment.sh_horizon_s r.Experiment.sh_hosts r.Experiment.sh_flows
-       (match r.Experiment.sh_runs with
-       | su :: _ -> su.Experiment.su_digest
-       | [] -> "")
-       (match r.Experiment.sh_runs with
-       | su :: _ -> su.Experiment.su_fingerprint
-       | [] -> "")
-       r.Experiment.sh_deterministic r.Experiment.sh_legacy_agrees);
-  Buffer.add_string buf "\"suites\":{\"shard\":[";
-  List.iteri
-    (fun i (su : Experiment.shard_speedup_run) ->
-      if i > 0 then Buffer.add_char buf ',';
-      let advisor =
-        match List.assoc_opt su.Experiment.su_shards r.Experiment.sh_advisor_bounds with
-        | Some b -> Printf.sprintf "%.4f" b
-        | None -> "null"
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"shards\":%d,\"mode\":\"%s\",\"windows\":%d,\"events\":%d,\"cross_msgs\":%d,\"lookahead_us\":%d,\"elapsed_s\":%.4f,\"events_per_s\":%.0f,\"speedup\":%.4f,\"bound\":%.4f,\"advisor_bound\":%s}"
-           su.Experiment.su_shards
-           (match su.Experiment.su_mode with
-           | Rf_sim.Shard_engine.Parallel -> "parallel"
-           | Rf_sim.Shard_engine.Sequential -> "sequential")
-           su.Experiment.su_windows su.Experiment.su_events
-           su.Experiment.su_cross_msgs su.Experiment.su_lookahead_us
-           su.Experiment.su_elapsed_s
-           (float_of_int su.Experiment.su_events
-           /. Float.max 1e-9 su.Experiment.su_elapsed_s)
-           su.Experiment.su_speedup su.Experiment.su_bound advisor))
-    r.Experiment.sh_runs;
-  Buffer.add_string buf "]}}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.fprintf std "bench json written to %s@." path
-
-let run_shard ?json_out () =
-  section "E11 — sharded-engine speedup (conservative lookahead)";
-  let r =
-    Experiment.shard_speedup ~k:10 ~horizon_s:15.0 ~shard_counts:[ 1; 2; 4; 8 ]
-      ()
-  in
-  Experiment.print_shard ~wall:true std r;
-  if not (r.Experiment.sh_deterministic && r.Experiment.sh_legacy_agrees)
-  then begin
-    Format.fprintf std "shard bench: DETERMINISM VIOLATION@.";
-    exit 4
-  end;
-  match json_out with
-  | None -> ()
-  | Some path -> write_shard_json path r
-
 let run_census () =
   section "X4 — control-plane message census (extension)";
   Experiment.print_census std (Experiment.census ())
@@ -661,7 +594,7 @@ let run_families () =
 let all_sections =
   [
     "all"; "fig3"; "demo"; "failure"; "restart"; "gui"; "scaling"; "ablation";
-    "families"; "census"; "obs"; "traffic"; "shard"; "micro";
+    "families"; "census"; "obs"; "traffic"; "micro";
   ]
 
 let () =
@@ -701,12 +634,7 @@ let () =
   in
   parse 1;
   let what = match List.rev !sections with [] -> "all" | s :: _ -> s in
-  (* each json-bearing suite has its own default artifact name *)
-  let json_out =
-    match (!json_out, what) with
-    | Some "BENCH_6.json", "shard" -> Some "BENCH_9.json"
-    | j, _ -> j
-  in
+  let json_out = !json_out in
   let baseline = !baseline in
   let save_baseline = !save_baseline in
   match what with
@@ -721,7 +649,6 @@ let () =
   | "census" -> run_census ()
   | "obs" -> run_obs ()
   | "traffic" -> run_traffic ()
-  | "shard" -> run_shard ?json_out ()
   | "micro" -> run_micro ?json_out ?baseline ?save_baseline ()
   | "all" ->
       run_fig3 ();
@@ -735,10 +662,9 @@ let () =
       run_census ();
       run_obs ();
       run_traffic ();
-      run_shard ();
       run_micro ?json_out ?baseline ?save_baseline ()
   | other ->
       Format.eprintf
-        "unknown section %S (use all|fig3|demo|failure|restart|gui|scaling|ablation|families|census|obs|traffic|shard|micro, optionally with --json [PATH], --baseline PATH, --save-baseline PATH)@."
+        "unknown section %S (use all|fig3|demo|failure|restart|gui|scaling|ablation|families|census|obs|traffic|micro, optionally with --json [PATH], --baseline PATH, --save-baseline PATH)@."
         other;
       exit 2

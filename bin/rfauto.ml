@@ -75,17 +75,6 @@ let write_file path s =
   output_string oc s;
   close_out oc
 
-(* Load an rfauto-shard-map-v1 entity→shard file (e.g. written by
-   `rfauto profile --partition-out`). *)
-let load_shard_map path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  try Rf_obs.Shard_advisor.assignment_of_json s
-  with Rf_obs.Json.Parse_error msg ->
-    Format.eprintf "rfauto: %s: %s@." path msg;
-    exit 64
-
 let needs_analysis ~slo ~flamegraph ~baseline =
   slo || flamegraph <> None || baseline <> None
 
@@ -659,23 +648,8 @@ let traffic_cmd =
           ~doc:
             "Write the disruption summary to $(docv) (byte-identical across              same-seed runs; used by CI as the E6 fingerprint).")
   in
-  let shards_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "With --scale, also run the scaling workload on the sharded            engine cut N ways (block cut by host index) and report its            digest and events/sec next to the single-engine run.")
-  in
-  let shards_from_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "shards-from" ] ~docv:"FILE"
-          ~doc:
-            "With --scale, shard the scaling workload by an            rfauto-shard-map-v1 entity→shard map (e.g. from `rfauto            profile --partition-out`) instead of the block cut.")
-  in
-  let run switches seed fail_at manual_delay horizon scale k shards
-      shards_from out summary_out profile slo flamegraph baseline =
+  let run switches seed fail_at manual_delay horizon scale k out summary_out
+      profile slo flamegraph baseline =
     let needed = needs_analysis ~slo ~flamegraph ~baseline in
     let telemetry, load = telemetry_route ~needed out in
     let profiler = make_profiler profile in
@@ -694,33 +668,8 @@ let traffic_cmd =
       if scale then begin
         let sc = Experiment.traffic_scaling ~seed ~k () in
         Experiment.print_traffic_scaling ~show_rate:true std sc;
-        let summary =
-          summary
-          ^ Format.asprintf "%a" (Experiment.print_traffic_scaling ~show_rate:false) sc
-        in
-        match (shards_from, shards) with
-        | None, 1 -> summary
-        | from, n ->
-            let n, assignment =
-              match from with
-              | Some path ->
-                  let km, a = load_shard_map path in
-                  (km, Some a)
-              | None -> (n, None)
-            in
-            let sr =
-              Experiment.scaling_sharded ~seed ~k ~profile ?assignment
-                ~shards:n ()
-            in
-            Experiment.print_scaling_sharded ~wall:true std sr;
-            (match sr.Rf_traffic.Shard_run.sr_profile with
-            | Some sn ->
-                Format.fprintf std "@.";
-                Rf_obs.Profiler.pp_top ~wall:true ~top:10 std sn;
-                Rf_obs.Profiler.pp_depth_curve std sn
-            | None -> ());
-            summary
-            ^ Format.asprintf "%a" (Experiment.print_scaling_sharded ~wall:false) sr
+        summary
+        ^ Format.asprintf "%a" (Experiment.print_traffic_scaling ~show_rate:false) sc
       end
       else summary
     in
@@ -738,9 +687,8 @@ let traffic_cmd =
          "E6: measure data-plane traffic disruption (loss, latency,           disruption windows) while the E3 link-failure and E4           controller-restart scenarios play out, automatic configuration vs           a manual-operation baseline; optionally a fat-tree scaling run")
     Term.(
       const run $ switches_arg $ seed_arg $ fail_arg $ manual_arg
-      $ horizon_arg $ scale_arg $ k_arg $ shards_arg $ shards_from_arg
-      $ out_arg $ summary_arg $ profile_flag $ slo_arg $ flamegraph_arg
-      $ baseline_arg)
+      $ horizon_arg $ scale_arg $ k_arg $ out_arg $ summary_arg $ profile_flag
+      $ slo_arg $ flamegraph_arg $ baseline_arg)
 
 (* --- cluster: controller-cluster failover (E9) ---------------------- *)
 
@@ -811,15 +759,8 @@ let cluster_cmd =
           ~doc:
             "Write the failover summary to $(docv) (byte-identical across              same-seed runs; used by CI as the E9 fingerprint).")
   in
-  let shards_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Register a static N-way partition of the automatic run's            network and record its cut statistics (cross links, lookahead            bound) in the telemetry meta.")
-  in
   let run switches seed replicas crash_at cut_at recover_at manual_delay
-      horizon traffic_start parallel_boot shards audit out summary_out profile
+      horizon traffic_start parallel_boot audit out summary_out profile
       slo flamegraph baseline =
     let needed = needs_analysis ~slo ~flamegraph ~baseline in
     let telemetry, load = telemetry_route ~needed out in
@@ -828,7 +769,7 @@ let cluster_cmd =
       Experiment.cluster_failover ~seed ~switches ~replicas
         ~crash_at_s:crash_at ~cut_at_s:cut_at ~recover_at_s:recover_at
         ~manual_response_s:manual_delay ~horizon_s:horizon
-        ~traffic_start_s:traffic_start ~parallel_boot ~shards ~audit
+        ~traffic_start_s:traffic_start ~parallel_boot ~audit
         ?telemetry ?profiler ()
     in
     Experiment.print_cluster std r;
@@ -853,10 +794,10 @@ let cluster_cmd =
     Term.(
       const run $ switches_arg $ seed_arg $ replicas_arg $ crash_arg
       $ cut_arg $ recover_arg $ manual_arg $ horizon_arg $ traffic_start_arg
-      $ parallel_boot_arg $ shards_arg $ audit_flag $ out_arg $ summary_arg
+      $ parallel_boot_arg $ audit_flag $ out_arg $ summary_arg
       $ profile_flag $ slo_arg $ flamegraph_arg $ baseline_arg)
 
-(* --- profile: engine profiler & shard-cut advisor (E10) ------------ *)
+(* --- profile: engine profiler (E10) ---------------------------------- *)
 
 let profile_cmd =
   let seed_arg =
@@ -869,12 +810,6 @@ let profile_cmd =
   in
   let horizon_arg =
     Arg.(value & opt float 60.0 & info [ "horizon" ] ~doc:"Sim seconds.")
-  in
-  let shards_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "shards" ] ~docv:"K"
-          ~doc:"Shard count the advisor partitions the topology into.")
   in
   let top_arg =
     Arg.(
@@ -900,7 +835,7 @@ let profile_cmd =
       & opt (some string) None
       & info [ "out" ] ~docv:"FILE"
           ~doc:
-            "Write the run's span/event JSONL (profile snapshot included,            meta line carrying the profile and advisor figures) to $(docv).")
+            "Write the run's span/event JSONL (profile snapshot included,            meta line carrying the profile figures) to $(docv).")
   in
   let summary_arg =
     Arg.(
@@ -910,20 +845,12 @@ let profile_cmd =
           ~doc:
             "Write the deterministic profile report to $(docv)            (byte-identical across same-seed runs; used by CI as the E10            fingerprint).")
   in
-  let partition_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "partition-out" ] ~docv:"FILE"
-          ~doc:
-            "Write the advisor's entity→shard map to $(docv) as            rfauto-shard-map-v1 JSON, consumable by `rfauto shard            --shards-from` and `rfauto traffic --shards-from`.")
-  in
-  let run seed k horizon shards top entities overhead out summary_out
-      partition_out slo flamegraph baseline =
+  let run seed k horizon top entities overhead out summary_out slo flamegraph
+      baseline =
     let needed = needs_analysis ~slo ~flamegraph ~baseline in
     let telemetry, load = telemetry_route ~needed out in
     let r =
-      Experiment.profile_scaling ~seed ~k ~horizon_s:horizon ~shards
+      Experiment.profile_scaling ~seed ~k ~horizon_s:horizon
         ~measure_overhead:overhead ?telemetry ()
     in
     let top =
@@ -940,121 +867,16 @@ let profile_cmd =
         write_file path
           (Format.asprintf "%a" (Experiment.print_profile ~wall:false ~top) r)
     | None -> ());
-    (match partition_out with
-    | Some path ->
-        write_file path
-          (Rf_obs.Shard_advisor.assignment_json r.Experiment.pf_report);
-        Format.fprintf std "shard map written to %s@." path
-    | None -> ());
     post_run_analysis Analysis.E10 load ~slo ~flamegraph ~baseline
   in
   Cmd.v
     (Cmd.info "profile"
        ~doc:
-         "E10: profile the engine across the fat-tree scaling run —           per-entity load attribution, event-heap depth/churn and GC           telemetry — and ask the shard-cut advisor for a k-way domain           partition with its conservative-lookahead speedup bound")
+         "E10: profile the engine across the fat-tree scaling run —           per-entity load attribution, event-heap depth/churn and GC           telemetry")
     Term.(
-      const run $ seed_arg $ k_arg $ horizon_arg $ shards_arg $ top_arg
-      $ entities_arg $ overhead_arg $ out_arg $ summary_arg $ partition_arg
-      $ slo_arg $ flamegraph_arg $ baseline_arg)
-
-(* --- shard: sharded-engine speedup sweep (E11) ---------------------- *)
-
-let shard_cmd =
-  let seed_arg =
-    Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Simulation seed.")
-  in
-  let k_arg =
-    Arg.(
-      value & opt int 10
-      & info [ "k" ] ~doc:"Fat-tree arity of the workload (even, >= 2).")
-  in
-  let horizon_arg =
-    Arg.(value & opt float 20.0 & info [ "horizon" ] ~doc:"Sim seconds.")
-  in
-  let shards_arg =
-    Arg.(
-      value
-      & opt (list int) [ 1; 2; 4; 8 ]
-      & info [ "shards" ] ~docv:"N,.."
-          ~doc:"Shard counts to sweep (comma separated).")
-  in
-  let cut_arg =
-    Arg.(
-      value & opt string "static"
-      & info [ "cut" ] ~docv:"KIND"
-          ~doc:
-            "Partition source: $(b,static) (contiguous block cut by host            index) or $(b,advisor) (the profiled shard-cut advisor's            partition).")
-  in
-  let from_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "shards-from" ] ~docv:"FILE"
-          ~doc:
-            "Load an rfauto-shard-map-v1 entity→shard map (e.g. from            `rfauto profile --partition-out`); replaces --shards/--cut            with a [1; k] sweep using the map's own k and assignment.")
-  in
-  let mode_arg =
-    Arg.(
-      value & opt string "parallel"
-      & info [ "mode" ]
-          ~doc:
-            "Execution mode: $(b,parallel) (one domain per shard) or            $(b,sequential) (same windows and digests on one thread —            for isolating determinism from scheduling).")
-  in
-  let summary_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "summary-out" ] ~docv:"FILE"
-          ~doc:
-            "Write the virtual-clock shard summary to $(docv)            (byte-identical across same-seed runs and shard counts; used            by CI as the E11 fingerprint).")
-  in
-  let run seed k horizon shards cut from_file mode summary_out =
-    let mode =
-      match mode with
-      | "parallel" -> Rf_sim.Shard_engine.Parallel
-      | "sequential" -> Rf_sim.Shard_engine.Sequential
-      | m ->
-          Format.eprintf "rfauto shard: unknown --mode %s@." m;
-          exit 64
-    in
-    let advisor_cut =
-      match cut with
-      | "advisor" -> true
-      | "static" -> false
-      | c ->
-          Format.eprintf "rfauto shard: unknown --cut %s@." c;
-          exit 64
-    in
-    let shard_counts, cut_fn =
-      match from_file with
-      | Some path ->
-          let km, assignment = load_shard_map path in
-          let f = Experiment.assignment_cut assignment in
-          ( (if km <= 1 then [ 1 ] else [ 1; km ]),
-            (* the 1-shard baseline keeps everything in shard 0 *)
-            Some (fun n host -> if n = 1 then 0 else f host) )
-      | None -> (shards, None)
-    in
-    let r =
-      Experiment.shard_speedup ~seed ~k ~horizon_s:horizon ~shard_counts
-        ~mode ~advisor_cut ?cut:cut_fn ()
-    in
-    Experiment.print_shard ~wall:true std r;
-    (match summary_out with
-    | Some path ->
-        write_file path
-          (Format.asprintf "%a" (Experiment.print_shard ~wall:false) r)
-    | None -> ());
-    if not (r.Experiment.sh_deterministic && r.Experiment.sh_legacy_agrees)
-    then exit 4
-  in
-  Cmd.v
-    (Cmd.info "shard"
-       ~doc:
-         "E11: run the fat-tree scaling workload on the sharded           conservative-lookahead engine across a sweep of shard counts —           every count must reproduce the identical virtual-clock digest           (exit 4 otherwise) — and report wall-clock speedups next to the           profiled Amdahl bound of the cut")
-    Term.(
-      const run $ seed_arg $ k_arg $ horizon_arg $ shards_arg $ cut_arg
-      $ from_arg $ mode_arg $ summary_arg)
+      const run $ seed_arg $ k_arg $ horizon_arg $ top_arg $ entities_arg
+      $ overhead_arg $ out_arg $ summary_arg $ slo_arg $ flamegraph_arg
+      $ baseline_arg)
 
 (* --- analyze: trace analytics & SLO engine (E7) --------------------- *)
 
@@ -1306,6 +1128,6 @@ let main =
        ~doc:
          "Automatic configuration of routing control platforms in OpenFlow \
           networks — reproduction experiments")
-    [ fig3_cmd; demo_cmd; failure_cmd; restart_cmd; gui_cmd; scaling_cmd; ablation_cmd; families_cmd; inspect_cmd; obs_cmd; trace_cmd; run_cmd; traffic_cmd; cluster_cmd; profile_cmd; shard_cmd; audit_cmd; analyze_cmd ]
+    [ fig3_cmd; demo_cmd; failure_cmd; restart_cmd; gui_cmd; scaling_cmd; ablation_cmd; families_cmd; inspect_cmd; obs_cmd; trace_cmd; run_cmd; traffic_cmd; cluster_cmd; profile_cmd; audit_cmd; analyze_cmd ]
 
 let () = exit (Cmd.eval main)

@@ -36,13 +36,15 @@ type t = {
   m_links : Rf_obs.Metrics.counter;
 }
 
-let create engine ?(probe_interval = Rf_sim.Vtime.span_s 5.0)
-    ?(link_timeout = Rf_sim.Vtime.span_s 15.0) () =
+(* The link timeout scales with the probe interval so that a healthy
+   link never ages out between two probe rounds, however slow they
+   are. *)
+let create engine ?(probe_interval = Rf_sim.Vtime.span_s 5.0) () =
   let t =
     {
       engine;
       probe_interval;
-      link_timeout;
+      link_timeout = Rf_sim.Vtime.span_scale 3.0 probe_interval;
       switches = Hashtbl.create 64;
       links = Hashtbl.create 64;
       on_switch_up = (fun _ _ -> ());

@@ -24,10 +24,11 @@ type t
 val create :
   Rf_sim.Engine.t ->
   ?probe_interval:Rf_sim.Vtime.span ->
-  ?link_timeout:Rf_sim.Vtime.span ->
   unit ->
   t
-(** Defaults: 5 s probes (jittered by up to 1 s), 15 s link timeout. *)
+(** Default 5 s probes (jittered by up to 1 s). A link ages out when no
+    probe has crossed it for three probe intervals (15 s at the
+    default). *)
 
 val attach : t -> Of_conn.t -> unit
 (** Takes ownership of the connection's message stream. The first probe

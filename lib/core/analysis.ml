@@ -42,7 +42,7 @@ let describe = function
   | E4 -> "controller crash + reconciliation, 8-switch ring"
   | E6 -> "traffic disruption, automatic response, 8-switch ring"
   | E9 -> "cluster leader crash + failover, 28-switch ring, 3 replicas"
-  | E10 -> "engine profile of the fat-tree scaling run + shard-cut advisory"
+  | E10 -> "engine profile of the fat-tree scaling run"
   | E12 -> "forwarding-state audit of the E3/E4/E9 fault replays"
 
 (* Runs the experiment with telemetry into a temp file and ingests it:
@@ -183,15 +183,6 @@ let rules = function
         rule ~direction:Slo.At_least ~unit_:"pct" "e10.attributed_pct"
           "share of executed events attributed to a tagged entity"
           (Slo.Meta_s "profile_attributed_pct") ~warn:90. ~fail:75.;
-        rule ~direction:Slo.At_least ~unit_:"x" "e10.speedup_bound"
-          "conservative-lookahead speedup bound of the advised cut"
-          (Slo.Meta_s "shard_speedup_bound") ~warn:2. ~fail:1.2;
-        rule ~unit_:"ratio" "e10.cut_fraction"
-          "fraction of simulated messages crossing the advised cut"
-          (Slo.Meta_s "shard_cut_fraction") ~warn:0.6 ~fail:0.9;
-        rule ~unit_:"x" "e10.imbalance"
-          "heaviest shard weight over the mean shard weight"
-          (Slo.Meta_s "shard_imbalance") ~warn:1.5 ~fail:3.;
         completeness "e10";
       ]
   | E12 ->

@@ -1507,23 +1507,8 @@ type traffic_scale_result = {
           summaries *)
 }
 
-(* The E6b workload, shared between the legacy single-engine run and
-   the sharded one: both must see the identical topology, pair list and
-   spec — and, crucially, consume the pair RNG in the identical order —
-   so their results stay comparable byte for byte. *)
-type scaling_workload = {
-  sw_topo : Topology.t;
-  sw_hosts : int;
-  sw_pairs : (string * string) list;
-  sw_latency : src:string -> dst:string -> Vtime.span;
-  sw_spec : Traffic_spec.t;
-}
-
-let scaling_host_index name =
-  int_of_string (String.sub name 1 (String.length name - 1))
-
-let scaling_workload ?(seed = 42) ?(k = 20) ?(pairs_per_host = 2)
-    ?(arrivals_per_s = 2500.0) ?(horizon_s = 60.0) () =
+let traffic_scaling_run ?(seed = 42) ?(k = 20) ?(pairs_per_host = 2)
+    ?(arrivals_per_s = 2500.0) ?(horizon_s = 60.0) ?profiler () =
   let topo = Topo_gen.fat_tree k in
   let hosts = Topo_gen.fat_tree_host_count k in
   (* A deterministic random pair list stands in for "everyone talks to
@@ -1541,11 +1526,12 @@ let scaling_workload ?(seed = 42) ?(k = 20) ?(pairs_per_host = 2)
         in
         (Topo_gen.fat_tree_host_name src, Topo_gen.fat_tree_host_name dst))
   in
+  let host_index name =
+    int_of_string (String.sub name 1 (String.length name - 1))
+  in
   let latency ~src ~dst =
     Vtime.span_ms
-      (max 1
-         (Topo_gen.fat_tree_hops ~k (scaling_host_index src)
-            (scaling_host_index dst)))
+      (max 1 (Topo_gen.fat_tree_hops ~k (host_index src) (host_index dst)))
   in
   let spec =
     Traffic_spec.make ~sample_cap:4 ~loss_timeout_s:2.0
@@ -1562,35 +1548,24 @@ let scaling_workload ?(seed = 42) ?(k = 20) ?(pairs_per_host = 2)
              });
       ]
   in
-  {
-    sw_topo = topo;
-    sw_hosts = hosts;
-    sw_pairs = pairs;
-    sw_latency = latency;
-    sw_spec = spec;
-  }
-
-let traffic_scaling_run ?(seed = 42) ?(k = 20) ?(pairs_per_host = 2)
-    ?(arrivals_per_s = 2500.0) ?(horizon_s = 60.0) ?profiler () =
-  let w = scaling_workload ~seed ~k ~pairs_per_host ~arrivals_per_s ~horizon_s () in
   let engine = Rf_sim.Engine.create ~seed () in
   (match profiler with
   | Some p -> Rf_sim.Engine.set_profiler engine (Some p)
   | None -> ());
   let measure = Traffic_measure.create engine ~loss_timeout_s:2.0 () in
-  let fabric = Traffic_gen.aggregate_fabric engine measure ~latency:w.sw_latency in
+  let fabric = Traffic_gen.aggregate_fabric engine measure ~latency in
   let rng = Rf_sim.Rng.create (seed + 1009) in
-  let gen = Traffic_gen.start engine ~rng ~measure ~fabric w.sw_spec in
+  let gen = Traffic_gen.start engine ~rng ~measure ~fabric spec in
   let t0 = Sys.time () in
   ignore (Rf_sim.Engine.run ~until:(Vtime.of_s horizon_s) engine);
   let elapsed = Sys.time () -. t0 in
   Traffic_measure.finalize measure;
   ( {
     ts_k = k;
-    ts_switches = Topology.switch_count w.sw_topo;
-    ts_hosts = w.sw_hosts;
-    ts_links = Topology.edge_count w.sw_topo;
-    ts_pairs = List.length w.sw_pairs;
+    ts_switches = Topology.switch_count topo;
+    ts_hosts = hosts;
+    ts_links = Topology.edge_count topo;
+    ts_pairs = List.length pairs;
     ts_flows = Traffic_gen.flows_launched gen;
     ts_samples = Traffic_gen.samples_sent gen;
     ts_offered = Traffic_measure.total_offered measure;
@@ -1632,7 +1607,7 @@ type cluster_run = {
    single controller, so the baseline goes through the same code).
    [audit_from] attaches the forwarding-state auditor; its value is
    the first planned fault time, the steady-state upper bound. *)
-let cluster_ring_run ?telemetry ?profiler ?(shards = 1) ?audit_from ~label
+let cluster_ring_run ?telemetry ?profiler ?audit_from ~label
     ~seed ~switches ~replicas ~horizon_s ~traffic_start_s ~parallel_boot
     ~faults ()
     =
@@ -1666,7 +1641,6 @@ let cluster_ring_run ?telemetry ?profiler ?(shards = 1) ?audit_from ~label
       link_capacity = Some traffic_link_capacity;
       cluster_replicas = replicas;
       profiler;
-      shards;
       audit = audit_from <> None;
     }
   in
@@ -1774,7 +1748,7 @@ type cluster_result = {
 let cluster_failover ?(seed = 42) ?(switches = 28) ?(replicas = 3)
     ?(crash_at_s = 30.0) ?(cut_at_s = 36.0) ?(recover_at_s = 60.0)
     ?(manual_response_s = 25.0) ?(horizon_s = 120.0) ?(traffic_start_s = 20.0)
-    ?(parallel_boot = 4) ?(shards = 1) ?(audit = false) ?telemetry ?profiler
+    ?(parallel_boot = 4) ?(audit = false) ?telemetry ?profiler
     () =
   if switches < 8 then invalid_arg "cluster_failover: need a ring of >= 8";
   if replicas < 3 then invalid_arg "cluster_failover: need >= 3 replicas";
@@ -1788,7 +1762,7 @@ let cluster_failover ?(seed = 42) ?(switches = 28) ?(replicas = 3)
      the control plane. Replica 0 later rejoins as a follower. *)
   let audit_from = if audit then Some crash_at_s else None in
   let auto =
-    cluster_ring_run ?telemetry ?profiler ~shards ?audit_from
+    cluster_ring_run ?telemetry ?profiler ?audit_from
       ~label:"automatic" ~seed ~switches ~replicas ~horizon_s ~traffic_start_s
       ~parallel_boot
       ~faults:
@@ -1891,80 +1865,16 @@ let print_traffic_scaling ?(show_rate = false) ppf (r : traffic_scale_result) =
       (float_of_int r.ts_events /. Float.max 1e-9 r.ts_elapsed_s)
       r.ts_elapsed_s
 
-(* --- E10: engine profile & shard-cut advisory ----------------------- *)
+(* --- E10: engine profile ---------------------------------------------- *)
 
 type profile_result = {
   pf_scale : traffic_scale_result;
   pf_snapshot : Rf_obs.Profiler.snapshot;
-  pf_report : Rf_obs.Shard_advisor.report;
   pf_overhead_pct : float option;
 }
 
-let advisor_input_of topo (sn : Rf_obs.Profiler.snapshot) ~horizon_s =
-  let node_id = function
-    | Topology.Switch d -> Printf.sprintf "sw:%Ld" d
-    | Topology.Host h -> "host:" ^ h
-  in
-  let weights = Hashtbl.create 997 in
-  let add id w =
-    match Hashtbl.find_opt weights id with
-    | Some r -> r := !r + w
-    | None -> Hashtbl.add weights id (ref w)
-  in
-  List.iter
-    (fun (es : Rf_obs.Profiler.entity_stat) ->
-      match es.es_kind with
-      | Rf_obs.Profiler.Switch _ | Rf_obs.Profiler.Host _ ->
-          add es.es_id es.es_events
-      | Rf_obs.Profiler.Link (a, b) ->
-          (* A link's propagation work straddles the cut between its
-             endpoint domains: split it evenly so neither side looks
-             lighter than the wire it terminates. *)
-          let half = es.es_events / 2 in
-          add (Printf.sprintf "sw:%Ld" a) half;
-          add (Printf.sprintf "sw:%Ld" b) (es.es_events - half)
-      | Rf_obs.Profiler.Unattributed | Rf_obs.Profiler.Idle
-      | Rf_obs.Profiler.Component _ | Rf_obs.Profiler.Controller _ ->
-          ())
-    sn.Rf_obs.Profiler.sn_entities;
-  let node_ids =
-    List.map (fun d -> node_id (Topology.Switch d)) (Topology.switches topo)
-    @ List.map (fun h -> node_id (Topology.Host h)) (Topology.hosts topo)
-  in
-  let known = Hashtbl.create 997 in
-  List.iter (fun id -> Hashtbl.replace known id ()) node_ids;
-  let nodes =
-    List.map
-      (fun id ->
-        {
-          Rf_obs.Shard_advisor.nd_id = id;
-          nd_weight =
-            (match Hashtbl.find_opt weights id with Some r -> !r | None -> 0);
-        })
-      node_ids
-  in
-  let adjacency =
-    List.map
-      (fun (e : Topology.edge) -> (node_id e.a, node_id e.b))
-      (Topology.edges topo)
-  in
-  let edges =
-    List.filter_map
-      (fun (src, dst, count) ->
-        if Hashtbl.mem known src && Hashtbl.mem known dst then
-          Some { Rf_obs.Shard_advisor.ed_a = src; ed_b = dst; ed_msgs = count }
-        else None)
-      sn.Rf_obs.Profiler.sn_messages
-  in
-  {
-    Rf_obs.Shard_advisor.in_nodes = nodes;
-    in_edges = edges;
-    in_adjacency = adjacency;
-    in_horizon_s = horizon_s;
-  }
-
 let profile_scaling ?(seed = 42) ?(k = 20) ?(pairs_per_host = 2)
-    ?(arrivals_per_s = 2500.0) ?(horizon_s = 60.0) ?(shards = 4)
+    ?(arrivals_per_s = 2500.0) ?(horizon_s = 60.0)
     ?(measure_overhead = false) ?telemetry () =
   (* Best-of-3 on both sides: single-sample wall-clock deltas on a
      shared machine swing by more than the effect being measured. The
@@ -1998,8 +1908,6 @@ let profile_scaling ?(seed = 42) ?(k = 20) ?(pairs_per_host = 2)
     else scale.ts_elapsed_s
   in
   let sn = Rf_obs.Profiler.snapshot profiler in
-  let input = advisor_input_of (Topo_gen.fat_tree k) sn ~horizon_s in
-  let report = Rf_obs.Shard_advisor.partition ~k:shards input in
   Rf_obs.Profiler.emit sn
     ~tracer:(Rf_sim.Engine.tracer engine)
     ~metrics:(Rf_sim.Engine.metrics engine)
@@ -2011,11 +1919,9 @@ let profile_scaling ?(seed = 42) ?(k = 20) ?(pairs_per_host = 2)
           ("experiment", "profile");
           ("seed", string_of_int seed);
           ("k", string_of_int k);
-          ("shards", string_of_int shards);
           ("horizon_s", Printf.sprintf "%.0f" horizon_s);
         ]
         @ Rf_obs.Profiler.meta sn
-        @ Rf_obs.Shard_advisor.meta report
       in
       let oc = open_out path in
       output_string oc (Rf_obs.Export.jsonl ~meta (Rf_sim.Engine.tracer engine));
@@ -2029,7 +1935,6 @@ let profile_scaling ?(seed = 42) ?(k = 20) ?(pairs_per_host = 2)
   {
     pf_scale = scale;
     pf_snapshot = sn;
-    pf_report = report;
     pf_overhead_pct = overhead;
   }
 
@@ -2037,269 +1942,10 @@ let print_profile ?(wall = false) ?(top = 10) ppf (r : profile_result) =
   print_traffic_scaling ~show_rate:wall ppf r.pf_scale;
   Rf_obs.Profiler.pp_top ~wall ~top ppf r.pf_snapshot;
   Rf_obs.Profiler.pp_depth_curve ppf r.pf_snapshot;
-  Rf_obs.Shard_advisor.pp_report ppf r.pf_report;
   match (wall, r.pf_overhead_pct) with
   | true, Some pct ->
       Format.fprintf ppf "profiling overhead: %+.1f%% wall clock@." pct
   | true, None | false, _ -> ()
-
-(* --- E11: sharded-engine speedup ------------------------------------ *)
-
-module Shard_run = Rf_traffic.Shard_run
-
-type shard_speedup_run = {
-  su_shards : int;
-  su_mode : Rf_sim.Shard_engine.mode;
-  su_lookahead_us : int;
-  su_windows : int;
-  su_events : int;
-  su_cross_msgs : int;
-  su_digest : string;
-  su_fingerprint : string;
-  su_elapsed_s : float;
-  su_speedup : float;
-  su_bound : float;
-}
-
-type shard_result = {
-  sh_seed : int;
-  sh_k : int;
-  sh_hosts : int;
-  sh_pairs : int;
-  sh_horizon_s : float;
-  sh_flows : int;
-  sh_samples : int;
-  sh_offered : int;
-  sh_delivered : int;
-  sh_lost : int;
-  sh_legacy_events : int;
-  sh_legacy_elapsed_s : float;
-  sh_legacy_agrees : bool;
-  sh_advisor_bounds : (int * float) list;
-  sh_runs : shard_speedup_run list;
-  sh_deterministic : bool;
-}
-
-(* The default static cut: contiguous blocks of host indices, so pods
-   stay together and the cut crosses only inter-pod pairs. *)
-let block_cut ~hosts n host = scaling_host_index host * n / hosts
-
-(* Host→shard lookup from an advisor assignment: entities carry the
-   advisor's "host:<name>" ids, but accept bare names too so maps from
-   other producers keep working. *)
-let assignment_cut assignment =
-  let tbl = Hashtbl.create 997 in
-  List.iter (fun (id, s) -> Hashtbl.replace tbl id s) assignment;
-  fun host ->
-    match Hashtbl.find_opt tbl ("host:" ^ host) with
-    | Some s -> s
-    | None -> (
-        match Hashtbl.find_opt tbl host with
-        | Some s -> s
-        | None ->
-            invalid_arg
-              (Printf.sprintf
-                 "Experiment: shard map has no entry for host %s" host))
-
-let shard_speedup ?(seed = 42) ?(k = 10) ?(pairs_per_host = 2)
-    ?(arrivals_per_s = 2500.0) ?(horizon_s = 20.0)
-    ?(shard_counts = [ 1; 2; 4; 8 ]) ?(mode = Rf_sim.Shard_engine.Parallel)
-    ?(advisor_cut = false) ?cut () =
-  let w =
-    scaling_workload ~seed ~k ~pairs_per_host ~arrivals_per_s ~horizon_s ()
-  in
-  (* The legacy single-engine run doubles as the differential oracle and
-     as the load profile the Amdahl bounds are computed from. *)
-  let profiler = Rf_obs.Profiler.create () in
-  let legacy, _engine =
-    traffic_scaling_run ~seed ~k ~pairs_per_host ~arrivals_per_s ~horizon_s
-      ~profiler ()
-  in
-  let sn = Rf_obs.Profiler.snapshot profiler in
-  let input = advisor_input_of w.sw_topo sn ~horizon_s in
-  (* Only hosts carry events in the aggregated-fabric model, so only
-     host weights gate a cut's balance. *)
-  let host_weight = Hashtbl.create 997 in
-  List.iter
-    (fun (nd : Rf_obs.Shard_advisor.node) ->
-      if String.length nd.nd_id > 5 && String.sub nd.nd_id 0 5 = "host:" then
-        Hashtbl.replace host_weight
-          (String.sub nd.nd_id 5 (String.length nd.nd_id - 5))
-          nd.nd_weight)
-    input.Rf_obs.Shard_advisor.in_nodes;
-  let bound_for n assign =
-    let per = Array.make n 0 in
-    let total = ref 0 in
-    Hashtbl.iter
-      (fun h wt ->
-        let s = assign h in
-        if s >= 0 && s < n then per.(s) <- per.(s) + wt;
-        total := !total + wt)
-      host_weight;
-    let mx = Array.fold_left max 0 per in
-    if mx = 0 then 1.0 else float_of_int !total /. float_of_int mx
-  in
-  let cut_for n =
-    match cut with
-    | Some f -> f n
-    | None when advisor_cut && n >= 2 ->
-        assignment_cut
-          (Rf_obs.Shard_advisor.shard_assignment
-             (Rf_obs.Shard_advisor.partition ~k:n input))
-    | None -> block_cut ~hosts:w.sw_hosts n
-  in
-  let advisor_bounds =
-    List.filter_map
-      (fun n ->
-        if n < 2 then None
-        else
-          let report = Rf_obs.Shard_advisor.partition ~k:n input in
-          Some (n, report.Rf_obs.Shard_advisor.rp_speedup_bound))
-      shard_counts
-  in
-  let raw_runs =
-    List.map
-      (fun n ->
-        let assign = cut_for n in
-        let m = if n = 1 then Rf_sim.Shard_engine.Sequential else mode in
-        let rng = Rf_sim.Rng.create (seed + 1009) in
-        let r =
-          Shard_run.run ~seed ~mode:m ~shards:n ~assign ~latency:w.sw_latency
-            ~horizon_s ~rng w.sw_spec
-        in
-        (n, m, assign, r))
-      shard_counts
-  in
-  let base_elapsed =
-    match
-      List.find_opt (fun (n, _, _, _) -> n = 1) raw_runs
-    with
-    | Some (_, _, _, r) -> r.Shard_run.sr_elapsed_s
-    | None -> (
-        match raw_runs with
-        | (_, _, _, r) :: _ -> r.Shard_run.sr_elapsed_s
-        | [] -> invalid_arg "Experiment.shard_speedup: shard_counts is empty")
-  in
-  let runs =
-    List.map
-      (fun (n, m, assign, (r : Shard_run.result)) ->
-        {
-          su_shards = n;
-          su_mode = m;
-          su_lookahead_us = Vtime.span_to_us r.sr_lookahead;
-          su_windows = r.sr_windows;
-          su_events = r.sr_events;
-          su_cross_msgs = r.sr_cross_msgs;
-          su_digest = r.sr_digest;
-          su_fingerprint = r.sr_fingerprint;
-          su_elapsed_s = r.sr_elapsed_s;
-          su_speedup = base_elapsed /. Float.max 1e-9 r.sr_elapsed_s;
-          su_bound = (if n = 1 then 1.0 else bound_for n assign);
-        })
-      raw_runs
-  in
-  let first =
-    match raw_runs with
-    | (_, _, _, r) :: _ -> r
-    | [] -> assert false
-  in
-  let legacy_agrees =
-    legacy.ts_flows = first.sr_flows
-    && legacy.ts_samples = first.sr_samples
-    && legacy.ts_offered = first.sr_offered
-    && legacy.ts_delivered = first.sr_delivered
-    && legacy.ts_lost = first.sr_lost
-  in
-  let deterministic =
-    List.for_all (fun su -> String.equal su.su_digest first.sr_digest) runs
-  in
-  {
-    sh_seed = seed;
-    sh_k = k;
-    sh_hosts = w.sw_hosts;
-    sh_pairs = List.length w.sw_pairs;
-    sh_horizon_s = horizon_s;
-    sh_flows = first.sr_flows;
-    sh_samples = first.sr_samples;
-    sh_offered = first.sr_offered;
-    sh_delivered = first.sr_delivered;
-    sh_lost = first.sr_lost;
-    sh_legacy_events = legacy.ts_events;
-    sh_legacy_elapsed_s = legacy.ts_elapsed_s;
-    sh_legacy_agrees = legacy_agrees;
-    sh_advisor_bounds = advisor_bounds;
-    sh_runs = runs;
-    sh_deterministic = deterministic;
-  }
-
-let shard_mode_name = function
-  | Rf_sim.Shard_engine.Parallel -> "parallel"
-  | Rf_sim.Shard_engine.Sequential -> "sequential"
-
-let print_shard ?(wall = false) ppf (r : shard_result) =
-  Format.fprintf ppf
-    "Shard speedup — fat-tree k=%d: %d hosts, %d pairs, %.0f s of virtual time@."
-    r.sh_k r.sh_hosts r.sh_pairs r.sh_horizon_s;
-  Format.fprintf ppf "  %d flows, %d probes: offered %d = delivered %d + lost %d@."
-    r.sh_flows r.sh_samples r.sh_offered r.sh_delivered r.sh_lost;
-  Format.fprintf ppf "  legacy single-engine run agrees: %b (%d events)@."
-    r.sh_legacy_agrees r.sh_legacy_events;
-  Format.fprintf ppf "  digests identical across shard counts: %b@."
-    r.sh_deterministic;
-  (match r.sh_runs with
-  | first :: _ ->
-      Format.fprintf ppf "  run digest %s@." first.su_digest;
-      Format.fprintf ppf "  summary fingerprint %s@." first.su_fingerprint
-  | [] -> ());
-  List.iter
-    (fun su ->
-      Format.fprintf ppf
-        "  shards %d (%s): lookahead %d us, %d windows, %d events, %d cross msgs, bound %.2fx"
-        su.su_shards (shard_mode_name su.su_mode) su.su_lookahead_us
-        su.su_windows su.su_events su.su_cross_msgs su.su_bound;
-      if wall then
-        Format.fprintf ppf ", speedup %.2fx (%.3f s)" su.su_speedup
-          su.su_elapsed_s;
-      Format.fprintf ppf "@.")
-    r.sh_runs;
-  List.iter
-    (fun (n, b) ->
-      Format.fprintf ppf "  advisor bound at k=%d: %.2fx@." n b)
-    r.sh_advisor_bounds;
-  Format.fprintf ppf "  seed %d@." r.sh_seed
-
-let scaling_sharded ?(seed = 42) ?(k = 20) ?(pairs_per_host = 2)
-    ?(arrivals_per_s = 2500.0) ?(horizon_s = 60.0)
-    ?(mode = Rf_sim.Shard_engine.Parallel) ?(profile = false) ?assignment
-    ~shards () =
-  let w =
-    scaling_workload ~seed ~k ~pairs_per_host ~arrivals_per_s ~horizon_s ()
-  in
-  let assign =
-    match assignment with
-    | Some a -> assignment_cut a
-    | None -> block_cut ~hosts:w.sw_hosts shards
-  in
-  let mode = if shards = 1 then Rf_sim.Shard_engine.Sequential else mode in
-  let rng = Rf_sim.Rng.create (seed + 1009) in
-  Shard_run.run ~seed ~mode ~profile ~shards ~assign ~latency:w.sw_latency
-    ~horizon_s ~rng w.sw_spec
-
-let print_scaling_sharded ?(wall = false) ppf (r : Shard_run.result) =
-  Format.fprintf ppf
-    "Sharded scaling — %d shards (%s), lookahead %d us, %d windows@."
-    r.Shard_run.sr_shards (shard_mode_name r.sr_mode)
-    (Vtime.span_to_us r.sr_lookahead) r.sr_windows;
-  Format.fprintf ppf "  %d flows, %d probes: offered %d = delivered %d + lost %d@."
-    r.sr_flows r.sr_samples r.sr_offered r.sr_delivered r.sr_lost;
-  Format.fprintf ppf "  engine events %d, cross-shard msgs %d@." r.sr_events
-    r.sr_cross_msgs;
-  Format.fprintf ppf "  digest %s@.  fingerprint %s@." r.sr_digest
-    r.sr_fingerprint;
-  if wall then
-    Format.fprintf ppf "  events/sec %.0f (%.2f s elapsed)@."
-      (float_of_int r.sr_events /. Float.max 1e-9 r.sr_elapsed_s)
-      r.sr_elapsed_s
 
 (* --- E12: forwarding-state audit of the fault replays -------------- *)
 

@@ -497,7 +497,6 @@ val cluster_failover :
   ?horizon_s:float ->
   ?traffic_start_s:float ->
   ?parallel_boot:int ->
-  ?shards:int ->
   ?audit:bool ->
   ?telemetry:string ->
   ?profiler:Rf_obs.Profiler.t ->
@@ -512,43 +511,28 @@ val cluster_failover :
     RF-side state digest. [telemetry] writes the automatic run's
     span/event JSONL. At large ring sizes raise [parallel_boot],
     [traffic_start_s] and the fault times so provisioning completes
-    before the measurement starts. [shards >= 2] registers the static
-    block partition on the automatic run's network and surfaces its
-    cut statistics in the telemetry meta (see {!Scenario.options}). *)
+    before the measurement starts. *)
 
 val print_cluster : Format.formatter -> cluster_result -> unit
 (** Deterministic: safe to fingerprint (no wall-clock content). *)
 
-(** {1 E10 — engine profile & shard-cut advisory}
+(** {1 E10 — engine profile}
 
     One E6-style scaling run with the {!Rf_obs.Profiler} attached:
-    per-entity load attribution, heap/GC telemetry, and a
-    {!Rf_obs.Shard_advisor} partition of the topology. Every figure in
+    per-entity load attribution and heap/GC telemetry. Every figure in
     the deterministic report derives from simulation state (event
-    counts, heap shape, message counts), so the summary can be
-    fingerprinted; wall-clock rates and GC words appear only in the
-    [wall] form of the printer. *)
+    counts, heap shape), so the summary can be fingerprinted;
+    wall-clock rates and GC words appear only in the [wall] form of
+    the printer. *)
 
 type profile_result = {
   pf_scale : traffic_scale_result;
   pf_snapshot : Rf_obs.Profiler.snapshot;
-  pf_report : Rf_obs.Shard_advisor.report;
   pf_overhead_pct : float option;
       (** profiled vs unprofiled wall-clock cost of the same run, in
           percent; only present with [measure_overhead] and never part
           of deterministic output *)
 }
-
-val advisor_input_of :
-  Rf_net.Topology.t ->
-  Rf_obs.Profiler.snapshot ->
-  horizon_s:float ->
-  Rf_obs.Shard_advisor.input
-(** Builds the advisor's weighted graph: topology switches and hosts
-    as nodes weighted by attributed event counts (link-entity events
-    split between their endpoint switches), topology edges as the
-    weight-free adjacency, and the profiler's message matrix (filtered
-    to topology nodes) as the communication edges. *)
 
 val profile_scaling :
   ?seed:int ->
@@ -556,15 +540,14 @@ val profile_scaling :
   ?pairs_per_host:int ->
   ?arrivals_per_s:float ->
   ?horizon_s:float ->
-  ?shards:int ->
   ?measure_overhead:bool ->
   ?telemetry:string ->
   unit ->
   profile_result
 (** The E6 scaling run (same defaults as {!traffic_scaling}) with
-    profiling on, partitioned into [shards] (default 4) shards.
-    [measure_overhead] first runs the identical workload unprofiled
-    and reports the relative wall-clock cost of instrumentation. *)
+    profiling on. [measure_overhead] first runs the identical workload
+    unprofiled and reports the relative wall-clock cost of
+    instrumentation. *)
 
 val print_profile :
   ?wall:bool ->
@@ -576,113 +559,6 @@ val print_profile :
     simulation-deterministic figures — safe to fingerprint. [wall]
     adds busy-time, events/sec, GC and overhead lines. [top] (default
     10) bounds the entity table. *)
-
-(** {1 E11 — sharded-engine speedup}
-
-    The E6 scaling workload run on the conservative-lookahead
-    {!Rf_sim.Shard_engine} across a sweep of shard counts, with a
-    legacy single-engine run as differential oracle and load profile.
-    Every shard count must reproduce the identical virtual-clock
-    digest — the sweep measures wall-clock only. *)
-
-type shard_speedup_run = {
-  su_shards : int;
-  su_mode : Rf_sim.Shard_engine.mode;
-  su_lookahead_us : int;  (** conservative horizon, microseconds *)
-  su_windows : int;  (** synchronization windows executed *)
-  su_events : int;
-  su_cross_msgs : int;  (** probes that crossed a shard boundary *)
-  su_digest : string;  (** virtual-clock-only run digest *)
-  su_fingerprint : string;  (** CI-stable summary fingerprint *)
-  su_elapsed_s : float;  (** wall-clock; never deterministic *)
-  su_speedup : float;  (** vs the shards=1 run of the same sweep *)
-  su_bound : float;
-      (** Amdahl bound of the cut actually used: total profiled host
-          weight over the heaviest shard's *)
-}
-
-type shard_result = {
-  sh_seed : int;
-  sh_k : int;
-  sh_hosts : int;
-  sh_pairs : int;
-  sh_horizon_s : float;
-  sh_flows : int;
-  sh_samples : int;
-  sh_offered : int;
-  sh_delivered : int;
-  sh_lost : int;
-  sh_legacy_events : int;  (** single-engine event count *)
-  sh_legacy_elapsed_s : float;  (** CPU time, {!Sys.time} based *)
-  sh_legacy_agrees : bool;
-      (** sharded integer results match the legacy run *)
-  sh_advisor_bounds : (int * float) list;
-      (** {!Rf_obs.Shard_advisor} speedup bound per shard count >= 2,
-          from the profiled legacy run *)
-  sh_runs : shard_speedup_run list;  (** in [shard_counts] order *)
-  sh_deterministic : bool;  (** all digests byte-identical *)
-}
-
-val shard_speedup :
-  ?seed:int ->
-  ?k:int ->
-  ?pairs_per_host:int ->
-  ?arrivals_per_s:float ->
-  ?horizon_s:float ->
-  ?shard_counts:int list ->
-  ?mode:Rf_sim.Shard_engine.mode ->
-  ?advisor_cut:bool ->
-  ?cut:(int -> string -> int) ->
-  unit ->
-  shard_result
-(** Runs the E6 workload (defaults scaled down: k=10, 20 s horizon)
-    once on the legacy engine with the profiler attached, then once
-    per entry of [shard_counts] (default [[1;2;4;8]]) on the sharded
-    runner. [cut n] maps a host name to its shard in [[0, n)];
-    the default is a contiguous block cut by host index, keeping
-    fat-tree pods together, or — with [advisor_cut] — the
-    {!Rf_obs.Shard_advisor} partition derived from the profiled
-    legacy run. Shards=1 runs [Sequential]; other counts use [mode]
-    (default [Parallel], one domain per shard). Raises
-    [Invalid_argument] if [shard_counts] is empty. *)
-
-val print_shard : ?wall:bool -> Format.formatter -> shard_result -> unit
-(** With [wall:false] (default) prints only virtual-clock figures —
-    safe to fingerprint across machines and shard counts. [wall] adds
-    per-run elapsed seconds and speedups. *)
-
-val assignment_cut : (string * int) list -> string -> int
-(** Host→shard lookup over an entity→shard assignment (advisor ids
-    ["host:<name>"] first, bare names second). Raises
-    [Invalid_argument] for a host absent from the map. *)
-
-val scaling_sharded :
-  ?seed:int ->
-  ?k:int ->
-  ?pairs_per_host:int ->
-  ?arrivals_per_s:float ->
-  ?horizon_s:float ->
-  ?mode:Rf_sim.Shard_engine.mode ->
-  ?profile:bool ->
-  ?assignment:(string * int) list ->
-  shards:int ->
-  unit ->
-  Rf_traffic.Shard_run.result
-(** One sharded run of the E6 scaling workload (same defaults as
-    {!traffic_scaling}). [assignment] is an entity→shard map — e.g.
-    loaded from a [rfauto-shard-map-v1] file — consulted first under
-    the advisor's ["host:<name>"] ids and then under bare names;
-    without it the contiguous block cut by host index is used.
-    [profile] attaches a profiler per shard and merges the snapshots
-    ({!Rf_obs.Profiler.merge}) into the result. Raises
-    [Invalid_argument] when a host is missing from [assignment] or a
-    shard id falls outside [[0, shards)]. *)
-
-val print_scaling_sharded :
-  ?wall:bool -> Format.formatter -> Rf_traffic.Shard_run.result -> unit
-(** With [wall:false] (default) the report is byte-identical for a
-    given seed regardless of shard count — the CI shard fingerprint.
-    [wall] adds events/sec and elapsed seconds. *)
 
 (** {1 E12 — forwarding-state audit of the fault replays}
 

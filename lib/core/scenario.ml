@@ -23,13 +23,6 @@ type options = {
       (** RF-controller replicas; 1 = the legacy single controller
           (no cluster machinery is instantiated at all) *)
   profiler : Rf_obs.Profiler.t option;
-  shards : int;
-      (** registers a static k-way partition of the network nodes (a
-          contiguous block cut: switches first, hosts after, in
-          topology order) and its cut statistics in the telemetry
-          meta; 1 = no partition. Build raises [Invalid_argument] if
-          a zero-latency link crosses the cut, because such a cut
-          leaves a sharded engine no conservative-lookahead horizon. *)
   audit : bool;
       (** attaches the continuous forwarding-state auditor
           ({!Rf_obs.Auditor}): flow-table snapshots, link state, RIB
@@ -53,7 +46,6 @@ let default_options =
     link_capacity = None;
     cluster_replicas = 1;
     profiler = None;
-    shards = 1;
     audit = false;
   }
 
@@ -341,23 +333,6 @@ let build ?(options = default_options) topo =
   (match options.link_capacity with
   | Some _ as cap -> Network.set_all_link_capacity net cap
   | None -> ());
-  (* Static block partition for sharded execution: nodes in topology
-     order (switches first, then hosts) cut into contiguous blocks, so
-     ring neighbours and pod members stay on the same shard. *)
-  if options.shards > 1 then begin
-    let nodes =
-      List.map (fun d -> Topology.Switch d) (Topology.switches topo)
-      @ List.map (fun h -> Topology.Host h) (Topology.hosts topo)
-    in
-    let total = List.length nodes in
-    let index = Hashtbl.create 997 in
-    List.iteri (fun i n -> Hashtbl.replace index n i) nodes;
-    Network.set_partition net ~shards:options.shards (fun n ->
-        match Hashtbl.find_opt index n with
-        | Some i -> i * options.shards / total
-        | None -> 0)
-  end;
-
   (* Forwarding-state auditor (opt-in): feed it the static topology,
      then subscribe it to every state source — classifier snapshots on
      table change, link transitions, RIB publications (wired per VM
@@ -656,23 +631,6 @@ let telemetry_meta t =
   @ opt_s "reconverged_s" (reconverged_at t)
   @ nonzero "fault_events" (Rf_sim.Faults.fired_count t.fault_handle)
   @ nonzero "trace_dropped" (trace_dropped t)
-  (* shard keys appear only in partitioned runs, so unpartitioned
-     telemetry (and its pinned fingerprints) is unchanged *)
-  @ (match Network.partition_cut t.net with
-    | None -> []
-    | Some cut ->
-        [
-          ("shards", string_of_int cut.Topology.cut_shards);
-          ("cut_cross_links", string_of_int cut.Topology.cut_cross_edges);
-          ("cut_total_links", string_of_int cut.Topology.cut_total_edges);
-        ]
-        @ (match cut.Topology.cut_lookahead with
-          | Some la ->
-              [
-                ( "cut_lookahead_us",
-                  string_of_int (Rf_sim.Vtime.span_to_us la) );
-              ]
-          | None -> []))
   (* audit keys appear only in audited runs, so unaudited telemetry
      (and its pinned fingerprints) is unchanged; audit_dropped is
      always present when auditing so completeness rules can bind to

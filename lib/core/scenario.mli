@@ -36,15 +36,6 @@ type options = {
   profiler : Rf_obs.Profiler.t option;
       (** when set, attached to the engine before anything is
           scheduled, so boot-phase work is attributed too *)
-  shards : int;
-      (** >= 2 registers a static contiguous block partition of the
-          network nodes ({!Rf_net.Network.set_partition}) and surfaces
-          its cut statistics — shard count, cross links, lookahead
-          bound — in the telemetry meta. 1 (default) records nothing,
-          keeping unpartitioned fingerprints unchanged. Build raises
-          [Invalid_argument] when a zero-latency link crosses the
-          cut, since such a cut leaves a sharded engine no
-          conservative-lookahead horizon *)
   audit : bool;
       (** attaches a continuous forwarding-state auditor
           ({!Rf_obs.Auditor}) fed by flow-table snapshots (on every

@@ -14,38 +14,12 @@ type t = {
   agents : (int64, Of_agent.t) Hashtbl.t;
   links : (Topology.node * Topology.node, Link.t) Hashtbl.t;
   mutable reconnect : (int64 -> unit) option;
-  mutable partition : (int * (Topology.node -> int)) option;
   mutable on_link_state : Topology.node -> Topology.node -> bool -> unit;
 }
 
 let engine t = t.engine
 
 let topology t = t.topo
-
-let set_partition t ~shards assign =
-  if shards < 1 then invalid_arg "Network.set_partition: shards < 1";
-  let cut = Topology.cut_stats t.topo ~shards ~assign in
-  (match cut.Topology.cut_lookahead with
-  | Some la
-    when shards > 1 && Rf_sim.Vtime.span_compare la Rf_sim.Vtime.span_zero <= 0
-    ->
-      invalid_arg
-        "Network.set_partition: a zero-latency link crosses the cut — no \
-         safe lookahead horizon exists (merge those shards or run with \
-         shards = 1)"
-  | Some _ | None -> ());
-  t.partition <- Some (shards, assign)
-
-let partition_shards t =
-  match t.partition with Some (n, _) -> n | None -> 1
-
-let shard_of t node =
-  match t.partition with Some (_, assign) -> Some (assign node) | None -> None
-
-let partition_cut t =
-  match t.partition with
-  | Some (shards, assign) -> Some (Topology.cut_stats t.topo ~shards ~assign)
-  | None -> None
 
 let datapath t dpid =
   match Hashtbl.find_opt t.dps dpid with
@@ -119,7 +93,6 @@ let build engine topo ~host_config ~attach_controller
       agents = Hashtbl.create 64;
       links = Hashtbl.create 64;
       reconnect = None;
-      partition = None;
       on_link_state = (fun _ _ _ -> ());
     }
   in

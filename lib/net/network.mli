@@ -72,18 +72,3 @@ val reconnect_switch : t -> int64 -> unit
 val total_data_frames : t -> int
 (** Sum of frames carried over all links. *)
 
-val set_partition : t -> shards:int -> (Topology.node -> int) -> unit
-(** Records the node→shard assignment a sharded run will use. Link
-    latency is the shard-boundary contract: the minimum latency over
-    cross-shard links bounds the conservative lookahead, so this raises
-    [Invalid_argument] when [shards > 1] and a zero-latency link
-    crosses the cut. *)
-
-val partition_shards : t -> int
-(** Shard count of the recorded partition; [1] when none is set. *)
-
-val shard_of : t -> Topology.node -> int option
-(** The recorded shard of a node, [None] when no partition is set. *)
-
-val partition_cut : t -> Topology.cut option
-(** Cut statistics of the recorded partition. *)

@@ -178,40 +178,6 @@ let diameter t =
         acc sw)
     0 sw
 
-type cut = {
-  cut_shards : int;
-  cut_cross_edges : int;
-  cut_total_edges : int;
-  cut_lookahead : Rf_sim.Vtime.span option;
-}
-
-let cut_stats t ~shards ~assign =
-  if shards < 1 then invalid_arg "Topology.cut_stats: shards < 1";
-  let cross = ref 0 in
-  let la = ref None in
-  List.iter
-    (fun e ->
-      let sa = assign e.a and sb = assign e.b in
-      if sa < 0 || sa >= shards || sb < 0 || sb >= shards then
-        invalid_arg "Topology.cut_stats: shard id out of range";
-      if sa <> sb then begin
-        incr cross;
-        la :=
-          Some
-            (match !la with
-            | None -> e.latency
-            | Some l ->
-                if Rf_sim.Vtime.span_compare e.latency l < 0 then e.latency
-                else l)
-      end)
-    (edges t);
-  {
-    cut_shards = shards;
-    cut_cross_edges = !cross;
-    cut_total_edges = t.n_edges;
-    cut_lookahead = !la;
-  }
-
 let pp_node ppf = function
   | Switch d -> Format.fprintf ppf "sw%Ld" d
   | Host h -> Format.fprintf ppf "host:%s" h

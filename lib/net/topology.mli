@@ -78,22 +78,6 @@ val hop_distance : t -> node -> node -> int option
 val diameter : t -> int
 (** Max finite switch-to-switch hop distance (0 for <2 switches). *)
 
-type cut = {
-  cut_shards : int;
-  cut_cross_edges : int;  (** edges whose endpoints sit on different shards *)
-  cut_total_edges : int;
-  cut_lookahead : Rf_sim.Vtime.span option;
-      (** Minimum latency over cross-shard edges — the largest safe
-          conservative-lookahead horizon this cut supports. [None] when
-          nothing crosses the cut. *)
-}
-
-val cut_stats : t -> shards:int -> assign:(node -> int) -> cut
-(** Evaluates a node→shard assignment as a shard boundary. Link latency
-    is the boundary contract: a sharded engine may only run a window of
-    [cut_lookahead] safely. Raises [Invalid_argument] when an assigned
-    shard id falls outside [0, shards). *)
-
 val pp_node : Format.formatter -> node -> unit
 
 val node_equal : node -> node -> bool

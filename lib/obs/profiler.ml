@@ -67,7 +67,6 @@ type t = {
   stamp_id : int;
   idle : entity;
   gc0 : Gc.stat;
-  messages : (kind * kind, int ref) Hashtbl.t;
   mutable handles : entity list;
   mutable current : entity;
   mutable last_ns : int;
@@ -111,7 +110,6 @@ let create ?clock_ns ?(clock_every = 32) ?(sample_every = 4096) () =
     stamp_id = stamp;
     idle;
     gc0;
-    messages = Hashtbl.create 64;
     handles = [ idle ];
     current = idle;
     last_ns = 0;
@@ -197,17 +195,6 @@ let run_end p ~depth ~now_us ~pushes ~peak =
     take_sample p ~now_us ~depth
   end
 
-let message_counter p ~src ~dst =
-  let key = (src.kind, dst.kind) in
-  match Hashtbl.find_opt p.messages key with
-  | Some r -> r
-  | None ->
-      let r = ref 0 in
-      Hashtbl.replace p.messages key r;
-      r
-
-let message p ~src ~dst = incr (message_counter p ~src ~dst)
-
 let dispatches p = p.dispatches
 
 (** {1 Snapshots} *)
@@ -240,7 +227,6 @@ type snapshot = {
   sn_heap_pushes : int;
   sn_samples : sample list;
   sn_gc : gc_delta;
-  sn_messages : (string * string * int) list;
 }
 
 let snapshot p =
@@ -292,18 +278,6 @@ let snapshot p =
       gd_top_heap_words = p.gc_last.Gc.top_heap_words;
     }
   in
-  let messages =
-    Hashtbl.fold
-      (fun (src, dst) r acc -> (kind_id src, kind_id dst, !r) :: acc)
-      p.messages []
-    |> List.sort (fun (s1, d1, c1) (s2, d2, c2) ->
-           match compare c2 c1 with
-           | 0 -> (
-               match String.compare s1 s2 with
-               | 0 -> String.compare d1 d2
-               | c -> c)
-           | c -> c)
-  in
   {
     sn_events = p.dispatches;
     sn_entities = entities;
@@ -315,85 +289,7 @@ let snapshot p =
     sn_heap_pushes = p.pushes;
     sn_samples = List.rev p.samples;
     sn_gc = gc;
-    sn_messages = messages;
   }
-
-(* Aggregate per-shard snapshots into one profile so E10-style reports
-   stay meaningful when the run was sharded: counters sum, entity and
-   message rows merge by id, heap samples interleave chronologically.
-   The heap peak is also summed — the shard heaps coexist, so their
-   peaks add up to the run's worst-case footprint. *)
-let merge snapshots =
-  match snapshots with
-  | [] -> invalid_arg "Profiler.merge: empty list"
-  | [ sn ] -> sn
-  | _ :: _ ->
-      let entities : (string, entity_stat) Hashtbl.t = Hashtbl.create 64 in
-      let messages : (string * string, int) Hashtbl.t = Hashtbl.create 64 in
-      List.iter
-        (fun sn ->
-          List.iter
-            (fun es ->
-              match Hashtbl.find_opt entities es.es_id with
-              | Some cur ->
-                  Hashtbl.replace entities es.es_id
-                    {
-                      cur with
-                      es_events = cur.es_events + es.es_events;
-                      es_busy_ns = cur.es_busy_ns + es.es_busy_ns;
-                    }
-              | None -> Hashtbl.add entities es.es_id es)
-            sn.sn_entities;
-          List.iter
-            (fun (src, dst, n) ->
-              let cur =
-                Option.value ~default:0 (Hashtbl.find_opt messages (src, dst))
-              in
-              Hashtbl.replace messages (src, dst) (cur + n))
-            sn.sn_messages)
-        snapshots;
-      let sum f = List.fold_left (fun acc sn -> acc + f sn) 0 snapshots in
-      let sumf f = List.fold_left (fun acc sn -> acc +. f sn) 0. snapshots in
-      {
-        sn_events = sum (fun sn -> sn.sn_events);
-        sn_entities =
-          Hashtbl.fold (fun _ es acc -> es :: acc) entities []
-          |> List.sort (fun a b ->
-                 match compare b.es_events a.es_events with
-                 | 0 -> String.compare a.es_id b.es_id
-                 | c -> c);
-        sn_attributed_events = sum (fun sn -> sn.sn_attributed_events);
-        sn_busy_ns = sum (fun sn -> sn.sn_busy_ns);
-        sn_idle_ns = sum (fun sn -> sn.sn_idle_ns);
-        sn_run_ns = sum (fun sn -> sn.sn_run_ns);
-        sn_heap_peak = sum (fun sn -> sn.sn_heap_peak);
-        sn_heap_pushes = sum (fun sn -> sn.sn_heap_pushes);
-        sn_samples =
-          List.concat_map (fun sn -> sn.sn_samples) snapshots
-          |> List.stable_sort (fun a b -> compare a.s_us b.s_us);
-        sn_gc =
-          {
-            gd_minor_words = sumf (fun sn -> sn.sn_gc.gd_minor_words);
-            gd_promoted_words = sumf (fun sn -> sn.sn_gc.gd_promoted_words);
-            gd_major_words = sumf (fun sn -> sn.sn_gc.gd_major_words);
-            gd_minor_collections =
-              sum (fun sn -> sn.sn_gc.gd_minor_collections);
-            gd_major_collections =
-              sum (fun sn -> sn.sn_gc.gd_major_collections);
-            gd_compactions = sum (fun sn -> sn.sn_gc.gd_compactions);
-            gd_top_heap_words = sum (fun sn -> sn.sn_gc.gd_top_heap_words);
-          };
-        sn_messages =
-          Hashtbl.fold (fun (src, dst) n acc -> (src, dst, n) :: acc) messages
-            []
-          |> List.sort (fun (s1, d1, c1) (s2, d2, c2) ->
-                 match compare c2 c1 with
-                 | 0 -> (
-                     match String.compare s1 s2 with
-                     | 0 -> String.compare d1 d2
-                     | c -> c)
-                 | c -> c);
-      }
 
 let attributed_share sn =
   if sn.sn_events = 0 then 0.

@@ -13,8 +13,7 @@
     Alongside attribution the profiler records an event-heap
     depth/churn timeseries and periodic [Gc.quick_stat] deltas
     (sampled every [sample_every] events, so sample {e points} are
-    deterministic even though the GC figures are not), plus a
-    src/dst message matrix that feeds {!Shard_advisor}. *)
+    deterministic even though the GC figures are not). *)
 
 type kind =
   | Unattributed  (** events scheduled without an [~entity] tag *)
@@ -78,15 +77,6 @@ val run_end : t -> depth:int -> now_us:int -> pushes:int -> peak:int -> unit
     heap's cumulative insertion count — churn) and [peak] (its exact
     high-water mark, tracked by the heap itself) into the profile. *)
 
-val message : t -> src:entity -> dst:entity -> unit
-(** Records one simulated message from [src] to [dst] in the traffic
-    matrix consumed by the shard advisor. *)
-
-val message_counter : t -> src:entity -> dst:entity -> int ref
-(** The live counter behind {!message} for the (src, dst) pair —
-    resolve it once per flow and [incr] it per message to keep the
-    per-message cost to one store. *)
-
 val dispatches : t -> int
 
 (** {1 Snapshots} *)
@@ -126,19 +116,9 @@ type snapshot = {
   sn_heap_pushes : int;
   sn_samples : sample list;  (** chronological *)
   sn_gc : gc_delta;
-  sn_messages : (string * string * int) list;
-      (** (src id, dst id, count), count desc then ids asc *)
 }
 
 val snapshot : t -> snapshot
-
-val merge : snapshot list -> snapshot
-(** Aggregates per-shard snapshots into one profile: counters, busy/idle
-    time and GC deltas sum; entity and message rows merge by id; heap
-    samples interleave in virtual-time order. Heap peaks are summed
-    because shard heaps coexist — the result is the run's worst-case
-    aggregate footprint, not a concurrent high-water mark. Raises
-    [Invalid_argument] on an empty list. *)
 
 val attributed_share : snapshot -> float
 

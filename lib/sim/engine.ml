@@ -17,13 +17,13 @@ type t = {
   mutable executed : int;
 }
 
-let create_with_rng rng =
+let create ?(seed = 42) () =
   let tracer = Rf_obs.Tracer.create () in
   let t =
     {
       clock = Vtime.zero;
       queue = Event_heap.create ();
-      rng;
+      rng = Rng.create seed;
       trace = Trace.create ~tracer ();
       tracer;
       metrics = Rf_obs.Metrics.create ();
@@ -38,8 +38,6 @@ let create_with_rng rng =
   Rf_obs.Tracer.set_clock tracer (fun () -> Vtime.to_us t.clock);
   t
 
-let create ?(seed = 42) () = create_with_rng (Rng.create seed)
-
 let now t = t.clock
 
 let rng t = t.rng
@@ -53,8 +51,6 @@ let metrics t = t.metrics
 let set_profiler t p = t.profiler <- p
 
 let profiler t = t.profiler
-
-let next_time t = Event_heap.peek_time t.queue
 
 let heap_depth t = Event_heap.size t.queue
 

@@ -12,11 +12,6 @@ type timer
 
 val create : ?seed:int -> unit -> t
 
-val create_with_rng : Rng.t -> t
-(** Like [create] but with a caller-built generator — shard drivers use
-    {!Rng.derive_label} streams so a shard's draws depend only on the
-    root seed and the shard's label, never on the shard count. *)
-
 val now : t -> Vtime.t
 
 val rng : t -> Rng.t
@@ -41,12 +36,7 @@ val set_profiler : t -> Rf_obs.Profiler.t option -> unit
 
 val profiler : t -> Rf_obs.Profiler.t option
 (** Components consult this at construction time to decide whether to
-    build entity handles and record message-matrix entries. *)
-
-val next_time : t -> Vtime.t option
-(** Timestamp of the earliest queued event, [None] when the queue is
-    empty. Shard drivers ({!Shard_engine}) read this to compute the
-    conservative-lookahead horizon they may [run ~until] safely. *)
+    build entity handles. *)
 
 val heap_depth : t -> int
 (** Current event-queue depth. *)

@@ -27,19 +27,6 @@ let derive t salt =
       mix (Int64.logxor t.state (Int64.mul (Int64.of_int (salt + 1)) golden));
   }
 
-(* FNV-1a over the label bytes, then the same finalizer as [derive]:
-   equal labels give equal streams from equal parent states, so a
-   labelled child is stable under repartitioning — shard N of M and
-   shard N' of M' derive the same stream for the same entity label. *)
-let derive_label t label =
-  let h = ref 0xCBF29CE484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001B3L)
-    label;
-  { state = mix (Int64.logxor t.state (Int64.mul !h golden)) }
-
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Keep 62 bits so the value fits OCaml's 63-bit native int. *)

@@ -18,16 +18,6 @@ val derive : t -> int -> t
     give distinct streams; the parent's draw sequence is unchanged, so
     existing same-seed runs stay bit-identical. *)
 
-val derive_label : t -> string -> t
-(** [derive_label t label] is {!derive} keyed by a string label instead
-    of an integer salt, again without advancing [t]. Because the child
-    stream depends only on the parent state and the label — not on how
-    many siblings were derived before it, nor on any shard index — a
-    per-entity stream (["shard:3"], ["host:h0042"]) survives
-    repartitioning: moving the entity to a different shard, or changing
-    the shard count, derives the identical stream. This is the jump
-    function shard engines use to seed per-shard generators. *)
-
 val int : t -> int -> int
 (** [int t bound] draws uniformly from [0, bound). Requires [bound > 0]. *)
 

@@ -42,22 +42,25 @@ let live_fabric measure ~hosts =
             (Spec.encode_probe ~flow_id ~seq ~size));
   }
 
+(* Host attribution handles, cached one per host name; [None] for every
+   host when no profiler is installed. *)
+let host_entities engine =
+  match Rf_sim.Engine.profiler engine with
+  | None -> fun _ -> None
+  | Some _ ->
+      let tbl = Hashtbl.create 64 in
+      fun name ->
+        match Hashtbl.find_opt tbl name with
+        | Some opt -> opt
+        | None ->
+            let opt = Some (Rf_obs.Profiler.host name) in
+            Hashtbl.replace tbl name opt;
+            opt
+
 (* With a profiler installed, deliveries are attributed to the
-   destination host (cached handles — one per host name). *)
+   destination host. *)
 let aggregate_fabric engine measure ~latency =
-  let ent =
-    match Rf_sim.Engine.profiler engine with
-    | None -> fun _ -> None
-    | Some _ ->
-        let tbl = Hashtbl.create 64 in
-        fun name ->
-          match Hashtbl.find_opt tbl name with
-          | Some opt -> opt
-          | None ->
-              let opt = Some (Rf_obs.Profiler.host name) in
-              Hashtbl.replace tbl name opt;
-              opt
-  in
+  let ent = host_entities engine in
   {
     fab_pair =
       (fun ~src ~dst ~port:_ ->
@@ -76,7 +79,6 @@ type t = {
   spec : Spec.t;
   class_entity : Rf_obs.Profiler.entity;
   ent_for : string -> Rf_obs.Profiler.entity option;
-  note_for : src:string -> dst:string -> (unit -> unit);
   mutable flows_launched : int;
   mutable samples_sent : int;
 }
@@ -86,7 +88,6 @@ type pair_ctx = {
   pc_src : string;
   pc_dst : string;
   pc_entity : Rf_obs.Profiler.entity option;
-  pc_note : unit -> unit;
   pc_send : flow_id:int -> seq:int -> size:int -> unit;
 }
 
@@ -95,12 +96,10 @@ let pair_ctx t (c : Spec.cls) (src, dst) =
     pc_src = src;
     pc_dst = dst;
     pc_entity = t.ent_for src;
-    pc_note = t.note_for ~src ~dst;
     pc_send = t.fabric.fab_pair ~src ~dst ~port:c.Spec.c_port;
   }
 
 let send t (c : Spec.cls) flow pc ~seq ~weight =
-  pc.pc_note ();
   Measure.sent t.measure flow ~seq ~weight ~bytes:(weight * c.Spec.c_payload);
   t.samples_sent <- t.samples_sent + 1;
   pc.pc_send ~flow_id:(Measure.flow_id flow) ~seq ~size:c.Spec.c_payload
@@ -207,28 +206,6 @@ let start_poisson t rng (c : Spec.cls) ~arrivals_per_s ~size_packets
   arrival ()
 
 let start engine ~rng ~measure ~fabric spec =
-  let ent_for, note_for =
-    match Rf_sim.Engine.profiler engine with
-    | None ->
-        let nop () = () in
-        ((fun _ -> None), fun ~src:_ ~dst:_ -> nop)
-    | Some p ->
-        let tbl = Hashtbl.create 64 in
-        let ent name =
-          match Hashtbl.find_opt tbl name with
-          | Some e -> e
-          | None ->
-              let e = Rf_obs.Profiler.host name in
-              Hashtbl.replace tbl name e;
-              e
-        in
-        ( (fun name -> Some (ent name)),
-          fun ~src ~dst ->
-            let r =
-              Rf_obs.Profiler.message_counter p ~src:(ent src) ~dst:(ent dst)
-            in
-            fun () -> incr r )
-  in
   let t =
     {
       engine;
@@ -236,8 +213,7 @@ let start engine ~rng ~measure ~fabric spec =
       fabric;
       spec;
       class_entity = Rf_obs.Profiler.component "traffic";
-      ent_for;
-      note_for;
+      ent_for = host_entities engine;
       flows_launched = 0;
       samples_sent = 0;
     }

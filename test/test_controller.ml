@@ -108,8 +108,7 @@ let test_discovery_events_fire_once () =
 let test_discovery_link_ages_out () =
   let engine = Engine.create () in
   let topo = Topo_gen.ring 4 in
-  let disc = Discovery.create engine ~probe_interval:(Vtime.span_s 2.0)
-      ~link_timeout:(Vtime.span_s 6.0) () in
+  let disc = Discovery.create engine ~probe_interval:(Vtime.span_s 2.0) () in
   let downs = ref [] in
   Discovery.set_on_link_down disc (fun l -> downs := l :: !downs);
   let net =
@@ -133,8 +132,7 @@ let test_discovery_link_ages_out () =
 let test_discovery_link_recovers () =
   let engine = Engine.create () in
   let topo = Topo_gen.ring 4 in
-  let disc = Discovery.create engine ~probe_interval:(Vtime.span_s 2.0)
-      ~link_timeout:(Vtime.span_s 6.0) () in
+  let disc = Discovery.create engine ~probe_interval:(Vtime.span_s 2.0) () in
   let ups = ref 0 in
   Discovery.set_on_link_up disc (fun _ -> incr ups);
   let net =
@@ -151,6 +149,31 @@ let test_discovery_link_recovers () =
   ignore (Engine.run ~until:(Vtime.of_s 45.0) engine);
   Alcotest.(check int) "links back" 4 (List.length (Discovery.links disc));
   Alcotest.(check int) "re-reported" 5 !ups
+
+(* The link timeout follows the probe interval: at 30 s probes a
+   healthy link must never age out between two probe rounds. *)
+let test_discovery_slow_probes_no_flap () =
+  let engine = Engine.create () in
+  let topo = Topo_gen.ring 6 in
+  let disc = Discovery.create engine ~probe_interval:(Vtime.span_s 30.0) () in
+  let downs = ref 0 in
+  Discovery.set_on_link_down disc (fun _ -> incr downs);
+  let _net =
+    Network.build engine topo
+      ~host_config:(fun _ -> Alcotest.fail "no hosts")
+      ~attach_controller:(fun ~dpid:_ endpoint ->
+        Discovery.attach disc (Of_conn.create engine endpoint))
+      ()
+  in
+  ignore (Engine.run ~until:(Vtime.of_s 40.0) engine);
+  Alcotest.(check int) "all links" 6 (List.length (Discovery.links disc));
+  let probes = Discovery.probes_sent disc in
+  ignore (Engine.run ~until:(Vtime.of_s 200.0) engine);
+  (* 6 switches x 2 ports per round *)
+  Alcotest.(check bool) "at least 4 more probe rounds" true
+    (Discovery.probes_sent disc - probes >= 4 * 12);
+  Alcotest.(check int) "no link-down" 0 !downs;
+  Alcotest.(check int) "links kept" 6 (List.length (Discovery.links disc))
 
 let test_discovery_counters () =
   let engine = Engine.create () in
@@ -282,6 +305,8 @@ let suite =
       test_discovery_link_ages_out;
     Alcotest.test_case "discovery re-learns recovered links" `Quick
       test_discovery_link_recovers;
+    Alcotest.test_case "discovery keeps links at 30 s probes" `Quick
+      test_discovery_slow_probes_no_flap;
     Alcotest.test_case "discovery counters and timestamps" `Quick
       test_discovery_counters;
     Alcotest.test_case "stats poller collects port counters" `Quick

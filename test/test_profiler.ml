@@ -1,10 +1,8 @@
-(* Profiler attribution, engine hot-path allocation and shard-advisor
-   tests. *)
+(* Profiler attribution and engine hot-path allocation tests. *)
 
 module Engine = Rf_sim.Engine
 module Vtime = Rf_sim.Vtime
 module Profiler = Rf_obs.Profiler
-module Shard_advisor = Rf_obs.Shard_advisor
 
 (* --- Exact attribution with an injected clock ----------------------- *)
 
@@ -120,119 +118,6 @@ let test_heap_peak_and_pushes () =
   Alcotest.(check int) "peak is max heap size" 50 sn.Profiler.sn_heap_peak;
   Alcotest.(check int) "pushes counted" 50 sn.Profiler.sn_heap_pushes
 
-(* --- Message matrix -------------------------------------------------- *)
-
-let test_message_counter () =
-  let p = Profiler.create ~clock_ns:(fun () -> 0) () in
-  let a = Profiler.host "h1" and b = Profiler.host "h2" in
-  let r = Profiler.message_counter p ~src:a ~dst:b in
-  incr r;
-  incr r;
-  Profiler.message p ~src:a ~dst:b;
-  Profiler.message p ~src:b ~dst:a;
-  let sn = Profiler.snapshot p in
-  Alcotest.(check (list (triple string string int)))
-    "matrix"
-    [ ("host:h1", "host:h2", 3); ("host:h2", "host:h1", 1) ]
-    sn.Profiler.sn_messages
-
-(* --- Shard advisor --------------------------------------------------- *)
-
-let advisor_input () =
-  {
-    Shard_advisor.in_nodes =
-      [
-        { Shard_advisor.nd_id = "a"; nd_weight = 40 };
-        { Shard_advisor.nd_id = "b"; nd_weight = 30 };
-        { Shard_advisor.nd_id = "c"; nd_weight = 20 };
-        { Shard_advisor.nd_id = "d"; nd_weight = 10 };
-      ];
-    in_edges =
-      [
-        { Shard_advisor.ed_a = "a"; ed_b = "b"; ed_msgs = 8 };
-        { Shard_advisor.ed_a = "c"; ed_b = "d"; ed_msgs = 2 };
-      ];
-    in_adjacency = [ ("a", "b"); ("b", "c"); ("c", "d") ];
-    in_horizon_s = 10.0;
-  }
-
-let test_advisor_partition () =
-  let r = Shard_advisor.partition ~k:2 (advisor_input ()) in
-  Alcotest.(check int) "k" 2 r.Shard_advisor.rp_k;
-  Alcotest.(check int) "nodes" 4 r.Shard_advisor.rp_nodes;
-  Alcotest.(check int) "total weight" 100 r.Shard_advisor.rp_total_weight;
-  let shard_weight =
-    List.fold_left
-      (fun acc s -> acc + s.Shard_advisor.sh_weight)
-      0 r.Shard_advisor.rp_shards
-  in
-  Alcotest.(check int) "shards partition the weight" 100 shard_weight;
-  let members =
-    List.concat_map
-      (fun s -> s.Shard_advisor.sh_members)
-      r.Shard_advisor.rp_shards
-  in
-  Alcotest.(check (list string))
-    "every node placed exactly once" [ "a"; "b"; "c"; "d" ]
-    (List.sort String.compare members);
-  Alcotest.(check bool) "cut within total" true
-    (r.Shard_advisor.rp_cut_msgs >= 0
-    && r.Shard_advisor.rp_cut_msgs <= r.Shard_advisor.rp_total_msgs);
-  Alcotest.(check bool) "speedup bound within [1, k]" true
-    (r.Shard_advisor.rp_speedup_bound >= 1.0
-    && r.Shard_advisor.rp_speedup_bound <= 2.0 +. 1e-9)
-
-let test_advisor_deterministic () =
-  let a =
-    Format.asprintf "%a" Shard_advisor.pp_report
-      (Shard_advisor.partition ~k:3 (advisor_input ()))
-  in
-  let b =
-    Format.asprintf "%a" Shard_advisor.pp_report
-      (Shard_advisor.partition ~k:3 (advisor_input ()))
-  in
-  Alcotest.(check string) "identical inputs, identical report" a b
-
-let test_advisor_k1_no_cut () =
-  let r = Shard_advisor.partition ~k:1 (advisor_input ()) in
-  Alcotest.(check int) "no cut on one shard" 0 r.Shard_advisor.rp_cut_msgs;
-  Alcotest.(check (float 1e-9)) "speedup 1x" 1.0 r.Shard_advisor.rp_speedup_bound
-
-let prop_advisor_conserves =
-  QCheck.Test.make ~name:"advisor shards partition nodes and weight" ~count:100
-    QCheck.(
-      pair (int_range 1 6)
-        (small_list (pair (int_range 0 30) (int_range 0 1000))))
-    (fun (k, raw) ->
-      let nodes =
-        List.sort_uniq
-          (fun a b -> String.compare a.Shard_advisor.nd_id b.Shard_advisor.nd_id)
-          (List.map
-             (fun (i, w) ->
-               {
-                 Shard_advisor.nd_id = Printf.sprintf "n%02d" i;
-                 nd_weight = w;
-               })
-             raw)
-      in
-      let input =
-        {
-          Shard_advisor.in_nodes = nodes;
-          in_edges = [];
-          in_adjacency = [];
-          in_horizon_s = 1.0;
-        }
-      in
-      let r = Shard_advisor.partition ~k input in
-      let total = List.fold_left (fun a n -> a + n.Shard_advisor.nd_weight) 0 nodes in
-      let placed =
-        List.fold_left (fun a s -> a + s.Shard_advisor.sh_nodes) 0 r.Shard_advisor.rp_shards
-      in
-      let weight =
-        List.fold_left (fun a s -> a + s.Shard_advisor.sh_weight) 0 r.Shard_advisor.rp_shards
-      in
-      placed = List.length nodes && weight = total && r.Shard_advisor.rp_total_weight = total)
-
 let suite =
   [
     Alcotest.test_case "exact attribution at clock_every=1" `Quick
@@ -241,12 +126,4 @@ let suite =
     Alcotest.test_case "unprofiled dispatch does not allocate" `Quick
       test_dispatch_zero_alloc;
     Alcotest.test_case "heap peak and pushes" `Quick test_heap_peak_and_pushes;
-    Alcotest.test_case "message matrix via counters" `Quick
-      test_message_counter;
-    Alcotest.test_case "advisor partition invariants" `Quick
-      test_advisor_partition;
-    Alcotest.test_case "advisor report deterministic" `Quick
-      test_advisor_deterministic;
-    Alcotest.test_case "advisor k=1 degenerate" `Quick test_advisor_k1_no_cut;
-    QCheck_alcotest.to_alcotest prop_advisor_conserves;
   ]
