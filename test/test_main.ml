@@ -19,6 +19,7 @@ let () = Alcotest.run "routeflow-autoconf" [
       ("traffic", Test_traffic.suite);
       ("analysis", Test_analysis.suite);
       ("profiler", Test_profiler.suite);
+      ("shard", Test_shard.suite);
       ("auditor", Test_auditor.suite);
       ("route-track", Test_route_track.suite);
     ]

@@ -1,23 +1,11 @@
-(* Sharded engine tests: RNG stream independence, mailbox merge order,
-   conservative-window mechanics, and the headline property — same-seed
-   traffic runs are byte-identical for any shard count, and agree with
-   the legacy single-engine generator. *)
+(* Rng stream tests for per-component seeding: sibling streams carved
+   off one parent with [Rng.split] must not echo each other or the
+   parent. *)
 
-module Engine = Rf_sim.Engine
-module Vtime = Rf_sim.Vtime
 module Rng = Rf_sim.Rng
-module Mailbox = Rf_sim.Mailbox
-module Shard_engine = Rf_sim.Shard_engine
-module Spec = Rf_traffic.Spec
-module Generator = Rf_traffic.Generator
-module Measure = Rf_traffic.Measure
-module Shard_run = Rf_traffic.Shard_run
-
-(* --- Rng.split / derive_label --------------------------------------- *)
 
 let draws rng n = List.init n (fun _ -> Rng.int rng 1_000_000)
 
-(* Streams from [split] must not echo each other or the parent. *)
 let test_rng_split_independence () =
   let parent = Rng.create 7 in
   let a = Rng.split parent in
@@ -27,433 +15,8 @@ let test_rng_split_independence () =
   Alcotest.(check bool) "a <> parent" false (da = dp);
   Alcotest.(check bool) "b <> parent" false (db = dp)
 
-(* derive_label is the repartition-stable jump: the stream depends only
-   on (parent state, label) — not on sibling derivations or draw
-   history after the derivation point. *)
-let test_rng_derive_label_stable () =
-  let p1 = Rng.create 99 in
-  let p2 = Rng.create 99 in
-  (* Deriving many siblings from p2 first must not change the stream
-     p1 gets for the same label. *)
-  for i = 0 to 9 do
-    ignore (Rng.derive_label p2 (Printf.sprintf "shard:%d" i))
-  done;
-  let a = Rng.derive_label p1 "shard:3" in
-  let b = Rng.derive_label p2 "shard:3" in
-  Alcotest.(check (list int)) "same label, same stream" (draws a 32) (draws b 32);
-  let c = Rng.derive_label p1 "shard:4" in
-  Alcotest.(check bool)
-    "different labels differ" false
-    (draws (Rng.derive_label (Rng.create 99) "shard:3") 32 = draws c 32);
-  (* And the parent's own draw sequence is unperturbed. *)
-  let fresh = Rng.create 99 in
-  Alcotest.(check (list int)) "parent unadvanced" (draws fresh 8) (draws p1 8)
-
-(* --- Mailbox canonical merge ----------------------------------------- *)
-
-let test_mailbox_merge_order () =
-  let mb = Mailbox.create ~shards:3 in
-  (* Post out of timestamp order, from several sources, with ties. *)
-  Mailbox.post mb ~src:2 ~dst:0 ~at:(Vtime.of_us 50) "c";
-  Mailbox.post mb ~src:0 ~dst:0 ~at:(Vtime.of_us 50) "a1";
-  Mailbox.post mb ~src:0 ~dst:0 ~at:(Vtime.of_us 10) "a2";
-  Mailbox.post mb ~src:1 ~dst:0 ~at:(Vtime.of_us 50) "b";
-  Mailbox.post mb ~src:0 ~dst:0 ~at:(Vtime.of_us 50) "a3";
-  Mailbox.post mb ~src:0 ~dst:1 ~at:(Vtime.of_us 1) "other-dst";
-  let got =
-    List.map (fun m -> m.Mailbox.mx_payload) (Mailbox.collect mb ~dst:0)
-  in
-  (* (at, src, seq): 10 first; then the t=50 batch ordered src 0 before
-     1 before 2, and within src 0 in posting order. *)
-  Alcotest.(check (list string))
-    "canonical order"
-    [ "a2"; "a1"; "a3"; "b"; "c" ]
-    got;
-  Alcotest.(check int) "posted counts all" 6 (Mailbox.posted mb);
-  Alcotest.(check int) "dst 1 still in flight" 1 (Mailbox.in_flight mb)
-
-(* --- Shard_engine windows -------------------------------------------- *)
-
-(* Two shards ping-pong a counter: each message schedules the next one
-   back. With lookahead equal to the message latency, the run needs one
-   window per hop and the final tally is exact. *)
-let ping_pong mode =
-  let la = Vtime.span_ms 5 in
-  let se = Shard_engine.create ~mode ~lookahead:la ~shards:2 () in
-  let log = ref [] in
-  let hops = 10 in
-  let handler me ~at ~src:_ n =
-    log := (me, Vtime.to_us at, n) :: !log;
-    if n < hops then
-      Shard_engine.post se ~src:me ~dst:(1 - me) ~at:(Vtime.add at la) (n + 1)
-  in
-  Shard_engine.set_handler se 0 (handler 0);
-  Shard_engine.set_handler se 1 (handler 1);
-  ignore
-    (Engine.schedule_at (Shard_engine.engine se 0) (Vtime.of_us 0) (fun () ->
-         Shard_engine.post se ~src:0 ~dst:1 ~at:(Vtime.add Vtime.zero la) 1));
-  let result = Shard_engine.run ~until:(Vtime.of_s 1.0) se in
-  let clocks =
-    List.init 2 (fun i -> Vtime.to_us (Engine.now (Shard_engine.engine se i)))
-  in
-  (result, List.rev !log, Shard_engine.stats se, clocks)
-
-let test_shard_engine_ping_pong () =
-  let result, log, stats, clocks = ping_pong Shard_engine.Parallel in
-  Alcotest.(check bool) "quiescent" true (result = Shard_engine.Quiescent);
-  Alcotest.(check int) "all hops ran" 10 (List.length log);
-  List.iteri
-    (fun i (shard, at_us, n) ->
-      Alcotest.(check int) "hop seq" (i + 1) n;
-      Alcotest.(check int) "alternating shard" ((i + 1) mod 2) shard;
-      Alcotest.(check int) "arrival instant" (5000 * (i + 1)) at_us)
-    log;
-  Alcotest.(check int) "one message per hop" 10 stats.Shard_engine.st_messages;
-  (* Clocks settle at the horizon, like Engine.run ~until. *)
-  Alcotest.(check (list int)) "clocks at horizon" [ 1_000_000; 1_000_000 ]
-    clocks
-
-let test_shard_engine_modes_agree () =
-  let rp, logp, _, _ = ping_pong Shard_engine.Parallel in
-  let rs, logs, _, _ = ping_pong Shard_engine.Sequential in
-  Alcotest.(check bool) "same result" true (rp = rs);
-  Alcotest.(check bool) "same log" true (logp = logs)
-
-let test_zero_lookahead_rejected () =
-  Alcotest.check_raises "zero lookahead"
-    (Invalid_argument
-       "Shard_engine.create: lookahead must be positive — a zero-latency \
-        cross-shard link leaves no safe horizon (drop to shards = 1 for that \
-        cut)")
-    (fun () ->
-      ignore
-        (Shard_engine.create ~lookahead:Vtime.span_zero ~shards:2 () : unit Shard_engine.t));
-  (* shards = 1 tolerates any lookahead: no cross-shard horizon exists. *)
-  ignore
-    (Shard_engine.create ~lookahead:Vtime.span_zero ~shards:1 ()
-      : unit Shard_engine.t)
-
-let test_post_under_horizon_rejected () =
-  let la = Vtime.span_ms 5 in
-  let se = Shard_engine.create ~lookahead:la ~shards:2 () in
-  Shard_engine.set_handler se 0 (fun ~at:_ ~src:_ () -> ());
-  Shard_engine.set_handler se 1 (fun ~at:_ ~src:_ () -> ());
-  let raised = ref false in
-  ignore
-    (Engine.schedule_at (Shard_engine.engine se 0) (Vtime.of_us 0) (fun () ->
-         try Shard_engine.post se ~src:0 ~dst:1 ~at:(Vtime.of_us 100) ()
-         with Invalid_argument _ -> raised := true));
-  ignore (Shard_engine.run ~until:(Vtime.of_s 0.1) se);
-  Alcotest.(check bool) "under-horizon post rejected" true !raised
-
-(* --- Sharded traffic vs the legacy single-engine generator ----------- *)
-
-(* A small synthetic fabric: [n] hosts, analytic pair latency derived
-   deterministically from the host indices (1..60 ms — always positive
-   and far below the 2 s loss timeout). *)
-let host_name i = Printf.sprintf "h%d" i
-
-let mk_latency ~salt ~ms_lo ~ms_hi =
-  let span = max 1 (ms_hi - ms_lo + 1) in
-  fun ~src ~dst ->
-    let h = Hashtbl.hash (salt, src, dst) in
-    Vtime.span_ms (ms_lo + (h mod span))
-
-let mk_spec ~hosts ~pairs ~arrivals_per_s ~horizon_s ~seed =
-  let pair_rng = Rng.create (seed + 7919) in
-  let pair_list =
-    List.init pairs (fun i ->
-        let src = i mod hosts in
-        let dst =
-          let d = ref (Rng.int pair_rng hosts) in
-          while !d = src do
-            d := Rng.int pair_rng hosts
-          done;
-          !d
-        in
-        (host_name src, host_name dst))
-  in
-  Spec.make ~sample_cap:4 ~loss_timeout_s:2.0
-    [
-      Spec.cls ~name:"poisson" ~payload:512 ~port:5009 ~start_s:0.5
-        ~pairs:pair_list
-        (Spec.Poisson
-           {
-             arrivals_per_s;
-             size_packets = Spec.Pareto { alpha = 1.3; xmin = 8; cap = 2000 };
-             packet_rate_pps = 500.0;
-             until_s = horizon_s -. 1.0;
-           });
-    ]
-
-let legacy_run ~seed ~latency ~horizon_s spec =
-  let engine = Engine.create ~seed () in
-  let measure =
-    Measure.create engine ~loss_timeout_s:spec.Spec.loss_timeout_s ()
-  in
-  let fabric = Generator.aggregate_fabric engine measure ~latency in
-  let rng = Rng.create (seed + 1009) in
-  let gen = Generator.start engine ~rng ~measure ~fabric spec in
-  ignore (Engine.run ~until:(Vtime.of_s horizon_s) engine);
-  Measure.finalize measure;
-  (gen, measure)
-
-let sharded_run ?(mode = Shard_engine.Sequential) ~seed ~shards ~latency
-    ~horizon_s spec =
-  let assign host =
-    (* Deterministic static cut by host index. *)
-    let i = int_of_string (String.sub host 1 (String.length host - 1)) in
-    i mod shards
-  in
-  Shard_run.run ~seed ~mode ~shards ~assign ~latency ~horizon_s
-    ~rng:(Rng.create (seed + 1009))
-    spec
-
-let check_float what tol a b =
-  if Float.abs (a -. b) > tol *. (1.0 +. Float.abs a) then
-    Alcotest.failf "%s: %.17g vs %.17g" what a b
-
-let test_sharded_matches_legacy () =
-  let seed = 42 and horizon_s = 8.0 in
-  let latency = mk_latency ~salt:1 ~ms_lo:1 ~ms_hi:60 in
-  let spec = mk_spec ~hosts:12 ~pairs:24 ~arrivals_per_s:200.0 ~horizon_s ~seed in
-  let gen, measure = legacy_run ~seed ~latency ~horizon_s spec in
-  let r = sharded_run ~seed ~shards:3 ~latency ~horizon_s spec in
-  Alcotest.(check int) "flows" (Generator.flows_launched gen) r.Shard_run.sr_flows;
-  Alcotest.(check int) "samples" (Generator.samples_sent gen) r.Shard_run.sr_samples;
-  Alcotest.(check int) "offered" (Measure.total_offered measure) r.Shard_run.sr_offered;
-  Alcotest.(check int) "delivered" (Measure.total_delivered measure)
-    r.Shard_run.sr_delivered;
-  Alcotest.(check int) "lost" (Measure.total_lost measure) r.Shard_run.sr_lost;
-  Alcotest.(check int) "conservation" r.Shard_run.sr_offered
-    (r.Shard_run.sr_delivered + r.Shard_run.sr_lost);
-  let legacy_cls = Measure.summaries measure in
-  List.iter2
-    (fun (l : Measure.class_summary) (s : Measure.class_summary) ->
-      Alcotest.(check string) "class" l.Measure.cs_class s.Measure.cs_class;
-      Alcotest.(check int) "cls flows" l.Measure.cs_flows s.Measure.cs_flows;
-      Alcotest.(check int) "cls offered" l.Measure.cs_offered s.Measure.cs_offered;
-      Alcotest.(check int) "cls delivered" l.Measure.cs_delivered
-        s.Measure.cs_delivered;
-      Alcotest.(check int) "cls lost" l.Measure.cs_lost s.Measure.cs_lost;
-      Alcotest.(check int) "cls bytes" l.Measure.cs_bytes s.Measure.cs_bytes;
-      Alcotest.(check int) "cls disrupted" l.Measure.cs_disrupted_flows
-        s.Measure.cs_disrupted_flows;
-      (match (l.Measure.cs_window, s.Measure.cs_window) with
-      | None, None -> ()
-      | Some (a1, b1), Some (a2, b2) ->
-          check_float "window lo" 1e-12 a1 a2;
-          check_float "window hi" 1e-12 b1 b2
-      | _ -> Alcotest.fail "loss windows disagree");
-      match (l.Measure.cs_latency, s.Measure.cs_latency) with
-      | None, None -> ()
-      | Some ll, Some sl ->
-          Alcotest.(check int) "latency n" ll.Rf_sim.Stats.count
-            sl.Rf_sim.Stats.count;
-          (* Float folds differ only in summation order. *)
-          check_float "latency mean" 1e-9 ll.Rf_sim.Stats.mean
-            sl.Rf_sim.Stats.mean;
-          check_float "latency p50" 1e-12 ll.Rf_sim.Stats.p50
-            sl.Rf_sim.Stats.p50;
-          check_float "latency p99" 1e-12 ll.Rf_sim.Stats.p99
-            sl.Rf_sim.Stats.p99
-      | _ -> Alcotest.fail "latency summaries disagree")
-    legacy_cls r.Shard_run.sr_classes
-
-(* The headline determinism property: same seed, shards ∈ {1,2,4},
-   random pair latencies — every digest, fingerprint and summary is
-   byte-identical, in both execution modes. *)
-let prop_shard_count_invariance =
-  QCheck.Test.make ~name:"same-seed runs identical for shards in {1,2,4}"
-    ~count:12
-    QCheck.(
-      quad (int_range 0 1_000_000) (int_range 4 16) (int_range 1 97)
-        (int_range 20 400))
-    (fun (seed, hosts, salt, arrivals) ->
-      let horizon_s = 4.0 in
-      let latency = mk_latency ~salt ~ms_lo:1 ~ms_hi:100 in
-      let spec =
-        mk_spec ~hosts ~pairs:(2 * hosts)
-          ~arrivals_per_s:(float_of_int arrivals) ~horizon_s ~seed
-      in
-      let runs =
-        List.map
-          (fun (shards, mode) ->
-            sharded_run ~mode ~seed ~shards ~latency ~horizon_s spec)
-          [
-            (1, Shard_engine.Sequential);
-            (2, Shard_engine.Sequential);
-            (2, Shard_engine.Parallel);
-            (4, Shard_engine.Parallel);
-          ]
-      in
-      match runs with
-      | base :: rest ->
-          List.for_all
-            (fun (r : Shard_run.result) ->
-              r.Shard_run.sr_digest = base.Shard_run.sr_digest
-              && r.Shard_run.sr_fingerprint = base.Shard_run.sr_fingerprint
-              && r.Shard_run.sr_flows = base.Shard_run.sr_flows
-              && r.Shard_run.sr_offered = base.Shard_run.sr_offered
-              && r.Shard_run.sr_delivered = base.Shard_run.sr_delivered
-              && r.Shard_run.sr_lost = base.Shard_run.sr_lost)
-            rest
-      | [] -> false)
-
-(* --- shard-map JSON round trip --------------------------------------- *)
-
-let tiny_advisor_input () =
-  {
-    Rf_obs.Shard_advisor.in_nodes =
-      [
-        { Rf_obs.Shard_advisor.nd_id = "host:h0"; nd_weight = 30 };
-        { nd_id = "host:h1"; nd_weight = 20 };
-        { nd_id = "host:h2"; nd_weight = 25 };
-        { nd_id = "host:h3"; nd_weight = 25 };
-      ];
-    in_edges =
-      [
-        { Rf_obs.Shard_advisor.ed_a = "host:h0"; ed_b = "host:h1"; ed_msgs = 5 };
-        { ed_a = "host:h2"; ed_b = "host:h3"; ed_msgs = 7 };
-      ];
-    in_adjacency = [ ("host:h0", "host:h1"); ("host:h2", "host:h3") ];
-    in_horizon_s = 10.0;
-  }
-
-let test_shard_map_roundtrip () =
-  let report = Rf_obs.Shard_advisor.partition ~k:2 (tiny_advisor_input ()) in
-  let json = Rf_obs.Shard_advisor.assignment_json report in
-  let k, assignment = Rf_obs.Shard_advisor.assignment_of_json json in
-  Alcotest.(check int) "k" 2 k;
-  Alcotest.(check (list (pair string int)))
-    "assignment round-trips"
-    (Rf_obs.Shard_advisor.shard_assignment report)
-    assignment;
-  (* The loaded map drives host lookups through the same cut the
-     advisor proposed. *)
-  List.iter
-    (fun (id, shard) ->
-      Alcotest.(check int) id shard
-        (Hashtbl.hash id |> fun _ ->
-         List.assoc id assignment))
-    assignment;
-  Alcotest.check_raises "wrong schema rejected"
-    (Rf_obs.Json.Parse_error "shard map: schema is not rfauto-shard-map-v1")
-    (fun () ->
-      ignore
-        (Rf_obs.Shard_advisor.assignment_of_json
-           {|{"schema":"bogus","k":2,"assign":{}}|}))
-
-(* --- Network partition registration ---------------------------------- *)
-
-let test_network_cut_stats () =
-  let topo = Rf_net.Topology.create () in
-  Rf_net.Topology.add_switch topo 1L;
-  Rf_net.Topology.add_switch topo 2L;
-  Rf_net.Topology.add_switch topo 3L;
-  let connect ?latency a b =
-    ignore
-      (Rf_net.Topology.connect topo ?latency (Rf_net.Topology.Switch a)
-         (Rf_net.Topology.Switch b))
-  in
-  connect ~latency:(Vtime.span_ms 4) 1L 2L;
-  connect ~latency:(Vtime.span_ms 2) 2L 3L;
-  connect ~latency:(Vtime.span_ms 9) 1L 3L;
-  let assign = function
-    | Rf_net.Topology.Switch d -> if d = 3L then 1 else 0
-    | Rf_net.Topology.Host _ -> 0
-  in
-  let cut = Rf_net.Topology.cut_stats topo ~shards:2 ~assign in
-  Alcotest.(check int) "cross edges" 2 cut.Rf_net.Topology.cut_cross_edges;
-  Alcotest.(check int) "total edges" 3 cut.Rf_net.Topology.cut_total_edges;
-  (match cut.Rf_net.Topology.cut_lookahead with
-  | Some la ->
-      Alcotest.(check int) "lookahead = min cross latency" 2000
-        (Vtime.span_to_us la)
-  | None -> Alcotest.fail "expected a lookahead bound");
-  (* All nodes on one shard: nothing crosses, no bound. *)
-  let cut1 =
-    Rf_net.Topology.cut_stats topo ~shards:1 ~assign:(fun _ -> 0)
-  in
-  Alcotest.(check int) "no cross edges" 0 cut1.Rf_net.Topology.cut_cross_edges;
-  Alcotest.(check bool) "no lookahead" true
-    (cut1.Rf_net.Topology.cut_lookahead = None)
-
-(* A scenario built with [shards] registers the partition on its
-   network; a zero-latency cross link is rejected at build time. *)
-let test_scenario_partition () =
-  let topo = Rf_net.Topo_gen.ring 6 in
-  let options = { Rf_core.Scenario.default_options with shards = 2 } in
-  let s = Rf_core.Scenario.build ~options topo in
-  let net = Rf_core.Scenario.network s in
-  Alcotest.(check int) "partition recorded" 2
-    (Rf_net.Network.partition_shards net);
-  match Rf_net.Network.partition_cut net with
-  | Some cut ->
-      Alcotest.(check int) "shards" 2 cut.Rf_net.Topology.cut_shards;
-      Alcotest.(check bool) "cut crosses the ring" true
-        (cut.Rf_net.Topology.cut_cross_edges > 0);
-      Alcotest.(check bool) "positive lookahead" true
-        (match cut.Rf_net.Topology.cut_lookahead with
-        | Some la -> Vtime.span_compare la Vtime.span_zero > 0
-        | None -> false)
-  | None -> Alcotest.fail "expected a recorded partition"
-
-(* --- profiler merge across shards ------------------------------------ *)
-
-let test_sharded_profile_merged () =
-  let spec =
-    mk_spec ~seed:5 ~hosts:8 ~pairs:16 ~arrivals_per_s:120.0 ~horizon_s:4.0
-  in
-  let latency = mk_latency ~salt:5 ~ms_lo:2 ~ms_hi:8 in
-  let rng = Rng.create (5 + 1009) in
-  let r =
-    Shard_run.run ~seed:5 ~mode:Shard_engine.Sequential ~profile:true
-      ~shards:3
-      ~assign:(fun h ->
-        int_of_string (String.sub h 1 (String.length h - 1)) mod 3)
-      ~latency ~horizon_s:4.0 ~rng spec
-  in
-  match r.Shard_run.sr_profile with
-  | None -> Alcotest.fail "expected a merged profile snapshot"
-  | Some sn ->
-      Alcotest.(check bool) "events attributed" true
-        (sn.Rf_obs.Profiler.sn_events > 0);
-      Alcotest.(check bool) "host entities present" true
-        (List.exists
-           (fun (es : Rf_obs.Profiler.entity_stat) ->
-             match es.es_kind with
-             | Rf_obs.Profiler.Host _ -> true
-             | _ -> false)
-           sn.Rf_obs.Profiler.sn_entities);
-      Alcotest.check_raises "merge of nothing rejected"
-        (Invalid_argument "Profiler.merge: empty list") (fun () ->
-          ignore (Rf_obs.Profiler.merge []))
-
 let suite =
   [
     Alcotest.test_case "rng: split streams independent" `Quick
       test_rng_split_independence;
-    Alcotest.test_case "rng: derive_label stable under repartition" `Quick
-      test_rng_derive_label_stable;
-    Alcotest.test_case "mailbox: canonical (at, src, seq) merge" `Quick
-      test_mailbox_merge_order;
-    Alcotest.test_case "shard engine: ping-pong windows" `Quick
-      test_shard_engine_ping_pong;
-    Alcotest.test_case "shard engine: parallel = sequential" `Quick
-      test_shard_engine_modes_agree;
-    Alcotest.test_case "shard engine: zero lookahead rejected" `Quick
-      test_zero_lookahead_rejected;
-    Alcotest.test_case "shard engine: under-horizon post rejected" `Quick
-      test_post_under_horizon_rejected;
-    Alcotest.test_case "sharded traffic matches legacy generator" `Quick
-      test_sharded_matches_legacy;
-    Alcotest.test_case "shard map JSON round trip" `Quick
-      test_shard_map_roundtrip;
-    Alcotest.test_case "topology cut stats" `Quick test_network_cut_stats;
-    Alcotest.test_case "scenario registers partition" `Quick
-      test_scenario_partition;
-    Alcotest.test_case "sharded profile merged across shards" `Quick
-      test_sharded_profile_merged;
-    QCheck_alcotest.to_alcotest prop_shard_count_invariance;
   ]

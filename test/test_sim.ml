@@ -200,12 +200,9 @@ let test_rng_determinism () =
 let test_rng_split_independent () =
   let parent = Rng.create 5 in
   let child = Rng.split parent in
-  let sibling = Rng.split parent in
   let xs = List.init 10 (fun _ -> Rng.int parent 1000) in
   let ys = List.init 10 (fun _ -> Rng.int child 1000) in
-  let zs = List.init 10 (fun _ -> Rng.int sibling 1000) in
-  Alcotest.(check bool) "streams differ" true (xs <> ys);
-  Alcotest.(check bool) "siblings differ" true (ys <> zs)
+  Alcotest.(check bool) "streams differ" true (xs <> ys)
 
 let test_rng_shuffle_permutation () =
   let rng = Rng.create 3 in
