@@ -1,28 +1,16 @@
-(* Benchmark harness.
+(* Microbenchmark harness: bechamel Test.make timings of the hot
+   substrate operations (SPF, LPM, OF codec, flow-table lookup, LLDP
+   codec, LSA Fletcher checksum, RIB churn, telemetry, auditor, engine
+   dispatch). CI's perf gate diffs them against ci/bench-baseline.json.
 
-   Two kinds of output:
+   The paper's experiments are not run here: `rfauto <experiment>`
+   prints their tables, and bench/e2e times the workloads end to end.
 
-   1. Reproduction sections — every figure/claim of the paper's
-      evaluation regenerated in the simulator (Fig. 3, the 4-minute
-      video demonstration, the red/green GUI), plus the extension
-      experiments of DESIGN.md (scaling, ablations, topology
-      families). Each prints the same rows/series the paper reports.
-
-   2. Microbenchmarks — bechamel Test.make timings of the hot
-      substrate operations (SPF, LPM, OF codec, flow-table lookup,
-      LLDP codec, LSA Fletcher checksum, RIB churn).
-
-   Usage: main.exe [all|fig3|demo|failure|restart|gui|scaling|ablation|families|micro]
-   Default "all" runs everything, with scaling capped at 250 switches
-   (the full 1000-switch sweep takes tens of minutes; request it with
-   `main.exe scaling`). *)
+   Usage: main.exe [--json [PATH]] [--baseline PATH] [--save-baseline PATH] *)
 
 open Rf_packet
-module Experiment = Rf_core.Experiment
 
 let std = Format.std_formatter
-
-let section name = Format.fprintf std "@.=== %s ===@." name
 
 (* ------------------------------------------------------------------ *)
 (* Microbenchmark fixtures                                             *)
@@ -452,7 +440,7 @@ let baseline_run_of_estimates estimates =
 
 let run_micro ?json_out ?baseline ?save_baseline () =
   let open Bechamel in
-  section "Microbenchmarks (bechamel)";
+  Format.fprintf std "=== Microbenchmarks (bechamel) ===@.";
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
@@ -533,138 +521,38 @@ let run_micro ?json_out ?baseline ?save_baseline () =
       end
       else Format.fprintf std "perf gate: ok@."
 
-(* ------------------------------------------------------------------ *)
-
-let run_fig3 () =
-  section "E1 / Figure 3 — automatic vs manual configuration time";
-  Experiment.print_fig3 std (Experiment.fig3 ())
-
-let run_demo () =
-  section "E2 — demonstration: pan-European video streaming";
-  Experiment.print_demo std (Experiment.demo ())
-
-let run_failure () =
-  section "E3 — failure recovery under live traffic";
-  Experiment.print_failure_recovery std (Experiment.failure_recovery ())
-
-let run_restart () =
-  section "E4 — controller crash/restart and anti-entropy reconciliation";
-  Experiment.print_restart std (Experiment.restart ())
-
-let run_gui () =
-  section "E5 — GUI red/green progression (every 60 sim-seconds)";
-  List.iter
-    (fun f -> Format.fprintf std "%s@." f)
-    (Experiment.gui_frames ~every_s:60.0 ())
-
-let run_scaling ?(sizes = [ 50; 100; 250 ]) () =
-  section "X1 — scaling (extension)";
-  Experiment.print_scaling std (Experiment.scaling ~sizes ())
-
-let run_ablation () =
-  section "X2 — ablations (extension)";
-  Experiment.print_ablation std "VM boot parallelism"
-    (Experiment.ablation_parallel_boot ());
-  Experiment.print_ablation std "LLDP probe interval"
-    (Experiment.ablation_probe_interval ());
-  Experiment.print_ablation std "RPC latency (controller placement)"
-    (Experiment.ablation_rpc_latency ());
-  Experiment.print_ablation std "routing protocol (OSPF vs RIPv2)"
-    (Experiment.ablation_protocol ())
-
-let run_obs () =
-  section "X5 — telemetry: per-phase decomposition of E1 (extension)";
-  Experiment.print_phases std (Experiment.phase_breakdown ())
-
-let run_traffic () =
-  section "E6 — traffic disruption during failure and restart";
-  Experiment.print_traffic std (Experiment.traffic_disruption ());
-  section "E6b — traffic scaling on a fat-tree (aggregate fabric)";
-  Experiment.print_traffic_scaling ~show_rate:true std
-    (Experiment.traffic_scaling ())
-
-let run_census () =
-  section "X4 — control-plane message census (extension)";
-  Experiment.print_census std (Experiment.census ())
-
-let run_families () =
-  section "X3 — topology families (extension)";
-  Experiment.print_families std (Experiment.topo_families ())
-
-let all_sections =
-  [
-    "all"; "fig3"; "demo"; "failure"; "restart"; "gui"; "scaling"; "ablation";
-    "families"; "census"; "obs"; "traffic"; "micro";
-  ]
-
 let () =
-  (* argv: [section] [--json [PATH]] [--baseline PATH]
-     [--save-baseline PATH]. All three apply to the micro suite;
-     --json defaults to BENCH_6.json, --baseline diffs the run against
+  (* --json defaults to BENCH_6.json, --baseline diffs the run against
      a saved rfauto-baseline-v1 file and exits 3 on regression,
      --save-baseline refreshes that file. *)
   let json_out = ref None in
   let baseline = ref None in
   let save_baseline = ref None in
-  let sections = ref [] in
+  let argc = Array.length Sys.argv in
   let rec parse i =
-    if i < Array.length Sys.argv then
+    if i < argc then
       match Sys.argv.(i) with
       | "--json" ->
-          if
-            i + 1 < Array.length Sys.argv
-            && String.length Sys.argv.(i + 1) > 0
-            && Sys.argv.(i + 1).[0] <> '-'
-            && not (List.mem Sys.argv.(i + 1) all_sections)
+          if i + 1 < argc && not (String.starts_with ~prefix:"-" Sys.argv.(i + 1))
           then (
             json_out := Some Sys.argv.(i + 1);
             parse (i + 2))
           else (
             json_out := Some "BENCH_6.json";
             parse (i + 1))
-      | "--baseline" when i + 1 < Array.length Sys.argv ->
+      | "--baseline" when i + 1 < argc ->
           baseline := Some Sys.argv.(i + 1);
           parse (i + 2)
-      | "--save-baseline" when i + 1 < Array.length Sys.argv ->
+      | "--save-baseline" when i + 1 < argc ->
           save_baseline := Some Sys.argv.(i + 1);
           parse (i + 2)
-      | s ->
-          sections := s :: !sections;
-          parse (i + 1)
+      | other ->
+          Format.eprintf
+            "unknown argument %S (use --json [PATH], --baseline PATH, \
+             --save-baseline PATH)@."
+            other;
+          exit 2
   in
   parse 1;
-  let what = match List.rev !sections with [] -> "all" | s :: _ -> s in
-  let json_out = !json_out in
-  let baseline = !baseline in
-  let save_baseline = !save_baseline in
-  match what with
-  | "fig3" -> run_fig3 ()
-  | "demo" -> run_demo ()
-  | "failure" -> run_failure ()
-  | "restart" -> run_restart ()
-  | "gui" -> run_gui ()
-  | "scaling" -> run_scaling ~sizes:[ 50; 100; 250; 500; 1000 ] ()
-  | "ablation" -> run_ablation ()
-  | "families" -> run_families ()
-  | "census" -> run_census ()
-  | "obs" -> run_obs ()
-  | "traffic" -> run_traffic ()
-  | "micro" -> run_micro ?json_out ?baseline ?save_baseline ()
-  | "all" ->
-      run_fig3 ();
-      run_demo ();
-      run_failure ();
-      run_restart ();
-      run_gui ();
-      run_scaling ();
-      run_ablation ();
-      run_families ();
-      run_census ();
-      run_obs ();
-      run_traffic ();
-      run_micro ?json_out ?baseline ?save_baseline ()
-  | other ->
-      Format.eprintf
-        "unknown section %S (use all|fig3|demo|failure|restart|gui|scaling|ablation|families|census|obs|traffic|micro, optionally with --json [PATH], --baseline PATH, --save-baseline PATH)@."
-        other;
-      exit 2
+  run_micro ?json_out:!json_out ?baseline:!baseline
+    ?save_baseline:!save_baseline ()

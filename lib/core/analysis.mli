@@ -6,32 +6,24 @@
     Thresholds are calibrated to the seed-42 defaults: warn sits above
     the observed value with headroom, fail marks a broken run, so the
     scorecard of an unmodified run is all-PASS and byte-identical
-    across invocations — CI diffs it as the E7 fingerprint. *)
+    across invocations — CI diffs it as the E7 fingerprint. Which
+    experiment a rule set belongs to, and which dumps it reads, is
+    recorded in {!Registry}. *)
 
-type experiment = E1b | E3 | E4 | E6 | E9 | E10 | E12
+(** {1 Rule sets}
 
-val all : experiment list
-(** In E-number order. E9, E10 and E12 are excluded — [all] drives
-    the pinned E7 scorecard fingerprint; ask for them explicitly. *)
+    Each set ends with a [<label>.dropped_records] completeness
+    guard. *)
 
-val name : experiment -> string
-(** ["e1b"] / ["e3"] / ["e4"] / ["e6"] / ["e9"] / ["e10"] / ["e12"] *)
+val e1b_rules : Rf_obs.Slo.rule list
+val e3_rules : Rf_obs.Slo.rule list
+val e4_rules : Rf_obs.Slo.rule list
+val e6_rules : Rf_obs.Slo.rule list
+val e9_rules : Rf_obs.Slo.rule list
+val e10_rules : Rf_obs.Slo.rule list
+val e12_rules : Rf_obs.Slo.rule list
 
-val of_string : string -> experiment option
-
-val describe : experiment -> string
-
-val run_dump : ?seed:int -> experiment -> Rf_obs.Ingest.dump
-(** Runs the experiment with its standard parameters (E1b pins the CI
-    fingerprint parameters: 8-switch ring, 2 s boots) writing telemetry
-    to a temp file, then ingests it — the exact pipeline a replayed
-    file goes through. *)
-
-val rules : experiment -> Rf_obs.Slo.rule list
-(** The standard rule set; every set ends with a
-    [<exp>.dropped_records] completeness guard. *)
-
-val evaluate : experiment -> Rf_obs.Ingest.dump -> Rf_obs.Slo.result list
+(** {1 Derived views} *)
 
 val indicators_of_results :
   Rf_obs.Slo.result list -> Rf_obs.Baseline.indicator list

@@ -159,7 +159,7 @@ let breakdown_of s =
     pb_trace_dropped = Scenario.trace_dropped s;
   }
 
-let phase_breakdown ?(switches = 28) ?(vm_boot_s = 8.0) ?(parallel_boot = 1)
+let phase_run ?(switches = 28) ?(vm_boot_s = 8.0) ?(parallel_boot = 1)
     ?telemetry () =
   let options =
     { Scenario.default_options with rf_params = params ~vm_boot_s ~parallel_boot () }
@@ -173,7 +173,7 @@ let phase_breakdown ?(switches = 28) ?(vm_boot_s = 8.0) ?(parallel_boot = 1)
   | Some path ->
       Scenario.write_telemetry s path ~meta:[ ("experiment", "e1-phases") ]
   | None -> ());
-  breakdown_of s
+  s
 
 let print_phases ppf (b : phase_breakdown) =
   Format.fprintf ppf
@@ -782,26 +782,27 @@ let rf_state_digest s =
     (Rf_system.vms (Scenario.rf_system s));
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
+(* Aggressive RPC supervision for the fault experiments, so a whole
+   crash/restart exchange fits a short run: frames sent into a dead
+   controller park after ~3.5 s instead of minutes. [resync:false] is
+   the legacy session without anti-entropy reconciliation. *)
+let fault_rpc_params ~resync =
+  {
+    Rf_rpc.Rpc_client.rto = Vtime.span_s 0.5;
+    rto_max = Vtime.span_s 4.0;
+    max_retries = 3;
+    heartbeat_every = Vtime.span_s 1.0;
+    heartbeat_jitter = 0.0;
+    dead_after = 3;
+    resync;
+  }
+
 let restart ?(seed = 42) ?(switches = 8) ?(crash_at_s = 4.0)
     ?(cut_at_s = 8.0) ?(recover_at_s = 20.0) ?(horizon_s = 120.0)
     ?(audit = false) ?telemetry () =
   if switches < 4 then invalid_arg "restart: need a ring of >= 4";
   if not (crash_at_s < cut_at_s && cut_at_s < recover_at_s) then
     invalid_arg "restart: need crash < cut < recover";
-  (* Aggressive supervision so the whole exchange fits a short run:
-     frames sent into the dead controller park after ~3.5 s instead of
-     minutes. *)
-  let rpc_params =
-    {
-      Rf_rpc.Rpc_client.rto = Vtime.span_s 0.5;
-      rto_max = Vtime.span_s 4.0;
-      max_retries = 3;
-      heartbeat_every = Vtime.span_s 1.0;
-      heartbeat_jitter = 0.0;
-      dead_after = 3;
-      resync = true;
-    }
-  in
   (* All three runs see the same physical event — the sw2-sw3 link dies
      at [cut_at_s] — so they should all end in the same network state.
      What differs is whether the RF-controller was up to hear about it:
@@ -829,7 +830,7 @@ let restart ?(seed = 42) ?(switches = 8) ?(crash_at_s = 4.0)
         Scenario.default_options with
         seed;
         rf_params = params ~vm_boot_s:2.0 ~parallel_boot:4 ();
-        rpc_params = { rpc_params with Rf_rpc.Rpc_client.resync };
+        rpc_params = fault_rpc_params ~resync;
         faults;
         audit;
       }
@@ -1285,11 +1286,10 @@ let traffic_spec ?(start_s = 20.0) ~switches ~horizon_s () =
 let traffic_link_capacity =
   { Rf_net.Link.bandwidth_bps = 10_000_000; queue_frames = 64 }
 
-(* One measured scenario run: ring + one host per switch, the given
-   fault plan, and the standard workload through the live data plane. *)
-let traffic_ring_run ?telemetry ?profiler ~label ~seed ~switches ~horizon_s
-    ~faults ~resync () =
-  let spec = traffic_spec ~switches ~horizon_s () in
+(* A ring with one host per switch, h01 behind sw1 and so on: every
+   switch owns a host subnet, so traffic pairs and audit coverage span
+   the whole ring. *)
+let hosted_ring switches =
   let topo = Topo_gen.ring switches in
   for i = 1 to switches do
     let name = Printf.sprintf "h%02d" i in
@@ -1298,26 +1298,48 @@ let traffic_ring_run ?telemetry ?profiler ~label ~seed ~switches ~horizon_s
       (Topology.connect topo (Topology.Host name)
          (Topology.Switch (Int64.of_int i)))
   done;
-  let rpc_params =
-    {
-      Rf_rpc.Rpc_client.rto = Vtime.span_s 0.5;
-      rto_max = Vtime.span_s 4.0;
-      max_retries = 3;
-      heartbeat_every = Vtime.span_s 1.0;
-      heartbeat_jitter = 0.0;
-      dead_after = 3;
-      resync;
-    }
-  in
+  topo
+
+type cluster_run = {
+  cw_traffic : traffic_run;
+  cw_replicas : int;
+  cw_digest : string;  (** {!rf_state_digest} at the end of the run *)
+  cw_elections : int;
+  cw_failovers : int;
+  cw_failover_s : float option;
+      (** most recent leaderless interval, fault to re-election *)
+  cw_leader : int option;
+  cw_epoch : int32;
+  cw_agree : bool;  (** live replicas end on the same committed log *)
+  cw_applied : int;  (** committed entries surfaced to RouteFlow *)
+  cw_reassignments : int;  (** switch sessions whose OpenFlow role flipped *)
+  cw_rejected : int;  (** mutations fenced off outside the commit path *)
+  cw_audit : audit_run option;
+}
+
+(* One measured scenario run: ring + one host per switch, the given
+   fault plan, and the standard workload through the live data plane,
+   with the RF-controller replicated [replicas] ways ([1] keeps the
+   legacy single controller, so every baseline goes through the same
+   code). [experiment] is the telemetry meta tag; [audit_from]
+   attaches the forwarding-state auditor, its value being the first
+   planned fault time, the steady-state upper bound. *)
+let cluster_ring_run ?telemetry ?profiler ?audit_from ~experiment ~label
+    ~seed ~switches ~replicas ~horizon_s ~traffic_start_s ~parallel_boot
+    ~resync ~faults () =
+  let spec = traffic_spec ~start_s:traffic_start_s ~switches ~horizon_s () in
+  let topo = hosted_ring switches in
   let options =
     {
       Scenario.default_options with
       seed;
-      rf_params = params ~vm_boot_s:2.0 ~parallel_boot:4 ();
-      rpc_params;
+      rf_params = params ~vm_boot_s:2.0 ~parallel_boot ();
+      rpc_params = fault_rpc_params ~resync;
       faults;
       link_capacity = Some traffic_link_capacity;
+      cluster_replicas = replicas;
       profiler;
+      audit = audit_from <> None;
     }
   in
   let s = Scenario.build ~options topo in
@@ -1334,12 +1356,21 @@ let traffic_ring_run ?telemetry ?profiler ~label ~seed ~switches ~horizon_s
   ignore (Traffic_gen.start engine ~rng ~measure ~fabric spec);
   Scenario.run_for s (Vtime.span_s horizon_s);
   Traffic_measure.finalize measure;
+  let audit_run =
+    Option.map
+      (fun first_fault_s ->
+        audit_run_of s ~label ~first_fault_s:(Some first_fault_s) ~horizon_s)
+      audit_from
+  in
   (match telemetry with
   | Some path ->
       Scenario.write_telemetry s path
         ~meta:
-          [
-            ("experiment", "traffic");
+          ((match audit_run with
+           | Some r -> audit_meta r
+           | None -> [])
+          @ [
+            ("experiment", experiment);
             ("run", label);
             ("flows", string_of_int (Traffic_measure.flow_count measure));
             ("offered", string_of_int (Traffic_measure.total_offered measure));
@@ -1349,21 +1380,51 @@ let traffic_ring_run ?telemetry ?profiler ~label ~seed ~switches ~horizon_s
             ( "disruption_s",
               Printf.sprintf "%.3f" (Traffic_measure.disruption_seconds measure)
             );
-          ]
+          ])
   | None -> ());
+  let traffic =
+    {
+      tw_label = label;
+      tw_flows = Traffic_measure.flow_count measure;
+      tw_offered = Traffic_measure.total_offered measure;
+      tw_delivered = Traffic_measure.total_delivered measure;
+      tw_lost = Traffic_measure.total_lost measure;
+      tw_disrupted_flows = Traffic_measure.disrupted_flows measure;
+      tw_window = Traffic_measure.disruption_window measure;
+      tw_disruption_s = Traffic_measure.disruption_seconds measure;
+      tw_reconverged_s = to_s_opt (Scenario.reconverged_at s);
+      tw_queue_dropped =
+        Rf_net.Network.queue_dropped_frames (Scenario.network s);
+      tw_classes = Traffic_measure.summaries measure;
+    }
+  in
+  let elections, failovers, failover_s, leader, epoch, agree, applied =
+    match Scenario.cluster s with
+    | Some cl ->
+        ( Rf_rpc.Cluster.elections cl,
+          Rf_rpc.Cluster.failovers cl,
+          Rf_rpc.Cluster.last_failover_s cl,
+          Rf_rpc.Cluster.leader cl,
+          Rf_rpc.Cluster.leader_epoch cl,
+          Rf_rpc.Cluster.converged cl,
+          Rf_rpc.Cluster.applied cl )
+    | None -> (0, 0, None, None, 0l, true, 0)
+  in
   {
-    tw_label = label;
-    tw_flows = Traffic_measure.flow_count measure;
-    tw_offered = Traffic_measure.total_offered measure;
-    tw_delivered = Traffic_measure.total_delivered measure;
-    tw_lost = Traffic_measure.total_lost measure;
-    tw_disrupted_flows = Traffic_measure.disrupted_flows measure;
-    tw_window = Traffic_measure.disruption_window measure;
-    tw_disruption_s = Traffic_measure.disruption_seconds measure;
-    tw_reconverged_s = to_s_opt (Scenario.reconverged_at s);
-    tw_queue_dropped =
-      Rf_net.Network.queue_dropped_frames (Scenario.network s);
-    tw_classes = Traffic_measure.summaries measure;
+    cw_traffic = traffic;
+    cw_replicas = replicas;
+    cw_digest = rf_state_digest s;
+    cw_elections = elections;
+    cw_failovers = failovers;
+    cw_failover_s = failover_s;
+    cw_leader = leader;
+    cw_epoch = epoch;
+    cw_agree = agree;
+    cw_applied = applied;
+    cw_reassignments =
+      Rf_routeflow.Rf_controller_app.reassignments (Scenario.rf_app s);
+    cw_rejected = Rf_system.mutations_rejected (Scenario.rf_system s);
+    cw_audit = audit_run;
   }
 
 let traffic_disruption ?(seed = 42) ?(switches = 8) ?(fail_at_s = 40.0)
@@ -1373,27 +1434,30 @@ let traffic_disruption ?(seed = 42) ?(switches = 8) ?(fail_at_s = 40.0)
   if not (crash_at_s < cut_at_s && cut_at_s < recover_at_s) then
     invalid_arg "traffic_disruption: need crash < cut < recover";
   let cut_fault at = Rf_sim.Faults.link_down ~at_s:at 2L 3L in
+  let run ?telemetry ?profiler ~label ~resync faults =
+    (cluster_ring_run ?telemetry ?profiler ~experiment:"traffic" ~label ~seed
+       ~switches ~replicas:1 ~horizon_s ~traffic_start_s:20.0 ~parallel_boot:4
+       ~resync ~faults ())
+      .cw_traffic
+  in
   (* E3 scenario, automatic: the controller is up, hears the port-down,
      and the virtual topology reconverges on its own. *)
   let auto =
-    traffic_ring_run ?telemetry ?profiler ~label:"automatic" ~seed ~switches ~horizon_s
-      ~faults:(Rf_sim.Faults.plan [ cut_fault fail_at_s ])
-      ~resync:true ()
+    run ?telemetry ?profiler ~label:"automatic" ~resync:true
+      (Rf_sim.Faults.plan [ cut_fault fail_at_s ])
   in
   (* Manual baseline: the same cut, but the routing control platform is
      down across it — the operator notices and brings it back only
      [manual_response_s] later, as with hand-driven configuration. *)
   let manual =
-    traffic_ring_run ~label:"manual" ~seed ~switches ~horizon_s
-      ~faults:
-        (Rf_sim.Faults.(
-           plan
-             [
-               controller_crash ~at_s:(fail_at_s -. 2.0) ();
-               cut_fault fail_at_s;
-               controller_recover ~at_s:(fail_at_s +. manual_response_s) ();
-             ]))
-      ~resync:true ()
+    run ~label:"manual" ~resync:true
+      Rf_sim.Faults.(
+        plan
+          [
+            controller_crash ~at_s:(fail_at_s -. 2.0) ();
+            cut_fault fail_at_s;
+            controller_recover ~at_s:(fail_at_s +. manual_response_s) ();
+          ])
   in
   (* E4 scenario: crash + cut + restart, reconciled vs legacy RPC. *)
   let restart_faults =
@@ -1406,12 +1470,10 @@ let traffic_disruption ?(seed = 42) ?(switches = 8) ?(fail_at_s = 40.0)
         ])
   in
   let reconciled =
-    traffic_ring_run ~label:"reconciled" ~seed ~switches ~horizon_s
-      ~faults:restart_faults ~resync:true ()
+    run ~label:"reconciled" ~resync:true restart_faults
   in
   let legacy =
-    traffic_ring_run ~label:"legacy" ~seed ~switches ~horizon_s
-      ~faults:restart_faults ~resync:false ()
+    run ~label:"legacy" ~resync:false restart_faults
   in
   {
     tr_seed = seed;
@@ -1585,150 +1647,6 @@ let traffic_scaling ?seed ?k ?pairs_per_host ?arrivals_per_s ?horizon_s
 
 (* --- E9: controller-cluster failover under live traffic ------------- *)
 
-type cluster_run = {
-  cw_traffic : traffic_run;
-  cw_replicas : int;
-  cw_digest : string;  (** {!rf_state_digest} at the end of the run *)
-  cw_elections : int;
-  cw_failovers : int;
-  cw_failover_s : float option;
-      (** most recent leaderless interval, fault to re-election *)
-  cw_leader : int option;
-  cw_epoch : int32;
-  cw_agree : bool;  (** live replicas end on the same committed log *)
-  cw_applied : int;  (** committed entries surfaced to RouteFlow *)
-  cw_reassignments : int;  (** switch sessions whose OpenFlow role flipped *)
-  cw_rejected : int;  (** mutations fenced off outside the commit path *)
-  cw_audit : audit_run option;
-}
-
-(* One measured scenario run like [traffic_ring_run], but with the
-   RF-controller replicated [replicas] ways ([1] keeps the legacy
-   single controller, so the baseline goes through the same code).
-   [audit_from] attaches the forwarding-state auditor; its value is
-   the first planned fault time, the steady-state upper bound. *)
-let cluster_ring_run ?telemetry ?profiler ?audit_from ~label
-    ~seed ~switches ~replicas ~horizon_s ~traffic_start_s ~parallel_boot
-    ~faults ()
-    =
-  let spec = traffic_spec ~start_s:traffic_start_s ~switches ~horizon_s () in
-  let topo = Topo_gen.ring switches in
-  for i = 1 to switches do
-    let name = Printf.sprintf "h%02d" i in
-    Topology.add_host topo name;
-    ignore
-      (Topology.connect topo (Topology.Host name)
-         (Topology.Switch (Int64.of_int i)))
-  done;
-  let rpc_params =
-    {
-      Rf_rpc.Rpc_client.rto = Vtime.span_s 0.5;
-      rto_max = Vtime.span_s 4.0;
-      max_retries = 3;
-      heartbeat_every = Vtime.span_s 1.0;
-      heartbeat_jitter = 0.0;
-      dead_after = 3;
-      resync = true;
-    }
-  in
-  let options =
-    {
-      Scenario.default_options with
-      seed;
-      rf_params = params ~vm_boot_s:2.0 ~parallel_boot ();
-      rpc_params;
-      faults;
-      link_capacity = Some traffic_link_capacity;
-      cluster_replicas = replicas;
-      profiler;
-      audit = audit_from <> None;
-    }
-  in
-  let s = Scenario.build ~options topo in
-  let engine = Scenario.engine s in
-  let measure =
-    Traffic_measure.create engine
-      ~loss_timeout_s:spec.Traffic_spec.loss_timeout_s ()
-  in
-  let fabric =
-    Traffic_gen.live_fabric measure
-      ~hosts:(Rf_net.Network.hosts (Scenario.network s))
-  in
-  let rng = Rf_sim.Rng.create (seed + 1009) in
-  ignore (Traffic_gen.start engine ~rng ~measure ~fabric spec);
-  Scenario.run_for s (Vtime.span_s horizon_s);
-  Traffic_measure.finalize measure;
-  let audit_run =
-    Option.map
-      (fun first_fault_s ->
-        audit_run_of s ~label ~first_fault_s:(Some first_fault_s) ~horizon_s)
-      audit_from
-  in
-  (match telemetry with
-  | Some path ->
-      Scenario.write_telemetry s path
-        ~meta:
-          ((match audit_run with
-           | Some r -> audit_meta r
-           | None -> [])
-          @ [
-            ("experiment", "cluster");
-            ("run", label);
-            ("flows", string_of_int (Traffic_measure.flow_count measure));
-            ("offered", string_of_int (Traffic_measure.total_offered measure));
-            ( "delivered",
-              string_of_int (Traffic_measure.total_delivered measure) );
-            ("lost", string_of_int (Traffic_measure.total_lost measure));
-            ( "disruption_s",
-              Printf.sprintf "%.3f" (Traffic_measure.disruption_seconds measure)
-            );
-          ])
-  | None -> ());
-  let traffic =
-    {
-      tw_label = label;
-      tw_flows = Traffic_measure.flow_count measure;
-      tw_offered = Traffic_measure.total_offered measure;
-      tw_delivered = Traffic_measure.total_delivered measure;
-      tw_lost = Traffic_measure.total_lost measure;
-      tw_disrupted_flows = Traffic_measure.disrupted_flows measure;
-      tw_window = Traffic_measure.disruption_window measure;
-      tw_disruption_s = Traffic_measure.disruption_seconds measure;
-      tw_reconverged_s = to_s_opt (Scenario.reconverged_at s);
-      tw_queue_dropped =
-        Rf_net.Network.queue_dropped_frames (Scenario.network s);
-      tw_classes = Traffic_measure.summaries measure;
-    }
-  in
-  let elections, failovers, failover_s, leader, epoch, agree, applied =
-    match Scenario.cluster s with
-    | Some cl ->
-        ( Rf_rpc.Cluster.elections cl,
-          Rf_rpc.Cluster.failovers cl,
-          Rf_rpc.Cluster.last_failover_s cl,
-          Rf_rpc.Cluster.leader cl,
-          Rf_rpc.Cluster.leader_epoch cl,
-          Rf_rpc.Cluster.converged cl,
-          Rf_rpc.Cluster.applied cl )
-    | None -> (0, 0, None, None, 0l, true, 0)
-  in
-  {
-    cw_traffic = traffic;
-    cw_replicas = replicas;
-    cw_digest = rf_state_digest s;
-    cw_elections = elections;
-    cw_failovers = failovers;
-    cw_failover_s = failover_s;
-    cw_leader = leader;
-    cw_epoch = epoch;
-    cw_agree = agree;
-    cw_applied = applied;
-    cw_reassignments =
-      Rf_routeflow.Rf_controller_app.reassignments (Scenario.rf_app s);
-    cw_rejected = Rf_system.mutations_rejected (Scenario.rf_system s);
-    cw_audit = audit_run;
-  }
-
 type cluster_result = {
   cf_seed : int;
   cf_switches : int;
@@ -1762,9 +1680,9 @@ let cluster_failover ?(seed = 42) ?(switches = 28) ?(replicas = 3)
      the control plane. Replica 0 later rejoins as a follower. *)
   let audit_from = if audit then Some crash_at_s else None in
   let auto =
-    cluster_ring_run ?telemetry ?profiler ?audit_from
+    cluster_ring_run ?telemetry ?profiler ?audit_from ~experiment:"cluster"
       ~label:"automatic" ~seed ~switches ~replicas ~horizon_s ~traffic_start_s
-      ~parallel_boot
+      ~parallel_boot ~resync:true
       ~faults:
         Rf_sim.Faults.(
           plan
@@ -1779,8 +1697,9 @@ let cluster_failover ?(seed = 42) ?(switches = 28) ?(replicas = 3)
      down across the cut; the operator notices and restarts it only
      [manual_response_s] later, and resync reconciles from there. *)
   let legacy =
-    cluster_ring_run ?audit_from ~label:"legacy" ~seed ~switches ~replicas:1
-      ~horizon_s ~traffic_start_s ~parallel_boot
+    cluster_ring_run ?audit_from ~experiment:"cluster" ~label:"legacy" ~seed
+      ~switches ~replicas:1 ~horizon_s ~traffic_start_s ~parallel_boot
+      ~resync:true
       ~faults:
         Rf_sim.Faults.(
           plan
@@ -1970,37 +1889,18 @@ type audit_result = {
    packets, so the runs stay cheap enough to fingerprint in CI. *)
 let audit_ring_run ?telemetry ~scenario ~label ~seed ~switches ~replicas
     ~resync ~faults ~first_fault_s ~horizon_s () =
-  let topo = Topo_gen.ring switches in
-  for i = 1 to switches do
-    let name = Printf.sprintf "h%02d" i in
-    Topology.add_host topo name;
-    ignore
-      (Topology.connect topo (Topology.Host name)
-         (Topology.Switch (Int64.of_int i)))
-  done;
-  let rpc_params =
-    {
-      Rf_rpc.Rpc_client.rto = Vtime.span_s 0.5;
-      rto_max = Vtime.span_s 4.0;
-      max_retries = 3;
-      heartbeat_every = Vtime.span_s 1.0;
-      heartbeat_jitter = 0.0;
-      dead_after = 3;
-      resync;
-    }
-  in
   let options =
     {
       Scenario.default_options with
       seed;
       rf_params = params ~vm_boot_s:2.0 ~parallel_boot:4 ();
-      rpc_params;
+      rpc_params = fault_rpc_params ~resync;
       faults;
       cluster_replicas = replicas;
       audit = true;
     }
   in
-  let s = Scenario.build ~options topo in
+  let s = Scenario.build ~options (hosted_ring switches) in
   Scenario.run_for s (Vtime.span_s horizon_s);
   let run =
     audit_run_of s ~label ~first_fault_s:(Some first_fault_s) ~horizon_s

@@ -58,16 +58,17 @@ val breakdown_of : Scenario.t -> phase_breakdown
 (** Reads the span tree of an already-run scenario. Raises
     [Invalid_argument] if no switch ever started configuring. *)
 
-val phase_breakdown :
+val phase_run :
   ?switches:int ->
   ?vm_boot_s:float ->
   ?parallel_boot:int ->
   ?telemetry:string ->
   unit ->
-  phase_breakdown
+  Scenario.t
 (** Runs one ring scenario (default: the paper's 28 switches, 8 s
-    serialized boots) and decomposes it. [telemetry] additionally
-    writes the run's span/event JSONL to the given path. *)
+    serialized boots) to convergence, ready for {!breakdown_of}.
+    [telemetry] writes the run's span/event JSONL to the given
+    path. *)
 
 val print_phases : Format.formatter -> phase_breakdown -> unit
 
@@ -445,11 +446,6 @@ val traffic_scaling :
     2000 hosts) with Poisson flow arrivals through the aggregate
     fabric — >= 10^5 aggregated flows in 60 s of virtual time at the
     defaults. *)
-
-val print_traffic_scaling :
-  ?show_rate:bool -> Format.formatter -> traffic_scale_result -> unit
-(** With [show_rate] the (non-deterministic) events/sec line is
-    included; leave it off for fingerprinted summaries. *)
 
 (** {1 E9 — controller-cluster failover under live traffic} *)
 

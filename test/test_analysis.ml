@@ -509,17 +509,28 @@ let test_ingest_roundtrip_matches_live () =
 (* --- End-to-end experiment scorecards ------------------------------ *)
 
 let test_scorecards_pass_and_deterministic () =
-  let card exp dump =
-    Format.asprintf "%a" Analysis.scorecard (Analysis.evaluate exp dump)
+  let slo_of label =
+    List.find_map
+      (fun (e : Rf_core.Registry.t) ->
+        match e.slo with
+        | Some s when s.label = label -> Some (e, s)
+        | Some _ | None -> None)
+      Rf_core.Registry.all
+    |> Option.get
   in
-  (* Every experiment's seed-42 run passes its calibrated rule set. *)
+  let card (s : Rf_core.Registry.slo) dump =
+    Format.asprintf "%a" Analysis.scorecard (Slo.evaluate dump s.rules)
+  in
+  (* Every experiment's seed-42 pinned run passes its calibrated rule
+     set. *)
   List.iter
-    (fun exp ->
-      let dump = Analysis.run_dump exp in
+    (fun label ->
+      let e, s = slo_of label in
+      let dump = Rf_core.Registry.reference_dump e in
       Alcotest.(check string)
-        (Analysis.name exp ^ " all green")
+        (label ^ " all green")
         "PASS"
-        (Slo.verdict_string (Slo.worst (Analysis.evaluate exp dump)));
+        (Slo.verdict_string (Slo.worst (Slo.evaluate dump s.rules)));
       (* The flamegraph invariant holds on real telemetry too. *)
       let forest = Analysis.forest dump in
       let roots_total =
@@ -528,17 +539,17 @@ let test_scorecards_pass_and_deterministic () =
           0 forest
       in
       Alcotest.(check int)
-        (Analysis.name exp ^ " folded total = root durations")
+        (label ^ " folded total = root durations")
         roots_total
         (Flamegraph.total (Flamegraph.folded forest)))
-    [ Analysis.E1b; Analysis.E6 ];
+    [ "e1b"; "e6" ];
   (* Same seed, byte-identical verdicts — the E7 CI fingerprint
      property. *)
-  let a = Analysis.run_dump Analysis.E3 in
-  let b = Analysis.run_dump Analysis.E3 in
+  let e3, s3 = slo_of "e3" in
+  let a = Rf_core.Registry.reference_dump e3 in
+  let b = Rf_core.Registry.reference_dump e3 in
   Alcotest.(check string)
-    "same-seed scorecards byte-identical" (card Analysis.E3 a)
-    (card Analysis.E3 b);
+    "same-seed scorecards byte-identical" (card s3 a) (card s3 b);
   match Analysis.configure_path a with
   | Some (head :: _) ->
       Alcotest.(check string)

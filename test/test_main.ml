@@ -22,4 +22,5 @@ let () = Alcotest.run "routeflow-autoconf" [
       ("shard", Test_shard.suite);
       ("auditor", Test_auditor.suite);
       ("route-track", Test_route_track.suite);
+      ("registry", Test_registry.suite);
     ]
