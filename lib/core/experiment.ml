@@ -558,8 +558,8 @@ type recovery_result = {
 }
 
 let failure_recovery ?(seed = 42) ?(switches = 6) ?(fail_at_s = 60.0)
-    ?(window_s = 30.0) ?(horizon_s = 150.0) ?(audit = false) ?telemetry
-    ?profiler () =
+    ?(horizon_s = 150.0) ?(audit = false) ?telemetry ?profiler () =
+  let window_s = 30.0 in
   if switches < 4 then invalid_arg "failure_recovery: need a ring of >= 4";
   let topo = Topo_gen.ring switches in
   Topology.add_host topo "server";

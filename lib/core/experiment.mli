@@ -183,7 +183,6 @@ val failure_recovery :
   ?seed:int ->
   ?switches:int ->
   ?fail_at_s:float ->
-  ?window_s:float ->
   ?horizon_s:float ->
   ?audit:bool ->
   ?telemetry:string ->

@@ -54,7 +54,8 @@ let all_green_at t =
     | [] -> None
   else None
 
-let render ?(label = Printf.sprintf "sw%Ld") ?(columns = 7) t =
+let render ?(label = Printf.sprintf "sw%Ld") t =
+  let columns = 7 in
   let buf = Buffer.create 512 in
   Printf.bprintf buf "[%s] RouteFlow auto-configuration: %d/%d switches configured\n"
     (Format.asprintf "%a" Rf_sim.Vtime.pp (Rf_sim.Engine.now t.engine))

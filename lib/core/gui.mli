@@ -29,6 +29,6 @@ val all_green_at : t -> Rf_sim.Vtime.t option
 val timeline : t -> (int64 * Rf_sim.Vtime.t) list
 (** Green transitions in chronological order. *)
 
-val render : ?label:(int64 -> string) -> ?columns:int -> t -> string
-(** An ASCII panel: one cell per switch, [#] green / [.] red, with a
-    status line. *)
+val render : ?label:(int64 -> string) -> t -> string
+(** An ASCII panel: one cell per switch, seven to a row, [#] green /
+    [.] red, with a status line. *)

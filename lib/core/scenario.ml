@@ -178,7 +178,7 @@ let build ?(options = default_options) topo =
   let admin_edges = edges_of_plans topo host_plans in
 
   (* RouteFlow side. *)
-  let vs = Rf_vs.create engine () in
+  let vs = Rf_vs.create engine in
   let rf_app = Rf_controller_app.create engine vs in
   let rf_sys = Rf_system.create engine rf_app vs options.rf_params in
 

@@ -43,7 +43,7 @@ let port_desc (p : port) =
     up = p.up;
   }
 
-let create engine ~dpid ~n_ports ?table_capacity () =
+let create engine ~dpid ~n_ports =
   if n_ports < 1 || n_ports > Of_port.max_physical then
     invalid_arg "Datapath.create: bad port count";
   let mk i =
@@ -66,7 +66,7 @@ let create engine ~dpid ~n_ports ?table_capacity () =
       dpid;
       entity = Rf_obs.Profiler.switch dpid;
       ports = Array.init n_ports mk;
-      table = Flow_table.create ?capacity:table_capacity ();
+      table = Flow_table.create ();
       buffers = Hashtbl.create 64;
       buffer_order = [];
       next_buffer = 1l;

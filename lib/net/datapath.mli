@@ -10,7 +10,7 @@ open Rf_openflow
 type t
 
 val create :
-  Rf_sim.Engine.t -> dpid:int64 -> n_ports:int -> ?table_capacity:int -> unit -> t
+  Rf_sim.Engine.t -> dpid:int64 -> n_ports:int -> t
 (** Ports are numbered 1..n_ports, each with a deterministic
     locally-administered MAC. A periodic task expires flow entries
     once per second. *)

@@ -100,7 +100,7 @@ let build engine topo ~host_config ~attach_controller
   List.iter
     (fun dpid ->
       let n_ports = Topology.degree topo (Topology.Switch dpid) in
-      let dp = Datapath.create engine ~dpid ~n_ports:(max 1 n_ports) () in
+      let dp = Datapath.create engine ~dpid ~n_ports:(max 1 n_ports) in
       Hashtbl.replace t.dps dpid dp)
     (Topology.switches topo);
   (* Hosts. *)

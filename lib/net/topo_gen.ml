@@ -188,7 +188,7 @@ let fat_tree_hops ~k a b =
   else if a / (half * half) = b / (half * half) then 4 (* same pod *)
   else 6
 
-let fat_tree ?(latency = Rf_sim.Vtime.span_ms 1) ?(with_hosts = true) k =
+let fat_tree ?(latency = Rf_sim.Vtime.span_ms 1) k =
   if k < 2 || k mod 2 <> 0 then
     invalid_arg "Topo_gen.fat_tree: k must be even and >= 2";
   let half = k / 2 in
@@ -225,20 +225,19 @@ let fat_tree ?(latency = Rf_sim.Vtime.span_ms 1) ?(with_hosts = true) k =
       done
     done
   done;
-  if with_hosts then
-    for p = 0 to k - 1 do
-      for e = 0 to half - 1 do
-        for i = 0 to half - 1 do
-          let idx = (((p * half) + e) * half) + i in
-          let name = fat_tree_host_name idx in
-          Topology.add_host t name;
-          ignore
-            (Topology.connect t ~latency
-               (Topology.Switch (edge p e))
-               (Topology.Host name))
-        done
+  for p = 0 to k - 1 do
+    for e = 0 to half - 1 do
+      for i = 0 to half - 1 do
+        let idx = (((p * half) + e) * half) + i in
+        let name = fat_tree_host_name idx in
+        Topology.add_host t name;
+        ignore
+          (Topology.connect t ~latency
+             (Topology.Switch (edge p e))
+             (Topology.Host name))
       done
-    done;
+    done
+  done;
   t
 
 let pan_european () =

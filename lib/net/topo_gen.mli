@@ -22,13 +22,13 @@ val random :
     [extra_edges] random chords (no duplicates, no self-loops). *)
 
 val fat_tree :
-  ?latency:Rf_sim.Vtime.span -> ?with_hosts:bool -> int -> Topology.t
+  ?latency:Rf_sim.Vtime.span -> int -> Topology.t
 (** [fat_tree k] for even [k >= 2]: the k-ary fat-tree of Al-Fares et
     al. (SIGCOMM 2008) — [(k/2)^2] core switches, [k] pods of [k/2]
     aggregation and [k/2] edge switches (every switch of degree [k]),
-    and, when [with_hosts] (default), [k/2] hosts per edge switch
-    ([k^3/4] total) named by {!fat_tree_host_name}. Dpids number the
-    cores first, then each pod's aggregation then edge switches. *)
+    and [k/2] hosts per edge switch ([k^3/4] total) named by
+    {!fat_tree_host_name}. Dpids number the cores first, then each
+    pod's aggregation then edge switches. *)
 
 val fat_tree_host_name : int -> string
 (** Zero-padded ("h0042") so lexicographic host order equals index

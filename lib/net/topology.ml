@@ -51,23 +51,20 @@ let next_port t node =
       add_node t node;
       1
 
-let use_port t node port =
-  let free = next_port t node in
-  let free = if port >= free then port + 1 else free in
-  t.nodes <- Node_map.add node free t.nodes
+let alloc_port t node =
+  let port = next_port t node in
+  t.nodes <- Node_map.add node (port + 1) t.nodes;
+  port
 
-let connect t ?(latency = Rf_sim.Vtime.span_ms 1) ?(cost = 10) ?a_port ?b_port a b
-    =
+let connect t ?(latency = Rf_sim.Vtime.span_ms 1) ?(cost = 10) a b =
   (match (a, b) with
   | Host _, Host _ -> invalid_arg "Topology.connect: host-host link"
   | (Switch _ | Host _), (Switch _ | Host _) -> ());
   if node_equal a b then invalid_arg "Topology.connect: self loop";
   add_node t a;
   add_node t b;
-  let a_port = match a_port with Some p -> p | None -> next_port t a in
-  use_port t a a_port;
-  let b_port = match b_port with Some p -> p | None -> next_port t b in
-  use_port t b b_port;
+  let a_port = alloc_port t a in
+  let b_port = alloc_port t b in
   let edge = { a; a_port; b; b_port; latency; cost } in
   t.edge_list <- edge :: t.edge_list;
   t.n_edges <- t.n_edges + 1;

@@ -30,14 +30,12 @@ val connect :
   t ->
   ?latency:Rf_sim.Vtime.span ->
   ?cost:int ->
-  ?a_port:int ->
-  ?b_port:int ->
   node ->
   node ->
   edge
 (** Adds both endpoints if missing; allocates the next free port on
-    each side unless explicit ports are given. Default latency 1 ms,
-    cost 10. Host–host edges are rejected. *)
+    each side. Default latency 1 ms, cost 10. Host–host edges are
+    rejected. *)
 
 val switches : t -> int64 list
 (** Sorted. *)

@@ -154,10 +154,3 @@ let pp_span_stats ppf stats =
       Format.fprintf ppf "%-18s %6d %5d %10.3f %10.3f %10.3f@." st.st_name
         st.st_count st.st_open st.st_total_s st.st_mean_s st.st_max_s)
     stats
-
-let completeness_line ?(trace_dropped = 0) t =
-  Printf.sprintf
-    "telemetry: %d spans (%d dropped), %d events (%d dropped), trace ring \
-     dropped %d"
-    (Tracer.span_count t) (Tracer.dropped_spans t) (Tracer.event_count t)
-    (Tracer.dropped_events t) trace_dropped

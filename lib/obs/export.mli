@@ -30,10 +30,6 @@ val jsonl : ?meta:(string * string) list -> Tracer.t -> string
 val drop_meta : Tracer.t -> (string * string) list
 (** The meta entries [jsonl] appends: empty when nothing was dropped. *)
 
-val completeness_line : ?trace_dropped:int -> Tracer.t -> string
-(** One summary-table line of span/event counts and drop counts;
-    [trace_dropped] adds the {!Rf_sim.Trace} ring's own drop count. *)
-
 (** {1 Summary table} *)
 
 type span_stat = {

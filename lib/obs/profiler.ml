@@ -63,7 +63,6 @@ type sample = {
 type t = {
   clock_ns : unit -> int;
   clock_every : int;
-  sample_every : int;
   stamp_id : int;
   idle : entity;
   gc0 : Gc.stat;
@@ -92,8 +91,10 @@ let default_clock () =
 
 let stamp_counter = ref 0
 
-let create ?clock_ns ?(clock_every = 32) ?(sample_every = 4096) () =
-  if sample_every < 1 then invalid_arg "Profiler.create: sample_every < 1";
+(* Event-count period of heap/GC samples. *)
+let sample_every = 4096
+
+let create ?clock_ns ?(clock_every = 32) () =
   if clock_every < 1 then invalid_arg "Profiler.create: clock_every < 1";
   incr stamp_counter;
   let stamp = !stamp_counter in
@@ -106,7 +107,6 @@ let create ?clock_ns ?(clock_every = 32) ?(sample_every = 4096) () =
   {
     clock_ns;
     clock_every;
-    sample_every;
     stamp_id = stamp;
     idle;
     gc0;
@@ -149,7 +149,7 @@ let run_begin p =
     p.running <- true;
     p.current <- p.idle;
     p.next_clock <- p.dispatches + p.clock_every;
-    p.next_sample <- p.dispatches + p.sample_every;
+    p.next_sample <- p.dispatches + sample_every;
     let t = p.clock_ns () in
     p.last_ns <- t;
     p.run_start_ns <- t
@@ -175,7 +175,7 @@ let tick p e ~depth ~now_us =
     (* Heap/GC samples align to clock boundaries, so their points stay
        a deterministic function of the dispatch count. *)
     if d >= p.next_sample then begin
-      p.next_sample <- d + p.sample_every;
+      p.next_sample <- d + sample_every;
       take_sample p ~now_us ~depth
     end
   end
@@ -411,7 +411,8 @@ let pp_top ?(wall = false) ~top ppf sn =
     Format.fprintf ppf "      ... %d more entities@."
       (List.length sn.sn_entities - top)
 
-let pp_depth_curve ?(points = 16) ppf sn =
+let pp_depth_curve ppf sn =
+  let points = 16 in
   match sn.sn_samples with
   | [] -> Format.fprintf ppf "heap depth: no samples@."
   | samples ->

@@ -12,7 +12,7 @@
 
     Alongside attribution the profiler records an event-heap
     depth/churn timeseries and periodic [Gc.quick_stat] deltas
-    (sampled every [sample_every] events, so sample {e points} are
+    (sampled every 4096 events, so sample {e points} are
     deterministic even though the GC figures are not). *)
 
 type kind =
@@ -50,7 +50,7 @@ val kind_id : kind -> string
 type t
 
 val create :
-  ?clock_ns:(unit -> int) -> ?clock_every:int -> ?sample_every:int -> unit -> t
+  ?clock_ns:(unit -> int) -> ?clock_every:int -> unit -> t
 (** [clock_ns] defaults to a [Unix.gettimeofday]-based nanosecond
     clock (injectable for deterministic tests). [clock_every] (default
     32) is the dispatch stride between clock reads: each interval is
@@ -58,10 +58,9 @@ val create :
     sampling-profiler semantics that keep the per-event cost to a few
     integer stores; [clock_every:1] recovers exact per-event
     attribution. Intervals partition the run either way, so busy +
-    idle always equals total run time exactly. [sample_every] (default
-    4096) is the event-count period of heap/GC samples (aligned to
-    clock strides). Raises [Invalid_argument] if either stride is
-    [< 1]. *)
+    idle always equals total run time exactly. Heap/GC samples are
+    taken every 4096 events (aligned to clock strides). Raises
+    [Invalid_argument] if [clock_every < 1]. *)
 
 (** {1 Engine hooks} *)
 
@@ -143,4 +142,4 @@ val pp_top : ?wall:bool -> top:int -> Format.formatter -> snapshot -> unit
     fingerprinted summaries use; [wall:true] adds busy time, event
     rate and GC lines. *)
 
-val pp_depth_curve : ?points:int -> Format.formatter -> snapshot -> unit
+val pp_depth_curve : Format.formatter -> snapshot -> unit

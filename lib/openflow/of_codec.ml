@@ -497,8 +497,9 @@ let decode_body typ xid r =
   | 19 -> Ok (msg ~xid Barrier_reply)
   | n -> Stdlib.Error (Printf.sprintf "of_codec: unsupported message type %d" n)
 
-let of_wire_reader r =
+let of_wire s =
   try
+    let r = Wire.Reader.of_string s in
     let v = Wire.Reader.u8 r in
     if v <> version then Stdlib.Error (Printf.sprintf "of_codec: bad version %d" v)
     else begin
@@ -511,166 +512,6 @@ let of_wire_reader r =
         decode_body typ xid body
     end
   with Wire.Truncated -> Stdlib.Error "of_codec: truncated message"
-
-let of_wire s = of_wire_reader (Wire.Reader.of_string s)
-
-module Flow_mod_cursor = struct
-  (* All fields are immediate ints (the 64-bit cookie is split in two,
-     MACs are 48-bit ints), so decoding into a reused cursor allocates
-     nothing. The action list is validated in place and recorded as a
-     window; [to_flow_mod] materializes it for oracle comparisons. *)
-  type c = {
-    r : Wire.Reader.t;
-    mutable xid : int;
-    mutable wildcards : int;
-    mutable in_port : int;
-    mutable dl_src : int;
-    mutable dl_dst : int;
-    mutable dl_vlan : int;
-    mutable dl_pcp : int;
-    mutable dl_type : int;
-    mutable nw_tos : int;
-    mutable nw_proto : int;
-    mutable nw_src : int;
-    mutable nw_dst : int;
-    mutable tp_src : int;
-    mutable tp_dst : int;
-    mutable cookie_hi : int;
-    mutable cookie_lo : int;
-    mutable command : int;
-    mutable idle_timeout : int;
-    mutable hard_timeout : int;
-    mutable priority : int;
-    mutable buffer_id : int;
-    mutable out_port : int;
-    mutable flags : int;
-    mutable actions_off : int;
-    mutable actions_len : int;
-    mutable action_count : int;
-  }
-
-  let create () =
-    {
-      r = Wire.Reader.of_string "";
-      xid = 0;
-      wildcards = 0;
-      in_port = 0;
-      dl_src = 0;
-      dl_dst = 0;
-      dl_vlan = 0;
-      dl_pcp = 0;
-      dl_type = 0;
-      nw_tos = 0;
-      nw_proto = 0;
-      nw_src = 0;
-      nw_dst = 0;
-      tp_src = 0;
-      tp_dst = 0;
-      cookie_hi = 0;
-      cookie_lo = 0;
-      command = 0;
-      idle_timeout = 0;
-      hard_timeout = 0;
-      priority = 0;
-      buffer_id = 0;
-      out_port = 0;
-      flags = 0;
-      actions_off = 0;
-      actions_len = 0;
-      action_count = 0;
-    }
-
-  (* Mirrors Of_action.decode_one's acceptance without materializing
-     the actions: same length rules, same supported type set. *)
-  let validate_actions c r =
-    c.actions_off <- Wire.Reader.pos r;
-    c.actions_len <- Wire.Reader.remaining r;
-    let ok = ref true in
-    let count = ref 0 in
-    while !ok && Wire.Reader.remaining r >= 4 do
-      let atyp = Wire.Reader.u16 r in
-      let alen = Wire.Reader.u16 r in
-      if alen < 8 || alen - 4 > Wire.Reader.remaining r then ok := false
-      else begin
-        (match atyp with
-        | 0 | 3 | 6 | 7 | 8 | 9 | 10 -> ()
-        | 4 | 5 -> if alen < 10 then ok := false
-        | _ -> ok := false);
-        if !ok then begin
-          Wire.Reader.skip r (alen - 4);
-          incr count
-        end
-      end
-    done;
-    c.action_count <- !count;
-    !ok
-
-  let decode c s =
-    try
-      let r = c.r in
-      Wire.Reader.reset r s;
-      let v = Wire.Reader.u8 r in
-      let typ = Wire.Reader.u8 r in
-      let length = Wire.Reader.u16 r in
-      c.xid <- Wire.Reader.u32_int r;
-      if
-        v <> version || typ <> 14 || length < 8
-        || length - 8 > Wire.Reader.remaining r
-      then false
-      else begin
-        Wire.Reader.reset_window r s 8 (length - 8);
-        c.wildcards <- Wire.Reader.u32_int r land 0x3FFFFF;
-        c.in_port <- Wire.Reader.u16 r;
-        c.dl_src <- Wire.Reader.u48_int r;
-        c.dl_dst <- Wire.Reader.u48_int r;
-        c.dl_vlan <- Wire.Reader.u16 r;
-        c.dl_pcp <- Wire.Reader.u8 r;
-        Wire.Reader.skip r 1;
-        c.dl_type <- Wire.Reader.u16 r;
-        c.nw_tos <- Wire.Reader.u8 r;
-        c.nw_proto <- Wire.Reader.u8 r;
-        Wire.Reader.skip r 2;
-        c.nw_src <- Wire.Reader.u32_int r;
-        c.nw_dst <- Wire.Reader.u32_int r;
-        c.tp_src <- Wire.Reader.u16 r;
-        c.tp_dst <- Wire.Reader.u16 r;
-        c.cookie_hi <- Wire.Reader.u32_int r;
-        c.cookie_lo <- Wire.Reader.u32_int r;
-        c.command <- Wire.Reader.u16 r;
-        c.idle_timeout <- Wire.Reader.u16 r;
-        c.hard_timeout <- Wire.Reader.u16 r;
-        c.priority <- Wire.Reader.u16 r;
-        c.buffer_id <- Wire.Reader.u32_int r;
-        c.out_port <- Wire.Reader.u16 r;
-        c.flags <- Wire.Reader.u16 r;
-        c.command <= 4 && validate_actions c r
-      end
-    with Wire.Truncated -> false
-
-  let to_flow_mod c s =
-    let mr = Wire.Reader.of_string ~pos:8 ~len:40 s in
-    let* fm_match = Of_match.of_wire mr in
-    let ar = Wire.Reader.of_string ~pos:c.actions_off ~len:c.actions_len s in
-    let* fm_actions = Of_action.list_of_wire ar in
-    let* fm_command = command_of_code c.command in
-    Ok
-      {
-        fm_match;
-        fm_cookie =
-          Int64.logor
-            (Int64.shift_left (Int64.of_int c.cookie_hi) 32)
-            (Int64.of_int c.cookie_lo);
-        fm_command;
-        fm_idle_timeout = c.idle_timeout;
-        fm_hard_timeout = c.hard_timeout;
-        fm_priority = c.priority;
-        fm_buffer_id = buffer_of_wire (Int32.of_int c.buffer_id);
-        fm_out_port =
-          (if c.out_port = Of_port.none then None else Some c.out_port);
-        fm_notify_removed = c.flags land 1 <> 0;
-        fm_actions;
-      }
-end
 
 module Framer = struct
   type t = { mutable buffer : string }

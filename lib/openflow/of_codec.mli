@@ -4,8 +4,6 @@
     (version, type, length, xid). [Framer] reassembles messages from an
     arbitrary byte stream, as delivered by the simulated TCP channels. *)
 
-open Rf_packet
-
 val version : int
 (** 0x01. *)
 
@@ -13,56 +11,6 @@ val to_wire : Of_msg.t -> string
 
 val of_wire : string -> (Of_msg.t, string) result
 (** Decodes exactly one message. *)
-
-val of_wire_reader : Wire.Reader.t -> (Of_msg.t, string) result
-
-(** Zero-allocation Flow_mod decoding, the hot message on the
-    controller -> switch path. The cursor is allocated once and
-    reused; every decoded field is a plain [int] (64-bit cookie split
-    hi/lo, MACs as 48-bit ints, addresses as 32-bit unsigned ints).
-    The action list is validated in place and exposed as a window. *)
-module Flow_mod_cursor : sig
-  type c = {
-    r : Wire.Reader.t;
-    mutable xid : int;
-    mutable wildcards : int;  (** raw OF 1.0 wildcard bits *)
-    mutable in_port : int;
-    mutable dl_src : int;
-    mutable dl_dst : int;
-    mutable dl_vlan : int;
-    mutable dl_pcp : int;
-    mutable dl_type : int;
-    mutable nw_tos : int;
-    mutable nw_proto : int;
-    mutable nw_src : int;
-    mutable nw_dst : int;
-    mutable tp_src : int;
-    mutable tp_dst : int;
-    mutable cookie_hi : int;
-    mutable cookie_lo : int;
-    mutable command : int;
-    mutable idle_timeout : int;
-    mutable hard_timeout : int;
-    mutable priority : int;
-    mutable buffer_id : int;  (** raw; 0xFFFFFFFF = unbuffered *)
-    mutable out_port : int;
-    mutable flags : int;
-    mutable actions_off : int;  (** window over the action list *)
-    mutable actions_len : int;
-    mutable action_count : int;
-  }
-
-  val create : unit -> c
-
-  val decode : c -> string -> bool
-  (** [true] exactly when {!of_wire} on the same bytes yields
-      [Ok {payload = Flow_mod _}] — same header, command and action
-      validation. Allocates nothing. *)
-
-  val to_flow_mod : c -> string -> (Of_msg.flow_mod, string) result
-  (** Materializes the message last decoded from [s] as the structured
-      record (allocating); the oracle bridge for differential tests. *)
-end
 
 module Framer : sig
   type t

@@ -60,7 +60,8 @@ let of_wire s =
       let src = Ipv4_addr.of_int32 (Wire.Reader.u32 r) in
       let dst = Ipv4_addr.of_int32 (Wire.Reader.u32 r) in
       let header_len = ihl * 4 in
-      if Wire.checksum (String.sub s 0 header_len) <> 0 then
+      if header_len > String.length s then Error "ipv4: truncated options"
+      else if Wire.checksum (String.sub s 0 header_len) <> 0 then
         Error "ipv4: bad checksum"
       else begin
         Wire.Reader.skip r (header_len - 20);
@@ -76,73 +77,3 @@ let of_wire s =
 let pp ppf t =
   Format.fprintf ppf "ipv4 %a -> %a proto=%d ttl=%d len=%d" Ipv4_addr.pp t.src
     Ipv4_addr.pp t.dst t.protocol t.ttl (String.length t.payload)
-
-module Cursor = struct
-  (* Every field is a plain immediate int, so parsing into a
-     preallocated cursor never touches the minor heap. The payload is a
-     window into the caller's string, not a copy. *)
-  type c = {
-    r : Wire.Reader.t;
-    mutable tos : int;
-    mutable total_len : int;
-    mutable ident : int;
-    mutable ttl : int;
-    mutable protocol : int;
-    mutable src : int;
-    mutable dst : int;
-    mutable payload_off : int;
-    mutable payload_len : int;
-  }
-
-  let create () =
-    {
-      r = Wire.Reader.of_string "";
-      tos = 0;
-      total_len = 0;
-      ident = 0;
-      ttl = 0;
-      protocol = 0;
-      src = 0;
-      dst = 0;
-      payload_off = 0;
-      payload_len = 0;
-    }
-
-  let src_addr c = Ipv4_addr.of_int32 (Int32.of_int c.src)
-
-  let dst_addr c = Ipv4_addr.of_int32 (Int32.of_int c.dst)
-
-  let parse_into c s ~pos ~len =
-    try
-      let r = c.r in
-      Wire.Reader.reset_window r s pos len;
-      let vihl = Wire.Reader.u8 r in
-      let version = vihl lsr 4 in
-      let ihl = vihl land 0xF in
-      if version <> 4 || ihl < 5 then false
-      else begin
-        c.tos <- Wire.Reader.u8 r;
-        let total_len = Wire.Reader.u16 r in
-        c.total_len <- total_len;
-        c.ident <- Wire.Reader.u16 r;
-        let _flags_frag = Wire.Reader.u16 r in
-        c.ttl <- Wire.Reader.u8 r;
-        c.protocol <- Wire.Reader.u8 r;
-        let _checksum = Wire.Reader.u16 r in
-        c.src <- Wire.Reader.u32_int r;
-        c.dst <- Wire.Reader.u32_int r;
-        let header_len = ihl * 4 in
-        if header_len > len then false
-        else if Wire.checksum_sub s ~pos ~len:header_len <> 0 then false
-        else begin
-          Wire.Reader.skip r (header_len - 20);
-          if total_len < header_len || total_len > len then false
-          else begin
-            c.payload_off <- pos + header_len;
-            c.payload_len <- total_len - header_len;
-            true
-          end
-        end
-      end
-    with Wire.Truncated -> false
-end

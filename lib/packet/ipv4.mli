@@ -33,38 +33,7 @@ val to_wire : t -> string
 (** Computes the header checksum. *)
 
 val of_wire : string -> (t, string) result
-(** Verifies the header checksum. *)
+(** Verifies the header checksum. Total: any input that is not a valid
+    header, including one whose options run past the end, is [Error]. *)
 
 val pp : Format.formatter -> t -> unit
-
-(** Zero-allocation header decoding into a preallocated, reusable
-    record of plain [int] fields. Accepts exactly the headers
-    {!of_wire} accepts (where [of_wire] would raise on a truncated
-    options area, the cursor reports [false]). *)
-module Cursor : sig
-  type c = {
-    r : Wire.Reader.t;
-    mutable tos : int;
-    mutable total_len : int;
-    mutable ident : int;
-    mutable ttl : int;
-    mutable protocol : int;
-    mutable src : int;  (** address as a 32-bit unsigned int *)
-    mutable dst : int;
-    mutable payload_off : int;  (** window into the parsed string *)
-    mutable payload_len : int;
-  }
-
-  val create : unit -> c
-
-  val src_addr : c -> Ipv4_addr.t
-  (** Allocating convenience accessors for non-hot-path callers. *)
-
-  val dst_addr : c -> Ipv4_addr.t
-
-  val parse_into : c -> string -> pos:int -> len:int -> bool
-  (** Parses the header at [s.[pos .. pos+len-1]], verifying version,
-      header length, checksum and total length exactly like
-      {!of_wire}. Allocates nothing; returns [false] on any invalid or
-      truncated input. *)
-end

@@ -86,42 +86,6 @@ let ospf ~src_mac ~dst_mac ~src_ip ~dst_ip o =
     (Ipv4.make ~ttl:1 ~protocol:Ipv4.proto_ospf ~src:src_ip ~dst:dst_ip
        (Ospf_pkt.to_wire o))
 
-module Cursor = struct
-  type c = {
-    er : Wire.Reader.t;
-    mutable dst : int;
-    mutable src : int;
-    mutable ethertype : int;
-    ip : Ipv4.Cursor.c;
-    udp : Udp.Cursor.c;
-  }
-
-  let create () =
-    {
-      er = Wire.Reader.of_string "";
-      dst = 0;
-      src = 0;
-      ethertype = 0;
-      ip = Ipv4.Cursor.create ();
-      udp = Udp.Cursor.create ();
-    }
-
-  let parse_udp c frame =
-    try
-      let r = c.er in
-      Wire.Reader.reset r frame;
-      c.dst <- Wire.Reader.u48_int r;
-      c.src <- Wire.Reader.u48_int r;
-      c.ethertype <- Wire.Reader.u16 r;
-      c.ethertype = Ethernet.ethertype_ipv4
-      && Ipv4.Cursor.parse_into c.ip frame ~pos:Ethernet.header_size
-           ~len:(String.length frame - Ethernet.header_size)
-      && c.ip.Ipv4.Cursor.protocol = Ipv4.proto_udp
-      && Udp.Cursor.parse_into c.udp frame ~pos:c.ip.Ipv4.Cursor.payload_off
-           ~len:c.ip.Ipv4.Cursor.payload_len
-    with Wire.Truncated -> false
-end
-
 let pp ppf t =
   match t.l3 with
   | Arp a -> Arp.pp ppf a

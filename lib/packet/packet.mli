@@ -62,25 +62,3 @@ val ospf :
 (** OSPF rides directly on IPv4 with TTL 1. *)
 
 val pp : Format.formatter -> t -> unit
-
-(** Zero-allocation fast path for the one shape the data plane decodes
-    per forwarded packet: Ethernet / IPv4 / UDP. A cursor is allocated
-    once and reused; parsing writes plain [int] fields only. *)
-module Cursor : sig
-  type c = {
-    er : Wire.Reader.t;
-    mutable dst : int;  (** MACs as 48-bit ints *)
-    mutable src : int;
-    mutable ethertype : int;
-    ip : Ipv4.Cursor.c;
-    udp : Udp.Cursor.c;
-  }
-
-  val create : unit -> c
-
-  val parse_udp : c -> string -> bool
-  (** [true] exactly when {!parse} would succeed with an
-      [Ipv4 (_, Udp _)] body (same header, checksum and length
-      validation); the cursor sub-records then hold the decoded
-      fields. Allocates nothing. *)
-end

@@ -25,38 +25,3 @@ let of_wire s =
 let pp ppf t =
   Format.fprintf ppf "udp %d -> %d len=%d" t.src_port t.dst_port
     (String.length t.payload)
-
-module Cursor = struct
-  type c = {
-    r : Wire.Reader.t;
-    mutable src_port : int;
-    mutable dst_port : int;
-    mutable payload_off : int;
-    mutable payload_len : int;
-  }
-
-  let create () =
-    {
-      r = Wire.Reader.of_string "";
-      src_port = 0;
-      dst_port = 0;
-      payload_off = 0;
-      payload_len = 0;
-    }
-
-  let parse_into c s ~pos ~len =
-    try
-      let r = c.r in
-      Wire.Reader.reset_window r s pos len;
-      c.src_port <- Wire.Reader.u16 r;
-      c.dst_port <- Wire.Reader.u16 r;
-      let l = Wire.Reader.u16 r in
-      let _checksum = Wire.Reader.u16 r in
-      if l < 8 || l > len then false
-      else begin
-        c.payload_off <- pos + 8;
-        c.payload_len <- l - 8;
-        true
-      end
-    with Wire.Truncated -> false
-end

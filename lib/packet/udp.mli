@@ -10,21 +10,3 @@ val to_wire : t -> string
 val of_wire : string -> (t, string) result
 
 val pp : Format.formatter -> t -> unit
-
-(** Zero-allocation decoding into a preallocated record; accepts
-    exactly the datagrams {!of_wire} accepts. *)
-module Cursor : sig
-  type c = {
-    r : Wire.Reader.t;
-    mutable src_port : int;
-    mutable dst_port : int;
-    mutable payload_off : int;  (** window into the parsed string *)
-    mutable payload_len : int;
-  }
-
-  val create : unit -> c
-
-  val parse_into : c -> string -> pos:int -> len:int -> bool
-  (** Parses the datagram at [s.[pos .. pos+len-1]] without
-      allocating; [false] on invalid or truncated input. *)
-end

@@ -56,7 +56,7 @@ module Writer = struct
 end
 
 module Reader = struct
-  type t = { mutable src : string; mutable pos : int; mutable limit : int }
+  type t = { src : string; mutable pos : int; limit : int }
 
   let of_string ?(pos = 0) ?len src =
     let limit =
@@ -65,21 +65,6 @@ module Reader = struct
     if pos < 0 || limit > String.length src || pos > limit then
       invalid_arg "Reader.of_string";
     { src; pos; limit }
-
-  (* Re-aim an existing reader without allocating: the basis of the
-     preallocated-cursor decode paths. *)
-  let reset r src =
-    r.src <- src;
-    r.pos <- 0;
-    r.limit <- String.length src
-
-  let reset_window r src pos len =
-    let limit = pos + len in
-    if pos < 0 || len < 0 || limit > String.length src then
-      invalid_arg "Reader.reset_window";
-    r.src <- src;
-    r.pos <- pos;
-    r.limit <- limit
 
   let remaining r = r.limit - r.pos
 
@@ -99,22 +84,6 @@ module Reader = struct
     r.pos <- p + 2;
     (Char.code (String.unsafe_get s p) lsl 8)
     lor Char.code (String.unsafe_get s (p + 1))
-
-  let u32_int r =
-    check r 4;
-    let s = r.src and p = r.pos in
-    r.pos <- p + 4;
-    (Char.code (String.unsafe_get s p) lsl 24)
-    lor (Char.code (String.unsafe_get s (p + 1)) lsl 16)
-    lor (Char.code (String.unsafe_get s (p + 2)) lsl 8)
-    lor Char.code (String.unsafe_get s (p + 3))
-
-  let u48_int r =
-    check r 6;
-    let hi = u16 r in
-    let mid = u16 r in
-    let lo = u16 r in
-    (hi lsl 32) lor (mid lsl 16) lor lo
 
   let u32 r =
     let hi = u16 r in
@@ -147,12 +116,10 @@ module Reader = struct
     sub_reader
 end
 
-let checksum_sub s ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > String.length s then
-    invalid_arg "Wire.checksum_sub";
-  let stop = pos + len in
+let checksum s =
+  let stop = String.length s in
   let sum = ref 0 in
-  let i = ref pos in
+  let i = ref 0 in
   while !i + 1 < stop do
     sum :=
       !sum
@@ -165,5 +132,3 @@ let checksum_sub s ~pos ~len =
     sum := (!sum land 0xffff) + (!sum lsr 16)
   done;
   lnot !sum land 0xffff
-
-let checksum s = checksum_sub s ~pos:0 ~len:(String.length s)

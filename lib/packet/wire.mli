@@ -1,4 +1,4 @@
-(** Cursor-based binary reader/writer (network byte order).
+(** Binary reader/writer (network byte order).
 
     All protocol codecs in this repository are built on this module.
     Readers raise [Truncated] when the input is shorter than the field
@@ -42,14 +42,6 @@ module Reader : sig
 
   val of_string : ?pos:int -> ?len:int -> string -> t
 
-  val reset : t -> string -> unit
-  (** Re-aims an existing reader at a whole string without allocating;
-      the basis of preallocated-cursor decoding. *)
-
-  val reset_window : t -> string -> int -> int -> unit
-  (** [reset_window r s pos len] re-aims [r] at [s.[pos .. pos+len-1]].
-      Raises [Invalid_argument] if the window is out of bounds. *)
-
   val remaining : t -> int
 
   val pos : t -> int
@@ -60,13 +52,6 @@ module Reader : sig
   val u16 : t -> int
 
   val u32 : t -> int32
-
-  val u32_int : t -> int
-  (** Big-endian 32-bit read as a plain non-negative [int]; avoids the
-      boxed [int32] on hot decode paths. *)
-
-  val u48_int : t -> int
-  (** Big-endian 48-bit read as a plain [int] (MAC addresses). *)
 
   val u64 : t -> int64
 
@@ -84,6 +69,3 @@ end
 
 val checksum : string -> int
 (** RFC 1071 Internet checksum of a byte string. *)
-
-val checksum_sub : string -> pos:int -> len:int -> int
-(** [checksum] over a substring without copying it out. *)

@@ -1,8 +1,10 @@
 open Rf_routing
 
+(* The VM-to-VM path through the virtual switch. *)
+let virtual_latency = Rf_sim.Vtime.span_ms 1
+
 type t = {
   engine : Rf_sim.Engine.t;
-  virtual_latency : Rf_sim.Vtime.span;
   vms : (int64, Vm.t) Hashtbl.t;
   vlinks : (int64 * int, int64 * int) Hashtbl.t;  (** both directions *)
   mutable physical_out : (dpid:int64 -> port:int -> string -> unit) option;
@@ -10,10 +12,9 @@ type t = {
   mutable physical_frames : int;
 }
 
-let create engine ?(virtual_latency = Rf_sim.Vtime.span_ms 1) () =
+let create engine =
   {
     engine;
-    virtual_latency;
     vms = Hashtbl.create 64;
     vlinks = Hashtbl.create 64;
     physical_out = None;
@@ -37,7 +38,7 @@ let transmit_from t key frame =
         | None -> None
       in
       ignore
-        (Rf_sim.Engine.schedule ?entity t.engine t.virtual_latency (fun () ->
+        (Rf_sim.Engine.schedule ?entity t.engine virtual_latency (fun () ->
              deliver_to t peer frame))
   | None -> (
       match t.physical_out with

@@ -9,9 +9,8 @@
 
 type t
 
-val create : Rf_sim.Engine.t -> ?virtual_latency:Rf_sim.Vtime.span -> unit -> t
-(** [virtual_latency] models the VM-to-VM path through the virtual
-    switch (default 1 ms). *)
+val create : Rf_sim.Engine.t -> t
+(** The VM-to-VM path through the virtual switch takes 1 ms. *)
 
 val register_vm : t -> Vm.t -> unit
 (** Wires every NIC's transmit side into the virtual switch. *)

@@ -149,10 +149,7 @@ let handle_commit t idx msg =
     t.on_apply msg
   end
 
-let create engine ~rng ?(replicas = 3) ?(latency = Vtime.span_ms 1)
-    ?(election_base = Replica.default_config.Replica.election_base)
-    ?(heartbeat_every = Replica.default_config.Replica.heartbeat_every)
-    ?(heartbeat_jitter = Replica.default_config.Replica.heartbeat_jitter) () =
+let create engine ~rng ?(replicas = 3) ?(latency = Vtime.span_ms 1) () =
   if replicas < 1 then invalid_arg "Cluster.create: replicas < 1";
   let metrics = Engine.metrics engine in
   let t =
@@ -202,15 +199,7 @@ let create engine ~rng ?(replicas = 3) ?(latency = Vtime.span_ms 1)
   done;
   t.members <-
     Array.init replicas (fun i ->
-        let cfg =
-          {
-            Replica.id = i;
-            replicas;
-            election_base;
-            heartbeat_every;
-            heartbeat_jitter;
-          }
-        in
+        let cfg = { Replica.default_config with id = i; replicas } in
         Replica.create engine
           ~rng:(Rng.derive rng (i + 1))
           cfg

@@ -24,9 +24,6 @@ val create :
   rng:Rf_sim.Rng.t ->
   ?replicas:int ->
   ?latency:Rf_sim.Vtime.span ->
-  ?election_base:Rf_sim.Vtime.span ->
-  ?heartbeat_every:Rf_sim.Vtime.span ->
-  ?heartbeat_jitter:float ->
   unit ->
   t
 (** Defaults: 3 replicas, 1 ms mesh latency, {!Replica.default_config}

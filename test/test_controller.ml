@@ -14,7 +14,7 @@ module Engine = Rf_sim.Engine
 module Vtime = Rf_sim.Vtime
 
 let attach_switch engine dpid n_ports =
-  let dp = Datapath.create engine ~dpid ~n_ports () in
+  let dp = Datapath.create engine ~dpid ~n_ports in
   let sw_end, ctl_end = Channel.create engine () in
   let _agent = Of_agent.create engine dp sw_end in
   (dp, ctl_end)
@@ -250,7 +250,7 @@ let test_stats_poller_through_flowvisor () =
     ~attach:(fun ~dpid:_ endpoint ->
       Rf_controller.Stats_poller.attach poller (Of_conn.create engine endpoint));
   let mk_switch dpid traffic =
-    let dp = Datapath.create engine ~dpid ~n_ports:2 () in
+    let dp = Datapath.create engine ~dpid ~n_ports:2 in
     let sw_end, ctl_end = Channel.create engine () in
     let _agent = Of_agent.create engine dp sw_end in
     Rf_flowvisor.Flowvisor.switch_attach fv ~dpid ctl_end;

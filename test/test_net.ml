@@ -442,7 +442,7 @@ let udp_frame ?(dst_ip = "10.0.2.2") ?(size = 10) () =
 
 let test_datapath_forwards_on_match () =
   let engine = Engine.create () in
-  let dp = Datapath.create engine ~dpid:1L ~n_ports:2 () in
+  let dp = Datapath.create engine ~dpid:1L ~n_ports:2 in
   let out = ref [] in
   Datapath.set_transmit dp ~port:2 (fun f -> out := f :: !out);
   (match
@@ -458,7 +458,7 @@ let test_datapath_forwards_on_match () =
 
 let test_datapath_miss_packet_in () =
   let engine = Engine.create () in
-  let dp = Datapath.create engine ~dpid:1L ~n_ports:2 () in
+  let dp = Datapath.create engine ~dpid:1L ~n_ports:2 in
   let pis = ref [] in
   Datapath.set_on_packet_in dp (fun pi -> pis := pi :: !pis);
   Datapath.receive_frame dp ~in_port:1 (udp_frame ());
@@ -471,7 +471,7 @@ let test_datapath_miss_packet_in () =
 
 let test_datapath_buffers_large_misses () =
   let engine = Engine.create () in
-  let dp = Datapath.create engine ~dpid:1L ~n_ports:2 () in
+  let dp = Datapath.create engine ~dpid:1L ~n_ports:2 in
   let pis = ref [] in
   Datapath.set_on_packet_in dp (fun pi -> pis := pi :: !pis);
   let big = udp_frame ~size:500 () in
@@ -501,7 +501,7 @@ let test_datapath_buffers_large_misses () =
 
 let test_datapath_unknown_buffer_errors () =
   let engine = Engine.create () in
-  let dp = Datapath.create engine ~dpid:1L ~n_ports:1 () in
+  let dp = Datapath.create engine ~dpid:1L ~n_ports:1 in
   match
     Datapath.handle_packet_out dp
       { Of_msg.po_buffer_id = Some 999l; po_in_port = 1; po_actions = []; po_data = "" }
@@ -511,7 +511,7 @@ let test_datapath_unknown_buffer_errors () =
 
 let test_datapath_flood_excludes_ingress () =
   let engine = Engine.create () in
-  let dp = Datapath.create engine ~dpid:1L ~n_ports:4 () in
+  let dp = Datapath.create engine ~dpid:1L ~n_ports:4 in
   let hits = Array.make 5 0 in
   for port = 1 to 4 do
     Datapath.set_transmit dp ~port (fun _ -> hits.(port) <- hits.(port) + 1)
@@ -528,7 +528,7 @@ let test_datapath_flood_excludes_ingress () =
 
 let test_datapath_set_field_rewrites () =
   let engine = Engine.create () in
-  let dp = Datapath.create engine ~dpid:1L ~n_ports:2 () in
+  let dp = Datapath.create engine ~dpid:1L ~n_ports:2 in
   let out = ref [] in
   Datapath.set_transmit dp ~port:2 (fun f -> out := f :: !out);
   let new_src_mac = Mac.make_local 0xAAA in
@@ -560,7 +560,7 @@ let test_datapath_set_field_rewrites () =
 
 let test_datapath_port_status_callback () =
   let engine = Engine.create () in
-  let dp = Datapath.create engine ~dpid:1L ~n_ports:2 () in
+  let dp = Datapath.create engine ~dpid:1L ~n_ports:2 in
   let events = ref [] in
   Datapath.set_on_port_status dp (fun reason desc -> events := (reason, desc) :: !events);
   Datapath.set_port_up dp 1 false;
@@ -699,8 +699,8 @@ let test_host_arp_retry_until_peer_appears () =
 
 let test_link_failure_drops () =
   let engine = Engine.create () in
-  let dp1 = Datapath.create engine ~dpid:1L ~n_ports:1 () in
-  let dp2 = Datapath.create engine ~dpid:2L ~n_ports:1 () in
+  let dp1 = Datapath.create engine ~dpid:1L ~n_ports:1 in
+  let dp2 = Datapath.create engine ~dpid:2L ~n_ports:1 in
   let link = Link.connect engine (Link.To_switch (dp1, 1)) (Link.To_switch (dp2, 1)) in
   (match
      Datapath.handle_flow_mod dp1
@@ -811,8 +811,8 @@ let test_pcap_header_and_records () =
 
 let test_pcap_tap_link () =
   let engine = Engine.create () in
-  let dp1 = Datapath.create engine ~dpid:1L ~n_ports:1 () in
-  let dp2 = Datapath.create engine ~dpid:2L ~n_ports:1 () in
+  let dp1 = Datapath.create engine ~dpid:1L ~n_ports:1 in
+  let dp2 = Datapath.create engine ~dpid:2L ~n_ports:1 in
   let link = Link.connect engine (Link.To_switch (dp1, 1)) (Link.To_switch (dp2, 1)) in
   let cap = Rf_net.Pcap.create () in
   Rf_net.Pcap.tap_link engine cap link;
@@ -836,7 +836,7 @@ let test_pcap_tap_link () =
 
 let test_agent_handshake_and_echo () =
   let engine = Engine.create () in
-  let dp = Datapath.create engine ~dpid:42L ~n_ports:3 () in
+  let dp = Datapath.create engine ~dpid:42L ~n_ports:3 in
   let sw_end, ctl_end = Channel.create engine () in
   let _agent = Of_agent.create engine dp sw_end in
   let framer = Of_codec.Framer.create () in
@@ -875,7 +875,7 @@ let test_agent_handshake_and_echo () =
 
 let test_agent_port_mod () =
   let engine = Engine.create () in
-  let dp = Datapath.create engine ~dpid:9L ~n_ports:2 () in
+  let dp = Datapath.create engine ~dpid:9L ~n_ports:2 in
   let sw_end, ctl_end = Channel.create engine () in
   let _agent = Of_agent.create engine dp sw_end in
   let send m = Channel.send ctl_end (Of_codec.to_wire m) in

@@ -375,57 +375,6 @@ let prop_flow_mod_roundtrip =
           && fm'.Of_msg.fm_hard_timeout = hard
       | Ok _ | Error _ -> false)
 
-(* --- zero-allocation Flow_mod cursor --------------------------------- *)
-
-let cursor_fm_wire =
-  Of_codec.to_wire
-    (Of_msg.msg ~xid:0xBEEFl
-       (Of_msg.Flow_mod
-          (Of_msg.flow_add ~cookie:0x1122334455667788L ~idle_timeout:30
-             ~hard_timeout:60 ~priority:0x4321 ~notify_removed:true
-             (Of_match.nw_dst_prefix (pfx "10.0.2.0/24"))
-             [ Of_action.output 7; Of_action.output 9 ])))
-
-let test_flow_mod_cursor_zero_alloc () =
-  let c = Of_codec.Flow_mod_cursor.create () in
-  Alcotest.(check bool) "decodes" true
-    (Of_codec.Flow_mod_cursor.decode c cursor_fm_wire);
-  let before = Gc.minor_words () in
-  for _ = 1 to 1000 do
-    ignore (Of_codec.Flow_mod_cursor.decode c cursor_fm_wire)
-  done;
-  let words = Gc.minor_words () -. before in
-  Alcotest.(check bool)
-    (Printf.sprintf "zero minor words per decode (saw %.0f/1000 iters)" words)
-    true (words = 0.)
-
-(* Differential fuzz against the allocating codec: the cursor accepts
-   exactly when of_wire yields Ok Flow_mod (of_wire can also yield Ok
-   for other message types when the type byte mutates — those count as
-   rejects for the cursor), and on acceptance the materialized record
-   equals the oracle's field for field. *)
-let prop_flow_mod_cursor_agrees_with_of_wire =
-  QCheck.Test.make ~name:"Flow_mod cursor agrees with of_wire" ~count:500
-    QCheck.(triple (int_bound 95) (int_bound 255) (int_bound 24))
-    (fun (pos, byte, cut) ->
-      let b = Bytes.of_string cursor_fm_wire in
-      if pos < Bytes.length b then Bytes.set b pos (Char.chr byte);
-      let keep = Bytes.length b - cut in
-      let s = Bytes.sub_string b 0 (max 0 keep) in
-      let c = Of_codec.Flow_mod_cursor.create () in
-      let cursor_ok = Of_codec.Flow_mod_cursor.decode c s in
-      match Of_codec.of_wire s with
-      | Ok { Of_msg.payload = Of_msg.Flow_mod fm; xid } ->
-          cursor_ok
-          && (match Of_codec.Flow_mod_cursor.to_flow_mod c s with
-             | Ok fm' ->
-                 fm' = fm
-                 && Int32.to_int xid land 0xFFFFFFFF
-                    = c.Of_codec.Flow_mod_cursor.xid
-             | Error _ -> false)
-      | Ok _ | Error _ -> not cursor_ok
-      | exception Invalid_argument _ -> not cursor_ok)
-
 let suite =
   [
     Alcotest.test_case "wildcard matches everything" `Quick
@@ -452,7 +401,4 @@ let suite =
     Alcotest.test_case "framer handles batched input" `Quick
       test_framer_batched_input;
     QCheck_alcotest.to_alcotest prop_flow_mod_roundtrip;
-    Alcotest.test_case "flow-mod cursor allocates nothing" `Quick
-      test_flow_mod_cursor_zero_alloc;
-    QCheck_alcotest.to_alcotest prop_flow_mod_cursor_agrees_with_of_wire;
   ]

@@ -474,80 +474,6 @@ let prop_icmp_roundtrip =
           e.ident = ident && e.seq = seq && e.payload = payload
       | Ok _ | Error _ -> false)
 
-(* --- zero-allocation cursor parsing ---------------------------------- *)
-
-let cursor_udp_frame =
-  Packet.udp ~src_mac:(Mac.make_local 1) ~dst_mac:(Mac.make_local 2)
-    ~src_ip:(ip "10.0.1.2") ~dst_ip:(ip "10.0.200.2")
-    (Udp.make ~src_port:5004 ~dst_port:1234 (String.make 1200 'v'))
-
-(* The hot-path budget is literal zero: any boxing (int32, option,
-   string) in the cursor path shows up as minor words and fails here. *)
-let test_cursor_parse_zero_alloc () =
-  let c = Packet.Cursor.create () in
-  Alcotest.(check bool) "parses" true
-    (Packet.Cursor.parse_udp c cursor_udp_frame);
-  let before = Gc.minor_words () in
-  for _ = 1 to 1000 do
-    ignore (Packet.Cursor.parse_udp c cursor_udp_frame)
-  done;
-  let words = Gc.minor_words () -. before in
-  Alcotest.(check bool)
-    (Printf.sprintf "zero minor words per parse (saw %.0f/1000 iters)" words)
-    true (words = 0.)
-
-let test_cursor_fields_match_parse () =
-  match Packet.parse cursor_udp_frame with
-  | Ok { Packet.eth; l3 = Packet.Ipv4 (ip4, Packet.Udp u) } ->
-      let c = Packet.Cursor.create () in
-      Alcotest.(check bool) "cursor accepts" true
-        (Packet.Cursor.parse_udp c cursor_udp_frame);
-      Alcotest.(check int64) "dst mac" (Mac.to_int64 eth.Ethernet.dst)
-        (Int64.of_int c.Packet.Cursor.dst);
-      Alcotest.(check int64) "src mac" (Mac.to_int64 eth.Ethernet.src)
-        (Int64.of_int c.Packet.Cursor.src);
-      Alcotest.(check int) "ethertype" eth.Ethernet.ethertype
-        c.Packet.Cursor.ethertype;
-      Alcotest.check ip_t "src ip" ip4.Ipv4.src
-        (Ipv4.Cursor.src_addr c.Packet.Cursor.ip);
-      Alcotest.check ip_t "dst ip" ip4.Ipv4.dst
-        (Ipv4.Cursor.dst_addr c.Packet.Cursor.ip);
-      Alcotest.(check int) "ttl" ip4.Ipv4.ttl c.Packet.Cursor.ip.Ipv4.Cursor.ttl;
-      Alcotest.(check int) "protocol" ip4.Ipv4.protocol
-        c.Packet.Cursor.ip.Ipv4.Cursor.protocol;
-      Alcotest.(check int) "src port" u.Udp.src_port
-        c.Packet.Cursor.udp.Udp.Cursor.src_port;
-      Alcotest.(check int) "dst port" u.Udp.dst_port
-        c.Packet.Cursor.udp.Udp.Cursor.dst_port;
-      Alcotest.(check string) "payload window" u.Udp.payload
-        (String.sub cursor_udp_frame c.Packet.Cursor.udp.Udp.Cursor.payload_off
-           c.Packet.Cursor.udp.Udp.Cursor.payload_len)
-  | Ok _ -> Alcotest.fail "not parsed as IPv4/UDP"
-  | Error e -> Alcotest.fail e
-
-(* Differential fuzz: flip one byte and truncate the tail, then the
-   cursor must accept exactly when Packet.parse yields an IPv4/UDP
-   body. Packet.parse can raise Invalid_argument on some truncations
-   the cursor handles with a bounds check; that counts as a reject. *)
-let prop_cursor_agrees_with_parse =
-  QCheck.Test.make ~name:"UDP cursor agrees with Packet.parse" ~count:500
-    QCheck.(
-      triple (int_bound 1300) (int_bound 255) (int_bound 80))
-    (fun (pos, byte, cut) ->
-      let b = Bytes.of_string cursor_udp_frame in
-      if pos < Bytes.length b then Bytes.set b pos (Char.chr byte);
-      let keep = Bytes.length b - cut in
-      let s = Bytes.sub_string b 0 (max 0 keep) in
-      let c = Packet.Cursor.create () in
-      let cursor_ok = Packet.Cursor.parse_udp c s in
-      let parse_ok =
-        match Packet.parse s with
-        | Ok { Packet.l3 = Packet.Ipv4 (_, Packet.Udp _); _ } -> true
-        | Ok _ | Error _ -> false
-        | exception Invalid_argument _ -> false
-      in
-      cursor_ok = parse_ok)
-
 let suite =
   [
     Alcotest.test_case "wire writer/reader roundtrip" `Quick test_wire_roundtrip;
@@ -592,9 +518,4 @@ let suite =
     QCheck_alcotest.to_alcotest prop_lldp_discovery_roundtrip;
     QCheck_alcotest.to_alcotest prop_router_lsa_roundtrip;
     QCheck_alcotest.to_alcotest prop_icmp_roundtrip;
-    Alcotest.test_case "udp cursor allocates nothing" `Quick
-      test_cursor_parse_zero_alloc;
-    Alcotest.test_case "udp cursor fields match Packet.parse" `Quick
-      test_cursor_fields_match_parse;
-    QCheck_alcotest.to_alcotest prop_cursor_agrees_with_parse;
   ]

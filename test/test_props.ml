@@ -330,6 +330,116 @@ let framer_chunking =
       go 0 cuts;
       !decoded = msgs && Of_codec.Framer.pending_bytes framer = 0)
 
+(* --- decoders on corrupted input -------------------------------------- *)
+
+(* One frame of each kind a RouteFlow ring puts on its links: a UDP
+   traffic probe, a ping, an ARP request, an LLDP discovery probe, and
+   OSPF hello and LS update. *)
+let sample_frames =
+  let ip s = Option.get (Ipv4_addr.of_string s) in
+  let mac1 = Mac.make_local 1 and mac2 = Mac.make_local 2 in
+  let a = ip "172.16.0.1" and b = ip "172.16.0.2" in
+  let ospf payload =
+    Packet.ospf ~src_mac:mac1 ~dst_mac:(Mac.of_int64 0x01005E000005L)
+      ~src_ip:a ~dst_ip:(ip "224.0.0.5")
+      { Ospf_pkt.router_id = a; area_id = Ipv4_addr.any; payload }
+  in
+  let link =
+    { Ospf_pkt.link_id = b; link_data = a; link_type = Point_to_point;
+      metric = 10 }
+  in
+  [
+    ( "udp",
+      Packet.udp ~src_mac:mac1 ~dst_mac:mac2 ~src_ip:(ip "10.0.1.2")
+        ~dst_ip:(ip "10.0.3.2")
+        (Udp.make ~src_port:5004 ~dst_port:1234 (String.make 18 'p')) );
+    ( "icmp",
+      Packet.icmp ~src_mac:mac1 ~dst_mac:mac2 ~src_ip:a ~dst_ip:b
+        (Icmp.Echo_request { ident = 7; seq = 1; payload = "ping" }) );
+    ( "arp",
+      Packet.arp ~src:mac1 ~dst:Mac.broadcast
+        (Arp.request ~sender_mac:mac1 ~sender_ip:a ~target_ip:b) );
+    ("lldp", Packet.lldp ~src:mac1 (Lldp.discovery_probe ~dpid:1L ~port:2));
+    ( "ospf-hello",
+      ospf
+        (Ospf_pkt.Hello
+           { netmask = ip "255.255.255.252"; hello_interval = 10;
+             dead_interval = 40; priority = 1; dr = Ipv4_addr.any;
+             bdr = Ipv4_addr.any; neighbors = [ b ] }) );
+    ( "ospf-lsu",
+      ospf
+        (Ospf_pkt.Ls_update
+           [ { Ospf_pkt.age = 1; options = 2; link_state_id = a;
+               adv_router = a; seq = Ospf_pkt.initial_seq;
+               body = Router { links = [ link ] } } ]) );
+  ]
+
+type wire_case = Frame of (string * string) | Msg of Of_msg.t
+
+(* 1-4 byte flips, then a 0-16 byte truncation. A flip XORs one bit,
+   the low nibble (where IPv4 keeps its header length) or the whole
+   byte; three in four land in the first 48 bytes, where every
+   header's length and type fields sit. *)
+let gen_corruption =
+  let open G in
+  let gen_pos = frequency [ (3, int_bound 47); (1, int_bound 4095) ] in
+  let gen_mask =
+    frequency
+      [ (1, map (fun k -> 1 lsl k) (int_bound 7));
+        (1, int_range 1 0xf);
+        (1, int_range 1 0xff) ]
+  in
+  pair (list_size (int_range 1 4) (pair gen_pos gen_mask)) (int_bound 16)
+
+let corrupt s (flips, cut) =
+  let b = Bytes.of_string s in
+  let n = Bytes.length b in
+  List.iter
+    (fun (pos, mask) ->
+      let i = pos mod n in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor mask)))
+    flips;
+  Bytes.sub_string b 0 (max 0 (n - cut))
+
+let gen_wire_case =
+  let open G in
+  let* case =
+    frequency
+      [ (1, map (fun f -> Frame f) (oneofl sample_frames));
+        (1, map (fun m -> Msg m) gen_msg) ]
+  in
+  let* c = gen_corruption in
+  return (case, c)
+
+let print_wire_case (case, (flips, cut)) =
+  Printf.sprintf "%s, flips [%s], cut %d"
+    (match case with Frame (name, _) -> name | Msg m -> print_msg m)
+    (String.concat "; "
+       (List.map (fun (p, m) -> Printf.sprintf "%d^0x%02x" p m) flips))
+    cut
+
+(* Every decoder that sees bytes off a link or a control channel must
+   answer Ok or Error on any input; an exception would escape into the
+   datapath, host, VM or controller event handler that called it. *)
+let decoders_total =
+  prop ~count:6000 "wire decoders return Error, never raise" gen_wire_case
+    print_wire_case (fun (case, c) ->
+      let total name decode s =
+        match decode s with
+        | Ok _ | Error _ -> true
+        | exception e ->
+            QCheck.Test.fail_reportf "%s raised %s" name
+              (Printexc.to_string e)
+      in
+      match case with
+      | Frame (_, frame) -> total "Packet.parse" Packet.parse (corrupt frame c)
+      | Msg m ->
+          let s = corrupt (Of_codec.to_wire m) c in
+          total "Of_codec.of_wire" Of_codec.of_wire s
+          && total "Framer.input"
+               (Of_codec.Framer.input (Of_codec.Framer.create ()))
+               s)
+
 (* --- address round-trips --------------------------------------------- *)
 
 let ipv4_roundtrip =
@@ -576,6 +686,7 @@ let suite =
   [
     codec_roundtrip;
     framer_chunking;
+    decoders_total;
     rpc_codec_roundtrip;
     rpc_exactly_once;
     ipv4_roundtrip;

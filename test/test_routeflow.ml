@@ -321,7 +321,7 @@ let test_vm_bgpd_config () =
 
 let test_rf_vs_virtual_link_and_physical_out () =
   let engine = Engine.create () in
-  let vs = Rf_vs.create engine () in
+  let vs = Rf_vs.create engine in
   let vm1 = Vm.create engine ~dpid:1L ~n_ports:2 () in
   let vm2 = Vm.create engine ~dpid:2L ~n_ports:2 () in
   Rf_vs.register_vm vs vm1;
@@ -357,7 +357,7 @@ let test_rf_vs_virtual_link_and_physical_out () =
 (* --- Rf_system ordering ------------------------------------------------------- *)
 
 let make_rf engine params =
-  let vs = Rf_vs.create engine () in
+  let vs = Rf_vs.create engine in
   let app = Rf_controller_app.create engine vs in
   (Rf_system.create engine app vs params, vs, app)
 
@@ -459,10 +459,10 @@ let test_priority_grows_with_prefix_len () =
 
 let test_sync_flows_diff () =
   let engine = Engine.create () in
-  let vs = Rf_vs.create engine () in
+  let vs = Rf_vs.create engine in
   let app = Rf_controller_app.create engine vs in
   (* A real switch behind the app. *)
-  let dp = Rf_net.Datapath.create engine ~dpid:7L ~n_ports:2 () in
+  let dp = Rf_net.Datapath.create engine ~dpid:7L ~n_ports:2 in
   let sw_end, ctl_end = Rf_net.Channel.create engine () in
   let _agent = Rf_net.Of_agent.create engine dp sw_end in
   Rf_controller_app.attach app ~dpid:7L ctl_end;
