@@ -6,7 +6,7 @@
    The paper's experiments are not run here: `rfauto <experiment>`
    prints their tables, and bench/e2e times the workloads end to end.
 
-   Usage: main.exe [--json [PATH]] [--baseline PATH] [--save-baseline PATH] *)
+   Usage: main.exe [--json PATH] [--baseline PATH] [--save-baseline PATH] *)
 
 open Rf_packet
 
@@ -525,7 +525,7 @@ let run_micro ?json_out ?baseline ?save_baseline () =
       else Format.fprintf std "perf gate: ok@."
 
 let () =
-  (* --json defaults to BENCH_6.json, --baseline diffs the run against
+  (* --json writes the run's estimates, --baseline diffs the run against
      a saved rfauto-baseline-v1 file and exits 3 on a regression or on
      a row present on one side only, --save-baseline refreshes that
      file. *)
@@ -536,14 +536,9 @@ let () =
   let rec parse i =
     if i < argc then
       match Sys.argv.(i) with
-      | "--json" ->
-          if i + 1 < argc && not (String.starts_with ~prefix:"-" Sys.argv.(i + 1))
-          then (
-            json_out := Some Sys.argv.(i + 1);
-            parse (i + 2))
-          else (
-            json_out := Some "BENCH_6.json";
-            parse (i + 1))
+      | "--json" when i + 1 < argc ->
+          json_out := Some Sys.argv.(i + 1);
+          parse (i + 2)
       | "--baseline" when i + 1 < argc ->
           baseline := Some Sys.argv.(i + 1);
           parse (i + 2)
@@ -552,7 +547,7 @@ let () =
           parse (i + 2)
       | other ->
           Format.eprintf
-            "unknown argument %S (use --json [PATH], --baseline PATH, \
+            "unknown argument %S (use --json PATH, --baseline PATH, \
              --save-baseline PATH)@."
             other;
           exit 2

@@ -15,7 +15,6 @@ type t = {
   mutable echo_timer : Rf_sim.Engine.timer option;
   mutable faults : (Rf_sim.Rng.t * Rf_sim.Faults.chan_profile) option;
   mutable role : role;
-  mutable suppressed : int;
   mutable msgs_dropped : int;
   mutable msgs_duplicated : int;
   mutable msgs_delayed : int;
@@ -79,7 +78,6 @@ let state_changing (payload : Of_msg.payload) =
 let send t payload =
   let xid = fresh_xid t in
   if t.role = Slave && state_changing payload then begin
-    t.suppressed <- t.suppressed + 1;
     Rf_sim.Engine.record t.engine ~component:"of-conn" ~event:"slave-suppressed"
       (Of_msg.type_name payload)
   end
@@ -120,7 +118,6 @@ let create engine ?(echo_interval = Rf_sim.Vtime.span_s 15.0) chan =
       echo_timer = None;
       faults = None;
       role = Master;
-      suppressed = 0;
       msgs_dropped = 0;
       msgs_duplicated = 0;
       msgs_delayed = 0;
@@ -172,8 +169,6 @@ let set_role t role = t.role <- role
 
 let role t = t.role
 
-let suppressed_sends t = t.suppressed
-
 let messages_dropped t = t.msgs_dropped
 
 let messages_duplicated t = t.msgs_duplicated
@@ -192,17 +187,4 @@ let packet_out t ?(in_port = Of_port.none) ~actions data =
        (Of_msg.Packet_out
           { po_buffer_id = None; po_in_port = in_port; po_actions = actions; po_data = data }))
 
-let packet_out_buffered t ~buffer_id ~in_port ~actions =
-  ignore
-    (send t
-       (Of_msg.Packet_out
-          {
-            po_buffer_id = Some buffer_id;
-            po_in_port = in_port;
-            po_actions = actions;
-            po_data = "";
-          }))
-
 let flow_mod t fm = ignore (send t (Of_msg.Flow_mod fm))
-
-let barrier t = ignore (send t Of_msg.Barrier_request)

@@ -9,9 +9,9 @@ open Rf_openflow
 type role = Master | Slave
 (** OpenFlow 1.2-style controller role. A [Slave] keeps the channel
     alive (handshake, echo, reads) but its state-changing sends —
-    [Flow_mod] and [Packet_out] — are suppressed and counted. Standby
-    cluster replicas hold their switch connections as slaves until
-    failover promotes them. *)
+    [Flow_mod] and [Packet_out] — are suppressed, each leaving a
+    [slave-suppressed] trace record. Standby cluster replicas hold
+    their switch connections as slaves until failover promotes them. *)
 
 type t
 
@@ -48,9 +48,6 @@ val set_role : t -> role -> unit
 
 val role : t -> role
 
-val suppressed_sends : t -> int
-(** State-changing messages swallowed while in the [Slave] role. *)
-
 val messages_dropped : t -> int
 
 val messages_duplicated : t -> int
@@ -73,8 +70,4 @@ val close : t -> unit
 val packet_out :
   t -> ?in_port:int -> actions:Of_action.t list -> string -> unit
 
-val packet_out_buffered : t -> buffer_id:int32 -> in_port:int -> actions:Of_action.t list -> unit
-
 val flow_mod : t -> Of_msg.flow_mod -> unit
-
-val barrier : t -> unit

@@ -18,8 +18,6 @@ type t = {
   mutable switches : int;
   mutable links : int;
   mutable links_exhausted : int;
-  mutable snapshots : int;
-  mutable on_switch_reported : int64 -> unit;
 }
 
 let physical_ports ports =
@@ -78,7 +76,6 @@ let edge_msgs t dpid =
    from the same allocation table the live events use, so a snapshot
    never renumbers anything. *)
 let snapshot t =
-  t.snapshots <- t.snapshots + 1;
   let switches = Discovery.switches t.disc in
   let switch_msgs =
     List.map
@@ -105,8 +102,6 @@ let create engine disc rpc config =
       switches = 0;
       links = 0;
       links_exhausted = 0;
-      snapshots = 0;
-      on_switch_reported = (fun _ -> ());
     }
   in
   Rf_rpc.Rpc_client.set_snapshot_provider rpc (fun () -> snapshot t);
@@ -161,8 +156,7 @@ let create engine disc rpc config =
         (Printf.sprintf "sw%Ld ports=%d" dpid physical);
       Rf_rpc.Rpc_client.send rpc
         (Rf_rpc.Rpc_msg.Switch_up { dpid; n_ports = physical });
-      List.iter (Rf_rpc.Rpc_client.send rpc) (edge_msgs t dpid);
-      t.on_switch_reported dpid);
+      List.iter (Rf_rpc.Rpc_client.send rpc) (edge_msgs t dpid));
   Discovery.set_on_link_up disc (fun link ->
       let desc = Format.asprintf "%a" Discovery.pp_link link in
       match link_up_msg t link with
@@ -197,7 +191,3 @@ let switches_reported t = t.switches
 let links_reported t = t.links
 
 let links_exhausted t = t.links_exhausted
-
-let snapshots_built t = t.snapshots
-
-let set_on_switch_reported t f = t.on_switch_reported <- f

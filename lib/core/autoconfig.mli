@@ -41,8 +41,6 @@ val snapshot : t -> Rf_rpc.Rpc_msg.t list
     edges, then links). Link addresses come from the live allocation
     table, so a snapshot never renumbers a known link. *)
 
-val snapshots_built : t -> int
-
 val allocator : t -> Ip_alloc.t
 
 val switches_reported : t -> int
@@ -54,6 +52,3 @@ val links_reported : t -> int
 val links_exhausted : t -> int
 (** Link detections left unconfigured because the range was
     exhausted. *)
-
-val set_on_switch_reported : t -> (int64 -> unit) -> unit
-(** For GUI/experiment instrumentation. *)

@@ -6,6 +6,204 @@ module Vtime = Rf_sim.Vtime
 
 let to_s_opt = Option.map Vtime.to_s
 
+(* Printers show an absent figure as [none], "-" unless told otherwise. *)
+let opt ?(none = "-") fmt = function
+  | Some v -> Printf.sprintf fmt v
+  | None -> none
+
+let params ~vm_boot_s ~parallel_boot =
+  {
+    Rf_system.default_params with
+    vm_boot_time = Vtime.span_s vm_boot_s;
+    parallel_boot;
+  }
+
+(* --- E12: forwarding-state audit (shared pieces) ------------------- *)
+
+type audit_window = {
+  aw_kind : string;
+  aw_key : string;
+  aw_open_s : float;
+  aw_close_s : float option;  (** [None]: still open at the horizon *)
+}
+
+type audit_run = {
+  ar_label : string;
+  ar_updates : int;
+  ar_eq_classes : int;
+  ar_walks : int;
+  ar_dropped : int;
+  ar_loop : int;
+  ar_blackhole : int;
+  ar_rib_fib : int;
+  ar_slice : int;
+  ar_window_count : int;
+  ar_open_at_end : int;
+  ar_converged_s : float option;
+  ar_first_fault_s : float option;
+  ar_steady_windows : int;
+  ar_boot_union_s : float;
+  ar_fault_union_s : float;
+  ar_fault_windows : audit_window list;
+}
+
+(* Total length of the union of half-open [a, b) interval lists, in the
+   interval unit (microseconds here). *)
+let interval_union ivs =
+  List.sort compare ivs
+  |> List.fold_left
+       (fun (total, edge) (a, b) ->
+         if b <= edge then (total, edge) else (total + b - max a edge, b))
+       (0, min_int)
+  |> fst
+
+(* Every audited run has a first planned fault: the steady-state gate
+   closes there. *)
+let audit_run_of s ~label ~first_fault_s ~horizon_s =
+  let au = Option.get (Scenario.auditor s) in
+  let module A = Rf_obs.Auditor in
+  let horizon_us = Vtime.to_us (Vtime.of_s horizon_s) in
+  let wins = A.windows au in
+  let fault_us = Vtime.to_us (Vtime.of_s first_fault_s) in
+  let clip lo hi =
+    List.filter_map
+      (fun (w : A.window) ->
+        let a = max w.A.w_open_us lo
+        and b = min (Option.value w.A.w_close_us ~default:hi) hi in
+        if b > a then Some (a, b) else None)
+      wins
+  in
+  (* The steady-state interval is strictly after convergence and
+     strictly before the first planned fault: a window closing exactly
+     at convergence (the last flow-mod of the boot) or opening exactly
+     at the fault does not count against the quiescent network. *)
+  let steady_windows =
+    let upto = fault_us - 1 in
+    match Option.map Vtime.to_us (Scenario.routing_converged_at s) with
+    | Some c when c + 1 <= upto ->
+        List.length (A.overlapping au ~start_us:(c + 1) ~stop_us:upto)
+    | Some _ | None -> 0
+  in
+  let row (w : A.window) =
+    {
+      aw_kind = A.kind_to_string w.A.w_kind;
+      aw_key = w.A.w_key;
+      aw_open_s = float_of_int w.A.w_open_us /. 1e6;
+      aw_close_s = Option.map (fun c -> float_of_int c /. 1e6) w.A.w_close_us;
+    }
+  in
+  let fault_windows =
+    List.filter_map
+      (fun (w : A.window) ->
+        if w.A.w_open_us >= fault_us then Some (row w) else None)
+      wins
+  in
+  {
+    ar_label = label;
+    ar_updates = A.updates au;
+    ar_eq_classes = A.eq_classes au;
+    ar_walks = A.walks au;
+    ar_dropped = A.dropped au;
+    ar_loop = A.violations_total au A.Loop;
+    ar_blackhole = A.violations_total au A.Blackhole;
+    ar_rib_fib = A.violations_total au A.Rib_fib;
+    ar_slice = A.violations_total au A.Slice;
+    ar_window_count = List.length wins;
+    ar_open_at_end = List.length (A.open_violations au);
+    ar_converged_s = to_s_opt (Scenario.routing_converged_at s);
+    ar_first_fault_s = Some first_fault_s;
+    ar_steady_windows = steady_windows;
+    ar_boot_union_s = float_of_int (interval_union (clip 0 fault_us)) /. 1e6;
+    ar_fault_union_s =
+      float_of_int (interval_union (clip fault_us horizon_us)) /. 1e6;
+    ar_fault_windows = fault_windows;
+  }
+
+let audit_meta (r : audit_run) =
+  [
+    ("first_fault_s", opt ~none:"none" "%.3f" r.ar_first_fault_s);
+    ("steady_windows", string_of_int r.ar_steady_windows);
+    ("boot_union_s", Printf.sprintf "%.3f" r.ar_boot_union_s);
+    ("fault_union_s", Printf.sprintf "%.3f" r.ar_fault_union_s);
+    ("open_at_horizon", string_of_int r.ar_open_at_end);
+  ]
+
+let print_audit_run ppf (r : audit_run) =
+  Format.fprintf ppf
+    "  [%s] %d audited updates, %d equivalence classes, %d walks, %d \
+     unprobed@."
+    r.ar_label r.ar_updates r.ar_eq_classes r.ar_walks r.ar_dropped;
+  Format.fprintf ppf
+    "  [%s] windows loop %d, blackhole %d, rib-fib %d, slice %d; open at \
+     horizon %d@."
+    r.ar_label r.ar_loop r.ar_blackhole r.ar_rib_fib r.ar_slice
+    r.ar_open_at_end;
+  Format.fprintf ppf
+    "  [%s] violation union: boot %.3f s, post-fault %.3f s; steady-state \
+     violations %d@."
+    r.ar_label r.ar_boot_union_s r.ar_fault_union_s r.ar_steady_windows;
+  let shown = List.filteri (fun i _ -> i < 10) r.ar_fault_windows in
+  let extra = List.length r.ar_fault_windows - List.length shown in
+  List.iter
+    (fun w ->
+      Format.fprintf ppf "  [%s]   %-9s %-18s %9.3f -> %s@." r.ar_label
+        w.aw_kind w.aw_key w.aw_open_s
+        (opt ~none:"open" "%.3f" w.aw_close_s))
+    shown;
+  if extra > 0 then
+    Format.fprintf ppf "  [%s]   ... and %d more@." r.ar_label extra
+
+(* MD5 of the run's full trace dump: same seed, same fingerprint. *)
+let trace_fingerprint s =
+  Digest.to_hex
+    (Digest.string
+       (Format.asprintf "%a" Rf_sim.Trace.dump
+          (Rf_sim.Engine.trace (Scenario.engine s))))
+
+(* --- The run harness ------------------------------------------------ *)
+
+(* Every control-plane experiment below is one or more calls to [run]:
+   build [topo] under [options], let [setup] arm the built scenario
+   (streams, probes, GUI sampling, pcap taps, traffic), run to
+   [horizon_s], then [finish] what [setup] armed. [audit] = (label,
+   first planned fault) attaches the auditor and returns its run.
+   [telemetry] writes the run's JSONL with the meta list
+   [meta s armed audit_meta], so each experiment places the audit keys
+   ([audit_meta] is [] when unaudited). *)
+let run ?audit ?telemetry ?(meta = fun _ _ _ -> []) ?(finish = ignore) ~setup
+    ~options ~horizon_s topo =
+  let options = { options with Scenario.audit = Option.is_some audit } in
+  let s = Scenario.build ~options topo in
+  let armed = setup s in
+  Scenario.run_for s (Vtime.span_s horizon_s);
+  finish armed;
+  let audit_run =
+    Option.map
+      (fun (label, first_fault_s) ->
+        audit_run_of s ~label ~first_fault_s ~horizon_s)
+      audit
+  in
+  Option.iter
+    (fun path ->
+      Scenario.write_telemetry s path
+        ~meta:(meta s armed (Option.fold ~none:[] ~some:audit_meta audit_run)))
+    telemetry;
+  (s, armed, audit_run)
+
+(* Serialized boots dominate a ring's configuration time. *)
+let ring_horizon_s ~vm_boot_s ~parallel_boot n =
+  (vm_boot_s *. float_of_int n /. float_of_int parallel_boot) +. 120.
+
+let all_green_or_nan s =
+  Option.fold ~none:Float.nan ~some:Vtime.to_s (Scenario.all_configured_at s)
+
+(* Data packets the VMs forwarded on the slow path. *)
+let slow_path_total s =
+  List.fold_left
+    (fun acc (_, vm) -> acc + Rf_routeflow.Vm.packets_forwarded_slow_path vm)
+    0
+    (Rf_system.vms (Scenario.rf_system s))
+
 (* --- E1: Figure 3 -------------------------------------------------- *)
 
 type fig3_row = {
@@ -15,42 +213,30 @@ type fig3_row = {
   f3_manual_min : float;
 }
 
-let params ?(protocol = Rf_system.Proto_ospf) ~vm_boot_s ~parallel_boot () =
-  {
-    Rf_system.vm_boot_time = Vtime.span_s vm_boot_s;
-    parallel_boot;
-    config_apply_delay = Vtime.span_ms 200;
-    routing_protocol = protocol;
-  }
-
 let fig3 ?(sizes = [ 4; 8; 12; 16; 20; 24; 28 ]) ?(vm_boot_s = 8.0)
     ?(parallel_boot = 1) ?telemetry ?profiler () =
   let last_size = List.nth sizes (List.length sizes - 1) in
   List.map
     (fun n ->
+      let last = n = last_size in
       let options =
         {
           Scenario.default_options with
-          rf_params = params ~vm_boot_s ~parallel_boot ();
-          profiler = (if n = last_size then profiler else None);
+          rf_params = params ~vm_boot_s ~parallel_boot;
+          profiler = (if last then profiler else None);
         }
       in
-      let s = Scenario.build ~options (Topo_gen.ring n) in
-      (* Generous horizon: boots dominate. *)
-      let horizon = (vm_boot_s *. float_of_int n /. float_of_int parallel_boot) +. 120. in
-      Scenario.run_for s (Vtime.span_s horizon);
-      (match telemetry with
-      | Some path when n = last_size ->
-          Scenario.write_telemetry s path ~meta:[ ("experiment", "fig3") ]
-      | Some _ | None -> ());
-      let auto =
-        match Scenario.all_configured_at s with
-        | Some t -> Vtime.to_s t
-        | None -> Float.nan
+      let s, (), _ =
+        run ~setup:ignore
+          ?telemetry:(if last then telemetry else None)
+          ~meta:(fun _ () _ -> [ ("experiment", "fig3") ])
+          ~options
+          ~horizon_s:(ring_horizon_s ~vm_boot_s ~parallel_boot n)
+          (Topo_gen.ring n)
       in
       {
         f3_switches = n;
-        f3_auto_s = auto;
+        f3_auto_s = all_green_or_nan s;
         f3_converged_s = to_s_opt (Scenario.routing_converged_at s);
         f3_manual_min =
           Manual_model.total_minutes Manual_model.paper_costs ~switches:n;
@@ -68,9 +254,7 @@ let print_fig3 ppf rows =
       let manual_s = r.f3_manual_min *. 60. in
       Format.fprintf ppf "%-10d %14.1f %16s %14s %9.0fx@." r.f3_switches
         r.f3_auto_s
-        (match r.f3_converged_s with
-        | Some c -> Printf.sprintf "%.1f" c
-        | None -> "-")
+        (opt "%.1f" r.f3_converged_s)
         (Format.asprintf "%a" Manual_model.pp_duration r.f3_manual_min)
         (manual_s /. r.f3_auto_s))
     rows
@@ -162,17 +346,18 @@ let breakdown_of s =
 let phase_run ?(switches = 28) ?(vm_boot_s = 8.0) ?(parallel_boot = 1)
     ?telemetry () =
   let options =
-    { Scenario.default_options with rf_params = params ~vm_boot_s ~parallel_boot () }
+    {
+      Scenario.default_options with
+      rf_params = params ~vm_boot_s ~parallel_boot;
+    }
   in
-  let s = Scenario.build ~options (Topo_gen.ring switches) in
-  let horizon =
-    (vm_boot_s *. float_of_int switches /. float_of_int parallel_boot) +. 120.
+  let s, (), _ =
+    run ~setup:ignore ?telemetry
+      ~meta:(fun _ () _ -> [ ("experiment", "e1-phases") ])
+      ~options
+      ~horizon_s:(ring_horizon_s ~vm_boot_s ~parallel_boot switches)
+      (Topo_gen.ring switches)
   in
-  Scenario.run_for s (Vtime.span_s horizon);
-  (match telemetry with
-  | Some path ->
-      Scenario.write_telemetry s path ~meta:[ ("experiment", "e1-phases") ]
-  | None -> ());
   s
 
 let print_phases ppf (b : phase_breakdown) =
@@ -251,72 +436,72 @@ let demo ?(vm_boot_s = 8.0) ?(horizon_s = 360.0) ?(server_city = "Glasgow")
   let options =
     {
       Scenario.default_options with
-      rf_params = params ~protocol ~vm_boot_s ~parallel_boot:1 ();
+      rf_params =
+        { (params ~vm_boot_s ~parallel_boot:1) with routing_protocol = protocol };
     }
   in
-  let s = Scenario.build ~options topo in
-  let server = Scenario.host s "server" in
-  let client = Scenario.host s "client" in
-  (* The paper streams the clip from t=0, before any VM exists. A
-     video-rate stream: 25 fps. *)
-  let stream =
-    Host.start_udp_stream server ~dst:(Scenario.host_ip s "client")
-      ~dst_port:5004 ~period:(Vtime.span_ms 40) ~payload_size:1200 ()
-  in
-  (* Sample the GUI once per simulated second for the timeline. *)
   let timeline = ref [] in
-  let last_green = ref (-1) in
-  ignore
-    (Rf_sim.Engine.periodic
-       ~entity:(Rf_obs.Profiler.component "experiment")
-       (Scenario.engine s) (Vtime.span_s 1.0) (fun () ->
-         let g = Gui.green_count (Scenario.gui s) in
-         if g <> !last_green then begin
-           last_green := g;
-           timeline :=
-             (Vtime.to_s (Rf_sim.Engine.now (Scenario.engine s)), g) :: !timeline
-         end));
-  (* Optional packet capture of the client's access link. *)
-  let capture =
-    match pcap_path with
-    | None -> None
-    | Some path -> (
-        match
-          Rf_net.Network.link (Scenario.network s) (Topology.Host "client")
-            (Topology.Switch (city_dpid client_city))
-        with
-        | Some link ->
-            let cap = Rf_net.Pcap.create () in
-            Rf_net.Pcap.tap_link (Scenario.engine s) cap link;
-            Some (cap, path)
-        | None -> None)
-  in
   let sent_at_mark = ref 0 and recv_at_mark = ref 0 in
-  ignore
-    (Rf_sim.Engine.schedule
-       ~entity:(Rf_obs.Profiler.component "experiment")
-       (Scenario.engine s)
-       (Vtime.span_s (Float.max 0. (horizon_s -. 60.)))
-       (fun () ->
-         sent_at_mark := Host.udp_sent server;
-         recv_at_mark := Host.udp_received client));
-  Scenario.run_for s (Vtime.span_s horizon_s);
-  (match telemetry with
-  | Some path ->
-      Scenario.write_telemetry s path ~meta:[ ("experiment", "demo") ]
-  | None -> ());
+  let setup s =
+    let server = Scenario.host s "server" in
+    let client = Scenario.host s "client" in
+    (* The paper streams the clip from t=0, before any VM exists. A
+       video-rate stream: 25 fps. *)
+    let stream =
+      Host.start_udp_stream server ~dst:(Scenario.host_ip s "client")
+        ~dst_port:5004 ~period:(Vtime.span_ms 40) ~payload_size:1200 ()
+    in
+    (* Sample the GUI once per simulated second for the timeline. *)
+    let last_green = ref (-1) in
+    ignore
+      (Rf_sim.Engine.periodic
+         ~entity:(Rf_obs.Profiler.component "experiment")
+         (Scenario.engine s) (Vtime.span_s 1.0) (fun () ->
+           let g = Gui.green_count (Scenario.gui s) in
+           if g <> !last_green then begin
+             last_green := g;
+             timeline :=
+               (Vtime.to_s (Rf_sim.Engine.now (Scenario.engine s)), g)
+               :: !timeline
+           end));
+    (* Optional packet capture of the client's access link. *)
+    let capture =
+      match pcap_path with
+      | None -> None
+      | Some path -> (
+          match
+            Rf_net.Network.link (Scenario.network s) (Topology.Host "client")
+              (Topology.Switch (city_dpid client_city))
+          with
+          | Some link ->
+              let cap = Rf_net.Pcap.create () in
+              Rf_net.Pcap.tap_link (Scenario.engine s) cap link;
+              Some (cap, path)
+          | None -> None)
+    in
+    ignore
+      (Rf_sim.Engine.schedule
+         ~entity:(Rf_obs.Profiler.component "experiment")
+         (Scenario.engine s)
+         (Vtime.span_s (Float.max 0. (horizon_s -. 60.)))
+         (fun () ->
+           sent_at_mark := Host.udp_sent server;
+           recv_at_mark := Host.udp_received client));
+    (stream, capture)
+  in
+  let s, (stream, capture), _ =
+    run ~setup ?telemetry
+      ~meta:(fun _ _ _ -> [ ("experiment", "demo") ])
+      ~options ~horizon_s topo
+  in
   Host.stop_stream stream;
   (match capture with
   | Some (cap, path) -> Rf_net.Pcap.write_file cap path
   | None -> ());
+  let server = Scenario.host s "server" in
+  let client = Scenario.host s "client" in
   let steady_sent = Host.udp_sent server - !sent_at_mark in
   let steady_recv = Host.udp_received client - !recv_at_mark in
-  let slow_path_total =
-    List.fold_left
-      (fun acc (_, vm) -> acc + Rf_routeflow.Vm.packets_forwarded_slow_path vm)
-      0
-      (Rf_system.vms (Scenario.rf_system s))
-  in
   let flow_total =
     List.fold_left
       (fun acc (_, dp) -> acc + Rf_net.Flow_table.size (Rf_net.Datapath.flow_table dp))
@@ -338,7 +523,7 @@ let demo ?(vm_boot_s = 8.0) ?(horizon_s = 360.0) ?(server_city = "Glasgow")
     d_video_sent = Host.udp_sent server;
     d_video_received = Host.udp_received client;
     d_flow_entries_total = flow_total;
-    d_slow_path_packets = slow_path_total;
+    d_slow_path_packets = slow_path_total s;
     d_steady_sent = steady_sent;
     d_steady_received = steady_recv;
     d_gui_timeline = List.rev !timeline;
@@ -350,10 +535,7 @@ let print_demo ppf (d : demo_result) =
   Format.fprintf ppf
     "Demonstration — pan-European topology (%d switches, %d links)@."
     d.d_switches d.d_links;
-  let opt = function
-    | Some v -> Printf.sprintf "%.1f s" v
-    | None -> "not reached"
-  in
+  let opt = opt ~none:"not reached" "%.1f s" in
   Format.fprintf ppf "  first switch configured   %s@." (opt d.d_first_green_s);
   Format.fprintf ppf "  all switches configured   %s@." (opt d.d_all_green_s);
   Format.fprintf ppf "  routing converged         %s@." (opt d.d_converged_s);
@@ -374,170 +556,6 @@ let print_demo ppf (d : demo_result) =
           (fun (t, g) -> Printf.sprintf "(%.0fs,%d)" t g)
           d.d_gui_timeline));
   Format.fprintf ppf "%s" d.d_gui_final_frame
-
-(* --- E12: forwarding-state audit (shared pieces) ------------------- *)
-
-type audit_window = {
-  aw_kind : string;
-  aw_key : string;
-  aw_open_s : float;
-  aw_close_s : float option;  (** [None]: still open at the horizon *)
-}
-
-type audit_run = {
-  ar_label : string;
-  ar_updates : int;
-  ar_eq_classes : int;
-  ar_walks : int;
-  ar_dropped : int;
-  ar_loop : int;
-  ar_blackhole : int;
-  ar_rib_fib : int;
-  ar_slice : int;
-  ar_window_count : int;
-  ar_open_at_end : int;
-  ar_converged_s : float option;
-  ar_first_fault_s : float option;
-  ar_steady_windows : int;
-  ar_boot_union_s : float;
-  ar_fault_union_s : float;
-  ar_fault_windows : audit_window list;
-}
-
-(* Total length of the union of half-open [a, b) interval lists, in the
-   interval unit (microseconds here). *)
-let interval_union ivs =
-  List.sort compare ivs
-  |> List.fold_left
-       (fun (total, edge) (a, b) ->
-         if b <= edge then (total, edge) else (total + b - max a edge, b))
-       (0, min_int)
-  |> fst
-
-let audit_run_of s ~label ~first_fault_s ~horizon_s =
-  let au =
-    match Scenario.auditor s with
-    | Some a -> a
-    | None -> invalid_arg "audit_run_of: scenario built without audit"
-  in
-  let module A = Rf_obs.Auditor in
-  let horizon_us = Vtime.to_us (Vtime.of_s horizon_s) in
-  let wins = A.windows au in
-  let conv_us = Option.map Vtime.to_us (Scenario.routing_converged_at s) in
-  let fault_us =
-    Option.map (fun t -> Vtime.to_us (Vtime.of_s t)) first_fault_s
-  in
-  let clip lo hi =
-    List.filter_map
-      (fun (w : A.window) ->
-        let a = max w.A.w_open_us lo
-        and b = min (Option.value w.A.w_close_us ~default:hi) hi in
-        if b > a then Some (a, b) else None)
-      wins
-  in
-  let boot_hi = Option.value fault_us ~default:horizon_us in
-  let boot_union_us = interval_union (clip 0 boot_hi) in
-  let fault_union_us =
-    match fault_us with
-    | None -> 0
-    | Some f -> interval_union (clip f horizon_us)
-  in
-  (* The steady-state interval is strictly after convergence and
-     strictly before the first planned fault: a window closing exactly
-     at convergence (the last flow-mod of the boot) or opening exactly
-     at the fault does not count against the quiescent network. *)
-  let steady_windows =
-    let upto =
-      match fault_us with Some f -> f - 1 | None -> horizon_us
-    in
-    match conv_us with
-    | Some c when c + 1 <= upto ->
-        List.length (A.overlapping au ~start_us:(c + 1) ~stop_us:upto)
-    | Some _ | None -> 0
-  in
-  let row (w : A.window) =
-    {
-      aw_kind = A.kind_to_string w.A.w_kind;
-      aw_key = w.A.w_key;
-      aw_open_s = float_of_int w.A.w_open_us /. 1e6;
-      aw_close_s = Option.map (fun c -> float_of_int c /. 1e6) w.A.w_close_us;
-    }
-  in
-  let fault_windows =
-    match fault_us with
-    | None -> []
-    | Some f ->
-        List.filter_map
-          (fun (w : A.window) ->
-            if w.A.w_open_us >= f then Some (row w) else None)
-          wins
-  in
-  {
-    ar_label = label;
-    ar_updates = A.updates au;
-    ar_eq_classes = A.eq_classes au;
-    ar_walks = A.walks au;
-    ar_dropped = A.dropped au;
-    ar_loop = A.violations_total au A.Loop;
-    ar_blackhole = A.violations_total au A.Blackhole;
-    ar_rib_fib = A.violations_total au A.Rib_fib;
-    ar_slice = A.violations_total au A.Slice;
-    ar_window_count = List.length wins;
-    ar_open_at_end = List.length (A.open_violations au);
-    ar_converged_s = to_s_opt (Scenario.routing_converged_at s);
-    ar_first_fault_s = first_fault_s;
-    ar_steady_windows = steady_windows;
-    ar_boot_union_s = float_of_int boot_union_us /. 1e6;
-    ar_fault_union_s = float_of_int fault_union_us /. 1e6;
-    ar_fault_windows = fault_windows;
-  }
-
-let audit_meta (r : audit_run) =
-  [
-    ( "first_fault_s",
-      match r.ar_first_fault_s with
-      | Some f -> Printf.sprintf "%.3f" f
-      | None -> "none" );
-    ("steady_windows", string_of_int r.ar_steady_windows);
-    ("boot_union_s", Printf.sprintf "%.3f" r.ar_boot_union_s);
-    ("fault_union_s", Printf.sprintf "%.3f" r.ar_fault_union_s);
-    ("open_at_horizon", string_of_int r.ar_open_at_end);
-  ]
-
-let print_audit_run ppf (r : audit_run) =
-  Format.fprintf ppf
-    "  [%s] %d audited updates, %d equivalence classes, %d walks, %d \
-     unprobed@."
-    r.ar_label r.ar_updates r.ar_eq_classes r.ar_walks r.ar_dropped;
-  Format.fprintf ppf
-    "  [%s] windows loop %d, blackhole %d, rib-fib %d, slice %d; open at \
-     horizon %d@."
-    r.ar_label r.ar_loop r.ar_blackhole r.ar_rib_fib r.ar_slice
-    r.ar_open_at_end;
-  Format.fprintf ppf
-    "  [%s] violation union: boot %.3f s, post-fault %.3f s; steady-state \
-     violations %d@."
-    r.ar_label r.ar_boot_union_s r.ar_fault_union_s r.ar_steady_windows;
-  let shown, extra =
-    let rec take n = function
-      | [] -> ([], 0)
-      | l when n = 0 -> ([], List.length l)
-      | w :: rest ->
-          let taken, more = take (n - 1) rest in
-          (w :: taken, more)
-    in
-    take 10 r.ar_fault_windows
-  in
-  List.iter
-    (fun w ->
-      Format.fprintf ppf "  [%s]   %-9s %-18s %9.3f -> %s@." r.ar_label
-        w.aw_kind w.aw_key w.aw_open_s
-        (match w.aw_close_s with
-        | Some c -> Printf.sprintf "%.3f" c
-        | None -> "open"))
-    shown;
-  if extra > 0 then
-    Format.fprintf ppf "  [%s]   ... and %d more@." r.ar_label extra
 
 (* --- E3: failure recovery ------------------------------------------ *)
 
@@ -573,63 +591,49 @@ let failure_recovery ?(seed = 42) ?(switches = 6) ?(fail_at_s = 60.0)
     {
       Scenario.default_options with
       seed;
-      rf_params = params ~vm_boot_s:2.0 ~parallel_boot:4 ();
+      rf_params = params ~vm_boot_s:2.0 ~parallel_boot:4;
       faults = Rf_sim.Faults.(plan [ link_down ~at_s:fail_at_s fail_a fail_b ]);
       profiler;
-      audit;
     }
   in
-  let s = Scenario.build ~options topo in
-  let server = Scenario.host s "server" in
-  let client = Scenario.host s "client" in
-  ignore
-    (Host.start_udp_stream server ~dst:(Scenario.host_ip s "client")
-       ~dst_port:5004 ~period:(Vtime.span_ms 100) ~payload_size:500 ());
   (* Datagram accounting over the window starting at the failure. *)
   let sent_at_fail = ref 0 and recv_at_fail = ref 0 in
   let sent_at_end = ref 0 and recv_at_end = ref 0 in
-  let engine = Scenario.engine s in
-  ignore
-    (Rf_sim.Engine.schedule_at
-       ~entity:(Rf_obs.Profiler.component "experiment")
-       engine (Vtime.of_s fail_at_s) (fun () ->
-         sent_at_fail := Host.udp_sent server;
-         recv_at_fail := Host.udp_received client));
-  ignore
-    (Rf_sim.Engine.schedule_at
-       ~entity:(Rf_obs.Profiler.component "experiment")
-       engine
-       (Vtime.of_s (fail_at_s +. window_s))
-       (fun () ->
-         sent_at_end := Host.udp_sent server;
-         recv_at_end := Host.udp_received client));
-  Scenario.run_for s (Vtime.span_s horizon_s);
-  let audit_run =
-    if audit then
-      Some
-        (audit_run_of s ~label:"automatic" ~first_fault_s:(Some fail_at_s)
-           ~horizon_s)
-    else None
+  let setup s =
+    let server = Scenario.host s "server" in
+    let client = Scenario.host s "client" in
+    ignore
+      (Host.start_udp_stream server ~dst:(Scenario.host_ip s "client")
+         ~dst_port:5004 ~period:(Vtime.span_ms 100) ~payload_size:500 ());
+    let mark at sent recv =
+      ignore
+        (Rf_sim.Engine.schedule_at
+           ~entity:(Rf_obs.Profiler.component "experiment")
+           (Scenario.engine s) (Vtime.of_s at) (fun () ->
+             sent := Host.udp_sent server;
+             recv := Host.udp_received client))
+    in
+    mark fail_at_s sent_at_fail recv_at_fail;
+    mark (fail_at_s +. window_s) sent_at_end recv_at_end
   in
-  (match telemetry with
-  | Some path ->
-      Scenario.write_telemetry s path
-        ~meta:
-          ((match audit_run with
-           | Some r -> audit_meta r
-           | None -> [])
-          @ [
-            ("experiment", "failure");
-            ("fail_at_s", Printf.sprintf "%.3f" fail_at_s);
-            ("window_s", Printf.sprintf "%.3f" window_s);
-            ("window_sent", string_of_int (!sent_at_end - !sent_at_fail));
-            ("window_received", string_of_int (!recv_at_end - !recv_at_fail));
-            ( "window_lost",
-              string_of_int
-                (!sent_at_end - !sent_at_fail - (!recv_at_end - !recv_at_fail))
-            );
-          ])
-  | None -> ());
+  let window_sent () = !sent_at_end - !sent_at_fail in
+  let window_recv () = !recv_at_end - !recv_at_fail in
+  let meta _ () audit =
+    audit
+    @ [
+        ("experiment", "failure");
+        ("fail_at_s", Printf.sprintf "%.3f" fail_at_s);
+        ("window_s", Printf.sprintf "%.3f" window_s);
+        ("window_sent", string_of_int (window_sent ()));
+        ("window_received", string_of_int (window_recv ()));
+        ("window_lost", string_of_int (window_sent () - window_recv ()));
+      ]
+  in
+  let s, (), audit_run =
+    run ~setup
+      ?audit:(if audit then Some ("automatic", fail_at_s) else None)
+      ?telemetry ~meta ~options ~horizon_s topo
+  in
   (* Post-failure routes must not use the interfaces facing the dead
      link. *)
   let avoid =
@@ -657,13 +661,6 @@ let failure_recovery ?(seed = 42) ?(switches = 6) ?(fail_at_s = 60.0)
         in
         (not (dead a_side)) && not (dead b_side)
   in
-  let fingerprint =
-    Digest.to_hex
-      (Digest.string
-         (Format.asprintf "%a" Rf_sim.Trace.dump (Rf_sim.Engine.trace engine)))
-  in
-  let window_sent = !sent_at_end - !sent_at_fail in
-  let window_recv = !recv_at_end - !recv_at_fail in
   let reconverged = Scenario.reconverged_at s in
   {
     fr_seed = seed;
@@ -674,11 +671,11 @@ let failure_recovery ?(seed = 42) ?(switches = 6) ?(fail_at_s = 60.0)
     fr_reconverged_s = to_s_opt reconverged;
     fr_outage_s =
       Option.map (fun t -> Vtime.to_s t -. fail_at_s) reconverged;
-    fr_window_sent = window_sent;
-    fr_window_received = window_recv;
-    fr_window_lost = window_sent - window_recv;
+    fr_window_sent = window_sent ();
+    fr_window_received = window_recv ();
+    fr_window_lost = window_sent () - window_recv ();
     fr_routes_avoid_failed_link = avoid;
-    fr_trace_fingerprint = fingerprint;
+    fr_trace_fingerprint = trace_fingerprint s;
     fr_audit = audit_run;
   }
 
@@ -686,10 +683,7 @@ let print_failure_recovery ppf (r : recovery_result) =
   Format.fprintf ppf
     "Failure recovery — %d-switch ring, link sw2-sw3 cut at t=%.0fs@."
     r.fr_switches r.fr_fail_at_s;
-  let opt = function
-    | Some v -> Printf.sprintf "%.1f s" v
-    | None -> "not reached"
-  in
+  let opt = opt ~none:"not reached" "%.1f s" in
   Format.fprintf ppf "  all switches configured    %s@." (opt r.fr_all_green_s);
   Format.fprintf ppf "  routing converged          %s@." (opt r.fr_converged_s);
   Format.fprintf ppf "  routes settled after cut   %s@."
@@ -767,9 +761,8 @@ let rf_state_digest s =
           (fun (r : Rf_routing.Rib.route) ->
             Printf.sprintf "%s/%s/%s"
               (Rf_packet.Ipv4_addr.Prefix.to_string r.r_prefix)
-              (match r.r_next_hop with
-              | Some nh -> Rf_packet.Ipv4_addr.to_string nh
-              | None -> "direct")
+              (Option.fold ~none:"direct" ~some:Rf_packet.Ipv4_addr.to_string
+                 r.r_next_hop)
               r.r_iface)
           (Rf_routing.Rib.selected (Rf_routeflow.Vm.rib vm))
         |> List.sort String.compare
@@ -812,7 +805,7 @@ let restart ?(seed = 42) ?(switches = 8) ?(crash_at_s = 4.0)
      recovers it from the post-restart snapshot (the dead link is absent,
      so the stale virtual link is pruned); the legacy session never
      hears of it at all. *)
-  let run ?telemetry label ~faulty ~resync =
+  let replay ?telemetry label ~faulty ~resync =
     let cut = Rf_sim.Faults.link_down ~at_s:cut_at_s 2L 3L in
     let faults =
       if faulty then
@@ -829,47 +822,38 @@ let restart ?(seed = 42) ?(switches = 8) ?(crash_at_s = 4.0)
       {
         Scenario.default_options with
         seed;
-        rf_params = params ~vm_boot_s:2.0 ~parallel_boot:4 ();
+        rf_params = params ~vm_boot_s:2.0 ~parallel_boot:4;
         rpc_params = fault_rpc_params ~resync;
         faults;
-        audit;
       }
     in
-    let s = Scenario.build ~options (Topo_gen.ring switches) in
-    Scenario.run_for s (Vtime.span_s horizon_s);
+    let undelivered client server =
+      Rf_rpc.Rpc_client.unacked client + Rf_rpc.Rpc_server.dedup_size server
+    in
+    let meta s () audit =
+      let client = Scenario.rpc_client s and server = Scenario.rpc_server s in
+      audit
+      @ [
+          ("experiment", "restart");
+          ("crash_at_s", Printf.sprintf "%.3f" crash_at_s);
+          ("recover_at_s", Printf.sprintf "%.3f" recover_at_s);
+          ("rpc_sent", string_of_int (Rf_rpc.Rpc_client.sent client));
+          ( "rpc_retx",
+            string_of_int (Rf_rpc.Rpc_client.retransmissions client) );
+          ("rpc_gave_up", string_of_int (Rf_rpc.Rpc_client.gave_up client));
+          ("rpc_undelivered", string_of_int (undelivered client server));
+          ( "rpc_handled",
+            string_of_int (Rf_rpc.Rpc_server.requests_handled server) );
+        ]
+    in
+    let first_fault_s = if faulty then crash_at_s else cut_at_s in
+    let s, (), audit_run =
+      run ~setup:ignore
+        ?audit:(if audit then Some (label, first_fault_s) else None)
+        ?telemetry ~meta ~options ~horizon_s (Topo_gen.ring switches)
+    in
     let client = Scenario.rpc_client s in
     let server = Scenario.rpc_server s in
-    let audit_run =
-      if audit then
-        let first_fault_s = if faulty then crash_at_s else cut_at_s in
-        Some
-          (audit_run_of s ~label ~first_fault_s:(Some first_fault_s)
-             ~horizon_s)
-      else None
-    in
-    (match telemetry with
-    | Some path ->
-        Scenario.write_telemetry s path
-          ~meta:
-            ((match audit_run with
-             | Some r -> audit_meta r
-             | None -> [])
-            @ [
-              ("experiment", "restart");
-              ("crash_at_s", Printf.sprintf "%.3f" crash_at_s);
-              ("recover_at_s", Printf.sprintf "%.3f" recover_at_s);
-              ("rpc_sent", string_of_int (Rf_rpc.Rpc_client.sent client));
-              ( "rpc_retx",
-                string_of_int (Rf_rpc.Rpc_client.retransmissions client) );
-              ("rpc_gave_up", string_of_int (Rf_rpc.Rpc_client.gave_up client));
-              ( "rpc_undelivered",
-                string_of_int
-                  (Rf_rpc.Rpc_client.unacked client
-                  + Rf_rpc.Rpc_server.dedup_size server) );
-              ( "rpc_handled",
-                string_of_int (Rf_rpc.Rpc_server.requests_handled server) );
-            ])
-    | None -> ());
     {
       rr_label = label;
       rr_configured = Rf_system.configured_count (Scenario.rf_system s);
@@ -890,22 +874,17 @@ let restart ?(seed = 42) ?(switches = 8) ?(crash_at_s = 4.0)
          the server's reorder buffer behind a gap that will never close.
          Zero under reconciliation (the resync drops parked frames and
          covers them with the snapshot). *)
-      rr_undelivered =
-        Rf_rpc.Rpc_client.unacked client + Rf_rpc.Rpc_server.dedup_size server;
+      rr_undelivered = undelivered client server;
       rr_incarnation = Int32.to_int (Rf_rpc.Rpc_server.incarnation server);
-      rr_trace_fingerprint =
-        Digest.to_hex
-          (Digest.string
-             (Format.asprintf "%a" Rf_sim.Trace.dump
-                (Rf_sim.Engine.trace (Scenario.engine s))));
+      rr_trace_fingerprint = trace_fingerprint s;
       rr_audit = audit_run;
     }
   in
-  let baseline = run "no-fault" ~faulty:false ~resync:true in
+  let baseline = replay "no-fault" ~faulty:false ~resync:true in
   let supervised =
-    run ?telemetry "crash+reconciliation" ~faulty:true ~resync:true
+    replay ?telemetry "crash+reconciliation" ~faulty:true ~resync:true
   in
-  let legacy = run "crash, legacy rpc" ~faulty:true ~resync:false in
+  let legacy = replay "crash, legacy rpc" ~faulty:true ~resync:false in
   {
     rs_seed = seed;
     rs_switches = switches;
@@ -930,10 +909,7 @@ let print_restart ppf (r : restart_result) =
     "Controller restart — %d-switch ring; RF-controller down t=%.0fs..%.0fs, \
      link sw2-sw3 cut at t=%.0fs while it is down@."
     r.rs_switches r.rs_crash_at_s r.rs_recover_at_s r.rs_cut_at_s;
-  let opt = function
-    | Some v -> Printf.sprintf "%.1f s" v
-    | None -> "never"
-  in
+  let opt = opt ~none:"never" "%.1f s" in
   Format.fprintf ppf "%-24s %12s %12s %12s@." "" "no-fault"
     "reconciled" "legacy rpc";
   let row name f =
@@ -941,8 +917,7 @@ let print_restart ppf (r : restart_result) =
       (f r.rs_supervised) (f r.rs_legacy)
   in
   row "switches configured" (fun x -> string_of_int x.rr_configured);
-  row "routing converged" (fun x ->
-      match x.rr_converged_s with Some v -> Printf.sprintf "%.1f s" v | None -> "never");
+  row "routing converged" (fun x -> opt x.rr_converged_s);
   row "config events lost" (fun x -> string_of_int x.rr_undelivered);
   row "rpc frames sent" (fun x -> string_of_int x.rr_sent);
   row "retransmissions" (fun x -> string_of_int x.rr_retx);
@@ -968,20 +943,28 @@ let print_restart ppf (r : restart_result) =
 (* --- E5: GUI frames ------------------------------------------------ *)
 
 let gui_frames ?(vm_boot_s = 8.0) ?(every_s = 30.0) () =
-  let topo = Topo_gen.pan_european () in
   let options =
-    { Scenario.default_options with rf_params = params ~vm_boot_s ~parallel_boot:1 () }
+    {
+      Scenario.default_options with
+      rf_params = params ~vm_boot_s ~parallel_boot:1;
+    }
   in
-  let s = Scenario.build ~options topo in
   let frames = ref [] in
+  let setup s =
+    ignore
+      (Rf_sim.Engine.periodic
+         ~entity:(Rf_obs.Profiler.component "experiment")
+         (Scenario.engine s) (Vtime.span_s every_s) (fun () ->
+           frames :=
+             Gui.render
+               ~label:(fun d -> Topo_gen.pan_european_city d)
+               (Scenario.gui s)
+             :: !frames))
+  in
   ignore
-    (Rf_sim.Engine.periodic
-       ~entity:(Rf_obs.Profiler.component "experiment")
-       (Scenario.engine s) (Vtime.span_s every_s) (fun () ->
-         frames :=
-           Gui.render ~label:(fun d -> Topo_gen.pan_european_city d) (Scenario.gui s)
-           :: !frames));
-  Scenario.run_for s (Vtime.span_s (vm_boot_s *. 28. +. 60.));
+    (run ~setup ~options
+       ~horizon_s:((vm_boot_s *. 28.) +. 60.)
+       (Topo_gen.pan_european ()));
   List.rev !frames
 
 (* --- X1: scaling ---------------------------------------------------- *)
@@ -997,20 +980,16 @@ let scaling ?(sizes = [ 50; 100; 250; 500; 1000 ]) () =
   List.map
     (fun n ->
       let options =
-        {
-          Scenario.default_options with
-          rf_params = params ~vm_boot_s:8.0 ~parallel_boot:1 ();
-          probe_interval = Vtime.span_s 30.0;
-        }
+        { Scenario.default_options with probe_interval = Vtime.span_s 30.0 }
       in
-      let s = Scenario.build ~options (Topo_gen.ring n) in
-      Scenario.run_for s (Vtime.span_s ((8.0 *. float_of_int n) +. 180.));
+      let s, (), _ =
+        run ~setup:ignore ~options
+          ~horizon_s:((8.0 *. float_of_int n) +. 180.)
+          (Topo_gen.ring n)
+      in
       {
         sc_switches = n;
-        sc_auto_s =
-          (match Scenario.all_configured_at s with
-          | Some t -> Vtime.to_s t
-          | None -> Float.nan);
+        sc_auto_s = all_green_or_nan s;
         sc_manual_min =
           Manual_model.total_minutes Manual_model.paper_costs ~switches:n;
         sc_events = Rf_sim.Engine.events_executed (Scenario.engine s);
@@ -1037,8 +1016,11 @@ type ablation_row = {
 }
 
 let run_ablation ~switches options label =
-  let s = Scenario.build ~options (Topo_gen.ring switches) in
-  Scenario.run_for s (Vtime.span_s ((8.0 *. float_of_int switches) +. 180.));
+  let s, (), _ =
+    run ~setup:ignore ~options
+      ~horizon_s:((8.0 *. float_of_int switches) +. 180.)
+      (Topo_gen.ring switches)
+  in
   {
     ab_label = label;
     ab_all_green_s = to_s_opt (Scenario.all_configured_at s);
@@ -1049,7 +1031,10 @@ let ablation_parallel_boot ?(switches = 28) () =
   List.map
     (fun p ->
       run_ablation ~switches
-        { Scenario.default_options with rf_params = params ~vm_boot_s:8.0 ~parallel_boot:p () }
+        {
+          Scenario.default_options with
+          rf_params = { Rf_system.default_params with parallel_boot = p };
+        }
         (Printf.sprintf "parallel_boot=%d" p))
     [ 1; 2; 4; 8 ]
 
@@ -1057,11 +1042,7 @@ let ablation_probe_interval ?(switches = 28) () =
   List.map
     (fun secs ->
       run_ablation ~switches
-        {
-          Scenario.default_options with
-          rf_params = params ~vm_boot_s:8.0 ~parallel_boot:1 ();
-          probe_interval = Vtime.span_s secs;
-        }
+        { Scenario.default_options with probe_interval = Vtime.span_s secs }
         (Printf.sprintf "probe_interval=%.0fs" secs))
     [ 1.; 5.; 15.; 30. ]
 
@@ -1069,11 +1050,7 @@ let ablation_rpc_latency ?(switches = 28) () =
   List.map
     (fun ms ->
       run_ablation ~switches
-        {
-          Scenario.default_options with
-          rf_params = params ~vm_boot_s:8.0 ~parallel_boot:1 ();
-          rpc_latency = Vtime.span_ms ms;
-        }
+        { Scenario.default_options with rpc_latency = Vtime.span_ms ms }
         (Printf.sprintf "rpc_latency=%dms" ms))
     [ 1; 10; 50; 200 ]
 
@@ -1084,7 +1061,7 @@ let ablation_protocol ?(switches = 28) () =
         {
           Scenario.default_options with
           rf_params =
-            params ~protocol:proto ~vm_boot_s:8.0 ~parallel_boot:1 ();
+            { Rf_system.default_params with routing_protocol = proto };
         }
         label)
     [ ("protocol=ospf", Rf_system.Proto_ospf); ("protocol=rip", Rf_system.Proto_rip) ]
@@ -1094,9 +1071,9 @@ let print_ablation ppf title rows =
   Format.fprintf ppf "%-24s %14s %16s@." "variant" "all green (s)" "converged (s)";
   List.iter
     (fun r ->
-      let opt = function Some v -> Printf.sprintf "%.1f" v | None -> "-" in
-      Format.fprintf ppf "%-24s %14s %16s@." r.ab_label (opt r.ab_all_green_s)
-        (opt r.ab_converged_s))
+      Format.fprintf ppf "%-24s %14s %16s@." r.ab_label
+        (opt "%.1f" r.ab_all_green_s)
+        (opt "%.1f" r.ab_converged_s))
     rows
 
 (* --- X4: control-plane message census --------------------------------- *)
@@ -1119,11 +1096,11 @@ type census = {
 }
 
 let census ?(switches = 28) () =
-  let options =
-    { Scenario.default_options with rf_params = params ~vm_boot_s:8.0 ~parallel_boot:1 () }
+  let s, (), _ =
+    run ~setup:ignore ~options:Scenario.default_options
+      ~horizon_s:(ring_horizon_s ~vm_boot_s:8.0 ~parallel_boot:1 switches)
+      (Topo_gen.ring switches)
   in
-  let s = Scenario.build ~options (Topo_gen.ring switches) in
-  Scenario.run_for s (Vtime.span_s ((8.0 *. float_of_int switches) +. 120.));
   let fv = Scenario.flowvisor s in
   let disc = Scenario.discovery s in
   let app = Scenario.rf_app s in
@@ -1140,11 +1117,7 @@ let census ?(switches = 28) () =
     cn_flow_mods = Rf_routeflow.Rf_controller_app.flow_mods_sent app;
     cn_packet_ins_relayed = Rf_routeflow.Rf_controller_app.packet_ins_relayed app;
     cn_packet_outs = Rf_routeflow.Rf_controller_app.packet_outs_sent app;
-    cn_slow_path =
-      List.fold_left
-        (fun acc (_, vm) -> acc + Rf_routeflow.Vm.packets_forwarded_slow_path vm)
-        0
-        (Rf_system.vms (Scenario.rf_system s));
+    cn_slow_path = slow_path_total s;
     cn_sim_events = Rf_sim.Engine.events_executed (Scenario.engine s);
   }
 
@@ -1188,11 +1161,11 @@ let topo_families ?(n = 16) () =
   in
   List.map
     (fun (name, topo) ->
-      let options =
-        { Scenario.default_options with rf_params = params ~vm_boot_s:8.0 ~parallel_boot:1 () }
+      let s, (), _ =
+        run ~setup:ignore ~options:Scenario.default_options
+          ~horizon_s:((8.0 *. float_of_int n) +. 180.)
+          topo
       in
-      let s = Scenario.build ~options topo in
-      Scenario.run_for s (Vtime.span_s ((8.0 *. float_of_int n) +. 180.));
       {
         fam_name = name;
         fam_switches = Topology.switch_count topo;
@@ -1208,11 +1181,10 @@ let print_families ppf rows =
     "all green (s)" "converged (s)";
   List.iter
     (fun r ->
-      let opt = function Some v -> Printf.sprintf "%.1f" v | None -> "-" in
       Format.fprintf ppf "%-10s %9d %7d %14s %16s@." r.fam_name r.fam_switches
         r.fam_links
-        (opt r.fam_all_green_s)
-        (opt r.fam_converged_s))
+        (opt "%.1f" r.fam_all_green_s)
+        (opt "%.1f" r.fam_converged_s))
     rows
 
 (* --- E6: data-plane traffic ----------------------------------------- *)
@@ -1328,60 +1300,50 @@ let cluster_ring_run ?telemetry ?profiler ?audit_from ~experiment ~label
     ~seed ~switches ~replicas ~horizon_s ~traffic_start_s ~parallel_boot
     ~resync ~faults () =
   let spec = traffic_spec ~start_s:traffic_start_s ~switches ~horizon_s () in
-  let topo = hosted_ring switches in
   let options =
     {
       Scenario.default_options with
       seed;
-      rf_params = params ~vm_boot_s:2.0 ~parallel_boot ();
+      rf_params = params ~vm_boot_s:2.0 ~parallel_boot;
       rpc_params = fault_rpc_params ~resync;
       faults;
       link_capacity = Some traffic_link_capacity;
       cluster_replicas = replicas;
       profiler;
-      audit = audit_from <> None;
     }
   in
-  let s = Scenario.build ~options topo in
-  let engine = Scenario.engine s in
-  let measure =
-    Traffic_measure.create engine
-      ~loss_timeout_s:spec.Traffic_spec.loss_timeout_s ()
+  let setup s =
+    let engine = Scenario.engine s in
+    let measure =
+      Traffic_measure.create engine
+        ~loss_timeout_s:spec.Traffic_spec.loss_timeout_s ()
+    in
+    let fabric =
+      Traffic_gen.live_fabric measure
+        ~hosts:(Rf_net.Network.hosts (Scenario.network s))
+    in
+    let rng = Rf_sim.Rng.create (seed + 1009) in
+    ignore (Traffic_gen.start engine ~rng ~measure ~fabric spec);
+    measure
   in
-  let fabric =
-    Traffic_gen.live_fabric measure
-      ~hosts:(Rf_net.Network.hosts (Scenario.network s))
+  let meta _ measure audit =
+    audit
+    @ [
+        ("experiment", experiment);
+        ("run", label);
+        ("flows", string_of_int (Traffic_measure.flow_count measure));
+        ("offered", string_of_int (Traffic_measure.total_offered measure));
+        ("delivered", string_of_int (Traffic_measure.total_delivered measure));
+        ("lost", string_of_int (Traffic_measure.total_lost measure));
+        ( "disruption_s",
+          Printf.sprintf "%.3f" (Traffic_measure.disruption_seconds measure) );
+      ]
   in
-  let rng = Rf_sim.Rng.create (seed + 1009) in
-  ignore (Traffic_gen.start engine ~rng ~measure ~fabric spec);
-  Scenario.run_for s (Vtime.span_s horizon_s);
-  Traffic_measure.finalize measure;
-  let audit_run =
-    Option.map
-      (fun first_fault_s ->
-        audit_run_of s ~label ~first_fault_s:(Some first_fault_s) ~horizon_s)
-      audit_from
+  let s, measure, audit_run =
+    run ~setup ~finish:Traffic_measure.finalize
+      ?audit:(Option.map (fun f -> (label, f)) audit_from)
+      ?telemetry ~meta ~options ~horizon_s (hosted_ring switches)
   in
-  (match telemetry with
-  | Some path ->
-      Scenario.write_telemetry s path
-        ~meta:
-          ((match audit_run with
-           | Some r -> audit_meta r
-           | None -> [])
-          @ [
-            ("experiment", experiment);
-            ("run", label);
-            ("flows", string_of_int (Traffic_measure.flow_count measure));
-            ("offered", string_of_int (Traffic_measure.total_offered measure));
-            ( "delivered",
-              string_of_int (Traffic_measure.total_delivered measure) );
-            ("lost", string_of_int (Traffic_measure.total_lost measure));
-            ( "disruption_s",
-              Printf.sprintf "%.3f" (Traffic_measure.disruption_seconds measure)
-            );
-          ])
-  | None -> ());
   let traffic =
     {
       tw_label = label;
@@ -1492,9 +1454,9 @@ let traffic_disruption ?(seed = 42) ?(switches = 8) ?(fail_at_s = 40.0)
 
 let print_traffic_run ppf (r : traffic_run) =
   let window =
-    match r.tw_window with
-    | Some (a, b) -> Printf.sprintf "%.1f-%.1f s" a b
-    | None -> "none"
+    Option.fold ~none:"none"
+      ~some:(fun (a, b) -> Printf.sprintf "%.1f-%.1f s" a b)
+      r.tw_window
   in
   Format.fprintf ppf
     "  %-12s disruption %6.1f s (window %s), %d/%d flows disrupted@."
@@ -1503,9 +1465,7 @@ let print_traffic_run ppf (r : traffic_run) =
     "  %-12s packets: %d offered, %d delivered, %d lost; %d queue drops; \
      routes settled %s@."
     "" r.tw_offered r.tw_delivered r.tw_lost r.tw_queue_dropped
-    (match r.tw_reconverged_s with
-    | Some v -> Printf.sprintf "%.1f s" v
-    | None -> "never")
+    (opt ~none:"never" "%.1f s" r.tw_reconverged_s)
 
 let print_traffic_classes ppf (r : traffic_run) =
   Format.fprintf ppf "  per-class (%s run):@." r.tw_label;
@@ -1514,10 +1474,8 @@ let print_traffic_classes ppf (r : traffic_run) =
   List.iter
     (fun (c : Traffic_measure.class_summary) ->
       let ms p =
-        match c.Traffic_measure.cs_latency with
-        | Some (s : Rf_sim.Stats.summary) ->
-            Printf.sprintf "%.2f" (1000.0 *. p s)
-        | None -> "-"
+        opt "%.2f"
+          (Option.map (fun s -> 1000.0 *. p s) c.Traffic_measure.cs_latency)
       in
       Format.fprintf ppf "    %-8s %6d %9d %10d %6d %6d %9s %9s@."
         c.Traffic_measure.cs_class c.Traffic_measure.cs_flows
@@ -1739,12 +1697,8 @@ let print_cluster ppf (r : cluster_result) =
     "  cluster: %d elections, %d failover(s), re-election in %s; leader %s \
      epoch %ld@."
     r.cf_auto.cw_elections r.cf_auto.cw_failovers
-    (match r.cf_auto.cw_failover_s with
-    | Some s -> Printf.sprintf "%.3f s" s
-    | None -> "-")
-    (match r.cf_auto.cw_leader with
-    | Some l -> string_of_int l
-    | None -> "none")
+    (opt "%.3f s" r.cf_auto.cw_failover_s)
+    (opt ~none:"none" "%d" r.cf_auto.cw_leader)
     r.cf_auto.cw_epoch;
   Format.fprintf ppf
     "  cluster: replicas agree on committed log %b, %d entries applied, %d \
@@ -1893,26 +1847,20 @@ let audit_ring_run ?telemetry ~scenario ~label ~seed ~switches ~replicas
     {
       Scenario.default_options with
       seed;
-      rf_params = params ~vm_boot_s:2.0 ~parallel_boot:4 ();
+      rf_params = params ~vm_boot_s:2.0 ~parallel_boot:4;
       rpc_params = fault_rpc_params ~resync;
       faults;
       cluster_replicas = replicas;
-      audit = true;
     }
   in
-  let s = Scenario.build ~options (hosted_ring switches) in
-  Scenario.run_for s (Vtime.span_s horizon_s);
-  let run =
-    audit_run_of s ~label ~first_fault_s:(Some first_fault_s) ~horizon_s
+  let meta _ () audit =
+    [ ("experiment", "audit"); ("scenario", scenario); ("run", label) ] @ audit
   in
-  (match telemetry with
-  | Some path ->
-      Scenario.write_telemetry s path
-        ~meta:
-          ([ ("experiment", "audit"); ("scenario", scenario); ("run", label) ]
-          @ audit_meta run)
-  | None -> ());
-  run
+  let _, (), audit_run =
+    run ~setup:ignore ~audit:(label, first_fault_s) ?telemetry ~meta ~options
+      ~horizon_s (hosted_ring switches)
+  in
+  Option.get audit_run
 
 let audit_windows ?(seed = 42) ?(e3_switches = 6) ?(e4_switches = 8)
     ?(e9_switches = 28) ?(e9_replicas = 3) ?telemetry () =

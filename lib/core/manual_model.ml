@@ -12,8 +12,6 @@ let per_switch_minutes c =
 
 let total_minutes c ~switches = per_switch_minutes c *. float_of_int switches
 
-let total_span c ~switches = Rf_sim.Vtime.span_min (total_minutes c ~switches)
-
 let pp_duration ppf minutes =
   if minutes < 60. then Format.fprintf ppf "%.1fm" minutes
   else if minutes < 24. *. 60. then

@@ -17,7 +17,5 @@ val per_switch_minutes : costs -> float
 
 val total_minutes : costs -> switches:int -> float
 
-val total_span : costs -> switches:int -> Rf_sim.Vtime.span
-
 val pp_duration : Format.formatter -> float -> unit
 (** Pretty-prints minutes as "Xh Ym" / "Zd Xh". *)

@@ -192,63 +192,32 @@ let test_discovery_counters () =
       Alcotest.(check bool) "link ts" true (Discovery.link_seen_at disc l <> None))
     (Discovery.links disc)
 
-let test_stats_poller_collects () =
-  let engine = Engine.create () in
-  let dp, ctl_end = attach_switch engine 11L 2 in
-  (* Push some traffic so counters are non-zero. *)
-  (match
-     Datapath.handle_flow_mod dp
-       (Of_msg.flow_add Rf_openflow.Of_match.wildcard_all
-          [ Rf_openflow.Of_action.output 2 ])
-   with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "flow mod");
-  Datapath.set_transmit dp ~port:2 (fun _ -> ());
-  let frame =
-    Rf_packet.Packet.udp ~src_mac:(Rf_packet.Mac.make_local 1)
-      ~dst_mac:(Rf_packet.Mac.make_local 2)
-      ~src_ip:(Rf_packet.Ipv4_addr.of_string_exn "1.1.1.1")
-      ~dst_ip:(Rf_packet.Ipv4_addr.of_string_exn "2.2.2.2")
-      (Rf_packet.Udp.make ~src_port:1 ~dst_port:2 (String.make 100 'x'))
-  in
-  for _ = 1 to 10 do
-    Datapath.receive_frame dp ~in_port:1 frame
-  done;
-  let poller =
-    Rf_controller.Stats_poller.create engine ~interval:(Vtime.span_s 5.0) ()
-  in
-  let samples = ref 0 in
-  Rf_controller.Stats_poller.set_on_sample poller (fun _ _ -> incr samples);
-  Rf_controller.Stats_poller.attach poller (Of_conn.create engine ctl_end);
-  ignore (Engine.run ~until:(Vtime.of_s 30.0) engine);
-  Alcotest.(check bool) "several polls" true
-    (Rf_controller.Stats_poller.polls_sent poller >= 4);
-  Alcotest.(check int) "reply per poll"
-    (Rf_controller.Stats_poller.polls_sent poller)
-    (Rf_controller.Stats_poller.replies_received poller);
-  Alcotest.(check bool) "samples delivered" true (!samples > 0);
-  match Rf_controller.Stats_poller.latest_totals poller 11L with
-  | Some totals ->
-      Alcotest.(check int64) "rx packets" 10L totals.Rf_controller.Stats_poller.rx_packets;
-      Alcotest.(check int64) "tx packets" 10L totals.Rf_controller.Stats_poller.tx_packets;
-      Alcotest.(check bool) "bytes counted" true
-        (totals.Rf_controller.Stats_poller.rx_bytes > 1000L)
-  | None -> Alcotest.fail "no totals"
-
-let test_stats_poller_through_flowvisor () =
-  (* A third, packetless "monitor" slice carrying only stats traffic:
-     FlowVisor's xid translation must route every reply back — and to
-     the right switch, so per-switch counters stay attributed even
-     when two datapaths answer interleaved polls. *)
+let test_port_stats_through_flowvisor () =
+  (* A third, packetless "monitor" slice carrying only port-stats
+     requests: FlowVisor's xid translation must route every reply back,
+     and to the right switch, so each switch's counters stay attributed
+     even when two datapaths answer interleaved requests. *)
   let engine = Engine.create () in
   let fv = Rf_flowvisor.Flowvisor.create engine () in
-  let poller =
-    Rf_controller.Stats_poller.create engine ~interval:(Vtime.span_s 5.0) ()
-  in
+  let requests = ref 0 in
+  let replies = Hashtbl.create 2 in
   Rf_flowvisor.Flowvisor.add_slice fv
     (Rf_flowvisor.Flowspace.make ~name:"monitor" [])
     ~attach:(fun ~dpid:_ endpoint ->
-      Rf_controller.Stats_poller.attach poller (Of_conn.create engine endpoint));
+      let conn = Of_conn.create engine endpoint in
+      Of_conn.set_on_handshake conn (fun feats ->
+          let dpid = feats.Of_msg.datapath_id in
+          Of_conn.set_on_message conn (fun (m : Of_msg.t) ->
+              match m.Of_msg.payload with
+              | Of_msg.Stats_reply (Of_msg.Port_reply stats) ->
+                  Hashtbl.add replies dpid stats
+              | _ -> ());
+          ignore
+            (Engine.periodic engine (Vtime.span_s 5.0) (fun () ->
+                 incr requests;
+                 ignore
+                   (Of_conn.send conn
+                      (Of_msg.Stats_request (Of_msg.Port_req Of_port.none)))))));
   let mk_switch dpid traffic =
     let dp = Datapath.create engine ~dpid ~n_ports:2 in
     let sw_end, ctl_end = Channel.create engine () in
@@ -276,21 +245,25 @@ let test_stats_poller_through_flowvisor () =
   mk_switch 21L 7;
   mk_switch 22L 3;
   ignore (Engine.run ~until:(Vtime.of_s 30.0) engine);
-  Alcotest.(check bool) "polls through proxy" true
-    (Rf_controller.Stats_poller.polls_sent poller >= 8);
-  Alcotest.(check int) "all replies translated back"
-    (Rf_controller.Stats_poller.polls_sent poller)
-    (Rf_controller.Stats_poller.replies_received poller);
-  (* xid translation preserved attribution: each switch's gauge in the
-     registry carries its own traffic, not the other's. *)
-  let m = Engine.metrics engine in
-  let rx dpid =
-    Rf_obs.Metrics.gauge_value
-      (Rf_obs.Metrics.gauge m ~labels:[ ("dpid", Int64.to_string dpid) ]
-         "port_rx_packets")
+  Alcotest.(check bool) "requests through proxy" true (!requests >= 8);
+  Alcotest.(check int) "all replies translated back" !requests
+    (Hashtbl.length replies);
+  (* xid translation preserved attribution: each switch's latest reply
+     carries its own traffic, not the other's. *)
+  let sum field dpid =
+    List.fold_left
+      (fun acc ps -> Int64.add acc (field ps))
+      0L
+      (Hashtbl.find replies dpid)
   in
-  Alcotest.(check (float 1e-9)) "sw21 rx attributed" 7.0 (rx 21L);
-  Alcotest.(check (float 1e-9)) "sw22 rx attributed" 3.0 (rx 22L)
+  let rx (ps : Of_msg.port_stats) = ps.ps_rx_packets in
+  let tx (ps : Of_msg.port_stats) = ps.ps_tx_packets in
+  let rx_bytes (ps : Of_msg.port_stats) = ps.ps_rx_bytes in
+  Alcotest.(check int64) "sw21 rx attributed" 7L (sum rx 21L);
+  Alcotest.(check int64) "sw21 tx attributed" 7L (sum tx 21L);
+  Alcotest.(check int64) "sw22 rx attributed" 3L (sum rx 22L);
+  Alcotest.(check int64) "sw22 tx attributed" 3L (sum tx 22L);
+  Alcotest.(check bool) "bytes counted" true (sum rx_bytes 22L > 300L)
 
 let suite =
   [
@@ -309,8 +282,6 @@ let suite =
       test_discovery_slow_probes_no_flap;
     Alcotest.test_case "discovery counters and timestamps" `Quick
       test_discovery_counters;
-    Alcotest.test_case "stats poller collects port counters" `Quick
-      test_stats_poller_collects;
-    Alcotest.test_case "stats poller through FlowVisor" `Quick
-      test_stats_poller_through_flowvisor;
+    Alcotest.test_case "port stats relayed through FlowVisor" `Quick
+      test_port_stats_through_flowvisor;
   ]

@@ -41,6 +41,61 @@ let test_pins_match_ci () =
     "ci/*.txt = the pinned files" checked_in
     (List.sort String.compare pinned)
 
+(* EXPERIMENTS.md quotes every fingerprint whole: a line
+   `<!-- pin: ci/FILE -->` followed by a fenced block holding FILE's
+   text. Returns (FILE, block text) in document order. *)
+let pin_blocks doc =
+  let prefix = "<!-- pin: ci/" and suffix = " -->" in
+  let pin_file line =
+    if String.starts_with ~prefix line && String.ends_with ~suffix line then
+      Some
+        (String.sub line (String.length prefix)
+           (String.length line - String.length prefix - String.length suffix))
+    else None
+  in
+  let rec body file acc = function
+    | "```" :: rest -> (String.concat "" (List.rev acc), rest)
+    | line :: rest -> body file ((line ^ "\n") :: acc) rest
+    | [] -> Alcotest.failf "EXPERIMENTS.md: the %s block is never closed" file
+  in
+  let rec scan acc = function
+    | [] -> List.rev acc
+    | line :: rest -> (
+        match (pin_file line, rest) with
+        | None, _ -> scan acc rest
+        | Some file, fence :: rest when String.starts_with ~prefix:"```" fence
+          ->
+            let text, rest = body file [] rest in
+            scan ((file, text) :: acc) rest
+        | Some file, _ ->
+            Alcotest.failf "EXPERIMENTS.md: the %s marker has no fenced block"
+              file)
+  in
+  scan [] (String.split_on_char '\n' doc)
+
+let read path = In_channel.with_open_bin path In_channel.input_all
+
+(* Every marked block equals its fingerprint byte for byte, and every
+   ci/*.txt has exactly one block, so no pinned number in EXPERIMENTS.md
+   can drift from what CI checks. *)
+let test_experiments_quote_pins () =
+  let blocks = pin_blocks (read "../EXPERIMENTS.md") in
+  List.iter
+    (fun (file, text) ->
+      Alcotest.(check string)
+        ("EXPERIMENTS.md block = ci/" ^ file)
+        (read ("../ci/" ^ file))
+        text)
+    blocks;
+  let quoted = List.map fst blocks in
+  check_unique "quoted fingerprints" quoted;
+  Alcotest.(check (list string))
+    "every ci/*.txt is quoted"
+    (Sys.readdir "../ci" |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".txt")
+    |> List.sort String.compare)
+    (List.sort String.compare quoted)
+
 (* SLO rules need a dump to read: every entry with rules emits telemetry,
    takes the analysis flags, and has a pinned reference run; every
    borrowed meta tag belongs to an entry without rules of its own. *)
@@ -75,4 +130,6 @@ let suite =
       test_pins_match_ci;
     Alcotest.test_case "entries with SLO rules emit telemetry" `Quick
       test_slo_entries_emit_telemetry;
+    Alcotest.test_case "EXPERIMENTS.md quotes every pin" `Quick
+      test_experiments_quote_pins;
   ]
