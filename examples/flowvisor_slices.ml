@@ -16,7 +16,7 @@ module Vtime = Rf_sim.Vtime
 
 let () =
   let engine = Rf_sim.Engine.create () in
-  let fv = Flowvisor.create engine () in
+  let fv = Flowvisor.create engine in
 
   (* Slice 1: an LLDP-only "monitoring" controller that also tries to
      (illegally) install an IPv4 flow. *)

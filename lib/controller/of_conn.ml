@@ -5,7 +5,6 @@ type role = Master | Slave
 type t = {
   engine : Rf_sim.Engine.t;
   chan : Rf_net.Channel.endpoint;
-  framer : Of_codec.Framer.t;
   mutable next_xid : int32;
   mutable features : Of_msg.features option;
   mutable handshake_done : bool;
@@ -31,11 +30,11 @@ let raw_send t m =
   Rf_obs.Metrics.incr t.m_sent;
   Rf_net.Channel.send t.chan (Of_codec.to_wire m)
 
-(* Faults apply per message (never mid-frame, which would corrupt the
-   peer's framer). The handshake openers are exempt from drop and
-   duplication — there is no application-level retry for them, and the
-   lossy profile models an overloaded channel, not a broken TCP — but
-   they can still be delayed. *)
+(* Faults apply per message, never to part of one. The handshake
+   openers are exempt from drop and duplication — there is no
+   application-level retry for them, and the lossy profile models an
+   overloaded channel, not a broken TCP — but they can still be
+   delayed. *)
 let handshake_critical (m : Of_msg.t) =
   match m.payload with
   | Of_msg.Hello | Of_msg.Features_request -> true
@@ -108,7 +107,6 @@ let create engine ?(echo_interval = Rf_sim.Vtime.span_s 15.0) chan =
     {
       engine;
       chan;
-      framer = Of_codec.Framer.create ();
       next_xid = 0l;
       features = None;
       handshake_done = false;
@@ -140,10 +138,10 @@ let create engine ?(echo_interval = Rf_sim.Vtime.span_s 15.0) chan =
       | None -> ());
       t.on_close ());
   Rf_net.Channel.set_receiver chan (fun bytes ->
-      match Of_codec.Framer.input t.framer bytes with
-      | Ok msgs -> List.iter (handle t) msgs
+      match Of_codec.of_wire bytes with
+      | Ok m -> handle t m
       | Error e ->
-          Rf_sim.Engine.record engine ~component:"of-conn" ~event:"framing-error" e;
+          Rf_sim.Engine.record engine ~component:"of-conn" ~event:"decode-error" e;
           Rf_net.Channel.close chan);
   send_msg t (Of_msg.msg ~xid:0l Of_msg.Hello);
   t.echo_timer <-

@@ -38,8 +38,8 @@ val set_fault_profile : t -> Rf_sim.Rng.t -> Rf_sim.Faults.chan_profile -> unit
 (** Makes this connection's outgoing messages subject to the lossy
     profile: each message is dropped, duplicated or delayed per a draw
     from the given generator (split it off the engine's seeded root so
-    the run stays replayable). Faults apply at message granularity —
-    framing is never corrupted — and the handshake openers (Hello,
+    the run stays replayable). Faults apply to whole messages, never
+    to part of one, and the handshake openers (Hello,
     Features_request) are exempt from drop/duplication since nothing
     retries them. *)
 

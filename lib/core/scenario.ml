@@ -14,7 +14,6 @@ type options = {
   rf_params : Rf_system.params;
   rpc_params : Rf_rpc.Rpc_client.params;
   probe_interval : Rf_sim.Vtime.span;
-  control_latency : Rf_sim.Vtime.span;
   rpc_latency : Rf_sim.Vtime.span;
   ip_range : Ipv4_addr.Prefix.t;
   faults : Rf_sim.Faults.plan;
@@ -39,7 +38,6 @@ let default_options =
     rf_params = Rf_system.default_params;
     rpc_params = Rf_rpc.Rpc_client.default_params;
     probe_interval = Rf_sim.Vtime.span_s 5.0;
-    control_latency = Rf_sim.Vtime.span_ms 1;
     rpc_latency = Rf_sim.Vtime.span_ms 1;
     ip_range = Ipv4_addr.Prefix.of_string_exn "172.16.0.0/16";
     faults = Rf_sim.Faults.empty;
@@ -185,7 +183,7 @@ let build ?(options = default_options) topo =
   (* RPC plumbing. *)
   let faults_rng = Rf_sim.Rng.split (Rf_sim.Engine.rng engine) in
   let client_end, server_end =
-    Channel.create engine ~latency:options.rpc_latency ~name:"rpc" ()
+    Channel.create engine ~latency:options.rpc_latency ()
   in
   let rpc_client =
     Rf_rpc.Rpc_client.create engine ~params:options.rpc_params client_end
@@ -300,7 +298,7 @@ let build ?(options = default_options) topo =
   in
 
   (* FlowVisor with the two slices of the paper. *)
-  let fv = Flowvisor.create engine ~controller_latency:options.control_latency () in
+  let fv = Flowvisor.create engine in
   let lldp_fs = Flowspace.lldp_slice ~name:"topology" in
   let data_fs = Flowspace.data_slice ~name:"routeflow" in
   Flowvisor.add_slice fv lldp_fs
@@ -327,8 +325,7 @@ let build ?(options = default_options) topo =
   in
   let net =
     Network.build engine topo ~host_config
-      ~attach_controller:(Flowvisor.switch_attach fv)
-      ~control_latency:options.control_latency ()
+      ~attach_controller:(Flowvisor.switch_attach fv) ()
   in
   (match options.link_capacity with
   | Some _ as cap -> Network.set_all_link_capacity net cap

@@ -17,7 +17,6 @@ type options = {
       (** supervision knobs of the RPC session (backoff, heartbeats,
           resync-on-restart) *)
   probe_interval : Rf_sim.Vtime.span;  (** LLDP probe period *)
-  control_latency : Rf_sim.Vtime.span;  (** switch↔FlowVisor↔controller *)
   rpc_latency : Rf_sim.Vtime.span;  (** RPC client↔server *)
   ip_range : Ipv4_addr.Prefix.t;  (** the administrator's range *)
   faults : Rf_sim.Faults.plan;
@@ -56,8 +55,9 @@ val host_subnet : int -> Ipv4_addr.Prefix.t
 
 val default_options : options
 (** seed 42, paper-era RouteFlow params (8 s serialized boots), 5 s
-    probes, 1 ms control and RPC latency, range 172.16.0.0/16, no
-    faults. *)
+    probes, 1 ms RPC latency, range 172.16.0.0/16, no faults. The
+    switch↔FlowVisor↔controller channels always use
+    {!Rf_net.Channel.create}'s 1 ms default. *)
 
 type t
 

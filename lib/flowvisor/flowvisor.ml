@@ -10,31 +10,25 @@ type slice_state = {
   denied : Rf_obs.Metrics.counter;
 }
 
-type slice_conn = {
-  fv_end : Rf_net.Channel.endpoint;
-  framer : Of_codec.Framer.t;
-}
-
 type switch_state = {
   sw_conn : Of_conn.t;
   features : Of_msg.features;
-  slice_conns : (string, slice_conn) Hashtbl.t;
+  slice_conns : (string, Rf_net.Channel.endpoint) Hashtbl.t;
+      (** FlowVisor's end of each slice's impersonated connection *)
   xid_map : (int32, string * int32) Hashtbl.t;
   mutable next_xid : int32;
 }
 
 type t = {
   engine : Rf_sim.Engine.t;
-  controller_latency : Rf_sim.Vtime.span;
   mutable slice_list : slice_state list;  (** registration order *)
   switches : (int64, switch_state) Hashtbl.t;
   mutable on_flow_mod : dpid:int64 -> slice:string -> Of_msg.flow_mod -> unit;
 }
 
-let create engine ?(controller_latency = Rf_sim.Vtime.span_ms 1) () =
+let create engine =
   {
     engine;
-    controller_latency;
     slice_list = [];
     switches = Hashtbl.create 64;
     on_flow_mod = (fun ~dpid:_ ~slice:_ _ -> ());
@@ -69,7 +63,7 @@ let slice_named t name =
 
 let send_to_slice slice conn (m : Of_msg.t) =
   Rf_obs.Metrics.incr slice.to_slice;
-  Rf_net.Channel.send conn.fv_end (Of_codec.to_wire m)
+  Rf_net.Channel.send conn (Of_codec.to_wire m)
 
 let fresh_xid sw =
   sw.next_xid <- Int32.add sw.next_xid 1l;
@@ -262,7 +256,7 @@ let switch_attach t ~dpid endpoint =
          every slice, so slice controllers observe the loss. *)
       Of_conn.set_on_close conn (fun () ->
           Hashtbl.iter
-            (fun _ sconn -> Rf_net.Channel.close sconn.fv_end)
+            (fun _ fv_end -> Rf_net.Channel.close fv_end)
             sw.slice_conns;
           Hashtbl.remove t.switches dpid;
           (* A mid-configuration disconnect aborts whatever phase
@@ -282,23 +276,17 @@ let switch_attach t ~dpid endpoint =
       (* One impersonated switch connection per slice. *)
       List.iter
         (fun slice ->
-          let fv_end, ctl_end =
-            Rf_net.Channel.create t.engine ~latency:t.controller_latency
-              ~name:
-                (Printf.sprintf "fv-%s-%Ld" slice.def.Flowspace.fs_name dpid)
-              ()
-          in
-          let sconn = { fv_end; framer = Of_codec.Framer.create () } in
-          Hashtbl.replace sw.slice_conns slice.def.Flowspace.fs_name sconn;
+          let fv_end, ctl_end = Rf_net.Channel.create t.engine () in
+          Hashtbl.replace sw.slice_conns slice.def.Flowspace.fs_name fv_end;
           Rf_net.Channel.set_receiver fv_end (fun bytes ->
-              match Of_codec.Framer.input sconn.framer bytes with
-              | Ok msgs -> List.iter (handle_from_slice t sw slice sconn) msgs
+              match Of_codec.of_wire bytes with
+              | Ok m -> handle_from_slice t sw slice fv_end m
               | Error e ->
                   Rf_sim.Engine.record t.engine ~component:"flowvisor"
-                    ~event:"framing-error" e;
+                    ~event:"decode-error" e;
                   Rf_net.Channel.close fv_end);
           (* Behave like a switch: greet the slice controller. *)
-          send_to_slice slice sconn (Of_msg.msg ~xid:0l Of_msg.Hello);
+          send_to_slice slice fv_end (Of_msg.msg ~xid:0l Of_msg.Hello);
           slice.attach ~dpid ctl_end)
         t.slice_list)
 

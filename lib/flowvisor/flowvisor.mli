@@ -11,7 +11,8 @@
 
 type t
 
-val create : Rf_sim.Engine.t -> ?controller_latency:Rf_sim.Vtime.span -> unit -> t
+val create : Rf_sim.Engine.t -> t
+(** Slice connections get {!Rf_net.Channel.create}'s default latency. *)
 
 val add_slice :
   t ->

@@ -1,7 +1,6 @@
 type endpoint = {
   engine : Rf_sim.Engine.t;
   latency : Rf_sim.Vtime.span;
-  ep_name : string;
   entity : Rf_obs.Profiler.entity option;
   mutable peer : endpoint option;
   mutable receiver : (string -> unit) option;
@@ -10,11 +9,10 @@ type endpoint = {
   mutable on_close : (unit -> unit) option;
 }
 
-let make engine latency entity ep_name =
+let make engine latency entity =
   {
     engine;
     latency;
-    ep_name;
     entity;
     peer = None;
     receiver = None;
@@ -23,10 +21,9 @@ let make engine latency entity ep_name =
     on_close = None;
   }
 
-let create engine ?(latency = Rf_sim.Vtime.span_ms 1) ?(name = "chan") ?entity
-    () =
-  let a = make engine latency entity (name ^ ".a") in
-  let b = make engine latency entity (name ^ ".b") in
+let create engine ?(latency = Rf_sim.Vtime.span_ms 1) ?entity () =
+  let a = make engine latency entity in
+  let b = make engine latency entity in
   a.peer <- Some b;
   b.peer <- Some a;
   (a, b)
@@ -73,5 +70,3 @@ let close ep =
 let set_on_close ep f = ep.on_close <- Some f
 
 let is_open ep = ep.open_
-
-let name ep = ep.ep_name

@@ -82,7 +82,6 @@ let total_data_frames t =
   Hashtbl.fold (fun _ l acc -> acc + Link.frames_carried l) t.links 0
 
 let build engine topo ~host_config ~attach_controller
-    ?(control_latency = Rf_sim.Vtime.span_ms 1)
     ?(switch_boot_delay = fun _ -> Rf_sim.Vtime.span_zero) () =
   let t =
     {
@@ -134,9 +133,7 @@ let build engine topo ~host_config ~attach_controller
   let connect dpid =
     let dp = datapath t dpid in
     let switch_end, controller_end =
-      Channel.create engine ~latency:control_latency
-        ~name:(Printf.sprintf "ctl-%Ld" dpid)
-        ~entity:(Datapath.entity dp) ()
+      Channel.create engine ~entity:(Datapath.entity dp) ()
     in
     let agent = Of_agent.create engine dp switch_end in
     Hashtbl.replace t.agents dpid agent;

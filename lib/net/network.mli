@@ -18,7 +18,6 @@ val build :
   Topology.t ->
   host_config:(string -> host_config) ->
   attach_controller:(dpid:int64 -> Channel.endpoint -> unit) ->
-  ?control_latency:Rf_sim.Vtime.span ->
   ?switch_boot_delay:(int64 -> Rf_sim.Vtime.span) ->
   unit ->
   t

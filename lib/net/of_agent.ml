@@ -4,16 +4,10 @@ type t = {
   engine : Rf_sim.Engine.t;
   dp : Datapath.t;
   chan : Channel.endpoint;
-  framer : Of_codec.Framer.t;
-  mutable peer_hello : bool;
-  mutable rx : int;
-  mutable tx : int;
   mutable next_xid : int32;
 }
 
-let send t msg =
-  t.tx <- t.tx + 1;
-  Channel.send t.chan (Of_codec.to_wire msg)
+let send t msg = Channel.send t.chan (Of_codec.to_wire msg)
 
 let fresh_xid t =
   t.next_xid <- Int32.add t.next_xid 1l;
@@ -22,10 +16,9 @@ let fresh_xid t =
 let send_event t payload = send t (Of_msg.msg ~xid:(fresh_xid t) payload)
 
 let handle t (m : Of_msg.t) =
-  t.rx <- t.rx + 1;
   let reply payload = send t (Of_msg.msg ~xid:m.xid payload) in
   match m.payload with
-  | Of_msg.Hello -> t.peer_hello <- true
+  | Of_msg.Hello -> ()
   | Of_msg.Echo_request data -> reply (Of_msg.Echo_reply data)
   | Of_msg.Echo_reply _ -> ()
   | Of_msg.Features_request -> reply (Of_msg.Features_reply (Datapath.features t.dp))
@@ -100,10 +93,6 @@ let create engine dp chan =
       engine;
       dp;
       chan;
-      framer = Of_codec.Framer.create ();
-      peer_hello = false;
-      rx = 0;
-      tx = 0;
       next_xid = 0x10000l;
     }
   in
@@ -112,20 +101,14 @@ let create engine dp chan =
   Datapath.set_on_port_status dp (fun reason desc ->
       send_event t (Of_msg.Port_status { reason; desc }));
   Channel.set_receiver chan (fun bytes ->
-      match Of_codec.Framer.input t.framer bytes with
-      | Ok msgs -> List.iter (handle t) msgs
+      match Of_codec.of_wire bytes with
+      | Ok m -> handle t m
       | Error e ->
           Rf_sim.Engine.record t.engine
             ~component:(Printf.sprintf "of-agent.%Ld" (Datapath.dpid dp))
-            ~event:"framing-error" e;
+            ~event:"decode-error" e;
           Channel.close chan);
   send t (Of_msg.msg ~xid:0l Of_msg.Hello);
   t
 
 let disconnect t = Channel.close t.chan
-
-let messages_received t = t.rx
-
-let messages_sent t = t.tx
-
-let connected t = t.peer_hello

@@ -10,13 +10,6 @@ type t
 val create : Rf_sim.Engine.t -> Datapath.t -> Channel.endpoint -> t
 (** Sends OFPT_HELLO immediately and starts serving. *)
 
-val messages_received : t -> int
-
-val messages_sent : t -> int
-
-val connected : t -> bool
-(** True once a Hello has been received from the controller side. *)
-
 val disconnect : t -> unit
 (** Closes the control channel (models a switch crash or management
     disconnect). *)

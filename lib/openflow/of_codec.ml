@@ -506,39 +506,7 @@ let of_wire s =
       let typ = Wire.Reader.u8 r in
       let length = Wire.Reader.u16 r in
       let xid = Wire.Reader.u32 r in
-      if length < 8 then Stdlib.Error "of_codec: bad length"
-      else
-        let body = Wire.Reader.sub r (length - 8) in
-        decode_body typ xid body
+      if length <> String.length s then Stdlib.Error "of_codec: bad length"
+      else decode_body typ xid r
     end
   with Wire.Truncated -> Stdlib.Error "of_codec: truncated message"
-
-module Framer = struct
-  type t = { mutable buffer : string }
-
-  let create () = { buffer = "" }
-
-  let pending_bytes t = String.length t.buffer
-
-  let input t chunk =
-    t.buffer <- t.buffer ^ chunk;
-    let rec extract acc =
-      let len = String.length t.buffer in
-      if len < 4 then Ok (List.rev acc)
-      else begin
-        let msg_len =
-          (Char.code t.buffer.[2] lsl 8) lor Char.code t.buffer.[3]
-        in
-        if msg_len < 8 then Stdlib.Error "of_codec: framing error (length < 8)"
-        else if len < msg_len then Ok (List.rev acc)
-        else begin
-          let frame = String.sub t.buffer 0 msg_len in
-          t.buffer <- String.sub t.buffer msg_len (len - msg_len);
-          match of_wire frame with
-          | Ok m -> extract (m :: acc)
-          | Error e -> Error e
-        end
-      end
-    in
-    extract []
-end

@@ -1,8 +1,8 @@
 (** OpenFlow 1.0 wire codec.
 
     Messages are framed by the standard 8-byte header
-    (version, type, length, xid). [Framer] reassembles messages from an
-    arbitrary byte stream, as delivered by the simulated TCP channels. *)
+    (version, type, length, xid). A control channel delivers each
+    message as one chunk, so receivers decode chunks directly. *)
 
 val version : int
 (** 0x01. *)
@@ -10,16 +10,6 @@ val version : int
 val to_wire : Of_msg.t -> string
 
 val of_wire : string -> (Of_msg.t, string) result
-(** Decodes exactly one message. *)
-
-module Framer : sig
-  type t
-
-  val create : unit -> t
-
-  val input : t -> string -> (Of_msg.t list, string) result
-  (** Feeds bytes; returns every message completed by this chunk. After
-      an error the framer must be discarded (the stream is corrupt). *)
-
-  val pending_bytes : t -> int
-end
+(** Decodes exactly one message. [Error] when the header's length
+    field differs from the string's length, so a trailing byte or a
+    second message is rejected, never silently dropped. *)

@@ -15,8 +15,6 @@ type t =
   | Notification of { code : int; subcode : int }
   | Keepalive
 
-type msg = t
-
 let marker = String.make 16 '\xff'
 
 let type_code = function
@@ -166,7 +164,7 @@ let of_wire s =
       let r = Wire.Reader.of_string ~pos:16 s in
       let length = Wire.Reader.u16 r in
       let typ = Wire.Reader.u8 r in
-      if length < 19 || length > String.length s then Error "bgp: bad length"
+      if length <> String.length s then Error "bgp: bad length"
       else
         let body = Wire.Reader.sub r (length - 19) in
         match typ with
@@ -188,34 +186,6 @@ let of_wire s =
         | n -> Error (Printf.sprintf "bgp: unknown type %d" n)
     end
   with Wire.Truncated -> Error "bgp: truncated"
-
-module Framer = struct
-  type nonrec t = { mutable buffer : string }
-
-  let create () = { buffer = "" }
-
-  let input t chunk =
-    t.buffer <- t.buffer ^ chunk;
-    let rec extract acc =
-      let len = String.length t.buffer in
-      if len < 19 then Ok (List.rev acc)
-      else begin
-        let msg_len =
-          (Char.code t.buffer.[16] lsl 8) lor Char.code t.buffer.[17]
-        in
-        if msg_len < 19 then Error "bgp: framing error"
-        else if len < msg_len then Ok (List.rev acc)
-        else begin
-          let frame = String.sub t.buffer 0 msg_len in
-          t.buffer <- String.sub t.buffer msg_len (len - msg_len);
-          match of_wire frame with
-          | Ok m -> extract (m :: acc)
-          | Error e -> Error e
-        end
-      end
-    in
-    extract []
-end
 
 let pp ppf = function
   | Open o -> Format.fprintf ppf "OPEN as%d id=%a" o.o_asn Ipv4_addr.pp o.o_router_id

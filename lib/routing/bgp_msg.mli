@@ -23,20 +23,10 @@ type t =
   | Notification of { code : int; subcode : int }
   | Keepalive
 
-type msg = t
-
 val to_wire : t -> string
 
 val of_wire : string -> (t, string) result
-
-(** Stream framing over the 19-byte BGP header (16-byte marker,
-    length, type). *)
-module Framer : sig
-  type t
-
-  val create : unit -> t
-
-  val input : t -> string -> (msg list, string) result
-end
+(** Decodes exactly one message. [Error] when the header's length
+    field differs from the string's length. *)
 
 val pp : Format.formatter -> t -> unit

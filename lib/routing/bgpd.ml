@@ -11,7 +11,6 @@ type peer = {
   remote_asn : int;
   next_hop_hint : Ipv4_addr.t;
   send_bytes : string -> unit;
-  framer : Bgp_msg.Framer.t;
   mutable state : peer_state;
   mutable learned : learned Pfx_map.t;
   mutable last_heard : Rf_sim.Vtime.t;
@@ -168,8 +167,8 @@ let handle peer m =
   | Bgp_msg.Notification _ -> drop_session peer
 
 let input peer bytes =
-  match Bgp_msg.Framer.input peer.framer bytes with
-  | Ok msgs -> List.iter (handle peer) msgs
+  match Bgp_msg.of_wire bytes with
+  | Ok m -> handle peer m
   | Error _ -> drop_session peer
 
 let add_peer t ~remote_asn ~next_hop_hint ~send =
@@ -179,7 +178,6 @@ let add_peer t ~remote_asn ~next_hop_hint ~send =
       remote_asn;
       next_hop_hint;
       send_bytes = send;
-      framer = Bgp_msg.Framer.create ();
       state = Idle;
       learned = Pfx_map.empty;
       last_heard = Rf_sim.Engine.now t.engine;

@@ -188,11 +188,7 @@ let create engine ~rng ?(replicas = 3) ?(latency = Vtime.span_ms 1) () =
   (* full mesh: one channel per unordered pair *)
   for i = 0 to replicas - 1 do
     for j = i + 1 to replicas - 1 do
-      let a, b =
-        Rf_net.Channel.create engine ~latency
-          ~name:(Printf.sprintf "mesh-%d-%d" i j)
-          ~entity:t.entity ()
-      in
+      let a, b = Rf_net.Channel.create engine ~latency ~entity:t.entity () in
       t.links.(i).(j) <- Some a;
       t.links.(j).(i) <- Some b
     done
@@ -211,15 +207,10 @@ let create engine ~rng ?(replicas = 3) ?(latency = Vtime.span_ms 1) () =
         match t.links.(i).(j) with
         | None -> ()
         | Some ep ->
-            let framer = Rpc_msg.Framer.create () in
             Rf_net.Channel.set_receiver ep (fun bytes ->
-                match Rpc_msg.Framer.input framer bytes with
-                | Ok envs ->
-                    List.iter
-                      (fun (env : Rpc_msg.envelope) ->
-                        Replica.receive r ~src:j env.body)
-                      envs
-                | Error e -> record t "framing-error" e)
+                match Rpc_msg.of_wire bytes with
+                | Ok env -> Replica.receive r ~src:j env.body
+                | Error e -> record t "decode-error" e)
       done;
       Replica.set_on_commit r (fun idx msg -> handle_commit t idx msg);
       Replica.set_on_role r (fun role epoch ->

@@ -44,7 +44,6 @@ type t = {
   chan : Rf_net.Channel.endpoint;
   params : params;
   jitter_rng : Rng.t;
-  mutable framer : Rpc_msg.Framer.t;
   pending : (int32, pending) Hashtbl.t;
   mutable epoch : int32;
   mutable next_seq : int32;  (** last tracked seq used; 0 = none yet *)
@@ -365,7 +364,6 @@ let create engine ?(params = default_params) chan =
       chan;
       params;
       jitter_rng = Rng.split (Engine.rng engine);
-      framer = Rpc_msg.Framer.create ();
       pending = Hashtbl.create 32;
       epoch = 1l;
       next_seq = 0l;
@@ -409,9 +407,9 @@ let create engine ?(params = default_params) chan =
   in
   Rf_net.Channel.set_receiver chan (fun bytes ->
       if not t.crashed then
-        match Rpc_msg.Framer.input t.framer bytes with
-        | Ok envs -> List.iter (handle_envelope t) envs
-        | Error e -> record t "framing-error" e);
+        match Rpc_msg.of_wire bytes with
+        | Ok env -> handle_envelope t env
+        | Error e -> record t "decode-error" e);
   (* Heartbeat cadence: fixed interval plus an optional seeded-uniform
      jitter drawn from a derived generator, so enabling jitter never
      shifts the draw sequence of any other component. *)
@@ -444,7 +442,6 @@ let crash t =
     t.crashed <- true;
     List.iter cancel_timer (pending_in_order t);
     Hashtbl.reset t.pending;
-    t.framer <- Rpc_msg.Framer.create ();
     record t "crash" ""
   end
 

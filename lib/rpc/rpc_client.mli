@@ -68,8 +68,8 @@ val set_fault_profile : t -> Rf_sim.Rng.t -> Rf_sim.Faults.chan_profile -> unit
     transmission, as [Of_conn] does for the OpenFlow channel. *)
 
 val crash : t -> unit
-(** Simulated process death: pending state, timers and the framer are
-    lost; sends and received bytes are ignored until {!restart}. *)
+(** Simulated process death: pending state and timers are lost; sends
+    and received bytes are ignored until {!restart}. *)
 
 val restart : t -> unit
 (** Comes back up. With [resync] the epoch is bumped and a snapshot is

@@ -181,99 +181,68 @@ let decode_request r =
       Ok (Edge_subnet { dpid; port; gateway; prefix_len })
   | n -> Error (Printf.sprintf "rpc: unknown request type %d" n)
 
-let of_frame frame =
-  try
-    let r = Wire.Reader.of_string frame in
-    let epoch = Wire.Reader.u32 r in
-    let seq = Wire.Reader.u32 r in
-    let kind = Wire.Reader.u8 r in
-    let env body = { epoch; seq; body } in
-    match kind with
-    | 0 -> Result.map (fun req -> env (Request req)) (decode_request r)
-    | 1 ->
-        let a_epoch = Wire.Reader.u32 r in
-        let a_cum = Wire.Reader.u32 r in
-        let a_seq = Wire.Reader.u32 r in
-        Ok (env (Ack { a_epoch; a_cum; a_seq }))
-    | 2 -> Ok (env Ping)
-    | 3 -> Ok (env Pong)
-    | 4 -> Ok (env Sync_request)
-    | 5 ->
-        let count = Wire.Reader.u16 r in
-        let rec go acc n =
-          if n = 0 then Ok (env (Sync_snapshot (List.rev acc)))
-          else
-            match decode_request r with
-            | Ok m -> go (m :: acc) (n - 1)
-            | Error e -> Error e
-        in
-        go [] count
-    | 6 ->
-        let el_epoch = Wire.Reader.u32 r in
-        let el_candidate = Wire.Reader.u16 r in
-        let el_last = Wire.Reader.u32 r in
-        Ok (env (Elect_request { el_epoch; el_candidate; el_last }))
-    | 7 ->
-        let ev_epoch = Wire.Reader.u32 r in
-        let ev_voter = Wire.Reader.u16 r in
-        let ev_granted = Wire.Reader.u8 r <> 0 in
-        Ok (env (Elect_vote { ev_epoch; ev_voter; ev_granted }))
-    | 8 ->
-        let lh_epoch = Wire.Reader.u32 r in
-        let lh_leader = Wire.Reader.u16 r in
-        let lh_commit = Wire.Reader.u32 r in
-        let lh_len = Wire.Reader.u32 r in
-        Ok (env (Leader_heartbeat { lh_epoch; lh_leader; lh_commit; lh_len }))
-    | 9 ->
-        let rp_epoch = Wire.Reader.u32 r in
-        let rp_leader = Wire.Reader.u16 r in
-        let rp_index = Wire.Reader.u32 r in
-        Result.map
-          (fun rp_msg -> env (Replicate { rp_epoch; rp_leader; rp_index; rp_msg }))
-          (decode_request r)
-    | 10 ->
-        let ra_epoch = Wire.Reader.u32 r in
-        let ra_replica = Wire.Reader.u16 r in
-        let ra_index = Wire.Reader.u32 r in
-        Ok (env (Replicate_ack { ra_epoch; ra_replica; ra_index }))
-    | n -> Error (Printf.sprintf "rpc: unknown envelope kind %d" n)
-  with Wire.Truncated -> Error "rpc: truncated"
-
-module Framer = struct
-  type nonrec t = { mutable buffer : string }
-
-  let create () = { buffer = "" }
-
-  (* Smallest body: epoch + seq + kind byte. *)
-  let min_body_len = 9
-
-  let input t chunk =
-    t.buffer <- t.buffer ^ chunk;
-    let rec extract acc =
-      let len = String.length t.buffer in
-      if len < 4 then Ok (List.rev acc)
-      else begin
-        let body_len =
-          (Char.code t.buffer.[0] lsl 24)
-          lor (Char.code t.buffer.[1] lsl 16)
-          lor (Char.code t.buffer.[2] lsl 8)
-          lor Char.code t.buffer.[3]
-        in
-        if body_len < min_body_len || body_len > 1 lsl 20 then
-          Error "rpc: framing error"
-        else if len < 4 + body_len then Ok (List.rev acc)
-        else begin
-          let frame = String.sub t.buffer 4 body_len in
-          t.buffer <-
-            String.sub t.buffer (4 + body_len) (len - 4 - body_len);
-          match of_frame frame with
-          | Ok env -> extract (env :: acc)
+let decode_envelope r =
+  let epoch = Wire.Reader.u32 r in
+  let seq = Wire.Reader.u32 r in
+  let kind = Wire.Reader.u8 r in
+  let env body = { epoch; seq; body } in
+  match kind with
+  | 0 -> Result.map (fun req -> env (Request req)) (decode_request r)
+  | 1 ->
+      let a_epoch = Wire.Reader.u32 r in
+      let a_cum = Wire.Reader.u32 r in
+      let a_seq = Wire.Reader.u32 r in
+      Ok (env (Ack { a_epoch; a_cum; a_seq }))
+  | 2 -> Ok (env Ping)
+  | 3 -> Ok (env Pong)
+  | 4 -> Ok (env Sync_request)
+  | 5 ->
+      let count = Wire.Reader.u16 r in
+      let rec go acc n =
+        if n = 0 then Ok (env (Sync_snapshot (List.rev acc)))
+        else
+          match decode_request r with
+          | Ok m -> go (m :: acc) (n - 1)
           | Error e -> Error e
-        end
-      end
-    in
-    extract []
-end
+      in
+      go [] count
+  | 6 ->
+      let el_epoch = Wire.Reader.u32 r in
+      let el_candidate = Wire.Reader.u16 r in
+      let el_last = Wire.Reader.u32 r in
+      Ok (env (Elect_request { el_epoch; el_candidate; el_last }))
+  | 7 ->
+      let ev_epoch = Wire.Reader.u32 r in
+      let ev_voter = Wire.Reader.u16 r in
+      let ev_granted = Wire.Reader.u8 r <> 0 in
+      Ok (env (Elect_vote { ev_epoch; ev_voter; ev_granted }))
+  | 8 ->
+      let lh_epoch = Wire.Reader.u32 r in
+      let lh_leader = Wire.Reader.u16 r in
+      let lh_commit = Wire.Reader.u32 r in
+      let lh_len = Wire.Reader.u32 r in
+      Ok (env (Leader_heartbeat { lh_epoch; lh_leader; lh_commit; lh_len }))
+  | 9 ->
+      let rp_epoch = Wire.Reader.u32 r in
+      let rp_leader = Wire.Reader.u16 r in
+      let rp_index = Wire.Reader.u32 r in
+      Result.map
+        (fun rp_msg -> env (Replicate { rp_epoch; rp_leader; rp_index; rp_msg }))
+        (decode_request r)
+  | 10 ->
+      let ra_epoch = Wire.Reader.u32 r in
+      let ra_replica = Wire.Reader.u16 r in
+      let ra_index = Wire.Reader.u32 r in
+      Ok (env (Replicate_ack { ra_epoch; ra_replica; ra_index }))
+  | n -> Error (Printf.sprintf "rpc: unknown envelope kind %d" n)
+
+let of_wire s =
+  try
+    let r = Wire.Reader.of_string s in
+    if Int32.to_int (Wire.Reader.u32 r) <> String.length s - 4 then
+      Error "rpc: bad length"
+    else decode_envelope r
+  with Wire.Truncated -> Error "rpc: truncated"
 
 let pp ppf = function
   | Switch_up { dpid; n_ports } ->

@@ -96,13 +96,10 @@ val to_wire : envelope -> string
 (** Length-prefixed frame. Raises [Invalid_argument] if a snapshot
     exceeds {!max_snapshot_msgs}. *)
 
-module Framer : sig
-  type t
-
-  val create : unit -> t
-
-  val input : t -> string -> (envelope list, string) result
-end
+val of_wire : string -> (envelope, string) result
+(** Decodes exactly one frame. [Error] when the length prefix differs
+    from the rest of the string's length, so a trailing byte or a
+    second frame is rejected, never silently dropped. *)
 
 val pp : Format.formatter -> t -> unit
 

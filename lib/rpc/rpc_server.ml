@@ -12,7 +12,6 @@ type t = {
   engine : Engine.t;
   entity : Rf_obs.Profiler.entity;
   chan : Rf_net.Channel.endpoint;
-  mutable framer : Rpc_msg.Framer.t;
   mutable incarnation : int32;
   mutable epoch : int32;  (** client session being tracked; 0 = none *)
   mutable watermark : int32;
@@ -26,9 +25,7 @@ type t = {
   mutable crashed : bool;
   mutable handled : int;
   mutable dups : int;
-  mutable stale : int;
   mutable snapshots : int;
-  mutable acks : int;
   m_handled : Rf_obs.Metrics.counter;
   m_dups : Rf_obs.Metrics.counter;
   m_snapshots : Rf_obs.Metrics.counter;
@@ -59,7 +56,6 @@ let reply t body =
   transmit t (Rpc_msg.to_wire { Rpc_msg.epoch = t.incarnation; seq = 0l; body })
 
 let ack t seq =
-  t.acks <- t.acks + 1;
   reply t (Rpc_msg.Ack { a_epoch = t.epoch; a_cum = t.watermark; a_seq = seq })
 
 let deliver t body =
@@ -104,7 +100,6 @@ let handle_tracked t (env : Rpc_msg.envelope) =
     else begin
       (* a late frame from a session the client has already abandoned:
          acking it would corrupt the live session's bookkeeping *)
-      t.stale <- t.stale + 1;
       record t "stale-epoch" (Printf.sprintf "epoch=%ld seq=%ld" env.epoch env.seq)
     end;
   if Int32.equal env.epoch t.epoch then
@@ -149,7 +144,6 @@ let create engine chan =
       engine;
       entity = Rf_obs.Profiler.component "rpc-server";
       chan;
-      framer = Rpc_msg.Framer.create ();
       incarnation = 1l;
       epoch = 0l;
       watermark = 0l;
@@ -160,7 +154,6 @@ let create engine chan =
       crashed = false;
       handled = 0;
       dups = 0;
-      stale = 0;
       m_handled =
         Rf_obs.Metrics.counter
           (Engine.metrics engine)
@@ -176,14 +169,13 @@ let create engine chan =
           (Engine.metrics engine)
           ~help:"Anti-entropy snapshots applied" "rpc_server_snapshots_total";
       snapshots = 0;
-      acks = 0;
     }
   in
   Rf_net.Channel.set_receiver chan (fun bytes ->
       if not t.crashed then
-        match Rpc_msg.Framer.input t.framer bytes with
-        | Ok envs -> List.iter (handle_envelope t) envs
-        | Error e -> record t "framing-error" e);
+        match Rpc_msg.of_wire bytes with
+        | Ok env -> handle_envelope t env
+        | Error e -> record t "decode-error" e);
   t
 
 let set_handler t f = t.handler <- f
@@ -199,7 +191,6 @@ let crash t =
     t.epoch <- 0l;
     t.watermark <- 0l;
     Hashtbl.reset t.ooo;
-    t.framer <- Rpc_msg.Framer.create ();
     record t "crash" ""
   end
 
@@ -217,17 +208,11 @@ let requests_handled t = t.handled
 
 let duplicates_dropped t = t.dups
 
-let stale_dropped t = t.stale
-
 let snapshots_received t = t.snapshots
-
-let acks_sent t = t.acks
 
 let incarnation t = t.incarnation
 
 let dedup_size t = Hashtbl.length t.ooo
-
-let watermark t = t.watermark
 
 let set_watermark t seq =
   t.watermark <- seq;

@@ -34,7 +34,7 @@ val set_fault_profile : t -> Rf_sim.Rng.t -> Rf_sim.Faults.chan_profile -> unit
 
 val crash : t -> unit
 (** Process death: session state (epoch, watermark, out-of-order
-    buffer, framer) is lost; incoming bytes are ignored. *)
+    buffer) is lost; incoming bytes are ignored. *)
 
 val restart : t -> unit
 (** Bumps the incarnation and sends [Sync_request]. *)
@@ -45,20 +45,13 @@ val requests_handled : t -> int
 
 val duplicates_dropped : t -> int
 
-val stale_dropped : t -> int
-(** Frames from an abandoned (older) epoch. *)
-
 val snapshots_received : t -> int
-
-val acks_sent : t -> int
 
 val incarnation : t -> int32
 
 val dedup_size : t -> int
 (** Out-of-order frames currently buffered; never exceeds the window
     (512). *)
-
-val watermark : t -> int32
 
 val set_watermark : t -> int32 -> unit
 (** Test hook: pretend every seq serially <= [seq] was already

@@ -50,7 +50,7 @@ let test_of_conn_echo_keepalive () =
   ignore conn;
   ignore (Engine.run ~until:(Vtime.of_s 30.0) engine);
   (* The agent answered several echo requests: connection stayed open
-     and the trace carries no framing errors. *)
+     and the trace carries no decode errors. *)
   Alcotest.(check bool) "still open" true (Of_conn.is_open conn)
 
 (* Build a discovery instance watching a whole emulated network,
@@ -198,7 +198,7 @@ let test_port_stats_through_flowvisor () =
      and to the right switch, so each switch's counters stay attributed
      even when two datapaths answer interleaved requests. *)
   let engine = Engine.create () in
-  let fv = Rf_flowvisor.Flowvisor.create engine () in
+  let fv = Rf_flowvisor.Flowvisor.create engine in
   let requests = ref 0 in
   let replies = Hashtbl.create 2 in
   Rf_flowvisor.Flowvisor.add_slice fv

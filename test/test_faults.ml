@@ -267,14 +267,13 @@ let test_controller_crash_replays () =
    messages it receives. *)
 let conn_with_peer engine =
   let conn_end, peer_end =
-    Rf_net.Channel.create engine ~latency:(Vtime.span_ms 1) ~name:"test" ()
+    Rf_net.Channel.create engine ~latency:(Vtime.span_ms 1) ()
   in
   let conn = Rf_controller.Of_conn.create engine conn_end in
-  let framer = Rf_openflow.Of_codec.Framer.create () in
   let received = ref [] in
   Rf_net.Channel.set_receiver peer_end (fun bytes ->
-      match Rf_openflow.Of_codec.Framer.input framer bytes with
-      | Ok msgs -> received := !received @ msgs
+      match Rf_openflow.Of_codec.of_wire bytes with
+      | Ok m -> received := !received @ [ m ]
       | Error e -> Alcotest.fail e);
   (conn, received)
 

@@ -75,7 +75,7 @@ type harness = {
 
 let make_harness () =
   let engine = Engine.create () in
-  let fv = Flowvisor.create engine () in
+  let fv = Flowvisor.create engine in
   let h = { engine; fv; dp = Datapath.create engine ~dpid:5L ~n_ports:4;
             slice_a = None; slice_b = None; a_msgs = []; b_msgs = [] } in
   Flowvisor.add_slice fv (Flowspace.lldp_slice ~name:"topo")

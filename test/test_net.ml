@@ -839,11 +839,10 @@ let test_agent_handshake_and_echo () =
   let dp = Datapath.create engine ~dpid:42L ~n_ports:3 in
   let sw_end, ctl_end = Channel.create engine () in
   let _agent = Of_agent.create engine dp sw_end in
-  let framer = Of_codec.Framer.create () in
   let received = ref [] in
   Channel.set_receiver ctl_end (fun bytes ->
-      match Of_codec.Framer.input framer bytes with
-      | Ok ms -> received := !received @ ms
+      match Of_codec.of_wire bytes with
+      | Ok m -> received := !received @ [ m ]
       | Error e -> Alcotest.fail e);
   (* Behave like a controller. *)
   let send m = Channel.send ctl_end (Of_codec.to_wire m) in

@@ -1,5 +1,5 @@
 (* OpenFlow 1.0 protocol tests: match semantics, action and message
-   codecs, stream framing. *)
+   codecs. *)
 
 open Rf_packet
 open Rf_openflow
@@ -322,42 +322,20 @@ let test_codec_rejects_garbage () =
   (match Of_codec.of_wire "\x02\x00\x00\x08\x00\x00\x00\x00" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted wrong version");
-  match Of_codec.of_wire "\x01\x63\x00\x08\x00\x00\x00\x00" with
+  (match Of_codec.of_wire "\x01\x63\x00\x08\x00\x00\x00\x00" with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted unknown type"
-
-(* --- framer ------------------------------------------------------------- *)
-
-let test_framer_reassembles_chunks () =
-  let msgs =
-    [
-      Of_msg.msg ~xid:1l Of_msg.Hello;
-      Of_msg.msg ~xid:2l (Of_msg.Echo_request "ping");
-      Of_msg.msg ~xid:3l Of_msg.Features_request;
-    ]
+  | Ok _ -> Alcotest.fail "accepted unknown type");
+  (* A channel delivers each message as one chunk, so the header's
+     length must cover exactly the chunk. *)
+  let wire =
+    Of_codec.to_wire (Of_msg.msg ~xid:2l (Of_msg.Echo_request "ping"))
   in
-  let stream = String.concat "" (List.map Of_codec.to_wire msgs) in
-  let framer = Of_codec.Framer.create () in
-  let received = ref [] in
-  (* Feed one byte at a time. *)
-  String.iter
-    (fun c ->
-      match Of_codec.Framer.input framer (String.make 1 c) with
-      | Ok ms -> received := !received @ ms
-      | Error e -> Alcotest.fail e)
-    stream;
-  Alcotest.(check int) "all messages" 3 (List.length !received);
-  Alcotest.(check (list int32)) "xids in order" [ 1l; 2l; 3l ]
-    (List.map (fun (m : Of_msg.t) -> m.Of_msg.xid) !received);
-  Alcotest.(check int) "no leftover" 0 (Of_codec.Framer.pending_bytes framer)
-
-let test_framer_batched_input () =
-  let msgs = List.init 10 (fun i -> Of_msg.msg ~xid:(Int32.of_int i) Of_msg.Hello) in
-  let stream = String.concat "" (List.map Of_codec.to_wire msgs) in
-  let framer = Of_codec.Framer.create () in
-  match Of_codec.Framer.input framer stream with
-  | Ok ms -> Alcotest.(check int) "batch" 10 (List.length ms)
-  | Error e -> Alcotest.fail e
+  (match Of_codec.of_wire (wire ^ "\x00") with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "accepted a trailing byte");
+  match Of_codec.of_wire (wire ^ wire) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "accepted two messages as one"
 
 let prop_flow_mod_roundtrip =
   QCheck.Test.make ~name:"flow-mod priority/timeouts round-trip" ~count:200
@@ -396,9 +374,5 @@ let suite =
       test_msg_error_vendor_barrier;
     Alcotest.test_case "port-mod roundtrip" `Quick test_msg_port_mod;
     Alcotest.test_case "codec rejects garbage" `Quick test_codec_rejects_garbage;
-    Alcotest.test_case "framer reassembles byte-by-byte" `Quick
-      test_framer_reassembles_chunks;
-    Alcotest.test_case "framer handles batched input" `Quick
-      test_framer_batched_input;
     QCheck_alcotest.to_alcotest prop_flow_mod_roundtrip;
   ]

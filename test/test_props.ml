@@ -1,7 +1,7 @@
-(* Property-based tests: the OpenFlow wire codec round-trips every
-   message it can emit, the framer is insensitive to TCP segmentation,
-   address parsing round-trips, and the prefix trie agrees with a
-   naive longest-prefix-match scan. *)
+(* Property-based tests: the OpenFlow and RPC wire codecs round-trip
+   every message they can emit, every wire decoder is total on
+   corrupted input, address parsing round-trips, and the prefix trie
+   agrees with a naive longest-prefix-match scan. *)
 
 open Rf_openflow
 open Rf_packet
@@ -295,40 +295,83 @@ let codec_roundtrip =
       | Ok m' -> m' = m
       | Error e -> QCheck.Test.fail_reportf "decode error: %s" e)
 
-(* The framer must reassemble the same messages no matter how the byte
-   stream is segmented. *)
-let gen_framer_case =
-  let open G in
-  let* msgs = list_size (int_range 1 5) gen_msg in
-  let* cuts = list_size (int_range 0 8) (int_range 1 32) in
-  return (msgs, cuts)
+(* --- RPC envelope codec ---------------------------------------------- *)
 
-let framer_chunking =
-  prop "framer is segmentation-insensitive" gen_framer_case
-    (fun (msgs, cuts) ->
-      Printf.sprintf "%d msgs, cuts %s"
-        (List.length msgs)
-        (String.concat "," (List.map string_of_int cuts)))
-    (fun (msgs, cuts) ->
-      let stream = String.concat "" (List.map Of_codec.to_wire msgs) in
-      let framer = Of_codec.Framer.create () in
-      let decoded = ref [] in
-      let feed chunk =
-        match Of_codec.Framer.input framer chunk with
-        | Ok ms -> decoded := !decoded @ ms
-        | Error e -> QCheck.Test.fail_reportf "framing error: %s" e
-      in
-      let rec go pos cuts =
-        if pos < String.length stream then
-          match cuts with
-          | c :: rest ->
-              let len = min c (String.length stream - pos) in
-              feed (String.sub stream pos len);
-              go (pos + len) rest
-          | [] -> feed (String.sub stream pos (String.length stream - pos))
-      in
-      go 0 cuts;
-      !decoded = msgs && Of_codec.Framer.pending_bytes framer = 0)
+module Rpc_msg = Rf_rpc.Rpc_msg
+
+let gen_rpc_request =
+  let open G in
+  let gen_port = int_range 1 0xffff in
+  let gen_len = int_range 0 32 in
+  oneof
+    [
+      (let* dpid = ui64 in
+       let* n_ports = int_range 0 0xffff in
+       return (Rpc_msg.Switch_up { dpid; n_ports }));
+      map (fun dpid -> Rpc_msg.Switch_down { dpid }) ui64;
+      (let* a_dpid = ui64 in
+       let* a_port = gen_port in
+       let* a_ip = gen_ip in
+       let* a_prefix_len = gen_len in
+       let* b_dpid = ui64 in
+       let* b_port = gen_port in
+       let* b_ip = gen_ip in
+       let* b_prefix_len = gen_len in
+       return
+         (Rpc_msg.Link_up
+            {
+              a_dpid;
+              a_port;
+              a_ip;
+              a_prefix_len;
+              b_dpid;
+              b_port;
+              b_ip;
+              b_prefix_len;
+            }));
+      (let* a_dpid = ui64 in
+       let* a_port = gen_port in
+       let* b_dpid = ui64 in
+       let* b_port = gen_port in
+       return (Rpc_msg.Link_down { a_dpid; a_port; b_dpid; b_port }));
+      (let* dpid = ui64 in
+       let* port = gen_port in
+       let* gateway = gen_ip in
+       let* prefix_len = gen_len in
+       return (Rpc_msg.Edge_subnet { dpid; port; gateway; prefix_len }));
+    ]
+
+let gen_rpc_envelope =
+  let open G in
+  let* epoch = int32 in
+  let* seq = int32 in
+  let* body =
+    oneof
+      [
+        map (fun r -> Rpc_msg.Request r) gen_rpc_request;
+        (let* a_epoch = int32 in
+         let* a_cum = int32 in
+         let* a_seq = int32 in
+         return (Rpc_msg.Ack { a_epoch; a_cum; a_seq }));
+        return Rpc_msg.Ping;
+        return Rpc_msg.Pong;
+        return Rpc_msg.Sync_request;
+        map
+          (fun msgs -> Rpc_msg.Sync_snapshot msgs)
+          (list_size (int_range 0 20) gen_rpc_request);
+      ]
+  in
+  return { Rpc_msg.epoch; seq; body }
+
+let print_rpc_envelope (e : Rpc_msg.envelope) =
+  Format.asprintf "epoch=%ld seq=%ld %a" e.epoch e.seq Rpc_msg.pp_body e.body
+
+let rpc_codec_roundtrip =
+  prop "rpc envelope decode∘encode = id" gen_rpc_envelope print_rpc_envelope
+    (fun env ->
+      match Rpc_msg.of_wire (Rpc_msg.to_wire env) with
+      | Ok env' -> env' = env
+      | Error e -> QCheck.Test.fail_reportf "decode error: %s" e)
 
 (* --- decoders on corrupted input -------------------------------------- *)
 
@@ -374,7 +417,29 @@ let sample_frames =
                body = Router { links = [ link ] } } ]) );
   ]
 
-type wire_case = Frame of (string * string) | Msg of Of_msg.t
+(* BGP messages of each type a RouteFlow VM's bgpd exchanges. *)
+let sample_bgp =
+  let ip s = Option.get (Ipv4_addr.of_string s) in
+  let pfx s = Option.get (Ipv4_addr.Prefix.of_string s) in
+  Rf_routing.Bgp_msg.
+    [
+      Open { o_asn = 65001; o_hold_time = 90; o_router_id = ip "1.1.1.1" };
+      Keepalive;
+      Notification { code = 6; subcode = 0 };
+      Update
+        {
+          u_withdrawn = [ pfx "10.9.0.0/16" ];
+          u_as_path = [ 65001; 65002 ];
+          u_next_hop = Some (ip "172.16.0.1");
+          u_nlri = [ pfx "10.1.0.0/16"; pfx "10.2.4.0/24" ];
+        };
+    ]
+
+type wire_case =
+  | Frame of (string * string)
+  | Msg of Of_msg.t
+  | Rpc of Rpc_msg.envelope
+  | Bgp of Rf_routing.Bgp_msg.t
 
 (* 1-4 byte flips, then a 0-16 byte truncation. A flip XORs one bit,
    the low nibble (where IPv4 keeps its header length) or the whole
@@ -406,14 +471,20 @@ let gen_wire_case =
   let* case =
     frequency
       [ (1, map (fun f -> Frame f) (oneofl sample_frames));
-        (1, map (fun m -> Msg m) gen_msg) ]
+        (1, map (fun m -> Msg m) gen_msg);
+        (1, map (fun e -> Rpc e) gen_rpc_envelope);
+        (1, map (fun m -> Bgp m) (oneofl sample_bgp)) ]
   in
   let* c = gen_corruption in
   return (case, c)
 
 let print_wire_case (case, (flips, cut)) =
   Printf.sprintf "%s, flips [%s], cut %d"
-    (match case with Frame (name, _) -> name | Msg m -> print_msg m)
+    (match case with
+    | Frame (name, _) -> name
+    | Msg m -> print_msg m
+    | Rpc e -> print_rpc_envelope e
+    | Bgp m -> Format.asprintf "%a" Rf_routing.Bgp_msg.pp m)
     (String.concat "; "
        (List.map (fun (p, m) -> Printf.sprintf "%d^0x%02x" p m) flips))
     cut
@@ -434,11 +505,14 @@ let decoders_total =
       match case with
       | Frame (_, frame) -> total "Packet.parse" Packet.parse (corrupt frame c)
       | Msg m ->
-          let s = corrupt (Of_codec.to_wire m) c in
-          total "Of_codec.of_wire" Of_codec.of_wire s
-          && total "Framer.input"
-               (Of_codec.Framer.input (Of_codec.Framer.create ()))
-               s)
+          total "Of_codec.of_wire" Of_codec.of_wire
+            (corrupt (Of_codec.to_wire m) c)
+      | Rpc e ->
+          total "Rpc_msg.of_wire" Rpc_msg.of_wire
+            (corrupt (Rpc_msg.to_wire e) c)
+      | Bgp m ->
+          total "Bgp_msg.of_wire" Rf_routing.Bgp_msg.of_wire
+            (corrupt (Rf_routing.Bgp_msg.to_wire m) c))
 
 (* --- address round-trips --------------------------------------------- *)
 
@@ -515,86 +589,6 @@ let trie_vs_naive =
           | Some _, None | None, Some _ -> false)
         probes)
 
-(* --- RPC envelope codec ---------------------------------------------- *)
-
-module Rpc_msg = Rf_rpc.Rpc_msg
-
-let gen_rpc_request =
-  let open G in
-  let gen_port = int_range 1 0xffff in
-  let gen_len = int_range 0 32 in
-  oneof
-    [
-      (let* dpid = ui64 in
-       let* n_ports = int_range 0 0xffff in
-       return (Rpc_msg.Switch_up { dpid; n_ports }));
-      map (fun dpid -> Rpc_msg.Switch_down { dpid }) ui64;
-      (let* a_dpid = ui64 in
-       let* a_port = gen_port in
-       let* a_ip = gen_ip in
-       let* a_prefix_len = gen_len in
-       let* b_dpid = ui64 in
-       let* b_port = gen_port in
-       let* b_ip = gen_ip in
-       let* b_prefix_len = gen_len in
-       return
-         (Rpc_msg.Link_up
-            {
-              a_dpid;
-              a_port;
-              a_ip;
-              a_prefix_len;
-              b_dpid;
-              b_port;
-              b_ip;
-              b_prefix_len;
-            }));
-      (let* a_dpid = ui64 in
-       let* a_port = gen_port in
-       let* b_dpid = ui64 in
-       let* b_port = gen_port in
-       return (Rpc_msg.Link_down { a_dpid; a_port; b_dpid; b_port }));
-      (let* dpid = ui64 in
-       let* port = gen_port in
-       let* gateway = gen_ip in
-       let* prefix_len = gen_len in
-       return (Rpc_msg.Edge_subnet { dpid; port; gateway; prefix_len }));
-    ]
-
-let gen_rpc_envelope =
-  let open G in
-  let* epoch = int32 in
-  let* seq = int32 in
-  let* body =
-    oneof
-      [
-        map (fun r -> Rpc_msg.Request r) gen_rpc_request;
-        (let* a_epoch = int32 in
-         let* a_cum = int32 in
-         let* a_seq = int32 in
-         return (Rpc_msg.Ack { a_epoch; a_cum; a_seq }));
-        return Rpc_msg.Ping;
-        return Rpc_msg.Pong;
-        return Rpc_msg.Sync_request;
-        map
-          (fun msgs -> Rpc_msg.Sync_snapshot msgs)
-          (list_size (int_range 0 20) gen_rpc_request);
-      ]
-  in
-  return { Rpc_msg.epoch; seq; body }
-
-let print_rpc_envelope (e : Rpc_msg.envelope) =
-  Format.asprintf "epoch=%ld seq=%ld %a" e.epoch e.seq Rpc_msg.pp_body e.body
-
-let rpc_codec_roundtrip =
-  prop "rpc envelope decode∘encode = id" gen_rpc_envelope print_rpc_envelope
-    (fun env ->
-      let framer = Rpc_msg.Framer.create () in
-      match Rpc_msg.Framer.input framer (Rpc_msg.to_wire env) with
-      | Ok [ env' ] -> env' = env
-      | Ok l -> QCheck.Test.fail_reportf "expected 1 envelope, got %d" (List.length l)
-      | Error e -> QCheck.Test.fail_reportf "decode error: %s" e)
-
 (* --- RPC delivery: exactly once, in order, within an epoch ----------- *)
 
 (* An adversarial channel (seeded drops, duplicates, delays — delays
@@ -630,9 +624,7 @@ let rpc_exactly_once =
     gen_delivery_case print_delivery_case (fun c ->
       let engine = Rf_sim.Engine.create ~seed:c.dc_seed () in
       let client_end, server_end =
-        Rf_net.Channel.create engine
-          ~latency:(Rf_sim.Vtime.span_ms 5)
-          ~name:"rpc" ()
+        Rf_net.Channel.create engine ~latency:(Rf_sim.Vtime.span_ms 5) ()
       in
       let params =
         {
@@ -685,7 +677,6 @@ let rpc_exactly_once =
 let suite =
   [
     codec_roundtrip;
-    framer_chunking;
     decoders_total;
     rpc_codec_roundtrip;
     rpc_exactly_once;

@@ -241,6 +241,20 @@ let test_bgp_msg_roundtrips () =
       | Error e -> Alcotest.fail e)
     cases
 
+(* A channel delivers each message as one chunk, so the decoder insists
+   the header's length covers exactly the chunk. *)
+let test_bgp_msg_rejects_length_mismatch () =
+  let wire = Bgp_msg.to_wire Bgp_msg.Keepalive in
+  (match Bgp_msg.of_wire wire with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  (match Bgp_msg.of_wire (wire ^ "\x00") with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "accepted a trailing byte");
+  match Bgp_msg.of_wire (wire ^ wire) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "accepted two messages as one"
+
 (* Two BGP speakers over simulated channels. *)
 let bgp_pair engine asn1 asn2 =
   let rib1 = Rib.create () and rib2 = Rib.create () in
@@ -577,6 +591,8 @@ let suite =
     Alcotest.test_case "bgpd.conf roundtrip" `Quick test_bgpd_conf_roundtrip;
     Alcotest.test_case "config parser rejects garbage" `Quick test_conf_rejects_garbage;
     Alcotest.test_case "bgp message roundtrips" `Quick test_bgp_msg_roundtrips;
+    Alcotest.test_case "bgp decoder rejects a length mismatch" `Quick
+      test_bgp_msg_rejects_length_mismatch;
     Alcotest.test_case "bgp session establishes" `Quick test_bgp_session_establishes;
     Alcotest.test_case "bgp routes propagate with next-hop" `Quick
       test_bgp_routes_propagate;

@@ -1,4 +1,4 @@
-(* RPC layer tests: message codec, stream framing, acknowledgement,
+(* RPC layer tests: message codec, acknowledgement,
    retransmission with backoff, duplicate suppression, session epochs,
    crash/restart supervision and anti-entropy resynchronisation. *)
 
@@ -47,9 +47,8 @@ let test_codec_roundtrip () =
       let env =
         { Rpc_msg.epoch = 7l; seq = Int32.of_int (i + 1); body = Rpc_msg.Request msg }
       in
-      let framer = Rpc_msg.Framer.create () in
-      match Rpc_msg.Framer.input framer (Rpc_msg.to_wire env) with
-      | Ok [ env' ] ->
+      match Rpc_msg.of_wire (Rpc_msg.to_wire env) with
+      | Ok env' ->
           Alcotest.(check int32) "epoch" 7l env'.Rpc_msg.epoch;
           Alcotest.(check int32) "seq" (Int32.of_int (i + 1)) env'.Rpc_msg.seq;
           (match env'.Rpc_msg.body with
@@ -59,7 +58,6 @@ let test_codec_roundtrip () =
                   (Format.asprintf "mismatch: %a vs %a" Rpc_msg.pp msg Rpc_msg.pp
                      msg')
           | _ -> Alcotest.fail "wrong body")
-      | Ok _ -> Alcotest.fail "wrong count"
       | Error e -> Alcotest.fail e)
     sample_msgs
 
@@ -77,35 +75,14 @@ let test_supervision_codec_roundtrip () =
   List.iter
     (fun body ->
       let env = { Rpc_msg.epoch = 0xdeadbeefl; seq = 0l; body } in
-      let framer = Rpc_msg.Framer.create () in
-      match Rpc_msg.Framer.input framer (Rpc_msg.to_wire env) with
-      | Ok [ env' ] ->
+      match Rpc_msg.of_wire (Rpc_msg.to_wire env) with
+      | Ok env' ->
           if env' <> env then
             Alcotest.fail
               (Format.asprintf "mismatch: %a vs %a" Rpc_msg.pp_body body
                  Rpc_msg.pp_body env'.Rpc_msg.body)
-      | Ok _ -> Alcotest.fail "wrong count"
       | Error e -> Alcotest.fail e)
     bodies
-
-let test_framer_byte_by_byte () =
-  let stream =
-    String.concat ""
-      (List.mapi
-         (fun i m ->
-           Rpc_msg.to_wire
-             { Rpc_msg.epoch = 1l; seq = Int32.of_int (i + 1); body = Rpc_msg.Request m })
-         sample_msgs)
-  in
-  let framer = Rpc_msg.Framer.create () in
-  let count = ref 0 in
-  String.iter
-    (fun c ->
-      match Rpc_msg.Framer.input framer (String.make 1 c) with
-      | Ok envs -> count := !count + List.length envs
-      | Error e -> Alcotest.fail e)
-    stream;
-  Alcotest.(check int) "all reassembled" (List.length sample_msgs) !count
 
 let test_client_server_ack () =
   let engine = Engine.create () in
@@ -270,11 +247,45 @@ let test_seq_wraparound () =
   Alcotest.(check int) "no false duplicates" 0
     (Rpc_server.duplicates_dropped server)
 
-let test_framer_rejects_corrupt_length () =
-  let framer = Rpc_msg.Framer.create () in
-  match Rpc_msg.Framer.input framer "\x00\x00\x00\x01x" with
+let test_rejects_corrupt_length () =
+  (match Rpc_msg.of_wire "\x00\x00\x00\x01x" with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted absurd length"
+  | Ok _ -> Alcotest.fail "accepted absurd length");
+  (* A channel delivers each frame as one chunk, so the length prefix
+     must cover exactly the chunk. *)
+  let wire =
+    Rpc_msg.to_wire
+      {
+        Rpc_msg.epoch = 1l;
+        seq = 1l;
+        body = Rpc_msg.Request (List.hd sample_msgs);
+      }
+  in
+  (match Rpc_msg.of_wire (wire ^ "\x00") with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "accepted a trailing byte");
+  match Rpc_msg.of_wire (wire ^ wire) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "accepted two frames as one"
+
+(* A corrupt frame is a decode fault the server records and drops; the
+   session carries on, so later requests are handled without the client
+   retransmitting into a dead session. *)
+let test_corrupt_frame_costs_one_frame () =
+  let engine = Engine.create () in
+  let c_end, s_end = Channel.create engine () in
+  let client = Rpc_client.create engine c_end in
+  let server = Rpc_server.create engine s_end in
+  let send dpid = Rpc_client.send client (Rpc_msg.Switch_down { dpid }) in
+  send 1L;
+  ignore (Engine.run ~until:(Vtime.of_s 1.0) engine);
+  Alcotest.(check int) "first request acknowledged" 0
+    (Rpc_client.unacked client);
+  Channel.send c_end "\x00\x00\x00\x01x";
+  List.iter send [ 2L; 3L; 4L; 5L; 6L ];
+  ignore (Engine.run ~until:(Vtime.of_s 60.0) engine);
+  Alcotest.(check int) "all six handled" 6 (Rpc_server.requests_handled server);
+  Alcotest.(check int) "nothing unacked" 0 (Rpc_client.unacked client)
 
 let prop_link_up_roundtrip =
   QCheck.Test.make ~name:"link-up messages round-trip for arbitrary fields"
@@ -295,12 +306,11 @@ let prop_link_up_roundtrip =
             b_prefix_len = len;
           }
       in
-      let framer = Rpc_msg.Framer.create () in
       match
-        Rpc_msg.Framer.input framer
+        Rpc_msg.of_wire
           (Rpc_msg.to_wire { Rpc_msg.epoch = 1l; seq = 9l; body = Rpc_msg.Request msg })
       with
-      | Ok [ { Rpc_msg.body = Rpc_msg.Request msg'; _ } ] -> msg = msg'
+      | Ok { Rpc_msg.body = Rpc_msg.Request msg'; _ } -> msg = msg'
       | Ok _ | Error _ -> false)
 
 let suite =
@@ -309,8 +319,6 @@ let suite =
       test_codec_roundtrip;
     Alcotest.test_case "supervision message roundtrips" `Quick
       test_supervision_codec_roundtrip;
-    Alcotest.test_case "framer reassembles byte-by-byte" `Quick
-      test_framer_byte_by_byte;
     Alcotest.test_case "client/server ack flow" `Quick test_client_server_ack;
     Alcotest.test_case "retransmission and dedup" `Quick test_retransmit_and_dedup;
     Alcotest.test_case "ack cancels the retransmit timer" `Quick
@@ -328,6 +336,8 @@ let suite =
     Alcotest.test_case "sequence numbers survive int32 wraparound" `Quick
       test_seq_wraparound;
     Alcotest.test_case "framer rejects corrupt length" `Quick
-      test_framer_rejects_corrupt_length;
+      test_rejects_corrupt_length;
+    Alcotest.test_case "one corrupt frame costs one frame, not the session"
+      `Quick test_corrupt_frame_costs_one_frame;
     QCheck_alcotest.to_alcotest prop_link_up_roundtrip;
   ]
