@@ -1,7 +1,7 @@
 (* Microbenchmark harness: bechamel Test.make timings of the hot
    substrate operations (SPF, LPM, OF codec, flow-table lookup, LLDP
-   codec, LSA Fletcher checksum, RIB churn, telemetry, auditor, engine
-   dispatch). CI's perf gate diffs them against ci/bench-baseline.json.
+   codec, LSA Fletcher checksum, RIB churn, flow export, telemetry,
+   auditor, engine dispatch). CI's perf gate diffs them against ci/bench-baseline.json.
 
    The paper's experiments are not run here: `rfauto <experiment>`
    prints their tables, and bench/e2e times the workloads end to end.
@@ -75,6 +75,178 @@ let spf_fixture () =
   Array.iter Rf_routing.Ospfd.start routers;
   ignore (Rf_sim.Engine.run ~until:(Rf_sim.Vtime.of_s 60.) engine);
   routers.(0)
+
+(* Router 0 of a converged two-router OSPF pair, whose LSDB then gets
+   synthetic router LSAs extending the pair into an [n]-router path,
+   each router with its own stub subnet. Returns the daemon and a step
+   that alternately links a leaf router to the end of the path and
+   unlinks it, so each step changes one LSA at the far end of an
+   [n]-router tree. *)
+let leaf_join_fixture n =
+  let engine = Rf_sim.Engine.create () in
+  let rid i = Ipv4_addr.of_octets 10 254 (i / 256) (i mod 256) in
+  let daemon i =
+    let d =
+      Rf_routing.Ospfd.create engine
+        (Rf_routing.Ospfd.default_config ~router_id:(rid (i + 1)))
+        (Rf_routing.Rib.create ())
+    in
+    Rf_routing.Ospfd.add_interface d ~passive:true
+      (Rf_routing.Iface.create
+         ~name:(Printf.sprintf "stub%d" i)
+         ~mac:(Mac.make_local (9500 + i))
+         ~ip:(Ipv4_addr.of_octets 10 5 i 1)
+         ~prefix_len:24 ());
+    d
+  in
+  let d0 = daemon 0 and d1 = daemon 1 in
+  let a =
+    Rf_routing.Iface.create ~name:"p0" ~mac:(Mac.make_local 9600)
+      ~ip:(ip "172.22.0.1") ~prefix_len:30 ()
+  and b =
+    Rf_routing.Iface.create ~name:"p1" ~mac:(Mac.make_local 9601)
+      ~ip:(ip "172.22.0.2") ~prefix_len:30 ()
+  in
+  let wire x y =
+    Rf_routing.Iface.set_transmit x (fun f ->
+        ignore
+          (Rf_sim.Engine.schedule engine (Rf_sim.Vtime.span_ms 1) (fun () ->
+               Rf_routing.Iface.deliver y f)))
+  in
+  wire a b;
+  wire b a;
+  Rf_routing.Ospfd.add_interface d0 a;
+  Rf_routing.Ospfd.add_interface d1 b;
+  Rf_routing.Ospfd.start d0;
+  Rf_routing.Ospfd.start d1;
+  ignore (Rf_sim.Engine.run ~until:(Rf_sim.Vtime.of_s 60.) engine);
+  let p2p i metric =
+    {
+      Ospf_pkt.link_id = rid i;
+      link_data = rid i;
+      link_type = Ospf_pkt.Point_to_point;
+      metric;
+    }
+  in
+  let stub i =
+    {
+      Ospf_pkt.link_id = Ipv4_addr.of_octets 10 (6 + (i / 256)) (i mod 256) 0;
+      link_data = ip "255.255.255.0";
+      link_type = Ospf_pkt.Stub;
+      metric = 1;
+    }
+  in
+  let seq = ref (Int32.add Ospf_pkt.initial_seq 100l) in
+  let install i links =
+    seq := Int32.succ !seq;
+    Rf_routing.Ospfd.install_lsa d0
+      {
+        Ospf_pkt.age = 1;
+        options = 0x02;
+        link_state_id = rid i;
+        adv_router = rid i;
+        seq = !seq;
+        body = Ospf_pkt.Router { links };
+      }
+  in
+  (* Router 2 keeps its real LSA's links and gains the path. *)
+  let r2_links =
+    match
+      List.find
+        (fun (l : Ospf_pkt.lsa) -> Ipv4_addr.equal l.adv_router (rid 2))
+        (Rf_routing.Ospfd.lsdb d0)
+    with
+    | { Ospf_pkt.body = Ospf_pkt.Router { links }; _ } -> links
+    | _ -> failwith "leaf_join_fixture: no router LSA for router 2"
+  in
+  install 2 (p2p 3 10 :: r2_links);
+  for i = 3 to n - 1 do
+    install i [ p2p (i - 1) 10; p2p (i + 1) 10; stub i ]
+  done;
+  (* Router n ends the path; the leaf n + 1 links back to it. *)
+  let tail_links = [ p2p (n - 1) 10; stub n ] in
+  install n tail_links;
+  install (n + 1) [ p2p n 10; stub (n + 1) ];
+  ignore (Rf_routing.Ospfd.spf_now d0);
+  let joined = ref false in
+  fun () ->
+    joined := not !joined;
+    install n (if !joined then p2p (n + 1) 10 :: tail_links else tail_links);
+    ignore (Rf_routing.Ospfd.spf_now d0)
+
+(* A VM exporting 1,000 OSPF routes to an RF-controller app whose switch
+   is connected through a tap that drops flow-mods, so the step times
+   the export and the diff rather than the switch's table. Each step
+   moves one route between two resolved next hops and runs past the
+   export debounce: one flow delete plus one add. *)
+let flow_export_fixture () =
+  let engine = Rf_sim.Engine.create () in
+  let app =
+    Rf_routeflow.Rf_controller_app.create engine
+      (Rf_routeflow.Rf_vs.create engine)
+  in
+  let dp = Rf_net.Datapath.create engine ~dpid:1L ~n_ports:2 in
+  let app_end, tap_a = Rf_net.Channel.create engine () in
+  let tap_b, sw_end = Rf_net.Channel.create engine () in
+  let ofpt_flow_mod = 14 in
+  Rf_net.Channel.set_receiver tap_a (fun m ->
+      if Char.code m.[1] <> ofpt_flow_mod then Rf_net.Channel.send tap_b m);
+  Rf_net.Channel.set_receiver tap_b (Rf_net.Channel.send tap_a);
+  ignore (Rf_net.Of_agent.create engine dp sw_end);
+  Rf_routeflow.Rf_controller_app.attach app ~dpid:1L app_end;
+  let run_for s =
+    ignore
+      (Rf_sim.Engine.run
+         ~until:
+           (Rf_sim.Vtime.add (Rf_sim.Engine.now engine) (Rf_sim.Vtime.span_s s))
+         engine)
+  in
+  run_for 1.0;
+  let vm = Rf_routeflow.Vm.create engine ~dpid:1L ~n_ports:2 () in
+  Rf_routeflow.Vm.set_on_flows_changed vm (fun () ->
+      Rf_routeflow.Rf_controller_app.sync_flows app ~dpid:1L
+        (Rf_routeflow.Vm.flow_routes vm));
+  let eth1 = Rf_routeflow.Vm.nic vm 1 in
+  Rf_routing.Iface.set_transmit eth1 (fun _ -> ());
+  Rf_routing.Iface.set_transmit (Rf_routeflow.Vm.nic vm 2) (fun _ -> ());
+  (match
+     Rf_routeflow.Vm.apply_zebra_config vm
+       "hostname vm-1\npassword x\n!\ninterface eth1\n ip address \
+        172.16.0.1/24\n!\ninterface eth2\n ip address 172.16.1.1/24\n!\n"
+   with
+  | Ok () -> ()
+  | Error e -> failwith e);
+  let hop h = ip (Printf.sprintf "172.16.0.%d" h) in
+  List.iter
+    (fun h ->
+      let mac = Mac.make_local (9700 + h) in
+      Rf_routing.Iface.deliver eth1
+        (Packet.arp ~src:mac ~dst:(Rf_routing.Iface.mac eth1)
+           (Arp.reply ~sender_mac:mac ~sender_ip:(hop h)
+              ~target_mac:(Rf_routing.Iface.mac eth1)
+              ~target_ip:(ip "172.16.0.1"))))
+    [ 2; 3 ];
+  let route i h =
+    {
+      Rf_routing.Rib.r_prefix =
+        Ipv4_addr.Prefix.make (Ipv4_addr.of_octets 10 (i / 256) (i mod 256) 0) 24;
+      r_proto = Rf_routing.Rib.Ospf;
+      r_distance = 110;
+      r_metric = 20;
+      r_next_hop = Some (hop h);
+      r_iface = "eth1";
+    }
+  in
+  let rib = Rf_routeflow.Vm.rib vm in
+  for i = 0 to 999 do
+    Rf_routing.Rib.update rib (route i 2)
+  done;
+  run_for 1.0;
+  let flip = ref false in
+  fun () ->
+    flip := not !flip;
+    Rf_routing.Rib.update rib (route 500 (if !flip then 3 else 2));
+    run_for 0.02
 
 let trie_fixture () =
   let trie = Rf_routing.Prefix_trie.create () in
@@ -277,6 +449,12 @@ let micro_tests () =
       (Staged.stage (fun () ->
            flap_install ();
            ignore (Rf_routing.Ospfd.spf_now_full spf_daemon)));
+    Test.make ~name:"spf_incr_leaf_join_50"
+      (Staged.stage (leaf_join_fixture 50));
+    Test.make ~name:"spf_incr_leaf_join_250"
+      (Staged.stage (leaf_join_fixture 250));
+    Test.make ~name:"flow_export_1k_one_change"
+      (Staged.stage (flow_export_fixture ()));
     Test.make ~name:"lpm_lookup_10k_prefixes"
       (Staged.stage (fun () ->
            ignore (Rf_routing.Prefix_trie.lookup trie (ip "10.57.3.9"))));

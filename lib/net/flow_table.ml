@@ -38,8 +38,9 @@ type t = {
   mutable index : bucket list option;  (* None = stale, rebuilt lazily *)
 }
 (* Entries kept sorted by priority descending; stable within equal
-   priority (insertion order, i.e. [e_seq] ascending). Mutations
-   invalidate [index]; [lookup] rebuilds it on demand. *)
+   priority (insertion order, i.e. [e_seq] ascending). A plain add
+   updates [index] in place; other mutations invalidate it and
+   [lookup] rebuilds it on demand. *)
 
 let create ?(capacity = 65536) () =
   { entries = []; capacity; next_seq = 0; index = None }
@@ -132,33 +133,35 @@ let key_of_match (m : Of_match.t) =
     tp_dst = Option.value m.m_tp_dst ~default:0;
   }
 
+(* Enters [e] as its projected key's winner unless an entry already
+   there precedes it in table order (priority desc, seq asc); [e] is the
+   newest entry or, during a rebuild, visited in table order. Returns
+   the bucket list, extended when [e] opens a new signature. *)
+let index_add buckets e =
+  let mask = mask_of_match e.e_match in
+  let src = prefix_len e.e_match.Of_match.m_nw_src in
+  let dst = prefix_len e.e_match.Of_match.m_nw_dst in
+  let b, buckets =
+    match
+      List.find_opt
+        (fun b -> b.b_mask = mask && b.b_src = src && b.b_dst = dst)
+        buckets
+    with
+    | Some b -> (b, buckets)
+    | None ->
+        let b =
+          { b_mask = mask; b_src = src; b_dst = dst; b_tbl = Hashtbl.create 64 }
+        in
+        (b, b :: buckets)
+  in
+  let pk = key_of_match e.e_match in
+  (match Hashtbl.find_opt b.b_tbl pk with
+  | Some w when w.e_priority >= e.e_priority -> ()
+  | Some _ | None -> Hashtbl.replace b.b_tbl pk e);
+  buckets
+
 let rebuild t =
-  let buckets = ref [] in
-  (* [t.entries] is already (priority desc, seq asc): the first entry
-     stored for a projected key is the bucket's winner. *)
-  List.iter
-    (fun e ->
-      let mask = mask_of_match e.e_match in
-      let src = prefix_len e.e_match.Of_match.m_nw_src in
-      let dst = prefix_len e.e_match.Of_match.m_nw_dst in
-      let b =
-        match
-          List.find_opt
-            (fun b -> b.b_mask = mask && b.b_src = src && b.b_dst = dst)
-            !buckets
-        with
-        | Some b -> b
-        | None ->
-            let b =
-              { b_mask = mask; b_src = src; b_dst = dst; b_tbl = Hashtbl.create 64 }
-            in
-            buckets := b :: !buckets;
-            b
-      in
-      let pk = key_of_match e.e_match in
-      if not (Hashtbl.mem b.b_tbl pk) then Hashtbl.add b.b_tbl pk e)
-    t.entries;
-  let index = List.rev !buckets in
+  let index = List.fold_left index_add [] t.entries in
   t.index <- Some index;
   index
 
@@ -224,18 +227,25 @@ let matches_for_delete ~strict (fm : Of_msg.flow_mod) e =
   match_ok && out_port_ok
 
 let rec apply_flow_mod t ~now (fm : Of_msg.flow_mod) =
-  t.index <- None;
   match fm.fm_command with
   | Of_msg.Add ->
-      let identical e =
-        Of_match.equal fm.fm_match e.e_match && fm.fm_priority = e.e_priority
+      let replaced = ref false in
+      let without =
+        List.filter
+          (fun e ->
+            let identical =
+              Of_match.equal fm.fm_match e.e_match
+              && fm.fm_priority = e.e_priority
+            in
+            if identical then replaced := true;
+            not identical)
+          t.entries
       in
-      let without = List.filter (fun e -> not (identical e)) t.entries in
       if List.length without >= t.capacity then Error "all tables full"
       else begin
         t.entries <- without;
         t.next_seq <- t.next_seq + 1;
-        insert_sorted t
+        let entry =
           {
             e_match = fm.fm_match;
             e_priority = fm.fm_priority;
@@ -249,7 +259,16 @@ let rec apply_flow_mod t ~now (fm : Of_msg.flow_mod) =
             e_bytes = 0L;
             e_installed = now;
             e_last_used = now;
-          };
+          }
+        in
+        insert_sorted t entry;
+        (* The newest entry wins its projected key only on a strictly
+           higher priority. An entry it replaced may have been a winner,
+           so that case rebuilds. *)
+        (match t.index with
+        | Some index when not !replaced ->
+            t.index <- Some (index_add index entry)
+        | Some _ | None -> t.index <- None);
         Ok []
       end
   | Of_msg.Modify | Of_msg.Modify_strict ->
@@ -267,7 +286,10 @@ let rec apply_flow_mod t ~now (fm : Of_msg.flow_mod) =
             touched := true
           end)
         t.entries;
-      if !touched then Ok []
+      if !touched then begin
+        t.index <- None;
+        Ok []
+      end
       else
         (* OF 1.0: a modify that matches nothing behaves as an add. *)
         apply_flow_mod t ~now { fm with fm_command = Of_msg.Add }
@@ -277,6 +299,7 @@ let rec apply_flow_mod t ~now (fm : Of_msg.flow_mod) =
         List.partition (matches_for_delete ~strict fm) t.entries
       in
       t.entries <- kept;
+      if removed <> [] then t.index <- None;
       Ok removed
 
 let expire t ~now =

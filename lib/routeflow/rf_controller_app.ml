@@ -102,22 +102,29 @@ let sync_flows t ~dpid flows =
   match Hashtbl.find_opt t.switches dpid with
   | None -> ()
   | Some sw ->
-      let stale =
-        List.filter (fun f -> not (List.mem f flows)) sw.installed
+      let send ~add f =
+        t.flow_mods <- t.flow_mods + 1;
+        Of_conn.flow_mod sw.conn (flow_mod_of_route ~add f)
       in
-      let fresh =
-        List.filter (fun f -> not (List.mem f sw.installed)) flows
+      (* One merge over the two sorted lists: stale entries are deleted
+         as the walk meets them (installed order); fresh ones are
+         collected and added afterwards (exported order). *)
+      let rec diff installed exported fresh =
+        match (installed, exported) with
+        | [], rest -> List.rev_append fresh rest
+        | i :: is, [] ->
+            send ~add:false i;
+            diff is [] fresh
+        | i :: is, e :: es ->
+            let c = Vm.compare_flow i e in
+            if c = 0 then diff is es fresh
+            else if c < 0 then begin
+              send ~add:false i;
+              diff is exported fresh
+            end
+            else diff installed es (e :: fresh)
       in
-      List.iter
-        (fun f ->
-          t.flow_mods <- t.flow_mods + 1;
-          Of_conn.flow_mod sw.conn (flow_mod_of_route ~add:false f))
-        stale;
-      List.iter
-        (fun f ->
-          t.flow_mods <- t.flow_mods + 1;
-          Of_conn.flow_mod sw.conn (flow_mod_of_route ~add:true f))
-        fresh;
+      List.iter (send ~add:true) (diff sw.installed flows []);
       sw.installed <- flows
 
 (* Failover reassignment: flip every switch session's OpenFlow role.

@@ -21,8 +21,11 @@ val connected_switches : t -> int64 list
 
 val sync_flows : t -> dpid:int64 -> Vm.flow_route list -> unit
 (** Diffs against what is already installed: deletes stale entries
-    (strict), adds new ones. Route-prefix priority grows with prefix
-    length so host routes beat subnet routes. *)
+    (strict) in installed order, then adds new ones in the given order.
+    The list must be sorted and duplicate-free under {!Vm.compare_flow},
+    as {!Vm.flow_routes} returns it; the diff is one merge of the two
+    sorted lists. Route-prefix priority grows with prefix length so
+    host routes beat subnet routes. *)
 
 val set_master : t -> bool -> unit
 (** Cluster failover hook: flips every switch session's OpenFlow role

@@ -27,7 +27,18 @@ type t = {
   configs : (string, string) Hashtbl.t;
   mutable ospf_enabled : string list;  (** NIC names already under OSPF *)
   mutable rip_enabled : string list;
-  mutable last_flows : flow_route list;
+  mutable last_flows : flow_route list;  (** sorted by [compare_flow] *)
+  (* What the next export recomputes: the prefixes the RIB reported
+     since the last export, those whose next hop still awaited ARP at
+     it, and those resolved through another route. [export_all] asks
+     for every prefix instead: set when the ARP table, a NIC address or
+     a connected route changes, since connected flows come from ARP
+     entries. *)
+  rib_changed : (Ipv4_addr.Prefix.t, unit) Hashtbl.t;
+  unresolved : (Ipv4_addr.Prefix.t, unit) Hashtbl.t;
+  recursive : (Ipv4_addr.Prefix.t, unit) Hashtbl.t;
+  connected : (Ipv4_addr.Prefix.t, unit) Hashtbl.t;
+  mutable export_all : bool;
   mutable on_flows_changed : unit -> unit;
   mutable flow_listeners : (unit -> unit) list;  (** extra observers *)
   mutable flows_dirty : bool;
@@ -70,10 +81,22 @@ let config_file t name = Hashtbl.find_opt t.configs name
 
 (* --- flow export --------------------------------------------------- *)
 
+(* Exports keep the records of unchanged flows, so the diff against the
+   installed list mostly meets physically equal pairs. *)
 let compare_flow a b =
-  match Ipv4_addr.Prefix.compare a.fr_prefix b.fr_prefix with
-  | 0 -> Stdlib.compare (a.fr_port, a.fr_src_mac, a.fr_dst_mac) (b.fr_port, b.fr_src_mac, b.fr_dst_mac)
-  | c -> c
+  if a == b then 0
+  else
+    match Ipv4_addr.Prefix.compare a.fr_prefix b.fr_prefix with
+    | 0 -> (
+        match Int.compare a.fr_port b.fr_port with
+        | 0 -> (
+            match Mac.compare a.fr_src_mac b.fr_src_mac with
+            | 0 -> Mac.compare a.fr_dst_mac b.fr_dst_mac
+            | c -> c)
+        | c -> c)
+    | c -> c
+
+let same_flow a b = compare_flow a b = 0
 
 let port_of_iface_name t name =
   let result = ref None in
@@ -90,14 +113,17 @@ let send_arp_request t port target =
          (Arp.request ~sender_mac:(Iface.mac ifc) ~sender_ip:(Iface.ip ifc)
             ~target_ip:target))
 
-(* Resolve a route to (output port, next-hop address). Routes without
-   an interface (statics) resolve recursively through the connected
-   route covering their next hop, as zebra does. *)
+(* Routes without an interface (statics) resolve recursively through
+   the connected route covering their next hop, as zebra does. *)
+let is_recursive (r : Rib.route) =
+  Option.is_some r.Rib.r_next_hop && String.equal r.Rib.r_iface ""
+
+(* Resolve a route to (output port, next-hop address). *)
 let resolve_route t (r : Rib.route) =
   match r.Rib.r_next_hop with
   | None -> Option.map (fun p -> (p, None)) (port_of_iface_name t r.Rib.r_iface)
   | Some nh -> (
-      if not (String.equal r.Rib.r_iface "") then
+      if not (is_recursive r) then
         Option.map (fun p -> (p, Some nh)) (port_of_iface_name t r.Rib.r_iface)
       else
         match Rib.lookup (rib t) nh with
@@ -105,51 +131,126 @@ let resolve_route t (r : Rib.route) =
             Option.map (fun p -> (p, Some nh)) (port_of_iface_name t r_iface)
         | Some _ | None -> None)
 
-let compute_flows t =
-  let flows = ref [] in
-  let add fr = flows := fr :: !flows in
-  List.iter
-    (fun (r : Rib.route) ->
-      match r.r_proto with
-      | Rib.Connected -> (
-          match port_of_iface_name t r.r_iface with
-          | None -> ()
-          | Some port ->
-              let ifc = nic t port in
-              Hashtbl.iter
-                (fun (p, ip) mac ->
-                  if
-                    p = port
-                    && Ipv4_addr.Prefix.mem ip r.r_prefix
-                    && not (Ipv4_addr.equal ip (Iface.ip ifc))
-                  then
-                    add
-                      {
-                        fr_prefix = Ipv4_addr.Prefix.make ip 32;
-                        fr_port = port;
-                        fr_src_mac = Iface.mac ifc;
-                        fr_dst_mac = mac;
-                      })
-                t.arp)
-      | Rib.Static | Rib.Ospf | Rib.Rip | Rib.Bgp -> (
-          match resolve_route t r with
-          | Some (port, Some nh) -> (
-              match Hashtbl.find_opt t.arp (port, nh) with
-              | Some mac ->
-                  add
-                    {
-                      fr_prefix = r.r_prefix;
-                      fr_port = port;
-                      fr_src_mac = Iface.mac (nic t port);
-                      fr_dst_mac = mac;
-                    }
-              | None ->
-                  (* Resolve the next hop over the virtual link; the
-                     export re-runs when the reply is learned. *)
-                  send_arp_request t port nh)
-          | Some (_, None) | None -> ()))
-    (Rib.selected (rib t));
-  List.sort_uniq compare_flow !flows
+(* The flows one selected route contributes, consed onto [acc]: one
+   host flow per ARP entry on a connected subnet, else one flow toward
+   the resolved next hop. A next hop without an ARP entry contributes
+   nothing yet: it is asked for over the virtual link (the export
+   re-runs when the reply is learned) and its prefix noted in
+   [unresolved]. *)
+let add_route_flows t acc (r : Rib.route) =
+  match r.r_proto with
+  | Rib.Connected -> (
+      match port_of_iface_name t r.r_iface with
+      | None -> acc
+      | Some port ->
+          let ifc = nic t port in
+          Hashtbl.fold
+            (fun (p, ip) mac acc ->
+              if
+                p = port
+                && Ipv4_addr.Prefix.mem ip r.r_prefix
+                && not (Ipv4_addr.equal ip (Iface.ip ifc))
+              then
+                {
+                  fr_prefix = Ipv4_addr.Prefix.make ip 32;
+                  fr_port = port;
+                  fr_src_mac = Iface.mac ifc;
+                  fr_dst_mac = mac;
+                }
+                :: acc
+              else acc)
+            t.arp acc)
+  | Rib.Static | Rib.Ospf | Rib.Rip | Rib.Bgp -> (
+      match resolve_route t r with
+      | Some (port, Some nh) -> (
+          match Hashtbl.find_opt t.arp (port, nh) with
+          | Some mac ->
+              {
+                fr_prefix = r.r_prefix;
+                fr_port = port;
+                fr_src_mac = Iface.mac (nic t port);
+                fr_dst_mac = mac;
+              }
+              :: acc
+          | None ->
+              Hashtbl.replace t.unresolved r.r_prefix ();
+              send_arp_request t port nh;
+              acc)
+      | Some (_, None) | None -> acc)
+
+(* The flows of [olds] whose prefix is in [ps] (sorted, distinct), in
+   order. *)
+let rec flows_within olds ps =
+  match (olds, ps) with
+  | [], _ | _, [] -> []
+  | f :: fs, p :: ps' ->
+      let c = Ipv4_addr.Prefix.compare f.fr_prefix p in
+      if c < 0 then flows_within fs ps
+      else if c > 0 then flows_within olds ps'
+      else f :: flows_within fs ps
+
+(* [olds] with the flows of prefixes [ps] replaced by [fresh], whose
+   prefixes all lie in [ps]; all three sorted. The tail after the last
+   replaced prefix is shared, not copied. *)
+let rec splice olds ps fresh =
+  match (olds, ps, fresh) with
+  | _, [], [] -> olds
+  | [], _, _ -> fresh
+  | f :: fs, p :: ps', _ when Ipv4_addr.Prefix.compare p f.fr_prefix <= 0 ->
+      if Ipv4_addr.Prefix.equal p f.fr_prefix then splice fs ps fresh
+      else splice olds ps' fresh
+  | f :: fs, _, n :: ns ->
+      if compare_flow n f < 0 then n :: splice olds ps ns
+      else f :: splice fs ps fresh
+  | f :: fs, _, [] -> f :: splice fs ps fresh
+
+(* One export: recompute the flows of the prefixes that can have
+   changed (every prefix when [export_all], or when one of them is a
+   host route that a connected subnet's host flow could share) and
+   splice them into [last_flows]. Routes outside that set read only
+   inputs that did not change — their own route, the ARP table and the
+   NIC addresses — so their flows stand. ARP requests go out for every
+   unresolved next hop in prefix order, exactly as a full recompute
+   sends them. *)
+let export_flows t =
+  let prefixes = Hashtbl.create 16 in
+  let add p () = Hashtbl.replace prefixes p () in
+  Hashtbl.iter add t.rib_changed;
+  Hashtbl.iter add t.unresolved;
+  Hashtbl.iter add t.recursive;
+  let all =
+    t.export_all
+    || Hashtbl.fold
+         (fun p () acc -> acc || Ipv4_addr.Prefix.length p = 32)
+         prefixes false
+  in
+  Hashtbl.reset t.rib_changed;
+  Hashtbl.reset t.unresolved;
+  t.export_all <- false;
+  if all then begin
+    let flows =
+      List.sort_uniq compare_flow
+        (List.fold_left (add_route_flows t) [] (Rib.selected (rib t)))
+    in
+    if List.equal same_flow flows t.last_flows then None else Some flows
+  end
+  else begin
+    let ps =
+      Hashtbl.fold (fun p () acc -> p :: acc) prefixes []
+      |> List.sort Ipv4_addr.Prefix.compare
+    in
+    let fresh =
+      List.fold_left
+        (fun acc p ->
+          match Rib.best (rib t) p with
+          | Some r -> add_route_flows t acc r
+          | None -> acc)
+        [] ps
+      |> List.sort compare_flow
+    in
+    if List.equal same_flow fresh (flows_within t.last_flows ps) then None
+    else Some (splice t.last_flows ps fresh)
+  end
 
 let refresh_flows t =
   if not t.flows_dirty then begin
@@ -159,14 +260,36 @@ let refresh_flows t =
       (Rf_sim.Engine.schedule ~entity:t.entity t.engine
          (Rf_sim.Vtime.span_ms 10) (fun () ->
            t.flows_dirty <- false;
-           let flows = compute_flows t in
-           if flows <> t.last_flows then begin
-             t.last_flows <- flows;
-             Rf_obs.Metrics.incr t.m_flow_exports;
-             t.on_flows_changed ();
-             List.iter (fun f -> f ()) (List.rev t.flow_listeners)
-           end))
+           match export_flows t with
+           | None -> ()
+           | Some flows ->
+               t.last_flows <- flows;
+               Rf_obs.Metrics.incr t.m_flow_exports;
+               t.on_flows_changed ();
+               List.iter (fun f -> f ()) (List.rev t.flow_listeners)))
   end
+
+(* RIB listener: note the prefix for the next export. A connected
+   route, before or after, changes host flows under other prefixes. *)
+let note_route t ev =
+  let p =
+    match ev with
+    | Rib.Best_added r | Rib.Best_changed r -> r.Rib.r_prefix
+    | Rib.Best_removed p -> p
+  in
+  if Hashtbl.mem t.connected p then t.export_all <- true;
+  Hashtbl.remove t.connected p;
+  Hashtbl.remove t.recursive p;
+  (match ev with
+  | Rib.Best_added r | Rib.Best_changed r ->
+      if r.Rib.r_proto = Rib.Connected then begin
+        Hashtbl.replace t.connected p ();
+        t.export_all <- true
+      end
+      else if is_recursive r then Hashtbl.replace t.recursive p ()
+  | Rib.Best_removed _ -> ());
+  Hashtbl.replace t.rib_changed p ();
+  refresh_flows t
 
 let flow_routes t = t.last_flows
 
@@ -189,6 +312,7 @@ let learn t port ip mac =
     Hashtbl.remove t.arp_probing key;
     if known <> Some mac then begin
       Hashtbl.replace t.arp key mac;
+      t.export_all <- true;
       refresh_flows t
     end;
     match Hashtbl.find_opt t.pending key with
@@ -318,6 +442,11 @@ let create engine ~dpid ~n_ports () =
       ospf_enabled = [];
       rip_enabled = [];
       last_flows = [];
+      rib_changed = Hashtbl.create 16;
+      unresolved = Hashtbl.create 8;
+      recursive = Hashtbl.create 4;
+      connected = Hashtbl.create 8;
+      export_all = false;
       on_flows_changed = (fun () -> ());
       flow_listeners = [];
       flows_dirty = false;
@@ -336,9 +465,11 @@ let create engine ~dpid ~n_ports () =
   Array.iteri
     (fun i ifc ->
       Zebra.add_interface t.zebra ifc;
-      Iface.add_receiver ifc (handle_frame t (i + 1)))
+      Iface.add_receiver ifc (handle_frame t (i + 1));
+      (* Host flows skip the NIC's own address. *)
+      Iface.add_address_listener ifc (fun () -> t.export_all <- true))
     nics;
-  Rib.add_listener (rib t) (fun _ -> refresh_flows t);
+  Rib.add_listener (rib t) (note_route t);
   (* Neighbour aging, Linux-style: entries unconfirmed for 300 s are
      probed (3 unicast-equivalent ARP requests); only unanswered probes
      remove the entry, so healthy next hops never cause flow churn. *)
@@ -365,6 +496,7 @@ let create engine ~dpid ~n_ports () =
                    Hashtbl.remove t.arp_probing key;
                    Hashtbl.remove t.arp key;
                    Hashtbl.remove t.arp_confirmed key;
+                   t.export_all <- true;
                    refresh_flows t
                | Some n ->
                    Hashtbl.replace t.arp_probing key (n - 1);

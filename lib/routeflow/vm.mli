@@ -78,9 +78,24 @@ type flow_route = {
   fr_dst_mac : Mac.t;  (** next hop or host MAC *)
 }
 
+val compare_flow : flow_route -> flow_route -> int
+(** Total order on flow routes: prefix, then port, source MAC and
+    destination MAC. Zero exactly when the two are equal. *)
+
 val flow_routes : t -> flow_route list
 (** The routes currently resolvable to a (port, MAC) pair — the set the
-    RF-client wants installed on the physical switch, sorted. *)
+    RF-client wants installed on the physical switch — sorted and
+    duplicate-free under {!compare_flow}.
+
+    Exports are debounced (10 ms after the first change) and cost what
+    changed: an export recomputes only the prefixes the RIB reported
+    since the last one, plus those whose next hop still awaits ARP
+    (their ARP requests are re-sent each export) and statics resolved
+    through another route, and splices their flows into the previous
+    list. A change to the ARP table, a NIC address or a connected
+    route (whose host flows come from ARP entries), or a changed host
+    route, recomputes every prefix. Either way the result, and the ARP
+    requests sent, equal a full recompute over {!Rib.selected}. *)
 
 val set_on_flows_changed : t -> (unit -> unit) -> unit
 (** The single RF-client slot (consumed by {!Rf_system}); replaces any

@@ -48,6 +48,8 @@ type neighbor = {
   mutable n_rxmt_timer : Rf_sim.Engine.timer option;
 }
 
+module Routes = Map.Make (Int)
+
 type t = {
   engine : Rf_sim.Engine.t;
   entity : Rf_obs.Profiler.entity option;
@@ -62,16 +64,28 @@ type t = {
      drives the incremental recomputation. *)
   spf_dirty : (Ipv4_addr.t, unit) Hashtbl.t;
   (* Parsed stub links per advertising router — prefix, packed prefix
-     key, link metric — invalidated with the LSA, so route publication
-     does not re-derive masks and prefixes from unchanged LSAs every
-     run. *)
+     key, link metric — refreshed when the router's LSA changes, so
+     route publication does not re-derive masks and prefixes from
+     unchanged LSAs every run. *)
   stub_cache : (Ipv4_addr.t, (Ipv4_addr.Prefix.t * int * int) array) Hashtbl.t;
+  (* Prefix key -> routers whose cached stub links list it: the
+     inverse of [stub_cache], so a publication recomputes one prefix
+     from its advertisers alone. *)
+  advertisers : (int, Ipv4_addr.t list) Hashtbl.t;
   mutable my_seq : int32;
   mutable spf_scheduled : bool;
   mutable spf_count : int;
   mutable started : bool;
   mutable timers : Rf_sim.Engine.timer list;
-  mutable last_routes : Rib.route list;
+  (* The OSPF routes in the RIB, by prefix key, and their number. *)
+  mutable published : Rib.route Routes.t;
+  mutable n_published : int;
+  (* What every route also depends on besides the tree and the stub
+     links, as of the last publication: (router id, address, interface)
+     of each Full neighbour, and the keys of our own prefixes. A change
+     in either forces a full publication. *)
+  mutable hops : (Ipv4_addr.t * Ipv4_addr.t * string) list;
+  mutable own_keys : int list;
   mutable on_route_change : unit -> unit;
   m_spf : Rf_obs.Metrics.counter;
   m_hellos : Rf_obs.Metrics.counter;
@@ -94,12 +108,16 @@ let create engine ?entity cfg rib =
     graph = Spf.graph_create ();
     spf_dirty = Hashtbl.create 16;
     stub_cache = Hashtbl.create 64;
+    advertisers = Hashtbl.create 64;
     my_seq = Ospf_pkt.initial_seq;
     spf_scheduled = false;
     spf_count = 0;
     started = false;
     timers = [];
-    last_routes = [];
+    published = Routes.empty;
+    n_published = 0;
+    hops = [];
+    own_keys = [];
     on_route_change = (fun () -> ());
     m_spf =
       Rf_obs.Metrics.counter
@@ -235,9 +253,7 @@ let refresh_graph_node t rid =
   | Some lsa -> Spf.graph_set_links t.graph rid (p2p_pairs lsa)
   | None -> Spf.graph_remove t.graph rid
 
-let mark_dirty t rid =
-  Hashtbl.replace t.spf_dirty rid ();
-  Hashtbl.remove t.stub_cache rid
+let mark_dirty t rid = Hashtbl.replace t.spf_dirty rid ()
 
 (* Set bits of the 32-bit netmask (SWAR popcount, replacing a 32-step
    shift loop on the route-build hot path). *)
@@ -249,14 +265,16 @@ let mask_len_of m =
   ((v * 0x01010101) land 0xFFFFFFFF) lsr 24
 
 (* A prefix as a plain int, ordered exactly like [Prefix.compare]
-   (signed 32-bit network address, then length): cheap hash key and
-   sort/merge comparand on the route-publication path. *)
+   (unsigned 32-bit network address, then length): cheap hash key and
+   sort key on the route-publication path. *)
 let prefix_key p =
-  (Int32.to_int (Ipv4_addr.to_int32 (Ipv4_addr.Prefix.network p)) lsl 6)
+  ((Int32.to_int (Ipv4_addr.to_int32 (Ipv4_addr.Prefix.network p))
+   land 0xFFFFFFFF)
+  lsl 6)
   lor Ipv4_addr.Prefix.length p
 
 (* Stub links of [rid]'s router LSA as (prefix, key, metric) triples,
-   parsed once per LSA generation. *)
+   parsed once per LSA generation and entered into [advertisers]. *)
 let stub_links_of t rid =
   match Hashtbl.find_opt t.stub_cache rid with
   | Some a -> a
@@ -279,7 +297,49 @@ let stub_links_of t rid =
         | Some _ | None -> [||]
       in
       Hashtbl.add t.stub_cache rid a;
+      Array.iter
+        (fun (_, k, _) ->
+          let advs =
+            Option.value (Hashtbl.find_opt t.advertisers k) ~default:[]
+          in
+          if not (List.exists (Ipv4_addr.equal rid) advs) then
+            Hashtbl.replace t.advertisers k (rid :: advs))
+        a;
       a
+
+(* Drops [rid]'s cached stub links, adding their keys to [affected]. *)
+let forget_stub_links t rid affected =
+  match Hashtbl.find_opt t.stub_cache rid with
+  | None -> ()
+  | Some a ->
+      Hashtbl.remove t.stub_cache rid;
+      Array.iter
+        (fun (_, k, _) ->
+          Hashtbl.replace affected k ();
+          match Hashtbl.find_opt t.advertisers k with
+          | Some advs -> (
+              match List.filter (fun r -> not (Ipv4_addr.equal r rid)) advs with
+              | [] -> Hashtbl.remove t.advertisers k
+              | rest -> Hashtbl.replace t.advertisers k rest)
+          | None -> ())
+        a
+
+(* Takes the routers whose LSAs changed since the last run, refreshing
+   their graph nodes and stub links. Returns them with the prefix keys
+   their old and new stub links cover. *)
+let take_dirty t =
+  let dirty = Hashtbl.fold (fun rid () acc -> rid :: acc) t.spf_dirty [] in
+  Hashtbl.reset t.spf_dirty;
+  let affected = Hashtbl.create 16 in
+  List.iter
+    (fun rid ->
+      refresh_graph_node t rid;
+      forget_stub_links t rid affected;
+      Array.iter
+        (fun (_, k, _) -> Hashtbl.replace affected k ())
+        (stub_links_of t rid))
+    dirty;
+  (dirty, affected)
 
 (* Everything but the prefix (equal by construction at comparison
    sites): cheap field-wise check replacing polymorphic equality. *)
@@ -293,10 +353,37 @@ let route_same (a : Rib.route) (b : Rib.route) =
   && String.equal a.Rib.r_iface b.Rib.r_iface
   && a.Rib.r_proto = b.Rib.r_proto
 
-(* Build OSPF routes from remote routers' stub links, using the SPT
-   held in [t.spf]. Equal-cost prefix candidates break ties on the
-   advertising router id so the result is independent of hash order. *)
-let publish_routes t =
+let full_hops t =
+  Hashtbl.fold
+    (fun rid n acc ->
+      if n.n_state = Full then (rid, n.n_addr, Iface.name n.n_oiface.ifc) :: acc
+      else acc)
+    t.nbr_tbl []
+  |> List.sort (fun (a, _, _) (b, _, _) -> Ipv4_addr.compare a b)
+
+let same_hops =
+  List.equal (fun (r, a, i) (r', a', i') ->
+      Ipv4_addr.equal r r' && Ipv4_addr.equal a a' && String.equal i i')
+
+(* Publish OSPF routes from remote routers' stub links, using the SPT
+   held in [t.spf]. [changed] is [Some routers] after a repaired tree:
+   only the prefixes in [affected] and those advertised by [routers]
+   are recomputed, from their advertisers alone. [None] (a full SPF
+   run) recomputes every prefix. Equal-cost prefix candidates break
+   ties on the advertising router id, so the result is independent of
+   hash and advertiser order. *)
+let publish_routes t ~changed affected =
+  let hops = full_hops t in
+  let own_keys =
+    List.map (fun oif -> prefix_key (Iface.prefix oif.ifc)) t.ifaces
+  in
+  let changed =
+    if same_hops hops t.hops && List.equal Int.equal own_keys t.own_keys then
+      changed
+    else None
+  in
+  t.hops <- hops;
+  t.own_keys <- own_keys;
   let candidates : (int, Rib.route * Ipv4_addr.t) Hashtbl.t =
     Hashtbl.create 64
   in
@@ -318,12 +405,12 @@ let publish_routes t =
       info
     end
   in
-  Spf.iter t.spf (fun rid d hop ->
-      match hop_info hop with
-      | Some (next_hop, iface) ->
-          let stubs = stub_links_of t rid in
-          Array.iter
-            (fun (prefix, pkey, link_metric) ->
+  let offer ~wanted rid d hop =
+    match hop_info hop with
+    | Some (next_hop, iface) ->
+        Array.iter
+          (fun (prefix, pkey, link_metric) ->
+            if wanted pkey then begin
               let metric = d + link_metric in
               let better =
                 match Hashtbl.find_opt candidates pkey with
@@ -343,64 +430,99 @@ let publish_routes t =
                       r_next_hop = next_hop;
                       r_iface = iface;
                     },
-                    rid ))
-            stubs
-      | None -> ());
-  (* Drop prefixes we own directly: connected wins anyway, but keeping
-     them out of the OSPF table matches Quagga. *)
-  let own_keys =
-    List.map (fun oif -> prefix_key (Iface.prefix oif.ifc)) t.ifaces
+                    rid )
+            end)
+          (stub_links_of t rid)
+    | None -> ()
   in
-  let routes =
+  (match changed with
+  | None -> Spf.iter t.spf (offer ~wanted:(fun _ -> true))
+  | Some routers ->
+      List.iter
+        (fun rid ->
+          Array.iter
+            (fun (_, k, _) -> Hashtbl.replace affected k ())
+            (stub_links_of t rid))
+        routers;
+      let seen = Hashtbl.create 16 in
+      Hashtbl.iter
+        (fun k () ->
+          List.iter
+            (fun rid ->
+              if not (Hashtbl.mem seen rid) then begin
+                Hashtbl.add seen rid ();
+                match (Spf.dist t.spf rid, Spf.first_hop t.spf rid) with
+                | Some d, Some hop ->
+                    offer ~wanted:(Hashtbl.mem affected) rid d hop
+                | (Some _ | None), _ -> ()
+              end)
+            (Option.value (Hashtbl.find_opt t.advertisers k) ~default:[]))
+        affected);
+  (* Prefixes we own directly are left out: connected wins anyway, but
+     keeping them out of the OSPF table matches Quagga. *)
+  let by_key (a, _) (b, _) = Int.compare a b in
+  let fresh =
     Hashtbl.fold
-      (fun pkey (route, _) acc ->
-        if List.exists (fun (k : int) -> k = pkey) own_keys then acc
-        else (pkey, route) :: acc)
+      (fun k (route, _) acc ->
+        if List.exists (Int.equal k) own_keys then acc else (k, route) :: acc)
       candidates []
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-    |> List.map snd
+    |> List.sort by_key
   in
-  (* Publish as a sorted-merge diff against the previous run: only
-     prefixes whose best route actually moved touch the RIB trie.
-     [last_routes] mirrors the RIB's OSPF content exactly (emptied in
-     [stop] alongside the wholesale withdraw), so this is equivalent
-     to [Rib.replace_proto] at a fraction of the cost on the hot
-     steady-state path where most routes are unchanged. *)
-  let changed = ref false in
+  let olds =
+    match changed with
+    | None -> Routes.bindings t.published
+    | Some _ ->
+        Hashtbl.fold
+          (fun k () acc ->
+            match Routes.find_opt k t.published with
+            | Some r -> (k, r) :: acc
+            | None -> acc)
+          affected []
+        |> List.sort by_key
+  in
+  (* Publish as a sorted-merge diff against what was published for the
+     recomputed prefixes: only prefixes whose best route actually moved
+     touch the RIB trie. [published] mirrors the RIB's OSPF content
+     exactly (emptied in [stop] alongside the wholesale withdraw), so
+     this is equivalent to [Rib.replace_proto]. *)
+  let route_changed = ref false in
+  let withdraw k (o : Rib.route) =
+    Rib.withdraw t.rib Rib.Ospf o.r_prefix;
+    t.published <- Routes.remove k t.published;
+    t.n_published <- t.n_published - 1;
+    route_changed := true
+  in
+  let update ~added k n =
+    Rib.update t.rib n;
+    t.published <- Routes.add k n t.published;
+    if added then t.n_published <- t.n_published + 1;
+    route_changed := true
+  in
   let rec merge olds news =
     match (olds, news) with
     | [], [] -> ()
-    | o :: os, [] ->
-        Rib.withdraw t.rib Rib.Ospf o.Rib.r_prefix;
-        changed := true;
+    | (k, o) :: os, [] ->
+        withdraw k o;
         merge os []
-    | [], n :: ns ->
-        Rib.update t.rib n;
-        changed := true;
+    | [], (k, n) :: ns ->
+        update ~added:true k n;
         merge [] ns
-    | o :: os, n :: ns ->
-        let c = Ipv4_addr.Prefix.compare o.Rib.r_prefix n.Rib.r_prefix in
-        if c < 0 then begin
-          Rib.withdraw t.rib Rib.Ospf o.Rib.r_prefix;
-          changed := true;
+    | (ko, o) :: os, (kn, n) :: ns ->
+        if ko < kn then begin
+          withdraw ko o;
           merge os news
         end
-        else if c > 0 then begin
-          Rib.update t.rib n;
-          changed := true;
+        else if ko > kn then begin
+          update ~added:true kn n;
           merge olds ns
         end
         else begin
-          if not (route_same o n) then begin
-            Rib.update t.rib n;
-            changed := true
-          end;
+          if not (route_same o n) then update ~added:false kn n;
           merge os ns
         end
   in
-  merge t.last_routes routes;
-  t.last_routes <- routes;
-  if !changed then t.on_route_change ()
+  merge olds fresh;
+  if !route_changed then t.on_route_change ()
 
 let rec schedule_spf t =
   if not t.spf_scheduled then begin
@@ -414,31 +536,34 @@ and run_spf t =
   Rf_obs.Metrics.incr t.m_spf;
   t.spf_scheduled <- false;
   t.spf_count <- t.spf_count + 1;
-  (* Incremental SPF: refresh the adjacency cache for the routers whose
-     LSAs changed, then repair only the affected part of the tree. *)
-  let dirty = Hashtbl.fold (fun rid () acc -> rid :: acc) t.spf_dirty [] in
-  Hashtbl.reset t.spf_dirty;
-  List.iter (refresh_graph_node t) dirty;
-  Spf.update t.spf t.graph ~dirty;
-  publish_routes t
+  (* Incremental SPF: refresh the adjacency cache and stub links of
+     the routers whose LSAs changed, repair only the affected part of
+     the tree, then republish only the prefixes it touched. *)
+  let dirty, affected = take_dirty t in
+  match Spf.update t.spf t.graph ~dirty with
+  | Spf.Full -> publish_routes t ~changed:None affected
+  | Spf.Repaired routers -> publish_routes t ~changed:(Some routers) affected
 
 let spf_now_full t =
   Rf_obs.Metrics.incr t.m_spf;
   t.spf_count <- t.spf_count + 1;
-  (* Reference oracle: rebuild the adjacency cache from the LSDB and
-     recompute the tree from scratch. *)
-  Hashtbl.reset t.spf_dirty;
+  (* Reference oracle: rebuild the adjacency cache from the LSDB,
+     recompute the tree from scratch and republish every prefix. *)
+  let _, affected = take_dirty t in
   Spf.graph_reset t.graph;
   Hashtbl.iter
     (fun (k : Ospf_pkt.lsa_key) lsa ->
       if k.k_type = 1 then Spf.graph_set_links t.graph k.k_adv (p2p_pairs lsa))
     t.lsdb;
   Spf.full t.spf t.graph;
-  publish_routes t;
-  List.length t.last_routes
+  publish_routes t ~changed:None affected;
+  t.n_published
 
+(* A MaxAge instance purges the LSA, as in the LS Update handler. *)
 let install_lsa t lsa =
-  Hashtbl.replace t.lsdb (Ospf_pkt.key_of_lsa lsa) lsa;
+  let key = Ospf_pkt.key_of_lsa lsa in
+  if lsa.Ospf_pkt.age >= Ospf_pkt.max_age then Hashtbl.remove t.lsdb key
+  else Hashtbl.replace t.lsdb key lsa;
   mark_dirty t lsa.Ospf_pkt.adv_router;
   schedule_spf t
 
@@ -825,7 +950,8 @@ let stop t =
       t.nbr_tbl;
     Hashtbl.reset t.nbr_tbl;
     Rib.replace_proto t.rib Rib.Ospf [];
-    t.last_routes <- []
+    t.published <- Routes.empty;
+    t.n_published <- 0
   end
 
 let neighbors t =
@@ -849,7 +975,7 @@ let spf_runs t = t.spf_count
 
 let spf_now t =
   run_spf t;
-  List.length t.last_routes
+  t.n_published
 
 let is_adjacent_to t rid =
   match Hashtbl.find_opt t.nbr_tbl rid with

@@ -67,9 +67,11 @@ val spf_runs : t -> int
 
 val spf_now : t -> int
 (** Runs SPF synchronously (outside the normal holddown scheduling) and
-    returns the number of OSPF routes produced. Incremental: repairs
-    only the part of the shortest-path tree affected by LSAs changed
-    since the last run. For benchmarks. *)
+    returns the number of OSPF routes produced. Incremental, like every
+    scheduled run: repairs only the part of the shortest-path tree
+    affected by LSAs changed since the last run, and republishes only
+    the prefixes advertised by those LSAs and by the routers whose
+    distance or first hop moved. For benchmarks. *)
 
 val spf_now_full : t -> int
 (** Like {!spf_now} but recomputes the whole tree from the LSDB from
@@ -78,8 +80,9 @@ val spf_now_full : t -> int
 
 val install_lsa : t -> Ospf_pkt.lsa -> unit
 (** Installs an LSA directly into the LSDB (bypassing flooding) and
-    schedules SPF, as receiving it in an LS Update would. For
-    benchmarks and differential tests. *)
+    schedules SPF, as receiving it in an LS Update would; a MaxAge
+    instance purges the LSA instead. For benchmarks and differential
+    tests. *)
 
 val is_adjacent_to : t -> Ipv4_addr.t -> bool
 (** Full adjacency with the given router id. *)

@@ -47,9 +47,12 @@ type t = {
   root_key : int;
   dist : (int, int) Hashtbl.t;
   parent : (int, int) Hashtbl.t;
+  (* Inverse of [parent], kept across runs so an update finds the
+     subtree hanging off a changed router without rebuilding it. *)
+  children : (int, int list) Hashtbl.t;
   fh : (int, int) Hashtbl.t;  (* first-hop key; -1 = no derivable hop *)
   (* pref = root-link index of the node's first hop (see
-     [canonical_pass]); persisted so incremental runs can reuse the
+     [select_parent]); persisted so incremental runs can reuse the
      inherited preference of untouched nodes. *)
   pref : (int, int) Hashtbl.t;
   rids : (int, Ipv4_addr.t) Hashtbl.t;
@@ -60,12 +63,15 @@ type t = {
   mutable computed : bool;
 }
 
+type outcome = Full | Repaired of Ipv4_addr.t list
+
 let create ~root =
   {
     root;
     root_key = key root;
     dist = Hashtbl.create 64;
     parent = Hashtbl.create 64;
+    children = Hashtbl.create 64;
     fh = Hashtbl.create 64;
     pref = Hashtbl.create 64;
     rids = Hashtbl.create 64;
@@ -76,8 +82,10 @@ let create ~root =
     computed = false;
   }
 
-(* Binary min-heap over (dist, key) as two parallel int arrays, with
-   lazy deletion: stale entries are skipped when popped. *)
+(* Binary min-heap over [heap_d] with a payload in [heap_k], as two
+   parallel int arrays. Relaxation keys it by distance, with lazy
+   deletion (stale entries are skipped when popped); the repair
+   worklist keys it by packed (dist, key). *)
 
 let heap_push t d k =
   if t.heap_len = Array.length t.heap_d then begin
@@ -103,35 +111,39 @@ let heap_push t d k =
     i := p
   done
 
-(* [track] (when given) collects every key whose distance was set or
-   improved during the run — the change set driving the incremental
-   canonical pass. *)
-let relax_run t g ~track =
+(* Removes the minimum; callers read [heap_d.(0)] / [heap_k.(0)] first. *)
+let heap_pop t =
+  let hd = t.heap_d and hk = t.heap_k in
+  t.heap_len <- t.heap_len - 1;
+  hd.(0) <- hd.(t.heap_len);
+  hk.(0) <- hk.(t.heap_len);
+  let i = ref 0 in
+  let continue = ref true in
+  while !continue do
+    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+    let smallest = ref !i in
+    if l < t.heap_len && hd.(l) < hd.(!smallest) then smallest := l;
+    if r < t.heap_len && hd.(r) < hd.(!smallest) then smallest := r;
+    if !smallest <> !i then begin
+      let td = hd.(!smallest) and tk = hk.(!smallest) in
+      hd.(!smallest) <- hd.(!i);
+      hk.(!smallest) <- hk.(!i);
+      hd.(!i) <- td;
+      hk.(!i) <- tk;
+      i := !smallest
+    end
+    else continue := false
+  done
+
+(* [old] (when given) receives the previous distance (-1 = none) of
+   every key whose distance this run sets or improves for the first
+   time: the change set driving the incremental repair. *)
+let relax_run t g ~old =
   let visited = t.visited in
   Hashtbl.reset visited;
   while t.heap_len > 0 do
-    let hd = t.heap_d and hk = t.heap_k in
-    let d = hd.(0) and u = hk.(0) in
-    t.heap_len <- t.heap_len - 1;
-    hd.(0) <- hd.(t.heap_len);
-    hk.(0) <- hk.(t.heap_len);
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let smallest = ref !i in
-      if l < t.heap_len && hd.(l) < hd.(!smallest) then smallest := l;
-      if r < t.heap_len && hd.(r) < hd.(!smallest) then smallest := r;
-      if !smallest <> !i then begin
-        let td = hd.(!smallest) and tk = hk.(!smallest) in
-        hd.(!smallest) <- hd.(!i);
-        hk.(!smallest) <- hk.(!i);
-        hd.(!i) <- td;
-        hk.(!i) <- tk;
-        i := !smallest
-      end
-      else continue := false
-    done;
+    let d = t.heap_d.(0) and u = t.heap_k.(0) in
+    heap_pop t;
     let live =
       (not (Hashtbl.mem visited u))
       &&
@@ -147,17 +159,18 @@ let relax_run t g ~track =
               match Hashtbl.find_opt g v with
               | Some vnode when links_back vnode u ->
                   let nd = d + unode.n_metric.(idx) in
+                  let prev = Hashtbl.find_opt t.dist v in
                   let better =
-                    match Hashtbl.find_opt t.dist v with
-                    | Some old -> nd < old
-                    | None -> true
+                    match prev with Some p -> nd < p | None -> true
                   in
                   if better then begin
+                    (match old with
+                    | Some tbl when not (Hashtbl.mem tbl v) ->
+                        Hashtbl.add tbl v
+                          (match prev with Some p -> p | None -> -1)
+                    | Some _ | None -> ());
                     Hashtbl.replace t.dist v nd;
                     Hashtbl.replace t.rids v vnode.n_rid;
-                    (match track with
-                    | Some tbl -> Hashtbl.replace tbl v ()
-                    | None -> ());
                     heap_push t nd v
                   end
               | Some _ | None -> ())
@@ -165,17 +178,6 @@ let relax_run t g ~track =
     end
   done
 
-(* Parents and first hops as a pure function of the distance map, so
-   full and incremental runs derive identical trees whatever order they
-   relaxed edges in. Nodes are processed in (dist, key) order; the
-   canonical parent of [v] is the tight in-neighbor [u] (dist u +
-   metric = dist v, (dist u, u) lexicographically before (dist v, v))
-   whose first hop appears earliest among the root's own out-links,
-   breaking remaining ties on the smaller key. Preferring the earliest
-   root link reproduces the equal-cost choices of the classic
-   relax-order-dependent Dijkstra on symmetric topologies (the first
-   link originated is the first relaxed), keeping route fingerprints
-   stable across the rewrite. *)
 let root_idx_fn t g =
   let root_out =
     match Hashtbl.find_opt g t.root_key with
@@ -189,10 +191,12 @@ let root_idx_fn t g =
     in
     go 0
 
-(* Reachable non-root nodes in (dist, key) order, packed as
-   (d lsl 32) lor key into a sorted int array. Distances stay well
-   under 2^30 (16-bit link metrics times the node count), so the
-   packing is exact and the sort allocation-light. *)
+(* Distances stay well under 2^30 (16-bit link metrics times the node
+   count), so (dist, key) packs exactly into one int whose order is the
+   lexicographic (dist, key) order. *)
+let pack d k = (d lsl 32) lor k
+
+(* Reachable non-root nodes in (dist, key) order, as packed ints. *)
 let ordered_nodes t =
   let n = Hashtbl.length t.dist in
   let a = Array.make (max n 1) 0 in
@@ -200,7 +204,7 @@ let ordered_nodes t =
   Hashtbl.iter
     (fun v d ->
       if v <> t.root_key then begin
-        a.(!i) <- (d lsl 32) lor v;
+        a.(!i) <- pack d v;
         incr i
       end)
     t.dist;
@@ -245,13 +249,42 @@ let select_parent t g root_idx vnode v dv =
     vnode.n_out;
   (!best, !best_pref)
 
-let store_parent t v best best_pref =
-  Hashtbl.replace t.parent v best;
+let unlink t v =
+  match Hashtbl.find_opt t.parent v with
+  | None -> ()
+  | Some p -> (
+      Hashtbl.remove t.parent v;
+      match Hashtbl.find_opt t.children p with
+      | Some kids -> (
+          match List.filter (fun c -> c <> v) kids with
+          | [] -> Hashtbl.remove t.children p
+          | rest -> Hashtbl.replace t.children p rest)
+      | None -> ())
+
+let clear_node t v =
+  unlink t v;
+  Hashtbl.remove t.fh v;
+  Hashtbl.remove t.pref v
+
+let link t v p =
+  Hashtbl.replace t.parent v p;
+  Hashtbl.replace t.children p
+    (v :: Option.value (Hashtbl.find_opt t.children p) ~default:[])
+
+let set_hop t v best best_pref =
   Hashtbl.replace t.pref v best_pref;
   if best = t.root_key then Hashtbl.replace t.fh v v
   else
     let h = match Hashtbl.find_opt t.fh best with Some h -> h | None -> -1 in
     Hashtbl.replace t.fh v h
+
+let store_parent t v best best_pref =
+  (match Hashtbl.find_opt t.parent v with
+  | Some p when p = best -> ()
+  | Some _ | None ->
+      unlink t v;
+      link t v best);
+  set_hop t v best best_pref
 
 (* Parents and first hops as a pure function of the distance map, so
    full and incremental runs derive identical trees whatever order they
@@ -264,6 +297,7 @@ let store_parent t v best best_pref =
    stable across the rewrite. *)
 let canonical_pass t g =
   Hashtbl.reset t.parent;
+  Hashtbl.reset t.children;
   Hashtbl.reset t.fh;
   Hashtbl.reset t.pref;
   let root_idx = root_idx_fn t g in
@@ -274,49 +308,9 @@ let canonical_pass t g =
       | None -> ()
       | Some vnode ->
           let best, best_pref = select_parent t g root_idx vnode v dv in
-          if best >= 0 then store_parent t v best best_pref)
-    (ordered_nodes t)
-
-(* Incremental variant: [touched] holds every key whose distance or
-   adjacency changed this run. A node outside [touched] with no
-   touched neighbor keeps its stored parent: its own distance, its
-   candidates' distances and the connecting metrics are all unchanged,
-   and so are the candidates' inherited preferences (fh changes
-   propagate through [fh_changed]). Processing in (dist, key) order
-   makes each candidate's final pref available when read, exactly as
-   in the full pass. *)
-let canonical_update t g ~touched =
-  let fh_changed : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-  let root_idx = root_idx_fn t g in
-  Array.iter
-    (fun packed ->
-      let dv = packed lsr 32 and v = packed land 0xFFFFFFFF in
-      match Hashtbl.find_opt g v with
-      | None -> ()
-      | Some vnode ->
-          let need =
-            Hashtbl.mem touched v
-            ||
-            let n = Array.length vnode.n_out in
-            let rec scan i =
-              i < n
-              &&
-              let u = Array.unsafe_get vnode.n_out i in
-              Hashtbl.mem touched u || Hashtbl.mem fh_changed u || scan (i + 1)
-            in
-            scan 0
-          in
-          if need then begin
-            let old_fh = Hashtbl.find_opt t.fh v in
-            let best, best_pref = select_parent t g root_idx vnode v dv in
-            if best >= 0 then store_parent t v best best_pref
-            else begin
-              Hashtbl.remove t.parent v;
-              Hashtbl.remove t.fh v;
-              Hashtbl.remove t.pref v
-            end;
-            if Hashtbl.find_opt t.fh v <> old_fh then
-              Hashtbl.replace fh_changed v ()
+          if best >= 0 then begin
+            link t v best;
+            set_hop t v best best_pref
           end)
     (ordered_nodes t)
 
@@ -327,48 +321,99 @@ let full t g =
   Hashtbl.replace t.dist t.root_key 0;
   Hashtbl.replace t.rids t.root_key t.root;
   heap_push t 0 t.root_key;
-  relax_run t g ~track:None;
+  relax_run t g ~old:None;
   canonical_pass t g;
   t.computed <- true
 
+let find_or tbl k default =
+  match Hashtbl.find_opt tbl k with Some v -> v | None -> default
+
+(* The canonical parent of [v] reads [v]'s distance and links, and the
+   distance, links and inherited preference of each neighbour ordered
+   before it. So after a change only these nodes need a new parent: the
+   keys in [old] (distance or links changed), their neighbours, and —
+   as the repair goes — the later neighbours of any node whose
+   preference or first hop moved. Dropping a candidate that was not
+   chosen never changes the choice; a dropped chosen parent means [v]
+   was its child and is in [old]. The worklist runs in (dist, key)
+   order, like [canonical_pass], so every preference is final when
+   read. Returns the keys whose (dist, first hop) changed. *)
+let repair t g old =
+  let root_idx = root_idx_fn t g in
+  let queued : (int, unit) Hashtbl.t = Hashtbl.create 16 in
+  let enqueue v =
+    if v <> t.root_key && not (Hashtbl.mem queued v) then
+      match Hashtbl.find_opt t.dist v with
+      | Some d ->
+          Hashtbl.add queued v ();
+          heap_push t (pack d v) v
+      | None -> ()
+  in
+  let changed = ref [] in
+  Hashtbl.iter
+    (fun k old_d ->
+      if not (Hashtbl.mem t.dist k) then begin
+        clear_node t k;
+        if old_d >= 0 then changed := k :: !changed
+      end
+      else enqueue k;
+      match Hashtbl.find_opt g k with
+      | Some node -> Array.iter enqueue node.n_out
+      | None -> ())
+    old;
+  while t.heap_len > 0 do
+    let packed = t.heap_d.(0) in
+    heap_pop t;
+    let dv = packed lsr 32 and v = packed land 0xFFFFFFFF in
+    match Hashtbl.find_opt g v with
+    | None -> ()
+    | Some vnode ->
+        let old_fh = find_or t.fh v (-2) and old_pref = find_or t.pref v (-2) in
+        let best, best_pref = select_parent t g root_idx vnode v dv in
+        if best >= 0 then store_parent t v best best_pref else clear_node t v;
+        let new_fh = find_or t.fh v (-2) in
+        if new_fh <> old_fh || find_or t.pref v (-2) <> old_pref then
+          Array.iter
+            (fun u ->
+              match Hashtbl.find_opt t.dist u with
+              | Some du when du > dv || (du = dv && u > v) -> enqueue u
+              | Some _ | None -> ())
+            vnode.n_out;
+        if new_fh <> old_fh || find_or old v dv <> dv then
+          changed := v :: !changed
+  done;
+  !changed
+
 let update t g ~dirty =
   if (not t.computed) || List.exists (fun rid -> key rid = t.root_key) dirty
-  then full t g
-  else if dirty <> [] then begin
+  then begin
+    full t g;
+    Full
+  end
+  else if dirty = [] then Repaired []
+  else begin
     (* Invalidate the dirty routers plus everything the old tree
        reached through them; what is left keeps correct distances
        (their canonical paths avoid every changed router, and edges
        between two unchanged routers cannot have changed). *)
-    let children : (int, int list) Hashtbl.t = Hashtbl.create 64 in
-    Hashtbl.iter
-      (fun v p ->
-        let prev =
-          match Hashtbl.find_opt children p with Some l -> l | None -> []
-        in
-        Hashtbl.replace children p (v :: prev))
-      t.parent;
-    let invalid : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-    let rec mark k =
-      if not (Hashtbl.mem invalid k) then begin
-        Hashtbl.replace invalid k ();
-        match Hashtbl.find_opt children k with
-        | Some kids -> List.iter mark kids
+    let old : (int, int) Hashtbl.t = Hashtbl.create 16 in
+    let rec invalidate k =
+      if not (Hashtbl.mem old k) then begin
+        Hashtbl.add old k (find_or t.dist k (-1));
+        Hashtbl.remove t.dist k;
+        match Hashtbl.find_opt t.children k with
+        | Some kids -> List.iter invalidate kids
         | None -> ()
       end
     in
-    List.iter (fun rid -> mark (key rid)) dirty;
-    Hashtbl.iter
-      (fun k () ->
-        Hashtbl.remove t.dist k;
-        Hashtbl.remove t.rids k)
-      invalid;
+    List.iter (fun rid -> invalidate (key rid)) dirty;
     t.heap_len <- 0;
     (* Seed the frontier with the best edge from each still-valid node
        into the invalidated hole, then let Dijkstra repair the hole.
        Improvements to valid nodes through the changed region propagate
        by ordinary relaxation once the hole nodes settle. *)
     Hashtbl.iter
-      (fun w () ->
+      (fun w _ ->
         match Hashtbl.find_opt g w with
         | None -> ()
         | Some wnode ->
@@ -384,7 +429,7 @@ let update t g ~dirty =
                           let nd = du + c in
                           let better =
                             match Hashtbl.find_opt t.dist w with
-                            | Some old -> nd < old
+                            | Some prev -> nd < prev
                             | None -> true
                           in
                           if better then begin
@@ -395,20 +440,9 @@ let update t g ~dirty =
                         end
                     | None -> ()))
               wnode.n_out)
-      invalid;
-    (* [invalid] doubles as the canonical pass's change set: relax_run
-       adds every node whose distance improved, so afterwards it holds
-       exactly the keys whose distance or adjacency changed. *)
-    relax_run t g ~track:(Some invalid);
-    Hashtbl.iter
-      (fun k () ->
-        if not (Hashtbl.mem t.dist k) then begin
-          Hashtbl.remove t.parent k;
-          Hashtbl.remove t.fh k;
-          Hashtbl.remove t.pref k
-        end)
-      invalid;
-    canonical_update t g ~touched:invalid
+      old;
+    relax_run t g ~old:(Some old);
+    Repaired (List.map (fun k -> Hashtbl.find t.rids k) (repair t g old))
   end
 
 let dist t rid = Hashtbl.find_opt t.dist (key rid)

@@ -2,12 +2,13 @@
 
     Holds the shortest-path tree rooted at one router and repairs it
     in place when a subset of routers re-originate their LSAs: only
-    the root-side boundary and the invalidated subtree are re-relaxed
-    (warm-start Dijkstra), instead of recomputing from scratch. The
-    full recomputation stays available as {!full} and both paths
-    produce identical results — parents and first hops are derived by
-    a canonical deterministic pass over the (unique) distance map, so
-    equal-cost ties break the same way regardless of relaxation order.
+    the invalidated subtree is re-relaxed (warm-start Dijkstra), and
+    only the nodes whose inputs changed get a new parent, so a run costs
+    what changed rather than the size of the tree. The full
+    recomputation stays available as {!full}, the test oracle, and both
+    paths produce identical results — parents and first hops are a
+    canonical function of the (unique) distance map, so equal-cost
+    ties break the same way regardless of relaxation order.
 
     The graph is the router-LSA topology: a directed edge [u -> v]
     with metric [m] exists when [u]'s links list [(v, m)] {e and} [v]'s
@@ -35,7 +36,13 @@ val create : root:Ipv4_addr.t -> t
 val full : t -> graph -> unit
 (** Cold-start: recompute the whole tree from the root. *)
 
-val update : t -> graph -> dirty:Ipv4_addr.t list -> unit
+type outcome =
+  | Full  (** the whole tree was recomputed *)
+  | Repaired of Ipv4_addr.t list
+      (** the routers whose distance or first hop changed, including
+          those that became unreachable (order unspecified) *)
+
+val update : t -> graph -> dirty:Ipv4_addr.t list -> outcome
 (** Warm-start: repair the tree given that exactly the routers in
     [dirty] changed their links since the last run. The caller must
     have refreshed [graph] for those routers first. Falls back to

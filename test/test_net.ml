@@ -322,17 +322,30 @@ let prop_flow_table_model =
 
 (* Differential oracle for the bucketed index: lookup and lookup_linear
    must return the SAME entry (physical equality, not just equal
-   priority) for every key, across add/delete churn that forces index
-   rebuilds. *)
+   priority) for every key, after every step of add/modify/delete
+   churn. Probing between steps keeps the index built, so plain adds
+   exercise its in-place update and the other mutations its rebuild. *)
 let prop_bucketed_lookup_matches_linear =
   QCheck.Test.make ~name:"bucketed lookup equals linear scan" ~count:100
     QCheck.(
       list_of_size (Gen.int_bound 60)
-        (quad (int_bound 5) (int_bound 7) (oneofl [ 8; 16; 24; 32 ]) (int_bound 3)))
+        (quad (int_bound 6) (int_bound 7) (oneofl [ 8; 16; 24; 32 ]) (int_bound 3)))
     (fun ops ->
       let table = Flow_table.create () in
       let now = Vtime.zero in
-      List.iter
+      let agree () =
+        List.for_all
+          (fun oct ->
+            let key = key_for (Ipv4_addr.of_octets 10 oct 7 9) in
+            match
+              (Flow_table.lookup table key, Flow_table.lookup_linear table key)
+            with
+            | None, None -> true
+            | Some a, Some b -> a == b
+            | _ -> false)
+          [ 0; 1; 2; 3; 4; 5; 6; 7 ]
+      in
+      List.for_all
         (fun (kind, oct, len, prio) ->
           let prefix =
             Ipv4_addr.Prefix.make (Ipv4_addr.of_octets 10 oct 0 0) len
@@ -344,22 +357,20 @@ let prop_bucketed_lookup_matches_linear =
                 Of_msg.flow_add ~priority:(100 + prio) m
                   [ Of_action.output (oct + 1) ]
             | 3 -> Of_msg.flow_delete m
-            | _ -> Of_msg.flow_delete ~strict:true ~priority:(100 + prio) m
+            | 4 -> Of_msg.flow_delete ~strict:true ~priority:(100 + prio) m
+            | _ ->
+                {
+                  (Of_msg.flow_add ~priority:(100 + prio) m
+                     [ Of_action.output (oct + 2) ])
+                  with
+                  Of_msg.fm_command = Of_msg.Modify;
+                }
           in
-          match Flow_table.apply_flow_mod table ~now fm with
+          (match Flow_table.apply_flow_mod table ~now fm with
           | Ok _ -> ()
-          | Error e -> failwith e)
-        ops;
-      List.for_all
-        (fun oct ->
-          let key = key_for (Ipv4_addr.of_octets 10 oct 7 9) in
-          match
-            (Flow_table.lookup table key, Flow_table.lookup_linear table key)
-          with
-          | None, None -> true
-          | Some a, Some b -> a == b
-          | _ -> false)
-        [ 0; 1; 2; 3; 4; 5; 6; 7 ])
+          | Error e -> failwith e);
+          agree ())
+        ops)
 
 (* Regression: two entries at the same priority both matching a key —
    insertion order must break the tie, identically on both paths. The

@@ -485,6 +485,272 @@ let test_sync_flows_diff () =
   Rf_controller_app.sync_flows app ~dpid:7L [ fr "10.0.1.0/24" 1; fr "10.0.3.0/24" 2 ];
   Alcotest.(check int) "no-op sync" 4 (Rf_controller_app.flow_mods_sent app)
 
+(* --- flow export vs the full-recompute reference ---------------------- *)
+
+(* The export as it was before it went per-prefix: every selected route
+   re-derived from the RIB and the ARP table, and one ARP request per
+   route whose next hop has no entry, in prefix order. Returns the
+   sorted flows and the (port, target) requests. *)
+let reference_flows vm =
+  let rib = Vm.rib vm in
+  let arp = Vm.arp_entries vm in
+  let port_of name =
+    let rec go i =
+      if i > Vm.n_ports vm then None
+      else if String.equal (Iface.name (Vm.nic vm i)) name then Some i
+      else go (i + 1)
+    in
+    go 1
+  in
+  let arp_find port nh =
+    List.find_map
+      (fun (p, a, mac) -> if p = port && Ipv4_addr.equal a nh then Some mac else None)
+      arp
+  in
+  let resolve (r : Rib.route) =
+    match r.Rib.r_next_hop with
+    | None -> Option.map (fun p -> (p, None)) (port_of r.Rib.r_iface)
+    | Some nh -> (
+        if not (String.equal r.Rib.r_iface "") then
+          Option.map (fun p -> (p, Some nh)) (port_of r.Rib.r_iface)
+        else
+          match Rib.lookup rib nh with
+          | Some { Rib.r_proto = Rib.Connected; r_iface; _ } ->
+              Option.map (fun p -> (p, Some nh)) (port_of r_iface)
+          | Some _ | None -> None)
+  in
+  let flows = ref [] and requests = ref [] in
+  List.iter
+    (fun (r : Rib.route) ->
+      match r.r_proto with
+      | Rib.Connected -> (
+          match port_of r.r_iface with
+          | None -> ()
+          | Some port ->
+              let ifc = Vm.nic vm port in
+              List.iter
+                (fun (p, a, mac) ->
+                  if
+                    p = port
+                    && Ipv4_addr.Prefix.mem a r.r_prefix
+                    && not (Ipv4_addr.equal a (Iface.ip ifc))
+                  then
+                    flows :=
+                      {
+                        Vm.fr_prefix = Ipv4_addr.Prefix.make a 32;
+                        fr_port = port;
+                        fr_src_mac = Iface.mac ifc;
+                        fr_dst_mac = mac;
+                      }
+                      :: !flows)
+                arp)
+      | Rib.Static | Rib.Ospf | Rib.Rip | Rib.Bgp -> (
+          match resolve r with
+          | Some (port, Some nh) -> (
+              match arp_find port nh with
+              | Some mac ->
+                  flows :=
+                    {
+                      Vm.fr_prefix = r.r_prefix;
+                      fr_port = port;
+                      fr_src_mac = Iface.mac (Vm.nic vm port);
+                      fr_dst_mac = mac;
+                    }
+                    :: !flows
+              | None ->
+                  let ifc = Vm.nic vm port in
+                  if Iface.is_addressed ifc && Iface.is_up ifc then
+                    requests := (port, nh) :: !requests)
+          | Some (_, None) | None -> ()))
+    (Rib.selected rib);
+  let compare_ref (a : Vm.flow_route) (b : Vm.flow_route) =
+    match Ipv4_addr.Prefix.compare a.fr_prefix b.fr_prefix with
+    | 0 ->
+        Stdlib.compare
+          (a.fr_port, a.fr_src_mac, a.fr_dst_mac)
+          (b.fr_port, b.fr_src_mac, b.fr_dst_mac)
+    | c -> c
+  in
+  (List.sort_uniq compare_ref !flows, List.rev !requests)
+
+(* A flow-mod as (add?, priority, match, actions), from the wire or
+   from the reference diff. *)
+let mod_of_route ~add (fr : Vm.flow_route) =
+  ( add,
+    Rf_controller_app.priority_of_prefix_len
+      (Ipv4_addr.Prefix.length fr.Vm.fr_prefix),
+    Rf_controller_app.match_of_route fr,
+    if add then
+      [
+        Rf_openflow.Of_action.Set_dl_src fr.Vm.fr_src_mac;
+        Rf_openflow.Of_action.Set_dl_dst fr.Vm.fr_dst_mac;
+        Rf_openflow.Of_action.output fr.Vm.fr_port;
+      ]
+    else [] )
+
+type flow_op =
+  | Route of int * int * int  (* prefix, next hop, protocol *)
+  | Withdraw of int * int  (* prefix, protocol *)
+  | Learn of int * int * int  (* port, host, MAC generation *)
+  | Age
+  | Flip_eth3
+
+let flow_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map3 (fun p h k -> Route (p, h, k)) (int_bound 7) (int_bound 9) (int_bound 2));
+        (3, map2 (fun p k -> Withdraw (p, k)) (int_bound 7) (int_bound 2));
+        (4, map3 (fun p h g -> Learn (p, h, g)) (int_range 1 3) (int_range 2 4) (int_bound 1));
+        (1, return Age);
+        (1, return Flip_eth3);
+      ])
+
+let print_flow_op = function
+  | Route (p, h, k) -> Printf.sprintf "route(%d,%d,%d)" p h k
+  | Withdraw (p, k) -> Printf.sprintf "withdraw(%d,%d)" p k
+  | Learn (p, h, g) -> Printf.sprintf "learn(%d,%d,%d)" p h g
+  | Age -> "age"
+  | Flip_eth3 -> "flip-eth3"
+
+(* Random RIB churn (OSPF, BGP and static routes, host routes inside a
+   connected subnet, statics resolved through a connected route, next
+   hops with and without ARP entries), ARP learning and aging, and a
+   NIC flapping its connected route. After every step the VM's flows
+   equal the reference, the export sent exactly the reference's ARP
+   requests, and every sync sent the List.mem reference diff. *)
+let prop_flow_export_matches_reference =
+  QCheck.Test.make ~name:"flow export equals the full recompute" ~count:60
+    QCheck.(make ~print:(Print.list print_flow_op) Gen.(list_size (int_bound 40) flow_op_gen))
+    (fun ops ->
+      let engine = Engine.create () in
+      let vs = Rf_vs.create engine in
+      let app = Rf_controller_app.create engine vs in
+      (* The switch behind the app sees its flow-mods through a tap. *)
+      let dp = Rf_net.Datapath.create engine ~dpid:7L ~n_ports:3 in
+      let app_end, tap_a = Rf_net.Channel.create engine () in
+      let tap_b, sw_end = Rf_net.Channel.create engine () in
+      let wire_mods = ref [] in
+      Rf_net.Channel.set_receiver tap_a (fun m ->
+          (match Rf_openflow.Of_codec.of_wire m with
+          | Ok { Rf_openflow.Of_msg.payload = Rf_openflow.Of_msg.Flow_mod fm; _ } ->
+              wire_mods :=
+                ( fm.fm_command = Rf_openflow.Of_msg.Add,
+                  fm.fm_priority,
+                  fm.fm_match,
+                  fm.fm_actions )
+                :: !wire_mods
+          | Ok _ | Error _ -> ());
+          Rf_net.Channel.send tap_b m);
+      Rf_net.Channel.set_receiver tap_b (Rf_net.Channel.send tap_a);
+      let _agent = Rf_net.Of_agent.create engine dp sw_end in
+      Rf_controller_app.attach app ~dpid:7L app_end;
+      ignore (Engine.run ~until:(Vtime.of_s 1.0) engine);
+      let vm = Vm.create engine ~dpid:7L ~n_ports:3 () in
+      let sent = ref [] in
+      for port = 1 to 3 do
+        Iface.set_transmit (Vm.nic vm port) (fun f ->
+            match Packet.parse f with
+            | Ok { l3 = Packet.Arp a; _ } when a.Arp.op = Arp.Request ->
+                sent := (port, a.Arp.target_ip) :: !sent
+            | Ok _ | Error _ -> ())
+      done;
+      let expected_mods = ref [] in
+      Vm.set_on_flows_changed vm (fun () ->
+          let installed = Rf_controller_app.installed_flows app 7L in
+          let flows = Vm.flow_routes vm in
+          let stale = List.filter (fun f -> not (List.mem f flows)) installed in
+          let fresh = List.filter (fun f -> not (List.mem f installed)) flows in
+          expected_mods :=
+            List.rev_append
+              (List.map (mod_of_route ~add:false) stale
+              @ List.map (mod_of_route ~add:true) fresh)
+              !expected_mods;
+          Rf_controller_app.sync_flows app ~dpid:7L flows);
+      let conf =
+        "hostname vm-7\npassword x\n!\n"
+        ^ String.concat ""
+            (List.init 3 (fun i ->
+                 Printf.sprintf "interface eth%d\n ip address 10.0.%d.1/24\n!\n"
+                   (i + 1) (i + 1)))
+        ^ "line vty\n"
+      in
+      (match Vm.apply_zebra_config vm conf with
+      | Ok () -> ()
+      | Error e -> failwith e);
+      let advance s =
+        ignore
+          (Engine.run
+             ~until:(Vtime.add (Engine.now engine) (Vtime.span_s s))
+             engine)
+      in
+      advance 0.02;
+      let prefixes =
+        [| "10.9.1.0/24"; "10.9.2.0/24"; "10.9.0.0/16"; "10.9.1.128/25";
+           "10.0.1.3/32"; "10.0.2.4/32"; "10.0.3.0/24"; "192.168.7.0/24" |]
+      in
+      let route p h k =
+        let port = 1 + (h mod 3) in
+        let nh = ip (Printf.sprintf "10.0.%d.%d" port (2 + (h mod 4))) in
+        let proto, iface =
+          match k with
+          | 0 -> (Rib.Ospf, Printf.sprintf "eth%d" port)
+          | 1 -> (Rib.Bgp, Printf.sprintf "eth%d" port)
+          | _ -> (Rib.Static, if h >= 6 then "" else Printf.sprintf "eth%d" port)
+        in
+        {
+          Rib.r_prefix = pfx prefixes.(p);
+          r_proto = proto;
+          r_distance = Rib.default_distance proto;
+          r_metric = h;
+          r_next_hop = Some nh;
+          r_iface = iface;
+        }
+      in
+      let proto_of k = match k with 0 -> Rib.Ospf | 1 -> Rib.Bgp | _ -> Rib.Static in
+      let ok = ref true in
+      let check what b =
+        if not b then begin
+          ok := false;
+          QCheck.Test.fail_reportf "%s" what
+        end
+      in
+      List.iter
+        (fun op ->
+          sent := [];
+          let gen = Rib.generation (Vm.rib vm) in
+          let arp = Vm.arp_entries vm in
+          (match op with
+          | Route (p, h, k) -> Rib.update (Vm.rib vm) (route p h k)
+          | Withdraw (p, k) -> Rib.withdraw (Vm.rib vm) (proto_of k) (pfx prefixes.(p))
+          | Learn (port, h, g) ->
+              let mac = Mac.make_local ((port * 100) + (h * 10) + g) in
+              Iface.deliver (Vm.nic vm port)
+                (Packet.arp ~src:mac ~dst:(Iface.mac (Vm.nic vm port))
+                   (Arp.reply ~sender_mac:mac
+                      ~sender_ip:(ip (Printf.sprintf "10.0.%d.%d" port h))
+                      ~target_mac:(Iface.mac (Vm.nic vm port))
+                      ~target_ip:(ip (Printf.sprintf "10.0.%d.1" port))))
+          | Age -> ()
+          | Flip_eth3 ->
+              let nic = Vm.nic vm 3 in
+              Iface.set_up nic (not (Iface.is_up nic)));
+          let exported =
+            Rib.generation (Vm.rib vm) <> gen || Vm.arp_entries vm <> arp
+          in
+          advance (match op with Age -> 150. | _ -> 0.02);
+          let flows, requests = reference_flows vm in
+          check "flows equal the reference" (Vm.flow_routes vm = flows);
+          (match op with
+          | Age -> ()
+          | Route _ | Withdraw _ | Learn _ | Flip_eth3 ->
+              check "ARP requests equal the reference"
+                (List.rev !sent = if exported then requests else []));
+          check "flow-mods equal the List.mem diff"
+            (List.rev !wire_mods = List.rev !expected_mods))
+        ops;
+      !ok)
+
 let suite =
   [
     Alcotest.test_case "vm identity and NICs" `Quick test_vm_identity;
@@ -497,6 +763,7 @@ let suite =
     Alcotest.test_case "vm slow path ARPs and queues" `Quick
       test_vm_slow_path_arps_when_unknown;
     Alcotest.test_case "vm exports flow routes" `Quick test_vm_flow_export;
+    QCheck_alcotest.to_alcotest prop_flow_export_matches_reference;
     Alcotest.test_case "ARP aging drops silent neighbours" `Quick
       test_vm_arp_aging_drops_silent_neighbor;
     Alcotest.test_case "ARP aging keeps responsive neighbours" `Quick

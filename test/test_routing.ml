@@ -419,17 +419,29 @@ let spf_snapshot t =
    link up). After every step the warm-started tree must match a cold
    recompute on distances AND canonical first hops — the canonical
    parent pass makes equal-cost ties deterministic, so exact equality
-   is the contract, not just equal distances. *)
+   is the contract, not just equal distances. Half the cases draw
+   metrics from 1-3, where equal-cost paths are the rule: a node can
+   then switch first hop without changing distance, and the repair
+   must carry that to its subtree. *)
 let prop_spf_incremental_matches_full =
   QCheck.Test.make
     ~name:"incremental SPF equals full recompute after every mutation"
-    ~count:60
+    ~count:200
     QCheck.(
-      triple (int_range 4 12)
-        (list_of_size (Gen.int_bound 30)
-           (triple (int_bound 11) (int_bound 11) (int_range 1 20)))
-        (list_of_size (Gen.int_bound 20)
-           (triple (int_bound 11) (int_bound 11) (int_bound 16))))
+      make
+        ~print:
+          Print.(
+            triple int
+              (list (triple int int int))
+              (list (triple int int int)))
+        Gen.(
+          bool >>= fun small ->
+          let metric lo = if small then int_range lo 3 else int_range lo 20 in
+          triple (int_range 4 12)
+            (list_size (int_bound 30)
+               (triple (int_bound 11) (int_bound 11) (metric 1)))
+            (list_size (int_bound 20)
+               (triple (int_bound 11) (int_bound 11) (metric 0)))))
     (fun (n, edges, mutations) ->
       let adj = Array.make_matrix n n 0 in
       List.iter
@@ -455,28 +467,61 @@ let prop_spf_incremental_matches_full =
             adj.(j).(i) <- m;
             spf_sync g adj n i;
             spf_sync g adj n j;
-            Spf.update t g ~dirty:[ spf_rid i; spf_rid j ];
+            ignore (Spf.update t g ~dirty:[ spf_rid i; spf_rid j ]);
             let fresh = Spf.create ~root:(spf_rid 0) in
             Spf.full fresh g;
             spf_snapshot t = spf_snapshot fresh
           end)
         mutations)
 
-(* The daemon-level contract: after a sequence of LSA flaps, the RIB an
-   incremental spf_now leaves behind is exactly what spf_now_full (the
-   from-scratch oracle) computes — prefixes, metrics, next hops,
-   interfaces, and ordering. *)
-let route_repr (r : Rib.route) =
-  ( Ipv4_addr.Prefix.to_string r.Rib.r_prefix,
-    Rib.proto_name r.Rib.r_proto,
-    r.Rib.r_distance,
-    r.Rib.r_metric,
-    (match r.Rib.r_next_hop with
-    | None -> "-"
-    | Some h -> Ipv4_addr.to_string h),
-    r.Rib.r_iface )
+(* A node can switch parent at an unchanged distance: lowering A-U
+   makes U (first hop A, the root's first link) tie with B for V, so V
+   and its child Y, neither of which changed, move to first hop A. *)
+let test_spf_repair_moves_subtree_first_hop () =
+  let n = 6 and r = 0 and a = 1 and b = 2 and u = 3 and v = 4 and y = 5 in
+  let adj = Array.make_matrix n n 0 in
+  let link i j m =
+    adj.(i).(j) <- m;
+    adj.(j).(i) <- m
+  in
+  List.iter
+    (fun (i, j, m) -> link i j m)
+    [ (r, a, 1); (r, b, 2); (a, u, 5); (u, v, 1); (b, v, 1); (v, y, 1) ];
+  let g = Spf.graph_create () in
+  for i = 0 to n - 1 do
+    spf_sync g adj n i
+  done;
+  let t = Spf.create ~root:(spf_rid r) in
+  Spf.full t g;
+  link a u 1;
+  spf_sync g adj n a;
+  spf_sync g adj n u;
+  let changed =
+    match Spf.update t g ~dirty:[ spf_rid a; spf_rid u ] with
+    | Spf.Repaired rids -> List.sort Ipv4_addr.compare rids
+    | Spf.Full -> Alcotest.fail "repair fell back to a full run"
+  in
+  let fresh = Spf.create ~root:(spf_rid r) in
+  Spf.full fresh g;
+  Alcotest.(check (list (triple string int string)))
+    "tree equals full recompute" (spf_snapshot fresh) (spf_snapshot t);
+  Alcotest.(check (list string))
+    "changed routers"
+    (List.map (fun i -> Ipv4_addr.to_string (spf_rid i)) [ u; v; y ])
+    (List.map Ipv4_addr.to_string changed)
 
-let test_ospfd_incremental_rib_oracle () =
+(* The daemon-level contract: under any LSA churn, the RIB that
+   incremental spf_now runs leave behind is exactly what spf_now_full
+   (the from-scratch oracle) computes — prefixes, metrics, next hops,
+   interfaces and ordering. Two identical daemons take the same LSAs;
+   one only ever runs incrementally, so repair state that drifts over
+   many runs shows. *)
+let route_repr (r : Rib.route) =
+  Format.asprintf "%a" Rib.pp_route r
+
+(* Router 0 of a converged 4-router ring: two real neighbours, so equal
+   costs tie across two first hops. *)
+let ospf_ring () =
   let engine = Engine.create () in
   let join a b =
     Iface.set_transmit a (fun f ->
@@ -488,7 +533,7 @@ let test_ospfd_incremental_rib_oracle () =
           (Engine.schedule engine (Vtime.span_ms 1) (fun () ->
                Iface.deliver a f)))
   in
-  let n = 6 in
+  let n = 4 in
   let ribs = Array.init n (fun _ -> Rib.create ()) in
   let routers =
     Array.init n (fun i ->
@@ -506,7 +551,8 @@ let test_ospfd_incremental_rib_oracle () =
       in
       Ospfd.add_interface d ~passive:true stub)
     routers;
-  for i = 0 to n - 2 do
+  for i = 0 to n - 1 do
+    let j = (i + 1) mod n in
     let ia =
       Iface.create
         ~name:(Printf.sprintf "r%d" i)
@@ -516,64 +562,188 @@ let test_ospfd_incremental_rib_oracle () =
     in
     let ib =
       Iface.create
-        ~name:(Printf.sprintf "l%d" (i + 1))
+        ~name:(Printf.sprintf "l%d" j)
         ~mac:(Mac.make_local (7101 + (2 * i)))
         ~ip:(ip (Printf.sprintf "172.21.%d.2" i))
         ~prefix_len:30 ()
     in
     join ia ib;
     Ospfd.add_interface routers.(i) ia;
-    Ospfd.add_interface routers.(i + 1) ib
+    Ospfd.add_interface routers.(j) ib
   done;
   Array.iter Ospfd.start routers;
   ignore (Engine.run ~until:(Vtime.of_s 60.) engine);
-  let d = routers.(0) in
-  let rib = ribs.(0) in
-  let flap_rid = ip "10.250.0.5" in
-  let base_lsa =
-    List.find
-      (fun (l : Ospf_pkt.lsa) -> Ipv4_addr.compare l.adv_router flap_rid = 0)
-      (Ospfd.lsdb d)
-  in
-  let seq = ref base_lsa.Ospf_pkt.seq in
-  let flap metric =
-    seq := Int32.succ !seq;
-    let body =
-      match base_lsa.Ospf_pkt.body with
-      | Ospf_pkt.Router { links } ->
-          Ospf_pkt.Router
-            {
-              links =
-                List.map
-                  (fun (l : Ospf_pkt.router_link) ->
-                    match l.link_type with
-                    | Ospf_pkt.Point_to_point -> { l with metric }
-                    | _ -> l)
-                  links;
-            }
-      | b -> b
+  (routers.(0), ribs.(0))
+
+type lsa_op =
+  | Link of int * int * int  (* routers a, b; metric, 0 = down *)
+  | Stub of int * int  (* router, shared prefix toggled *)
+  | Purge of int  (* MaxAge flush of the router's LSA *)
+  | Join of int  (* router links to the current path end *)
+
+(* Routers 1-3 are the real ring (router 0, the root, is left alone
+   except by [Link (0, _, _)]); 4-9 exist only as LSAs. *)
+let churn_rid i = ip (Printf.sprintf "10.250.%d.%d" (i / 4) ((i mod 4) + 1))
+
+let test_ospfd_incremental_rib_oracle () =
+  let d_inc, rib_inc = ospf_ring () in
+  let d_full, rib_full = ospf_ring () in
+  let n = 10 in
+  (* The modelled LSDB: every router's links, seeded from the ring. *)
+  let links = Array.make n [] and seq = Array.make n Ospf_pkt.initial_seq in
+  let alive = Array.make n false in
+  List.iter
+    (fun (l : Ospf_pkt.lsa) ->
+      for i = 0 to n - 1 do
+        if Ipv4_addr.equal l.adv_router (churn_rid i) then begin
+          (match l.body with
+          | Ospf_pkt.Router { links = ls } -> links.(i) <- ls
+          | _ -> ());
+          seq.(i) <- l.seq;
+          alive.(i) <- true
+        end
+      done)
+    (Ospfd.lsdb d_inc);
+  for i = 4 to n - 1 do
+    links.(i) <-
+      [
+        {
+          Ospf_pkt.link_id = ip (Printf.sprintf "10.7.%d.0" i);
+          link_data = ip "255.255.255.0";
+          link_type = Ospf_pkt.Stub;
+          metric = 1;
+        };
+      ]
+  done;
+  let originate i =
+    seq.(i) <- Int32.succ seq.(i);
+    alive.(i) <- true;
+    let lsa =
+      {
+        Ospf_pkt.age = 1;
+        options = 0x02;
+        link_state_id = churn_rid i;
+        adv_router = churn_rid i;
+        seq = seq.(i);
+        body = Ospf_pkt.Router { links = links.(i) };
+      }
     in
-    Ospfd.install_lsa d { base_lsa with seq = !seq; body }
+    Ospfd.install_lsa d_inc lsa;
+    Ospfd.install_lsa d_full lsa
   in
+  let set_link a b metric =
+    let drop i j =
+      List.filter
+        (fun (l : Ospf_pkt.router_link) ->
+          not
+            (l.link_type = Ospf_pkt.Point_to_point
+            && Ipv4_addr.equal l.link_id (churn_rid j)))
+        links.(i)
+    in
+    links.(a) <- drop a b;
+    links.(b) <- drop b a;
+    if metric > 0 then begin
+      let p2p j =
+        {
+          Ospf_pkt.link_id = churn_rid j;
+          link_data = churn_rid j;
+          link_type = Ospf_pkt.Point_to_point;
+          metric;
+        }
+      in
+      links.(a) <- p2p b :: links.(a);
+      links.(b) <- p2p a :: links.(b)
+    end;
+    originate a;
+    originate b
+  in
+  let tail = ref 2 in
+  let apply = function
+    | Link (a, b, m) -> if a <> b then set_link a b m
+    | Stub (i, k) ->
+        let shared =
+          {
+            Ospf_pkt.link_id = ip (Printf.sprintf "10.6.%d.0" k);
+            link_data = ip "255.255.255.0";
+            link_type = Ospf_pkt.Stub;
+            metric = 1 + k;
+          }
+        in
+        links.(i) <-
+          (if List.mem shared links.(i) then
+             List.filter (fun l -> l <> shared) links.(i)
+           else shared :: links.(i));
+        originate i
+    | Purge i ->
+        if alive.(i) then begin
+          alive.(i) <- false;
+          seq.(i) <- Int32.succ seq.(i);
+          let flush =
+            {
+              Ospf_pkt.age = Ospf_pkt.max_age;
+              options = 0x02;
+              link_state_id = churn_rid i;
+              adv_router = churn_rid i;
+              seq = seq.(i);
+              body = Ospf_pkt.Router { links = [] };
+            }
+          in
+          Ospfd.install_lsa d_inc flush;
+          Ospfd.install_lsa d_full flush
+        end
+    | Join i ->
+        if i <> !tail then begin
+          set_link !tail i 1;
+          tail := i
+        end
+  in
+  let rng = Random.State.make [| 18 |] in
+  let random_op () =
+    let r () = 1 + Random.State.int rng (n - 1) in
+    match Random.State.int rng 10 with
+    | 0 | 1 | 2 | 3 -> Link (r (), r (), Random.State.int rng 3)
+    | 4 -> Link (0, 4 + Random.State.int rng (n - 4), Random.State.int rng 2)
+    | 5 | 6 -> Stub (r (), Random.State.int rng 3)
+    | 7 -> Purge (r ())
+    | _ -> Join (4 + Random.State.int rng (n - 4))
+  in
+  (* A scripted prefix covering each named case, then random churn. *)
+  let scripted =
+    [
+      Purge 2; Purge 3 (* the largest link subnet goes; 10/8 routes stay *);
+      Link (1, 2, 1); Link (2, 3, 1);
+      Join 4; Join 5; Join 6 (* a path grows at its end *);
+      Link (3, 4, 1) (* 4 now ties via both ring neighbours *);
+      Stub (5, 0); Stub (6, 0) (* one prefix, two advertisers *);
+      Link (5, 6, 0) (* 6 unreachable *);
+      Purge 5 (* MaxAge flush *);
+      Link (2, 3, 0); Link (2, 3, 1) (* a ring link flaps *);
+    ]
+  in
+  let ops = scripted @ List.init 300 (fun _ -> random_op ()) in
   List.iteri
-    (fun step metric ->
-      flap metric;
-      let n_inc = Ospfd.spf_now d in
-      let after_inc = List.map route_repr (Rib.selected rib) in
-      let n_full = Ospfd.spf_now_full d in
-      let after_full = List.map route_repr (Rib.selected rib) in
-      Alcotest.(check int)
-        (Printf.sprintf "route count, step %d" step)
-        n_full n_inc;
-      Alcotest.(check (list (pair string (pair string (pair int (pair int (pair string string)))))))
+    (fun step op ->
+      apply op;
+      let n_inc = Ospfd.spf_now d_inc in
+      let n_full = Ospfd.spf_now_full d_full in
+      Alcotest.(check int) (Printf.sprintf "route count, step %d" step) n_full n_inc;
+      (* Every published route reached the RIB: link subnets
+         (172.21/16) sort after host subnets (10/8) as unsigned
+         addresses, and a publication diff that mixed signed and
+         unsigned order used to withdraw live 10/8 routes. *)
+      let ospf_in rib =
+        List.length
+          (List.filter
+             (fun (r : Rib.route) -> r.r_proto = Rib.Ospf)
+             (Rib.selected rib))
+      in
+      Alcotest.(check int) (Printf.sprintf "RIB holds the routes, step %d" step)
+        n_inc (ospf_in rib_inc);
+      Alcotest.(check (list string))
         (Printf.sprintf "RIB identical, step %d" step)
-        (List.map
-           (fun (a, b, c, d', e, f) -> (a, (b, (c, (d', (e, f))))))
-           after_full)
-        (List.map
-           (fun (a, b, c, d', e, f) -> (a, (b, (c, (d', (e, f))))))
-           after_inc))
-    [ 11; 10; 25; 10; 3; 10 ]
+        (List.map route_repr (Rib.selected rib_full))
+        (List.map route_repr (Rib.selected rib_inc)))
+    ops
 
 let suite =
   [
@@ -606,6 +776,8 @@ let suite =
       test_zebra_unnumbered_then_addressed;
     Alcotest.test_case "zebra apply_config" `Quick test_zebra_apply_config;
     QCheck_alcotest.to_alcotest prop_spf_incremental_matches_full;
+    Alcotest.test_case "SPF repair moves a subtree's first hop" `Quick
+      test_spf_repair_moves_subtree_first_hop;
     Alcotest.test_case "ospfd incremental SPF leaves oracle RIB" `Quick
       test_ospfd_incremental_rib_oracle;
   ]
