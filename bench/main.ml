@@ -517,6 +517,30 @@ let micro_tests () =
           fun () ->
             ignore (Rf_sim.Engine.schedule e (Rf_sim.Vtime.span_us 1) nop);
             ignore (Rf_sim.Engine.run e)));
+    (* Dispatch against a 1,000-deep queue: every event reschedules
+       itself at the next of 4,096 seeded random delays and stops the
+       run, so each run is one pop and one push at constant depth. *)
+    Test.make ~name:"engine_dispatch_depth_1k"
+      (Staged.stage
+         (let e = Rf_sim.Engine.create () in
+          let rng = Rf_sim.Engine.rng e in
+          let delays =
+            Array.init 4096 (fun _ ->
+                Rf_sim.Vtime.span_us (1 + Rf_sim.Rng.int rng 10_000))
+          in
+          let next = ref 0 in
+          let delay () =
+            next := (!next + 1) land 4095;
+            delays.(!next)
+          in
+          let rec tick () =
+            ignore (Rf_sim.Engine.schedule e (delay ()) tick);
+            Rf_sim.Engine.stop e
+          in
+          for _ = 1 to 1000 do
+            ignore (Rf_sim.Engine.schedule e (delay ()) tick)
+          done;
+          fun () -> ignore (Rf_sim.Engine.run e)));
     Test.make ~name:"engine_dispatch_profiled"
       (Staged.stage
          (let e = Rf_sim.Engine.create () in

@@ -17,12 +17,21 @@ type t = {
   mutable executed : int;
 }
 
+(* Fills the heap's free slots: already cancelled, so it would be a
+   no-op even if it were ever dispatched. *)
+let filler =
+  {
+    cancelled = true;
+    thunk = (fun () -> ());
+    entity = Rf_obs.Profiler.unattributed ();
+  }
+
 let create ?(seed = 42) () =
   let tracer = Rf_obs.Tracer.create () in
   let t =
     {
       clock = Vtime.zero;
-      queue = Event_heap.create ();
+      queue = Event_heap.create filler;
       rng = Rng.create seed;
       trace = Trace.create ~tracer ();
       tracer;
@@ -112,12 +121,14 @@ let record t ?span ~component ~event detail =
 type run_result = Quiescent | Deadline_reached | Stopped
 
 (* The dispatch loop must not allocate when no profiler is installed:
-   [Event_heap.min_time] returns an unboxed int and [pop_entry] hands
-   back the stored option, so the only per-event work is field reads,
-   int stores and the [None] profiler branch. A Gc.minor_words budget
-   test pins this. *)
+   [Event_heap.min_time] returns an unboxed int, the clock is set from
+   it, and [pop_min] hands back the stored timer, so the only per-event
+   work is int reads and stores, one heap sift and the [None] profiler
+   branch. A Gc.minor_words budget test pins this. [max_events] bounds
+   this call: the limit is fixed once at entry. *)
 let run ?until ?(max_events = 50_000_000) t =
   t.stop_requested <- false;
+  let limit = t.executed + max_events in
   (match t.profiler with
   | Some p -> Rf_obs.Profiler.run_begin p
   | None -> ());
@@ -130,25 +141,22 @@ let run ?until ?(max_events = 50_000_000) t =
       | Some horizon when Vtime.(horizon < next) ->
           t.clock <- horizon;
           Deadline_reached
-      | Some _ | None -> (
-          match Event_heap.pop_entry t.queue with
-          | None -> Quiescent
-          | Some e ->
-              let timer = e.Event_heap.value in
-              t.clock <- e.Event_heap.time;
-              if not timer.cancelled then begin
-                t.executed <- t.executed + 1;
-                if t.executed > max_events then
-                  failwith "Engine.run: max_events exceeded";
-                (match t.profiler with
-                | Some p ->
-                    Rf_obs.Profiler.tick p timer.entity
-                      ~depth:(Event_heap.size t.queue)
-                      ~now_us:(Vtime.to_us t.clock)
-                | None -> ());
-                timer.thunk ()
-              end;
-              loop ())
+      | Some _ | None ->
+          let timer = Event_heap.pop_min t.queue in
+          t.clock <- next;
+          if not timer.cancelled then begin
+            t.executed <- t.executed + 1;
+            if t.executed > limit then
+              failwith "Engine.run: max_events exceeded";
+            (match t.profiler with
+            | Some p ->
+                Rf_obs.Profiler.tick p timer.entity
+                  ~depth:(Event_heap.size t.queue)
+                  ~now_us:(Vtime.to_us t.clock)
+            | None -> ());
+            timer.thunk ()
+          end;
+          loop ()
   in
   let result = loop () in
   (match (result, until) with

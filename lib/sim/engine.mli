@@ -80,7 +80,8 @@ type run_result =
 val run : ?until:Vtime.t -> ?max_events:int -> t -> run_result
 (** Drains the queue. [until] bounds virtual time (events after it stay
     queued; the clock is left at [until]). [max_events] guards against
-    runaway simulations and raises [Failure] when exceeded. *)
+    runaway simulations: it is per call, counting only the events this
+    call executes, and [run] raises [Failure] when they exceed it. *)
 
 val stop : t -> unit
 (** Makes [run] return after the current event completes. *)

@@ -38,7 +38,7 @@ let test_vtime_span_ops () =
 (* --- Event_heap ----------------------------------------------------- *)
 
 let test_heap_ordering () =
-  let h = Event_heap.create () in
+  let h = Event_heap.create 0 in
   let times = [ 5.0; 1.0; 3.0; 2.0; 4.0 ] in
   List.iteri (fun i s -> Event_heap.push h (Vtime.of_s s) i) times;
   let order = ref [] in
@@ -55,7 +55,7 @@ let test_heap_ordering () =
     (List.rev !order)
 
 let test_heap_fifo_ties () =
-  let h = Event_heap.create () in
+  let h = Event_heap.create 0 in
   let t = Vtime.of_s 1.0 in
   for i = 0 to 9 do
     Event_heap.push h t i
@@ -74,7 +74,7 @@ let test_heap_fifo_ties () =
     (List.rev !out)
 
 let test_heap_grows () =
-  let h = Event_heap.create () in
+  let h = Event_heap.create 0 in
   for i = 0 to 999 do
     Event_heap.push h (Vtime.of_s (float_of_int (999 - i))) i
   done;
@@ -90,7 +90,7 @@ let prop_heap_sorted =
     ~count:200
     QCheck.(list (float_range 0. 1e6))
     (fun times ->
-      let h = Event_heap.create () in
+      let h = Event_heap.create 0 in
       List.iteri (fun i s -> Event_heap.push h (Vtime.of_s s) i) times;
       let rec drain last acc =
         match Event_heap.pop h with
@@ -100,6 +100,106 @@ let prop_heap_sorted =
             drain t (acc && ok)
       in
       drain Vtime.zero true)
+
+(* Model: a set of (time, insertion index) pairs, whose minimum is the
+   event the heap must pop next. Times come from a small range, so
+   most pops break a tie on insertion order, and pushes outnumber pops
+   three to one, so the heap grows from 64 slots past 256. *)
+module Key_set = Set.Make (struct
+  type t = int * int
+
+  let compare = compare
+end)
+
+type heap_op = Push of int | Pop
+
+let prop_heap_matches_model =
+  let op =
+    QCheck.Gen.(
+      frequency [ (3, map (fun t -> Push t) (int_bound 15)); (1, return Pop) ])
+  in
+  let print = function Push t -> Printf.sprintf "push %d" t | Pop -> "pop" in
+  QCheck.Test.make
+    ~name:"event_heap equals a sorted-list model under interleaved push/pop"
+    ~count:100
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat "; " (List.map print ops))
+        Gen.(list_size (int_range 1000 1400) op))
+    (fun ops ->
+      let h = Event_heap.create (-1) in
+      let step (model, next) = function
+        | Push t ->
+            Event_heap.push h (Vtime.of_us t) next;
+            (Key_set.add (t, next) model, next + 1)
+        | Pop -> (
+            match Key_set.min_elt_opt model with
+            | None ->
+                if Event_heap.pop h <> None then
+                  QCheck.Test.fail_report "pop from empty heap returned a value";
+                (model, next)
+            | Some ((t, v) as k) ->
+                let ht = Vtime.to_us (Event_heap.min_time h) in
+                let hv = Event_heap.pop_min h in
+                if ht <> t || hv <> v then
+                  QCheck.Test.fail_reportf "popped (%d, %d), model says (%d, %d)"
+                    ht hv t v;
+                (Key_set.remove k model, next))
+      in
+      let model, _ = List.fold_left step (Key_set.empty, 0) ops in
+      let rest = List.map snd (Key_set.elements model) in
+      let drained = List.init (Event_heap.size h) (fun _ -> Event_heap.pop_min h) in
+      Event_heap.peak h > 300 && Event_heap.is_empty h && drained = rest)
+
+(* Once the arrays have grown, push and pop_min only move ints and the
+   stored values around: no per-operation allocation. *)
+let test_heap_steady_state_zero_alloc () =
+  let h = Event_heap.create 0 in
+  let rng = Rng.create 11 in
+  for i = 0 to 999 do
+    Event_heap.push h (Vtime.of_us (Rng.int rng 1_000_000)) i
+  done;
+  let before = Gc.minor_words () in
+  for i = 1 to 5_000 do
+    let t = Vtime.to_us (Event_heap.min_time h) in
+    Event_heap.push h (Vtime.of_us (t + (i land 1023))) i;
+    ignore (Event_heap.pop_min h)
+  done;
+  let delta = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "10,000 push/pop_min allocated %.0f minor words" delta)
+    true (delta < 16.)
+
+(* A popped or cleared value must not stay reachable from the heap's
+   arrays: the vacated slots hold the filler instead. *)
+let test_heap_releases_values () =
+  let n = 100 in
+  let weak = Weak.create n in
+  let filler = ref (-1) in
+  let fill h =
+    for i = 0 to n - 1 do
+      (* Allocated here and reachable only through the heap and [weak]. *)
+      let v = ref i in
+      Weak.set weak i (Some v);
+      Event_heap.push h (Vtime.of_us (n - i)) v
+    done
+  in
+  let live () =
+    Gc.full_major ();
+    List.length (List.filter (Weak.check weak) (List.init n Fun.id))
+  in
+  let h = Event_heap.create filler in
+  fill h;
+  Alcotest.(check int) "queued values are live" n (live ());
+  for _ = 1 to n do
+    ignore (Event_heap.pop_min h)
+  done;
+  Alcotest.(check int) "popped values are collected" 0 (live ());
+  fill h;
+  Event_heap.clear h;
+  Alcotest.(check int) "cleared values are collected" 0 (live ());
+  (* [h] stays reachable through the checks above. *)
+  Alcotest.(check bool) "cleared" true (Event_heap.is_empty h)
 
 (* --- Engine ---------------------------------------------------------- *)
 
@@ -156,6 +256,23 @@ let test_engine_max_events_guard () =
       Alcotest.(check bool) "guard message" true
         (Astring_contains.contains msg "max_events")
   | _ -> Alcotest.fail "runaway simulation not caught")
+
+(* [max_events] bounds one call, not the engine's lifetime: a caller
+   that runs in steps gets the whole budget on every step. *)
+let test_engine_max_events_per_call () =
+  let e = Engine.create () in
+  let fired = ref 0 in
+  for i = 1 to 600 do
+    ignore (Engine.schedule e (Vtime.span_us i) (fun () -> incr fired))
+  done;
+  let first = Engine.run ~until:(Vtime.of_us 300) ~max_events:400 e in
+  Alcotest.(check bool) "first step reaches its deadline" true
+    (first = Engine.Deadline_reached);
+  Alcotest.(check int) "300 events in the first step" 300 !fired;
+  let second = Engine.run ~max_events:400 e in
+  Alcotest.(check bool) "second step drains the queue" true
+    (second = Engine.Quiescent);
+  Alcotest.(check int) "all 600 events ran" 600 !fired
 
 let test_engine_rejects_past () =
   let e = Engine.create () in
@@ -315,6 +432,11 @@ let suite =
     Alcotest.test_case "heap is FIFO for ties" `Quick test_heap_fifo_ties;
     Alcotest.test_case "heap grows and clears" `Quick test_heap_grows;
     QCheck_alcotest.to_alcotest prop_heap_sorted;
+    QCheck_alcotest.to_alcotest prop_heap_matches_model;
+    Alcotest.test_case "heap push/pop_min does not allocate" `Quick
+      test_heap_steady_state_zero_alloc;
+    Alcotest.test_case "heap releases popped and cleared values" `Quick
+      test_heap_releases_values;
     Alcotest.test_case "engine executes in time order" `Quick test_engine_schedule_order;
     Alcotest.test_case "engine cancel" `Quick test_engine_cancel;
     Alcotest.test_case "engine periodic + cancel" `Quick test_engine_periodic;
@@ -323,6 +445,8 @@ let suite =
     Alcotest.test_case "engine rejects scheduling into the past" `Quick
       test_engine_rejects_past;
     Alcotest.test_case "engine max_events guard" `Quick test_engine_max_events_guard;
+    Alcotest.test_case "engine max_events is per call" `Quick
+      test_engine_max_events_per_call;
     Alcotest.test_case "engine runs are deterministic" `Quick
       test_engine_deterministic;
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
