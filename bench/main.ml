@@ -1,7 +1,7 @@
 (* Microbenchmark harness: bechamel Test.make timings of the hot
-   substrate operations (SPF, LPM, OF codec, flow-table lookup, LLDP
-   codec, LSA Fletcher checksum, RIB churn, flow export, telemetry,
-   auditor, engine dispatch). CI's perf gate diffs them against ci/bench-baseline.json.
+   substrate operations (SPF, LPM, OF codec, flow-table lookup, switch
+   hop, LLDP codec, LSA Fletcher checksum, RIB churn, flow export,
+   telemetry, auditor, engine dispatch). CI's perf gate diffs them against ci/bench-baseline.json.
 
    The paper's experiments are not run here: `rfauto <experiment>`
    prints their tables, and bench/e2e times the workloads end to end.
@@ -281,6 +281,43 @@ let sample_udp_frame =
     ~src_ip:(ip "10.0.1.2") ~dst_ip:(ip "10.0.200.2")
     (Udp.make ~src_port:5004 ~dst_port:1234 (String.make 1200 'v'))
 
+(* One switch hop as a RouteFlow ring switch makes it: a 54-entry table
+   (28 host /24s and 26 link /30s, the routes of one switch on a
+   28-ring), every entry rewriting both MACs and forwarding, and a
+   no-op link on the output port. *)
+let forward_hop_fixture () =
+  let engine = Rf_sim.Engine.create () in
+  let dp = Rf_net.Datapath.create engine ~dpid:1L ~n_ports:3 in
+  List.iter
+    (fun port -> Rf_net.Datapath.set_transmit dp ~port (fun _ -> ()))
+    [ 2; 3 ];
+  let route prefix port =
+    Rf_openflow.Of_msg.flow_add
+      (Rf_openflow.Of_match.nw_dst_prefix (pfx prefix))
+      [
+        Rf_openflow.Of_action.Set_dl_src (Mac.make_local 100);
+        Rf_openflow.Of_action.Set_dl_dst (Mac.make_local 200);
+        Rf_openflow.Of_action.output port;
+      ]
+  in
+  let install fm =
+    match Rf_net.Datapath.handle_flow_mod dp fm with
+    | Ok () -> ()
+    | Error _ -> failwith "forward_hop_fixture: flow-mod refused"
+  in
+  for i = 1 to 28 do
+    install (route (Printf.sprintf "10.0.%d.0/24" i) (2 + (i mod 2)))
+  done;
+  for i = 1 to 26 do
+    install (route (Printf.sprintf "172.16.%d.0/30" (4 * i)) (2 + (i mod 2)))
+  done;
+  let frame =
+    Packet.udp ~src_mac:(Mac.make_local 1) ~dst_mac:(Mac.make_local 2)
+      ~src_ip:(ip "10.0.1.2") ~dst_ip:(ip "10.0.14.2")
+      (Udp.make ~src_port:5004 ~dst_port:1234 (String.make 18 'p'))
+  in
+  fun () -> Rf_net.Datapath.receive_frame dp ~in_port:1 frame
+
 let sample_flow_mod_wire =
   Rf_openflow.Of_codec.to_wire
     (Rf_openflow.Of_msg.msg
@@ -425,10 +462,11 @@ let micro_tests () =
   in
   let trie = trie_fixture () in
   let table = flow_table_fixture () in
-  let parsed_frame =
-    match Packet.parse sample_udp_frame with Ok p -> p | Error e -> failwith e
+  let key =
+    match Rf_openflow.Of_match.key_of_frame ~in_port:1 sample_udp_frame with
+    | Some k -> k
+    | None -> failwith "sample_udp_frame: no key"
   in
-  let key = Rf_openflow.Of_match.key_of_packet ~in_port:1 parsed_frame in
   let rib = Rf_routing.Rib.create () in
   let churn_route =
     {
@@ -463,6 +501,8 @@ let micro_tests () =
     Test.make ~name:"flow_table_lookup_1k_linear"
       (Staged.stage (fun () ->
            ignore (Rf_net.Flow_table.lookup_linear table key)));
+    Test.make ~name:"datapath_forward_hop"
+      (Staged.stage (forward_hop_fixture ()));
     Test.make ~name:"of_flow_mod_decode_alloc"
       (Staged.stage (fun () ->
            match Rf_openflow.Of_codec.of_wire sample_flow_mod_wire with

@@ -1,4 +1,3 @@
-open Rf_packet
 open Rf_openflow
 module Of_conn = Rf_controller.Of_conn
 
@@ -10,12 +9,20 @@ type slice_state = {
   denied : Rf_obs.Metrics.counter;
 }
 
+(* The translation of one xid FlowVisor issued toward the switch: which
+   slice sent the request, under which xid of its own. *)
+type xid_slot = {
+  mutable x_xid : int;  (* switch-side xid; [free_slot] when empty *)
+  mutable x_slice : string;
+  mutable x_orig : int32;
+}
+
 type switch_state = {
   sw_conn : Of_conn.t;
   features : Of_msg.features;
   slice_conns : (string, Rf_net.Channel.endpoint) Hashtbl.t;
       (** FlowVisor's end of each slice's impersonated connection *)
-  xid_map : (int32, string * int32) Hashtbl.t;
+  xid_ring : xid_slot array;
   mutable next_xid : int32;
 }
 
@@ -69,18 +76,35 @@ let fresh_xid sw =
   sw.next_xid <- Int32.add sw.next_xid 1l;
   sw.next_xid
 
+(* Most forwarded messages (flow-mods, packet-outs) are never answered,
+   so translations live in a ring indexed by the sequential xid: slot
+   [xid mod xid_ring_size], overwritten [xid_ring_size] requests later.
+   A reply comes back within a round trip, long before that. *)
+let xid_ring_size = 512
+
+let free_slot = min_int
+
+let new_xid_ring () =
+  Array.init xid_ring_size (fun _ ->
+      { x_xid = free_slot; x_slice = ""; x_orig = 0l })
+
+let xid_slot sw xid =
+  sw.xid_ring.(Int32.to_int xid land (xid_ring_size - 1))
+
 (* Forward a controller-originated request to the switch, remembering
    which slice and original xid a reply must return to. *)
 let forward_to_switch sw ~slice_name (m : Of_msg.t) =
   let xid = fresh_xid sw in
-  Hashtbl.replace sw.xid_map xid (slice_name, m.xid);
+  let slot = xid_slot sw xid in
+  slot.x_xid <- Int32.to_int xid;
+  slot.x_slice <- slice_name;
+  slot.x_orig <- m.xid;
   Of_conn.send_msg sw.sw_conn { m with xid }
 
 let classify_frame t frame ~in_port =
-  match Packet.parse frame with
-  | Error _ -> None
-  | Ok pkt ->
-      let key = Of_match.key_of_packet ~in_port pkt in
+  match Of_match.key_of_frame ~in_port frame with
+  | None -> None
+  | Some key ->
       List.find_opt (fun s -> Flowspace.owns_key s.def key) t.slice_list
 
 let eperm_flow_mod xid =
@@ -130,11 +154,9 @@ let handle_from_slice t sw slice conn (m : Of_msg.t) =
       end
   | Of_msg.Packet_out po ->
       let allowed =
-        match Packet.parse po.po_data with
-        | Error _ -> po.po_buffer_id <> None
-        | Ok pkt ->
-            let key = Of_match.key_of_packet ~in_port:po.po_in_port pkt in
-            Flowspace.owns_key slice.def key
+        match Of_match.key_of_frame ~in_port:po.po_in_port po.po_data with
+        | None -> po.po_buffer_id <> None
+        | Some key -> Flowspace.owns_key slice.def key
       in
       if allowed then
         forward_to_switch sw ~slice_name:slice.def.Flowspace.fs_name m
@@ -196,24 +218,27 @@ let handle_from_switch t sw (m : Of_msg.t) =
           | None -> ())
       | None -> ())
   | Of_msg.Port_status _ -> broadcast_to_slices t sw m
-  | Of_msg.Error _ | Of_msg.Stats_reply _ | Of_msg.Barrier_reply -> (
-      match Hashtbl.find_opt sw.xid_map m.xid with
-      | Some (slice_name, orig_xid) -> (
-          (match m.payload with
-          | Of_msg.Error _ -> () (* keep mapping: stats may still reply *)
-          | Of_msg.Stats_reply _ | Of_msg.Barrier_reply ->
-              Hashtbl.remove sw.xid_map m.xid
-          | Of_msg.Hello | Of_msg.Echo_request _ | Of_msg.Echo_reply _
-          | Of_msg.Vendor _ | Of_msg.Features_request | Of_msg.Features_reply _
-          | Of_msg.Get_config_request | Of_msg.Get_config_reply _
-          | Of_msg.Set_config _ | Of_msg.Packet_in _ | Of_msg.Flow_removed _
-          | Of_msg.Port_status _ | Of_msg.Packet_out _ | Of_msg.Flow_mod _
-          | Of_msg.Port_mod _ | Of_msg.Stats_request _ | Of_msg.Barrier_request ->
-              ());
-          match (slice_named t slice_name, Hashtbl.find_opt sw.slice_conns slice_name) with
-          | Some slice, Some conn -> send_to_slice slice conn { m with xid = orig_xid }
-          | (Some _ | None), (Some _ | None) -> ())
-      | None -> ())
+  | Of_msg.Error _ | Of_msg.Stats_reply _ | Of_msg.Barrier_reply ->
+      let slot = xid_slot sw m.xid in
+      if slot.x_xid = Int32.to_int m.xid then begin
+        let slice_name = slot.x_slice and orig_xid = slot.x_orig in
+        (match m.payload with
+        | Of_msg.Error _ -> () (* keep mapping: stats may still reply *)
+        | Of_msg.Stats_reply _ | Of_msg.Barrier_reply -> slot.x_xid <- free_slot
+        | Of_msg.Hello | Of_msg.Echo_request _ | Of_msg.Echo_reply _
+        | Of_msg.Vendor _ | Of_msg.Features_request | Of_msg.Features_reply _
+        | Of_msg.Get_config_request | Of_msg.Get_config_reply _
+        | Of_msg.Set_config _ | Of_msg.Packet_in _ | Of_msg.Flow_removed _
+        | Of_msg.Port_status _ | Of_msg.Packet_out _ | Of_msg.Flow_mod _
+        | Of_msg.Port_mod _ | Of_msg.Stats_request _ | Of_msg.Barrier_request ->
+            ());
+        match
+          (slice_named t slice_name, Hashtbl.find_opt sw.slice_conns slice_name)
+        with
+        | Some slice, Some conn ->
+            send_to_slice slice conn { m with xid = orig_xid }
+        | (Some _ | None), (Some _ | None) -> ()
+      end
   | Of_msg.Hello | Of_msg.Echo_request _ | Of_msg.Echo_reply _ | Of_msg.Vendor _
   | Of_msg.Features_request | Of_msg.Features_reply _ | Of_msg.Get_config_request
   | Of_msg.Get_config_reply _ | Of_msg.Set_config _ | Of_msg.Packet_out _
@@ -246,7 +271,7 @@ let switch_attach t ~dpid endpoint =
           sw_conn = conn;
           features;
           slice_conns = Hashtbl.create 4;
-          xid_map = Hashtbl.create 64;
+          xid_ring = new_xid_ring ();
           next_xid = 0x40000000l;
         }
       in

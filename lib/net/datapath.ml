@@ -6,12 +6,12 @@ type port = {
   mac : Mac.t;
   mutable up : bool;
   mutable transmit : (string -> unit) option;
-  mutable rx_packets : int64;
-  mutable tx_packets : int64;
-  mutable rx_bytes : int64;
-  mutable tx_bytes : int64;
-  mutable rx_dropped : int64;
-  mutable tx_dropped : int64;
+  mutable rx_packets : int;
+  mutable tx_packets : int;
+  mutable rx_bytes : int;
+  mutable tx_bytes : int;
+  mutable rx_dropped : int;
+  mutable tx_dropped : int;
 }
 
 type t = {
@@ -52,12 +52,12 @@ let create engine ~dpid ~n_ports =
       mac = Mac.make_local ((Int64.to_int dpid lsl 12) lor (i + 1));
       up = true;
       transmit = None;
-      rx_packets = 0L;
-      tx_packets = 0L;
-      rx_bytes = 0L;
-      tx_bytes = 0L;
-      rx_dropped = 0L;
-      tx_dropped = 0L;
+      rx_packets = 0;
+      tx_packets = 0;
+      rx_bytes = 0;
+      tx_bytes = 0;
+      rx_dropped = 0;
+      tx_dropped = 0;
     }
   in
   let t =
@@ -100,8 +100,8 @@ let create engine ~dpid ~n_ports =
                 int_of_float
                   (Rf_sim.Vtime.span_to_s
                      (Rf_sim.Vtime.diff now e.Flow_table.e_installed));
-              fr_packet_count = e.Flow_table.e_packets;
-              fr_byte_count = e.Flow_table.e_bytes;
+              fr_packet_count = Int64.of_int e.Flow_table.e_packets;
+              fr_byte_count = Int64.of_int e.Flow_table.e_bytes;
             })
       removed;
     if removed <> [] then t.on_table_changed ()
@@ -175,84 +175,56 @@ let packets_dropped t = t.dropped
 
 (* --- frame surgery for the set-field actions -------------------- *)
 
-let eth_header_len = 14
+let ip_header_offset = 14
 
-let ip_header_offset = eth_header_len
+let has_ipv4 b =
+  Bytes.length b >= ip_header_offset + 20
+  && Bytes.get_uint16_be b 12 = Ethernet.ethertype_ipv4
 
-let has_ipv4 frame =
-  String.length frame >= eth_header_len + 20
-  && (Char.code frame.[12] lsl 8) lor Char.code frame.[13]
-     = Ethernet.ethertype_ipv4
+let ip_header_len b =
+  (Char.code (Bytes.get b ip_header_offset) land 0xF) * 4
 
 let refresh_ip_checksum b =
-  let ihl = (Char.code (Bytes.get b ip_header_offset) land 0xF) * 4 in
-  Bytes.set b (ip_header_offset + 10) '\000';
-  Bytes.set b (ip_header_offset + 11) '\000';
-  let header = Bytes.sub_string b ip_header_offset ihl in
-  let csum = Wire.checksum header in
-  Bytes.set b (ip_header_offset + 10) (Char.chr (csum lsr 8));
-  Bytes.set b (ip_header_offset + 11) (Char.chr (csum land 0xff))
+  Bytes.set_uint16_be b (ip_header_offset + 10) 0;
+  Bytes.set_uint16_be b (ip_header_offset + 10)
+    (Wire.checksum_sub (Bytes.unsafe_to_string b) ip_header_offset
+       (ip_header_len b))
 
-let set_mac b off mac = Bytes.blit_string (Mac.to_bytes mac) 0 b off 6
+let set_port b off port =
+  if Bytes.length b >= off + 2 then Bytes.set_uint16_be b off port
 
-let set_ip_field frame_bytes off addr =
-  let v = Ipv4_addr.to_int32 addr in
-  for i = 0 to 3 do
-    Bytes.set frame_bytes (off + i)
-      (Char.chr
-         (Int32.to_int (Int32.shift_right_logical v (8 * (3 - i))) land 0xff))
-  done
-
-let l4_offset frame_bytes =
-  ip_header_offset
-  + ((Char.code (Bytes.get frame_bytes ip_header_offset) land 0xF) * 4)
-
-let apply_set_field frame action =
+(* Applies one set-field action to the frame being rewritten. *)
+let set_field b action =
   match action with
-  | Of_action.Output _ -> frame
-  | Of_action.Strip_vlan -> frame (* frames in this simulator are untagged *)
-  | Of_action.Set_dl_src mac ->
-      let b = Bytes.of_string frame in
-      set_mac b 6 mac;
-      Bytes.to_string b
-  | Of_action.Set_dl_dst mac ->
-      let b = Bytes.of_string frame in
-      set_mac b 0 mac;
-      Bytes.to_string b
-  | Of_action.Set_nw_src addr when has_ipv4 frame ->
-      let b = Bytes.of_string frame in
-      set_ip_field b (ip_header_offset + 12) addr;
-      refresh_ip_checksum b;
-      Bytes.to_string b
-  | Of_action.Set_nw_dst addr when has_ipv4 frame ->
-      let b = Bytes.of_string frame in
-      set_ip_field b (ip_header_offset + 16) addr;
-      refresh_ip_checksum b;
-      Bytes.to_string b
-  | Of_action.Set_nw_tos tos when has_ipv4 frame ->
-      let b = Bytes.of_string frame in
-      Bytes.set b (ip_header_offset + 1) (Char.chr (tos land 0xff));
-      refresh_ip_checksum b;
-      Bytes.to_string b
-  | Of_action.Set_tp_src port when has_ipv4 frame ->
-      let b = Bytes.of_string frame in
-      let off = l4_offset b in
-      if Bytes.length b >= off + 2 then begin
-        Bytes.set b off (Char.chr (port lsr 8));
-        Bytes.set b (off + 1) (Char.chr (port land 0xff))
-      end;
-      Bytes.to_string b
-  | Of_action.Set_tp_dst port when has_ipv4 frame ->
-      let b = Bytes.of_string frame in
-      let off = l4_offset b + 2 in
-      if Bytes.length b >= off + 2 then begin
-        Bytes.set b off (Char.chr (port lsr 8));
-        Bytes.set b (off + 1) (Char.chr (port land 0xff))
-      end;
-      Bytes.to_string b
+  | Of_action.Output _ -> ()
+  | Of_action.Strip_vlan -> () (* frames in this simulator are untagged *)
+  | Of_action.Set_dl_src mac -> Mac.set b 6 mac
+  | Of_action.Set_dl_dst mac -> Mac.set b 0 mac
+  | Of_action.Set_nw_src addr when has_ipv4 b ->
+      Bytes.set_int32_be b (ip_header_offset + 12) (Ipv4_addr.to_int32 addr);
+      refresh_ip_checksum b
+  | Of_action.Set_nw_dst addr when has_ipv4 b ->
+      Bytes.set_int32_be b (ip_header_offset + 16) (Ipv4_addr.to_int32 addr);
+      refresh_ip_checksum b
+  | Of_action.Set_nw_tos tos when has_ipv4 b ->
+      Bytes.set_uint8 b (ip_header_offset + 1) (tos land 0xff);
+      refresh_ip_checksum b
+  | Of_action.Set_tp_src port when has_ipv4 b ->
+      set_port b (ip_header_offset + ip_header_len b) port
+  | Of_action.Set_tp_dst port when has_ipv4 b ->
+      set_port b (ip_header_offset + ip_header_len b + 2) port
   | Of_action.Set_nw_src _ | Of_action.Set_nw_dst _ | Of_action.Set_nw_tos _
   | Of_action.Set_tp_src _ | Of_action.Set_tp_dst _ ->
-      frame
+      ()
+
+(* Rewrites [b] by the run of set-field actions at the head of
+   [actions]; returns the actions from the first output on. *)
+let rec set_fields b actions =
+  match actions with
+  | Of_action.Output _ :: _ | [] -> actions
+  | action :: rest ->
+      set_field b action;
+      set_fields b rest
 
 (* --- buffering --------------------------------------------------- *)
 
@@ -287,12 +259,16 @@ let transmit_on _t (p : port) frame =
   if p.up then begin
     match p.transmit with
     | Some f ->
-        p.tx_packets <- Int64.succ p.tx_packets;
-        p.tx_bytes <- Int64.add p.tx_bytes (Int64.of_int (String.length frame));
+        p.tx_packets <- p.tx_packets + 1;
+        p.tx_bytes <- p.tx_bytes + String.length frame;
         f frame
-    | None -> p.tx_dropped <- Int64.succ p.tx_dropped
+    | None -> p.tx_dropped <- p.tx_dropped + 1
   end
-  else p.tx_dropped <- Int64.succ p.tx_dropped
+  else p.tx_dropped <- p.tx_dropped + 1
+
+let transmit_to t n frame =
+  if n >= 1 && n <= Array.length t.ports then transmit_on t t.ports.(n - 1) frame
+  else t.dropped <- t.dropped + 1
 
 let emit_packet_in t ~in_port ~reason frame =
   let total_len = String.length frame in
@@ -322,7 +298,11 @@ let rec apply_actions t ~in_port frame actions =
       | Of_action.Set_dl_src _ | Of_action.Set_dl_dst _ | Of_action.Set_nw_src _
       | Of_action.Set_nw_dst _ | Of_action.Set_nw_tos _ | Of_action.Set_tp_src _
       | Of_action.Set_tp_dst _ | Of_action.Strip_vlan ->
-          apply_actions t ~in_port (apply_set_field frame action) rest)
+          (* One copy per run of set-fields: the frame already handed
+             to an earlier output must not change under it. *)
+          let b = Bytes.of_string frame in
+          let rest = set_fields b actions in
+          apply_actions t ~in_port (Bytes.unsafe_to_string b) rest)
 
 and output t ~in_port frame port =
   if port = Of_port.flood || port = Of_port.all then
@@ -331,46 +311,37 @@ and output t ~in_port frame port =
     Array.iter
       (fun p -> if p.port_no <> in_port then transmit_on t p frame)
       t.ports
-  else if port = Of_port.in_port then begin
-    match get_port t in_port with
-    | Some p -> transmit_on t p frame
-    | None -> t.dropped <- t.dropped + 1
-  end
+  else if port = Of_port.in_port then transmit_to t in_port frame
   else if port = Of_port.controller then
     emit_packet_in t ~in_port ~reason:Of_msg.Action_to_controller frame
-  else if Of_port.is_physical port then begin
-    match get_port t port with
-    | Some p -> transmit_on t p frame
-    | None -> t.dropped <- t.dropped + 1
-  end
+  else if Of_port.is_physical port then transmit_to t port frame
   else (* TABLE / NORMAL / LOCAL / NONE: not forwarded in this model *)
     t.dropped <- t.dropped + 1
 
 let receive_frame t ~in_port frame =
-  match get_port t in_port with
-  | None -> invalid_arg "Datapath.receive_frame: no such port"
-  | Some p ->
-      if not p.up then p.rx_dropped <- Int64.succ p.rx_dropped
-      else begin
-        p.rx_packets <- Int64.succ p.rx_packets;
-        p.rx_bytes <- Int64.add p.rx_bytes (Int64.of_int (String.length frame));
-        match Packet.parse frame with
-        | Error _ ->
-            p.rx_dropped <- Int64.succ p.rx_dropped;
-            t.dropped <- t.dropped + 1
-        | Ok pkt -> (
-            let key = Of_match.key_of_packet ~in_port pkt in
-            match Flow_table.lookup t.table key with
-            | Some entry ->
-                Flow_table.account entry
-                  ~now:(Rf_sim.Engine.now t.engine)
-                  ~bytes:(String.length frame);
-                t.forwarded <- t.forwarded + 1;
-                apply_actions t ~in_port frame entry.Flow_table.e_actions
-            | None ->
-                t.missed <- t.missed + 1;
-                emit_packet_in t ~in_port ~reason:Of_msg.No_match frame)
-      end
+  if in_port < 1 || in_port > Array.length t.ports then
+    invalid_arg "Datapath.receive_frame: no such port";
+  let p = t.ports.(in_port - 1) in
+  if not p.up then p.rx_dropped <- p.rx_dropped + 1
+  else begin
+    p.rx_packets <- p.rx_packets + 1;
+    p.rx_bytes <- p.rx_bytes + String.length frame;
+    match Of_match.key_of_frame ~in_port frame with
+    | None ->
+        p.rx_dropped <- p.rx_dropped + 1;
+        t.dropped <- t.dropped + 1
+    | Some key -> (
+        match Flow_table.lookup t.table key with
+        | Some entry ->
+            Flow_table.account entry
+              ~now:(Rf_sim.Engine.now t.engine)
+              ~bytes:(String.length frame);
+            t.forwarded <- t.forwarded + 1;
+            apply_actions t ~in_port frame entry.Flow_table.e_actions
+        | None ->
+            t.missed <- t.missed + 1;
+            emit_packet_in t ~in_port ~reason:Of_msg.No_match frame)
+  end
 
 let handle_flow_mod t (fm : Of_msg.flow_mod) =
   let now = Rf_sim.Engine.now t.engine in
@@ -396,8 +367,8 @@ let handle_flow_mod t (fm : Of_msg.flow_mod) =
                   int_of_float
                     (Rf_sim.Vtime.span_to_s
                        (Rf_sim.Vtime.diff now e.Flow_table.e_installed));
-                fr_packet_count = e.Flow_table.e_packets;
-                fr_byte_count = e.Flow_table.e_bytes;
+                fr_packet_count = Int64.of_int e.Flow_table.e_packets;
+                fr_byte_count = Int64.of_int e.Flow_table.e_bytes;
               })
         removed;
       (match (fm.fm_command, fm.fm_buffer_id) with
@@ -440,12 +411,12 @@ let port_stats t ~port =
   let stat (p : port) =
     {
       Of_msg.ps_port_no = p.port_no;
-      ps_rx_packets = p.rx_packets;
-      ps_tx_packets = p.tx_packets;
-      ps_rx_bytes = p.rx_bytes;
-      ps_tx_bytes = p.tx_bytes;
-      ps_rx_dropped = p.rx_dropped;
-      ps_tx_dropped = p.tx_dropped;
+      ps_rx_packets = Int64.of_int p.rx_packets;
+      ps_tx_packets = Int64.of_int p.tx_packets;
+      ps_rx_bytes = Int64.of_int p.rx_bytes;
+      ps_tx_bytes = Int64.of_int p.tx_bytes;
+      ps_rx_dropped = Int64.of_int p.rx_dropped;
+      ps_tx_dropped = Int64.of_int p.tx_dropped;
     }
   in
   if port = Of_port.none then Array.to_list (Array.map stat t.ports)

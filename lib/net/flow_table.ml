@@ -10,8 +10,8 @@ type entry = {
   e_notify_removed : bool;
   e_seq : int;
   mutable e_actions : Of_action.t list;
-  mutable e_packets : int64;
-  mutable e_bytes : int64;
+  mutable e_packets : int;
+  mutable e_bytes : int;
   e_installed : Rf_sim.Vtime.t;
   mutable e_last_used : Rf_sim.Vtime.t;
 }
@@ -28,7 +28,8 @@ type bucket = {
   b_mask : int;  (* presence bits for the ten scalar fields *)
   b_src : int;  (* nw_src prefix length; -1 = wildcarded *)
   b_dst : int;
-  b_tbl : (Of_match.key, entry) Hashtbl.t;
+  b_find : Of_match.key -> entry;  (* raises [Not_found] *)
+  b_offer : entry -> unit;
 }
 
 type t = {
@@ -36,6 +37,7 @@ type t = {
   capacity : int;
   mutable next_seq : int;
   mutable index : bucket list option;  (* None = stale, rebuilt lazily *)
+  mutable timed : int;  (* entries with an idle or hard timeout *)
 }
 (* Entries kept sorted by priority descending; stable within equal
    priority (insertion order, i.e. [e_seq] ascending). A plain add
@@ -43,7 +45,14 @@ type t = {
    [lookup] rebuilds it on demand. *)
 
 let create ?(capacity = 65536) () =
-  { entries = []; capacity; next_seq = 0; index = None }
+  { entries = []; capacity; next_seq = 0; index = None; timed = 0 }
+
+let is_timed e = e.e_idle_timeout > 0 || e.e_hard_timeout > 0
+
+let count_timed entries =
+  List.fold_left (fun n e -> if is_timed e then n + 1 else n) 0 entries
+
+let timed_entries t = t.timed
 
 let size t = List.length t.entries
 
@@ -89,30 +98,6 @@ let prefix_len = function
   | None -> -1
   | Some p -> Ipv4_addr.Prefix.length p
 
-let mask_addr a len =
-  if len <= 0 then Ipv4_addr.any
-  else
-    Ipv4_addr.of_int32
-      (Int32.logand (Ipv4_addr.to_int32 a) (Int32.shift_left (-1l) (32 - len)))
-
-(* The exact-match key an entry of this bucket constrains: wildcarded
-   fields zeroed, prefix fields masked to the bucket's lengths. *)
-let project b (k : Of_match.key) =
-  {
-    Of_match.in_port = (if b.b_mask land bit_in_port <> 0 then k.in_port else 0);
-    dl_src = (if b.b_mask land bit_dl_src <> 0 then k.dl_src else Mac.zero);
-    dl_dst = (if b.b_mask land bit_dl_dst <> 0 then k.dl_dst else Mac.zero);
-    dl_vlan = (if b.b_mask land bit_dl_vlan <> 0 then k.dl_vlan else 0);
-    dl_pcp = (if b.b_mask land bit_dl_pcp <> 0 then k.dl_pcp else 0);
-    dl_type = (if b.b_mask land bit_dl_type <> 0 then k.dl_type else 0);
-    nw_tos = (if b.b_mask land bit_nw_tos <> 0 then k.nw_tos else 0);
-    nw_proto = (if b.b_mask land bit_nw_proto <> 0 then k.nw_proto else 0);
-    nw_src = mask_addr k.nw_src b.b_src;
-    nw_dst = mask_addr k.nw_dst b.b_dst;
-    tp_src = (if b.b_mask land bit_tp_src <> 0 then k.tp_src else 0);
-    tp_dst = (if b.b_mask land bit_tp_dst <> 0 then k.tp_dst else 0);
-  }
-
 let key_of_match (m : Of_match.t) =
   let addr = function
     | None -> Ipv4_addr.any
@@ -133,32 +118,145 @@ let key_of_match (m : Of_match.t) =
     tp_dst = Option.value m.m_tp_dst ~default:0;
   }
 
-(* Enters [e] as its projected key's winner unless an entry already
-   there precedes it in table order (priority desc, seq asc); [e] is the
-   newest entry or, during a rebuild, visited in table order. Returns
-   the bucket list, extended when [e] opens a new signature. *)
+module type SIGNATURE = sig
+  val mask : int
+
+  val src : int
+
+  val dst : int
+end
+
+let prefix_bits len =
+  if len <= 0 then 0 else (0xFFFF_FFFF lsl (32 - len)) land 0xFFFF_FFFF
+
+let addr_bits a = Int32.to_int (Ipv4_addr.to_int32 a) land 0xFFFF_FFFF
+
+let mac_bits m = Int64.to_int (Mac.to_int64 m)
+
+(* A key as one signature's bucket sees it: the fields the signature
+   pins, every other field as zero, and both addresses cut to its
+   prefix lengths. Hashing and comparing through this view lets a
+   lookup probe with the frame's own key; building the projected key
+   would allocate a record and an address on every probe. The hash is
+   a multiply-add over every field, then murmur3's 64-bit finalizer
+   (constants cut to OCaml's 63-bit ints). Without the finalizer the
+   slot bits barely depend on an address's network octets, and the
+   /24s of one bucket pile into a few slots. *)
+module View (S : SIGNATURE) = struct
+  type t = Of_match.key
+
+  (* All ones for a pinned field, zero for a wildcarded one. *)
+  let keep bit = if S.mask land bit <> 0 then -1 else 0
+
+  let in_port = keep bit_in_port
+
+  let dl_src = keep bit_dl_src
+
+  let dl_dst = keep bit_dl_dst
+
+  let dl_vlan = keep bit_dl_vlan
+
+  let dl_pcp = keep bit_dl_pcp
+
+  let dl_type = keep bit_dl_type
+
+  let nw_tos = keep bit_nw_tos
+
+  let nw_proto = keep bit_nw_proto
+
+  let nw_src = prefix_bits S.src
+
+  let nw_dst = prefix_bits S.dst
+
+  let tp_src = keep bit_tp_src
+
+  let tp_dst = keep bit_tp_dst
+
+  let equal (a : t) (b : t) =
+    (a.in_port lxor b.in_port) land in_port = 0
+    && (mac_bits a.dl_src lxor mac_bits b.dl_src) land dl_src = 0
+    && (mac_bits a.dl_dst lxor mac_bits b.dl_dst) land dl_dst = 0
+    && (a.dl_vlan lxor b.dl_vlan) land dl_vlan = 0
+    && (a.dl_pcp lxor b.dl_pcp) land dl_pcp = 0
+    && (a.dl_type lxor b.dl_type) land dl_type = 0
+    && (a.nw_tos lxor b.nw_tos) land nw_tos = 0
+    && (a.nw_proto lxor b.nw_proto) land nw_proto = 0
+    && (addr_bits a.nw_src lxor addr_bits b.nw_src) land nw_src = 0
+    && (addr_bits a.nw_dst lxor addr_bits b.nw_dst) land nw_dst = 0
+    && (a.tp_src lxor b.tp_src) land tp_src = 0
+    && (a.tp_dst lxor b.tp_dst) land tp_dst = 0
+
+  let hash (k : t) =
+    let p = 0x100000001b3 in
+    let h = k.in_port land in_port in
+    let h = (h * p) + (mac_bits k.dl_src land dl_src) in
+    let h = (h * p) + (mac_bits k.dl_dst land dl_dst) in
+    let h = (h * p) + (k.dl_vlan land dl_vlan) in
+    let h = (h * p) + (k.dl_pcp land dl_pcp) in
+    let h = (h * p) + (k.dl_type land dl_type) in
+    let h = (h * p) + (k.nw_tos land nw_tos) in
+    let h = (h * p) + (k.nw_proto land nw_proto) in
+    let h = (h * p) + (addr_bits k.nw_src land nw_src) in
+    let h = (h * p) + (addr_bits k.nw_dst land nw_dst) in
+    let h = (h * p) + (k.tp_src land tp_src) in
+    let h = (h * p) + (k.tp_dst land tp_dst) in
+    let h = (h lxor (h lsr 33)) * 0x3f51afd7ed558ccd in
+    let h = (h lxor (h lsr 33)) * 0x34ceb9fe1a85ec53 in
+    (h lxor (h lsr 33)) land max_int
+end
+
+let signature_of (m : Of_match.t) =
+  (module struct
+    let mask = mask_of_match m
+
+    let src = prefix_len m.m_nw_src
+
+    let dst = prefix_len m.m_nw_dst
+  end : SIGNATURE)
+
+let bucket_hash m key =
+  let module V = View ((val signature_of m)) in
+  V.hash key
+
+(* A bucket keeps, per projected key, the entry that comes first in
+   table order (priority desc, seq asc). [b_offer] is handed the newest
+   entry or, during a rebuild, entries in table order, so an entry
+   already there wins unless [e] has a strictly higher priority. *)
+let new_bucket m =
+  let module S = (val signature_of m) in
+  let module Tbl = Hashtbl.Make (View (S)) in
+  let tbl = Tbl.create 64 in
+  {
+    b_mask = S.mask;
+    b_src = S.src;
+    b_dst = S.dst;
+    b_find = Tbl.find tbl;
+    b_offer =
+      (fun e ->
+        let k = key_of_match e.e_match in
+        match Tbl.find tbl k with
+        | w when w.e_priority >= e.e_priority -> ()
+        | _ | (exception Not_found) -> Tbl.replace tbl k e);
+  }
+
+(* Offers [e] to its signature's bucket; returns the bucket list,
+   extended when [e] opens a new signature. *)
 let index_add buckets e =
-  let mask = mask_of_match e.e_match in
-  let src = prefix_len e.e_match.Of_match.m_nw_src in
-  let dst = prefix_len e.e_match.Of_match.m_nw_dst in
-  let b, buckets =
-    match
-      List.find_opt
-        (fun b -> b.b_mask = mask && b.b_src = src && b.b_dst = dst)
-        buckets
-    with
-    | Some b -> (b, buckets)
-    | None ->
-        let b =
-          { b_mask = mask; b_src = src; b_dst = dst; b_tbl = Hashtbl.create 64 }
-        in
-        (b, b :: buckets)
-  in
-  let pk = key_of_match e.e_match in
-  (match Hashtbl.find_opt b.b_tbl pk with
-  | Some w when w.e_priority >= e.e_priority -> ()
-  | Some _ | None -> Hashtbl.replace b.b_tbl pk e);
-  buckets
+  let m = e.e_match in
+  let mask = mask_of_match m in
+  let src = prefix_len m.m_nw_src and dst = prefix_len m.m_nw_dst in
+  match
+    List.find_opt
+      (fun b -> b.b_mask = mask && b.b_src = src && b.b_dst = dst)
+      buckets
+  with
+  | Some b ->
+      b.b_offer e;
+      buckets
+  | None ->
+      let b = new_bucket m in
+      b.b_offer e;
+      b :: buckets
 
 let rebuild t =
   let index = List.fold_left index_add [] t.entries in
@@ -172,25 +270,22 @@ let lookup t key =
   let buckets = match t.index with Some i -> i | None -> rebuild t in
   let rec go best = function
     | [] -> best
-    | b :: rest ->
-        let best =
-          match Hashtbl.find_opt b.b_tbl (project b key) with
-          | None -> best
-          | Some e -> (
-              match best with
-              | Some be
-                when be.e_priority > e.e_priority
-                     || (be.e_priority = e.e_priority && be.e_seq < e.e_seq) ->
-                  best
-              | Some _ | None -> Some e)
-        in
-        go best rest
+    | b :: rest -> (
+        match b.b_find key with
+        | e -> (
+            match best with
+            | Some be
+              when be.e_priority > e.e_priority
+                   || (be.e_priority = e.e_priority && be.e_seq < e.e_seq) ->
+                go best rest
+            | Some _ | None -> go (Some e) rest)
+        | exception Not_found -> go best rest)
   in
   go None buckets
 
 let account e ~now ~bytes =
-  e.e_packets <- Int64.succ e.e_packets;
-  e.e_bytes <- Int64.add e.e_bytes (Int64.of_int bytes);
+  e.e_packets <- e.e_packets + 1;
+  e.e_bytes <- e.e_bytes + bytes;
   e.e_last_used <- now
 
 let insert_sorted t entry =
@@ -229,21 +324,17 @@ let matches_for_delete ~strict (fm : Of_msg.flow_mod) e =
 let rec apply_flow_mod t ~now (fm : Of_msg.flow_mod) =
   match fm.fm_command with
   | Of_msg.Add ->
-      let replaced = ref false in
-      let without =
-        List.filter
+      let replaced, without =
+        List.partition
           (fun e ->
-            let identical =
-              Of_match.equal fm.fm_match e.e_match
-              && fm.fm_priority = e.e_priority
-            in
-            if identical then replaced := true;
-            not identical)
+            Of_match.equal fm.fm_match e.e_match
+            && fm.fm_priority = e.e_priority)
           t.entries
       in
       if List.length without >= t.capacity then Error "all tables full"
       else begin
         t.entries <- without;
+        t.timed <- t.timed - count_timed replaced;
         t.next_seq <- t.next_seq + 1;
         let entry =
           {
@@ -255,18 +346,19 @@ let rec apply_flow_mod t ~now (fm : Of_msg.flow_mod) =
             e_notify_removed = fm.fm_notify_removed;
             e_seq = t.next_seq;
             e_actions = fm.fm_actions;
-            e_packets = 0L;
-            e_bytes = 0L;
+            e_packets = 0;
+            e_bytes = 0;
             e_installed = now;
             e_last_used = now;
           }
         in
         insert_sorted t entry;
+        if is_timed entry then t.timed <- t.timed + 1;
         (* The newest entry wins its projected key only on a strictly
            higher priority. An entry it replaced may have been a winner,
            so that case rebuilds. *)
         (match t.index with
-        | Some index when not !replaced ->
+        | Some index when replaced = [] ->
             t.index <- Some (index_add index entry)
         | Some _ | None -> t.index <- None);
         Ok []
@@ -299,10 +391,13 @@ let rec apply_flow_mod t ~now (fm : Of_msg.flow_mod) =
         List.partition (matches_for_delete ~strict fm) t.entries
       in
       t.entries <- kept;
-      if removed <> [] then t.index <- None;
+      if removed <> [] then begin
+        t.index <- None;
+        t.timed <- t.timed - count_timed removed
+      end;
       Ok removed
 
-let expire t ~now =
+let expire_timed t ~now =
   let expired e =
     let age_since from limit =
       limit > 0
@@ -321,7 +416,10 @@ let expire t ~now =
       ([], []) t.entries
   in
   t.entries <- List.rev kept;
-  if gone <> [] then t.index <- None;
+  if gone <> [] then begin
+    t.index <- None;
+    t.timed <- t.timed - List.length gone
+  end;
   (* Canonical eviction order, independent of insertion history: higher
      priority first, then lowest cookie, with table order as the final
      (stable) tie-break. Keeps the Flow_removed sequence deterministic
@@ -332,6 +430,10 @@ let expire t ~now =
       | 0 -> Int64.compare a.e_cookie b.e_cookie
       | c -> c)
     (List.rev gone)
+
+(* RouteFlow installs every flow without timeouts, so the once-a-second
+   sweep is usually a counter test. *)
+let expire t ~now = if t.timed = 0 then [] else expire_timed t ~now
 
 let stats t ~match_ ~out_port ~now =
   List.filter_map
@@ -349,8 +451,8 @@ let stats t ~match_ ~out_port ~now =
             fs_duration_s =
               int_of_float
                 (Rf_sim.Vtime.span_to_s (Rf_sim.Vtime.diff now e.e_installed));
-            fs_packet_count = e.e_packets;
-            fs_byte_count = e.e_bytes;
+            fs_packet_count = Int64.of_int e.e_packets;
+            fs_byte_count = Int64.of_int e.e_bytes;
             fs_actions = e.e_actions;
           }
       else None)

@@ -16,8 +16,8 @@ type entry = {
   e_notify_removed : bool;
   e_seq : int;  (** installation sequence; equal-priority tie-break *)
   mutable e_actions : Of_action.t list;
-  mutable e_packets : int64;
-  mutable e_bytes : int64;
+  mutable e_packets : int;
+  mutable e_bytes : int;  (** widened to [int64] in stats and flow-removed *)
   e_installed : Rf_sim.Vtime.t;
   mutable e_last_used : Rf_sim.Vtime.t;
 }
@@ -40,8 +40,14 @@ val lookup : t -> Of_match.key -> entry option
     Served from a lazily rebuilt index that partitions entries by
     wildcard signature into exact-match hash buckets, so steady-state
     cost is one hash probe per distinct signature rather than a scan
-    of every entry. Does not touch counters; callers account
-    explicitly. *)
+    of every entry. A probe hashes the key as it is, through the
+    bucket's mask, and allocates nothing. Does not touch counters;
+    callers account explicitly. *)
+
+val bucket_hash : Of_match.t -> Of_match.key -> int
+(** The hash {!lookup} computes for a key in the bucket of entries
+    shaped like the given match (same exact fields, same prefix
+    lengths). Exposed so tests can check how keys spread. *)
 
 val lookup_linear : t -> Of_match.key -> entry option
 (** The original linear scan over the priority-sorted entry list; the
@@ -59,7 +65,11 @@ val expire : t -> now:Rf_sim.Vtime.t -> (entry * removal_reason) list
 (** Removes and returns timed-out entries in canonical eviction order:
     priority descending, then cookie ascending, then table order — so
     the Flow_removed sequence is deterministic even when several
-    entries expire at the same vtime regardless of install order. *)
+    entries expire at the same vtime regardless of install order.
+    Returns [[]] without scanning when no entry has a timeout. *)
+
+val timed_entries : t -> int
+(** Entries with a non-zero idle or hard timeout. *)
 
 val stats :
   t -> match_:Of_match.t -> out_port:Of_port.t option -> now:Rf_sim.Vtime.t ->

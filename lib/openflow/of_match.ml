@@ -17,52 +17,126 @@ type key = {
 
 let untagged_vlan = 0xffff
 
-let key_of_packet ~in_port (p : Packet.t) =
-  let base =
+(* --- the 12-tuple, read in place from frame bytes ----------------- *)
+
+(* [key_of_frame] accepts exactly the frames [Packet.parse] accepts, so
+   each protocol below repeats its decoder's checks on offsets into the
+   frame instead of on sub-strings. *)
+
+let eth_header = 14
+
+let u8 f off = Char.code (String.unsafe_get f off)
+
+let u16 = String.get_uint16_be
+
+let make_key ~in_port f ~dl_type ~nw_tos ~nw_proto ~nw_src ~nw_dst ~tp_src
+    ~tp_dst =
+  Some
     {
       in_port;
-      dl_src = p.eth.src;
-      dl_dst = p.eth.dst;
+      dl_src = Mac.get f 6;
+      dl_dst = Mac.get f 0;
       dl_vlan = untagged_vlan;
       dl_pcp = 0;
-      dl_type = p.eth.ethertype;
-      nw_tos = 0;
-      nw_proto = 0;
-      nw_src = Ipv4_addr.any;
-      nw_dst = Ipv4_addr.any;
-      tp_src = 0;
-      tp_dst = 0;
+      dl_type;
+      nw_tos;
+      nw_proto;
+      nw_src;
+      nw_dst;
+      tp_src;
+      tp_dst;
     }
-  in
-  match p.l3 with
-  | Packet.Arp a ->
-      let opcode = match a.op with Arp.Request -> 1 | Arp.Reply -> 2 in
-      { base with nw_proto = opcode; nw_src = a.sender_ip; nw_dst = a.target_ip }
-  | Packet.Lldp _ -> base
-  | Packet.Raw_l3 _ -> base
-  | Packet.Ipv4 (ip, l4) ->
-      let base =
-        {
-          base with
-          nw_tos = ip.tos;
-          nw_proto = ip.protocol;
-          nw_src = ip.src;
-          nw_dst = ip.dst;
-        }
+
+let l2_key ~in_port f ~dl_type =
+  make_key ~in_port f ~dl_type ~nw_tos:0 ~nw_proto:0 ~nw_src:Ipv4_addr.any
+    ~nw_dst:Ipv4_addr.any ~tp_src:0 ~tp_dst:0
+
+(* Arp.of_wire: Ethernet/IPv4 hardware and protocol, 28 bytes, opcode
+   1 or 2. The key carries the opcode and the two protocol addresses. *)
+let arp_key ~in_port f =
+  let p = eth_header in
+  if String.length f - p < 28 then None
+  else if u16 f p <> 1 || u16 f (p + 2) <> Ethernet.ethertype_ipv4
+          || u8 f (p + 4) <> 6 || u8 f (p + 5) <> 4
+  then None
+  else
+    let op = u16 f (p + 6) in
+    if op <> 1 && op <> 2 then None
+    else
+      make_key ~in_port f ~dl_type:Ethernet.ethertype_arp ~nw_tos:0
+        ~nw_proto:op
+        ~nw_src:(Ipv4_addr.of_int32 (String.get_int32_be f (p + 14)))
+        ~nw_dst:(Ipv4_addr.of_int32 (String.get_int32_be f (p + 24)))
+        ~tp_src:0 ~tp_dst:0
+
+(* Lldp.of_wire fails only on a TLV whose value runs past the end. *)
+let rec lldp_tlvs_ok f p =
+  if String.length f - p < 2 then true
+  else
+    let header = u16 f p in
+    if header lsr 9 = 0 then true
+    else
+      let next = p + 2 + (header land 0x1FF) in
+      next <= String.length f && lldp_tlvs_ok f next
+
+(* The L4 checks of Packet.parse_l4 on the IPv4 payload [q, q + n).
+   Returns [tp_src lor (tp_dst lsl 16)], or -1 where parse_l4 fails. *)
+let l4_ports f ~protocol q n =
+  if protocol = Ipv4.proto_udp then
+    if n >= 8 && u16 f (q + 4) >= 8 && u16 f (q + 4) <= n then
+      u16 f q lor (u16 f (q + 2) lsl 16)
+    else -1
+  else if protocol = Ipv4.proto_tcp then
+    if n >= 20 && u8 f (q + 12) lsr 4 >= 5 && (u8 f (q + 12) lsr 4) * 4 <= n
+    then u16 f q lor (u16 f (q + 2) lsl 16)
+    else -1
+  else if protocol = Ipv4.proto_icmp then
+    (* OF 1.0 reads the ICMP type and code; the key keeps the code of a
+       destination-unreachable only, as the decoded message does. *)
+    if n < 8 || Wire.checksum_sub f q n <> 0 then -1
+    else
+      match u8 f q with
+      | (0 | 8 | 11) as typ -> typ
+      | 3 -> 3 lor (u8 f (q + 1) lsl 16)
+      | _ -> -1
+  else if protocol = Ipv4.proto_ospf then
+    match Ospf_pkt.of_wire (String.sub f q n) with Ok _ -> 0 | Error _ -> -1
+  else 0
+
+let ipv4_key ~in_port f =
+  let p = eth_header in
+  let n = String.length f - p in
+  if n < 20 then None
+  else
+    let vihl = u8 f p in
+    let header_len = (vihl land 0xF) * 4 in
+    let total_len = u16 f (p + 2) in
+    if vihl lsr 4 <> 4 || header_len < 20 || header_len > n
+       || Wire.checksum_sub f p header_len <> 0
+       || total_len < header_len || total_len > n
+    then None
+    else
+      let protocol = u8 f (p + 9) in
+      let ports =
+        l4_ports f ~protocol (p + header_len) (total_len - header_len)
       in
-      (match l4 with
-      | Packet.Udp u -> { base with tp_src = u.src_port; tp_dst = u.dst_port }
-      | Packet.Tcp t -> { base with tp_src = t.src_port; tp_dst = t.dst_port }
-      | Packet.Icmp i ->
-          let typ, code =
-            match i with
-            | Icmp.Echo_request _ -> (8, 0)
-            | Icmp.Echo_reply _ -> (0, 0)
-            | Icmp.Dest_unreachable { code; _ } -> (3, code)
-            | Icmp.Time_exceeded _ -> (11, 0)
-          in
-          { base with tp_src = typ; tp_dst = code }
-      | Packet.Ospf _ | Packet.Raw_l4 _ -> base)
+      if ports < 0 then None
+      else
+        make_key ~in_port f ~dl_type:Ethernet.ethertype_ipv4
+          ~nw_tos:(u8 f (p + 1)) ~nw_proto:protocol
+          ~nw_src:(Ipv4_addr.of_int32 (String.get_int32_be f (p + 12)))
+          ~nw_dst:(Ipv4_addr.of_int32 (String.get_int32_be f (p + 16)))
+          ~tp_src:(ports land 0xFFFF) ~tp_dst:(ports lsr 16)
+
+let key_of_frame ~in_port f =
+  if String.length f < eth_header then None
+  else
+    let dl_type = u16 f 12 in
+    if dl_type = Ethernet.ethertype_ipv4 then ipv4_key ~in_port f
+    else if dl_type = Ethernet.ethertype_arp then arp_key ~in_port f
+    else if dl_type = Ethernet.ethertype_lldp then
+      if lldp_tlvs_ok f eth_header then l2_key ~in_port f ~dl_type else None
+    else l2_key ~in_port f ~dl_type
 
 type t = {
   m_in_port : int option;

@@ -21,8 +21,11 @@ type key = {
   tp_dst : int;
 }
 
-val key_of_packet : in_port:int -> Packet.t -> key
-(** Field extraction as in OF 1.0 §3.4 (non-IP fields read as zero). *)
+val key_of_frame : in_port:int -> string -> key option
+(** Field extraction as in OF 1.0 §3.4 (non-IP fields read as zero),
+    read in place from the frame's bytes. [None] exactly when
+    {!Rf_packet.Packet.parse} rejects the frame: the same length,
+    version, checksum and TLV checks, without decoding the payload. *)
 
 type t = {
   m_in_port : int option;

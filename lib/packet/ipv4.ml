@@ -61,7 +61,7 @@ let of_wire s =
       let dst = Ipv4_addr.of_int32 (Wire.Reader.u32 r) in
       let header_len = ihl * 4 in
       if header_len > String.length s then Error "ipv4: truncated options"
-      else if Wire.checksum (String.sub s 0 header_len) <> 0 then
+      else if Wire.checksum_sub s 0 header_len <> 0 then
         Error "ipv4: bad checksum"
       else begin
         Wire.Reader.skip r (header_len - 20);

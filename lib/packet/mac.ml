@@ -15,15 +15,23 @@ let to_int64 t = t
 let byte t i =
   Int64.to_int (Int64.logand (Int64.shift_right_logical t (8 * (5 - i))) 0xFFL)
 
+let get s off =
+  Int64.of_int
+    ((String.get_uint16_be s off lsl 32)
+    lor (Int32.to_int (String.get_int32_be s (off + 2)) land 0xFFFF_FFFF))
+
 let of_bytes s =
   if String.length s <> 6 then invalid_arg "Mac.of_bytes: need 6 bytes";
-  let v = ref 0L in
-  String.iter
-    (fun c -> v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code c)))
-    s;
-  !v
+  get s 0
 
-let to_bytes t = String.init 6 (fun i -> Char.chr (byte t i))
+let set b off t =
+  Bytes.set_uint16_be b off (Int64.to_int (Int64.shift_right_logical t 32));
+  Bytes.set_int32_be b (off + 2) (Int64.to_int32 t)
+
+let to_bytes t =
+  let b = Bytes.create 6 in
+  set b 0 t;
+  Bytes.unsafe_to_string b
 
 let of_string s =
   let parts = String.split_on_char ':' s in

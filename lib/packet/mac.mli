@@ -20,6 +20,14 @@ val of_bytes : string -> t
 
 val to_bytes : t -> string
 
+val get : string -> int -> t
+(** [get s off] reads the address stored big-endian at [s.[off]] to
+    [s.[off + 5]]. Raises [Invalid_argument] if that range is not
+    inside [s]. *)
+
+val set : Bytes.t -> int -> t -> unit
+(** [set b off t] writes [t] big-endian at [b.[off]] to [b.[off + 5]]. *)
+
 val of_string : string -> t option
 (** Parses ["aa:bb:cc:dd:ee:ff"]. *)
 

@@ -116,10 +116,12 @@ module Reader = struct
     sub_reader
 end
 
-let checksum s =
-  let stop = String.length s in
+let checksum_sub s off len =
+  if off < 0 || len < 0 || off > String.length s - len then
+    invalid_arg "Wire.checksum_sub";
+  let stop = off + len in
   let sum = ref 0 in
-  let i = ref 0 in
+  let i = ref off in
   while !i + 1 < stop do
     sum :=
       !sum
@@ -132,3 +134,5 @@ let checksum s =
     sum := (!sum land 0xffff) + (!sum lsr 16)
   done;
   lnot !sum land 0xffff
+
+let checksum s = checksum_sub s 0 (String.length s)

@@ -69,3 +69,8 @@ end
 
 val checksum : string -> int
 (** RFC 1071 Internet checksum of a byte string. *)
+
+val checksum_sub : string -> int -> int -> int
+(** [checksum_sub s off len] is [checksum (String.sub s off len)]
+    without the copy. Raises [Invalid_argument] if the range is not
+    inside [s]. *)

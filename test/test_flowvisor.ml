@@ -233,6 +233,67 @@ let test_accounting () =
   Alcotest.(check bool) "from-data counted" true
     (Flowvisor.messages_from_slice h.fv "data" > 0)
 
+(* FlowVisor translates the xid of every message it forwards, but only
+   replies retire a translation and flow-mods and packet-outs get none.
+   The translations it keeps must not grow with the messages it
+   forwards. *)
+let test_xid_translations_bounded () =
+  let h = make_harness () in
+  let conn = Option.get h.slice_b in
+  let burst () =
+    for _ = 1 to 1000 do
+      Of_conn.packet_out conn ~actions:[ Of_action.output 2 ] udp_frame
+    done;
+    run h 0.1
+  in
+  burst ();
+  h.b_msgs <- [];
+  let before = Obj.reachable_words (Obj.repr h.fv) in
+  for _ = 2 to 100 do
+    burst ()
+  done;
+  h.b_msgs <- [];
+  let after = Obj.reachable_words (Obj.repr h.fv) in
+  Alcotest.(check bool) "all forwarded" true
+    (Flowvisor.messages_from_slice h.fv "data" >= 100_000);
+  Alcotest.(check bool)
+    (Printf.sprintf "100k packet-outs: %d -> %d words" before after)
+    true
+    (after <= before + 1024)
+
+(* A switch error still reaches the slice that caused it, under the
+   slice's own xid, after thousands of earlier translations. *)
+let test_error_routed_back () =
+  let h = make_harness () in
+  let conn = Option.get h.slice_b in
+  let errors = ref [] in
+  Of_conn.set_on_message conn (fun m ->
+      match m.Of_msg.payload with
+      | Of_msg.Error _ -> errors := m.Of_msg.xid :: !errors
+      | _ -> ());
+  for _ = 1 to 3000 do
+    Of_conn.packet_out conn ~actions:[ Of_action.output 2 ] udp_frame
+  done;
+  run h 0.5;
+  let xid =
+    Of_conn.send conn
+      (Of_msg.Packet_out
+         {
+           po_buffer_id = Some 77l (* never issued: the switch errors *);
+           po_in_port = Rf_openflow.Of_port.none;
+           po_actions = [ Of_action.output 2 ];
+           po_data = "";
+         })
+  in
+  run h 0.5;
+  Alcotest.(check (list int32)) "error under the slice's xid" [ xid ] !errors;
+  Alcotest.(check int) "topo slice saw no error" 0
+    (List.length
+       (List.filter
+          (fun (m : Of_msg.t) ->
+            match m.Of_msg.payload with Of_msg.Error _ -> true | _ -> false)
+          h.a_msgs))
+
 let suite =
   [
     Alcotest.test_case "flowspace classification" `Quick test_flowspace_classify;
@@ -251,4 +312,8 @@ let suite =
       test_packet_out_policed;
     Alcotest.test_case "slice accounting" `Quick test_accounting;
     Alcotest.test_case "port-mod denied to slices" `Quick test_port_mod_denied;
+    Alcotest.test_case "xid translations stay bounded" `Quick
+      test_xid_translations_bounded;
+    Alcotest.test_case "switch error routed back to its slice" `Quick
+      test_error_routed_back;
   ]

@@ -324,44 +324,48 @@ let prop_flow_table_model =
    must return the SAME entry (physical equality, not just equal
    priority) for every key, after every step of add/modify/delete
    churn. Probing between steps keeps the index built, so plain adds
-   exercise its in-place update and the other mutations its rebuild. *)
+   exercise its in-place update and the other mutations its rebuild.
+   A cell picks the second and third octets of a prefix, so one
+   signature bucket holds up to 64 prefixes of the same length. *)
 let prop_bucketed_lookup_matches_linear =
   QCheck.Test.make ~name:"bucketed lookup equals linear scan" ~count:100
     QCheck.(
-      list_of_size (Gen.int_bound 60)
-        (quad (int_bound 6) (int_bound 7) (oneofl [ 8; 16; 24; 32 ]) (int_bound 3)))
+      list_of_size (Gen.int_bound 120)
+        (quad (int_bound 6) (int_bound 63) (oneofl [ 8; 16; 24; 32 ])
+           (int_bound 3)))
     (fun ops ->
       let table = Flow_table.create () in
       let now = Vtime.zero in
+      let addr cell last = Ipv4_addr.of_octets 10 (cell land 7) (cell lsr 3) last in
       let agree () =
         List.for_all
-          (fun oct ->
-            let key = key_for (Ipv4_addr.of_octets 10 oct 7 9) in
+          (fun cell ->
+            let key = key_for (addr cell 9) in
             match
               (Flow_table.lookup table key, Flow_table.lookup_linear table key)
             with
             | None, None -> true
             | Some a, Some b -> a == b
             | _ -> false)
-          [ 0; 1; 2; 3; 4; 5; 6; 7 ]
+          [ 0; 1; 2; 7; 8; 13; 21; 34; 42; 55; 63 ]
       in
       List.for_all
-        (fun (kind, oct, len, prio) ->
+        (fun (kind, cell, len, prio) ->
           let prefix =
-            Ipv4_addr.Prefix.make (Ipv4_addr.of_octets 10 oct 0 0) len
+            Ipv4_addr.Prefix.make (addr cell (if len = 32 then 9 else 0)) len
           in
           let m = Of_match.nw_dst_prefix prefix in
           let fm =
             match kind with
             | 0 | 1 | 2 ->
                 Of_msg.flow_add ~priority:(100 + prio) m
-                  [ Of_action.output (oct + 1) ]
+                  [ Of_action.output (cell + 1) ]
             | 3 -> Of_msg.flow_delete m
             | 4 -> Of_msg.flow_delete ~strict:true ~priority:(100 + prio) m
             | _ ->
                 {
                   (Of_msg.flow_add ~priority:(100 + prio) m
-                     [ Of_action.output (oct + 2) ])
+                     [ Of_action.output (cell + 2) ])
                   with
                   Of_msg.fm_command = Of_msg.Modify;
                 }
@@ -371,6 +375,20 @@ let prop_bucketed_lookup_matches_linear =
           | Error e -> failwith e);
           agree ())
         ops)
+
+(* The keys one /24 bucket sees differ only in the network bits of
+   nw_dst; the hash must still spread them over the slots. *)
+let test_key_hash_spreads_prefixes () =
+  let m = Of_match.nw_dst_prefix (pfx "10.0.0.0/24") in
+  let slots = Array.make 1024 false in
+  for i = 0 to 999 do
+    let key = key_for (Ipv4_addr.of_octets 10 (i lsr 8) (i land 0xff) 9) in
+    slots.(Flow_table.bucket_hash m key land 1023) <- true
+  done;
+  let filled = Array.fold_left (fun n b -> if b then n + 1 else n) 0 slots in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of 1024 slots filled" filled)
+    true (filled >= 500)
 
 (* Regression: two entries at the same priority both matching a key —
    insertion order must break the tie, identically on both paths. The
@@ -466,6 +484,120 @@ let test_datapath_forwards_on_match () =
   Datapath.receive_frame dp ~in_port:1 (udp_frame ());
   Alcotest.(check int) "forwarded" 1 (List.length !out);
   Alcotest.(check int) "counter" 1 (Datapath.packets_forwarded dp)
+
+(* --- allocation budgets on the switch hot path ---------------------- *)
+
+(* Minor words per call of [f], averaged over [n] calls after a warm-up
+   call (which may grow tables or build the lookup index). *)
+let minor_words_per_call n f =
+  f ();
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+(* One forwarded frame through a RouteFlow entry (rewrite both MACs,
+   output) costs its key, the probe of each signature bucket and one
+   frame copy: a fixed budget, independent of the frame's payload
+   kind. A full parse of the frame alone costs more than this. *)
+let test_forward_hop_word_budget () =
+  let engine = Engine.create () in
+  let dp = Datapath.create engine ~dpid:1L ~n_ports:2 in
+  Datapath.set_transmit dp ~port:2 (fun _ -> ());
+  List.iter
+    (fun prefix ->
+      match
+        Datapath.handle_flow_mod dp
+          (Of_msg.flow_add (Of_match.nw_dst_prefix (pfx prefix))
+             [ Of_action.Set_dl_src (Mac.make_local 7);
+               Of_action.Set_dl_dst (Mac.make_local 8); Of_action.output 2 ])
+      with
+      | Ok () -> ()
+      | Error _ -> Alcotest.fail "flow mod failed")
+    [ "10.0.2.0/24"; "10.0.3.0/24"; "172.16.0.0/30"; "10.0.1.1/32" ];
+  let frame = udp_frame ~size:100 () in
+  let words =
+    minor_words_per_call 1000 (fun () ->
+        Datapath.receive_frame dp ~in_port:1 frame)
+  in
+  Alcotest.(check int) "all forwarded" 1001 (Datapath.packets_forwarded dp);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per forwarded frame" words)
+    true (words < 80.)
+
+(* RouteFlow installs no timeouts, so the once-a-second expiry sweep
+   must cost nothing on its tables. *)
+let test_expire_untimed_allocates_nothing () =
+  let table = Flow_table.create () in
+  for i = 0 to 49 do
+    add table ~now:Vtime.zero (Printf.sprintf "10.0.%d.0/24" i) 1
+  done;
+  let now = Vtime.of_s 5.0 in
+  let words =
+    minor_words_per_call 1000 (fun () ->
+        ignore (Flow_table.expire table ~now))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f minor words per expire" words)
+    true (words < 0.01);
+  Alcotest.(check int) "entries kept" 50 (Flow_table.size table)
+
+(* [timed_entries] gates the expiry scan, so it must equal the number
+   of entries with a timeout after any mix of adds (fresh and
+   replacing), modifies, deletes and expiries. *)
+let prop_timed_count_tracks_entries =
+  QCheck.Test.make ~name:"timed-entry count tracks the table" ~count:200
+    QCheck.(
+      list_of_size (Gen.int_bound 50)
+        (quad (int_bound 6) (int_bound 3) (int_bound 3) (int_bound 2)))
+    (fun ops ->
+      let table = Flow_table.create () in
+      let clock = ref 0. in
+      List.for_all
+        (fun (kind, cell, timeout, prio) ->
+          let m =
+            Of_match.nw_dst_prefix
+              (Ipv4_addr.Prefix.make (Ipv4_addr.of_octets 10 cell 0 0) 16)
+          in
+          let now = Vtime.of_s !clock in
+          let priority = 100 + prio in
+          let add ~idle ~hard =
+            ignore
+              (Flow_table.apply_flow_mod table ~now
+                 (Of_msg.flow_add ~priority ~idle_timeout:idle
+                    ~hard_timeout:hard m [ Of_action.output 1 ]))
+          in
+          (match kind with
+          | 0 -> add ~idle:0 ~hard:0
+          | 1 -> add ~idle:timeout ~hard:0
+          | 2 -> add ~idle:0 ~hard:(timeout * 2)
+          | 3 ->
+              ignore
+                (Flow_table.apply_flow_mod table ~now
+                   {
+                     (Of_msg.flow_add ~priority ~idle_timeout:timeout m
+                        [ Of_action.output 2 ])
+                     with
+                     Of_msg.fm_command =
+                       (if prio = 0 then Of_msg.Modify_strict else Of_msg.Modify);
+                   })
+          | 4 ->
+              ignore
+                (Flow_table.apply_flow_mod table ~now
+                   (Of_msg.flow_delete ~strict:(prio = 0) ~priority m))
+          | _ ->
+              clock := !clock +. float_of_int (timeout + 1);
+              ignore (Flow_table.expire table ~now:(Vtime.of_s !clock)));
+          let timed =
+            List.length
+              (List.filter
+                 (fun (e : Flow_table.entry) ->
+                   e.e_idle_timeout > 0 || e.e_hard_timeout > 0)
+                 (Flow_table.entries table))
+          in
+          Flow_table.timed_entries table = timed)
+        ops)
 
 let test_datapath_miss_packet_in () =
   let engine = Engine.create () in
@@ -1050,12 +1182,19 @@ let suite =
       test_flow_table_expire_order;
     QCheck_alcotest.to_alcotest prop_flow_table_model;
     QCheck_alcotest.to_alcotest prop_bucketed_lookup_matches_linear;
+    Alcotest.test_case "key hash spreads one bucket's prefixes" `Quick
+      test_key_hash_spreads_prefixes;
     Alcotest.test_case "same-priority tie-break, bucketed vs linear" `Quick
       test_lookup_same_priority_tiebreak;
     Alcotest.test_case "expire order and index invalidation" `Quick
       test_expire_order_and_index_invalidation;
     Alcotest.test_case "datapath forwards on match" `Quick
       test_datapath_forwards_on_match;
+    Alcotest.test_case "forwarded frame within word budget" `Quick
+      test_forward_hop_word_budget;
+    Alcotest.test_case "expire on an untimed table allocates nothing" `Quick
+      test_expire_untimed_allocates_nothing;
+    QCheck_alcotest.to_alcotest prop_timed_count_tracks_entries;
     Alcotest.test_case "datapath miss raises packet-in" `Quick
       test_datapath_miss_packet_in;
     Alcotest.test_case "datapath buffers large misses" `Quick

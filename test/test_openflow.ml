@@ -88,20 +88,19 @@ let test_match_wire_roundtrip () =
       | Error e -> Alcotest.fail e)
     cases
 
-let test_key_of_packet_arp () =
+let test_key_of_frame_arp () =
   let frame =
     Packet.arp ~src:(Mac.make_local 1) ~dst:Mac.broadcast
       (Arp.request ~sender_mac:(Mac.make_local 1) ~sender_ip:(ip "10.0.0.1")
          ~target_ip:(ip "10.0.0.2"))
   in
-  match Packet.parse frame with
-  | Ok p ->
-      let key = Of_match.key_of_packet ~in_port:7 p in
+  match Of_match.key_of_frame ~in_port:7 frame with
+  | Some key ->
       Alcotest.(check int) "dl_type" 0x0806 key.Of_match.dl_type;
       Alcotest.(check int) "opcode in nw_proto" 1 key.Of_match.nw_proto;
       Alcotest.(check bool) "sender ip" true
         (Ipv4_addr.equal key.Of_match.nw_src (ip "10.0.0.1"))
-  | Error e -> Alcotest.fail e
+  | None -> Alcotest.fail "ARP frame rejected"
 
 (* --- actions ----------------------------------------------------------- *)
 
@@ -362,7 +361,7 @@ let suite =
     Alcotest.test_case "subsumption" `Quick test_subsumes;
     Alcotest.test_case "intersection" `Quick test_intersects;
     Alcotest.test_case "match wire roundtrip" `Quick test_match_wire_roundtrip;
-    Alcotest.test_case "key extraction from ARP" `Quick test_key_of_packet_arp;
+    Alcotest.test_case "key extraction from ARP" `Quick test_key_of_frame_arp;
     Alcotest.test_case "action list roundtrip" `Quick test_action_list_roundtrip;
     Alcotest.test_case "hello/echo roundtrip" `Quick test_msg_hello_echo;
     Alcotest.test_case "features roundtrip" `Quick test_msg_features;

@@ -514,6 +514,112 @@ let decoders_total =
           total "Bgp_msg.of_wire" Rf_routing.Bgp_msg.of_wire
             (corrupt (Rf_routing.Bgp_msg.to_wire m) c))
 
+(* --- switch key extraction vs the full parser ------------------------ *)
+
+(* The 12-tuple as OF 1.0 §3.4 defines it over a decoded packet: the
+   reference that [Of_match.key_of_frame] must agree with on every
+   frame. *)
+let key_of_packet ~in_port (p : Packet.t) =
+  let base =
+    {
+      Of_match.in_port;
+      dl_src = p.eth.src;
+      dl_dst = p.eth.dst;
+      dl_vlan = 0xffff;
+      dl_pcp = 0;
+      dl_type = p.eth.ethertype;
+      nw_tos = 0;
+      nw_proto = 0;
+      nw_src = Ipv4_addr.any;
+      nw_dst = Ipv4_addr.any;
+      tp_src = 0;
+      tp_dst = 0;
+    }
+  in
+  match p.l3 with
+  | Packet.Arp a ->
+      let opcode = match a.op with Arp.Request -> 1 | Arp.Reply -> 2 in
+      { base with nw_proto = opcode; nw_src = a.sender_ip; nw_dst = a.target_ip }
+  | Packet.Lldp _ | Packet.Raw_l3 _ -> base
+  | Packet.Ipv4 (ip, l4) -> (
+      let base =
+        { base with nw_tos = ip.tos; nw_proto = ip.protocol; nw_src = ip.src;
+                    nw_dst = ip.dst }
+      in
+      match l4 with
+      | Packet.Udp u -> { base with tp_src = u.src_port; tp_dst = u.dst_port }
+      | Packet.Tcp t -> { base with tp_src = t.src_port; tp_dst = t.dst_port }
+      | Packet.Icmp i ->
+          let typ, code =
+            match i with
+            | Icmp.Echo_request _ -> (8, 0)
+            | Icmp.Echo_reply _ -> (0, 0)
+            | Icmp.Dest_unreachable { code; _ } -> (3, code)
+            | Icmp.Time_exceeded _ -> (11, 0)
+          in
+          { base with tp_src = typ; tp_dst = code }
+      | Packet.Ospf _ | Packet.Raw_l4 _ -> base)
+
+(* Every sample kind, plus the IPv4 payloads a ring carries less often:
+   TCP, the other ICMP types, an unknown protocol and a raw ethertype. *)
+let key_frames =
+  let ip s = Option.get (Ipv4_addr.of_string s) in
+  let mac1 = Mac.make_local 1 and mac2 = Mac.make_local 2 in
+  let a = ip "10.0.1.2" and b = ip "10.0.3.2" in
+  let icmp i = Packet.icmp ~src_mac:mac1 ~dst_mac:mac2 ~src_ip:a ~dst_ip:b i in
+  sample_frames
+  @ [
+      ( "tcp",
+        Packet.ipv4 ~src_mac:mac1 ~dst_mac:mac2
+          (Ipv4.make ~tos:0x10 ~protocol:Ipv4.proto_tcp ~src:a ~dst:b
+             (Tcp.to_wire
+                (Tcp.make ~src_port:40000 ~dst_port:179 (String.make 12 't')))) );
+      ("icmp-reply", icmp (Icmp.Echo_reply { ident = 9; seq = 3; payload = "" }));
+      ( "icmp-unreachable",
+        icmp (Icmp.Dest_unreachable { code = 1; original = String.make 28 'o' }) );
+      ("icmp-ttl", icmp (Icmp.Time_exceeded { original = String.make 28 'o' }));
+      ( "ipv4-raw",
+        Packet.ipv4 ~src_mac:mac1 ~dst_mac:mac2
+          (Ipv4.make ~protocol:47 ~src:a ~dst:b "gre") );
+      ( "arp-reply",
+        Packet.arp ~src:mac2 ~dst:mac1
+          (Arp.reply ~sender_mac:mac2 ~sender_ip:b ~target_mac:mac1
+             ~target_ip:a) );
+      ( "raw-l3",
+        Ethernet.to_wire
+          { Ethernet.src = mac1; dst = mac2; ethertype = 0x86dd;
+            payload = String.make 40 'x' } );
+    ]
+
+let gen_key_case =
+  let open G in
+  let* name, frame = oneofl key_frames in
+  (* A lone flip past the Ethernet addresses reaches the L3 and L4
+     length and type fields without a second flip spoiling the IPv4
+     checksum first. *)
+  let one_flip =
+    map (fun flip -> ([ flip ], 0)) (pair (int_range 12 47) (int_range 1 0xff))
+  in
+  let* c =
+    frequency [ (1, return ([], 0)); (2, gen_corruption); (2, one_flip) ]
+  in
+  let* in_port = int_range 1 48 in
+  return (name, corrupt frame c, in_port, c)
+
+let print_key_case (name, _, in_port, (flips, cut)) =
+  Printf.sprintf "%s on port %d, flips [%s], cut %d" name in_port
+    (String.concat "; "
+       (List.map (fun (p, m) -> Printf.sprintf "%d^0x%02x" p m) flips))
+    cut
+
+let key_of_frame_matches_parse =
+  prop ~count:4000 "key_of_frame = key of Packet.parse" gen_key_case
+    print_key_case (fun (_, frame, in_port, _) ->
+      let expected =
+        Option.map (key_of_packet ~in_port) (Result.to_option (Packet.parse frame))
+      in
+      Of_match.key_of_frame ~in_port frame = expected)
+
 (* --- address round-trips --------------------------------------------- *)
 
 let ipv4_roundtrip =
@@ -521,6 +627,30 @@ let ipv4_roundtrip =
       match Ipv4_addr.of_string (Ipv4_addr.to_string ip) with
       | Some ip' -> Ipv4_addr.equal ip ip'
       | None -> false)
+
+(* A MAC is 48 bits on the wire, most significant octet first, and
+   [of_bytes] takes exactly six bytes. *)
+let mac_roundtrip =
+  prop "Mac of_bytes∘to_bytes = id over 48-bit values"
+    (G.map (fun v -> Int64.logand v 0xFFFF_FFFF_FFFFL) G.ui64)
+    (Printf.sprintf "0x%012Lx")
+    (fun v ->
+      let m = Mac.of_int64 v in
+      let wire = Mac.to_bytes m in
+      let big_endian =
+        String.init 6 (fun i ->
+            Char.chr
+              (Int64.to_int (Int64.shift_right_logical v (8 * (5 - i))) land 0xff))
+      in
+      String.equal wire big_endian
+      && Int64.equal (Mac.to_int64 (Mac.of_bytes wire)) v
+      && Int64.equal (Mac.to_int64 (Mac.get ("ab" ^ wire) 2)) v
+      && List.for_all
+           (fun s ->
+             match Mac.of_bytes s with
+             | _ -> false
+             | exception Invalid_argument _ -> true)
+           [ String.sub wire 0 5; wire ^ "x" ])
 
 let gen_any_prefix =
   G.map2
@@ -678,9 +808,11 @@ let suite =
   [
     codec_roundtrip;
     decoders_total;
+    key_of_frame_matches_parse;
     rpc_codec_roundtrip;
     rpc_exactly_once;
     ipv4_roundtrip;
+    mac_roundtrip;
     prefix_roundtrip;
     trie_vs_naive;
   ]
