@@ -467,6 +467,17 @@ let micro_tests () =
     | Some k -> k
     | None -> failwith "sample_udp_frame: no key"
   in
+  (* One route's churn on the 1k table: add a new /24, delete it. *)
+  let churn_now = Rf_sim.Vtime.zero in
+  let churn_match = Rf_openflow.Of_match.nw_dst_prefix (pfx "10.4.0.0/24") in
+  let churn_add =
+    Rf_openflow.Of_msg.flow_add churn_match
+      [ Rf_openflow.Of_action.output 1 ]
+  in
+  let churn_delete =
+    Rf_openflow.Of_msg.flow_delete ~strict:true
+      ~priority:churn_add.fm_priority churn_match
+  in
   let rib = Rf_routing.Rib.create () in
   let churn_route =
     {
@@ -501,6 +512,13 @@ let micro_tests () =
     Test.make ~name:"flow_table_lookup_1k_linear"
       (Staged.stage (fun () ->
            ignore (Rf_net.Flow_table.lookup_linear table key)));
+    Test.make ~name:"flow_mod_churn_1k"
+      (Staged.stage (fun () ->
+           ignore
+             (Rf_net.Flow_table.apply_flow_mod table ~now:churn_now churn_add);
+           ignore
+             (Rf_net.Flow_table.apply_flow_mod table ~now:churn_now
+                churn_delete)));
     Test.make ~name:"datapath_forward_hop"
       (Staged.stage (forward_hop_fixture ()));
     Test.make ~name:"of_flow_mod_decode_alloc"

@@ -710,7 +710,7 @@ let scaling =
   in
   entry ~id:"scaling"
     ~doc:"X1: configuration time on rings up to 1000 switches"
-    ~pins:[ pin "x1-summary.txt" [ "--sizes"; "50" ] ]
+    ~pins:[ pin "x1-summary.txt" [ "--sizes"; "50,100,250" ] ]
     Term.(const run $ sizes_arg [ 50; 100; 250; 500; 1000 ])
 
 let ablation =

@@ -43,6 +43,21 @@ let port_desc (p : port) =
     up = p.up;
   }
 
+let notify_removed t ~now reason (e : Flow_table.entry) =
+  if e.e_notify_removed then
+    t.on_flow_removed
+      {
+        Of_msg.fr_match = e.e_match;
+        fr_cookie = e.e_cookie;
+        fr_priority = e.e_priority;
+        fr_reason = reason;
+        fr_duration_s =
+          int_of_float
+            (Rf_sim.Vtime.span_to_s (Rf_sim.Vtime.diff now e.e_installed));
+        fr_packet_count = Int64.of_int e.e_packets;
+        fr_byte_count = Int64.of_int e.e_bytes;
+      }
+
 let create engine ~dpid ~n_ports =
   if n_ports < 1 || n_ports > Of_port.max_physical then
     invalid_arg "Datapath.create: bad port count";
@@ -84,25 +99,12 @@ let create engine ~dpid ~n_ports =
     let now = Rf_sim.Engine.now engine in
     let removed = Flow_table.expire t.table ~now in
     List.iter
-      (fun ((e : Flow_table.entry), reason) ->
-        if e.Flow_table.e_notify_removed then
-          t.on_flow_removed
-            {
-              Of_msg.fr_match = e.Flow_table.e_match;
-              fr_cookie = e.Flow_table.e_cookie;
-              fr_priority = e.Flow_table.e_priority;
-              fr_reason =
-                (match reason with
-                | Flow_table.Expired_idle -> Of_msg.Removed_idle
-                | Flow_table.Expired_hard -> Of_msg.Removed_hard
-                | Flow_table.Deleted -> Of_msg.Removed_delete);
-              fr_duration_s =
-                int_of_float
-                  (Rf_sim.Vtime.span_to_s
-                     (Rf_sim.Vtime.diff now e.Flow_table.e_installed));
-              fr_packet_count = Int64.of_int e.Flow_table.e_packets;
-              fr_byte_count = Int64.of_int e.Flow_table.e_bytes;
-            })
+      (fun (e, reason) ->
+        notify_removed t ~now
+          (match reason with
+          | Flow_table.Expired_idle -> Of_msg.Removed_idle
+          | Flow_table.Expired_hard -> Of_msg.Removed_hard)
+          e)
       removed;
     if removed <> [] then t.on_table_changed ()
   in
@@ -354,25 +356,9 @@ let handle_flow_mod t (fm : Of_msg.flow_mod) =
           err_data = msg;
         }
   | Ok removed ->
-      List.iter
-        (fun (e : Flow_table.entry) ->
-          if e.Flow_table.e_notify_removed then
-            t.on_flow_removed
-              {
-                Of_msg.fr_match = e.Flow_table.e_match;
-                fr_cookie = e.Flow_table.e_cookie;
-                fr_priority = e.Flow_table.e_priority;
-                fr_reason = Of_msg.Removed_delete;
-                fr_duration_s =
-                  int_of_float
-                    (Rf_sim.Vtime.span_to_s
-                       (Rf_sim.Vtime.diff now e.Flow_table.e_installed));
-                fr_packet_count = Int64.of_int e.Flow_table.e_packets;
-                fr_byte_count = Int64.of_int e.Flow_table.e_bytes;
-              })
-        removed;
+      List.iter (notify_removed t ~now Of_msg.Removed_delete) removed;
       (match (fm.fm_command, fm.fm_buffer_id) with
-      | Of_msg.Add, Some buffer | Of_msg.Modify, Some buffer -> (
+      | (Of_msg.Add | Of_msg.Modify | Of_msg.Modify_strict), Some buffer -> (
           match take_buffer t buffer with
           | Some (in_port, frame) ->
               apply_actions t ~in_port frame fm.fm_actions

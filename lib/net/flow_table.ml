@@ -16,50 +16,48 @@ type entry = {
   mutable e_last_used : Rf_sim.Vtime.t;
 }
 
-type removal_reason = Expired_idle | Expired_hard | Deleted
+type removal_reason = Expired_idle | Expired_hard
 
-(* Lookup index: entries partitioned by wildcard signature (which
-   fields are exact, plus the two prefix lengths). Within a signature
-   every entry constrains the same projection of the key, so the bucket
-   is an exact-match hash table from projected key to the best (first
-   in table order) entry for that projection. A lookup probes one hash
+(* The store: entries partitioned by wildcard signature (which fields
+   are exact, plus the two prefix lengths). Within a signature every
+   entry constrains the same projection of the key, so the bucket is an
+   exact-match hash table from projected key to every entry with that
+   projection, in table order (priority descending, then [e_seq]
+   ascending). Entries of one key have equal matches and so differ only
+   in priority: the head of the list is what a lookup hitting the key
+   returns, and removing it uncovers the next. A lookup probes one hash
    table per distinct signature instead of scanning every entry. *)
 type bucket = {
   b_mask : int;  (* presence bits for the ten scalar fields *)
   b_src : int;  (* nw_src prefix length; -1 = wildcarded *)
   b_dst : int;
-  b_find : Of_match.key -> entry;  (* raises [Not_found] *)
-  b_offer : entry -> unit;
+  b_find : Of_match.key -> entry list;  (* raises [Not_found] *)
+  b_set : Of_match.key -> entry list -> unit;  (* [] removes the key *)
+  b_iter : (entry -> unit) -> unit;
+  b_keys : unit -> int;
 }
 
 type t = {
-  mutable entries : entry list;
+  mutable buckets : bucket list;
   capacity : int;
   mutable next_seq : int;
-  mutable index : bucket list option;  (* None = stale, rebuilt lazily *)
+  mutable size : int;
   mutable timed : int;  (* entries with an idle or hard timeout *)
 }
-(* Entries kept sorted by priority descending; stable within equal
-   priority (insertion order, i.e. [e_seq] ascending). A plain add
-   updates [index] in place; other mutations invalidate it and
-   [lookup] rebuilds it on demand. *)
 
 let create ?(capacity = 65536) () =
-  { entries = []; capacity; next_seq = 0; index = None; timed = 0 }
+  { buckets = []; capacity; next_seq = 0; size = 0; timed = 0 }
 
 let is_timed e = e.e_idle_timeout > 0 || e.e_hard_timeout > 0
 
-let count_timed entries =
-  List.fold_left (fun n e -> if is_timed e then n + 1 else n) 0 entries
-
 let timed_entries t = t.timed
 
-let size t = List.length t.entries
+let size t = t.size
 
-let entries t = t.entries
-
-let lookup_linear t key =
-  List.find_opt (fun e -> Of_match.matches e.e_match key) t.entries
+(* Table order: priority descending, then installation order. *)
+let before a b =
+  a.e_priority > b.e_priority
+  || (a.e_priority = b.e_priority && a.e_seq < b.e_seq)
 
 let bit_in_port = 1 lsl 0
 
@@ -218,10 +216,6 @@ let bucket_hash m key =
   let module V = View ((val signature_of m)) in
   V.hash key
 
-(* A bucket keeps, per projected key, the entry that comes first in
-   table order (priority desc, seq asc). [b_offer] is handed the newest
-   entry or, during a rebuild, entries in table order, so an entry
-   already there wins unless [e] has a strictly higher priority. *)
 let new_bucket m =
   let module S = (val signature_of m) in
   let module Tbl = Hashtbl.Make (View (S)) in
@@ -231,71 +225,90 @@ let new_bucket m =
     b_src = S.src;
     b_dst = S.dst;
     b_find = Tbl.find tbl;
-    b_offer =
-      (fun e ->
-        let k = key_of_match e.e_match in
-        match Tbl.find tbl k with
-        | w when w.e_priority >= e.e_priority -> ()
-        | _ | (exception Not_found) -> Tbl.replace tbl k e);
+    b_set =
+      (fun k -> function [] -> Tbl.remove tbl k | l -> Tbl.replace tbl k l);
+    b_iter = (fun f -> Tbl.iter (fun _ l -> List.iter f l) tbl);
+    b_keys = (fun () -> Tbl.length tbl);
   }
 
-(* Offers [e] to its signature's bucket; returns the bucket list,
-   extended when [e] opens a new signature. *)
-let index_add buckets e =
-  let m = e.e_match in
+let find_bucket t (m : Of_match.t) =
   let mask = mask_of_match m in
   let src = prefix_len m.m_nw_src and dst = prefix_len m.m_nw_dst in
-  match
-    List.find_opt
-      (fun b -> b.b_mask = mask && b.b_src = src && b.b_dst = dst)
-      buckets
-  with
-  | Some b ->
-      b.b_offer e;
-      buckets
-  | None ->
-      let b = new_bucket m in
-      b.b_offer e;
-      b :: buckets
+  List.find_opt
+    (fun b -> b.b_mask = mask && b.b_src = src && b.b_dst = dst)
+    t.buckets
 
-let rebuild t =
-  let index = List.fold_left index_add [] t.entries in
-  t.index <- Some index;
-  index
+(* The entries whose match projects to the same key as [m]. *)
+let key_entries t m =
+  match find_bucket t m with
+  | None -> []
+  | Some b -> ( try b.b_find (key_of_match m) with Not_found -> [])
+
+let iter t f = List.iter (fun b -> b.b_iter f) t.buckets
+
+let entries t =
+  let all = ref [] in
+  iter t (fun e -> all := e :: !all);
+  List.sort (fun a b -> if before a b then -1 else 1) !all
+
+let lookup_linear t key =
+  let best = ref None in
+  iter t (fun e ->
+      if Of_match.matches e.e_match key then
+        match !best with
+        | Some b when before b e -> ()
+        | Some _ | None -> best := Some e);
+  !best
 
 (* Highest priority across buckets wins; within equal priority the
    earliest-installed entry ([e_seq]) — exactly the entry the linear
-   scan over the sorted list would find first. *)
+   scan finds. *)
 let lookup t key =
-  let buckets = match t.index with Some i -> i | None -> rebuild t in
   let rec go best = function
     | [] -> best
     | b :: rest -> (
         match b.b_find key with
-        | e -> (
+        | e :: _ -> (
             match best with
-            | Some be
-              when be.e_priority > e.e_priority
-                   || (be.e_priority = e.e_priority && be.e_seq < e.e_seq) ->
-                go best rest
+            | Some be when before be e -> go best rest
             | Some _ | None -> go (Some e) rest)
-        | exception Not_found -> go best rest)
+        | [] | (exception Not_found) -> go best rest)
   in
-  go None buckets
+  go None t.buckets
 
 let account e ~now ~bytes =
   e.e_packets <- e.e_packets + 1;
   e.e_bytes <- e.e_bytes + bytes;
   e.e_last_used <- now
 
-let insert_sorted t entry =
-  let rec go = function
-    | [] -> [ entry ]
-    | e :: rest ->
-        if entry.e_priority > e.e_priority then entry :: e :: rest
-        else e :: go rest
+(* Every change to the store goes through this pair. *)
+let add_entry t e =
+  let b =
+    match find_bucket t e.e_match with
+    | Some b -> b
+    | None ->
+        let b = new_bucket e.e_match in
+        t.buckets <- b :: t.buckets;
+        b
   in
-  t.entries <- go t.entries
+  let k = key_of_match e.e_match in
+  let rec insert = function
+    | x :: rest when before x e -> x :: insert rest
+    | l -> e :: l
+  in
+  b.b_set k (insert (try b.b_find k with Not_found -> []));
+  t.size <- t.size + 1;
+  if is_timed e then t.timed <- t.timed + 1
+
+let remove_entry t e =
+  match find_bucket t e.e_match with
+  | None -> ()
+  | Some b ->
+      let k = key_of_match e.e_match in
+      b.b_set k (List.filter (fun x -> x != e) (b.b_find k));
+      if b.b_keys () = 0 then t.buckets <- List.filter (( != ) b) t.buckets;
+      t.size <- t.size - 1;
+      if is_timed e then t.timed <- t.timed - 1
 
 let entry_outputs_to port e =
   List.exists
@@ -308,35 +321,28 @@ let entry_outputs_to port e =
           false)
     e.e_actions
 
-let matches_for_delete ~strict (fm : Of_msg.flow_mod) e =
-  let match_ok =
-    if strict then
-      Of_match.equal fm.fm_match e.e_match && fm.fm_priority = e.e_priority
-    else Of_match.subsumes fm.fm_match e.e_match
-  in
-  let out_port_ok =
-    match fm.fm_out_port with
-    | None -> true
-    | Some port -> entry_outputs_to port e
-  in
-  match_ok && out_port_ok
+(* The entries a command's match selects, in table order: strict
+   commands require an equal match and priority, so they read only
+   their own key's list; the others subsume by match. *)
+let selected t ~strict (fm : Of_msg.flow_mod) =
+  if strict then
+    List.filter
+      (fun e ->
+        Of_match.equal fm.fm_match e.e_match && fm.fm_priority = e.e_priority)
+      (key_entries t fm.fm_match)
+  else
+    List.filter (fun e -> Of_match.subsumes fm.fm_match e.e_match) (entries t)
 
 let rec apply_flow_mod t ~now (fm : Of_msg.flow_mod) =
   match fm.fm_command with
   | Of_msg.Add ->
-      let replaced, without =
-        List.partition
-          (fun e ->
-            Of_match.equal fm.fm_match e.e_match
-            && fm.fm_priority = e.e_priority)
-          t.entries
-      in
-      if List.length without >= t.capacity then Error "all tables full"
+      let replaced = selected t ~strict:true fm in
+      if t.size - List.length replaced >= t.capacity then
+        Error "all tables full"
       else begin
-        t.entries <- without;
-        t.timed <- t.timed - count_timed replaced;
+        List.iter (remove_entry t) replaced;
         t.next_seq <- t.next_seq + 1;
-        let entry =
+        add_entry t
           {
             e_match = fm.fm_match;
             e_priority = fm.fm_priority;
@@ -350,90 +356,56 @@ let rec apply_flow_mod t ~now (fm : Of_msg.flow_mod) =
             e_bytes = 0;
             e_installed = now;
             e_last_used = now;
-          }
-        in
-        insert_sorted t entry;
-        if is_timed entry then t.timed <- t.timed + 1;
-        (* The newest entry wins its projected key only on a strictly
-           higher priority. An entry it replaced may have been a winner,
-           so that case rebuilds. *)
-        (match t.index with
-        | Some index when replaced = [] ->
-            t.index <- Some (index_add index entry)
-        | Some _ | None -> t.index <- None);
+          };
         Ok []
       end
-  | Of_msg.Modify | Of_msg.Modify_strict ->
-      let strict = fm.fm_command = Of_msg.Modify_strict in
-      let touched = ref false in
-      List.iter
-        (fun e ->
-          let hit =
-            if strict then
-              Of_match.equal fm.fm_match e.e_match && fm.fm_priority = e.e_priority
-            else Of_match.subsumes fm.fm_match e.e_match
-          in
-          if hit then begin
-            e.e_actions <- fm.fm_actions;
-            touched := true
-          end)
-        t.entries;
-      if !touched then begin
-        t.index <- None;
-        Ok []
-      end
-      else
-        (* OF 1.0: a modify that matches nothing behaves as an add. *)
-        apply_flow_mod t ~now { fm with fm_command = Of_msg.Add }
+  | Of_msg.Modify | Of_msg.Modify_strict -> (
+      match selected t ~strict:(fm.fm_command = Of_msg.Modify_strict) fm with
+      | [] ->
+          (* OF 1.0: a modify that matches nothing behaves as an add. *)
+          apply_flow_mod t ~now { fm with fm_command = Of_msg.Add }
+      | hits ->
+          List.iter (fun e -> e.e_actions <- fm.fm_actions) hits;
+          Ok [])
   | Of_msg.Delete | Of_msg.Delete_strict ->
-      let strict = fm.fm_command = Of_msg.Delete_strict in
-      let removed, kept =
-        List.partition (matches_for_delete ~strict fm) t.entries
+      let removed =
+        List.filter
+          (fun e ->
+            match fm.fm_out_port with
+            | None -> true
+            | Some port -> entry_outputs_to port e)
+          (selected t ~strict:(fm.fm_command = Of_msg.Delete_strict) fm)
       in
-      t.entries <- kept;
-      if removed <> [] then begin
-        t.index <- None;
-        t.timed <- t.timed - count_timed removed
-      end;
+      List.iter (remove_entry t) removed;
       Ok removed
 
-let expire_timed t ~now =
-  let expired e =
-    let age_since from limit =
-      limit > 0
-      && Rf_sim.Vtime.(add from (Rf_sim.Vtime.span_s (float_of_int limit)) <= now)
-    in
-    if age_since e.e_installed e.e_hard_timeout then Some Expired_hard
-    else if age_since e.e_last_used e.e_idle_timeout then Some Expired_idle
-    else None
+let expired ~now e =
+  let age_since from limit =
+    limit > 0
+    && Rf_sim.Vtime.(add from (Rf_sim.Vtime.span_s (float_of_int limit)) <= now)
   in
-  let gone, kept =
-    List.fold_left
-      (fun (gone, kept) e ->
-        match expired e with
-        | Some reason -> ((e, reason) :: gone, kept)
-        | None -> (gone, e :: kept))
-      ([], []) t.entries
-  in
-  t.entries <- List.rev kept;
-  if gone <> [] then begin
-    t.index <- None;
-    t.timed <- t.timed - List.length gone
-  end;
-  (* Canonical eviction order, independent of insertion history: higher
-     priority first, then lowest cookie, with table order as the final
-     (stable) tie-break. Keeps the Flow_removed sequence deterministic
-     when several entries expire at the same vtime. *)
-  List.stable_sort
-    (fun ((a : entry), _) ((b : entry), _) ->
-      match compare b.e_priority a.e_priority with
-      | 0 -> Int64.compare a.e_cookie b.e_cookie
-      | c -> c)
-    (List.rev gone)
+  if age_since e.e_installed e.e_hard_timeout then Some (e, Expired_hard)
+  else if age_since e.e_last_used e.e_idle_timeout then Some (e, Expired_idle)
+  else None
 
 (* RouteFlow installs every flow without timeouts, so the once-a-second
    sweep is usually a counter test. *)
-let expire t ~now = if t.timed = 0 then [] else expire_timed t ~now
+let expire t ~now =
+  if t.timed = 0 then []
+  else begin
+    let gone = List.filter_map (expired ~now) (entries t) in
+    List.iter (fun (e, _) -> remove_entry t e) gone;
+    (* Canonical eviction order, independent of insertion history: higher
+       priority first, then lowest cookie, with table order as the final
+       (stable) tie-break. Keeps the Flow_removed sequence deterministic
+       when several entries expire at the same vtime. *)
+    List.stable_sort
+      (fun ((a : entry), _) ((b : entry), _) ->
+        match compare b.e_priority a.e_priority with
+        | 0 -> Int64.compare a.e_cookie b.e_cookie
+        | c -> c)
+      gone
+  end
 
 let stats t ~match_ ~out_port ~now =
   List.filter_map
@@ -456,4 +428,4 @@ let stats t ~match_ ~out_port ~now =
             fs_actions = e.e_actions;
           }
       else None)
-    t.entries
+    (entries t)

@@ -22,7 +22,7 @@ type entry = {
   mutable e_last_used : Rf_sim.Vtime.t;
 }
 
-type removal_reason = Expired_idle | Expired_hard | Deleted
+type removal_reason = Expired_idle | Expired_hard
 
 type t
 
@@ -33,16 +33,15 @@ val create : ?capacity:int -> unit -> t
 val size : t -> int
 
 val entries : t -> entry list
-(** Priority-descending, then insertion order. *)
+(** Priority-descending, then insertion order; sorted on each call. *)
 
 val lookup : t -> Of_match.key -> entry option
 (** Highest-priority matching entry (insertion order breaks ties).
-    Served from a lazily rebuilt index that partitions entries by
-    wildcard signature into exact-match hash buckets, so steady-state
-    cost is one hash probe per distinct signature rather than a scan
-    of every entry. A probe hashes the key as it is, through the
-    bucket's mask, and allocates nothing. Does not touch counters;
-    callers account explicitly. *)
+    The table stores its entries by wildcard signature in exact-match
+    hash buckets, so the cost is one hash probe per distinct signature
+    rather than a scan of every entry. A probe hashes the key as it is,
+    through the bucket's mask, and allocates nothing. Does not touch
+    counters; callers account explicitly. *)
 
 val bucket_hash : Of_match.t -> Of_match.key -> int
 (** The hash {!lookup} computes for a key in the bucket of entries
@@ -50,8 +49,9 @@ val bucket_hash : Of_match.t -> Of_match.key -> int
     lengths). Exposed so tests can check how keys spread. *)
 
 val lookup_linear : t -> Of_match.key -> entry option
-(** The original linear scan over the priority-sorted entry list; the
-    reference oracle for {!lookup} — both must agree on every key. *)
+(** A scan of every entry that keeps the best match in table order,
+    without hashing; the reference oracle for {!lookup} — both must
+    agree on every key. *)
 
 val account : entry -> now:Rf_sim.Vtime.t -> bytes:int -> unit
 
@@ -59,7 +59,9 @@ val apply_flow_mod :
   t -> now:Rf_sim.Vtime.t -> Of_msg.flow_mod -> (entry list, string) result
 (** Returns the entries removed by a delete command ([] for add and
     modify). Add with an existing identical (match, priority) entry
-    replaces it, resetting counters. *)
+    replaces it, resetting counters. Add and the strict commands touch
+    only the entries of their own match; the non-strict ones sort every
+    entry. *)
 
 val expire : t -> now:Rf_sim.Vtime.t -> (entry * removal_reason) list
 (** Removes and returns timed-out entries in canonical eviction order:

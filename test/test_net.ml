@@ -224,108 +224,248 @@ let test_flow_table_capacity () =
   | Error msg -> Alcotest.(check string) "full" "all tables full" msg
   | Ok _ -> Alcotest.fail "accepted over capacity"
 
-(* Model-based property: a random sequence of adds and deletes applied
-   to both the real flow table and a naive reference list must agree on
-   every lookup. *)
-let priority_tied reference key p =
-  List.length
-    (List.filter
-       (fun (m, p', _) -> p' = p && Of_match.matches m key)
-       reference)
-  > 1
+(* Model-based property: a random sequence of every flow-mod command,
+   expiries and accounted lookups, applied both to the real flow table
+   and to a naive model — a list of (entry, expected actions) in table
+   order, priority descending and then installation order. After every
+   step the two must agree on the entries (physically, in order), on
+   what each step removed, on the counters, and on every lookup of a
+   probe grid through [lookup], [lookup_linear] and the model's first
+   match. The matches span six signatures, so entries of one projected
+   key at several priorities and ties across buckets both occur. *)
+let model_probes =
+  List.concat_map
+    (fun in_port ->
+      List.concat_map
+        (fun dl_type ->
+          List.map
+            (fun dst -> { (key_for (ip dst)) with in_port; dl_type })
+            [ "10.1.2.9"; "10.2.7.9"; "10.1.9.9"; "10.3.3.3"; "11.0.0.1" ])
+        [ 0x0800; 0x0806 ])
+    [ 1; 2 ]
+
+let model_matches =
+  Array.of_list
+    (List.map
+       (fun p -> Of_match.nw_dst_prefix (pfx p))
+       [ "10.0.0.0/8"; "10.1.0.0/16"; "10.2.0.0/16"; "10.1.2.0/24";
+         "10.2.7.0/24" ]
+    @ [ Of_match.dl_type_is 0x0800; Of_match.dl_type_is 0x0806;
+        Of_match.wildcard_all;
+        Of_match.exact_of_key (List.nth model_probes 0);
+        Of_match.exact_of_key (List.nth model_probes 10) ])
 
 let prop_flow_table_model =
   QCheck.Test.make ~name:"flow table agrees with naive reference model"
-    ~count:100
+    ~count:200
     QCheck.(
-      list_of_size (Gen.int_bound 40)
-        (quad (int_bound 3) (int_bound 3) (oneofl [ 8; 16; 24 ]) (int_bound 3)))
-    (fun ops ->
-      let table = Flow_table.create () in
-      (* reference: (match, priority, port) list, newest add wins *)
-      let reference = ref [] in
-      let now = Vtime.zero in
-      List.iter
-        (fun (kind, oct, len, prio) ->
-          let prefix =
-            Ipv4_addr.Prefix.make (Ipv4_addr.of_octets 10 oct 0 0) len
-          in
-          let m = Of_match.nw_dst_prefix prefix in
-          let priority = 100 + prio in
-          match kind with
-          | 0 | 1 ->
-              let port = (oct * 4) + prio + 1 in
-              (match
-                 Flow_table.apply_flow_mod table ~now
-                   (Of_msg.flow_add ~priority m [ Of_action.output port ])
-               with
-              | Ok _ -> ()
-              | Error e -> failwith e);
-              reference :=
-                (m, priority, port)
-                :: List.filter
-                     (fun (m', p', _) -> not (Of_match.equal m m' && p' = priority))
-                     !reference
-          | 2 ->
-              (match
-                 Flow_table.apply_flow_mod table ~now (Of_msg.flow_delete m)
-               with
-              | Ok _ -> ()
-              | Error e -> failwith e);
-              reference :=
-                List.filter
-                  (fun (m', _, _) -> not (Of_match.subsumes m m'))
-                  !reference
-          | _ ->
-              (match
-                 Flow_table.apply_flow_mod table ~now
-                   (Of_msg.flow_delete ~strict:true ~priority m)
-               with
-              | Ok _ -> ()
-              | Error e -> failwith e);
-              reference :=
-                List.filter
-                  (fun (m', p', _) -> not (Of_match.equal m m' && p' = priority))
-                  !reference)
-        ops;
-      (* Compare lookups over a probe grid. *)
-      List.for_all
-        (fun oct ->
-          let key = key_for (Ipv4_addr.of_octets 10 oct 7 9) in
+      pair (oneofl [ 4; 12; 64 ])
+        (list_of_size (Gen.int_bound 60)
+           (quad (int_bound 7) (int_bound 9) (int_bound 2) (int_bound 31))))
+    (fun (capacity, ops) ->
+      let table = Flow_table.create ~capacity () in
+      let model = ref [] and seq = ref 0 and clock = ref 0. in
+      let same_entries a b =
+        List.length a = List.length b && List.for_all2 ( == ) a b
+      in
+      let before (a : Flow_table.entry) (b : Flow_table.entry) =
+        a.e_priority > b.e_priority
+      in
+      let model_add ~now (fm : Of_msg.flow_mod) =
+        let same (e : Flow_table.entry) =
+          Of_match.equal fm.fm_match e.e_match && fm.fm_priority = e.e_priority
+        in
+        let kept = List.filter (fun (e, _) -> not (same e)) !model in
+        if List.length kept >= capacity then Error "all tables full"
+        else begin
+          incr seq;
           let expected =
-            List.fold_left
-              (fun best (m, p, port) ->
-                if Of_match.matches m key then
-                  match best with
-                  | Some (bp, _) when bp >= p -> best
-                  | _ -> Some (p, port)
-                else best)
-              None !reference
+            {
+              Flow_table.e_match = fm.fm_match;
+              e_priority = fm.fm_priority;
+              e_cookie = fm.fm_cookie;
+              e_idle_timeout = fm.fm_idle_timeout;
+              e_hard_timeout = fm.fm_hard_timeout;
+              e_notify_removed = fm.fm_notify_removed;
+              e_seq = !seq;
+              e_actions = fm.fm_actions;
+              e_packets = 0;
+              e_bytes = 0;
+              e_installed = now;
+              e_last_used = now;
+            }
           in
-          let actual =
-            match Flow_table.lookup table key with
-            | Some e -> (
-                match e.Flow_table.e_actions with
-                | [ Of_action.Output { port; _ } ] ->
-                    Some (e.Flow_table.e_priority, port)
-                | _ -> None)
-            | None -> None
+          let higher, lower =
+            List.partition (fun (e, _) -> not (before expected e)) kept
           in
-          (* Ties in priority may legitimately pick different entries;
-             require only equal priorities then. *)
-          match (expected, actual) with
-          | None, None -> true
-          | Some (pe, porte), Some (pa, porta) ->
-              pe = pa && (porte = porta || priority_tied !reference key pe)
-          | _ -> false)
-        [ 0; 1; 2; 3 ])
+          model := higher @ ((expected, fm.fm_actions) :: lower);
+          Ok []
+        end
+      in
+      (* The model's answer to one step, computed before the table's. *)
+      let model_step ~now (fm : Of_msg.flow_mod) =
+        let selects ~strict (e : Flow_table.entry) =
+          if strict then
+            Of_match.equal fm.fm_match e.e_match
+            && fm.fm_priority = e.e_priority
+          else Of_match.subsumes fm.fm_match e.e_match
+        in
+        match fm.fm_command with
+        | Of_msg.Add -> model_add ~now fm
+        | Of_msg.Modify | Of_msg.Modify_strict -> (
+            let strict = fm.fm_command = Of_msg.Modify_strict in
+            match List.filter (fun (e, _) -> selects ~strict e) !model with
+            | [] -> model_add ~now fm
+            | _ ->
+                model :=
+                  List.map
+                    (fun (e, a) ->
+                      if selects ~strict e then (e, fm.fm_actions) else (e, a))
+                    !model;
+                Ok [])
+        | Of_msg.Delete | Of_msg.Delete_strict ->
+            let strict = fm.fm_command = Of_msg.Delete_strict in
+            let outputs (e : Flow_table.entry) =
+              match fm.fm_out_port with
+              | None -> true
+              | Some port ->
+                  List.exists
+                    (function
+                      | Of_action.Output { port = p; _ } -> p = port
+                      | _ -> false)
+                    e.e_actions
+            in
+            let removed, kept =
+              List.partition
+                (fun (e, _) -> selects ~strict e && outputs e)
+                !model
+            in
+            model := kept;
+            Ok (List.map fst removed)
+      in
+      let model_expire ~now =
+        let after from limit =
+          limit > 0 && Vtime.(add from (span_s (float_of_int limit)) <= now)
+        in
+        let gone =
+          List.filter_map
+            (fun ((e : Flow_table.entry), _) ->
+              if after e.e_installed e.e_hard_timeout then
+                Some (e, Flow_table.Expired_hard)
+              else if after e.e_last_used e.e_idle_timeout then
+                Some (e, Flow_table.Expired_idle)
+              else None)
+            !model
+        in
+        model := List.filter (fun (e, _) -> not (List.mem_assq e gone)) !model;
+        List.stable_sort
+          (fun ((a : Flow_table.entry), _) ((b : Flow_table.entry), _) ->
+            match compare b.e_priority a.e_priority with
+            | 0 -> Int64.compare a.e_cookie b.e_cookie
+            | c -> c)
+          gone
+      in
+      let agree () =
+        let entries = Flow_table.entries table in
+        (* A fresh entry is the model's only by its fields; adopt the
+           table's record once they match, so identity counts from here. *)
+        model :=
+          List.map
+            (fun ((m : Flow_table.entry), a) ->
+              match
+                List.find_opt
+                  (fun (e : Flow_table.entry) -> e.e_seq = m.e_seq)
+                  entries
+              with
+              | Some e when e != m && e = m -> (e, a)
+              | Some _ | None -> (m, a))
+            !model;
+        same_entries entries (List.map fst !model)
+        && List.for_all
+             (fun ((e : Flow_table.entry), a) -> e.e_actions = a)
+             !model
+        && Flow_table.size table = List.length !model
+        && Flow_table.timed_entries table
+           = List.length
+               (List.filter
+                  (fun ((e : Flow_table.entry), _) ->
+                    e.e_idle_timeout > 0 || e.e_hard_timeout > 0)
+                  !model)
+        && List.for_all
+             (fun key ->
+               let expected =
+                 List.find_opt
+                   (fun ((e : Flow_table.entry), _) ->
+                     Of_match.matches e.e_match key)
+                   !model
+               in
+               match
+                 ( expected,
+                   Flow_table.lookup table key,
+                   Flow_table.lookup_linear table key )
+               with
+               | None, None, None -> true
+               | Some (m, _), Some a, Some b -> m == a && a == b
+               | _ -> false)
+             model_probes
+      in
+      List.for_all
+        (fun (kind, mi, prio, bits) ->
+          let now = Vtime.of_s !clock in
+          let m = model_matches.(mi) and priority = 100 + prio in
+          let port = 1 + (bits land 1) in
+          let fm =
+            {
+              (Of_msg.flow_add ~priority
+                 ~cookie:(Int64.of_int (bits lsr 4))
+                 ~idle_timeout:(if bits land 4 <> 0 then 2 else 0)
+                 ~hard_timeout:(if bits land 8 <> 0 then 3 else 0)
+                 m [ Of_action.output port ])
+              with
+              Of_msg.fm_out_port =
+                (if bits land 2 <> 0 then Some port else None);
+              fm_command =
+                (match kind with
+                | 0 | 1 -> Of_msg.Add
+                | 2 -> Of_msg.Modify
+                | 3 -> Of_msg.Modify_strict
+                | 4 -> Of_msg.Delete
+                | _ -> Of_msg.Delete_strict);
+            }
+          in
+          let step_ok =
+            match kind with
+            | 6 ->
+                clock := !clock +. float_of_int (1 + (bits land 3));
+                let now = Vtime.of_s !clock in
+                let expected = model_expire ~now in
+                let gone = Flow_table.expire table ~now in
+                List.length gone = List.length expected
+                && List.for_all2
+                     (fun (a, ra) (b, rb) -> a == b && ra = rb)
+                     gone expected
+            | 7 ->
+                (match
+                   Flow_table.lookup table
+                     (List.nth model_probes (mi * 2 mod 20))
+                 with
+                | Some e -> Flow_table.account e ~now ~bytes:64
+                | None -> ());
+                true
+            | _ -> (
+                let expected = model_step ~now fm in
+                match (expected, Flow_table.apply_flow_mod table ~now fm) with
+                | Ok a, Ok b -> same_entries a b
+                | Error a, Error b -> a = b
+                | _ -> false)
+          in
+          step_ok && agree ())
+        ops)
 
-(* Differential oracle for the bucketed index: lookup and lookup_linear
+(* Differential oracle for the bucketed store: lookup and lookup_linear
    must return the SAME entry (physical equality, not just equal
    priority) for every key, after every step of add/modify/delete
-   churn. Probing between steps keeps the index built, so plain adds
-   exercise its in-place update and the other mutations its rebuild.
-   A cell picks the second and third octets of a prefix, so one
+   churn. A cell picks the second and third octets of a prefix, so one
    signature bucket holds up to 64 prefixes of the same length. *)
 let prop_bucketed_lookup_matches_linear =
   QCheck.Test.make ~name:"bucketed lookup equals linear scan" ~count:100
@@ -392,7 +532,7 @@ let test_key_hash_spreads_prefixes () =
 
 (* Regression: two entries at the same priority both matching a key —
    insertion order must break the tie, identically on both paths. The
-   bucketed index partitions these into different signature buckets, so
+   store puts these into different signature buckets, so
    a naive "max over buckets" implementation gets this wrong. *)
 let test_lookup_same_priority_tiebreak () =
   let table = Flow_table.create () in
@@ -419,8 +559,7 @@ let test_lookup_same_priority_tiebreak () =
 
 (* Regression: expiry must remove entries in the canonical order
    (priority descending, cookie ascending) regardless of install order,
-   and the bucketed index must observe the removals — a stale index
-   would keep serving the expired entries. *)
+   and lookups must stop serving the expired entries. *)
 let test_expire_order_and_index_invalidation () =
   let table = Flow_table.create () in
   let now = Vtime.zero in
@@ -440,7 +579,7 @@ let test_expire_order_and_index_invalidation () =
   add ~cookie:2L ~priority:900 2;
   add ~cookie:1L ~priority:200 3;
   add ~cookie:5L ~priority:900 4;
-  (* Warm the index, then let everything time out at once. *)
+  (* Look up once, then let everything time out at once. *)
   ignore (Flow_table.lookup table (key_for (ip "10.1.9.9")));
   let removed = Flow_table.expire table ~now:(Vtime.of_s 10.) in
   let order =
@@ -456,7 +595,7 @@ let test_expire_order_and_index_invalidation () =
     (fun oct ->
       let key = key_for (ip (Printf.sprintf "10.%d.9.9" oct)) in
       Alcotest.(check bool)
-        (Printf.sprintf "bucketed index dropped 10.%d/16" oct)
+        (Printf.sprintf "store dropped 10.%d/16" oct)
         true
         (Flow_table.lookup table key = None
         && Flow_table.lookup_linear table key = None))
@@ -488,7 +627,7 @@ let test_datapath_forwards_on_match () =
 (* --- allocation budgets on the switch hot path ---------------------- *)
 
 (* Minor words per call of [f], averaged over [n] calls after a warm-up
-   call (which may grow tables or build the lookup index). *)
+   call (which may grow tables). *)
 let minor_words_per_call n f =
   f ();
   let before = Gc.minor_words () in
@@ -542,6 +681,54 @@ let test_expire_untimed_allocates_nothing () =
     (Printf.sprintf "%.3f minor words per expire" words)
     true (words < 0.01);
   Alcotest.(check int) "entries kept" 50 (Flow_table.size table)
+
+(* A RouteFlow-shaped table of [n] entries: exact nw_dst /24s (hosts)
+   and /30s (links), half each. *)
+let routeflow_table n =
+  let table = Flow_table.create () in
+  for i = 0 to n - 1 do
+    let j = i / 2 in
+    let prefix =
+      if i mod 2 = 0 then
+        Ipv4_addr.Prefix.make
+          (Ipv4_addr.of_octets 10 (j lsr 8) (j land 0xff) 0)
+          24
+      else
+        Ipv4_addr.Prefix.make
+          (Ipv4_addr.of_octets 172 (16 + (j lsr 14)) ((j lsr 6) land 0xff)
+             ((j land 63) * 4))
+          30
+    in
+    match
+      Flow_table.apply_flow_mod table ~now:Vtime.zero
+        (Of_msg.flow_add (Of_match.nw_dst_prefix prefix) [ Of_action.output 1 ])
+    with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail e
+  done;
+  table
+
+(* Route churn — one Add of a new /24 and its Delete_strict — touches
+   only that route's key, so it allocates a fixed number of words
+   whatever the table's size. *)
+let test_flow_mod_churn_word_budget () =
+  let m = Of_match.nw_dst_prefix (pfx "192.168.7.0/24") in
+  let add = Of_msg.flow_add m [ Of_action.output 2 ] in
+  let delete = Of_msg.flow_delete ~strict:true ~priority:add.fm_priority m in
+  List.iter
+    (fun n ->
+      let table = routeflow_table n in
+      let words =
+        minor_words_per_call 100 (fun () ->
+            ignore (Flow_table.apply_flow_mod table ~now:Vtime.zero add);
+            ignore (Flow_table.apply_flow_mod table ~now:Vtime.zero delete))
+      in
+      Alcotest.(check int) "churn leaves the table as it was" n
+        (Flow_table.size table);
+      Alcotest.(check bool)
+        (Printf.sprintf "%.1f minor words per churn at %d entries" words n)
+        true (words < 200.))
+    [ 1_000; 10_000 ]
 
 (* [timed_entries] gates the expiry scan, so it must equal the number
    of entries with a timeout after any mix of adds (fresh and
@@ -641,6 +828,47 @@ let test_datapath_buffers_large_misses () =
           Alcotest.(check string) "intact" big (List.hd !out)
       | Error _ -> Alcotest.fail "packet-out failed")
   | _ -> Alcotest.fail "expected one packet-in"
+
+(* OF 1.0 applies a flow-mod's buffer id to every command but the
+   deletes: a Modify_strict sends the buffered packet through its
+   actions and frees the buffer slot. *)
+let test_modify_strict_releases_buffer () =
+  let engine = Engine.create () in
+  let dp = Datapath.create engine ~dpid:1L ~n_ports:2 in
+  let pis = ref [] and out = ref [] in
+  Datapath.set_on_packet_in dp (fun pi -> pis := pi :: !pis);
+  Datapath.set_transmit dp ~port:2 (fun f -> out := f :: !out);
+  let big = udp_frame ~size:500 () in
+  Datapath.receive_frame dp ~in_port:1 big;
+  match !pis with
+  | [ { Of_msg.pi_buffer_id = Some _ as buffer; _ } ] -> (
+      (match
+         Datapath.handle_flow_mod dp
+           {
+             (Of_msg.flow_add
+                (Of_match.nw_dst_prefix (pfx "10.0.2.0/24"))
+                [ Of_action.output 2 ])
+             with
+             Of_msg.fm_command = Of_msg.Modify_strict;
+             fm_buffer_id = buffer;
+           }
+       with
+      | Ok () -> ()
+      | Error _ -> Alcotest.fail "flow mod failed");
+      Alcotest.(check (list string))
+        "buffered frame left on port 2" [ big ] !out;
+      match
+        Datapath.handle_packet_out dp
+          {
+            Of_msg.po_buffer_id = buffer;
+            po_in_port = 1;
+            po_actions = [ Of_action.output 2 ];
+            po_data = "";
+          }
+      with
+      | Error _ -> ()
+      | Ok () -> Alcotest.fail "buffer slot still held")
+  | _ -> Alcotest.fail "expected one buffered packet-in"
 
 let test_datapath_unknown_buffer_errors () =
   let engine = Engine.create () in
@@ -1195,10 +1423,14 @@ let suite =
     Alcotest.test_case "expire on an untimed table allocates nothing" `Quick
       test_expire_untimed_allocates_nothing;
     QCheck_alcotest.to_alcotest prop_timed_count_tracks_entries;
+    Alcotest.test_case "flow-mod churn within word budget" `Quick
+      test_flow_mod_churn_word_budget;
     Alcotest.test_case "datapath miss raises packet-in" `Quick
       test_datapath_miss_packet_in;
     Alcotest.test_case "datapath buffers large misses" `Quick
       test_datapath_buffers_large_misses;
+    Alcotest.test_case "modify-strict releases its buffer" `Quick
+      test_modify_strict_releases_buffer;
     Alcotest.test_case "unknown buffer id errors" `Quick
       test_datapath_unknown_buffer_errors;
     Alcotest.test_case "flood excludes ingress port" `Quick
