@@ -1,7 +1,8 @@
 (* Microbenchmark harness: bechamel Test.make timings of the hot
    substrate operations (SPF, LPM, OF codec, flow-table lookup, switch
    hop, LLDP codec, LSA Fletcher checksum, RIB churn, flow export,
-   telemetry, auditor, engine dispatch). CI's perf gate diffs them against ci/bench-baseline.json.
+   telemetry, traffic measurement, auditor, engine dispatch). CI's perf
+   gate diffs them against ci/bench-baseline.json.
 
    The paper's experiments are not run here: `rfauto <experiment>`
    prints their tables, and bench/e2e times the workloads end to end.
@@ -422,6 +423,23 @@ let audit_fixture () =
   done;
   au
 
+(* One probe round trip, [sent] then [delivered], on a measurement
+   plane holding [n] registered flows. *)
+let measure_roundtrip_fixture n =
+  let module Measure = Rf_traffic.Measure in
+  let engine = Rf_sim.Engine.create () in
+  let m = Measure.create engine ~loss_timeout_s:1.0 () in
+  let flows =
+    Array.init n (fun _ -> Measure.register_flow m ~cls:"web" ~src:"a" ~dst:"b")
+  in
+  let f = flows.(n / 2) in
+  let flow_id = Measure.flow_id f in
+  let seq = ref 0 in
+  fun () ->
+    incr seq;
+    Measure.sent m f ~seq:!seq ~weight:1 ~bytes:100;
+    Measure.delivered m ~flow_id ~seq:!seq
+
 let micro_tests () =
   let open Bechamel in
   let _obs_m, obs_tracer, obs_c, obs_h = obs_fixture () in
@@ -542,6 +560,8 @@ let micro_tests () =
       (Staged.stage (fun () ->
            Rf_routing.Rib.update rib churn_route;
            Rf_routing.Rib.withdraw rib Rf_routing.Rib.Ospf churn_route.Rf_routing.Rib.r_prefix));
+    Test.make ~name:"measure_probe_roundtrip_100k"
+      (Staged.stage (measure_roundtrip_fixture 100_000));
     Test.make ~name:"obs_counter_incr"
       (Staged.stage (fun () -> Rf_obs.Metrics.incr obs_c));
     Test.make ~name:"obs_histogram_observe"

@@ -9,17 +9,32 @@ type summary = {
   p99 : float;
 }
 
-type series = { mutable samples : float list; mutable n : int }
+(* Samples live unboxed in [data.(0 .. n-1)], oldest first; the
+   buffer doubles when full. *)
+type series = { mutable data : Float.Array.t; mutable n : int }
 
-let series () = { samples = []; n = 0 }
+let series () = { data = Float.Array.create 16; n = 0 }
 
 let add s v =
-  s.samples <- v :: s.samples;
+  if s.n = Float.Array.length s.data then begin
+    let grown = Float.Array.create (2 * s.n) in
+    Float.Array.blit s.data 0 grown 0 s.n;
+    s.data <- grown
+  end;
+  Float.Array.unsafe_set s.data s.n v;
   s.n <- s.n + 1
 
 let count s = s.n
 
-let sorted s = List.sort Float.compare s.samples
+(* Filled newest first before the stable sort, so equal keys (0.0 and
+   -0.0) come out in the order a newest-first list sort gives them. *)
+let sorted s =
+  let arr = Array.make s.n 0. in
+  for i = 0 to s.n - 1 do
+    arr.(i) <- Float.Array.get s.data (s.n - 1 - i)
+  done;
+  Array.stable_sort Float.compare arr;
+  arr
 
 (* Linear interpolation on the (n-1)-spaced rank grid: p0 is the
    minimum, p100 the maximum, and interior quantiles interpolate
@@ -43,18 +58,23 @@ let percentile_of_sorted sorted_arr q =
     (sorted_arr.(lo) *. (1. -. frac)) +. (sorted_arr.(hi) *. frac)
   end
 
-let percentile s q =
-  let arr = Array.of_list (sorted s) in
-  percentile_of_sorted arr q
+let percentile s q = percentile_of_sorted (sorted s) q
 
+(* Summed newest first, the order every published mean was computed in. *)
 let mean s =
   if s.n = 0 then 0.
-  else List.fold_left ( +. ) 0. s.samples /. float_of_int s.n
+  else begin
+    let sum = ref 0. in
+    for i = s.n - 1 downto 0 do
+      sum := !sum +. Float.Array.get s.data i
+    done;
+    !sum /. float_of_int s.n
+  end
 
 let summarize s =
   if s.n = 0 then None
   else begin
-    let arr = Array.of_list (sorted s) in
+    let arr = sorted s in
     let n = Array.length arr in
     let mean = mean s in
     let var =

@@ -12,7 +12,7 @@ type summary = {
 }
 
 type series
-(** A growable collection of float samples. *)
+(** A growable collection of float samples, stored unboxed. *)
 
 val series : unit -> series
 

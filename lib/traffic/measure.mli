@@ -14,7 +14,13 @@
 
     All counting is in *weighted* packets: a probe carrying weight w
     stands for w packets of its aggregated flow, so offered =
-    delivered + lost holds exactly after {!finalize}. *)
+    delivered + lost holds exactly after {!finalize}.
+
+    Memory follows the flows in flight, not the length of the run. A
+    flow that is closed and has no probe outstanding is folded into
+    its class's totals; its id keeps one word, and late arrivals on it
+    still count on its class. Each delivered probe keeps one unboxed
+    latency sample. *)
 
 type t
 
@@ -40,7 +46,12 @@ val close_flow : flow -> unit
 
 val finalize : t -> unit
 (** Stop the reaper, declare every still-outstanding probe lost and
-    close open disruption spans. Call once, after the run's horizon. *)
+    close the disruption spans of the flows the reaper still watches.
+    Call once, after the run's horizon.
+
+    The reaper stops watching a flow once it is closed and has no probe
+    outstanding. If no delivery followed that flow's last loss, its
+    span stays open: [finalize] does not reach it. *)
 
 (** {1 Summaries} *)
 
@@ -57,9 +68,6 @@ type class_summary = {
   cs_window : (float * float) option;
       (** loss envelope in seconds of virtual time *)
 }
-
-val flows : t -> flow list
-(** In registration order. *)
 
 val flow_count : t -> int
 

@@ -390,6 +390,80 @@ let test_percentile_edge_cases () =
   Alcotest.(check (float 1e-9)) "single sample" 7.5
     (Stats.percentile_of_sorted [| 7.5 |] 0.33)
 
+(* The list-backed series every published figure came from: samples
+   newest first, a stable sort for quantiles, a newest-first sum for
+   the mean. The unboxed series must agree with it bit for bit. *)
+module Ref_series = struct
+  let sorted samples = Array.of_list (List.sort Float.compare samples)
+
+  let mean samples =
+    match samples with
+    | [] -> 0.
+    | _ ->
+        List.fold_left ( +. ) 0. samples /. float_of_int (List.length samples)
+
+  let summarize samples =
+    match samples with
+    | [] -> None
+    | _ ->
+        let arr = sorted samples in
+        let n = Array.length arr in
+        let mean = mean samples in
+        let var =
+          Array.fold_left (fun acc v -> acc +. ((v -. mean) ** 2.)) 0. arr
+          /. float_of_int n
+        in
+        Some
+          {
+            Stats.count = n;
+            min = arr.(0);
+            max = arr.(n - 1);
+            mean;
+            stddev = sqrt var;
+            p50 = Stats.percentile_of_sorted arr 0.5;
+            p90 = Stats.percentile_of_sorted arr 0.9;
+            p99 = Stats.percentile_of_sorted arr 0.99;
+          }
+end
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_summary (a : Stats.summary) (b : Stats.summary) =
+  a.count = b.count && same_bits a.min b.min && same_bits a.max b.max
+  && same_bits a.mean b.mean && same_bits a.stddev b.stddev
+  && same_bits a.p50 b.p50 && same_bits a.p90 b.p90 && same_bits a.p99 b.p99
+
+let prop_stats_match_list_reference =
+  let sample =
+    QCheck.Gen.(
+      oneof
+        [
+          oneofl [ 0.0; -0.0; 1.0; -1.0; 2.5; -2.5; 1e-9; 1e9 ];
+          float_range (-5.) 5.;
+        ])
+  in
+  QCheck.Test.make ~name:"stats equal the list-backed reference bit for bit"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (xs, q) ->
+         Printf.sprintf "q=%h [%s]" q
+           (String.concat "; " (List.map (Printf.sprintf "%h") xs)))
+       QCheck.Gen.(
+         pair (list_size (int_range 0 80) sample) (float_range (-0.2) 1.2)))
+    (fun (xs, q) ->
+      let s = Stats.series () in
+      List.iter (Stats.add s) xs;
+      let newest_first = List.rev xs in
+      Stats.count s = List.length xs
+      && same_bits (Stats.mean s) (Ref_series.mean newest_first)
+      && same_bits (Stats.percentile s q)
+           (Stats.percentile_of_sorted (Ref_series.sorted newest_first) q)
+      &&
+      match (Stats.summarize s, Ref_series.summarize newest_first) with
+      | None, None -> true
+      | Some a, Some b -> same_summary a b
+      | _ -> false)
+
 (* --- Trace ---------------------------------------------------------------- *)
 
 let test_trace_query () =
@@ -462,6 +536,7 @@ let suite =
       test_percentile_boundaries;
     Alcotest.test_case "percentile edge cases are total" `Quick
       test_percentile_edge_cases;
+    QCheck_alcotest.to_alcotest prop_stats_match_list_reference;
     Alcotest.test_case "trace records and queries" `Quick test_trace_query;
     Alcotest.test_case "trace capacity counts drops" `Quick
       test_trace_capacity;
