@@ -40,31 +40,26 @@ let handshake_critical (m : Of_msg.t) =
   | Of_msg.Hello | Of_msg.Features_request -> true
   | _ -> false
 
-let send_msg t m =
-  match t.faults with
-  | None -> raw_send t m
-  | Some (rng, profile) -> (
-      match Rf_sim.Faults.fate rng profile with
-      | Rf_sim.Faults.Drop when not (handshake_critical m) ->
-          t.msgs_dropped <- t.msgs_dropped + 1;
-          Rf_obs.Metrics.incr t.m_faulted;
-          Rf_sim.Engine.record t.engine ~component:"of-conn" ~event:"fault-drop"
-            (Of_msg.type_name m.payload)
-      | Rf_sim.Faults.Duplicate when not (handshake_critical m) ->
-          t.msgs_duplicated <- t.msgs_duplicated + 1;
-          Rf_obs.Metrics.incr t.m_faulted;
-          Rf_sim.Engine.record t.engine ~component:"of-conn" ~event:"fault-duplicate"
-            (Of_msg.type_name m.payload);
-          raw_send t m;
-          raw_send t m
-      | Rf_sim.Faults.Delay span ->
-          t.msgs_delayed <- t.msgs_delayed + 1;
-          Rf_obs.Metrics.incr t.m_faulted;
-          ignore
-            (Rf_sim.Engine.schedule ~entity:t.entity t.engine span (fun () ->
-                 raw_send t m))
-      | Rf_sim.Faults.Deliver | Rf_sim.Faults.Drop | Rf_sim.Faults.Duplicate ->
-          raw_send t m)
+let send_msg t (m : Of_msg.t) =
+  let record event =
+    Rf_obs.Metrics.incr t.m_faulted;
+    Rf_sim.Engine.record t.engine ~component:"of-conn" ~event
+      (Of_msg.type_name m.payload)
+  in
+  match
+    Rf_sim.Faults.transmit t.engine ~entity:t.entity
+      ~exempt:(handshake_critical m) t.faults (fun () -> raw_send t m)
+  with
+  | Rf_sim.Faults.Deliver -> ()
+  | Rf_sim.Faults.Drop ->
+      t.msgs_dropped <- t.msgs_dropped + 1;
+      record "fault-drop"
+  | Rf_sim.Faults.Duplicate ->
+      t.msgs_duplicated <- t.msgs_duplicated + 1;
+      record "fault-duplicate"
+  | Rf_sim.Faults.Delay _ ->
+      t.msgs_delayed <- t.msgs_delayed + 1;
+      Rf_obs.Metrics.incr t.m_faulted
 
 (* OFPP 1.2-style role filtering: a slave controller keeps its channel
    (handshake, echo) but must not mutate switch state or emit packets.

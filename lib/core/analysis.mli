@@ -25,11 +25,6 @@ val e12_rules : Rf_obs.Slo.rule list
 
 (** {1 Derived views} *)
 
-val indicators_of_results :
-  Rf_obs.Slo.result list -> Rf_obs.Baseline.indicator list
-(** One indicator per rule that produced a value: the rule's direction
-    determines [i_lower_is_better]. *)
-
 val baseline_run :
   label:string -> Rf_obs.Slo.result list -> Rf_obs.Baseline.run
 

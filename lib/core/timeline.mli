@@ -13,9 +13,6 @@ type milestone =
 
 type entry = { at : Rf_sim.Vtime.t; milestone : milestone }
 
-val of_trace : Rf_sim.Trace.t -> entry list
-(** Chronological; ignores unrelated trace records. *)
-
 val of_scenario : Scenario.t -> entry list
 
 type summary = {
@@ -31,5 +28,3 @@ type summary = {
 val summarize : entry list -> summary
 
 val render : entry list -> string
-
-val pp_milestone : Format.formatter -> milestone -> unit

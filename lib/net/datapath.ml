@@ -30,7 +30,6 @@ type t = {
   mutable on_table_changed : unit -> unit;
   mutable forwarded : int;
   mutable missed : int;
-  mutable dropped : int;
 }
 
 let max_buffers = 256
@@ -92,7 +91,6 @@ let create engine ~dpid ~n_ports =
       on_table_changed = (fun () -> ());
       forwarded = 0;
       missed = 0;
-      dropped = 0;
     }
   in
   let expiry () =
@@ -173,8 +171,6 @@ let packets_forwarded t = t.forwarded
 
 let packets_missed t = t.missed
 
-let packets_dropped t = t.dropped
-
 (* --- frame surgery for the set-field actions -------------------- *)
 
 let ip_header_offset = 14
@@ -236,8 +232,7 @@ let store_buffer t ~in_port frame =
     | oldest :: _ ->
         Hashtbl.remove t.buffers oldest;
         t.buffer_order <-
-          List.filter (fun id -> not (Int32.equal id oldest)) t.buffer_order;
-        t.dropped <- t.dropped + 1
+          List.filter (fun id -> not (Int32.equal id oldest)) t.buffer_order
     | [] -> ()
   end;
   let id = t.next_buffer in
@@ -270,7 +265,6 @@ let transmit_on _t (p : port) frame =
 
 let transmit_to t n frame =
   if n >= 1 && n <= Array.length t.ports then transmit_on t t.ports.(n - 1) frame
-  else t.dropped <- t.dropped + 1
 
 let emit_packet_in t ~in_port ~reason frame =
   let total_len = String.length frame in
@@ -306,6 +300,7 @@ let rec apply_actions t ~in_port frame actions =
           let rest = set_fields b actions in
           apply_actions t ~in_port (Bytes.unsafe_to_string b) rest)
 
+(* TABLE / NORMAL / LOCAL / NONE are not forwarded in this model. *)
 and output t ~in_port frame port =
   if port = Of_port.flood || port = Of_port.all then
     (* Both exclude the ingress port; there is no STP in this model so
@@ -317,8 +312,6 @@ and output t ~in_port frame port =
   else if port = Of_port.controller then
     emit_packet_in t ~in_port ~reason:Of_msg.Action_to_controller frame
   else if Of_port.is_physical port then transmit_to t port frame
-  else (* TABLE / NORMAL / LOCAL / NONE: not forwarded in this model *)
-    t.dropped <- t.dropped + 1
 
 let receive_frame t ~in_port frame =
   if in_port < 1 || in_port > Array.length t.ports then
@@ -329,9 +322,7 @@ let receive_frame t ~in_port frame =
     p.rx_packets <- p.rx_packets + 1;
     p.rx_bytes <- p.rx_bytes + String.length frame;
     match Of_match.key_of_frame ~in_port frame with
-    | None ->
-        p.rx_dropped <- p.rx_dropped + 1;
-        t.dropped <- t.dropped + 1
+    | None -> p.rx_dropped <- p.rx_dropped + 1
     | Some key -> (
         match Flow_table.lookup t.table key with
         | Some entry ->

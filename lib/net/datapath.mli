@@ -73,7 +73,3 @@ val set_on_table_changed : t -> (unit -> unit) -> unit
 val packets_forwarded : t -> int
 
 val packets_missed : t -> int
-
-val packets_dropped : t -> int
-(** Dropped for lack of a controller decision (no buffer space, output
-    on a down port, TTL and parse failures). *)

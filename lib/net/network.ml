@@ -78,9 +78,6 @@ let disconnect_switch t dpid =
 let reconnect_switch t dpid =
   match t.reconnect with Some f -> f dpid | None -> ()
 
-let total_data_frames t =
-  Hashtbl.fold (fun _ l acc -> acc + Link.frames_carried l) t.links 0
-
 let build engine topo ~host_config ~attach_controller
     ?(switch_boot_delay = fun _ -> Rf_sim.Vtime.span_zero) () =
   let t =

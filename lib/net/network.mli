@@ -67,7 +67,3 @@ val reconnect_switch : t -> int64 -> unit
 (** Opens a fresh control connection for the switch (recovery after
     [disconnect_switch]); to the controllers this is a brand-new
     switch joining. *)
-
-val total_data_frames : t -> int
-(** Sum of frames carried over all links. *)
-

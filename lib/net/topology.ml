@@ -122,14 +122,6 @@ let switch_switch_edges t =
       | (Switch _ | Host _), (Switch _ | Host _) -> false)
     (edges t)
 
-let host_edges t =
-  List.filter
-    (fun e ->
-      match (e.a, e.b) with
-      | Switch _, Switch _ -> false
-      | (Switch _ | Host _), (Switch _ | Host _) -> true)
-    (edges t)
-
 let hop_distance t src dst =
   if node_equal src dst then Some 0
   else begin
@@ -174,7 +166,3 @@ let diameter t =
           match hop_distance t a b with Some d -> max acc d | None -> acc)
         acc sw)
     0 sw
-
-let pp_node ppf = function
-  | Switch d -> Format.fprintf ppf "sw%Ld" d
-  | Host h -> Format.fprintf ppf "host:%s" h

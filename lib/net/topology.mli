@@ -50,9 +50,6 @@ val switch_count : t -> int
 
 val edge_count : t -> int
 
-val ports_of : t -> node -> (int * node * int) list
-(** [(local_port, peer, peer_port)], sorted by local port. *)
-
 val degree : t -> node -> int
 
 val neighbors : t -> node -> node list
@@ -65,8 +62,6 @@ val edge_between : t -> node -> node -> edge option
 val switch_switch_edges : t -> edge list
 (** Only the core links LLDP discovery can find. *)
 
-val host_edges : t -> edge list
-
 val is_connected : t -> bool
 (** Considering switch nodes only. *)
 
@@ -75,7 +70,3 @@ val hop_distance : t -> node -> node -> int option
 
 val diameter : t -> int
 (** Max finite switch-to-switch hop distance (0 for <2 switches). *)
-
-val pp_node : Format.formatter -> node -> unit
-
-val node_equal : node -> node -> bool

@@ -22,9 +22,6 @@ type tolerance = {
   tol_abs : float;  (** absolute floor, protects near-zero baselines *)
 }
 
-val default_tolerance : tolerance
-(** 10% relative, 0.001 absolute. *)
-
 type status = Ok | Improved | Regressed | Added | Removed
 
 val status_string : status -> string
@@ -53,7 +50,8 @@ val load : string -> run
 
 val diff : ?tol:tolerance -> base:run -> current:run -> unit -> entry list
 (** Entries sorted by indicator name; indicators present on only one
-    side report [Added]/[Removed] (neither is a regression). *)
+    side report [Added]/[Removed] (neither is a regression). [tol]
+    defaults to 10% relative, 0.001 absolute. *)
 
 val has_regression : entry list -> bool
 

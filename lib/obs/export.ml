@@ -23,6 +23,10 @@ let add_opt_int buf = function
   | None -> Buffer.add_string buf "null"
   | Some i -> Buffer.add_string buf (string_of_int i)
 
+(* One JSON object, no trailing newline:
+   [{"type":"span","id":..,"parent":..,"name":"..","start_us":..,
+     "end_us":..,"attrs":{..}}] — [parent]/[end_us] are [null] for
+   roots/open spans. *)
 let span_line (sp : Tracer.span) =
   let buf = Buffer.create 128 in
   Buffer.add_string buf "{\"type\":\"span\",\"id\":";
@@ -46,6 +50,8 @@ let span_line (sp : Tracer.span) =
   Buffer.add_string buf "}}";
   Buffer.contents buf
 
+(* [{"type":"event","us":..,"component":"..","kind":"..",
+    "detail":"..","span":..}] *)
 let event_line (ev : Tracer.event) =
   let buf = Buffer.create 128 in
   Buffer.add_string buf "{\"type\":\"event\",\"us\":";

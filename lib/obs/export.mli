@@ -9,16 +9,6 @@ val json_escape : string -> string
 (** Escapes for embedding inside a double-quoted JSON string
     (backslash, quote, control characters). *)
 
-val span_line : Tracer.span -> string
-(** One JSON object, no trailing newline:
-    [{"type":"span","id":..,"parent":..,"name":"..","start_us":..,
-      "end_us":..,"attrs":{..}}] — [parent]/[end_us] are [null] for
-    roots/open spans. *)
-
-val event_line : Tracer.event -> string
-(** [{"type":"event","us":..,"component":"..","kind":"..",
-     "detail":"..","span":..}] *)
-
 val jsonl : ?meta:(string * string) list -> Tracer.t -> string
 (** The full dump: an optional leading
     [{"type":"meta","k":"v",...}] line, then every span in id order,

@@ -88,8 +88,6 @@ let set_link_state t ~a ~b up =
     Hashtbl.replace t.down b ()
   end
 
-let link_is_up t ep = not (Hashtbl.mem t.down ep)
-
 let add_host t ~dpid ~port prefix =
   Hashtbl.replace t.host_ports (dpid, port) prefix
 

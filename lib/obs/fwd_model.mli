@@ -68,11 +68,6 @@ val set_link_state : t -> a:int64 * int -> b:int64 * int -> bool -> unit
 (** Marks both directions of the link up or down; unknown links are
     registered on the fly. *)
 
-val link_is_up : t -> int64 * int -> bool
-(** Whether the link behind this switch port is usable ([true] for
-    ports with no registered link — {!walk} then reports a blackhole
-    for want of a peer, not a dead link). *)
-
 val add_host : t -> dpid:int64 -> port:int -> Ipv4_addr.Prefix.t -> unit
 (** Declares a host attachment: packets leaving [port] of [dpid] reach
     a host serving [prefix]. *)

@@ -87,8 +87,6 @@ let gauge t ?help ?labels name =
 
 let set g v = g.g <- v
 
-let gauge_value g = g.g
-
 let histogram t ?help ?labels name =
   let make () =
     H { counts = Array.make (Array.length buckets + 1) 0; sum = 0.; n = 0 }
@@ -242,5 +240,3 @@ let to_prometheus t =
           add_sample buf (s.s_name ^ "_count") s.s_labels (string_of_int h.n))
     (sorted_samples t);
   Buffer.contents buf
-
-let pp_prometheus ppf t = Format.pp_print_string ppf (to_prometheus t)

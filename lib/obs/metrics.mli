@@ -41,8 +41,6 @@ val gauge :
 
 val set : gauge -> float -> unit
 
-val gauge_value : gauge -> float
-
 val histogram :
   t -> ?help:string -> ?labels:(string * string) list -> string -> histogram
 
@@ -78,5 +76,3 @@ val to_prometheus : t -> string
     defensive fallback) and a [# HELP] line when help text was given;
     label values and help text are escaped per the exposition format
     (backslash, double-quote and newline). *)
-
-val pp_prometheus : Format.formatter -> t -> unit

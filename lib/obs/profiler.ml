@@ -51,8 +51,6 @@ let kind_id = function
   | Host h -> "host:" ^ h
   | Controller i -> Printf.sprintf "ctl:%d" i
 
-let entity_id e = kind_id e.kind
-
 type sample = {
   s_us : int;  (** virtual-clock timestamp of the sample *)
   s_depth : int;  (** event-heap depth at the sample point *)
@@ -194,8 +192,6 @@ let run_end p ~depth ~now_us ~pushes ~peak =
        last virtual instant. *)
     take_sample p ~now_us ~depth
   end
-
-let dispatches p = p.dispatches
 
 (** {1 Snapshots} *)
 

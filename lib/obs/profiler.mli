@@ -42,11 +42,6 @@ val controller : int -> entity
 
 val unattributed : unit -> entity
 
-val entity_id : entity -> string
-(** Stable display id: ["sw:5"], ["host:h0001"], ["comp:rpc"], ... *)
-
-val kind_id : kind -> string
-
 type t
 
 val create :
@@ -75,8 +70,6 @@ val run_end : t -> depth:int -> now_us:int -> pushes:int -> peak:int -> unit
 (** Closes the pending attribution interval and folds [pushes] (the
     heap's cumulative insertion count — churn) and [peak] (its exact
     high-water mark, tracked by the heap itself) into the profile. *)
-
-val dispatches : t -> int
 
 (** {1 Snapshots} *)
 
@@ -120,9 +113,6 @@ type snapshot = {
 val snapshot : t -> snapshot
 
 val attributed_share : snapshot -> float
-
-val events_per_second : snapshot -> float
-(** Wall-clock rate; never included in deterministic output. *)
 
 val meta : snapshot -> (string * string) list
 (** Deterministic telemetry meta (event counts, heap shape) — safe

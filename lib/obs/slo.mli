@@ -12,9 +12,6 @@ type verdict = Pass | Warn | Fail
 val verdict_string : verdict -> string
 (** ["PASS"] / ["WARN"] / ["FAIL"] *)
 
-val verdict_rank : verdict -> int
-(** 0 / 1 / 2 — for ordering and exit codes. *)
-
 type event_match = {
   m_component : string option;  (** [None] matches any *)
   m_kind : string option;

@@ -55,8 +55,8 @@ let span_start t ?parent ?start_us ?(attrs = []) name =
   t.next_id <- id + 1;
   match t.max_spans with
   | Some cap when t.n_spans >= cap ->
-      (* Callers keep a valid id either way; span_end/span_add_attr on a
-         dropped span are no-ops, so truncation is safe but counted. *)
+      (* Callers keep a valid id either way; span_end on a dropped
+         span is a no-op, so truncation is safe but counted. *)
       t.dropped_spans <- t.dropped_spans + 1;
       id
   | Some _ | None ->
@@ -75,14 +75,6 @@ let span_end t ?(attrs = []) id =
       sp.end_us <- Some (t.clock ());
       if attrs <> [] then sp.attrs <- sp.attrs @ attrs
   | Some _ | None -> ()
-
-let span_add_attr t id k v =
-  match find_span t id with
-  | Some sp -> sp.attrs <- sp.attrs @ [ (k, v) ]
-  | None -> ()
-
-let span_is_open t id =
-  match find_span t id with Some sp -> sp.end_us = None | None -> false
 
 let spans t = List.rev t.spans_rev
 

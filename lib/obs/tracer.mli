@@ -58,10 +58,6 @@ val span_end : t -> ?attrs:(string * string) list -> int -> unit
     already-ended or unknown span is a no-op, so hooks that may fire
     twice (reconnects, re-applies) need no guards. *)
 
-val span_add_attr : t -> int -> string -> string -> unit
-
-val span_is_open : t -> int -> bool
-
 val find_span : t -> int -> span option
 
 val spans : t -> span list

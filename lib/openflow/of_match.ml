@@ -261,12 +261,6 @@ let intersects a b =
   && field_intersects Int.equal a.m_tp_src b.m_tp_src
   && field_intersects Int.equal a.m_tp_dst b.m_tp_dst
 
-let priority_weight m =
-  let opt o = match o with Some _ -> 1 | None -> 0 in
-  opt m.m_in_port + opt m.m_dl_src + opt m.m_dl_dst + opt m.m_dl_vlan
-  + opt m.m_dl_pcp + opt m.m_dl_type + opt m.m_nw_tos + opt m.m_nw_proto
-  + opt m.m_nw_src + opt m.m_nw_dst + opt m.m_tp_src + opt m.m_tp_dst
-
 (* OF 1.0 wildcard bits. *)
 let wc_in_port = 1 lsl 0
 

@@ -67,10 +67,6 @@ val intersects : t -> t -> bool
     wildcard a field pair asymmetrically — exact for the fields used in
     this system). *)
 
-val priority_weight : t -> int
-(** Number of exactly-specified fields; used by tests as a specificity
-    proxy. *)
-
 val to_wire : t -> string
 (** 40-byte [ofp_match]. *)
 

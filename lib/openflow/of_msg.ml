@@ -126,8 +126,6 @@ type error = { err_type : int; err_code : int; err_data : string }
 
 let error_bad_request = 1
 
-let error_bad_action = 2
-
 let error_flow_mod_failed = 3
 
 type payload =

@@ -117,7 +117,6 @@ type stats_reply =
 type error = { err_type : int; err_code : int; err_data : string }
 
 val error_bad_request : int
-val error_bad_action : int
 val error_flow_mod_failed : int
 (** [err_type] values. *)
 

@@ -6,8 +6,6 @@ let ethertype_arp = 0x0806
 
 let ethertype_lldp = 0x88CC
 
-let ethertype_vlan = 0x8100
-
 let header_size = 14
 
 let to_wire t =

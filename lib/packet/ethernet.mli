@@ -7,9 +7,6 @@ type t = { dst : Mac.t; src : Mac.t; ethertype : int; payload : string }
 val ethertype_ipv4 : int
 val ethertype_arp : int
 val ethertype_lldp : int
-val ethertype_vlan : int
-
-val header_size : int
 
 val to_wire : t -> string
 

@@ -4,8 +4,6 @@ let any = 0l
 
 let broadcast = 0xFFFFFFFFl
 
-let localhost = 0x7F000001l
-
 let ospf_all_routers = 0xE0000005l
 
 let of_int32 v = v

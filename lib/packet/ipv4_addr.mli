@@ -5,7 +5,6 @@ type t
 
 val any : t
 val broadcast : t
-val localhost : t
 
 val ospf_all_routers : t
 (** 224.0.0.5. *)

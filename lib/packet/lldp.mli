@@ -12,9 +12,6 @@ type tlv =
 
 type t = { tlvs : tlv list }
 
-val chassis_subtype_local : int
-val port_subtype_local : int
-
 val to_wire : t -> string
 (** Appends the End-of-LLDPDU TLV. *)
 

@@ -404,14 +404,6 @@ let of_wire s =
     end
   with Wire.Truncated -> Error "ospf: truncated packet"
 
-let pp_key ppf k =
-  Format.fprintf ppf "type=%d id=%a adv=%a" k.k_type Ipv4_addr.pp k.k_id
-    Ipv4_addr.pp k.k_adv
-
-let pp_lsa ppf lsa =
-  Format.fprintf ppf "lsa %a seq=%08lx age=%d" pp_key (key_of_lsa lsa) lsa.seq
-    lsa.age
-
 let pp ppf t =
   let kind =
     match t.payload with

@@ -50,8 +50,6 @@ val initial_seq : int32
 val max_age : int
 (** 3600 s; an LSA at MaxAge is being flushed. *)
 
-val lsa_type : lsa -> int
-
 val key_of_lsa : lsa -> lsa_key
 
 val header_of_lsa : lsa -> lsa_header
@@ -62,8 +60,6 @@ val compare_instance : lsa_header -> lsa_header -> int
     recent instance (sequence, then checksum, then age). *)
 
 val lsa_to_wire : lsa -> string
-
-val lsa_of_wire : Wire.Reader.t -> (lsa, string) result
 
 val fletcher16 : string -> int -> int
 (** [fletcher16 region checksum_offset]: checksum of [region] with the
@@ -105,7 +101,3 @@ val to_wire : t -> string
 val of_wire : string -> (t, string) result
 
 val pp : Format.formatter -> t -> unit
-
-val pp_lsa : Format.formatter -> lsa -> unit
-
-val pp_key : Format.formatter -> lsa_key -> unit

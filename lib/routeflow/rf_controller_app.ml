@@ -82,9 +82,6 @@ let attach t ~dpid:_ endpoint =
 
 let is_connected t dpid = Hashtbl.mem t.switches dpid
 
-let connected_switches t =
-  Hashtbl.fold (fun d _ acc -> d :: acc) t.switches [] |> List.sort Int64.compare
-
 let flow_mod_of_route ~add (fr : Vm.flow_route) =
   let priority =
     priority_of_prefix_len (Ipv4_addr.Prefix.length fr.Vm.fr_prefix)

@@ -17,8 +17,6 @@ val attach : t -> dpid:int64 -> Rf_net.Channel.endpoint -> unit
 
 val is_connected : t -> int64 -> bool
 
-val connected_switches : t -> int64 list
-
 val sync_flows : t -> dpid:int64 -> Vm.flow_route list -> unit
 (** Diffs against what is already installed: deletes stale entries
     (strict) in installed order, then adds new ones in the given order.

@@ -468,5 +468,3 @@ let arm_boot_failures t ~dpid ~failures =
 let boot_failures_injected t = t.boot_failures
 
 let vms_created t = t.created
-
-let boot_queue_length t = List.length t.boot_queue

@@ -116,5 +116,3 @@ val boot_failures_injected : t -> int
 (** Total clone failures that have fired. *)
 
 val vms_created : t -> int
-
-val boot_queue_length : t -> int

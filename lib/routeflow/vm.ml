@@ -674,7 +674,3 @@ let arp_entries t =
   |> List.sort compare
 
 let packets_forwarded_slow_path t = t.slow_forwarded
-
-let pp_flow_route ppf fr =
-  Format.fprintf ppf "%a -> port %d (%a -> %a)" Ipv4_addr.Prefix.pp fr.fr_prefix
-    fr.fr_port Mac.pp fr.fr_src_mac Mac.pp fr.fr_dst_mac

@@ -35,8 +35,6 @@ val n_ports : t -> int
 val nic : t -> int -> Iface.t
 (** 1-based port number; raises [Invalid_argument] out of range. *)
 
-val nic_by_name : t -> string -> Iface.t option
-
 val zebra : t -> Zebra.t
 
 val rib : t -> Rib.t
@@ -112,5 +110,3 @@ val arp_entries : t -> (int * Ipv4_addr.t * Mac.t) list
 (** (port, ip, mac), sorted. *)
 
 val packets_forwarded_slow_path : t -> int
-
-val pp_flow_route : Format.formatter -> flow_route -> unit

@@ -65,6 +65,8 @@ let reselect t =
         }
         :: acc)
       best []
+    |> List.sort (fun (a : Rib.route) b ->
+           Ipv4_addr.Prefix.compare a.r_prefix b.r_prefix)
   in
   Rib.replace_proto t.rib Rib.Bgp routes
 
@@ -233,8 +235,3 @@ let established_peers t =
 
 let routes_learned t =
   List.length (List.filter (fun r -> r.Rib.r_proto = Rib.Bgp) (Rib.selected t.rib))
-
-let pp_state ppf = function
-  | Idle -> Format.pp_print_string ppf "Idle"
-  | Open_sent -> Format.pp_print_string ppf "OpenSent"
-  | Established -> Format.pp_print_string ppf "Established"

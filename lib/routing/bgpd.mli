@@ -49,5 +49,3 @@ val established_peers : t -> int
 
 val routes_learned : t -> int
 (** Number of prefixes currently selected from BGP. *)
-
-val pp_state : Format.formatter -> peer_state -> unit

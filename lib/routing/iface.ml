@@ -10,7 +10,6 @@ type t = {
   mutable receivers : (string -> unit) list;
   mutable state_listeners : (bool -> unit) list;
   mutable address_listeners : (unit -> unit) list;
-  mutable tx : int;
   mutable rx : int;
 }
 
@@ -25,7 +24,6 @@ let create ~name ~mac ?(ip = Ipv4_addr.any) ?(prefix_len = 0) () =
     receivers = [];
     state_listeners = [];
     address_listeners = [];
-    tx = 0;
     rx = 0;
   }
 
@@ -63,9 +61,7 @@ let set_transmit t f = t.transmit <- Some f
 let send t frame =
   if t.up then begin
     match t.transmit with
-    | Some f ->
-        t.tx <- t.tx + 1;
-        f frame
+    | Some f -> f frame
     | None -> ()
   end
 
@@ -80,7 +76,5 @@ let add_receiver t f = t.receivers <- t.receivers @ [ f ]
 let add_state_listener t f = t.state_listeners <- t.state_listeners @ [ f ]
 
 let add_address_listener t f = t.address_listeners <- t.address_listeners @ [ f ]
-
-let frames_sent t = t.tx
 
 let frames_received t = t.rx

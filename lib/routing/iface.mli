@@ -56,6 +56,4 @@ val add_state_listener : t -> (bool -> unit) -> unit
 
 val add_address_listener : t -> (unit -> unit) -> unit
 
-val frames_sent : t -> int
-
 val frames_received : t -> int

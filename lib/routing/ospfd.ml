@@ -48,8 +48,6 @@ type neighbor = {
   mutable n_rxmt_timer : Rf_sim.Engine.timer option;
 }
 
-module Routes = Map.Make (Int)
-
 type t = {
   engine : Rf_sim.Engine.t;
   entity : Rf_obs.Profiler.entity option;
@@ -77,16 +75,12 @@ type t = {
   mutable spf_count : int;
   mutable started : bool;
   mutable timers : Rf_sim.Engine.timer list;
-  (* The OSPF routes in the RIB, by prefix key, and their number. *)
-  mutable published : Rib.route Routes.t;
-  mutable n_published : int;
   (* What every route also depends on besides the tree and the stub
      links, as of the last publication: (router id, address, interface)
      of each Full neighbour, and the keys of our own prefixes. A change
      in either forces a full publication. *)
   mutable hops : (Ipv4_addr.t * Ipv4_addr.t * string) list;
   mutable own_keys : int list;
-  mutable on_route_change : unit -> unit;
   m_spf : Rf_obs.Metrics.counter;
   m_hellos : Rf_obs.Metrics.counter;
   m_floods : Rf_obs.Metrics.counter;
@@ -114,11 +108,8 @@ let create engine ?entity cfg rib =
     spf_count = 0;
     started = false;
     timers = [];
-    published = Routes.empty;
-    n_published = 0;
     hops = [];
     own_keys = [];
-    on_route_change = (fun () -> ());
     m_spf =
       Rf_obs.Metrics.counter
         (Rf_sim.Engine.metrics engine)
@@ -140,8 +131,6 @@ let create engine ?entity cfg rib =
 let config t = t.cfg
 
 let router_id t = t.cfg.router_id
-
-let set_on_route_change t f = t.on_route_change <- f
 
 let send_pkt t (oif : oiface) payload =
   let pkt =
@@ -307,15 +296,16 @@ let stub_links_of t rid =
         a;
       a
 
-(* Drops [rid]'s cached stub links, adding their keys to [affected]. *)
+(* Drops [rid]'s cached stub links, adding their keys (with their
+   prefixes) to [affected]. *)
 let forget_stub_links t rid affected =
   match Hashtbl.find_opt t.stub_cache rid with
   | None -> ()
   | Some a ->
       Hashtbl.remove t.stub_cache rid;
       Array.iter
-        (fun (_, k, _) ->
-          Hashtbl.replace affected k ();
+        (fun (p, k, _) ->
+          Hashtbl.replace affected k p;
           match Hashtbl.find_opt t.advertisers k with
           | Some advs -> (
               match List.filter (fun r -> not (Ipv4_addr.equal r rid)) advs with
@@ -325,8 +315,8 @@ let forget_stub_links t rid affected =
         a
 
 (* Takes the routers whose LSAs changed since the last run, refreshing
-   their graph nodes and stub links. Returns them with the prefix keys
-   their old and new stub links cover. *)
+   their graph nodes and stub links. Returns them with the prefixes,
+   by key, their old and new stub links cover. *)
 let take_dirty t =
   let dirty = Hashtbl.fold (fun rid () acc -> rid :: acc) t.spf_dirty [] in
   Hashtbl.reset t.spf_dirty;
@@ -336,22 +326,10 @@ let take_dirty t =
       refresh_graph_node t rid;
       forget_stub_links t rid affected;
       Array.iter
-        (fun (_, k, _) -> Hashtbl.replace affected k ())
+        (fun (p, k, _) -> Hashtbl.replace affected k p)
         (stub_links_of t rid))
     dirty;
   (dirty, affected)
-
-(* Everything but the prefix (equal by construction at comparison
-   sites): cheap field-wise check replacing polymorphic equality. *)
-let route_same (a : Rib.route) (b : Rib.route) =
-  a.Rib.r_metric = b.Rib.r_metric
-  && a.Rib.r_distance = b.Rib.r_distance
-  && (match (a.Rib.r_next_hop, b.Rib.r_next_hop) with
-     | Some x, Some y -> Ipv4_addr.equal x y
-     | None, None -> true
-     | Some _, None | None, Some _ -> false)
-  && String.equal a.Rib.r_iface b.Rib.r_iface
-  && a.Rib.r_proto = b.Rib.r_proto
 
 let full_hops t =
   Hashtbl.fold
@@ -441,12 +419,12 @@ let publish_routes t ~changed affected =
       List.iter
         (fun rid ->
           Array.iter
-            (fun (_, k, _) -> Hashtbl.replace affected k ())
+            (fun (p, k, _) -> Hashtbl.replace affected k p)
             (stub_links_of t rid))
         routers;
       let seen = Hashtbl.create 16 in
       Hashtbl.iter
-        (fun k () ->
+        (fun k _ ->
           List.iter
             (fun rid ->
               if not (Hashtbl.mem seen rid) then begin
@@ -459,70 +437,26 @@ let publish_routes t ~changed affected =
             (Option.value (Hashtbl.find_opt t.advertisers k) ~default:[]))
         affected);
   (* Prefixes we own directly are left out: connected wins anyway, but
-     keeping them out of the OSPF table matches Quagga. *)
+     keeping them out of the OSPF table matches Quagga. Keys sort like
+     prefixes, which is the order the RIB takes. A full run republishes
+     every OSPF prefix; a repaired one only the affected prefixes. *)
   let by_key (a, _) (b, _) = Int.compare a b in
   let fresh =
     Hashtbl.fold
       (fun k (route, _) acc ->
         if List.exists (Int.equal k) own_keys then acc else (k, route) :: acc)
       candidates []
-    |> List.sort by_key
+    |> List.sort by_key |> List.map snd
   in
-  let olds =
+  let scope =
     match changed with
-    | None -> Routes.bindings t.published
+    | None -> None
     | Some _ ->
-        Hashtbl.fold
-          (fun k () acc ->
-            match Routes.find_opt k t.published with
-            | Some r -> (k, r) :: acc
-            | None -> acc)
-          affected []
-        |> List.sort by_key
+        Some
+          (Hashtbl.fold (fun k p acc -> (k, p) :: acc) affected []
+          |> List.sort by_key |> List.map snd)
   in
-  (* Publish as a sorted-merge diff against what was published for the
-     recomputed prefixes: only prefixes whose best route actually moved
-     touch the RIB trie. [published] mirrors the RIB's OSPF content
-     exactly (emptied in [stop] alongside the wholesale withdraw), so
-     this is equivalent to [Rib.replace_proto]. *)
-  let route_changed = ref false in
-  let withdraw k (o : Rib.route) =
-    Rib.withdraw t.rib Rib.Ospf o.r_prefix;
-    t.published <- Routes.remove k t.published;
-    t.n_published <- t.n_published - 1;
-    route_changed := true
-  in
-  let update ~added k n =
-    Rib.update t.rib n;
-    t.published <- Routes.add k n t.published;
-    if added then t.n_published <- t.n_published + 1;
-    route_changed := true
-  in
-  let rec merge olds news =
-    match (olds, news) with
-    | [], [] -> ()
-    | (k, o) :: os, [] ->
-        withdraw k o;
-        merge os []
-    | [], (k, n) :: ns ->
-        update ~added:true k n;
-        merge [] ns
-    | (ko, o) :: os, (kn, n) :: ns ->
-        if ko < kn then begin
-          withdraw ko o;
-          merge os news
-        end
-        else if ko > kn then begin
-          update ~added:true kn n;
-          merge olds ns
-        end
-        else begin
-          if not (route_same o n) then update ~added:false kn n;
-          merge os ns
-        end
-  in
-  merge olds fresh;
-  if !route_changed then t.on_route_change ()
+  Rib.replace_proto t.rib ?scope Rib.Ospf fresh
 
 let rec schedule_spf t =
   if not t.spf_scheduled then begin
@@ -557,7 +491,7 @@ let spf_now_full t =
     t.lsdb;
   Spf.full t.spf t.graph;
   publish_routes t ~changed:None affected;
-  t.n_published
+  Rib.count t.rib Rib.Ospf
 
 (* A MaxAge instance purges the LSA, as in the LS Update handler. *)
 let install_lsa t lsa =
@@ -949,9 +883,7 @@ let stop t =
         | None -> ())
       t.nbr_tbl;
     Hashtbl.reset t.nbr_tbl;
-    Rib.replace_proto t.rib Rib.Ospf [];
-    t.published <- Routes.empty;
-    t.n_published <- 0
+    Rib.replace_proto t.rib Rib.Ospf []
   end
 
 let neighbors t =
@@ -975,7 +907,7 @@ let spf_runs t = t.spf_count
 
 let spf_now t =
   run_spf t;
-  t.n_published
+  Rib.count t.rib Rib.Ospf
 
 let is_adjacent_to t rid =
   match Hashtbl.find_opt t.nbr_tbl rid with
@@ -984,21 +916,3 @@ let is_adjacent_to t rid =
 
 let full_neighbor_count t =
   Hashtbl.fold (fun _ n acc -> if n.n_state = Full then acc + 1 else acc) t.nbr_tbl 0
-
-let neighbor_addr_of_router t rid =
-  match Hashtbl.find_opt t.nbr_tbl rid with
-  | Some n when n.n_state = Full -> Some n.n_addr
-  | Some _ | None -> None
-
-let state_name = function
-  | Down -> "Down"
-  | Init -> "Init"
-  | Exstart -> "ExStart"
-  | Exchange -> "Exchange"
-  | Loading -> "Loading"
-  | Full -> "Full"
-
-let pp_neighbor ppf n =
-  Format.fprintf ppf "%a via %s (%s) %s" Ipv4_addr.pp n.ni_router_id n.ni_iface
-    (Ipv4_addr.to_string n.ni_addr)
-    (state_name n.ni_state)

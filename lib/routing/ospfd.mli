@@ -67,11 +67,17 @@ val spf_runs : t -> int
 
 val spf_now : t -> int
 (** Runs SPF synchronously (outside the normal holddown scheduling) and
-    returns the number of OSPF routes produced. Incremental, like every
-    scheduled run: repairs only the part of the shortest-path tree
-    affected by LSAs changed since the last run, and republishes only
-    the prefixes advertised by those LSAs and by the routers whose
-    distance or first hop moved. For benchmarks. *)
+    returns the number of OSPF routes in the RIB afterwards
+    ({!Rib.count}). Incremental, like every scheduled run: repairs only
+    the part of the shortest-path tree affected by LSAs changed since
+    the last run, and republishes only the prefixes advertised by those
+    LSAs and by the routers whose distance or first hop moved. For
+    benchmarks.
+
+    Every run publishes through {!Rib.replace_proto}. The daemon keeps
+    no copy of what it published, and has no route-change hook of its
+    own: route changes reach observers as RIB events
+    ({!Rib.add_listener}). *)
 
 val spf_now_full : t -> int
 (** Like {!spf_now} but recomputes the whole tree from the LSDB from
@@ -88,12 +94,3 @@ val is_adjacent_to : t -> Ipv4_addr.t -> bool
 (** Full adjacency with the given router id. *)
 
 val full_neighbor_count : t -> int
-
-val neighbor_addr_of_router : t -> Ipv4_addr.t -> Ipv4_addr.t option
-(** Interface address of a directly-adjacent router (next-hop
-    resolution). *)
-
-val set_on_route_change : t -> (unit -> unit) -> unit
-(** Fired after each SPF run that changed the OSPF route set. *)
-
-val pp_neighbor : Format.formatter -> neighbor_info -> unit

@@ -87,30 +87,28 @@ let lookup t addr =
   go t.root 0 None
 
 let fold f t acc =
-  (* Depth-first with explicit prefix reconstruction. *)
+  (* Depth-first with explicit prefix reconstruction. [bits] holds the
+     path's [depth] bits in an immediate int, so no step boxes an
+     int32; the order is [Prefix.compare]'s, which [Rib] relies on. *)
   let rec go node bits depth acc =
     let acc =
       match node.value with
       | Some v ->
-          let addr = Ipv4_addr.of_int32 (Int32.shift_left bits (32 - max depth 1)) in
-          let addr = if depth = 0 then Ipv4_addr.any else addr in
-          f (Ipv4_addr.Prefix.make addr depth) v acc
+          let addr = Int32.of_int (bits lsl (32 - depth)) in
+          f (Ipv4_addr.Prefix.make (Ipv4_addr.of_int32 addr) depth) v acc
       | None -> acc
     in
     let acc =
       match node.zero with
-      | Some c -> go c (Int32.shift_left bits 1) (depth + 1) acc
+      | Some c -> go c (bits lsl 1) (depth + 1) acc
       | None -> acc
     in
     match node.one with
-    | Some c ->
-        go c (Int32.logor (Int32.shift_left bits 1) 1l) (depth + 1) acc
+    | Some c -> go c ((bits lsl 1) lor 1) (depth + 1) acc
     | None -> acc
   in
-  go t.root 0l 0 acc
+  go t.root 0 0 acc
 
-let entries t =
-  fold (fun p v acc -> (p, v) :: acc) t []
-  |> List.sort (fun (a, _) (b, _) -> Ipv4_addr.Prefix.compare a b)
+let entries t = List.rev (fold (fun p v acc -> (p, v) :: acc) t [])
 
 let size t = t.count

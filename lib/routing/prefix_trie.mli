@@ -19,6 +19,8 @@ val lookup : 'a t -> Ipv4_addr.t -> (Ipv4_addr.Prefix.t * 'a) option
 (** Longest matching prefix. *)
 
 val fold : (Ipv4_addr.Prefix.t -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
+(** Visits entries in {!Ipv4_addr.Prefix.compare} order (network, then
+    length). *)
 
 val entries : 'a t -> (Ipv4_addr.Prefix.t * 'a) list
 (** Sorted by prefix (network, then length). *)

@@ -37,6 +37,8 @@ type t = {
   mutable listeners : (event -> unit) list;
   mutable n_selected : int;
   mutable generation : int;
+  (* Candidates per protocol, indexed by [proto_index]. *)
+  n_candidates : int array;
 }
 
 let create () =
@@ -45,7 +47,24 @@ let create () =
     listeners = [];
     n_selected = 0;
     generation = 0;
+    n_candidates = Array.make 5 0;
   }
+
+let proto_index = function
+  | Connected -> 0
+  | Static -> 1
+  | Ospf -> 2
+  | Rip -> 3
+  | Bgp -> 4
+
+(* Drops [proto]'s candidate from [slot], keeping the count. *)
+let remove_candidate t slot proto =
+  let rest = List.filter (fun r -> r.r_proto <> proto) slot.candidates in
+  if List.compare_lengths rest slot.candidates <> 0 then begin
+    let i = proto_index proto in
+    t.n_candidates.(i) <- t.n_candidates.(i) - 1;
+    slot.candidates <- rest
+  end
 
 let add_listener t f = t.listeners <- t.listeners @ [ f ]
 
@@ -96,35 +115,70 @@ let slot_of t prefix =
 
 let update t route =
   let slot = slot_of t route.r_prefix in
-  slot.candidates <-
-    route :: List.filter (fun r -> r.r_proto <> route.r_proto) slot.candidates;
+  remove_candidate t slot route.r_proto;
+  let i = proto_index route.r_proto in
+  t.n_candidates.(i) <- t.n_candidates.(i) + 1;
+  slot.candidates <- route :: slot.candidates;
   reselect t route.r_prefix slot
 
 let withdraw t proto prefix =
   match Prefix_trie.find_exact t.table prefix with
   | None -> ()
   | Some slot ->
-      slot.candidates <- List.filter (fun r -> r.r_proto <> proto) slot.candidates;
+      remove_candidate t slot proto;
       reselect t prefix slot
 
-let replace_proto t proto routes =
-  (* Remove stale candidates first, then install the new set. *)
-  let keep = Hashtbl.create (List.length routes) in
-  List.iter
-    (fun r -> if r.r_proto = proto then Hashtbl.replace keep r.r_prefix ())
-    routes;
-  let stale =
-    Prefix_trie.fold
-      (fun prefix slot acc ->
-        if
-          List.exists (fun r -> r.r_proto = proto) slot.candidates
-          && not (Hashtbl.mem keep prefix)
-        then prefix :: acc
-        else acc)
-      t.table []
+let candidate proto slot =
+  List.find_opt (fun r -> r.r_proto = proto) slot.candidates
+
+(* [proto]'s candidates at the sorted [scope], or everywhere; sorted by
+   prefix either way. *)
+let candidates_in t proto scope =
+  match scope with
+  | None ->
+      Prefix_trie.fold
+        (fun _ slot acc ->
+          match candidate proto slot with Some r -> r :: acc | None -> acc)
+        t.table []
+      |> List.rev
+  | Some prefixes ->
+      List.filter_map
+        (fun p ->
+          Option.bind (Prefix_trie.find_exact t.table p) (candidate proto))
+        prefixes
+
+let candidates t proto = candidates_in t proto None
+
+let count t proto = t.n_candidates.(proto_index proto)
+
+let replace_proto t ?scope proto routes =
+  (* A merge of two prefix-sorted lists: only prefixes whose candidate
+     appears, disappears or differs touch the table. *)
+  let rec merge olds news =
+    match (olds, news) with
+    | [], [] -> ()
+    | o :: os, [] ->
+        withdraw t proto o.r_prefix;
+        merge os []
+    | [], n :: ns ->
+        update t n;
+        merge [] ns
+    | o :: os, n :: ns ->
+        let c = Ipv4_addr.Prefix.compare o.r_prefix n.r_prefix in
+        if c < 0 then begin
+          withdraw t proto o.r_prefix;
+          merge os news
+        end
+        else if c > 0 then begin
+          update t n;
+          merge olds ns
+        end
+        else begin
+          if not (route_equal o n) then update t n;
+          merge os ns
+        end
   in
-  List.iter (fun p -> withdraw t proto p) stale;
-  List.iter (fun r -> if r.r_proto = proto then update t r) routes
+  merge (candidates_in t proto scope) routes
 
 let best t prefix =
   match Prefix_trie.find_exact t.table prefix with
@@ -142,7 +196,7 @@ let selected t =
   Prefix_trie.fold
     (fun _ slot acc -> match slot.selected with Some r -> r :: acc | None -> acc)
     t.table []
-  |> List.sort (fun a b -> Ipv4_addr.Prefix.compare a.r_prefix b.r_prefix)
+  |> List.rev
 
 let size t = t.n_selected
 

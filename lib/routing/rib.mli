@@ -35,9 +35,26 @@ val update : t -> route -> unit
 
 val withdraw : t -> proto -> Ipv4_addr.Prefix.t -> unit
 
-val replace_proto : t -> proto -> route list -> unit
-(** Atomically replaces every candidate of one protocol (what ospfd
-    does after each SPF run). *)
+val replace_proto :
+  t -> ?scope:Ipv4_addr.Prefix.t list -> proto -> route list -> unit
+(** [replace_proto t ?scope proto routes] is how a protocol publishes:
+    afterwards [proto]'s candidates inside the scope are exactly
+    [routes]. [routes] must be sorted by prefix ({!Ipv4_addr.Prefix.compare}),
+    hold one route per prefix, all of [proto], and lie inside the
+    scope. The scope is every prefix by default, or the sorted prefix
+    list [scope]: candidates outside it are left alone (ospfd passes
+    the prefixes a repaired SPF touched). The call walks both sorted
+    lists once and calls {!withdraw} or {!update}, in prefix order,
+    only where the candidate appears, disappears or differs, so an
+    unchanged route raises no event and does not bump the
+    generation. *)
+
+val candidates : t -> proto -> route list
+(** Every candidate of one protocol, selected or not, sorted by
+    prefix. *)
+
+val count : t -> proto -> int
+(** [List.length (candidates t proto)], kept as a counter. *)
 
 val best : t -> Ipv4_addr.Prefix.t -> route option
 

@@ -26,7 +26,6 @@ type t = {
   mutable started : bool;
   mutable timers : Rf_sim.Engine.timer list;
   mutable trig_scheduled : bool;
-  mutable sent : int;
   mutable triggered : int;
 }
 
@@ -41,7 +40,6 @@ let create engine ?entity ?(config = default_config) rib =
     started = false;
     timers = [];
     trig_scheduled = false;
-    sent = 0;
     triggered = 0;
   }
 
@@ -66,7 +64,7 @@ let entries_for t rif ~only_changed =
       end)
     t.table []
 
-let send_response t rif entries =
+let send_response rif entries =
   if (not rif.passive) && Iface.is_up rif.ifc && entries <> [] then begin
     let rec batches = function
       | [] -> ()
@@ -77,7 +75,6 @@ let send_response t rif entries =
               ( List.filteri (fun i _ -> i < Rip_pkt.max_entries) es,
                 List.filteri (fun i _ -> i >= Rip_pkt.max_entries) es )
           in
-          t.sent <- t.sent + 1;
           Iface.send rif.ifc
             (Packet.udp ~src_mac:(Iface.mac rif.ifc) ~dst_mac:Rip_pkt.multicast_mac
                ~src_ip:(Iface.ip rif.ifc) ~dst_ip:Rip_pkt.multicast_group ~ttl:1
@@ -89,7 +86,7 @@ let send_response t rif entries =
   end
 
 let broadcast t ~only_changed =
-  List.iter (fun rif -> send_response t rif (entries_for t rif ~only_changed)) t.ifaces
+  List.iter (fun rif -> send_response rif (entries_for t rif ~only_changed)) t.ifaces
 
 let clear_changed t = Hashtbl.iter (fun _ e -> e.re_changed <- false) t.table
 
@@ -112,6 +109,8 @@ let sync_rib t =
             :: acc
         | Some _ | None -> acc)
       t.table []
+    |> List.sort (fun (a : Rib.route) b ->
+           Ipv4_addr.Prefix.compare a.r_prefix b.r_prefix)
   in
   Rib.replace_proto t.rib Rib.Rip routes
 
@@ -193,7 +192,7 @@ let process_entry t rif ~src (entry : Rip_pkt.entry) =
 
 let handle_packet t rif ~src pkt =
   match pkt with
-  | Rip_pkt.Request -> send_response t rif (entries_for t rif ~only_changed:false)
+  | Rip_pkt.Request -> send_response rif (entries_for t rif ~only_changed:false)
   | Rip_pkt.Response entries ->
       List.iter (process_entry t rif ~src) entries
 
@@ -291,20 +290,10 @@ let stop t =
     Rib.replace_proto t.rib Rib.Rip []
   end
 
-let route_count t =
-  Hashtbl.fold
-    (fun _ e acc ->
-      if e.re_next_hop <> None && e.re_metric < Rip_pkt.infinity_metric then
-        acc + 1
-      else acc)
-    t.table 0
-
 let table t =
   Hashtbl.fold
     (fun prefix e acc -> (prefix, e.re_metric, e.re_next_hop) :: acc)
     t.table []
   |> List.sort (fun (a, _, _) (b, _, _) -> Ipv4_addr.Prefix.compare a b)
-
-let updates_sent t = t.sent
 
 let triggered_updates t = t.triggered

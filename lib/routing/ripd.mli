@@ -38,12 +38,7 @@ val start : t -> unit
 
 val stop : t -> unit
 
-val route_count : t -> int
-(** RIP-learned routes currently valid (metric < 16). *)
-
 val table : t -> (Ipv4_addr.Prefix.t * int * Ipv4_addr.t option) list
 (** (prefix, metric, next hop) including connected entries, sorted. *)
-
-val updates_sent : t -> int
 
 val triggered_updates : t -> int

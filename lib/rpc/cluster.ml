@@ -41,25 +41,15 @@ let blocked t i j =
 let transmit t ~src ~dst frame =
   match t.links.(src).(dst) with
   | None -> ()
-  | Some ep -> (
-      if blocked t src dst then t.partition_drops <- t.partition_drops + 1
+  | Some ep ->
+      let drop () = t.partition_drops <- t.partition_drops + 1 in
+      if blocked t src dst then drop ()
       else
-        match t.faults with
-        | None -> Rf_net.Channel.send ep frame
-        | Some (rng, profile) -> (
-            match Faults.fate rng profile with
-            | Faults.Deliver -> Rf_net.Channel.send ep frame
-            | Faults.Drop -> ()
-            | Faults.Duplicate ->
-                Rf_net.Channel.send ep frame;
-                Rf_net.Channel.send ep frame
-            | Faults.Delay span ->
-                ignore
-                  (Engine.schedule ~entity:t.entity t.engine span (fun () ->
-                       (* the partition is re-checked at delivery time *)
-                       if not (blocked t src dst) then
-                         Rf_net.Channel.send ep frame
-                       else t.partition_drops <- t.partition_drops + 1))))
+        ignore
+          (Faults.transmit t.engine ~entity:t.entity t.faults (fun () ->
+               (* the partition is re-checked at delivery time *)
+               if blocked t src dst then drop ()
+               else Rf_net.Channel.send ep frame))
 
 let send_from t src ~dst body =
   let frame = Rpc_msg.to_wire { Rpc_msg.epoch = 0l; seq = 0l; body } in

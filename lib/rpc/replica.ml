@@ -52,10 +52,6 @@ type t = {
   mutable hb_gen : int;  (** invalidates stale heartbeat loops *)
   mutable on_commit : int -> Rpc_msg.t -> unit;
   mutable on_role : role -> int32 -> unit;
-  mutable elections_started : int;
-  mutable heartbeats_sent : int;
-  mutable snapshots_served : int;
-  mutable truncations : int;
 }
 
 let record t event detail =
@@ -120,7 +116,6 @@ and election t =
     t.voted_for <- Some t.cfg.id;
     t.leader <- None;
     t.votes <- [ t.cfg.id ];
-    t.elections_started <- t.elections_started + 1;
     set_role t Candidate;
     broadcast t
       (Rpc_msg.Elect_request
@@ -156,7 +151,6 @@ and recompute_commit t =
   end
 
 and send_heartbeat t =
-  t.heartbeats_sent <- t.heartbeats_sent + 1;
   broadcast t
     (Rpc_msg.Leader_heartbeat
        {
@@ -197,7 +191,6 @@ let step_down t epoch =
    election quorums intersect), everything past them is forfeit. *)
 let truncate_to_commit t =
   if t.log_len > t.commit then begin
-    t.truncations <- t.truncations + 1;
     record t "truncate"
       (Printf.sprintf "uncommitted tail %d..%d dropped" (t.commit + 1)
          t.log_len);
@@ -302,10 +295,7 @@ let receive t ~src body =
           recompute_commit t
         end
     | Rpc_msg.Sync_request ->
-        if t.role = Leader then begin
-          t.snapshots_served <- t.snapshots_served + 1;
-          t.send ~dst:src (Rpc_msg.Sync_snapshot (log t))
-        end
+        if t.role = Leader then t.send ~dst:src (Rpc_msg.Sync_snapshot (log t))
     | Rpc_msg.Sync_snapshot msgs ->
         (* full-log anti-entropy from the leader we follow *)
         if t.role = Follower && t.leader = Some src then begin
@@ -384,10 +374,6 @@ let create engine ~rng cfg ~send =
       hb_gen = 0;
       on_commit = (fun _ _ -> ());
       on_role = (fun _ _ -> ());
-      elections_started = 0;
-      heartbeats_sent = 0;
-      snapshots_served = 0;
-      truncations = 0;
     }
   in
   arm_election t;
@@ -407,10 +393,6 @@ let leader t = t.leader
 
 let crashed t = t.crashed
 
-let log_length t = t.log_len
-
-let commit_index t = t.commit
-
 let log_digest t =
   let committed = min t.commit t.log_len in
   let buf = Buffer.create 256 in
@@ -420,11 +402,3 @@ let log_digest t =
         Buffer.add_string buf (Format.asprintf "%d %a\n" (i + 1) Rpc_msg.pp msg))
     (log t);
   Digest.to_hex (Digest.string (Buffer.contents buf))
-
-let elections_started t = t.elections_started
-
-let heartbeats_sent t = t.heartbeats_sent
-
-let snapshots_served t = t.snapshots_served
-
-let truncations t = t.truncations

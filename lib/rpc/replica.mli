@@ -24,8 +24,6 @@
 
 type role = Follower | Candidate | Leader
 
-val pp_role : Format.formatter -> role -> unit
-
 type config = {
   id : int;  (** this replica's index, [0 .. replicas-1] *)
   replicas : int;
@@ -97,20 +95,6 @@ val crashed : t -> bool
 val log : t -> Rpc_msg.t list
 (** The replicated log, oldest first. *)
 
-val log_length : t -> int
-
-val commit_index : t -> int
-(** Highest log index known committed (majority-held). *)
-
 val log_digest : t -> string
 (** MD5 over the committed prefix — equal across replicas once they
     have converged. *)
-
-val elections_started : t -> int
-
-val heartbeats_sent : t -> int
-
-val snapshots_served : t -> int
-
-val truncations : t -> int
-(** Uncommitted tails discarded on leader change. *)

@@ -89,12 +89,9 @@ val seq_after : int32 -> int32 -> bool
 val seq_succ : int32 -> int32
 (** Successor, skipping the reserved value 0. *)
 
-val max_snapshot_msgs : int
-(** Upper bound on messages per [Sync_snapshot] frame (u16 count). *)
-
 val to_wire : envelope -> string
 (** Length-prefixed frame. Raises [Invalid_argument] if a snapshot
-    exceeds {!max_snapshot_msgs}. *)
+    holds more messages than its u16 count can say (65,535). *)
 
 val of_wire : string -> (envelope, string) result
 (** Decodes exactly one frame. [Error] when the length prefix differs

@@ -36,19 +36,12 @@ let record t event detail =
 
 let transmit t frame =
   if not t.crashed then
-    match t.faults with
-    | None -> Rf_net.Channel.send t.chan frame
-    | Some (rng, profile) -> (
-        match Faults.fate rng profile with
-        | Faults.Deliver -> Rf_net.Channel.send t.chan frame
-        | Faults.Drop -> record t "fault-drop" ""
-        | Faults.Duplicate ->
-            Rf_net.Channel.send t.chan frame;
-            Rf_net.Channel.send t.chan frame
-        | Faults.Delay span ->
-            ignore
-              (Engine.schedule ~entity:t.entity t.engine span (fun () ->
-                   Rf_net.Channel.send t.chan frame)))
+    match
+      Faults.transmit t.engine ~entity:t.entity t.faults (fun () ->
+          Rf_net.Channel.send t.chan frame)
+    with
+    | Faults.Drop -> record t "fault-drop" ""
+    | Faults.Deliver | Faults.Duplicate | Faults.Delay _ -> ()
 
 (* Server envelopes carry the incarnation in the epoch field: every
    reply doubles as a restart beacon for the client. *)

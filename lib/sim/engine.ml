@@ -61,8 +61,6 @@ let set_profiler t p = t.profiler <- p
 
 let profiler t = t.profiler
 
-let heap_depth t = Event_heap.size t.queue
-
 let heap_pushes t = Event_heap.pushes t.queue
 
 let heap_peak t = Event_heap.peak t.queue

@@ -38,9 +38,6 @@ val profiler : t -> Rf_obs.Profiler.t option
 (** Components consult this at construction time to decide whether to
     build entity handles. *)
 
-val heap_depth : t -> int
-(** Current event-queue depth. *)
-
 val heap_pushes : t -> int
 (** Cumulative events ever scheduled (heap churn). *)
 

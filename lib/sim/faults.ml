@@ -87,6 +87,28 @@ let fate rng p =
     Delay (Vtime.span_s (Rng.float rng (Vtime.span_to_s p.cf_max_delay)))
   else Deliver
 
+let transmit engine ~entity ?(exempt = false) faults send =
+  match faults with
+  | None ->
+      send ();
+      Deliver
+  | Some (rng, profile) -> (
+      match fate rng profile with
+      | (Drop | Duplicate) when exempt ->
+          send ();
+          Deliver
+      | Deliver ->
+          send ();
+          Deliver
+      | Drop -> Drop
+      | Duplicate ->
+          send ();
+          send ();
+          Duplicate
+      | Delay span as f ->
+          ignore (Engine.schedule ~entity engine span send);
+          f)
+
 type plan = {
   events : timed list;
   control_faults : chan_profile option;
@@ -110,7 +132,6 @@ type injector = {
 
 type handle = {
   mutable fired : int;
-  mutable pending : int;
   mutable last_at : Vtime.t option;
 }
 
@@ -137,7 +158,7 @@ let span_of_event engine = function
       None
 
 let schedule engine inj p =
-  let h = { fired = 0; pending = List.length p.events; last_at = None } in
+  let h = { fired = 0; last_at = None } in
   let injections =
     Rf_obs.Metrics.counter (Engine.metrics engine)
       ~help:"Fault-plan events fired" "fault_injections_total"
@@ -146,7 +167,6 @@ let schedule engine inj p =
     (fun { at; ev } ->
       let fire () =
         h.fired <- h.fired + 1;
-        h.pending <- h.pending - 1;
         h.last_at <- Some (Engine.now engine);
         Rf_obs.Metrics.incr injections;
         Engine.record engine
@@ -166,7 +186,5 @@ let schedule engine inj p =
   h
 
 let fired_count h = h.fired
-
-let pending_count h = h.pending
 
 let last_fired_at h = h.last_at

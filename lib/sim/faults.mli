@@ -11,8 +11,8 @@
     This module is layer-agnostic: it only knows datapath ids and
     virtual time. The scenario layer supplies an {!injector} that maps
     each fault onto the emulated network, and components with a control
-    channel (e.g. the controller-side OpenFlow connection) consult
-    {!fate} per message to apply a {!chan_profile}. *)
+    channel (e.g. the controller-side OpenFlow connection) send each
+    frame through {!transmit} to apply a {!chan_profile}. *)
 
 (** {1 Timed topology faults} *)
 
@@ -65,8 +65,6 @@ val controller_partition : at_s:float -> int list -> int list -> timed
 
 val controller_heal : at_s:float -> timed
 
-val pp_event : Format.formatter -> event -> unit
-
 (** {1 Probabilistic control-channel faults} *)
 
 type chan_profile = {
@@ -98,6 +96,22 @@ val fate : Rng.t -> chan_profile -> fate
 (** Draws the fate of one message. Always consumes exactly one draw
     from the generator (two when the fate is [Delay]), keeping replay
     deterministic regardless of the outcome. *)
+
+val transmit :
+  Engine.t ->
+  entity:Rf_obs.Profiler.entity ->
+  ?exempt:bool ->
+  (Rng.t * chan_profile) option ->
+  (unit -> unit) ->
+  fate
+(** [transmit engine ~entity faults send] is the per-frame fault path
+    of every control channel: it draws one {!fate} from [faults] and
+    acts on it — [send ()] now, not at all, twice, or after the drawn
+    delay in an event charged to [entity] — then returns the fate it
+    acted on, so the caller can record it. Without a profile it sends
+    and returns [Deliver] without drawing. An [exempt] frame (default
+    [false]) still draws, but a [Drop] or [Duplicate] is delivered
+    once and reported as [Deliver]; a [Delay] applies. *)
 
 (** {1 Plans} *)
 
@@ -140,8 +154,6 @@ val schedule : Engine.t -> injector -> plan -> handle
     component ["faults"] and dispatched through the injector. *)
 
 val fired_count : handle -> int
-
-val pending_count : handle -> int
 
 val last_fired_at : handle -> Vtime.t option
 (** When the most recent fault fired; [None] until the first fires.

@@ -94,11 +94,6 @@ let summarize s =
       }
   end
 
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "n=%d min=%.3f mean=%.3f p50=%.3f p90=%.3f p99=%.3f max=%.3f sd=%.3f"
-    s.count s.min s.mean s.p50 s.p90 s.p99 s.max s.stddev
-
 type counter = { mutable v : int }
 
 let counter () = { v = 0 }

@@ -37,8 +37,6 @@ val percentile_of_sorted : float array -> float -> float
 
 val mean : series -> float
 
-val pp_summary : Format.formatter -> summary -> unit
-
 type counter
 
 val counter : unit -> counter

@@ -45,6 +45,4 @@ val find_first : t -> (record -> bool) -> record option
 
 val find_last : t -> (record -> bool) -> record option
 
-val pp_record : Format.formatter -> record -> unit
-
 val dump : Format.formatter -> t -> unit

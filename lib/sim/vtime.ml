@@ -40,8 +40,6 @@ let span_to_s = to_s
 
 let span_to_ms d = float_of_int d /. 1e3
 
-let span_to_us d = d
-
 let of_s = span_s
 
 let to_us t = t
@@ -53,5 +51,3 @@ let pp ppf t =
   let ms = total_ms mod 1_000 in
   let s = total_ms / 1_000 in
   Format.fprintf ppf "%02d:%02d.%03d" (s / 60) (s mod 60) ms
-
-let pp_span ppf d = Format.fprintf ppf "%.3fs" (span_to_s d)

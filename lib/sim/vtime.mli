@@ -44,7 +44,6 @@ val to_s : t -> float
 
 val span_to_s : span -> float
 val span_to_ms : span -> float
-val span_to_us : span -> int
 
 val of_s : float -> t
 (** Instant [s] seconds after the epoch. *)
@@ -54,5 +53,3 @@ val of_us : int -> t
 
 val pp : Format.formatter -> t -> unit
 (** Renders as [mm:ss.mmm]. *)
-
-val pp_span : Format.formatter -> span -> unit

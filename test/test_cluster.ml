@@ -318,6 +318,18 @@ let run_chaos (seed, steps) =
     co_converged = Cluster.converged cl;
   }
 
+(* One lossy-mesh chaos run, pinned by the MD5 of its replica log
+   digests: the mesh's per-frame fault path must replay the same drops,
+   duplicates and delays. *)
+let test_lossy_mesh_pinned () =
+  let o = run_chaos (4242, [ Crash 0; Partition 1; Restart 0; Heal ]) in
+  check "converged" true o.co_converged;
+  checki "nothing pending" 0 o.co_pending;
+  check "replicas agree" true
+    (List.for_all (String.equal (List.hd o.co_digests)) o.co_digests);
+  Alcotest.(check string) "replica log digests" "9b1f83224d0237a299014a812c2c3e8b"
+    (Digest.to_hex (Digest.string (String.concat "," o.co_digests)))
+
 let election_safety_prop =
   prop "election safety: at most one leader per epoch" gen_chaos print_chaos
     (fun input ->
@@ -372,6 +384,8 @@ let suite =
       `Quick test_scenario_mutation_fence;
     Alcotest.test_case "scenario: failover reassigns switch sessions" `Quick
       test_scenario_failover_reassigns_switches;
+    Alcotest.test_case "lossy mesh chaos run is pinned" `Quick
+      test_lossy_mesh_pinned;
     election_safety_prop;
     convergence_prop;
     determinism_prop;

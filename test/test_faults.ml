@@ -370,6 +370,16 @@ let test_different_seed_diverges () =
   let b = trace_of_run 6 in
   Alcotest.(check bool) "different seeds diverge" false (String.equal a b)
 
+(* No pinned experiment arms a channel profile, so these MD5s are what
+   hold the per-frame fault path byte-stable: the order of draws, and
+   when a duplicated or delayed frame goes out. *)
+let test_lossy_traces_pinned () =
+  let md5 s = Digest.to_hex (Digest.string s) in
+  Alcotest.(check string) "lossy rpc outage, seed 9" "fc4d225c0181d579271b0a931f8bc464"
+    (md5 (trace_of_outage_run 9));
+  Alcotest.(check string) "lossy control channel, seed 5" "3de74044a972071190faadb7b27791c9"
+    (md5 (trace_of_run 5))
+
 (* --- fate draws -------------------------------------------------------- *)
 
 let test_fate_distribution_deterministic () =
@@ -416,6 +426,8 @@ let suite =
     Alcotest.test_case "of_conn delay profile" `Quick test_chan_delay_all;
     Alcotest.test_case "same seed replays byte-identical trace" `Slow
       test_same_seed_same_trace;
+    Alcotest.test_case "lossy channel traces are pinned" `Slow
+      test_lossy_traces_pinned;
     Alcotest.test_case "different seeds diverge" `Slow
       test_different_seed_diverges;
     Alcotest.test_case "fate draws are seeded and exhaustive" `Quick

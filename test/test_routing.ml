@@ -46,10 +46,17 @@ let test_trie_entries_sorted () =
   let t = Prefix_trie.create () in
   List.iter
     (fun p -> Prefix_trie.insert t (pfx p) p)
-    [ "10.1.0.0/16"; "10.0.0.0/8"; "192.168.1.0/24"; "10.1.2.0/24" ];
+    [
+      "10.1.0.0/16"; "255.255.255.255/32"; "10.0.0.0/8"; "200.1.0.0/16";
+      "192.168.1.0/24"; "10.0.0.0/16"; "128.0.0.0/1"; "10.1.2.0/24";
+      "0.0.0.0/0";
+    ];
   let entries = List.map snd (Prefix_trie.entries t) in
-  Alcotest.(check (list string)) "sorted"
-    [ "10.0.0.0/8"; "10.1.0.0/16"; "10.1.2.0/24"; "192.168.1.0/24" ]
+  Alcotest.(check (list string)) "sorted: unsigned network, then length"
+    [
+      "0.0.0.0/0"; "10.0.0.0/8"; "10.0.0.0/16"; "10.1.0.0/16"; "10.1.2.0/24";
+      "128.0.0.0/1"; "192.168.1.0/24"; "200.1.0.0/16"; "255.255.255.255/32";
+    ]
     entries
 
 (* Reference-model property: trie LPM equals a naive scan. *)
@@ -141,6 +148,188 @@ let test_rib_lpm () =
       Alcotest.(check (option string)) "longest prefix" (Some "2.2.2.2")
         (Option.map Ipv4_addr.to_string r.Rib.r_next_hop)
   | None -> Alcotest.fail "no route"
+
+(* --- RIB publication diff ------------------------------------------------ *)
+
+(* The rescan [Rib.replace_proto] every publication went through
+   before the sorted diff, kept as the oracle: withdraw each candidate
+   of [proto] inside the scope that [routes] lacks, then update every
+   route. With [~skip_unchanged] it leaves a route alone when the same
+   candidate is already in place, the diff's rule. The two differ only
+   when two protocols tie on (distance, metric): an update moves the
+   candidate to the front of its slot, and the front one wins ties. *)
+let in_scope scope (r : Rib.route) =
+  match scope with
+  | None -> true
+  | Some ps -> List.exists (Ipv4_addr.Prefix.equal r.r_prefix) ps
+
+let oracle_replace ~skip_unchanged rib ?scope proto routes =
+  let current = List.filter (in_scope scope) (Rib.candidates rib proto) in
+  let kept (o : Rib.route) =
+    List.exists
+      (fun (r : Rib.route) -> Ipv4_addr.Prefix.equal r.r_prefix o.r_prefix)
+      routes
+  in
+  List.iter
+    (fun (o : Rib.route) ->
+      if not (kept o) then Rib.withdraw rib proto o.r_prefix)
+    current;
+  List.iter
+    (fun r ->
+      if not (skip_unchanged && List.mem r current) then Rib.update rib r)
+    routes
+
+type rib_op =
+  | Op_update of Rib.route
+  | Op_withdraw of Rib.proto * Ipv4_addr.Prefix.t
+  | Op_replace of Rib.proto * Ipv4_addr.Prefix.t list option * Rib.route list
+      (** routes and scope in generation order, not sorted *)
+  | Op_republish of Rib.proto * Ipv4_addr.Prefix.t list option
+      (** a replace with the candidates already in place, as daemons
+          mostly do: it must change nothing *)
+
+let all_protos = [ Rib.Connected; Rib.Static; Rib.Ospf; Rib.Rip; Rib.Bgp ]
+
+(* Nested prefixes, a default route and addresses on both sides of the
+   sign bit, so prefix order is unsigned and length-aware. *)
+let diff_prefixes =
+  List.map pfx
+    [
+      "0.0.0.0/0"; "10.0.0.0/8"; "10.0.0.0/16"; "10.0.0.0/24"; "10.1.0.0/16";
+      "10.1.2.0/24"; "128.0.0.0/1"; "172.16.0.0/12"; "192.168.1.0/24";
+      "200.1.0.0/16"; "200.1.0.0/24"; "255.255.255.255/32";
+    ]
+
+let by_prefix (a : Rib.route) (b : Rib.route) =
+  Ipv4_addr.Prefix.compare a.r_prefix b.r_prefix
+
+(* With [ties], most routes carry distance 100 and metric 1 or 2, so
+   two protocols often tie on (distance, metric) at one prefix. *)
+let gen_rib_ops ~ties =
+  let open QCheck.Gen in
+  let proto = oneofl all_protos in
+  let route proto prefix =
+    let* metric = int_range 1 (if ties then 2 else 3) in
+    let* distance =
+      if ties then oneofl [ Rib.default_distance proto; 100; 100 ]
+      else return (Rib.default_distance proto)
+    in
+    let* hop = oneofl [ None; Some "1.1.1.1"; Some "2.2.2.2" ] in
+    let* iface = oneofl [ "eth0"; "eth1" ] in
+    return
+      {
+        Rib.r_prefix = prefix;
+        r_proto = proto;
+        r_distance = distance;
+        r_metric = metric;
+        r_next_hop = Option.map ip hop;
+        r_iface = iface;
+      }
+  in
+  let subset l =
+    let* keep = list_repeat (List.length l) bool in
+    shuffle_l (List.filteri (fun i _ -> List.nth keep i) l)
+  in
+  let update =
+    let* p = proto in
+    let* x = oneofl diff_prefixes in
+    map (fun r -> Op_update r) (route p x)
+  in
+  let withdraw =
+    map (fun (p, x) -> Op_withdraw (p, x)) (pair proto (oneofl diff_prefixes))
+  in
+  let replace =
+    let* p = proto in
+    let* scope = opt (subset diff_prefixes) in
+    let* within = subset (Option.value scope ~default:diff_prefixes) in
+    let* routes = flatten_l (List.map (route p) within) in
+    return (Op_replace (p, scope, routes))
+  in
+  let republish =
+    let* p = proto in
+    map (fun s -> Op_republish (p, s)) (opt (subset diff_prefixes))
+  in
+  list_size (int_range 1 40)
+    (frequency [ (4, update); (2, withdraw); (2, replace); (1, republish) ])
+
+let print_rib_op =
+  let route = Format.asprintf "%a" Rib.pp_route in
+  let prefixes ps =
+    String.concat "," (List.map Ipv4_addr.Prefix.to_string ps)
+  in
+  function
+  | Op_update r -> "update " ^ route r
+  | Op_withdraw (p, x) ->
+      Printf.sprintf "withdraw %s %s" (Rib.proto_name p)
+        (Ipv4_addr.Prefix.to_string x)
+  | Op_replace (p, scope, rs) ->
+      Printf.sprintf "replace %s%s [%s]" (Rib.proto_name p)
+        (match scope with None -> "" | Some ps -> " scope " ^ prefixes ps)
+        (String.concat ", " (List.map route rs))
+  | Op_republish (p, scope) ->
+      Printf.sprintf "republish %s%s" (Rib.proto_name p)
+        (match scope with None -> "" | Some ps -> " scope " ^ prefixes ps)
+
+(* The sorted diff against the oracle, step by step: after every call
+   both RIBs hold the same selection, the same candidates of every
+   protocol and the same generation, and the call raised the same
+   events. *)
+let prop_rib_diff ~ties =
+  QCheck.Test.make
+    ~name:
+      (if ties then "rib replace_proto equals rescan (ties, unchanged skipped)"
+       else "rib replace_proto equals the rescan it replaced")
+    ~count:300
+    (QCheck.make ~print:QCheck.Print.(list print_rib_op) (gen_rib_ops ~ties))
+    (fun ops ->
+      let diff = Rib.create () and oracle = Rib.create () in
+      let events rib =
+        let seen = ref [] in
+        Rib.add_listener rib (fun e -> seen := e :: !seen);
+        seen
+      in
+      let diff_ev = events diff and oracle_ev = events oracle in
+      List.iteri
+        (fun step op ->
+          diff_ev := [];
+          oracle_ev := [];
+          let replace p scope routes =
+            let scope =
+              Option.map (List.sort Ipv4_addr.Prefix.compare) scope
+            in
+            Rib.replace_proto diff ?scope p (List.sort by_prefix routes);
+            oracle_replace ~skip_unchanged:ties oracle ?scope p routes
+          in
+          (match op with
+          | Op_update r ->
+              Rib.update diff r;
+              Rib.update oracle r
+          | Op_withdraw (p, x) ->
+              Rib.withdraw diff p x;
+              Rib.withdraw oracle p x
+          | Op_replace (p, scope, routes) -> replace p scope routes
+          | Op_republish (p, scope) ->
+              replace p scope
+                (List.filter (in_scope scope) (Rib.candidates diff p)));
+          let fail what =
+            QCheck.Test.fail_reportf "step %d (%s): %s differs" step
+              (print_rib_op op) what
+          in
+          if Rib.selected diff <> Rib.selected oracle then fail "selected";
+          List.iter
+            (fun p ->
+              let name = Rib.proto_name p in
+              if Rib.candidates diff p <> Rib.candidates oracle p then
+                fail (name ^ " candidates");
+              if Rib.count diff p <> List.length (Rib.candidates diff p) then
+                fail (name ^ " count"))
+            all_protos;
+          if Rib.generation diff <> Rib.generation oracle then
+            fail "generation";
+          if List.sort compare !diff_ev <> List.sort compare !oracle_ev then
+            fail "event multiset")
+        ops;
+      true)
 
 (* --- Quagga config --------------------------------------------------------- *)
 
@@ -755,6 +944,8 @@ let suite =
       test_rib_distance_preference;
     Alcotest.test_case "rib change events" `Quick test_rib_events;
     Alcotest.test_case "rib replace_proto" `Quick test_rib_replace_proto;
+    QCheck_alcotest.to_alcotest (prop_rib_diff ~ties:false);
+    QCheck_alcotest.to_alcotest (prop_rib_diff ~ties:true);
     Alcotest.test_case "rib longest-prefix lookup" `Quick test_rib_lpm;
     Alcotest.test_case "zebra.conf roundtrip" `Quick test_zebra_conf_roundtrip;
     Alcotest.test_case "ospfd.conf roundtrip" `Quick test_ospfd_conf_roundtrip;
