@@ -25,7 +25,7 @@ let rule ?(unit_ = "s") ?(direction = Slo.At_most) name what source ~warn ~fail
 let completeness prefix =
   rule ~unit_:"records"
     (prefix ^ ".dropped_records")
-    "telemetry records dropped anywhere in the pipeline" Slo.Dropped_records
+    "forwarding classes the auditor could not probe" Slo.Dropped_records
     ~warn:0. ~fail:0.
 
 let e1b_rules =

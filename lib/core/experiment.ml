@@ -157,8 +157,7 @@ let print_audit_run ppf (r : audit_run) =
 let trace_fingerprint s =
   Digest.to_hex
     (Digest.string
-       (Format.asprintf "%a" Rf_sim.Trace.dump
-          (Rf_sim.Engine.trace (Scenario.engine s))))
+       (Format.asprintf "%a" Rf_sim.Engine.pp_trace (Scenario.engine s)))
 
 (* --- The run harness ------------------------------------------------ *)
 
@@ -278,7 +277,6 @@ type phase_breakdown = {
   pb_convergence_tail_s : float option;
   pb_converged_s : float option;
   pb_trace_events : int;
-  pb_trace_dropped : int;
 }
 
 let span_dur (sp : Rf_obs.Tracer.span) =
@@ -340,7 +338,6 @@ let breakdown_of s =
     pb_convergence_tail_s = Option.map span_dur convergence;
     pb_converged_s = to_s_opt (Scenario.routing_converged_at s);
     pb_trace_events = event_count tracer;
-    pb_trace_dropped = Scenario.trace_dropped s;
   }
 
 let phase_run ?(switches = 28) ?(vm_boot_s = 8.0) ?(parallel_boot = 1)
@@ -390,8 +387,7 @@ let print_phases ppf (b : phase_breakdown) =
   | Some g, None ->
       Format.fprintf ppf "  %-22s %10.2f s (not converged)@." "all green" g
   | None, _ -> Format.fprintf ppf "  configuration incomplete@.");
-  Format.fprintf ppf "  trace: %d events, %d dropped@." b.pb_trace_events
-    b.pb_trace_dropped
+  Format.fprintf ppf "  trace: %d events@." b.pb_trace_events
 
 (* --- E2: the demonstration ---------------------------------------- *)
 
@@ -1390,11 +1386,9 @@ let cluster_ring_run ?telemetry ?profiler ?audit_from ~experiment ~label
   }
 
 let traffic_disruption ?(seed = 42) ?(switches = 8) ?(fail_at_s = 40.0)
-    ?(manual_response_s = 25.0) ?(crash_at_s = 25.0) ?(cut_at_s = 30.0)
-    ?(recover_at_s = 45.0) ?(horizon_s = 90.0) ?telemetry ?profiler () =
+    ?(manual_response_s = 25.0) ?(horizon_s = 90.0) ?telemetry ?profiler () =
   if switches < 8 then invalid_arg "traffic_disruption: need a ring of >= 8";
-  if not (crash_at_s < cut_at_s && cut_at_s < recover_at_s) then
-    invalid_arg "traffic_disruption: need crash < cut < recover";
+  let crash_at_s = 25.0 and cut_at_s = 30.0 and recover_at_s = 45.0 in
   let cut_fault at = Rf_sim.Faults.link_down ~at_s:at 2L 3L in
   let run ?telemetry ?profiler ~label ~resync faults =
     (cluster_ring_run ?telemetry ?profiler ~experiment:"traffic" ~label ~seed
@@ -1597,11 +1591,10 @@ let traffic_scaling_run ?(seed = 42) ?(k = 20) ?(pairs_per_host = 2)
   },
   engine )
 
-let traffic_scaling ?seed ?k ?pairs_per_host ?arrivals_per_s ?horizon_s
-    ?profiler () =
+let traffic_scaling ?seed ?k ?pairs_per_host ?arrivals_per_s ?horizon_s () =
   fst
     (traffic_scaling_run ?seed ?k ?pairs_per_host ?arrivals_per_s ?horizon_s
-       ?profiler ())
+       ())
 
 (* --- E9: controller-cluster failover under live traffic ------------- *)
 
@@ -1746,8 +1739,7 @@ type profile_result = {
   pf_overhead_pct : float option;
 }
 
-let profile_scaling ?(seed = 42) ?(k = 20) ?(pairs_per_host = 2)
-    ?(arrivals_per_s = 2500.0) ?(horizon_s = 60.0)
+let profile_scaling ?(seed = 42) ?(k = 20) ?(horizon_s = 60.0)
     ?(measure_overhead = false) ?telemetry () =
   (* Best-of-3 on both sides: single-sample wall-clock deltas on a
      shared machine swing by more than the effect being measured. The
@@ -1757,23 +1749,19 @@ let profile_scaling ?(seed = 42) ?(k = 20) ?(pairs_per_host = 2)
     if measure_overhead then
       Some
         (best_of_3 (fun () ->
-             (traffic_scaling ~seed ~k ~pairs_per_host ~arrivals_per_s
-                ~horizon_s ())
-               .ts_elapsed_s))
+             (traffic_scaling ~seed ~k ~horizon_s ()).ts_elapsed_s))
     else None
   in
   let profiler = Rf_obs.Profiler.create () in
   let scale, engine =
-    traffic_scaling_run ~seed ~k ~pairs_per_host ~arrivals_per_s ~horizon_s
-      ~profiler ()
+    traffic_scaling_run ~seed ~k ~horizon_s ~profiler ()
   in
   let profiled_s =
     if measure_overhead then
       Float.min scale.ts_elapsed_s
         (best_of_3 (fun () ->
              let again, _ =
-               traffic_scaling_run ~seed ~k ~pairs_per_host ~arrivals_per_s
-                 ~horizon_s
+               traffic_scaling_run ~seed ~k ~horizon_s
                  ~profiler:(Rf_obs.Profiler.create ())
                  ()
              in
@@ -1796,9 +1784,7 @@ let profile_scaling ?(seed = 42) ?(k = 20) ?(pairs_per_host = 2)
         ]
         @ Rf_obs.Profiler.meta sn
       in
-      let oc = open_out path in
-      output_string oc (Rf_obs.Export.jsonl ~meta (Rf_sim.Engine.tracer engine));
-      close_out oc
+      Rf_obs.Export.write_jsonl ~meta (Rf_sim.Engine.tracer engine) path
   | None -> ());
   let overhead =
     Option.map

@@ -50,8 +50,7 @@ type phase_breakdown = {
   pb_all_green_s : float option;
   pb_convergence_tail_s : float option;
   pb_converged_s : float option;
-  pb_trace_events : int;
-  pb_trace_dropped : int;  (** ring-buffer drops, see {!Rf_sim.Trace.dropped} *)
+  pb_trace_events : int;  (** {!Rf_obs.Tracer.event_count} of the run *)
 }
 
 val breakdown_of : Scenario.t -> phase_breakdown
@@ -175,7 +174,7 @@ type recovery_result = {
   fr_window_received : int;
   fr_window_lost : int;
   fr_routes_avoid_failed_link : bool;
-  fr_trace_fingerprint : string;  (** MD5 of the trace dump *)
+  fr_trace_fingerprint : string;  (** MD5 of {!Rf_sim.Engine.pp_trace} *)
   fr_audit : audit_run option;  (** present with [audit] *)
 }
 
@@ -398,9 +397,6 @@ val traffic_disruption :
   ?switches:int ->
   ?fail_at_s:float ->
   ?manual_response_s:float ->
-  ?crash_at_s:float ->
-  ?cut_at_s:float ->
-  ?recover_at_s:float ->
   ?horizon_s:float ->
   ?telemetry:string ->
   ?profiler:Rf_obs.Profiler.t ->
@@ -410,8 +406,8 @@ val traffic_disruption :
     Mbit/s links (one host per switch, >= 8 switches): the E3 link cut
     with automatic reconfiguration vs. the manual baseline (controller
     down across the cut, operator responds [manual_response_s] later),
-    and the E4 crash/restart with reconciled vs. legacy RPC.
-    [telemetry] writes the automatic run's span/event JSONL. *)
+    and the E4 crash (25 s), cut (30 s) and restart (45 s) with
+    reconciled vs. legacy RPC. [telemetry] writes the automatic run's span/event JSONL. *)
 
 val print_traffic : Format.formatter -> traffic_result -> unit
 (** Deterministic: safe to fingerprint (no wall-clock content). *)
@@ -438,7 +434,6 @@ val traffic_scaling :
   ?pairs_per_host:int ->
   ?arrivals_per_s:float ->
   ?horizon_s:float ->
-  ?profiler:Rf_obs.Profiler.t ->
   unit ->
   traffic_scale_result
 (** The E6 scaling run: a k-ary fat-tree (default k=20: 500 switches,
@@ -532,8 +527,6 @@ type profile_result = {
 val profile_scaling :
   ?seed:int ->
   ?k:int ->
-  ?pairs_per_host:int ->
-  ?arrivals_per_s:float ->
   ?horizon_s:float ->
   ?measure_overhead:bool ->
   ?telemetry:string ->

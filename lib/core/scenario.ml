@@ -598,8 +598,6 @@ let prometheus t = Rf_obs.Metrics.to_prometheus (Rf_sim.Engine.metrics t.engine)
 
 let span_stats t = Rf_obs.Export.span_stats (Rf_sim.Engine.tracer t.engine)
 
-let trace_dropped t = Rf_sim.Trace.dropped (Rf_sim.Engine.trace t.engine)
-
 let reconverged_at t =
   match (Rf_sim.Faults.last_fired_at t.fault_handle, t.last_route_change_at) with
   | Some fault_at, Some change_at when Rf_sim.Vtime.(fault_at <= change_at) ->
@@ -627,7 +625,6 @@ let telemetry_meta t =
   @ opt_s "last_fault_s" (Rf_sim.Faults.last_fired_at t.fault_handle)
   @ opt_s "reconverged_s" (reconverged_at t)
   @ nonzero "fault_events" (Rf_sim.Faults.fired_count t.fault_handle)
-  @ nonzero "trace_dropped" (trace_dropped t)
   (* audit keys appear only in audited runs, so unaudited telemetry
      (and its pinned fingerprints) is unchanged; audit_dropped is
      always present when auditing so completeness rules can bind to
@@ -669,12 +666,11 @@ let telemetry_meta t =
         | Some s -> [ ("failover_s", Printf.sprintf "%.3f" s) ]
         | None -> [])
 
-let telemetry_jsonl ?(meta = []) t =
-  Rf_obs.Export.jsonl
+let telemetry_jsonl t =
+  Rf_obs.Export.jsonl ~meta:(telemetry_meta t) (Rf_sim.Engine.tracer t.engine)
+
+let write_telemetry ?(meta = []) t path =
+  Rf_obs.Export.write_jsonl
     ~meta:(telemetry_meta t @ meta)
     (Rf_sim.Engine.tracer t.engine)
-
-let write_telemetry ?meta t path =
-  let oc = open_out path in
-  output_string oc (telemetry_jsonl ?meta t);
-  close_out oc
+    path

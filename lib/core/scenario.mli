@@ -138,26 +138,24 @@ val last_fault_at : t -> Rf_sim.Vtime.t option
     discovery, RPC, VM-provisioning and Quagga phases, with one
     retroactive [phase.convergence] span covering the routing tail. *)
 
-val telemetry_jsonl : ?meta:(string * string) list -> t -> string
+val telemetry_jsonl : t -> string
 (** The full span/event stream as JSON lines, preceded by a meta line:
     seed, switch and subnet counts, run outcomes when observed
     ([all_green_s], [converged_s], [last_fault_s], [reconverged_s],
-    [fault_events]), drop counts when non-zero ([trace_dropped] plus
-    the exporter's own), and [meta]. Deterministic: two same-seed runs
+    [fault_events]), the auditor's counts in audited runs and the
+    cluster's in clustered runs. Deterministic: two same-seed runs
     produce byte-identical output, and the meta line alone lets
     [Rf_obs.Slo] judge a run from its telemetry file. *)
 
 val write_telemetry : ?meta:(string * string) list -> t -> string -> unit
-(** [write_telemetry t path] dumps {!telemetry_jsonl} to [path]. *)
+(** [write_telemetry ?meta t path] writes {!telemetry_jsonl} to [path],
+    with [meta] appended to its meta line. *)
 
 val prometheus : t -> string
 (** Prometheus-style text exposition of the metrics registry. *)
 
 val span_stats : t -> Rf_obs.Export.span_stat list
 (** Per-span-name aggregates (count, open, total/mean/max seconds). *)
-
-val trace_dropped : t -> int
-(** Event-log records discarded because the trace ring was full. *)
 
 val reconverged_at : t -> Rf_sim.Vtime.t option
 (** Time of the last observed route-table change at or after the last

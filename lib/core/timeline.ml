@@ -17,22 +17,23 @@ let dpid_of_detail detail =
   in
   Int64.of_string_opt digits
 
-let of_record (r : Rf_sim.Trace.record) =
+let of_event (ev : Rf_obs.Tracer.event) =
+  let at = Rf_sim.Vtime.of_us ev.time_us in
   let with_dpid make =
-    Option.map (fun d -> { at = r.time; milestone = make d }) (dpid_of_detail r.detail)
+    Option.map (fun d -> { at; milestone = make d }) (dpid_of_detail ev.detail)
   in
-  match (r.component, r.event) with
+  match (ev.component, ev.kind) with
   | "autoconf", "switch-detected" -> with_dpid (fun d -> Switch_detected d)
   | "autoconf", "link-detected" ->
-      Some { at = r.time; milestone = Link_detected r.detail }
+      Some { at; milestone = Link_detected ev.detail }
   | "rf-server", "vm-boot-start" -> with_dpid (fun d -> Vm_boot_started d)
   | "rf-server", "vm-ready" -> with_dpid (fun d -> Vm_ready d)
   | "rf-server", "configured" -> with_dpid (fun d -> Vm_configured d)
   | _ -> None
 
-let of_trace trace = List.filter_map of_record (Rf_sim.Trace.to_list trace)
-
-let of_scenario s = of_trace (Rf_sim.Engine.trace (Scenario.engine s))
+let of_scenario s =
+  List.filter_map of_event
+    (Rf_obs.Tracer.events (Rf_sim.Engine.tracer (Scenario.engine s)))
 
 type summary = {
   switches_detected : int;

@@ -1,6 +1,7 @@
-(** Typed configuration timeline, reconstructed from the engine trace.
+(** Typed configuration timeline, reconstructed from the engine's
+    tracer events.
 
-    Turns the framework's trace records into the milestone sequence of
+    Turns the framework's trace events into the milestone sequence of
     one autoconfiguration run — the machine-readable version of the
     demo's GUI. *)
 

@@ -1,4 +1,4 @@
-let ring ?(latency = Rf_sim.Vtime.span_ms 1) n =
+let ring n =
   if n < 3 then invalid_arg "Topo_gen.ring: need at least 3 switches";
   let t = Topology.create () in
   for i = 1 to n do
@@ -7,34 +7,34 @@ let ring ?(latency = Rf_sim.Vtime.span_ms 1) n =
   for i = 1 to n do
     let next = if i = n then 1 else i + 1 in
     ignore
-      (Topology.connect t ~latency
+      (Topology.connect t
          (Topology.Switch (Int64.of_int i))
          (Topology.Switch (Int64.of_int next)))
   done;
   t
 
-let line ?(latency = Rf_sim.Vtime.span_ms 1) n =
+let line n =
   if n < 2 then invalid_arg "Topo_gen.line: need at least 2 switches";
   let t = Topology.create () in
   for i = 1 to n - 1 do
     ignore
-      (Topology.connect t ~latency
+      (Topology.connect t
          (Topology.Switch (Int64.of_int i))
          (Topology.Switch (Int64.of_int (i + 1))))
   done;
   t
 
-let star ?(latency = Rf_sim.Vtime.span_ms 1) n =
+let star n =
   if n < 2 then invalid_arg "Topo_gen.star: need at least 2 switches";
   let t = Topology.create () in
   for i = 2 to n do
     ignore
-      (Topology.connect t ~latency (Topology.Switch 1L)
+      (Topology.connect t (Topology.Switch 1L)
          (Topology.Switch (Int64.of_int i)))
   done;
   t
 
-let grid ?(latency = Rf_sim.Vtime.span_ms 1) w h =
+let grid w h =
   if w < 1 || h < 1 || w * h < 2 then invalid_arg "Topo_gen.grid";
   let t = Topology.create () in
   let dpid x y = Int64.of_int ((y * w) + x + 1) in
@@ -42,19 +42,19 @@ let grid ?(latency = Rf_sim.Vtime.span_ms 1) w h =
     for x = 0 to w - 1 do
       if x + 1 < w then
         ignore
-          (Topology.connect t ~latency
+          (Topology.connect t
              (Topology.Switch (dpid x y))
              (Topology.Switch (dpid (x + 1) y)));
       if y + 1 < h then
         ignore
-          (Topology.connect t ~latency
+          (Topology.connect t
              (Topology.Switch (dpid x y))
              (Topology.Switch (dpid x (y + 1))))
     done
   done;
   t
 
-let random ?(latency = Rf_sim.Vtime.span_ms 1) ~seed ~n ~extra_edges () =
+let random ~seed ~n ~extra_edges () =
   if n < 2 then invalid_arg "Topo_gen.random: need at least 2 switches";
   let rng = Rf_sim.Rng.create seed in
   let t = Topology.create () in
@@ -65,7 +65,7 @@ let random ?(latency = Rf_sim.Vtime.span_ms 1) ~seed ~n ~extra_edges () =
   for i = 1 to n - 1 do
     let parent = order.(Rf_sim.Rng.int rng i) in
     ignore
-      (Topology.connect t ~latency (Topology.Switch order.(i))
+      (Topology.connect t (Topology.Switch order.(i))
          (Topology.Switch parent))
   done;
   let attempts = ref (20 * extra_edges) in
@@ -79,7 +79,7 @@ let random ?(latency = Rf_sim.Vtime.span_ms 1) ~seed ~n ~extra_edges () =
       && Topology.edge_between t (Topology.Switch a) (Topology.Switch b) = None
     then begin
       ignore
-        (Topology.connect t ~latency (Topology.Switch a) (Topology.Switch b));
+        (Topology.connect t (Topology.Switch a) (Topology.Switch b));
       incr added
     end
   done;
@@ -188,7 +188,7 @@ let fat_tree_hops ~k a b =
   else if a / (half * half) = b / (half * half) then 4 (* same pod *)
   else 6
 
-let fat_tree ?(latency = Rf_sim.Vtime.span_ms 1) k =
+let fat_tree k =
   if k < 2 || k mod 2 <> 0 then
     invalid_arg "Topo_gen.fat_tree: k must be even and >= 2";
   let half = k / 2 in
@@ -213,13 +213,13 @@ let fat_tree ?(latency = Rf_sim.Vtime.span_ms 1) k =
       (* Aggregation switch j of every pod reaches core group j. *)
       for i = 0 to half - 1 do
         ignore
-          (Topology.connect t ~latency
+          (Topology.connect t
              (Topology.Switch (agg p j))
              (Topology.Switch (core ((j * half) + i))))
       done;
       for e = 0 to half - 1 do
         ignore
-          (Topology.connect t ~latency
+          (Topology.connect t
              (Topology.Switch (agg p j))
              (Topology.Switch (edge p e)))
       done
@@ -232,7 +232,7 @@ let fat_tree ?(latency = Rf_sim.Vtime.span_ms 1) k =
         let name = fat_tree_host_name idx in
         Topology.add_host t name;
         ignore
-          (Topology.connect t ~latency
+          (Topology.connect t
              (Topology.Switch (edge p e))
              (Topology.Host name))
       done

@@ -4,25 +4,25 @@
     [pan_european] is the 28-node demo topology (de Maesschalck et al.,
     Photonic Network Communications 2003, the paper's reference [5]). *)
 
-val ring : ?latency:Rf_sim.Vtime.span -> int -> Topology.t
+val ring : int -> Topology.t
 (** [ring n] with [n >= 3] switches, dpids 1..n. *)
 
-val line : ?latency:Rf_sim.Vtime.span -> int -> Topology.t
+val line : int -> Topology.t
 (** [line n] with [n >= 2]. *)
 
-val star : ?latency:Rf_sim.Vtime.span -> int -> Topology.t
+val star : int -> Topology.t
 (** [star n]: hub dpid 1 plus [n-1] leaves. *)
 
-val grid : ?latency:Rf_sim.Vtime.span -> int -> int -> Topology.t
+val grid : int -> int -> Topology.t
 (** [grid w h], dpids row-major from 1. *)
 
 val random :
-  ?latency:Rf_sim.Vtime.span -> seed:int -> n:int -> extra_edges:int -> unit -> Topology.t
+  seed:int -> n:int -> extra_edges:int -> unit -> Topology.t
 (** A connected random graph: a random spanning tree plus
     [extra_edges] random chords (no duplicates, no self-loops). *)
 
 val fat_tree :
-  ?latency:Rf_sim.Vtime.span -> int -> Topology.t
+  int -> Topology.t
 (** [fat_tree k] for even [k >= 2]: the k-ary fat-tree of Al-Fares et
     al. (SIGCOMM 2008) — [(k/2)^2] core switches, [k] pods of [k/2]
     aggregation and [k/2] edge switches (every switch of degree [k]),

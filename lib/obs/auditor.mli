@@ -124,7 +124,7 @@ val walks : t -> int
 val dropped : t -> int
 (** Classes the auditor could not probe (no representative address
     avoids every more-specific class): non-zero means the audit is
-    incomplete, surfaced like dropped telemetry records. *)
+    incomplete, surfaced by {!Ingest.dropped_records}. *)
 
 val violations_total : t -> kind -> int
 (** Windows opened so far, per kind. *)

@@ -67,17 +67,8 @@ let event_line (ev : Tracer.event) =
   Buffer.add_string buf "}";
   Buffer.contents buf
 
-(* Truncated telemetry must be detectable from the dump alone: any
-   non-zero drop counts ride along in the meta line even when the
-   caller passed no meta of its own. *)
-let drop_meta t =
-  let drops name n = if n = 0 then [] else [ (name, string_of_int n) ] in
-  drops "dropped_spans" (Tracer.dropped_spans t)
-  @ drops "dropped_events" (Tracer.dropped_events t)
-
 let jsonl ?(meta = []) t =
   let buf = Buffer.create 4096 in
-  let meta = meta @ drop_meta t in
   if meta <> [] then begin
     Buffer.add_string buf "{\"type\":\"meta\"";
     List.iter
@@ -100,6 +91,11 @@ let jsonl ?(meta = []) t =
       Buffer.add_char buf '\n')
     (Tracer.events t);
   Buffer.contents buf
+
+let write_jsonl ?meta t path =
+  let oc = open_out path in
+  output_string oc (jsonl ?meta t);
+  close_out oc
 
 type span_stat = {
   st_name : string;

@@ -12,13 +12,11 @@ val json_escape : string -> string
 val jsonl : ?meta:(string * string) list -> Tracer.t -> string
 (** The full dump: an optional leading
     [{"type":"meta","k":"v",...}] line, then every span in id order,
-    then every event in insertion order, newline-terminated. Non-zero
-    tracer drop counts are appended to the meta line automatically
-    (keys [dropped_spans]/[dropped_events]) so a truncated dump cannot
-    pass downstream analysis silently. *)
+    then every event in insertion order, newline-terminated. *)
 
-val drop_meta : Tracer.t -> (string * string) list
-(** The meta entries [jsonl] appends: empty when nothing was dropped. *)
+val write_jsonl : ?meta:(string * string) list -> Tracer.t -> string -> unit
+(** [write_jsonl ?meta t path] writes [jsonl ?meta t] to [path],
+    replacing any existing file. *)
 
 (** {1 Summary table} *)
 

@@ -115,8 +115,7 @@ let load_file path =
     (fun () -> load_string (really_input_string ic (in_channel_length ic)))
 
 let of_tracer ?(meta = []) t =
-  { meta = meta @ Export.drop_meta t; spans = Tracer.spans t;
-    events = Tracer.events t }
+  { meta; spans = Tracer.spans t; events = Tracer.events t }
 
 let meta_value dump key = List.assoc_opt key dump.meta
 
@@ -129,10 +128,6 @@ let spans_named dump name =
   List.filter (fun (sp : Tracer.span) -> sp.name = name) dump.spans
 
 let dropped_records dump =
-  let n key =
-    match meta_value dump key with
-    | Some s -> ( match int_of_string_opt s with Some i -> i | None -> 0)
-    | None -> 0
-  in
-  n "dropped_spans" + n "dropped_events" + n "trace_dropped"
-  + n "audit_dropped"
+  match meta_value dump "audit_dropped" with
+  | Some s -> Option.value (int_of_string_opt s) ~default:0
+  | None -> 0

@@ -23,9 +23,7 @@ val load_file : string -> dump
 
 val of_tracer : ?meta:(string * string) list -> Tracer.t -> dump
 (** The dump a live tracer would round-trip through
-    [load_string (Export.jsonl ?meta t)], without serializing:
-    drop-count meta entries are appended exactly as the exporter
-    does. *)
+    [load_string (Export.jsonl ?meta t)], without serializing. *)
 
 (** {1 Convenience accessors} *)
 
@@ -37,6 +35,7 @@ val meta_float : dump -> string -> float option
 val spans_named : dump -> string -> Tracer.span list
 
 val dropped_records : dump -> int
-(** Sum of the [dropped_spans], [dropped_events], [trace_dropped] and
-    [audit_dropped] meta counts (each 0 when absent) — the
+(** The [audit_dropped] meta count (0 when absent): classes the
+    forwarding auditor could not probe. The tracer itself keeps every
+    record, so this is the only loss a dump can carry — the
     completeness input for {!Slo} rules. *)

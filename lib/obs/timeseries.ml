@@ -22,9 +22,8 @@ let of_points pts =
   Array.stable_sort (fun a b -> compare a.p_us b.p_us) arr;
   { points = arr }
 
-let of_events ?(value = fun (_ : Tracer.event) -> 1.) events =
-  of_points
-    (List.map (fun (ev : Tracer.event) -> (ev.time_us, value ev)) events)
+let of_events events =
+  of_points (List.map (fun (ev : Tracer.event) -> (ev.time_us, 1.)) events)
 
 let length t = Array.length t.points
 

@@ -13,9 +13,9 @@ type agg = Count | Sum | Mean | Max | Min
 val of_points : (int * float) list -> t
 (** [(time_us, value)] samples in any order. *)
 
-val of_events : ?value:(Tracer.event -> float) -> Tracer.event list -> t
-(** One point per event at its timestamp; [value] defaults to
-    [fun _ -> 1.] (counting). *)
+val of_events : Tracer.event list -> t
+(** One point of value [1.] per event at its timestamp, so aggregates
+    count events. *)
 
 val length : t -> int
 

@@ -24,13 +24,9 @@ type t = {
   mutable events_rev : event list;
   mutable n_events : int;
   keys : (string, int) Hashtbl.t;
-  max_spans : int option;
-  max_events : int option;
-  mutable dropped_spans : int;
-  mutable dropped_events : int;
 }
 
-let create ?(clock = fun () -> 0) ?max_spans ?max_events () =
+let create ?(clock = fun () -> 0) () =
   {
     clock;
     next_id = 1;
@@ -40,10 +36,6 @@ let create ?(clock = fun () -> 0) ?max_spans ?max_events () =
     events_rev = [];
     n_events = 0;
     keys = Hashtbl.create 16;
-    max_spans;
-    max_events;
-    dropped_spans = 0;
-    dropped_events = 0;
   }
 
 let set_clock t clock = t.clock <- clock
@@ -53,19 +45,12 @@ let now_us t = t.clock ()
 let span_start t ?parent ?start_us ?(attrs = []) name =
   let id = t.next_id in
   t.next_id <- id + 1;
-  match t.max_spans with
-  | Some cap when t.n_spans >= cap ->
-      (* Callers keep a valid id either way; span_end on a dropped
-         span is a no-op, so truncation is safe but counted. *)
-      t.dropped_spans <- t.dropped_spans + 1;
-      id
-  | Some _ | None ->
-      let start_us = match start_us with Some us -> us | None -> t.clock () in
-      let sp = { id; parent; name; start_us; end_us = None; attrs } in
-      t.spans_rev <- sp :: t.spans_rev;
-      t.n_spans <- t.n_spans + 1;
-      Hashtbl.replace t.by_id id sp;
-      id
+  let start_us = match start_us with Some us -> us | None -> t.clock () in
+  let sp = { id; parent; name; start_us; end_us = None; attrs } in
+  t.spans_rev <- sp :: t.spans_rev;
+  t.n_spans <- t.n_spans + 1;
+  Hashtbl.replace t.by_id id sp;
+  id
 
 let find_span t id = Hashtbl.find_opt t.by_id id
 
@@ -81,13 +66,9 @@ let spans t = List.rev t.spans_rev
 let span_count t = t.n_spans
 
 let event_at t ?span ~us ~component ~kind detail =
-  match t.max_events with
-  | Some cap when t.n_events >= cap ->
-      t.dropped_events <- t.dropped_events + 1
-  | Some _ | None ->
-      t.events_rev <-
-        { time_us = us; component; kind; detail; span } :: t.events_rev;
-      t.n_events <- t.n_events + 1
+  t.events_rev <-
+    { time_us = us; component; kind; detail; span } :: t.events_rev;
+  t.n_events <- t.n_events + 1
 
 let event t ?span ~component ~kind detail =
   event_at t ?span ~us:(t.clock ()) ~component ~kind detail
@@ -95,10 +76,6 @@ let event t ?span ~component ~kind detail =
 let events t = List.rev t.events_rev
 
 let event_count t = t.n_events
-
-let dropped_spans t = t.dropped_spans
-
-let dropped_events t = t.dropped_events
 
 let correlate t ~key id = Hashtbl.replace t.keys key id
 

@@ -31,14 +31,10 @@ type event = {
 
 type t
 
-val create :
-  ?clock:(unit -> int) -> ?max_spans:int -> ?max_events:int -> unit -> t
+val create : ?clock:(unit -> int) -> unit -> t
 (** The default clock is [fun () -> 0]; the simulation engine installs
-    its virtual clock with [set_clock] right after construction.
-    [max_spans]/[max_events] bound the stores (default unbounded):
-    records past the cap are dropped and counted — see
-    {!dropped_spans}/{!dropped_events} — so truncated telemetry is
-    always detectable downstream. *)
+    its virtual clock with [set_clock] right after construction. The
+    stores are unbounded: every span and event is kept. *)
 
 val set_clock : t -> (unit -> int) -> unit
 
@@ -73,25 +69,13 @@ val event :
 val event_at :
   t -> ?span:int -> us:int -> component:string -> kind:string -> string ->
   unit
-(** Explicit-timestamp variant, used by [Rf_sim.Trace] which carries
-    its own [Vtime.t] stamps. *)
+(** Explicit-timestamp variant, used by {!Profiler}, which stamps its
+    samples with the instants it took them at. *)
 
 val events : t -> event list
 (** All events in insertion order. *)
 
 val event_count : t -> int
-
-(** {1 Drop accounting}
-
-    Non-zero counts mean the telemetry below is incomplete; exporters
-    surface them so an SLO evaluated over a truncated stream cannot
-    silently pass. *)
-
-val dropped_spans : t -> int
-(** Spans discarded because the store was at [max_spans]. *)
-
-val dropped_events : t -> int
-(** Events discarded because the store was at [max_events]. *)
 
 (** {1 Correlation}
 

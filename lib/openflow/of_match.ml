@@ -187,8 +187,12 @@ let exact_of_key k =
 
 let dl_type_is dl_type = { wildcard_all with m_dl_type = Some dl_type }
 
-let nw_dst_prefix ?(dl_type = Ethernet.ethertype_ipv4) prefix =
-  { wildcard_all with m_dl_type = Some dl_type; m_nw_dst = Some prefix }
+let nw_dst_prefix prefix =
+  {
+    wildcard_all with
+    m_dl_type = Some Ethernet.ethertype_ipv4;
+    m_nw_dst = Some prefix;
+  }
 
 let field_matches eq m v =
   match m with None -> true | Some expected -> eq expected v

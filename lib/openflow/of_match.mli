@@ -50,9 +50,9 @@ val exact_of_key : key -> t
 val dl_type_is : int -> t
 (** Wildcard except [dl_type]. *)
 
-val nw_dst_prefix : ?dl_type:int -> Ipv4_addr.Prefix.t -> t
+val nw_dst_prefix : Ipv4_addr.Prefix.t -> t
 (** The match RouteFlow installs for a route: IPv4 + destination
-    prefix. Default [dl_type] is IPv4. *)
+    prefix. *)
 
 val matches : t -> key -> bool
 

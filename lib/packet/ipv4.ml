@@ -16,8 +16,8 @@ let proto_udp = 17
 
 let proto_ospf = 89
 
-let make ?(tos = 0) ?(ident = 0) ?(ttl = 64) ~protocol ~src ~dst payload =
-  { tos; ident; ttl; protocol; src; dst; payload }
+let make ?(tos = 0) ?(ttl = 64) ~protocol ~src ~dst payload =
+  { tos; ident = 0; ttl; protocol; src; dst; payload }
 
 let decrement_ttl t = if t.ttl <= 1 then None else Some { t with ttl = t.ttl - 1 }
 

@@ -18,7 +18,6 @@ val proto_ospf : int
 
 val make :
   ?tos:int ->
-  ?ident:int ->
   ?ttl:int ->
   protocol:int ->
   src:Ipv4_addr.t ->

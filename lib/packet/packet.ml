@@ -76,9 +76,9 @@ let udp ~src_mac ~dst_mac ~src_ip ~dst_ip ?(ttl = 64) u =
     (Ipv4.make ~ttl ~protocol:Ipv4.proto_udp ~src:src_ip ~dst:dst_ip
        (Udp.to_wire u))
 
-let icmp ~src_mac ~dst_mac ~src_ip ~dst_ip ?(ttl = 64) i =
+let icmp ~src_mac ~dst_mac ~src_ip ~dst_ip i =
   ipv4 ~src_mac ~dst_mac
-    (Ipv4.make ~ttl ~protocol:Ipv4.proto_icmp ~src:src_ip ~dst:dst_ip
+    (Ipv4.make ~protocol:Ipv4.proto_icmp ~src:src_ip ~dst:dst_ip
        (Icmp.to_wire i))
 
 let ospf ~src_mac ~dst_mac ~src_ip ~dst_ip o =

@@ -48,7 +48,6 @@ val icmp :
   dst_mac:Mac.t ->
   src_ip:Ipv4_addr.t ->
   dst_ip:Ipv4_addr.t ->
-  ?ttl:int ->
   Icmp.t ->
   string
 

@@ -12,9 +12,9 @@ type t = {
 
 let no_flags = { syn = false; ack = false; fin = false; rst = false; psh = false }
 
-let make ?(seq = 0l) ?(ack_seq = 0l) ?(flags = no_flags) ?(window = 65535)
-    ~src_port ~dst_port payload =
-  { src_port; dst_port; seq; ack_seq; flags; window; payload }
+let make ?(seq = 0l) ?(ack_seq = 0l) ?(flags = no_flags) ~src_port ~dst_port
+    payload =
+  { src_port; dst_port; seq; ack_seq; flags; window = 65535; payload }
 
 let flags_to_int f =
   (if f.fin then 0x01 else 0)

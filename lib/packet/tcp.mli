@@ -20,7 +20,6 @@ val make :
   ?seq:int32 ->
   ?ack_seq:int32 ->
   ?flags:flags ->
-  ?window:int ->
   src_port:int ->
   dst_port:int ->
   string ->

@@ -58,12 +58,9 @@ end
 module Reader = struct
   type t = { src : string; mutable pos : int; limit : int }
 
-  let of_string ?(pos = 0) ?len src =
-    let limit =
-      match len with Some l -> pos + l | None -> String.length src
-    in
-    if pos < 0 || limit > String.length src || pos > limit then
-      invalid_arg "Reader.of_string";
+  let of_string ?(pos = 0) src =
+    let limit = String.length src in
+    if pos < 0 || pos > limit then invalid_arg "Reader.of_string";
     { src; pos; limit }
 
   let remaining r = r.limit - r.pos

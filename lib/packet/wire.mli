@@ -40,7 +40,7 @@ end
 module Reader : sig
   type t
 
-  val of_string : ?pos:int -> ?len:int -> string -> t
+  val of_string : ?pos:int -> string -> t
 
   val remaining : t -> int
 

@@ -23,14 +23,17 @@ and t = {
   entity : Rf_obs.Profiler.entity option;
   asn : int;
   router_id : Ipv4_addr.t;
-  hold_time : int;
   rib : Rib.t;
   mutable peers : peer list;
   mutable networks : Ipv4_addr.Prefix.t list;
 }
 
-let create engine ?entity ~asn ~router_id ?(hold_time = 90) rib =
-  { engine; entity; asn; router_id; hold_time; rib; peers = []; networks = [] }
+(* Hold time in seconds, advertised in OPEN and enforced locally (the
+   value RFC 4271 suggests); keepalives go every third of it. *)
+let hold_time = 90
+
+let create engine ?entity ~asn ~router_id rib =
+  { engine; entity; asn; router_id; rib; peers = []; networks = [] }
 
 let asn t = t.asn
 
@@ -101,7 +104,7 @@ let establish peer =
        "bgp_sessions_established_total");
   send_msg peer Bgp_msg.Keepalive;
   let interval =
-    Rf_sim.Vtime.span_s (float_of_int (max 1 (peer.daemon.hold_time / 3)))
+    Rf_sim.Vtime.span_s (float_of_int (max 1 (hold_time / 3)))
   in
   peer.keepalive_timer <-
     Some
@@ -194,7 +197,7 @@ let start_peer peer =
   let t = peer.daemon in
   send_msg peer
     (Bgp_msg.Open
-       { o_asn = t.asn; o_hold_time = t.hold_time; o_router_id = t.router_id });
+       { o_asn = t.asn; o_hold_time = hold_time; o_router_id = t.router_id });
   peer.state <- Open_sent;
   if peer.hold_timer = None then
     peer.hold_timer <-
@@ -207,7 +210,7 @@ let start_peer peer =
                in
                if
                  Rf_sim.Vtime.span_compare silence
-                   (Rf_sim.Vtime.span_s (float_of_int t.hold_time))
+                   (Rf_sim.Vtime.span_s (float_of_int hold_time))
                  > 0
                then drop_session peer
              end))

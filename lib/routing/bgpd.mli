@@ -20,7 +20,6 @@ val create :
   ?entity:Rf_obs.Profiler.entity ->
   asn:int ->
   router_id:Ipv4_addr.t ->
-  ?hold_time:int ->
   Rib.t ->
   t
 

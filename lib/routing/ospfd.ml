@@ -776,11 +776,10 @@ let arm_iface t oif =
            (fun () -> send_hello t oif))
   end
 
-let add_interface t ?cost ?(passive = false) ifc =
+let add_interface t ?(passive = false) ifc =
   if not (Iface.is_addressed ifc) then
     invalid_arg "Ospfd.add_interface: interface has no address";
-  let cost = Option.value cost ~default:t.cfg.reference_cost in
-  let oif = { ifc; cost; passive; hello_timer = None } in
+  let oif = { ifc; cost = t.cfg.reference_cost; passive; hello_timer = None } in
   t.ifaces <- t.ifaces @ [ oif ];
   (* Connected route. *)
   Rib.update t.rib

@@ -20,7 +20,7 @@ type config = {
   dead_interval : int;
   rxmt_interval : int;
   spf_delay : Rf_sim.Vtime.span;  (** holddown between LSDB change and SPF *)
-  reference_cost : int;  (** default interface cost *)
+  reference_cost : int;  (** every interface's cost *)
 }
 
 val default_config : router_id:Ipv4_addr.t -> config
@@ -45,9 +45,9 @@ val create :
 
 val config : t -> config
 
-val add_interface : t -> ?cost:int -> ?passive:bool -> Iface.t -> unit
+val add_interface : t -> ?passive:bool -> Iface.t -> unit
 (** Must be called before [start]. Also installs the connected route
-    into the RIB. *)
+    into the RIB. Every interface costs [reference_cost]. *)
 
 val start : t -> unit
 (** Sends the first hellos immediately and starts all timers. *)

@@ -8,7 +8,6 @@ type t = {
   mutable clock : Vtime.t;
   queue : timer Event_heap.t;
   rng : Rng.t;
-  trace : Trace.t;
   tracer : Rf_obs.Tracer.t;
   metrics : Rf_obs.Metrics.t;
   unattributed : Rf_obs.Profiler.entity;
@@ -33,7 +32,6 @@ let create ?(seed = 42) () =
       clock = Vtime.zero;
       queue = Event_heap.create filler;
       rng = Rng.create seed;
-      trace = Trace.create ~tracer ();
       tracer;
       metrics = Rf_obs.Metrics.create ();
       unattributed = Rf_obs.Profiler.unattributed ();
@@ -51,9 +49,9 @@ let now t = t.clock
 
 let rng t = t.rng
 
-let trace t = t.trace
-
 let tracer t = t.tracer
+
+let trace = tracer
 
 let metrics t = t.metrics
 
@@ -114,7 +112,14 @@ let periodic ?entity t ?jitter every f =
 let cancel timer = timer.cancelled <- true
 
 let record t ?span ~component ~event detail =
-  Trace.record t.trace ?span t.clock ~component ~event detail
+  Rf_obs.Tracer.event t.tracer ?span ~component ~kind:event detail
+
+let pp_trace ppf t =
+  List.iter
+    (fun (ev : Rf_obs.Tracer.event) ->
+      Format.fprintf ppf "[%a] %-18s %-16s %s@." Vtime.pp
+        (Vtime.of_us ev.time_us) ev.component ev.kind ev.detail)
+    (Rf_obs.Tracer.events t.tracer)
 
 type run_result = Quiescent | Deadline_reached | Stopped
 

@@ -17,12 +17,15 @@ val now : t -> Vtime.t
 val rng : t -> Rng.t
 (** The engine's root generator; components normally [Rng.split] it. *)
 
-val trace : t -> Trace.t
-
 val tracer : t -> Rf_obs.Tracer.t
-(** The engine's telemetry bus; its clock is the virtual clock, so
-    span/event timestamps are deterministic microseconds. [trace] and
-    [tracer] share one underlying event stream. *)
+(** The engine's telemetry bus and only event log; its clock is the
+    virtual clock, so span/event timestamps are deterministic
+    microseconds. *)
+
+val trace : t -> Rf_obs.Tracer.t
+(** [tracer] under its old name, kept only for the end-to-end
+    benchmark's layer probe; deleted together with {!Trace} when the
+    benchmark next changes. *)
 
 val metrics : t -> Rf_obs.Metrics.t
 (** The engine-wide metrics registry. Components get-or-create their
@@ -66,8 +69,14 @@ val cancel : timer -> unit
 (** Cancelling an already-fired one-shot timer is a no-op. *)
 
 val record : t -> ?span:int -> component:string -> event:string -> string -> unit
-(** Appends to the engine trace at the current instant; [?span] links
-    the record to a telemetry span. *)
+(** Appends a tracer event at the current instant ([event] is its
+    [kind]); [?span] links the record to a telemetry span. *)
+
+val pp_trace : Format.formatter -> t -> unit
+(** Prints every tracer event, one line each:
+    [[<time>] <component> <kind> <detail>] with the virtual time in
+    {!Vtime.pp} form and the component and kind padded to 18 and 16
+    columns. Trace fingerprints hash this text. *)
 
 type run_result =
   | Quiescent  (** event queue drained *)

@@ -1,59 +1,1 @@
-type record = {
-  time : Vtime.t;
-  component : string;
-  event : string;
-  detail : string;
-}
-
-(* The trace is a thin facade over the [Rf_obs.Tracer] event bus: the
-   engine shares one tracer between both, so legacy trace queries and
-   span-linked telemetry read the same stream. [size]/[dropped] count
-   what went through *this* facade, which is every event as long as
-   components record via [Engine.record]. *)
-type t = {
-  tracer : Rf_obs.Tracer.t;
-  capacity : int option;
-  mutable size : int;
-  mutable dropped : int;
-}
-
-let create ?capacity ?tracer () =
-  let tracer =
-    match tracer with Some tr -> tr | None -> Rf_obs.Tracer.create ()
-  in
-  { tracer; capacity; size = 0; dropped = 0 }
-
-let record t ?span time ~component ~event detail =
-  match t.capacity with
-  | Some cap when t.size >= cap -> t.dropped <- t.dropped + 1
-  | Some _ | None ->
-      Rf_obs.Tracer.event_at t.tracer ?span ~us:(Vtime.to_us time) ~component
-        ~kind:event detail;
-      t.size <- t.size + 1
-
-let size t = t.size
-
-let dropped t = t.dropped
-
-let of_event (ev : Rf_obs.Tracer.event) =
-  {
-    time = Vtime.of_us ev.time_us;
-    component = ev.component;
-    event = ev.kind;
-    detail = ev.detail;
-  }
-
-let to_list t = List.map of_event (Rf_obs.Tracer.events t.tracer)
-
-let filter t f = List.filter f (to_list t)
-
-let find_first t f = List.find_opt f (to_list t)
-
-let find_last t f = List.find_opt f (List.rev (to_list t))
-
-let pp_record ppf r =
-  Format.fprintf ppf "[%a] %-18s %-16s %s" Vtime.pp r.time r.component r.event
-    r.detail
-
-let dump ppf t =
-  List.iter (fun r -> Format.fprintf ppf "%a@." pp_record r) (to_list t)
+let dropped (_ : Rf_obs.Tracer.t) = 0

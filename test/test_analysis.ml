@@ -478,28 +478,26 @@ let test_baseline_regression_detection () =
 
 let test_ingest_roundtrip_matches_live () =
   let clock = ref 0 in
-  let tr = Tracer.create ~clock:(fun () -> !clock) ~max_events:2 () in
+  let tr = Tracer.create ~clock:(fun () -> !clock) () in
   let root = Tracer.span_start tr ~attrs:[ ("dpid", "9") ] "sw.configure" in
   clock := 100;
   let child = Tracer.span_start tr ~parent:root "phase.rpc" in
   Tracer.event tr ~span:child ~component:"rpc-client" ~kind:"sent" "f1";
   clock := 400;
   Tracer.event tr ~component:"rpc-client" ~kind:"acked" "f1";
-  Tracer.event tr ~component:"rpc-client" ~kind:"dropped?" "f2";
-  (* over cap *)
   Tracer.span_end tr child;
   clock := 900;
   Tracer.span_end tr root;
-  let meta = [ ("seed", "7") ] in
+  (* An audited run that could not probe one class says so in meta. *)
+  let meta = [ ("seed", "7"); ("audit_dropped", "1") ] in
   let live = Ingest.of_tracer ~meta tr in
   let replayed = Ingest.load_string (Export.jsonl ~meta tr) in
   Alcotest.(check bool) "replayed dump equals live dump" true
     (live = replayed);
-  Alcotest.(check (option string))
-    "dropped events surfaced in meta" (Some "1")
-    (Ingest.meta_value replayed "dropped_events");
-  Alcotest.(check int) "dropped_records counts them" 1
+  Alcotest.(check int) "dropped_records counts the audit drop" 1
     (Ingest.dropped_records replayed);
+  Alcotest.(check int) "no audit key, no drops" 0
+    (Ingest.dropped_records (Ingest.of_tracer tr));
   let completeness =
     rule ~unit_:"records" "dropped" Slo.Dropped_records ~warn:0. ~fail:0.
   in

@@ -251,7 +251,7 @@ let trace_of_outage_run seed =
       topo
   in
   Scenario.run_for s (Vtime.span_s 60.0);
-  Format.asprintf "%a" Rf_sim.Trace.dump (Engine.trace (Scenario.engine s))
+  Format.asprintf "%a" Engine.pp_trace (Scenario.engine s)
 
 let test_controller_crash_replays () =
   let a = trace_of_outage_run 9 in
@@ -357,7 +357,7 @@ let trace_of_run seed =
     (Host.start_udp_stream server ~dst:(Scenario.host_ip s "client")
        ~dst_port:5004 ~period:(Vtime.span_ms 200) ~payload_size:200 ());
   Scenario.run_for s (Vtime.span_s 50.0);
-  Format.asprintf "%a" Rf_sim.Trace.dump (Engine.trace (Scenario.engine s))
+  Format.asprintf "%a" Engine.pp_trace (Scenario.engine s)
 
 let test_same_seed_same_trace () =
   let a = trace_of_run 5 in

@@ -290,7 +290,8 @@ let test_phases_sum_to_total () =
             (green +. tail)
       | None -> Alcotest.fail "no convergence span")
   | _ -> Alcotest.fail "run did not configure/converge");
-  Alcotest.(check int) "no trace drops" 0 b.Experiment.pb_trace_dropped
+  Alcotest.(check int) "trace events counted" b.Experiment.pb_trace_events
+    (Tracer.event_count (Engine.tracer (Scenario.engine s)))
 
 let test_rpc_metrics_populated () =
   let s = run_ring () in

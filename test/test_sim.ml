@@ -5,7 +5,7 @@ module Event_heap = Rf_sim.Event_heap
 module Engine = Rf_sim.Engine
 module Rng = Rf_sim.Rng
 module Stats = Rf_sim.Stats
-module Trace = Rf_sim.Trace
+module Tracer = Rf_obs.Tracer
 
 (* --- Vtime --------------------------------------------------------- *)
 
@@ -475,28 +475,49 @@ let test_trace_query () =
     (Engine.schedule e (Vtime.span_s 2.0) (fun () ->
          Engine.record e ~component:"b" ~event:"x" "two"));
   ignore (Engine.run e);
-  let tr = Engine.trace e in
-  Alcotest.(check int) "size" 2 (Trace.size tr);
-  (match Trace.find_first tr (fun r -> r.Trace.event = "x") with
-  | Some r -> Alcotest.(check string) "first" "one" r.Trace.detail
-  | None -> Alcotest.fail "missing");
-  match Trace.find_last tr (fun r -> r.Trace.event = "x") with
-  | Some r -> Alcotest.(check string) "last" "two" r.Trace.detail
-  | None -> Alcotest.fail "missing"
+  let tr = Engine.tracer e in
+  Alcotest.(check int) "size" 2 (Tracer.event_count tr);
+  let xs = List.filter (fun ev -> ev.Tracer.kind = "x") (Tracer.events tr) in
+  (match xs with
+  | first :: _ ->
+      Alcotest.(check string) "first" "one" first.Tracer.detail;
+      Alcotest.(check int) "first stamp" 1_000_000 first.Tracer.time_us
+  | [] -> Alcotest.fail "missing");
+  (match List.rev xs with
+  | last :: _ -> Alcotest.(check string) "last" "two" last.Tracer.detail
+  | [] -> Alcotest.fail "missing");
+  Alcotest.(check string)
+    "printed trace"
+    (Format.asprintf "[%a] %-18s %-16s %s@.[%a] %-18s %-16s %s@." Vtime.pp
+       (Vtime.of_s 1.0) "a" "x" "one" Vtime.pp (Vtime.of_s 2.0) "b" "x" "two")
+    (Format.asprintf "%a" Engine.pp_trace e)
 
-let test_trace_capacity () =
-  let tr = Trace.create ~capacity:2 () in
-  List.iter
-    (fun (t, d) -> Trace.record tr (Vtime.of_s t) ~component:"c" ~event:"e" d)
-    [ (1.0, "one"); (2.0, "two"); (3.0, "three"); (4.0, "four") ];
-  Alcotest.(check int) "size capped" 2 (Trace.size tr);
-  Alcotest.(check int) "drops counted" 2 (Trace.dropped tr);
-  Alcotest.(check (list string))
-    "oldest records kept" [ "one"; "two" ]
-    (List.map (fun r -> r.Trace.detail) (Trace.to_list tr));
-  let unbounded = Trace.create () in
-  Trace.record unbounded (Vtime.of_s 1.0) ~component:"c" ~event:"e" "x";
-  Alcotest.(check int) "no drops without capacity" 0 (Trace.dropped unbounded)
+(* The tracer is the engine's only event log and is unbounded: every
+   record lands, in order, stamped with the engine clock and carrying
+   its span link. *)
+let test_trace_keeps_every_record () =
+  let e = Engine.create () in
+  let n = 10_000 in
+  for i = 0 to n - 1 do
+    ignore
+      (Engine.schedule_at e (Vtime.of_us (i * 10)) (fun () ->
+           let span = if i mod 3 = 0 then Some i else None in
+           Engine.record e ?span ~component:"c" ~event:"e" (string_of_int i)))
+  done;
+  ignore (Engine.run e);
+  let tr = Engine.tracer e in
+  Alcotest.(check int) "every record kept" n (Tracer.event_count tr);
+  List.iteri
+    (fun i (ev : Tracer.event) ->
+      if
+        ev.detail <> string_of_int i
+        || ev.time_us <> i * 10
+        || ev.span <> (if i mod 3 = 0 then Some i else None)
+      then Alcotest.failf "record %d out of place: %s at %d us" i ev.detail
+          ev.time_us)
+    (Tracer.events tr);
+  (* the benchmark's layer probe reads this shim *)
+  Alcotest.(check int) "bench probe reads no drops" 0 (Rf_sim.Trace.dropped tr)
 
 let suite =
   [
@@ -538,6 +559,6 @@ let suite =
       test_percentile_edge_cases;
     QCheck_alcotest.to_alcotest prop_stats_match_list_reference;
     Alcotest.test_case "trace records and queries" `Quick test_trace_query;
-    Alcotest.test_case "trace capacity counts drops" `Quick
-      test_trace_capacity;
+    Alcotest.test_case "engine trace keeps every record" `Quick
+      test_trace_keeps_every_record;
   ]
