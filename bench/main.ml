@@ -141,14 +141,8 @@ let leaf_join_fixture n =
   let install i links =
     seq := Int32.succ !seq;
     Rf_routing.Ospfd.install_lsa d0
-      {
-        Ospf_pkt.age = 1;
-        options = 0x02;
-        link_state_id = rid i;
-        adv_router = rid i;
-        seq = !seq;
-        body = Ospf_pkt.Router { links };
-      }
+      (Ospf_pkt.make_lsa ~age:1 ~options:0x02 ~link_state_id:(rid i)
+         ~adv_router:(rid i) ~seq:!seq (Ospf_pkt.Router { links }))
   in
   (* Router 2 keeps its real LSA's links and gains the path. *)
   let r2_links =
@@ -333,26 +327,23 @@ let sample_flow_mod_wire =
 
 let sample_lldp_wire = Lldp.to_wire (Lldp.discovery_probe ~dpid:42L ~port:7)
 
-let sample_lsa =
-  {
-    Ospf_pkt.age = 1;
-    options = 2;
-    link_state_id = ip "10.255.0.1";
-    adv_router = ip "10.255.0.1";
-    seq = Ospf_pkt.initial_seq;
-    body =
-      Ospf_pkt.Router
-        {
-          links =
-            List.init 8 (fun i ->
-                {
-                  Ospf_pkt.link_id = ip (Printf.sprintf "10.255.0.%d" (i + 2));
-                  link_data = ip (Printf.sprintf "172.16.%d.1" i);
-                  link_type = Ospf_pkt.Point_to_point;
-                  metric = 10;
-                });
-        };
-  }
+let sample_lsa_body =
+  Ospf_pkt.Router
+    {
+      links =
+        List.init 8 (fun i ->
+            {
+              Ospf_pkt.link_id = ip (Printf.sprintf "10.255.0.%d" (i + 2));
+              link_data = ip (Printf.sprintf "172.16.%d.1" i);
+              link_type = Ospf_pkt.Point_to_point;
+              metric = 10;
+            });
+    }
+
+(* Encodes and checksums the LSA, then finds the shared instance. *)
+let make_sample_lsa () =
+  Ospf_pkt.make_lsa ~age:1 ~options:2 ~link_state_id:(ip "10.255.0.1")
+    ~adv_router:(ip "10.255.0.1") ~seq:Ospf_pkt.initial_seq sample_lsa_body
 
 (* Telemetry substrate: spans, counters and histogram observes sit on
    every hot path now, so their cost must stay in the noise. *)
@@ -454,12 +445,9 @@ let micro_tests () =
       (fun (l : Ospf_pkt.lsa) -> Ipv4_addr.compare l.adv_router flap_rid = 0)
       (Rf_routing.Ospfd.lsdb spf_daemon)
   in
-  let flap_seq = ref flap_lsa.Ospf_pkt.seq in
-  let flap_up = ref false in
-  let flap_install () =
-    flap_seq := Int32.succ !flap_seq;
-    flap_up := not !flap_up;
-    let metric = if !flap_up then 11 else 10 in
+  (* Both instances are built once, so the rows time SPF, not the LSA
+     encoder; [install_lsa] takes an instance whatever its sequence. *)
+  let flap_instance seq metric =
     let body =
       match flap_lsa.Ospf_pkt.body with
       | Ospf_pkt.Router { links } ->
@@ -475,8 +463,16 @@ let micro_tests () =
             }
       | b -> b
     in
+    Ospf_pkt.make_lsa ~age:flap_lsa.age ~options:flap_lsa.options
+      ~link_state_id:flap_lsa.link_state_id ~adv_router:flap_lsa.adv_router
+      ~seq:(Int32.add flap_lsa.seq seq) body
+  in
+  let flap_lsas = [| flap_instance 1l 11; flap_instance 2l 10 |] in
+  let flap_up = ref false in
+  let flap_install () =
+    flap_up := not !flap_up;
     Rf_routing.Ospfd.install_lsa spf_daemon
-      { flap_lsa with seq = !flap_seq; body }
+      flap_lsas.(if !flap_up then 0 else 1)
   in
   let trie = trie_fixture () in
   let table = flow_table_fixture () in
@@ -555,7 +551,7 @@ let micro_tests () =
            | Ok l -> ignore (Lldp.parse_discovery l)
            | Error e -> failwith e));
     Test.make ~name:"lsa_encode_fletcher"
-      (Staged.stage (fun () -> ignore (Ospf_pkt.lsa_to_wire sample_lsa)));
+      (Staged.stage (fun () -> ignore (make_sample_lsa ())));
     Test.make ~name:"rib_update_withdraw"
       (Staged.stage (fun () ->
            Rf_routing.Rib.update rib churn_route;
@@ -670,9 +666,7 @@ let write_bench_json path ~suite rows samples_of =
            mean (samples_of name)))
     rows;
   Buffer.add_string buf "]}}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
+  Out_channel.with_open_text path (fun oc -> Buffer.output_buffer oc buf);
   Format.fprintf std "bench json written to %s@." path
 
 let short_name name =

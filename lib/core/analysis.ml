@@ -10,11 +10,9 @@ module Critical_path = Rf_obs.Critical_path
 module Flamegraph = Rf_obs.Flamegraph
 module Baseline = Rf_obs.Baseline
 
-let rule ?(unit_ = "s") ?(direction = Slo.At_most) name what source ~warn ~fail
-    =
+let rule ?(unit_ = "s") ?(direction = Slo.At_most) name source ~warn ~fail =
   {
     Slo.r_name = name;
-    r_what = what;
     r_source = source;
     r_direction = direction;
     r_warn = warn;
@@ -22,22 +20,24 @@ let rule ?(unit_ = "s") ?(direction = Slo.At_most) name what source ~warn ~fail
     r_unit = unit_;
   }
 
+(* Forwarding classes the auditor could not probe. *)
 let completeness prefix =
   rule ~unit_:"records"
     (prefix ^ ".dropped_records")
-    "forwarding classes the auditor could not probe" Slo.Dropped_records
-    ~warn:0. ~fail:0.
+    Slo.Dropped_records ~warn:0. ~fail:0.
 
 let e1b_rules =
   [
-    rule "e1b.configure_max_s" "slowest switch end-to-end configure time"
+    (* Slowest switch end-to-end configure time. *)
+    rule "e1b.configure_max_s"
       (Slo.Span_max_duration_s "sw.configure") ~warn:17. ~fail:25.;
+    (* Routing tail between all-green and full RIB coverage. *)
     rule "e1b.convergence_tail_s"
-      "routing tail between all-green and full RIB coverage"
       (Slo.Span_max_duration_s "phase.convergence") ~warn:3. ~fail:10.;
-    rule "e1b.end_to_end_s" "time to full routing convergence"
-      (Slo.Meta_s "converged_s") ~warn:20. ~fail:30.;
-    rule "e1b.rpc_p99_s" "p99 of per-switch RPC config delivery"
+    (* Time to full routing convergence. *)
+    rule "e1b.end_to_end_s" (Slo.Meta_s "converged_s") ~warn:20. ~fail:30.;
+    (* p99 of per-switch RPC config delivery. *)
+    rule "e1b.rpc_p99_s"
       (Slo.Span_quantile_s ("phase.rpc", 0.99))
       ~warn:0.1 ~fail:1.;
     completeness "e1b";
@@ -45,33 +45,33 @@ let e1b_rules =
 
 let e3_rules =
   [
+    (* Routes settled after the link cut (reconverged - cut). *)
     rule "e3.recovery_delay_s"
-      "routes settled after the link cut (reconverged - cut)"
       (Slo.Meta_diff_s ("reconverged_s", "last_fault_s"))
       ~warn:10. ~fail:30.;
+    (* Datagrams lost in the 30 s post-cut window. *)
     rule ~unit_:"ratio" "e3.window_loss_ratio"
-      "datagrams lost in the 30 s post-cut window"
       (Slo.Meta_ratio ("window_lost", "window_sent"))
       ~warn:0.2 ~fail:0.5;
-    rule "e3.converged_s" "initial convergence before the fault"
-      (Slo.Meta_s "converged_s") ~warn:30. ~fail:60.;
+    (* Initial convergence before the fault. *)
+    rule "e3.converged_s" (Slo.Meta_s "converged_s") ~warn:30. ~fail:60.;
     completeness "e3";
   ]
 
 let e4_rules =
   [
+    (* Config events lost across the crash (0 under reconciliation). *)
     rule ~unit_:"msgs" "e4.rpc_undelivered"
-      "config events lost across the crash (0 under reconciliation)"
       (Slo.Meta_s "rpc_undelivered") ~warn:0. ~fail:0.;
+    (* Routes settled after controller recovery. *)
     rule "e4.recovery_delay_s"
-      "routes settled after controller recovery"
       (Slo.Meta_diff_s ("reconverged_s", "recover_at_s"))
       ~warn:15. ~fail:40.;
-    (* Denominator is ALL telemetry events: a sparse window that is
+    (* Sliding-window budget burn of peer-dead signals (99% objective).
+       Denominator is ALL telemetry events: a sparse window that is
        nothing but deadness signals would otherwise saturate the
        burn at its 1/(1-objective) ceiling. *)
     rule ~unit_:"x" "e4.rpc_deadness_burn"
-      "sliding-window budget burn of peer-dead signals (99% objective)"
       (Slo.Burn_rate
          {
            errors =
@@ -89,62 +89,58 @@ let e4_rules =
 
 let e6_rules =
   [
-    rule "e6.disruption_s"
-      "traffic-weighted disruption under automatic response"
-      (Slo.Meta_s "disruption_s") ~warn:2. ~fail:10.;
+    (* Traffic-weighted disruption under automatic response. *)
+    rule "e6.disruption_s" (Slo.Meta_s "disruption_s") ~warn:2. ~fail:10.;
+    (* Datagrams delivered / offered over the whole run. *)
     rule ~direction:Slo.At_least ~unit_:"ratio" "e6.delivery_ratio"
-      "datagrams delivered / offered over the whole run"
       (Slo.Meta_ratio ("delivered", "offered"))
       ~warn:0.97 ~fail:0.90;
+    (* Wall-clock union of per-flow disruption spans. *)
     rule "e6.disruption_union_s"
-      "wall-clock union of per-flow disruption spans"
       (Slo.Span_union_duration_s "traffic.disruption") ~warn:8. ~fail:30.;
     completeness "e6";
   ]
 
 let e9_rules =
   [
-    rule "e9.failover_s"
-      "leaderless interval from leader crash to re-election"
-      (Slo.Meta_s "failover_s") ~warn:5. ~fail:15.;
-    rule "e9.disruption_s"
-      "traffic-weighted disruption across crash + cut (replicated)"
-      (Slo.Meta_s "disruption_s") ~warn:5. ~fail:20.;
+    (* Leaderless interval from leader crash to re-election. *)
+    rule "e9.failover_s" (Slo.Meta_s "failover_s") ~warn:5. ~fail:15.;
+    (* Traffic-weighted disruption across crash + cut (replicated). *)
+    rule "e9.disruption_s" (Slo.Meta_s "disruption_s") ~warn:5. ~fail:20.;
+    (* Datagrams delivered / offered over the whole run. *)
     rule ~direction:Slo.At_least ~unit_:"ratio" "e9.delivery_ratio"
-      "datagrams delivered / offered over the whole run"
       (Slo.Meta_ratio ("delivered", "offered"))
       ~warn:0.97 ~fail:0.90;
+    (* Leader elections over the run (bootstrap + one failover). *)
     rule ~unit_:"elections" "e9.elections"
-      "leader elections over the run (bootstrap + one failover)"
       (Slo.Meta_s "elections") ~warn:2. ~fail:4.;
+    (* Wall-clock union of cluster failover spans. *)
     rule "e9.failover_union_s"
-      "wall-clock union of cluster failover spans"
       (Slo.Span_union_duration_s "cluster.failover") ~warn:5. ~fail:15.;
     completeness "e9";
   ]
 
 let e10_rules =
   [
+    (* Share of executed events attributed to a tagged entity. *)
     rule ~direction:Slo.At_least ~unit_:"pct" "e10.attributed_pct"
-      "share of executed events attributed to a tagged entity"
       (Slo.Meta_s "profile_attributed_pct") ~warn:90. ~fail:75.;
     completeness "e10";
   ]
 
 let e12_rules =
   [
+    (* Violation windows inside the steady (post-convergence, pre-fault)
+       interval. *)
     rule ~unit_:"windows" "e12.steady_windows"
-      "violation windows inside the steady (post-convergence, \
-       pre-fault) interval"
       (Slo.Meta_s "steady_windows") ~warn:0. ~fail:0.;
-    rule "e12.fault_union_s"
-      "union of violation windows after the fault (automatic E9 run)"
-      (Slo.Meta_s "fault_union_s") ~warn:10. ~fail:40.;
+    (* Union of violation windows after the fault (automatic E9 run). *)
+    rule "e12.fault_union_s" (Slo.Meta_s "fault_union_s") ~warn:10. ~fail:40.;
+    (* Violation windows still open at the horizon. *)
     rule ~unit_:"windows" "e12.open_at_horizon"
-      "violation windows still open at the horizon"
       (Slo.Meta_s "open_at_horizon") ~warn:0. ~fail:0.;
+    (* Union of every audit.violation span over the whole run. *)
     rule "e12.violation_union_s"
-      "union of every audit.violation span over the whole run"
       (Slo.Span_union_duration_s "audit.violation") ~warn:40. ~fail:90.;
     completeness "e12";
   ]

@@ -79,9 +79,7 @@ let audited summary runs =
   }
 
 let write_file path s =
-  let oc = open_out path in
-  output_string oc s;
-  close_out oc
+  Out_channel.with_open_text path (fun oc -> output_string oc s)
 
 (* --- The shared flags ----------------------------------------------- *)
 

@@ -21,20 +21,23 @@ type removal_reason = Expired_idle | Expired_hard
 (* The store: entries partitioned by wildcard signature (which fields
    are exact, plus the two prefix lengths). Within a signature every
    entry constrains the same projection of the key, so the bucket is an
-   exact-match hash table from projected key to every entry with that
-   projection, in table order (priority descending, then [e_seq]
-   ascending). Entries of one key have equal matches and so differ only
-   in priority: the head of the list is what a lookup hitting the key
-   returns, and removing it uncovers the next. A lookup probes one hash
-   table per distinct signature instead of scanning every entry. *)
+   exact-match hash table over that projection. It chains the entries
+   themselves: a slot holds every entry whose projection hashes there,
+   in table order (priority descending, then [e_seq] ascending). All
+   entries of one signature accept a key exactly when their projection
+   equals the key's, so the first entry of the key's slot whose match
+   accepts the key is the best entry for it; removing that entry
+   uncovers the next. An entry costs one list cell beyond its record:
+   no projected key and no table node is stored per entry. A lookup
+   probes one slot per distinct signature instead of scanning every
+   entry. *)
 type bucket = {
   b_mask : int;  (* presence bits for the ten scalar fields *)
   b_src : int;  (* nw_src prefix length; -1 = wildcarded *)
   b_dst : int;
-  b_find : Of_match.key -> entry list;  (* raises [Not_found] *)
-  b_set : Of_match.key -> entry list -> unit;  (* [] removes the key *)
-  b_iter : (entry -> unit) -> unit;
-  b_keys : unit -> int;
+  b_hash : Of_match.key -> int;
+  mutable b_slots : entry list array;  (* length a power of two *)
+  mutable b_count : int;
 }
 
 type t = {
@@ -127,19 +130,15 @@ end
 let prefix_bits len =
   if len <= 0 then 0 else (0xFFFF_FFFF lsl (32 - len)) land 0xFFFF_FFFF
 
-let addr_bits a = Int32.to_int (Ipv4_addr.to_int32 a) land 0xFFFF_FFFF
-
-let mac_bits m = Int64.to_int (Mac.to_int64 m)
-
 (* A key as one signature's bucket sees it: the fields the signature
    pins, every other field as zero, and both addresses cut to its
-   prefix lengths. Hashing and comparing through this view lets a
-   lookup probe with the frame's own key; building the projected key
-   would allocate a record and an address on every probe. The hash is
-   a multiply-add over every field, then murmur3's 64-bit finalizer
-   (constants cut to OCaml's 63-bit ints). Without the finalizer the
-   slot bits barely depend on an address's network octets, and the
-   /24s of one bucket pile into a few slots. *)
+   prefix lengths. Hashing through this view lets a lookup probe with
+   the frame's own key; building the projected key would allocate a
+   record on every probe. The hash is a multiply-add over every field,
+   then murmur3's 64-bit finalizer (constants cut to OCaml's 63-bit
+   ints). Without the finalizer the slot bits barely depend on an
+   address's network octets, and the /24s of one bucket pile into a
+   few slots. *)
 module View (S : SIGNATURE) = struct
   type t = Of_match.key
 
@@ -170,32 +169,18 @@ module View (S : SIGNATURE) = struct
 
   let tp_dst = keep bit_tp_dst
 
-  let equal (a : t) (b : t) =
-    (a.in_port lxor b.in_port) land in_port = 0
-    && (mac_bits a.dl_src lxor mac_bits b.dl_src) land dl_src = 0
-    && (mac_bits a.dl_dst lxor mac_bits b.dl_dst) land dl_dst = 0
-    && (a.dl_vlan lxor b.dl_vlan) land dl_vlan = 0
-    && (a.dl_pcp lxor b.dl_pcp) land dl_pcp = 0
-    && (a.dl_type lxor b.dl_type) land dl_type = 0
-    && (a.nw_tos lxor b.nw_tos) land nw_tos = 0
-    && (a.nw_proto lxor b.nw_proto) land nw_proto = 0
-    && (addr_bits a.nw_src lxor addr_bits b.nw_src) land nw_src = 0
-    && (addr_bits a.nw_dst lxor addr_bits b.nw_dst) land nw_dst = 0
-    && (a.tp_src lxor b.tp_src) land tp_src = 0
-    && (a.tp_dst lxor b.tp_dst) land tp_dst = 0
-
   let hash (k : t) =
     let p = 0x100000001b3 in
     let h = k.in_port land in_port in
-    let h = (h * p) + (mac_bits k.dl_src land dl_src) in
-    let h = (h * p) + (mac_bits k.dl_dst land dl_dst) in
+    let h = (h * p) + (Mac.to_int k.dl_src land dl_src) in
+    let h = (h * p) + (Mac.to_int k.dl_dst land dl_dst) in
     let h = (h * p) + (k.dl_vlan land dl_vlan) in
     let h = (h * p) + (k.dl_pcp land dl_pcp) in
     let h = (h * p) + (k.dl_type land dl_type) in
     let h = (h * p) + (k.nw_tos land nw_tos) in
     let h = (h * p) + (k.nw_proto land nw_proto) in
-    let h = (h * p) + (addr_bits k.nw_src land nw_src) in
-    let h = (h * p) + (addr_bits k.nw_dst land nw_dst) in
+    let h = (h * p) + (Ipv4_addr.to_int k.nw_src land nw_src) in
+    let h = (h * p) + (Ipv4_addr.to_int k.nw_dst land nw_dst) in
     let h = (h * p) + (k.tp_src land tp_src) in
     let h = (h * p) + (k.tp_dst land tp_dst) in
     let h = (h lxor (h lsr 33)) * 0x3f51afd7ed558ccd in
@@ -218,17 +203,14 @@ let bucket_hash m key =
 
 let new_bucket m =
   let module S = (val signature_of m) in
-  let module Tbl = Hashtbl.Make (View (S)) in
-  let tbl = Tbl.create 64 in
+  let module V = View (S) in
   {
     b_mask = S.mask;
     b_src = S.src;
     b_dst = S.dst;
-    b_find = Tbl.find tbl;
-    b_set =
-      (fun k -> function [] -> Tbl.remove tbl k | l -> Tbl.replace tbl k l);
-    b_iter = (fun f -> Tbl.iter (fun _ l -> List.iter f l) tbl);
-    b_keys = (fun () -> Tbl.length tbl);
+    b_hash = V.hash;
+    b_slots = Array.make 16 [];
+    b_count = 0;
   }
 
 let find_bucket t (m : Of_match.t) =
@@ -238,13 +220,36 @@ let find_bucket t (m : Of_match.t) =
     (fun b -> b.b_mask = mask && b.b_src = src && b.b_dst = dst)
     t.buckets
 
-(* The entries whose match projects to the same key as [m]. *)
+let slot_of b key = b.b_hash key land (Array.length b.b_slots - 1)
+
+let entry_slot b e = slot_of b (key_of_match e.e_match)
+
+(* Doubles the slot array once the bucket holds more entries than
+   slots. Doubling splits old slot [i] into new slots [i] and
+   [i + old length]; the stable partition keeps table order in both. *)
+let grow b =
+  let old = b.b_slots in
+  let n = Array.length old in
+  if b.b_count > n then begin
+    let slots = Array.make (2 * n) [] in
+    b.b_slots <- slots;
+    Array.iteri
+      (fun i chain ->
+        let low, high = List.partition (fun e -> entry_slot b e = i) chain in
+        slots.(i) <- low;
+        slots.(i + n) <- high)
+      old
+  end
+
+(* The slot of [m]'s projection: a superset of the entries with [m]'s
+   match, in table order. *)
 let key_entries t m =
   match find_bucket t m with
   | None -> []
-  | Some b -> ( try b.b_find (key_of_match m) with Not_found -> [])
+  | Some b -> b.b_slots.(slot_of b (key_of_match m))
 
-let iter t f = List.iter (fun b -> b.b_iter f) t.buckets
+let iter t f =
+  List.iter (fun b -> Array.iter (List.iter f) b.b_slots) t.buckets
 
 let entries t =
   let all = ref [] in
@@ -260,6 +265,30 @@ let lookup_linear t key =
         | Some _ | None -> best := Some e);
   !best
 
+(* Stands for "no entry" in [first_match], so a probe allocates
+   nothing; it is never stored or returned. *)
+let absent =
+  {
+    e_match = Of_match.wildcard_all;
+    e_priority = 0;
+    e_cookie = 0L;
+    e_idle_timeout = 0;
+    e_hard_timeout = 0;
+    e_notify_removed = false;
+    e_seq = 0;
+    e_actions = [];
+    e_packets = 0;
+    e_bytes = 0;
+    e_installed = Rf_sim.Vtime.zero;
+    e_last_used = Rf_sim.Vtime.zero;
+  }
+
+(* The first entry of a slot whose match accepts [key], or [absent]. *)
+let rec first_match key = function
+  | [] -> absent
+  | e :: rest ->
+      if Of_match.matches e.e_match key then e else first_match key rest
+
 (* Highest priority across buckets wins; within equal priority the
    earliest-installed entry ([e_seq]) — exactly the entry the linear
    scan finds. *)
@@ -267,12 +296,12 @@ let lookup t key =
   let rec go best = function
     | [] -> best
     | b :: rest -> (
-        match b.b_find key with
-        | e :: _ -> (
-            match best with
-            | Some be when before be e -> go best rest
-            | Some _ | None -> go (Some e) rest)
-        | [] | (exception Not_found) -> go best rest)
+        let e = first_match key b.b_slots.(slot_of b key) in
+        if e == absent then go best rest
+        else
+          match best with
+          | Some be when before be e -> go best rest
+          | Some _ | None -> go (Some e) rest)
   in
   go None t.buckets
 
@@ -291,12 +320,14 @@ let add_entry t e =
         t.buckets <- b :: t.buckets;
         b
   in
-  let k = key_of_match e.e_match in
   let rec insert = function
     | x :: rest when before x e -> x :: insert rest
     | l -> e :: l
   in
-  b.b_set k (insert (try b.b_find k with Not_found -> []));
+  let i = entry_slot b e in
+  b.b_slots.(i) <- insert b.b_slots.(i);
+  b.b_count <- b.b_count + 1;
+  grow b;
   t.size <- t.size + 1;
   if is_timed e then t.timed <- t.timed + 1
 
@@ -304,9 +335,10 @@ let remove_entry t e =
   match find_bucket t e.e_match with
   | None -> ()
   | Some b ->
-      let k = key_of_match e.e_match in
-      b.b_set k (List.filter (fun x -> x != e) (b.b_find k));
-      if b.b_keys () = 0 then t.buckets <- List.filter (( != ) b) t.buckets;
+      let i = entry_slot b e in
+      b.b_slots.(i) <- List.filter (fun x -> x != e) b.b_slots.(i);
+      b.b_count <- b.b_count - 1;
+      if b.b_count = 0 then t.buckets <- List.filter (( != ) b) t.buckets;
       t.size <- t.size - 1;
       if is_timed e then t.timed <- t.timed - 1
 

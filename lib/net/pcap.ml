@@ -44,9 +44,7 @@ let frame_count t = t.frames
 let contents t = Buffer.contents t.buf
 
 let write_file t path =
-  let oc = open_out_bin path in
-  output_string oc (contents t);
-  close_out oc
+  Out_channel.with_open_bin path (fun oc -> Buffer.output_buffer oc t.buf)
 
 let tap_link engine t link =
   Link.set_tap link (fun frame ->

@@ -114,10 +114,7 @@ let of_json text =
   { run_label = label; indicators }
 
 let save path run =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_json run))
+  Out_channel.with_open_bin path (fun oc -> output_string oc (to_json run))
 
 let load path =
   let ic = open_in_bin path in

@@ -93,9 +93,7 @@ let jsonl ?(meta = []) t =
   Buffer.contents buf
 
 let write_jsonl ?meta t path =
-  let oc = open_out path in
-  output_string oc (jsonl ?meta t);
-  close_out oc
+  Out_channel.with_open_text path (fun oc -> output_string oc (jsonl ?meta t))
 
 type span_stat = {
   st_name : string;

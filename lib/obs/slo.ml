@@ -36,7 +36,6 @@ type direction = At_most | At_least
 
 type rule = {
   r_name : string;
-  r_what : string;
   r_source : source;
   r_direction : direction;
   r_warn : float;

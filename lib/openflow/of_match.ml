@@ -65,8 +65,8 @@ let arp_key ~in_port f =
     else
       make_key ~in_port f ~dl_type:Ethernet.ethertype_arp ~nw_tos:0
         ~nw_proto:op
-        ~nw_src:(Ipv4_addr.of_int32 (String.get_int32_be f (p + 14)))
-        ~nw_dst:(Ipv4_addr.of_int32 (String.get_int32_be f (p + 24)))
+        ~nw_src:(Ipv4_addr.get f (p + 14))
+        ~nw_dst:(Ipv4_addr.get f (p + 24))
         ~tp_src:0 ~tp_dst:0
 
 (* Lldp.of_wire fails only on a TLV whose value runs past the end. *)
@@ -124,8 +124,8 @@ let ipv4_key ~in_port f =
       else
         make_key ~in_port f ~dl_type:Ethernet.ethertype_ipv4
           ~nw_tos:(u8 f (p + 1)) ~nw_proto:protocol
-          ~nw_src:(Ipv4_addr.of_int32 (String.get_int32_be f (p + 12)))
-          ~nw_dst:(Ipv4_addr.of_int32 (String.get_int32_be f (p + 16)))
+          ~nw_src:(Ipv4_addr.get f (p + 12))
+          ~nw_dst:(Ipv4_addr.get f (p + 16))
           ~tp_src:(ports land 0xFFFF) ~tp_dst:(ports lsr 16)
 
 let key_of_frame ~in_port f =

@@ -1,24 +1,32 @@
-type t = int32
+(* An address is an immediate int in [0, 2^32): no box, and [Int.compare]
+   is the unsigned order. *)
+type t = int
 
-let any = 0l
+let mask32 = 0xFFFF_FFFF
 
-let broadcast = 0xFFFFFFFFl
+let any = 0
 
-let ospf_all_routers = 0xE0000005l
+let broadcast = mask32
 
-let of_int32 v = v
+let ospf_all_routers = 0xE000_0005
 
-let to_int32 t = t
+let of_int32 v = Int32.to_int v land mask32
+
+let to_int32 t = Int32.of_int t
+
+let of_int v = v land mask32
+
+let to_int t = t
+
+let get s off =
+  (String.get_uint16_be s off lsl 16) lor String.get_uint16_be s (off + 2)
 
 let of_octets a b c d =
   let ok v = v >= 0 && v <= 255 in
   if not (ok a && ok b && ok c && ok d) then invalid_arg "Ipv4_addr.of_octets";
-  Int32.logor
-    (Int32.shift_left (Int32.of_int a) 24)
-    (Int32.of_int ((b lsl 16) lor (c lsl 8) lor d))
+  (a lsl 24) lor (b lsl 16) lor (c lsl 8) lor d
 
-let octet t i =
-  Int32.to_int (Int32.logand (Int32.shift_right_logical t (8 * (3 - i))) 0xFFl)
+let octet t i = (t lsr (8 * (3 - i))) land 0xFF
 
 let of_string s =
   match String.split_on_char '.' s with
@@ -38,17 +46,15 @@ let of_string_exn s =
   | Some a -> a
   | None -> invalid_arg (Printf.sprintf "Ipv4_addr.of_string_exn: %S" s)
 
-let add t n = Int32.add t (Int32.of_int n)
+let add t n = (t + n) land mask32
 
 let succ t = add t 1
 
-let compare a b =
-  (* Unsigned comparison: flip the sign bit. *)
-  Int32.compare (Int32.logxor a Int32.min_int) (Int32.logxor b Int32.min_int)
+let compare = Int.compare
 
-let equal = Int32.equal
+let equal = Int.equal
 
-let hash t = Int32.to_int t land max_int
+let hash t = t
 
 let is_multicast t = octet t 0 land 0xF0 = 0xE0
 
@@ -60,15 +66,17 @@ let pp ppf t = Format.pp_print_string ppf (to_string t)
 module Prefix = struct
   type addr = t
 
-  type nonrec t = { network : t; length : int }
+  (* The network in the high bits and the length in the low 6, so a
+     prefix is immediate too and [Int.compare] orders by network, then
+     length. *)
+  type nonrec t = int
 
   let mask_of_length len =
-    if len = 0 then 0l
-    else Int32.shift_left 0xFFFFFFFFl (32 - len)
+    if len = 0 then 0 else (mask32 lsl (32 - len)) land mask32
 
   let make a len =
     if len < 0 || len > 32 then invalid_arg "Prefix.make: length out of range";
-    { network = Int32.logand a (mask_of_length len); length = len }
+    ((a land mask_of_length len) lsl 6) lor len
 
   let of_string s =
     match String.index_opt s '/' with
@@ -85,28 +93,25 @@ module Prefix = struct
     | Some p -> p
     | None -> invalid_arg (Printf.sprintf "Prefix.of_string_exn: %S" s)
 
-  let network p = p.network
+  let network p = p lsr 6
 
-  let length p = p.length
+  let length p = p land 63
 
-  let mask p = mask_of_length p.length
+  let mask p = mask_of_length (length p)
 
-  let mem a p = Int32.equal (Int32.logand a (mask p)) p.network
+  let mem a p = a land mask p = network p
 
-  let subset sub sup = sub.length >= sup.length && mem sub.network sup
+  let subset sub sup = length sub >= length sup && mem (network sub) sup
 
-  let host p i = add p.network i
+  let host p i = add (network p) i
 
-  let global = { network = 0l; length = 0 }
+  let global = 0
 
-  let compare a b =
-    match compare a.network b.network with
-    | 0 -> Int.compare a.length b.length
-    | c -> c
+  let compare = Int.compare
 
-  let equal a b = compare a b = 0
+  let equal = Int.equal
 
-  let to_string p = Printf.sprintf "%s/%d" (to_string p.network) p.length
+  let to_string p = Printf.sprintf "%s/%d" (to_string (network p)) (length p)
 
   let pp ppf p = Format.pp_print_string ppf (to_string p)
 end

@@ -1,7 +1,8 @@
 (** IPv4 addresses and prefixes. *)
 
-type t
-(** A 32-bit IPv4 address. *)
+type t = private int
+(** A 32-bit IPv4 address: an immediate int in [0, 2{^32}), so it is
+    never boxed, and the int order is the unsigned address order. *)
 
 val any : t
 val broadcast : t
@@ -11,6 +12,17 @@ val ospf_all_routers : t
 
 val of_int32 : int32 -> t
 val to_int32 : t -> int32
+
+val of_int : int -> t
+(** The low 32 bits. *)
+
+val to_int : t -> int
+(** The address as an int in [0, 2{^32}). *)
+
+val get : string -> int -> t
+(** [get s off] reads the address stored big-endian at [s.[off]] to
+    [s.[off + 3]]. Raises [Invalid_argument] if that range is not
+    inside [s]. *)
 
 val of_octets : int -> int -> int -> int -> t
 
@@ -25,6 +37,8 @@ val succ : t -> t
 val add : t -> int -> t
 
 val compare : t -> t -> int
+(** Unsigned order: 128.0.0.0 sorts after 127.255.255.255. *)
+
 val equal : t -> t -> bool
 val hash : t -> int
 
@@ -37,8 +51,10 @@ val to_string : t -> string
 module Prefix : sig
   type addr = t
 
-  type t
-  (** A network prefix; the host bits of the stored address are zero. *)
+  type t = private int
+  (** A network prefix; the host bits of the stored address are zero.
+      Immediate, like an address: the network in the high bits, the
+      length in the low six. *)
 
   val make : addr -> int -> t
   (** [make a len] masks [a] to [len] bits. [len] must be in 0..32. *)
@@ -65,6 +81,9 @@ module Prefix : sig
   (** 0.0.0.0/0. *)
 
   val compare : t -> t -> int
+  (** By network in the unsigned order of {!Ipv4_addr.compare}, then by
+      length. [Prefix_trie.fold] visits prefixes in this order. *)
+
   val equal : t -> t -> bool
 
   val pp : Format.formatter -> t -> unit

@@ -1,32 +1,35 @@
-type t = int64
+(* An address is an immediate int in [0, 2^48). *)
+type t = int
 
-let mask48 = 0xFFFF_FFFF_FFFFL
+let mask48 = 0xFFFF_FFFF_FFFF
 
 let broadcast = mask48
 
-let zero = 0L
+let zero = 0
 
-let lldp_multicast = 0x0180_C200_000EL
+let lldp_multicast = 0x0180_C200_000E
 
-let of_int64 v = Int64.logand v mask48
+let of_int64 v = Int64.to_int v land mask48
 
-let to_int64 t = t
+let to_int64 t = Int64.of_int t
 
-let byte t i =
-  Int64.to_int (Int64.logand (Int64.shift_right_logical t (8 * (5 - i))) 0xFFL)
+let to_int t = t
+
+let byte t i = (t lsr (8 * (5 - i))) land 0xFF
 
 let get s off =
-  Int64.of_int
-    ((String.get_uint16_be s off lsl 32)
-    lor (Int32.to_int (String.get_int32_be s (off + 2)) land 0xFFFF_FFFF))
+  (String.get_uint16_be s off lsl 32)
+  lor (String.get_uint16_be s (off + 2) lsl 16)
+  lor String.get_uint16_be s (off + 4)
 
 let of_bytes s =
   if String.length s <> 6 then invalid_arg "Mac.of_bytes: need 6 bytes";
   get s 0
 
 let set b off t =
-  Bytes.set_uint16_be b off (Int64.to_int (Int64.shift_right_logical t 32));
-  Bytes.set_int32_be b (off + 2) (Int64.to_int32 t)
+  Bytes.set_uint16_be b off (t lsr 32);
+  Bytes.set_uint16_be b (off + 2) ((t lsr 16) land 0xFFFF);
+  Bytes.set_uint16_be b (off + 4) (t land 0xFFFF)
 
 let to_bytes t =
   let b = Bytes.create 6 in
@@ -42,26 +45,25 @@ let of_string s =
         List.fold_left
           (fun acc p ->
             if String.length p <> 2 then raise Exit;
-            Int64.logor (Int64.shift_left acc 8)
-              (Int64.of_int (int_of_string ("0x" ^ p))))
-          0L parts
+            (acc lsl 8) lor int_of_string ("0x" ^ p))
+          0 parts
       in
       Some v
     with Exit | Failure _ -> None
 
 let make_local n =
   (* 0x02 in the first octet = locally administered, unicast. *)
-  Int64.logor 0x0200_0000_0000L (Int64.logand (Int64.of_int n) 0xFF_FFFF_FFFFL)
+  0x0200_0000_0000 lor (n land 0xFF_FFFF_FFFF)
 
-let is_broadcast t = Int64.equal t broadcast
+let is_broadcast t = t = broadcast
 
 let is_multicast t = byte t 0 land 0x01 = 1
 
-let compare = Int64.compare
+let compare = Int.compare
 
-let equal = Int64.equal
+let equal = Int.equal
 
-let hash t = Int64.to_int t land max_int
+let hash t = t
 
 let to_string t =
   Printf.sprintf "%02x:%02x:%02x:%02x:%02x:%02x" (byte t 0) (byte t 1)

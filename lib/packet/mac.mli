@@ -1,7 +1,7 @@
 (** 48-bit Ethernet MAC addresses. *)
 
-type t
-(** Immutable MAC address. *)
+type t = private int
+(** A MAC address: an immediate int in [0, 2{^48}), never boxed. *)
 
 val broadcast : t
 
@@ -14,6 +14,9 @@ val of_int64 : int64 -> t
 (** Low 48 bits are used. *)
 
 val to_int64 : t -> int64
+
+val to_int : t -> int
+(** The address as an int in [0, 2{^48}). *)
 
 val of_bytes : string -> t
 (** Requires exactly 6 bytes. *)

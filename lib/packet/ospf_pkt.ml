@@ -12,15 +12,6 @@ type lsa_body =
   | Network of { mask : Ipv4_addr.t; attached : Ipv4_addr.t list }
   | Opaque of { lsa_type : int; data : string }
 
-type lsa = {
-  age : int;
-  options : int;
-  link_state_id : Ipv4_addr.t;
-  adv_router : Ipv4_addr.t;
-  seq : int32;
-  body : lsa_body;
-}
-
 type lsa_key = { k_type : int; k_id : Ipv4_addr.t; k_adv : Ipv4_addr.t }
 
 type lsa_header = {
@@ -32,36 +23,60 @@ type lsa_header = {
   h_length : int;
 }
 
+type lsa = {
+  age : int;
+  options : int;
+  link_state_id : Ipv4_addr.t;
+  adv_router : Ipv4_addr.t;
+  seq : int32;
+  body : lsa_body;
+  header : lsa_header;
+  wire : string;
+}
+
 let initial_seq = 0x80000001l
 
 let max_age = 3600
 
-let lsa_type lsa =
-  match lsa.body with
+let lsa_type = function
   | Router _ -> 1
   | Network _ -> 2
   | Opaque { lsa_type; _ } -> lsa_type
 
-let key_of_lsa lsa =
-  { k_type = lsa_type lsa; k_id = lsa.link_state_id; k_adv = lsa.adv_router }
+let key_of_lsa lsa = lsa.header.h_key
 
-(* Fletcher checksum per RFC 2328 §12.1.7 / RFC 905 Annex B. The region
-   excludes the 2-byte LS age field; [off] is the offset of the checksum
-   field within the region. *)
-let fletcher16 region off =
+let header_of_lsa lsa = lsa.header
+
+let lsa_to_wire lsa = lsa.wire
+
+(* Fletcher checksum per RFC 2328 §12.1.7 / RFC 905 Annex B over the
+   [len] bytes of [s] from [pos], reading the 16-bit field at [pos + off]
+   as zero. The sums are reduced mod 255 once, at the end; below 2^24
+   bytes they cannot overflow. *)
+let fletcher_sub s pos len off =
+  if pos < 0 || off < 0 || len < off + 2 || pos > String.length s - len then
+    invalid_arg "Ospf_pkt.fletcher16";
   let c0 = ref 0 and c1 = ref 0 in
-  String.iteri
-    (fun i c ->
-      let b = if i = off || i = off + 1 then 0 else Char.code c in
-      c0 := (!c0 + b) mod 255;
-      c1 := (!c1 + !c0) mod 255)
-    region;
-  let len = String.length region in
-  let x = ((len - off - 1) * !c0 - !c1) mod 255 in
+  for i = pos to pos + len - 1 do
+    c0 := !c0 + Char.code (String.unsafe_get s i);
+    c1 := !c1 + !c0
+  done;
+  (* Take the field back out: byte [k] of the region adds itself once
+     to c0 and [len - k] times to c1. *)
+  let b0 = Char.code s.[pos + off] and b1 = Char.code s.[pos + off + 1] in
+  let c0 = (!c0 - b0 - b1) mod 255 in
+  let c1 = (!c1 - (b0 * (len - off)) - (b1 * (len - off - 1))) mod 255 in
+  let x = (((len - off - 1) * c0) - c1) mod 255 in
   let x = if x <= 0 then x + 255 else x in
-  let y = 510 - !c0 - x in
+  let y = 510 - c0 - x in
   let y = if y > 255 then y - 255 else if y <= 0 then y + 255 else y in
   (x lsl 8) lor y
+
+let fletcher16 region off = fletcher_sub region 0 (String.length region) off
+
+(* The region excludes the 2-byte age field; the checksum sits at bytes
+   16-17 of the LSA, i.e. offset 14 of the region. *)
+let lsa_checksum wire = fletcher_sub wire 2 (String.length wire - 2) 14
 
 let link_type_code = function
   | Point_to_point -> 1
@@ -76,8 +91,30 @@ let link_type_of_code = function
   | 4 -> Ok Virtual_link
   | n -> Error (Printf.sprintf "ospf: bad router-link type %d" n)
 
-let encode_body body =
-  let w = Wire.Writer.create ~initial:32 () in
+(* Every live LSA instance exists once: LSAs are immutable, and every
+   LSDB holding an instance holds the value interned here under its wire
+   bytes. The set is weak, so an instance no database holds is freed. *)
+module Interned = Weak.Make (struct
+  type t = lsa
+
+  let equal a b = String.equal a.wire b.wire
+
+  let hash a = Hashtbl.hash a.wire
+end)
+
+let interned = Interned.create 256
+
+(* An encoded LSA: 20-byte header followed by the body. *)
+let encode ~age ~options ~link_state_id ~adv_router ~seq body =
+  let w = Wire.Writer.create ~initial:64 () in
+  Wire.Writer.u16 w age;
+  Wire.Writer.u8 w options;
+  Wire.Writer.u8 w (lsa_type body);
+  Wire.Writer.u32 w (Ipv4_addr.to_int32 link_state_id);
+  Wire.Writer.u32 w (Ipv4_addr.to_int32 adv_router);
+  Wire.Writer.u32 w seq;
+  Wire.Writer.u16 w 0 (* checksum placeholder *);
+  Wire.Writer.u16 w 0 (* length placeholder *);
   (match body with
   | Router { links } ->
       Wire.Writer.u8 w 0 (* V/E/B flags: plain internal router *);
@@ -95,40 +132,35 @@ let encode_body body =
       Wire.Writer.u32 w (Ipv4_addr.to_int32 mask);
       List.iter (fun r -> Wire.Writer.u32 w (Ipv4_addr.to_int32 r)) attached
   | Opaque { data; _ } -> Wire.Writer.bytes w data);
+  Wire.Writer.patch_u16 w 18 (Wire.Writer.length w);
+  Wire.Writer.patch_u16 w 16 (lsa_checksum (Wire.Writer.contents w));
   Wire.Writer.contents w
 
-(* An encoded LSA: 20-byte header followed by the body. The checksum
-   field sits at bytes 16-17 of the LSA, i.e. offset 14 of the region
-   that excludes the age field. *)
-let lsa_to_wire lsa =
-  let body = encode_body lsa.body in
-  let length = 20 + String.length body in
-  let w = Wire.Writer.create ~initial:length () in
-  Wire.Writer.u16 w lsa.age;
-  Wire.Writer.u8 w lsa.options;
-  Wire.Writer.u8 w (lsa_type lsa);
-  Wire.Writer.u32 w (Ipv4_addr.to_int32 lsa.link_state_id);
-  Wire.Writer.u32 w (Ipv4_addr.to_int32 lsa.adv_router);
-  Wire.Writer.u32 w lsa.seq;
-  Wire.Writer.u16 w 0 (* checksum placeholder *);
-  Wire.Writer.u16 w length;
-  Wire.Writer.bytes w body;
-  let encoded = Wire.Writer.contents w in
-  let region = String.sub encoded 2 (String.length encoded - 2) in
-  Wire.Writer.patch_u16 w 16 (fletcher16 region 14);
-  Wire.Writer.contents w
-
-let header_of_lsa lsa =
-  let encoded = lsa_to_wire lsa in
-  let checksum = (Char.code encoded.[16] lsl 8) lor Char.code encoded.[17] in
+let with_wire ~age ~options ~link_state_id ~adv_router ~seq body wire =
   {
-    h_age = lsa.age;
-    h_options = lsa.options;
-    h_key = key_of_lsa lsa;
-    h_seq = lsa.seq;
-    h_checksum = checksum;
-    h_length = String.length encoded;
+    age;
+    options;
+    link_state_id;
+    adv_router;
+    seq;
+    body;
+    header =
+      {
+        h_age = age;
+        h_options = options;
+        h_key =
+          { k_type = lsa_type body; k_id = link_state_id; k_adv = adv_router };
+        h_seq = seq;
+        h_checksum = String.get_uint16_be wire 16;
+        h_length = String.length wire;
+      };
+    wire;
   }
+
+let make_lsa ~age ~options ~link_state_id ~adv_router ~seq body =
+  Interned.merge interned
+    (with_wire ~age ~options ~link_state_id ~adv_router ~seq body
+       (encode ~age ~options ~link_state_id ~adv_router ~seq body))
 
 let compare_instance a b =
   (* Sequence numbers are signed 32-bit values starting at 0x80000001. *)
@@ -177,24 +209,41 @@ let decode_body typ r =
       Ok (Network { mask; attached = attached [] })
   | other -> Ok (Opaque { lsa_type = other; data = Wire.Reader.rest r })
 
+(* Decodes an LSA whose checksum has been verified. *)
+let decode_lsa wire =
+  let r = Wire.Reader.of_string wire in
+  let age = Wire.Reader.u16 r in
+  let options = Wire.Reader.u8 r in
+  let typ = Wire.Reader.u8 r in
+  let link_state_id = Ipv4_addr.of_int32 (Wire.Reader.u32 r) in
+  let adv_router = Ipv4_addr.of_int32 (Wire.Reader.u32 r) in
+  let seq = Wire.Reader.u32 r in
+  Wire.Reader.skip r 4 (* checksum and length *);
+  Result.map
+    (fun body ->
+      Interned.merge interned
+        (with_wire ~age ~options ~link_state_id ~adv_router ~seq body wire))
+    (decode_body typ r)
+
+(* Looks up an instance by its wire bytes alone. *)
+let probe =
+  with_wire ~age:0 ~options:0 ~link_state_id:Ipv4_addr.any
+    ~adv_router:Ipv4_addr.any ~seq:0l
+    (Opaque { lsa_type = 0; data = "" })
+    (String.make 20 '\000')
+
 let lsa_of_wire r =
   try
-    let start = Wire.Reader.pos r in
-    let age = Wire.Reader.u16 r in
-    let options = Wire.Reader.u8 r in
-    let typ = Wire.Reader.u8 r in
-    let link_state_id = Ipv4_addr.of_int32 (Wire.Reader.u32 r) in
-    let adv_router = Ipv4_addr.of_int32 (Wire.Reader.u32 r) in
-    let seq = Wire.Reader.u32 r in
-    let _checksum = Wire.Reader.u16 r in
-    let length = Wire.Reader.u16 r in
+    let length = Wire.Reader.peek_u16 r 18 in
     if length < 20 then Error "ospf: LSA length too small"
     else begin
-      ignore start;
-      let body_reader = Wire.Reader.sub r (length - 20) in
-      Result.map
-        (fun body -> { age; options; link_state_id; adv_router; seq; body })
-        (decode_body typ body_reader)
+      let wire = Wire.Reader.bytes r length in
+      if lsa_checksum wire <> String.get_uint16_be wire 16 then
+        Error "ospf: bad LSA checksum"
+      else
+        match Interned.find_opt interned { probe with wire } with
+        | Some lsa -> Ok lsa
+        | None -> decode_lsa wire
     end
   with Wire.Truncated -> Error "ospf: truncated LSA"
 

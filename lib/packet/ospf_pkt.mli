@@ -23,15 +23,6 @@ type lsa_body =
   | Network of { mask : Ipv4_addr.t; attached : Ipv4_addr.t list }
   | Opaque of { lsa_type : int; data : string }
 
-type lsa = {
-  age : int;
-  options : int;
-  link_state_id : Ipv4_addr.t;
-  adv_router : Ipv4_addr.t;
-  seq : int32;
-  body : lsa_body;
-}
-
 type lsa_key = { k_type : int; k_id : Ipv4_addr.t; k_adv : Ipv4_addr.t }
 (** Identity of an LSA inside the LSDB. *)
 
@@ -44,22 +35,55 @@ type lsa_header = {
   h_length : int;
 }
 
+type lsa = private {
+  age : int;
+  options : int;
+  link_state_id : Ipv4_addr.t;
+  adv_router : Ipv4_addr.t;
+  seq : int32;
+  body : lsa_body;
+  header : lsa_header;  (** Its header, checksum and length included. *)
+  wire : string;  (** Its encoding, checksum included. *)
+}
+(** One LSA instance. It is encoded once, by {!make_lsa} at origination
+    or on receipt by the decoder, and never changes after.
+
+    Instances are shared: one process-wide weak set keyed by the wire
+    bytes hands every router that builds or receives the same bytes the
+    same value, so N routers' LSDBs hold one copy of each LSA, not N.
+    Whether two LSAs are the same value is therefore an accident of
+    timing and garbage collection: compare them by {!header_of_lsa}
+    ({!compare_instance}) or by their fields, never with [==]. *)
+
 val initial_seq : int32
 (** 0x80000001, the first sequence number of any LSA instance. *)
 
 val max_age : int
 (** 3600 s; an LSA at MaxAge is being flushed. *)
 
+val make_lsa :
+  age:int ->
+  options:int ->
+  link_state_id:Ipv4_addr.t ->
+  adv_router:Ipv4_addr.t ->
+  seq:int32 ->
+  lsa_body ->
+  lsa
+(** Encodes the LSA, checksum included, and returns the shared instance
+    of those bytes. *)
+
 val key_of_lsa : lsa -> lsa_key
 
 val header_of_lsa : lsa -> lsa_header
-(** Computes length and Fletcher checksum of the encoded LSA. *)
+(** The [header] field. *)
 
 val compare_instance : lsa_header -> lsa_header -> int
 (** Per RFC 2328 §13.1: positive when the first header denotes the more
     recent instance (sequence, then checksum, then age). *)
 
 val lsa_to_wire : lsa -> string
+(** The [wire] field. The decoder rejects an LSA whose Fletcher checksum
+    does not verify. *)
 
 val fletcher16 : string -> int -> int
 (** [fletcher16 region checksum_offset]: checksum of [region] with the

@@ -24,17 +24,21 @@ module Writer = struct
     Bytes.unsafe_set w.buf w.len (Char.chr (v land 0xff));
     w.len <- w.len + 1
 
+  (* One capacity check, then one word-sized store. *)
   let u16 w v =
-    u8 w (v lsr 8);
-    u8 w v
+    ensure w 2;
+    Bytes.set_uint16_be w.buf w.len (v land 0xffff);
+    w.len <- w.len + 2
 
   let u32 w v =
-    u16 w (Int32.to_int (Int32.shift_right_logical v 16));
-    u16 w (Int32.to_int v land 0xffff)
+    ensure w 4;
+    Bytes.set_int32_be w.buf w.len v;
+    w.len <- w.len + 4
 
   let u64 w v =
-    u32 w (Int64.to_int32 (Int64.shift_right_logical v 32));
-    u32 w (Int64.to_int32 v)
+    ensure w 8;
+    Bytes.set_int64_be w.buf w.len v;
+    w.len <- w.len + 8
 
   let bytes w s =
     let n = String.length s in
@@ -65,6 +69,10 @@ module Reader = struct
 
   let remaining r = r.limit - r.pos
 
+  let peek_u16 r off =
+    if off < 0 || r.pos + off + 2 > r.limit then raise Truncated;
+    String.get_uint16_be r.src (r.pos + off)
+
   let pos r = r.pos
 
   let check r n = if r.pos + n > r.limit then raise Truncated
@@ -77,22 +85,21 @@ module Reader = struct
 
   let u16 r =
     check r 2;
-    let s = r.src and p = r.pos in
+    let p = r.pos in
     r.pos <- p + 2;
-    (Char.code (String.unsafe_get s p) lsl 8)
-    lor Char.code (String.unsafe_get s (p + 1))
+    String.get_uint16_be r.src p
 
   let u32 r =
-    let hi = u16 r in
-    let lo = u16 r in
-    Int32.logor (Int32.shift_left (Int32.of_int hi) 16) (Int32.of_int lo)
+    check r 4;
+    let p = r.pos in
+    r.pos <- p + 4;
+    String.get_int32_be r.src p
 
   let u64 r =
-    let hi = u32 r in
-    let lo = u32 r in
-    Int64.logor
-      (Int64.shift_left (Int64.of_int32 hi) 32)
-      (Int64.logand (Int64.of_int32 lo) 0xFFFFFFFFL)
+    check r 8;
+    let p = r.pos in
+    r.pos <- p + 8;
+    String.get_int64_be r.src p
 
   let bytes r n =
     check r n;

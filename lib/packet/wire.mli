@@ -51,6 +51,10 @@ module Reader : sig
 
   val u16 : t -> int
 
+  val peek_u16 : t -> int -> int
+  (** [peek_u16 r off] is the big-endian u16 [off] bytes past the
+      current position; nothing is consumed. *)
+
   val u32 : t -> int32
 
   val u64 : t -> int64

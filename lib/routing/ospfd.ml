@@ -247,7 +247,7 @@ let mark_dirty t rid = Hashtbl.replace t.spf_dirty rid ()
 (* Set bits of the 32-bit netmask (SWAR popcount, replacing a 32-step
    shift loop on the route-build hot path). *)
 let mask_len_of m =
-  let v = Int32.to_int m land 0xFFFFFFFF in
+  let v = Ipv4_addr.to_int m in
   let v = v - ((v lsr 1) land 0x55555555) in
   let v = (v land 0x33333333) + ((v lsr 2) land 0x33333333) in
   let v = (v + (v lsr 4)) land 0x0F0F0F0F in
@@ -256,11 +256,7 @@ let mask_len_of m =
 (* A prefix as a plain int, ordered exactly like [Prefix.compare]
    (unsigned 32-bit network address, then length): cheap hash key and
    sort key on the route-publication path. *)
-let prefix_key p =
-  ((Int32.to_int (Ipv4_addr.to_int32 (Ipv4_addr.Prefix.network p))
-   land 0xFFFFFFFF)
-  lsl 6)
-  lor Ipv4_addr.Prefix.length p
+let prefix_key (p : Ipv4_addr.Prefix.t) = (p :> int)
 
 (* Stub links of [rid]'s router LSA as (prefix, key, metric) triples,
    parsed once per LSA generation and entered into [advertisers]. *)
@@ -276,7 +272,7 @@ let stub_links_of t rid =
                 if l.link_type = Ospf_pkt.Stub then begin
                   let p =
                     Ipv4_addr.Prefix.make l.link_id
-                      (mask_len_of (Ipv4_addr.to_int32 l.link_data))
+                      (mask_len_of l.link_data)
                   in
                   Some (p, prefix_key p, l.metric)
                 end
@@ -537,14 +533,8 @@ let originate_router_lsa t =
   in
   t.my_seq <- Int32.add t.my_seq 1l;
   let lsa =
-    {
-      Ospf_pkt.age = 1;
-      options = 0x02;
-      link_state_id = t.cfg.router_id;
-      adv_router = t.cfg.router_id;
-      seq = t.my_seq;
-      body = Ospf_pkt.Router { links };
-    }
+    Ospf_pkt.make_lsa ~age:1 ~options:0x02 ~link_state_id:t.cfg.router_id
+      ~adv_router:t.cfg.router_id ~seq:t.my_seq (Ospf_pkt.Router { links })
   in
   install_lsa t lsa;
   flood t lsa
@@ -851,14 +841,9 @@ let stop t =
        instead of waiting out the dead interval. *)
     t.my_seq <- Int32.add t.my_seq 1l;
     let flush =
-      {
-        Ospf_pkt.age = Ospf_pkt.max_age;
-        options = 0x02;
-        link_state_id = t.cfg.router_id;
-        adv_router = t.cfg.router_id;
-        seq = t.my_seq;
-        body = Ospf_pkt.Router { links = [] };
-      }
+      Ospf_pkt.make_lsa ~age:Ospf_pkt.max_age ~options:0x02
+        ~link_state_id:t.cfg.router_id ~adv_router:t.cfg.router_id
+        ~seq:t.my_seq (Ospf_pkt.Router { links = [] })
     in
     Hashtbl.remove t.lsdb
       { Ospf_pkt.k_type = 1; k_id = t.cfg.router_id; k_adv = t.cfg.router_id };

@@ -14,8 +14,7 @@ let create () = { root = new_node (); count = 0 }
 
 let bit_at addr i =
   (* Bit 0 is the most significant bit. *)
-  let v = Ipv4_addr.to_int32 addr in
-  Int32.logand (Int32.shift_right_logical v (31 - i)) 1l <> 0l
+  (Ipv4_addr.to_int addr lsr (31 - i)) land 1 <> 0
 
 let insert t prefix value =
   let addr = Ipv4_addr.Prefix.network prefix in
@@ -88,14 +87,14 @@ let lookup t addr =
 
 let fold f t acc =
   (* Depth-first with explicit prefix reconstruction. [bits] holds the
-     path's [depth] bits in an immediate int, so no step boxes an
-     int32; the order is [Prefix.compare]'s, which [Rib] relies on. *)
+     path's [depth] bits; the order is [Prefix.compare]'s, which [Rib]
+     relies on. *)
   let rec go node bits depth acc =
     let acc =
       match node.value with
       | Some v ->
-          let addr = Int32.of_int (bits lsl (32 - depth)) in
-          f (Ipv4_addr.Prefix.make (Ipv4_addr.of_int32 addr) depth) v acc
+          let addr = Ipv4_addr.of_int (bits lsl (32 - depth)) in
+          f (Ipv4_addr.Prefix.make addr depth) v acc
       | None -> acc
     in
     let acc =

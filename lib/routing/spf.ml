@@ -1,8 +1,8 @@
 open Rf_packet
 
-(* Router ids are 32-bit; as plain ints they make cheap hash keys and
-   keep the heap allocation-free. *)
-let key rid = Int32.to_int (Ipv4_addr.to_int32 rid) land 0xFFFFFFFF
+(* Router ids as plain ints make cheap hash keys and keep the heap
+   allocation-free. *)
+let key = Ipv4_addr.to_int
 
 type node = { n_rid : Ipv4_addr.t; n_out : int array; n_metric : int array }
 

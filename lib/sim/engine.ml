@@ -81,14 +81,8 @@ let schedule ?entity t after f =
 let periodic ?entity t ?jitter every f =
   if Vtime.span_is_negative every then
     invalid_arg "Engine.periodic: negative period";
-  let handle =
-    {
-      cancelled = false;
-      thunk = (fun () -> ());
-      entity =
-        (match entity with Some e -> e | None -> t.unattributed);
-    }
-  in
+  let entity = match entity with Some e -> e | None -> t.unattributed in
+  let handle = { cancelled = false; thunk = ignore; entity } in
   let next_delay () =
     match jitter with
     | None -> every
@@ -96,17 +90,23 @@ let periodic ?entity t ?jitter every f =
         let extra_s = Rng.float t.rng (Vtime.span_to_s j) in
         Vtime.span_add every (Vtime.span_s extra_s)
   in
-  (* Inner one-shots check [handle.cancelled]; after cancellation the
-     pending event fires as a no-op and the chain ends. *)
-  let rec arm () =
-    ignore
-      (schedule ?entity t (next_delay ()) (fun () ->
-           if not handle.cancelled then begin
-             f ();
-             arm ()
-           end))
+  (* One inner timer, built once and pushed again after each firing, so
+     a firing allocates nothing. It checks [handle.cancelled]: after
+     cancellation its pending firing still runs (and counts) as a no-op,
+     and the chain ends. *)
+  let rec inner =
+    {
+      cancelled = false;
+      thunk =
+        (fun () ->
+          if not handle.cancelled then begin
+            f ();
+            Event_heap.push t.queue (Vtime.add t.clock (next_delay ())) inner
+          end);
+      entity;
+    }
   in
-  arm ();
+  Event_heap.push t.queue (Vtime.add t.clock (next_delay ())) inner;
   handle
 
 let cancel timer = timer.cancelled <- true

@@ -307,7 +307,6 @@ let test_histogram_quantile () =
 let rule ?(direction = Slo.At_most) ?(unit_ = "s") name source ~warn ~fail =
   {
     Slo.r_name = name;
-    r_what = name;
     r_source = source;
     r_direction = direction;
     r_warn = warn;

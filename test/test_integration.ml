@@ -285,6 +285,37 @@ let test_fast_reroute_on_link_failure () =
      (loss limited to the reconvergence seconds). *)
   Alcotest.(check bool) "rerouted quickly" true (after_window - before >= 75)
 
+(* X1's state is O(N^2): N routers hold about N routes each. A 20-switch
+   ring, set up as X1 sets up its rings, runs to convergence; the words
+   the scenario keeps reachable (its live data, whatever else the test
+   process holds) are divided by its (router, route) pairs. The count
+   depends on what the run keeps, not on the host, so the bound sits
+   just above the measured 478.3 words (626.6 before LSAs were shared,
+   addresses made immediate and flow entries compacted) and the
+   per-route constant cannot creep back. *)
+let test_live_words_per_route () =
+  let n = 20 in
+  let options =
+    { Scenario.default_options with probe_interval = Vtime.span_s 30.0 }
+  in
+  let s = Scenario.build ~options (Topo_gen.ring n) in
+  Scenario.run_for s (Vtime.span_s ((8.0 *. float_of_int n) +. 180.));
+  Alcotest.(check bool) "converged" true
+    (Scenario.routing_converged_at s <> None);
+  let pairs =
+    List.fold_left
+      (fun acc (_, vm) -> acc + Rf_routing.Rib.size (Vm.rib vm))
+      0
+      (Rf_system.vms (Scenario.rf_system s))
+  in
+  Alcotest.(check int) "every router routes to every link" (n * n) pairs;
+  let words =
+    float_of_int (Obj.reachable_words (Obj.repr s)) /. float_of_int pairs
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f live words per (router, route) pair" words)
+    true (words < 490.)
+
 let suite =
   [
     Alcotest.test_case "discovery finds all switches and links" `Quick
@@ -316,4 +347,6 @@ let suite =
       test_switch_reconnect_heals;
     Alcotest.test_case "link failure reroutes inside the dead interval" `Quick
       test_fast_reroute_on_link_failure;
+    Alcotest.test_case "live words per (router, route) pair" `Quick
+      test_live_words_per_route;
   ]

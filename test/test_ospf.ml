@@ -126,6 +126,46 @@ let test_lsdb_sizes () =
     (fun r -> Alcotest.(check int) "lsdb size" 4 (Ospfd.lsdb_size r.ospf))
     routers
 
+(* LSAs are shared: an instance is interned under its wire bytes, so
+   after a 4-ring converges every router holds the very same value for
+   each LSA, the originator's own included. *)
+let test_lsdbs_share_lsa_values () =
+  let engine = Engine.create () in
+  let n = 4 in
+  let routers = Array.init n (fun i -> make_router engine (i + 1)) in
+  for i = 0 to n - 1 do
+    let nic side k =
+      Iface.create
+        ~name:(Printf.sprintf "eth%d%s" i side)
+        ~mac:(Mac.make_local (3000 + (2 * i) + k))
+        ~ip:(ip (Printf.sprintf "172.16.%d.%d" i (k + 1)))
+        ~prefix_len:30 ()
+    in
+    let a = nic "a" 0 and b = nic "b" 1 in
+    join engine a b;
+    Ospfd.add_interface routers.(i).ospf a;
+    Ospfd.add_interface routers.((i + 1) mod n).ospf b
+  done;
+  Array.iter (fun r -> Ospfd.start r.ospf) routers;
+  run_for engine 30.;
+  let key = Ospf_pkt.key_of_lsa in
+  let reference = Ospfd.lsdb routers.(0).ospf in
+  Alcotest.(check int) "one LSA per router" n (List.length reference);
+  Array.iteri
+    (fun i r ->
+      let lsdb = Ospfd.lsdb r.ospf in
+      Alcotest.(check int) (Printf.sprintf "router %d lsdb size" (i + 1)) n
+        (List.length lsdb);
+      List.iter
+        (fun lsa ->
+          let mine = List.find (fun l -> key l = key lsa) lsdb in
+          Alcotest.(check bool)
+            (Printf.sprintf "router %d shares the LSA of %s" (i + 1)
+               (Ipv4_addr.to_string lsa.Ospf_pkt.adv_router))
+            true (mine == lsa))
+        reference)
+    routers
+
 let test_neighbor_death_reconvergence () =
   let engine = Engine.create () in
   let routers = build_line engine 3 in
@@ -341,6 +381,8 @@ let suite =
     Alcotest.test_case "two routers exchange stub routes" `Quick test_two_routers_routes;
     Alcotest.test_case "five-router line converges" `Quick test_line_five_convergence;
     Alcotest.test_case "LSDB has one LSA per router" `Quick test_lsdb_sizes;
+    Alcotest.test_case "every LSDB holds the same LSA value" `Quick
+      test_lsdbs_share_lsa_values;
     Alcotest.test_case "neighbor death reconverges" `Quick test_neighbor_death_reconvergence;
     Alcotest.test_case "connected preferred over OSPF" `Quick test_connected_preferred_over_ospf;
     Alcotest.test_case "SPF run count bounded" `Quick test_spf_runs_bounded;

@@ -250,25 +250,20 @@ let test_lldp_generic_tlvs () =
 
 (* --- OSPF ---------------------------------------------------------------------- *)
 
-let router_lsa =
-  {
-    Ospf_pkt.age = 1;
-    options = 2;
-    link_state_id = ip "10.255.0.1";
-    adv_router = ip "10.255.0.1";
-    seq = Ospf_pkt.initial_seq;
-    body =
-      Ospf_pkt.Router
-        {
-          links =
-            [
-              { Ospf_pkt.link_id = ip "10.255.0.2"; link_data = ip "172.16.0.1";
-                link_type = Ospf_pkt.Point_to_point; metric = 10 };
-              { Ospf_pkt.link_id = ip "172.16.0.0"; link_data = ip "255.255.255.252";
-                link_type = Ospf_pkt.Stub; metric = 10 };
-            ];
-        };
-  }
+let router_lsa_links =
+  [
+    { Ospf_pkt.link_id = ip "10.255.0.2"; link_data = ip "172.16.0.1";
+      link_type = Ospf_pkt.Point_to_point; metric = 10 };
+    { Ospf_pkt.link_id = ip "172.16.0.0"; link_data = ip "255.255.255.252";
+      link_type = Ospf_pkt.Stub; metric = 10 };
+  ]
+
+let router_lsa_seq seq =
+  Ospf_pkt.make_lsa ~age:1 ~options:2 ~link_state_id:(ip "10.255.0.1")
+    ~adv_router:(ip "10.255.0.1") ~seq
+    (Ospf_pkt.Router { links = router_lsa_links })
+
+let router_lsa = router_lsa_seq Ospf_pkt.initial_seq
 
 let test_ospf_hello_roundtrip () =
   let pkt =
@@ -366,9 +361,31 @@ let test_lsa_fletcher_self_verifies () =
   let stored = (Char.code wire.[16] lsl 8) lor Char.code wire.[17] in
   Alcotest.(check int) "recompute matches" stored (Ospf_pkt.fletcher16 region 14)
 
+(* The decoder verifies each LSA's Fletcher checksum: an LSA whose body
+   changed in flight is rejected even inside a packet whose own
+   checksum was recomputed over the damage. *)
+let test_lsa_bad_checksum_rejected () =
+  let pkt =
+    {
+      Ospf_pkt.router_id = ip "10.255.0.1";
+      area_id = Ipv4_addr.any;
+      payload = Ospf_pkt.Ls_update [ router_lsa ];
+    }
+  in
+  let bad = Bytes.of_string (Ospf_pkt.to_wire pkt) in
+  (* 24-byte packet header, 4-byte LSA count, then the LSA: flip the
+     low byte of the first link's metric. *)
+  let metric = 24 + 4 + 20 + 4 + 11 in
+  Bytes.set bad metric (Char.chr (Char.code (Bytes.get bad metric) lxor 1));
+  Bytes.set_uint16_be bad 12 0;
+  Bytes.set_uint16_be bad 12 (Wire.checksum (Bytes.to_string bad));
+  match Ospf_pkt.of_wire (Bytes.to_string bad) with
+  | Error e -> Alcotest.(check string) "reason" "ospf: bad LSA checksum" e
+  | Ok _ -> Alcotest.fail "accepted an LSA with a bad Fletcher checksum"
+
 let test_compare_instance () =
   let h1 = Ospf_pkt.header_of_lsa router_lsa in
-  let newer = { router_lsa with Ospf_pkt.seq = Int32.add router_lsa.Ospf_pkt.seq 1l } in
+  let newer = router_lsa_seq (Int32.add router_lsa.Ospf_pkt.seq 1l) in
   let h2 = Ospf_pkt.header_of_lsa newer in
   Alcotest.(check bool) "newer wins" true (Ospf_pkt.compare_instance h2 h1 > 0);
   Alcotest.(check int) "same instance" 0 (Ospf_pkt.compare_instance h1 h1)
@@ -444,14 +461,10 @@ let prop_router_lsa_roundtrip =
           raw_links
       in
       let lsa =
-        {
-          Ospf_pkt.age = 1;
-          options = 2;
-          link_state_id = ip "10.255.0.1";
-          adv_router = ip "10.255.0.1";
-          seq = Int32.add Ospf_pkt.initial_seq (Int32.of_int seq_off);
-          body = Ospf_pkt.Router { links };
-        }
+        Ospf_pkt.make_lsa ~age:1 ~options:2 ~link_state_id:(ip "10.255.0.1")
+          ~adv_router:(ip "10.255.0.1")
+          ~seq:(Int32.add Ospf_pkt.initial_seq (Int32.of_int seq_off))
+          (Ospf_pkt.Router { links })
       in
       let pkt =
         { Ospf_pkt.router_id = ip "10.255.0.1"; area_id = Ipv4_addr.any;
@@ -464,6 +477,49 @@ let prop_router_lsa_roundtrip =
              | Ospf_pkt.Router { links = links' } -> links' = links
              | _ -> false)
       | Ok _ | Error _ -> false)
+
+(* [header_of_lsa] is a field read now; it must still say what the
+   first 20 bytes of the LSA's encoding say. *)
+let prop_header_matches_wire =
+  QCheck.Test.make ~name:"header_of_lsa = header decoded from lsa_to_wire"
+    ~count:150
+    QCheck.(
+      triple (int_bound 3600) (int_bound 0xFFFF)
+        (list_of_size (Gen.int_bound 12)
+           (triple int32 int32 (int_bound 0xFFFF))))
+    (fun (age, seq_off, raw_links) ->
+      let links =
+        List.map
+          (fun (link_raw, data_raw, metric) ->
+            {
+              Ospf_pkt.link_id = Ipv4_addr.of_int32 link_raw;
+              link_data = Ipv4_addr.of_int32 data_raw;
+              link_type =
+                (if Int32.logand link_raw 1l = 0l then Ospf_pkt.Point_to_point
+                 else Ospf_pkt.Stub);
+              metric;
+            })
+          raw_links
+      in
+      let lsa =
+        Ospf_pkt.make_lsa ~age ~options:2 ~link_state_id:(ip "10.255.0.1")
+          ~adv_router:(ip "200.1.2.3")
+          ~seq:(Int32.add Ospf_pkt.initial_seq (Int32.of_int seq_off))
+          (Ospf_pkt.Router { links })
+      in
+      let r = Wire.Reader.of_string (Ospf_pkt.lsa_to_wire lsa) in
+      let h_age = Wire.Reader.u16 r in
+      let h_options = Wire.Reader.u8 r in
+      let k_type = Wire.Reader.u8 r in
+      let k_id = Ipv4_addr.of_int32 (Wire.Reader.u32 r) in
+      let k_adv = Ipv4_addr.of_int32 (Wire.Reader.u32 r) in
+      let h_seq = Wire.Reader.u32 r in
+      let h_checksum = Wire.Reader.u16 r in
+      let h_length = Wire.Reader.u16 r in
+      Ospf_pkt.header_of_lsa lsa
+      = { Ospf_pkt.h_age; h_options; h_key = { k_type; k_id; k_adv }; h_seq;
+          h_checksum; h_length }
+      && h_length = String.length (Ospf_pkt.lsa_to_wire lsa))
 
 let prop_icmp_roundtrip =
   QCheck.Test.make ~name:"icmp echoes round-trip" ~count:200
@@ -511,11 +567,14 @@ let suite =
     Alcotest.test_case "lsa fletcher self-verifies" `Quick
       test_lsa_fletcher_self_verifies;
     Alcotest.test_case "lsa instance comparison" `Quick test_compare_instance;
+    Alcotest.test_case "an LSA with a bad Fletcher checksum is rejected at decode"
+      `Quick test_lsa_bad_checksum_rejected;
     Alcotest.test_case "whole-frame udp parse" `Quick test_packet_parse_udp;
     Alcotest.test_case "unknown ethertype degrades to raw" `Quick
       test_packet_parse_unknown_ethertype;
     QCheck_alcotest.to_alcotest prop_udp_roundtrip;
     QCheck_alcotest.to_alcotest prop_lldp_discovery_roundtrip;
     QCheck_alcotest.to_alcotest prop_router_lsa_roundtrip;
+    QCheck_alcotest.to_alcotest prop_header_matches_wire;
     QCheck_alcotest.to_alcotest prop_icmp_roundtrip;
   ]

@@ -412,9 +412,9 @@ let sample_frames =
     ( "ospf-lsu",
       ospf
         (Ospf_pkt.Ls_update
-           [ { Ospf_pkt.age = 1; options = 2; link_state_id = a;
-               adv_router = a; seq = Ospf_pkt.initial_seq;
-               body = Router { links = [ link ] } } ]) );
+           [ Ospf_pkt.make_lsa ~age:1 ~options:2 ~link_state_id:a
+               ~adv_router:a ~seq:Ospf_pkt.initial_seq
+               (Router { links = [ link ] }) ]) );
   ]
 
 (* BGP messages of each type a RouteFlow VM's bgpd exchanges. *)
@@ -652,6 +652,18 @@ let mac_roundtrip =
              | exception Invalid_argument _ -> true)
            [ String.sub wire 0 5; wire ^ "x" ])
 
+(* An address is an immediate int; the 64-bit conversions must still
+   be exact on every 48-bit value. *)
+let mac_int64_roundtrip =
+  prop "Mac of_int64∘to_int64 = id over 48-bit values"
+    (G.map (fun v -> Int64.logand v 0xFFFF_FFFF_FFFFL) G.ui64)
+    (Printf.sprintf "0x%012Lx")
+    (fun v ->
+      let m = Mac.of_int64 v in
+      Int64.equal (Mac.to_int64 m) v
+      && Mac.equal (Mac.of_int64 (Mac.to_int64 m)) m
+      && Mac.to_int m = Int64.to_int v)
+
 let gen_any_prefix =
   G.map2
     (fun a len -> Ipv4_addr.Prefix.make (Ipv4_addr.of_int32 a) len)
@@ -718,6 +730,46 @@ let trie_vs_naive =
               Ipv4_addr.Prefix.equal p p' && v = v'
           | Some _, None | None, Some _ -> false)
         probes)
+
+(* Addresses compare in unsigned 32-bit order, prefixes by network in
+   that order and then by length, and [Prefix_trie.fold] visits in
+   [Prefix.compare] order, which the RIB merge relies on. [G.int32]
+   draws negative values, i.e. addresses from 128.0.0.0 up, as often
+   as positive ones. *)
+let address_orders_agree =
+  prop "Ipv4_addr/Prefix order = unsigned order = trie fold order"
+    G.(list_size (int_range 0 30) gen_any_prefix)
+    (fun ps -> String.concat "; " (List.map prefix_print ps))
+    (fun ps ->
+      let unsigned p =
+        Int32.to_int (Ipv4_addr.to_int32 (Ipv4_addr.Prefix.network p))
+        land 0xFFFF_FFFF
+      in
+      let reference p q =
+        match Int.compare (unsigned p) (unsigned q) with
+        | 0 -> Int.compare (Ipv4_addr.Prefix.length p) (Ipv4_addr.Prefix.length q)
+        | c -> c
+      in
+      let sign c = Int.compare c 0 in
+      let trie = Rf_routing.Prefix_trie.create () in
+      List.iter (fun p -> Rf_routing.Prefix_trie.insert trie p ()) ps;
+      let folded =
+        List.rev (Rf_routing.Prefix_trie.fold (fun p () acc -> p :: acc) trie [])
+      in
+      List.for_all
+        (fun p ->
+          List.for_all
+            (fun q ->
+              let a = Ipv4_addr.Prefix.network p
+              and b = Ipv4_addr.Prefix.network q in
+              sign (Ipv4_addr.compare a b)
+              = sign (Int32.unsigned_compare (Ipv4_addr.to_int32 a)
+                        (Ipv4_addr.to_int32 b))
+              && sign (Ipv4_addr.Prefix.compare p q) = sign (reference p q))
+            ps)
+        ps
+      && List.equal Ipv4_addr.Prefix.equal folded
+           (List.sort_uniq reference ps))
 
 (* --- RPC delivery: exactly once, in order, within an epoch ----------- *)
 
@@ -813,6 +865,8 @@ let suite =
     rpc_exactly_once;
     ipv4_roundtrip;
     mac_roundtrip;
+    mac_int64_roundtrip;
     prefix_roundtrip;
     trie_vs_naive;
+    address_orders_agree;
   ]

@@ -808,14 +808,9 @@ let test_ospfd_incremental_rib_oracle () =
     seq.(i) <- Int32.succ seq.(i);
     alive.(i) <- true;
     let lsa =
-      {
-        Ospf_pkt.age = 1;
-        options = 0x02;
-        link_state_id = churn_rid i;
-        adv_router = churn_rid i;
-        seq = seq.(i);
-        body = Ospf_pkt.Router { links = links.(i) };
-      }
+      Ospf_pkt.make_lsa ~age:1 ~options:0x02 ~link_state_id:(churn_rid i)
+        ~adv_router:(churn_rid i) ~seq:seq.(i)
+        (Ospf_pkt.Router { links = links.(i) })
     in
     Ospfd.install_lsa d_inc lsa;
     Ospfd.install_lsa d_full lsa
@@ -868,14 +863,9 @@ let test_ospfd_incremental_rib_oracle () =
           alive.(i) <- false;
           seq.(i) <- Int32.succ seq.(i);
           let flush =
-            {
-              Ospf_pkt.age = Ospf_pkt.max_age;
-              options = 0x02;
-              link_state_id = churn_rid i;
-              adv_router = churn_rid i;
-              seq = seq.(i);
-              body = Ospf_pkt.Router { links = [] };
-            }
+            Ospf_pkt.make_lsa ~age:Ospf_pkt.max_age ~options:0x02
+              ~link_state_id:(churn_rid i) ~adv_router:(churn_rid i)
+              ~seq:seq.(i) (Ospf_pkt.Router { links = [] })
           in
           Ospfd.install_lsa d_inc flush;
           Ospfd.install_lsa d_full flush

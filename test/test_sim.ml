@@ -230,6 +230,28 @@ let test_engine_periodic () =
   ignore (Engine.run ~until:(Vtime.of_s 10.0) e);
   Alcotest.(check int) "five ticks then stop" 5 !count
 
+(* A periodic timer re-pushes one inner timer per handle, so once the
+   heap's arrays have grown a firing allocates nothing. After [cancel]
+   the pending firing still runs, and counts, as a no-op; then the
+   chain ends. *)
+let test_periodic_rearm_allocates_nothing () =
+  let e = Engine.create () in
+  let timer = Engine.periodic e (Vtime.span_ms 1) ignore in
+  ignore (Engine.run ~until:(Vtime.of_s 0.1) e);
+  let fired = Engine.events_executed e in
+  let before = Gc.minor_words () in
+  ignore (Engine.run ~until:(Vtime.of_s 10.1) e);
+  let delta = Gc.minor_words () -. before in
+  Alcotest.(check int) "10,000 firings" 10_000 (Engine.events_executed e - fired);
+  Alcotest.(check bool)
+    (Printf.sprintf "10,000 periodic firings allocated %.0f minor words" delta)
+    true (delta < 64.);
+  Engine.cancel timer;
+  let fired = Engine.events_executed e in
+  ignore (Engine.run e);
+  Alcotest.(check int) "the pending firing runs as a counted no-op" 1
+    (Engine.events_executed e - fired)
+
 let test_engine_deadline () =
   let e = Engine.create () in
   ignore (Engine.schedule e (Vtime.span_s 10.0) (fun () -> ()));
@@ -535,6 +557,8 @@ let suite =
     Alcotest.test_case "engine executes in time order" `Quick test_engine_schedule_order;
     Alcotest.test_case "engine cancel" `Quick test_engine_cancel;
     Alcotest.test_case "engine periodic + cancel" `Quick test_engine_periodic;
+    Alcotest.test_case "periodic re-arm allocates nothing" `Quick
+      test_periodic_rearm_allocates_nothing;
     Alcotest.test_case "engine deadline semantics" `Quick test_engine_deadline;
     Alcotest.test_case "engine stop" `Quick test_engine_stop;
     Alcotest.test_case "engine rejects scheduling into the past" `Quick
