@@ -30,6 +30,8 @@ type t = {
   mutable on_table_changed : unit -> unit;
   mutable forwarded : int;
   mutable missed : int;
+  born : Rf_sim.Vtime.t;  (** origin of the 1 s expiry grid *)
+  mutable expiry_armed : bool;
 }
 
 let max_buffers = 256
@@ -57,6 +59,36 @@ let notify_removed t ~now reason (e : Flow_table.entry) =
         fr_byte_count = Int64.of_int e.e_bytes;
       }
 
+(* The expiry tick runs only while the table holds a timed entry, on
+   the 1 s grid from the switch's creation: armed for the first grid
+   point after now, it re-arms itself until no timed entry is left. *)
+let rec arm_expiry t =
+  if (not t.expiry_armed) && Flow_table.timed_entries t.table > 0 then begin
+    let second = 1_000_000 in
+    let born = Rf_sim.Vtime.to_us t.born in
+    let elapsed = Rf_sim.Vtime.to_us (Rf_sim.Engine.now t.engine) - born in
+    let next = born + (((elapsed / second) + 1) * second) in
+    t.expiry_armed <- true;
+    ignore
+      (Rf_sim.Engine.schedule_at ~entity:t.entity t.engine
+         (Rf_sim.Vtime.of_us next) (fun () -> expiry_tick t))
+  end
+
+and expiry_tick t =
+  let now = Rf_sim.Engine.now t.engine in
+  let removed = Flow_table.expire t.table ~now in
+  List.iter
+    (fun (e, reason) ->
+      notify_removed t ~now
+        (match reason with
+        | Flow_table.Expired_idle -> Of_msg.Removed_idle
+        | Flow_table.Expired_hard -> Of_msg.Removed_hard)
+        e)
+    removed;
+  if removed <> [] then t.on_table_changed ();
+  t.expiry_armed <- false;
+  arm_expiry t
+
 let create engine ~dpid ~n_ports =
   if n_ports < 1 || n_ports > Of_port.max_physical then
     invalid_arg "Datapath.create: bad port count";
@@ -74,42 +106,25 @@ let create engine ~dpid ~n_ports =
       tx_dropped = 0;
     }
   in
-  let t =
-    {
-      engine;
-      dpid;
-      entity = Rf_obs.Profiler.switch dpid;
-      ports = Array.init n_ports mk;
-      table = Flow_table.create ();
-      buffers = Hashtbl.create 64;
-      buffer_order = [];
-      next_buffer = 1l;
-      miss_send_len = 128;
-      on_packet_in = (fun _ -> ());
-      on_flow_removed = (fun _ -> ());
-      on_port_status = (fun _ _ -> ());
-      on_table_changed = (fun () -> ());
-      forwarded = 0;
-      missed = 0;
-    }
-  in
-  let expiry () =
-    let now = Rf_sim.Engine.now engine in
-    let removed = Flow_table.expire t.table ~now in
-    List.iter
-      (fun (e, reason) ->
-        notify_removed t ~now
-          (match reason with
-          | Flow_table.Expired_idle -> Of_msg.Removed_idle
-          | Flow_table.Expired_hard -> Of_msg.Removed_hard)
-          e)
-      removed;
-    if removed <> [] then t.on_table_changed ()
-  in
-  ignore
-    (Rf_sim.Engine.periodic ~entity:t.entity engine (Rf_sim.Vtime.span_s 1.0)
-       expiry);
-  t
+  {
+    engine;
+    dpid;
+    entity = Rf_obs.Profiler.switch dpid;
+    ports = Array.init n_ports mk;
+    table = Flow_table.create ();
+    buffers = Hashtbl.create 64;
+    buffer_order = [];
+    next_buffer = 1l;
+    miss_send_len = 128;
+    on_packet_in = (fun _ -> ());
+    on_flow_removed = (fun _ -> ());
+    on_port_status = (fun _ _ -> ());
+    on_table_changed = (fun () -> ());
+    forwarded = 0;
+    missed = 0;
+    born = Rf_sim.Engine.now engine;
+    expiry_armed = false;
+  }
 
 let dpid t = t.dpid
 
@@ -357,6 +372,7 @@ let handle_flow_mod t (fm : Of_msg.flow_mod) =
       | (Of_msg.Add | Of_msg.Modify | Of_msg.Modify_strict | Of_msg.Delete
         | Of_msg.Delete_strict), (Some _ | None) ->
           ());
+      arm_expiry t;
       t.on_table_changed ();
       Ok ()
 

@@ -12,8 +12,10 @@ type t
 val create :
   Rf_sim.Engine.t -> dpid:int64 -> n_ports:int -> t
 (** Ports are numbered 1..n_ports, each with a deterministic
-    locally-administered MAC. A periodic task expires flow entries
-    once per second. *)
+    locally-administered MAC. Flow entries expire on a 1 s grid from
+    creation; the tick is scheduled only while the table holds an
+    entry with an idle or hard timeout, so a switch with untimed
+    entries alone schedules no expiry event. *)
 
 val dpid : t -> int64
 

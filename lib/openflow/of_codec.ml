@@ -410,7 +410,11 @@ let decode_body typ xid r =
               }))
   | 14 ->
       let* fm_match = Of_match.of_wire r in
-      let fm_cookie = Wire.Reader.u64 r in
+      (* Every RouteFlow flow has cookie 0: share the constant rather
+         than keep a boxed int64 per flow entry. *)
+      let fm_cookie =
+        match Wire.Reader.u64 r with 0L -> 0L | cookie -> cookie
+      in
       let command_code = Wire.Reader.u16 r in
       let fm_idle_timeout = Wire.Reader.u16 r in
       let fm_hard_timeout = Wire.Reader.u16 r in

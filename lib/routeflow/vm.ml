@@ -478,31 +478,36 @@ let create engine ~dpid ~n_ports () =
     (Rf_sim.Engine.periodic ~entity:t.entity engine (Rf_sim.Vtime.span_s 30.0)
        (fun () ->
          let now = Rf_sim.Engine.now engine in
-         Hashtbl.iter
-           (fun key mac ->
-             ignore mac;
-             let confirmed =
-               Option.value
-                 (Hashtbl.find_opt t.arp_confirmed key)
-                 ~default:Rf_sim.Vtime.zero
-             in
-             if Rf_sim.Vtime.(add confirmed reachable < now) then begin
-               let port, target = key in
-               match Hashtbl.find_opt t.arp_probing key with
-               | None ->
-                   Hashtbl.replace t.arp_probing key 3;
-                   send_arp_request t port target
-               | Some 0 ->
-                   Hashtbl.remove t.arp_probing key;
-                   Hashtbl.remove t.arp key;
-                   Hashtbl.remove t.arp_confirmed key;
-                   t.export_all <- true;
-                   refresh_flows t
-               | Some n ->
-                   Hashtbl.replace t.arp_probing key (n - 1);
-                   send_arp_request t port target
-             end)
-           (Hashtbl.copy t.arp)));
+         (* The stale keys first, in table order, then the probes and
+            evictions, which change the tables being read. *)
+         let stale =
+           Hashtbl.fold
+             (fun key _ acc ->
+               let confirmed =
+                 Option.value
+                   (Hashtbl.find_opt t.arp_confirmed key)
+                   ~default:Rf_sim.Vtime.zero
+               in
+               if Rf_sim.Vtime.(add confirmed reachable < now) then key :: acc
+               else acc)
+             t.arp []
+         in
+         List.iter
+           (fun ((port, target) as key) ->
+             match Hashtbl.find_opt t.arp_probing key with
+             | None ->
+                 Hashtbl.replace t.arp_probing key 3;
+                 send_arp_request t port target
+             | Some 0 ->
+                 Hashtbl.remove t.arp_probing key;
+                 Hashtbl.remove t.arp key;
+                 Hashtbl.remove t.arp_confirmed key;
+                 t.export_all <- true;
+                 refresh_flows t
+             | Some n ->
+                 Hashtbl.replace t.arp_probing key (n - 1);
+                 send_arp_request t port target)
+           (List.rev stale)));
   t
 
 (* --- configuration -------------------------------------------------- *)

@@ -74,7 +74,8 @@ type t = {
   mutable spf_scheduled : bool;
   mutable spf_count : int;
   mutable started : bool;
-  mutable timers : Rf_sim.Engine.timer list;
+  (* Origin of the 1 s grid the inactivity deadlines fire on. *)
+  mutable started_at : Rf_sim.Vtime.t;
   (* What every route also depends on besides the tree and the stub
      links, as of the last publication: (router id, address, interface)
      of each Full neighbour, and the keys of our own prefixes. A change
@@ -107,7 +108,7 @@ let create engine ?entity cfg rib =
     spf_scheduled = false;
     spf_count = 0;
     started = false;
-    timers = [];
+    started_at = Rf_sim.Vtime.zero;
     hops = [];
     own_keys = [];
     m_spf =
@@ -168,27 +169,33 @@ let send_hello t oif =
 
 (* --- LSA origination and flooding -------------------------------- *)
 
+(* The retransmit timer runs only while the neighbour's retransmission
+   list is non-empty (RFC 2328 §13.6): a firing that finds nothing left
+   to resend disarms it, and the next flood or LS request arms it again,
+   one interval after that send. *)
 let arm_rxmt t nbr =
   if nbr.n_rxmt_timer = None then begin
-    let timer =
-      Rf_sim.Engine.periodic ?entity:t.entity t.engine
-        (Rf_sim.Vtime.span_s (float_of_int t.cfg.rxmt_interval))
-        (fun () ->
-          if Hashtbl.length nbr.n_rxmt > 0 then begin
-            let lsas =
-              Hashtbl.fold
-                (fun key () acc ->
-                  match Hashtbl.find_opt t.lsdb key with
-                  | Some lsa -> lsa :: acc
-                  | None ->
-                      Hashtbl.remove nbr.n_rxmt key;
-                      acc)
-                nbr.n_rxmt []
-            in
-            if lsas <> [] then send_pkt t nbr.n_oiface (Ospf_pkt.Ls_update lsas)
-          end)
+    let every = Rf_sim.Vtime.span_s (float_of_int t.cfg.rxmt_interval) in
+    let rec fire () =
+      let lsas =
+        Hashtbl.fold
+          (fun key () acc ->
+            match Hashtbl.find_opt t.lsdb key with
+            | Some lsa -> lsa :: acc
+            | None ->
+                Hashtbl.remove nbr.n_rxmt key;
+                acc)
+          nbr.n_rxmt []
+      in
+      if lsas = [] then nbr.n_rxmt_timer <- None
+      else begin
+        send_pkt t nbr.n_oiface (Ospf_pkt.Ls_update lsas);
+        nbr.n_rxmt_timer <-
+          Some (Rf_sim.Engine.schedule ?entity:t.entity t.engine every fire)
+      end
     in
-    nbr.n_rxmt_timer <- Some timer
+    nbr.n_rxmt_timer <-
+      Some (Rf_sim.Engine.schedule ?entity:t.entity t.engine every fire)
   end
 
 let flood t ?except lsa =
@@ -578,6 +585,37 @@ let kill_neighbor t nbr =
     schedule_spf t
   end
 
+(* RFC 2328 §10's InactivityTimer, checked lazily. A neighbour's
+   deadline is the first point of the 1 s grid from [start] strictly
+   after its last hello plus the dead interval. When it fires, a hello
+   that arrived meanwhile moves it on; otherwise the neighbour dies.
+   A killed or replaced record, or one dropped when the daemon
+   stopped, is no longer in [nbr_tbl], and its deadline does nothing.
+   One closure per neighbour, re-armed as it is. *)
+let dead_deadline t nbr =
+  let second = 1_000_000 in
+  let origin = Rf_sim.Vtime.to_us t.started_at in
+  let expires =
+    Rf_sim.Vtime.to_us nbr.n_last_hello + (t.cfg.dead_interval * second)
+    - origin
+  in
+  Rf_sim.Vtime.of_us (origin + (((expires / second) + 1) * second))
+
+let watch_inactivity t nbr =
+  let rec check () =
+    match Hashtbl.find_opt t.nbr_tbl nbr.n_router_id with
+    | Some current when current == nbr ->
+        let deadline = dead_deadline t nbr in
+        if Rf_sim.Vtime.(Rf_sim.Engine.now t.engine < deadline) then
+          ignore
+            (Rf_sim.Engine.schedule_at ?entity:t.entity t.engine deadline check)
+        else kill_neighbor t nbr
+    | Some _ | None -> ()
+  in
+  ignore
+    (Rf_sim.Engine.schedule_at ?entity:t.entity t.engine (dead_deadline t nbr)
+       check)
+
 let handle_hello t oif ~src (h : Ospf_pkt.hello) ~from_rid =
   if
     h.hello_interval <> t.cfg.hello_interval
@@ -612,6 +650,7 @@ let handle_hello t oif ~src (h : Ospf_pkt.hello) ~from_rid =
           }
         in
         Hashtbl.replace t.nbr_tbl from_rid n;
+        watch_inactivity t n;
         (* Answer at once so the peer learns about us without waiting a
            full hello interval. *)
         send_hello t oif;
@@ -811,26 +850,8 @@ let add_interface t ?(passive = false) ifc =
 let start t =
   if not t.started then begin
     t.started <- true;
+    t.started_at <- Rf_sim.Engine.now t.engine;
     List.iter (fun oif -> arm_iface t oif) t.ifaces;
-    (* Dead-neighbor scan. *)
-    let dead_scan () =
-      let now = Rf_sim.Engine.now t.engine in
-      let dead =
-        Hashtbl.fold
-          (fun _ n acc ->
-            let deadline =
-              Rf_sim.Vtime.add n.n_last_hello
-                (Rf_sim.Vtime.span_s (float_of_int t.cfg.dead_interval))
-            in
-            if Rf_sim.Vtime.(deadline < now) then n :: acc else acc)
-          t.nbr_tbl []
-      in
-      List.iter (kill_neighbor t) dead
-    in
-    t.timers <-
-      Rf_sim.Engine.periodic ?entity:t.entity t.engine
-        (Rf_sim.Vtime.span_s 1.0) dead_scan
-      :: t.timers;
     originate_router_lsa t
   end
 
@@ -858,8 +879,6 @@ let stop t =
             oif.hello_timer <- None
         | None -> ())
       t.ifaces;
-    List.iter Rf_sim.Engine.cancel t.timers;
-    t.timers <- [];
     Hashtbl.iter
       (fun _ n ->
         match n.n_rxmt_timer with

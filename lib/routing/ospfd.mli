@@ -40,8 +40,9 @@ type t
 
 val create :
   Rf_sim.Engine.t -> ?entity:Rf_obs.Profiler.entity -> config -> Rib.t -> t
-(** [entity] tags the daemon's timers (hello, SPF, dead-scan) for load
-    attribution — the owning VM passes its switch entity. *)
+(** [entity] tags the daemon's timers (hello, SPF, inactivity,
+    retransmit) for load attribution — the owning VM passes its switch
+    entity. *)
 
 val config : t -> config
 
@@ -50,7 +51,11 @@ val add_interface : t -> ?passive:bool -> Iface.t -> unit
     into the RIB. Every interface costs [reference_cost]. *)
 
 val start : t -> unit
-(** Sends the first hellos immediately and starts all timers. *)
+(** Sends the first hellos immediately and starts the hello timers.
+    Each neighbour gets its own inactivity deadline (RFC 2328 §10) on
+    a 1 s grid from [start]: it dies at the first grid point strictly
+    after its last hello plus [dead_interval]. A neighbour's
+    retransmit timer runs only while it has unacknowledged LSAs. *)
 
 val stop : t -> unit
 (** Cancels timers and withdraws OSPF routes. *)

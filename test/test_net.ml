@@ -624,6 +624,59 @@ let test_datapath_forwards_on_match () =
   Alcotest.(check int) "forwarded" 1 (List.length !out);
   Alcotest.(check int) "counter" 1 (Datapath.packets_forwarded dp)
 
+(* RouteFlow installs no timeouts, and a switch holding only untimed
+   entries schedules no expiry tick: a minute of virtual time runs no
+   event at all. *)
+let test_untimed_datapath_schedules_no_expiry () =
+  let engine = Engine.create () in
+  let dp = Datapath.create engine ~dpid:1L ~n_ports:2 in
+  List.iter
+    (fun prefix ->
+      match
+        Datapath.handle_flow_mod dp
+          (Of_msg.flow_add (Of_match.nw_dst_prefix (pfx prefix))
+             [ Of_action.output 2 ])
+      with
+      | Ok () -> ()
+      | Error _ -> Alcotest.fail "flow mod failed")
+    [ "10.0.2.0/24"; "10.0.3.0/24" ];
+  ignore (Engine.run ~until:(Vtime.of_s 60.) engine);
+  Alcotest.(check int) "events" 0 (Engine.events_executed engine);
+  Alcotest.(check int) "heap pushes" 0 (Engine.heap_pushes engine);
+  Alcotest.(check int) "entries kept" 2
+    (Flow_table.size (Datapath.flow_table dp))
+
+(* A timed entry arms the tick on the 1 s grid from the switch's
+   creation: added at 2.3 s with a 5 s hard timeout, it is removed by
+   the tick at 8 s (the first grid point after 7.3 s), and the tick
+   then disarms. *)
+let test_timed_entry_expires_on_grid () =
+  let engine = Engine.create () in
+  let dp = Datapath.create engine ~dpid:1L ~n_ports:2 in
+  let removed = ref [] in
+  Datapath.set_on_flow_removed dp (fun fr ->
+      removed := (Engine.now engine, fr.Of_msg.fr_reason) :: !removed);
+  ignore
+    (Engine.schedule_at engine (Vtime.of_s 2.3) (fun () ->
+         match
+           Datapath.handle_flow_mod dp
+             (Of_msg.flow_add ~hard_timeout:5 ~notify_removed:true
+                (Of_match.nw_dst_prefix (pfx "10.0.2.0/24"))
+                [ Of_action.output 2 ])
+         with
+         | Ok () -> ()
+         | Error _ -> Alcotest.fail "flow mod failed"));
+  ignore (Engine.run ~until:(Vtime.of_s 60.) engine);
+  (match !removed with
+  | [ (at, Of_msg.Removed_hard) ] ->
+      Alcotest.(check int) "removed at 8 s" 8_000_000 (Vtime.to_us at)
+  | _ -> Alcotest.fail "expected one hard-timeout removal");
+  Alcotest.(check int) "table empty" 0
+    (Flow_table.size (Datapath.flow_table dp));
+  (* The flow-mod, then the ticks at 3, 4, 5, 6, 7 and 8 s; none after. *)
+  Alcotest.(check int) "events" 7 (Engine.events_executed engine);
+  Alcotest.(check int) "heap pushes" 7 (Engine.heap_pushes engine)
+
 (* --- allocation budgets on the switch hot path ---------------------- *)
 
 (* Minor words per call of [f], averaged over [n] calls after a warm-up
@@ -665,8 +718,8 @@ let test_forward_hop_word_budget () =
     (Printf.sprintf "%.1f minor words per forwarded frame" words)
     true (words < 80.)
 
-(* RouteFlow installs no timeouts, so the once-a-second expiry sweep
-   must cost nothing on its tables. *)
+(* RouteFlow installs no timeouts, so an expiry sweep must cost
+   nothing on its tables. *)
 let test_expire_untimed_allocates_nothing () =
   let table = Flow_table.create () in
   for i = 0 to 49 do
@@ -734,8 +787,8 @@ let test_flow_mod_churn_word_budget () =
    every flow-mod decoded from the wire (so nothing is shared with the
    sender), matching an nw_dst prefix and rewriting both MACs, the
    table's buckets included. The bound sits just above the measured
-   53.1 words (81.8 with boxed addresses and a projected key plus a
-   hash-table node per entry). *)
+   50.1 words (53.1 with a boxed zero cookie per entry, 81.8 with boxed
+   addresses and a projected key plus a hash-table node per entry). *)
 let test_flow_table_words_per_entry () =
   let table = Flow_table.create () in
   let n = 1_000 in
@@ -763,7 +816,7 @@ let test_flow_table_words_per_entry () =
   in
   Alcotest.(check bool)
     (Printf.sprintf "%.1f live words per entry" words)
-    true (words < 56.)
+    true (words < 52.)
 
 (* [timed_entries] gates the expiry scan, so it must equal the number
    of entries with a timeout after any mix of adds (fresh and
@@ -1453,6 +1506,10 @@ let suite =
       test_expire_order_and_index_invalidation;
     Alcotest.test_case "datapath forwards on match" `Quick
       test_datapath_forwards_on_match;
+    Alcotest.test_case "untimed datapath schedules no expiry" `Quick
+      test_untimed_datapath_schedules_no_expiry;
+    Alcotest.test_case "timed entry expires on the 1 s grid" `Quick
+      test_timed_entry_expires_on_grid;
     Alcotest.test_case "forwarded frame within word budget" `Quick
       test_forward_hop_word_budget;
     Alcotest.test_case "expire on an untimed table allocates nothing" `Quick

@@ -181,6 +181,100 @@ let test_neighbor_death_reconvergence () =
     "withdrawn after death" true
     (Rib.best routers.(0).rib (pfx "10.0.3.0/24") = None)
 
+(* Two routers on a link whose directions pass only the OSPF packets
+   [a_to_b] and [b_to_a] keep (1 ms one way, as [join]). Neither is
+   started. *)
+let filtered_pair engine ~a_to_b ~b_to_a =
+  let r1 = make_router engine 1 and r2 = make_router engine 2 in
+  let ia =
+    Iface.create ~name:"p1" ~mac:(Mac.make_local 1401) ~ip:(ip "172.16.98.1")
+      ~prefix_len:30 ()
+  in
+  let ib =
+    Iface.create ~name:"p2" ~mac:(Mac.make_local 1402) ~ip:(ip "172.16.98.2")
+      ~prefix_len:30 ()
+  in
+  let wire keep dst frame =
+    match Packet.parse frame with
+    | Ok { l3 = Packet.Ipv4 (_, Packet.Ospf pkt); _ }
+      when not (keep pkt.Ospf_pkt.payload) ->
+        ()
+    | Ok _ | Error _ ->
+        ignore
+          (Engine.schedule engine (Vtime.span_ms 1) (fun () ->
+               Iface.deliver dst frame))
+  in
+  Iface.set_transmit ia (wire a_to_b ib);
+  Iface.set_transmit ib (wire b_to_a ia);
+  Ospfd.add_interface r1.ospf ia;
+  Ospfd.add_interface r2.ospf ib;
+  (r1, r2)
+
+(* A neighbour that falls silent while its interface stays up dies on
+   the 1 s grid from its router's start (0.3 s here), at the first grid
+   point after its last hello plus the 40 s dead interval. Its last
+   hello reaches r1 between 20.0 and 20.3 s (hellos are jittered), so
+   it dies at 60.3 s: the instant a 1 Hz scan of the neighbour table
+   from the same start would first find it dead. *)
+let test_silent_neighbor_dies_on_grid () =
+  let engine = Engine.create () in
+  let silent = ref false in
+  let r1, r2 =
+    filtered_pair engine
+      ~a_to_b:(fun _ -> true)
+      ~b_to_a:(function Ospf_pkt.Hello _ -> not !silent | _ -> true)
+  in
+  Ospfd.start r2.ospf;
+  run_for engine 0.3;
+  Ospfd.start r1.ospf;
+  run_for engine 24.7;
+  Alcotest.(check bool) "adjacent before" true
+    (Ospfd.is_adjacent_to r1.ospf r2.rid);
+  silent := true;
+  let neighbors_at us =
+    ignore (Engine.run ~until:(Vtime.of_us us) engine);
+    List.length (Ospfd.neighbors r1.ospf)
+  in
+  Alcotest.(check int) "alive 1 us before 60.3 s" 1 (neighbors_at 60_299_999);
+  Alcotest.(check int) "dead at 60.3 s" 0 (neighbors_at 60_300_000)
+
+(* The retransmit timer runs only while an LSA waits for its ack: a
+   firing that finds the list empty disarms it, and the next flood
+   arms it again one interval after that flood. With r2's acks
+   dropped, r1's new stub at 47.3 s is flooded and resent exactly at
+   52.3 s, not on a grid kept from the adjacency's first flood. That
+   resend is acked, and nothing more is sent. *)
+let test_rxmt_runs_only_while_pending () =
+  let engine = Engine.create () in
+  let drop_acks = ref false in
+  let updates = ref [] in
+  let r1, r2 =
+    filtered_pair engine
+      ~a_to_b:(fun p ->
+        (match p with
+        | Ospf_pkt.Ls_update _ ->
+            updates := Vtime.to_us (Engine.now engine) :: !updates
+        | _ -> ());
+        true)
+      ~b_to_a:(function Ospf_pkt.Ls_ack _ -> not !drop_acks | _ -> true)
+  in
+  Ospfd.start r1.ospf;
+  Ospfd.start r2.ospf;
+  run_for engine 47.3;
+  Alcotest.(check bool) "adjacent" true (Ospfd.is_adjacent_to r1.ospf r2.rid);
+  updates := [];
+  drop_acks := true;
+  Ospfd.add_interface r1.ospf ~passive:true
+    (Iface.create ~name:"stub9" ~mac:(Mac.make_local 1409)
+       ~ip:(ip "10.0.9.1") ~prefix_len:24 ());
+  run_for engine 2.7;
+  drop_acks := false;
+  run_for engine 60.;
+  Alcotest.(check (list int)) "LS updates from r1"
+    [ 47_300_000; 52_300_000 ] (List.rev !updates);
+  Alcotest.(check bool) "r2 has the stub" true
+    (Rib.best r2.rib (pfx "10.0.9.0/24") <> None)
+
 let test_connected_preferred_over_ospf () =
   let engine = Engine.create () in
   let routers = build_line engine 2 in
@@ -384,6 +478,10 @@ let suite =
     Alcotest.test_case "every LSDB holds the same LSA value" `Quick
       test_lsdbs_share_lsa_values;
     Alcotest.test_case "neighbor death reconverges" `Quick test_neighbor_death_reconvergence;
+    Alcotest.test_case "silent neighbor dies on the 1 s grid" `Quick
+      test_silent_neighbor_dies_on_grid;
+    Alcotest.test_case "retransmit timer runs only while pending" `Quick
+      test_rxmt_runs_only_while_pending;
     Alcotest.test_case "connected preferred over OSPF" `Quick test_connected_preferred_over_ospf;
     Alcotest.test_case "SPF run count bounded" `Quick test_spf_runs_bounded;
     Alcotest.test_case "late joiner syncs the database" `Quick
