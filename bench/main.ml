@@ -198,9 +198,8 @@ let flow_export_fixture () =
   in
   run_for 1.0;
   let vm = Rf_routeflow.Vm.create engine ~dpid:1L ~n_ports:2 () in
-  Rf_routeflow.Vm.set_on_flows_changed vm (fun () ->
-      Rf_routeflow.Rf_controller_app.sync_flows app ~dpid:1L
-        (Rf_routeflow.Vm.flow_routes vm));
+  Rf_routeflow.Vm.add_on_flows_changed vm
+    (Rf_routeflow.Rf_controller_app.sync_flows app ~dpid:1L vm);
   let eth1 = Rf_routeflow.Vm.nic vm 1 in
   Rf_routing.Iface.set_transmit eth1 (fun _ -> ());
   Rf_routing.Iface.set_transmit (Rf_routeflow.Vm.nic vm 2) (fun _ -> ());

@@ -488,7 +488,8 @@ let build ?(options = default_options) topo =
             (fun dpid ->
               match Rf_system.vm rf_sys dpid with
               | Some vm ->
-                  Rf_routeflow.Vm.add_on_flows_changed vm (fun () ->
+                  Rf_routeflow.Vm.add_on_flows_changed vm
+                    (fun ~removed:_ ~added:_ ->
                       Rf_obs.Auditor.set_rib au dpid
                         (List.map
                            (fun (fr : Rf_routeflow.Vm.flow_route) ->

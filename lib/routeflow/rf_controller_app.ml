@@ -2,7 +2,9 @@ open Rf_packet
 open Rf_openflow
 module Of_conn = Rf_controller.Of_conn
 
-type sw = { conn : Of_conn.t; mutable installed : Vm.flow_route list }
+(* [source]: the VM whose export this connection last carried, [None]
+   since the handshake. Its table is what the switch holds. *)
+type sw = { conn : Of_conn.t; mutable source : Vm.t option }
 
 type t = {
   engine : Rf_sim.Engine.t;
@@ -46,7 +48,7 @@ let attach t ~dpid:_ endpoint =
   if not t.master then Of_conn.set_role conn Of_conn.Slave;
   Of_conn.set_on_handshake conn (fun features ->
       let dpid = features.Of_msg.datapath_id in
-      Hashtbl.replace t.switches dpid { conn; installed = [] };
+      Hashtbl.replace t.switches dpid { conn; source = None };
       Of_conn.set_on_close conn (fun () -> Hashtbl.remove t.switches dpid);
       (* Full frames in packet-ins: the VM needs whole packets for its
          slow path, not 128-byte heads plus buffer ids. *)
@@ -95,40 +97,33 @@ let flow_mod_of_route ~add (fr : Vm.flow_route) =
       ]
   else Of_msg.flow_delete ~strict:true ~priority (match_of_route fr)
 
-let sync_flows t ~dpid flows =
+let send_flow_mod t sw ~add f =
+  t.flow_mods <- t.flow_mods + 1;
+  Of_conn.flow_mod sw.conn (flow_mod_of_route ~add f)
+
+let sync_flows t ~dpid vm ~removed ~added =
   match Hashtbl.find_opt t.switches dpid with
   | None -> ()
   | Some sw ->
-      let send ~add f =
-        t.flow_mods <- t.flow_mods + 1;
-        Of_conn.flow_mod sw.conn (flow_mod_of_route ~add f)
+      (* The delta applies to what this connection last carried only
+         when that was [vm]'s previous table; a fresh connection or
+         another VM's flows get a whole-table diff. *)
+      let removed, added =
+        match sw.source with
+        | Some v when v == vm -> (removed, added)
+        | Some v -> Vm.diff_flows (Vm.flow_routes v) (Vm.flow_routes vm)
+        | None -> ([], Vm.flow_routes vm)
       in
-      (* One merge over the two sorted lists: stale entries are deleted
-         as the walk meets them (installed order); fresh ones are
-         collected and added afterwards (exported order). *)
-      let rec diff installed exported fresh =
-        match (installed, exported) with
-        | [], rest -> List.rev_append fresh rest
-        | i :: is, [] ->
-            send ~add:false i;
-            diff is [] fresh
-        | i :: is, e :: es ->
-            let c = Vm.compare_flow i e in
-            if c = 0 then diff is es fresh
-            else if c < 0 then begin
-              send ~add:false i;
-              diff is exported fresh
-            end
-            else diff installed es (e :: fresh)
-      in
-      List.iter (send ~add:true) (diff sw.installed flows []);
-      sw.installed <- flows
+      sw.source <- Some vm;
+      List.iter (send_flow_mod t sw ~add:false) removed;
+      List.iter (send_flow_mod t sw ~add:true) added
 
 (* Failover reassignment: flip every switch session's OpenFlow role.
-   On promotion, re-send the flows we believe installed — a flow_add
-   with the same match and priority replaces in place, so re-applying
-   over whatever the switch already holds is idempotent; any mods the
-   slave suppressed while standing by are thereby made good. *)
+   On promotion, re-send the table of the VM each connection last
+   carried — a flow_add with the same match and priority replaces in
+   place, so re-applying over whatever the switch already holds is
+   idempotent; any mods the slave suppressed while standing by are
+   thereby made good. *)
 let set_master t master =
   if t.master <> master then begin
     t.master <- master;
@@ -141,23 +136,16 @@ let set_master t master =
           ~event:"role-reassign"
           (Printf.sprintf "sw%Ld -> %s" dpid
              (if master then "master" else "slave"));
-        if master then
-          List.iter
-            (fun f ->
-              t.flow_mods <- t.flow_mods + 1;
-              Of_conn.flow_mod sw.conn (flow_mod_of_route ~add:true f))
-            sw.installed)
+        match sw.source with
+        | Some vm when master ->
+            List.iter (send_flow_mod t sw ~add:true) (Vm.flow_routes vm)
+        | Some _ | None -> ())
       t.switches
   end
 
 let is_master t = t.master
 
 let reassignments t = t.reassignments
-
-let installed_flows t dpid =
-  match Hashtbl.find_opt t.switches dpid with
-  | Some sw -> sw.installed
-  | None -> []
 
 let flow_mods_sent t = t.flow_mods
 

@@ -17,28 +17,34 @@ val attach : t -> dpid:int64 -> Rf_net.Channel.endpoint -> unit
 
 val is_connected : t -> int64 -> bool
 
-val sync_flows : t -> dpid:int64 -> Vm.flow_route list -> unit
-(** Diffs against what is already installed: deletes stale entries
-    (strict) in installed order, then adds new ones in the given order.
-    The list must be sorted and duplicate-free under {!Vm.compare_flow},
-    as {!Vm.flow_routes} returns it; the diff is one merge of the two
-    sorted lists. Route-prefix priority grows with prefix length so
-    host routes beat subnet routes. *)
+val sync_flows :
+  t ->
+  dpid:int64 ->
+  Vm.t ->
+  removed:Vm.flow_route list ->
+  added:Vm.flow_route list ->
+  unit
+(** Carries one export of [vm] (a {!Vm.add_on_flows_changed} listener's
+    arguments) to the switch: deletes the removed entries (strict), then
+    adds the added ones, each in the given, sorted order. The app keeps
+    no flow list: it remembers which VM the connection last carried,
+    and when that is not [vm] (a fresh handshake, or another VM for the
+    same dpid) it sends {!Vm.diff_flows} of that VM's table (or of
+    nothing) against [vm]'s instead. Route-prefix priority grows with
+    prefix length so host routes beat subnet routes. *)
 
 val set_master : t -> bool -> unit
 (** Cluster failover hook: flips every switch session's OpenFlow role
     (and the role future attaches start in). Demotion parks the
     connections as slaves — state-changing sends are suppressed at the
-    connection layer. Promotion re-pushes the flows believed installed
-    on each switch; same-match same-priority adds replace in place, so
-    the re-apply is idempotent. Apps start as master. *)
+    connection layer. Promotion re-pushes the table of the VM each
+    connection last carried; same-match same-priority adds replace in
+    place, so the re-apply is idempotent. Apps start as master. *)
 
 val is_master : t -> bool
 
 val reassignments : t -> int
 (** Switch sessions whose role was flipped by {!set_master}. *)
-
-val installed_flows : t -> int64 -> Vm.flow_route list
 
 val flow_mods_sent : t -> int
 

@@ -1,6 +1,8 @@
 open Rf_packet
 open Rf_routing
 
+module Prefix_map = Map.Make (Ipv4_addr.Prefix)
+
 type pending_packet = { pp_ipv4 : Ipv4.t }
 
 type flow_route = {
@@ -27,7 +29,9 @@ type t = {
   configs : (string, string) Hashtbl.t;
   mutable ospf_enabled : string list;  (** NIC names already under OSPF *)
   mutable rip_enabled : string list;
-  mutable last_flows : flow_route list;  (** sorted by [compare_flow] *)
+  mutable table : flow_route list Prefix_map.t;
+      (** The exported flows by prefix; each list is non-empty and sorted
+          by [compare_flow]. *)
   (* What the next export recomputes: the prefixes the RIB reported
      since the last export, those whose next hop still awaited ARP at
      it, and those resolved through another route. [export_all] asks
@@ -39,8 +43,9 @@ type t = {
   recursive : (Ipv4_addr.Prefix.t, unit) Hashtbl.t;
   connected : (Ipv4_addr.Prefix.t, unit) Hashtbl.t;
   mutable export_all : bool;
-  mutable on_flows_changed : unit -> unit;
-  mutable flow_listeners : (unit -> unit) list;  (** extra observers *)
+  mutable flow_listeners :
+    (removed:flow_route list -> added:flow_route list -> unit) list;
+      (** in registration order *)
   mutable flows_dirty : bool;
   mutable slow_forwarded : int;
   m_slow_path : Rf_obs.Metrics.counter;
@@ -81,22 +86,31 @@ let config_file t name = Hashtbl.find_opt t.configs name
 
 (* --- flow export --------------------------------------------------- *)
 
-(* Exports keep the records of unchanged flows, so the diff against the
-   installed list mostly meets physically equal pairs. *)
 let compare_flow a b =
-  if a == b then 0
-  else
-    match Ipv4_addr.Prefix.compare a.fr_prefix b.fr_prefix with
-    | 0 -> (
-        match Int.compare a.fr_port b.fr_port with
-        | 0 -> (
-            match Mac.compare a.fr_src_mac b.fr_src_mac with
-            | 0 -> Mac.compare a.fr_dst_mac b.fr_dst_mac
-            | c -> c)
-        | c -> c)
-    | c -> c
+  match Ipv4_addr.Prefix.compare a.fr_prefix b.fr_prefix with
+  | 0 -> (
+      match Int.compare a.fr_port b.fr_port with
+      | 0 -> (
+          match Mac.compare a.fr_src_mac b.fr_src_mac with
+          | 0 -> Mac.compare a.fr_dst_mac b.fr_dst_mac
+          | c -> c)
+      | c -> c)
+  | c -> c
 
-let same_flow a b = compare_flow a b = 0
+(* One walk over two sorted lists: the flows only in [olds] and those
+   only in [fresh], each in order. *)
+let diff_flows olds fresh =
+  let rec go olds fresh removed added =
+    match (olds, fresh) with
+    | [], _ -> (List.rev removed, List.rev_append added fresh)
+    | _, [] -> (List.rev_append removed olds, List.rev added)
+    | o :: os, f :: fs ->
+        let c = compare_flow o f in
+        if c = 0 then go os fs removed added
+        else if c < 0 then go os fresh (o :: removed) added
+        else go olds fs removed (f :: added)
+  in
+  go olds fresh [] []
 
 let port_of_iface_name t name =
   let result = ref None in
@@ -178,36 +192,15 @@ let add_route_flows t acc (r : Rib.route) =
               acc)
       | Some (_, None) | None -> acc)
 
-(* The flows of [olds] whose prefix is in [ps] (sorted, distinct), in
-   order. *)
-let rec flows_within olds ps =
-  match (olds, ps) with
-  | [], _ | _, [] -> []
-  | f :: fs, p :: ps' ->
-      let c = Ipv4_addr.Prefix.compare f.fr_prefix p in
-      if c < 0 then flows_within fs ps
-      else if c > 0 then flows_within olds ps'
-      else f :: flows_within fs ps
-
-(* [olds] with the flows of prefixes [ps] replaced by [fresh], whose
-   prefixes all lie in [ps]; all three sorted. The tail after the last
-   replaced prefix is shared, not copied. *)
-let rec splice olds ps fresh =
-  match (olds, ps, fresh) with
-  | _, [], [] -> olds
-  | [], _, _ -> fresh
-  | f :: fs, p :: ps', _ when Ipv4_addr.Prefix.compare p f.fr_prefix <= 0 ->
-      if Ipv4_addr.Prefix.equal p f.fr_prefix then splice fs ps fresh
-      else splice olds ps' fresh
-  | f :: fs, _, n :: ns ->
-      if compare_flow n f < 0 then n :: splice olds ps ns
-      else f :: splice fs ps fresh
-  | f :: fs, _, [] -> f :: splice fs ps fresh
+let flow_routes t =
+  Seq.fold_left (fun acc (_, flows) -> flows @ acc) []
+    (Prefix_map.to_rev_seq t.table)
 
 (* One export: recompute the flows of the prefixes that can have
    changed (every prefix when [export_all], or when one of them is a
-   host route that a connected subnet's host flow could share) and
-   splice them into [last_flows]. Routes outside that set read only
+   host route that a connected subnet's host flow could share), diff
+   them against the table and store them there. Returns the flows
+   removed and added, each sorted. Routes outside that set read only
    inputs that did not change — their own route, the ARP table and the
    NIC addresses — so their flows stand. ARP requests go out for every
    unresolved next hop in prefix order, exactly as a full recompute
@@ -227,30 +220,37 @@ let export_flows t =
   Hashtbl.reset t.rib_changed;
   Hashtbl.reset t.unresolved;
   t.export_all <- false;
-  if all then begin
-    let flows =
-      List.sort_uniq compare_flow
-        (List.fold_left (add_route_flows t) [] (Rib.selected (rib t)))
+  (* Outside [all], no route recomputed is connected, so its flows lie
+     under its own prefix: the old flows are those of [ps]. *)
+  let ps =
+    Hashtbl.fold (fun p () acc -> p :: acc) prefixes []
+    |> List.sort Ipv4_addr.Prefix.compare
+  in
+  let routes =
+    if all then Rib.selected (rib t) else List.filter_map (Rib.best (rib t)) ps
+  in
+  let fresh =
+    List.sort_uniq compare_flow (List.fold_left (add_route_flows t) [] routes)
+  in
+  let olds =
+    if all then flow_routes t
+    else
+      List.concat_map
+        (fun p -> Option.value (Prefix_map.find_opt p t.table) ~default:[])
+        ps
+  in
+  let removed, added = diff_flows olds fresh in
+  if removed <> [] || added <> [] then begin
+    let kept =
+      if all then Prefix_map.empty
+      else List.fold_left (fun m p -> Prefix_map.remove p m) t.table ps
     in
-    if List.equal same_flow flows t.last_flows then None else Some flows
-  end
-  else begin
-    let ps =
-      Hashtbl.fold (fun p () acc -> p :: acc) prefixes []
-      |> List.sort Ipv4_addr.Prefix.compare
-    in
-    let fresh =
+    t.table <-
       List.fold_left
-        (fun acc p ->
-          match Rib.best (rib t) p with
-          | Some r -> add_route_flows t acc r
-          | None -> acc)
-        [] ps
-      |> List.sort compare_flow
-    in
-    if List.equal same_flow fresh (flows_within t.last_flows ps) then None
-    else Some (splice t.last_flows ps fresh)
-  end
+        (fun m f -> Prefix_map.add_to_list f.fr_prefix f m)
+        kept (List.rev fresh)
+  end;
+  (removed, added)
 
 let refresh_flows t =
   if not t.flows_dirty then begin
@@ -260,13 +260,11 @@ let refresh_flows t =
       (Rf_sim.Engine.schedule ~entity:t.entity t.engine
          (Rf_sim.Vtime.span_ms 10) (fun () ->
            t.flows_dirty <- false;
-           match export_flows t with
-           | None -> ()
-           | Some flows ->
-               t.last_flows <- flows;
-               Rf_obs.Metrics.incr t.m_flow_exports;
-               t.on_flows_changed ();
-               List.iter (fun f -> f ()) (List.rev t.flow_listeners)))
+           let removed, added = export_flows t in
+           if removed <> [] || added <> [] then begin
+             Rf_obs.Metrics.incr t.m_flow_exports;
+             List.iter (fun f -> f ~removed ~added) t.flow_listeners
+           end))
   end
 
 (* RIB listener: note the prefix for the next export. A connected
@@ -291,11 +289,7 @@ let note_route t ev =
   Hashtbl.replace t.rib_changed p ();
   refresh_flows t
 
-let flow_routes t = t.last_flows
-
-let set_on_flows_changed t f = t.on_flows_changed <- f
-
-let add_on_flows_changed t f = t.flow_listeners <- f :: t.flow_listeners
+let add_on_flows_changed t f = t.flow_listeners <- t.flow_listeners @ [ f ]
 
 (* --- data plane ----------------------------------------------------- *)
 
@@ -441,13 +435,12 @@ let create engine ~dpid ~n_ports () =
       configs = Hashtbl.create 4;
       ospf_enabled = [];
       rip_enabled = [];
-      last_flows = [];
+      table = Prefix_map.empty;
       rib_changed = Hashtbl.create 16;
       unresolved = Hashtbl.create 8;
       recursive = Hashtbl.create 4;
       connected = Hashtbl.create 8;
       export_all = false;
-      on_flows_changed = (fun () -> ());
       flow_listeners = [];
       flows_dirty = false;
       slow_forwarded = 0;

@@ -76,33 +76,37 @@ type flow_route = {
   fr_dst_mac : Mac.t;  (** next hop or host MAC *)
 }
 
-val compare_flow : flow_route -> flow_route -> int
-(** Total order on flow routes: prefix, then port, source MAC and
-    destination MAC. Zero exactly when the two are equal. *)
+(** Flow lists here are sorted and duplicate-free under one total
+    order: prefix, then port, source MAC and destination MAC. *)
+
+val diff_flows :
+  flow_route list -> flow_route list -> flow_route list * flow_route list
+(** [diff_flows olds fresh], two sorted lists, is [(removed, added)]:
+    the flows only in [olds] and those only in [fresh], each sorted.
+    One walk over the two lists. *)
 
 val flow_routes : t -> flow_route list
 (** The routes currently resolvable to a (port, MAC) pair — the set the
-    RF-client wants installed on the physical switch — sorted and
-    duplicate-free under {!compare_flow}.
+    RF-client wants installed on the physical switch, sorted. The VM
+    keeps them in a prefix-keyed table; this builds the list from it.
 
     Exports are debounced (10 ms after the first change) and cost what
     changed: an export recomputes only the prefixes the RIB reported
     since the last one, plus those whose next hop still awaits ARP
     (their ARP requests are re-sent each export) and statics resolved
-    through another route, and splices their flows into the previous
-    list. A change to the ARP table, a NIC address or a connected
+    through another route, and diffs each against its entry in the
+    table. A change to the ARP table, a NIC address or a connected
     route (whose host flows come from ARP entries), or a changed host
-    route, recomputes every prefix. Either way the result, and the ARP
-    requests sent, equal a full recompute over {!Rib.selected}. *)
+    route, recomputes and diffs the whole table. Either way the result,
+    and the ARP requests sent, equal a full recompute over
+    {!Rib.selected}. *)
 
-val set_on_flows_changed : t -> (unit -> unit) -> unit
-(** The single RF-client slot (consumed by {!Rf_system}); replaces any
-    previous function. *)
-
-val add_on_flows_changed : t -> (unit -> unit) -> unit
-(** Appends an extra observer — fired after the {!set_on_flows_changed}
-    slot on every flow-export change. Used by the auditor's RIB feed
-    without stealing the RF-client's callback. *)
+val add_on_flows_changed :
+  t -> (removed:flow_route list -> added:flow_route list -> unit) -> unit
+(** Registers a listener for every export that changed the table; it
+    gets the flows removed and added, each sorted, once {!flow_routes}
+    reads the new table. Listeners run in registration order:
+    {!Rf_system}'s RF-client first, then the auditor's RIB feed. *)
 
 (** {1 Introspection} *)
 

@@ -190,7 +190,7 @@ let test_vm_flow_export () =
   let vm = make_vm engine in
   Rf_routing.Zebra.add_static (Vm.zebra vm) (pfx "10.0.2.0/24") (ip "172.16.0.2");
   let changed = ref 0 in
-  Vm.set_on_flows_changed vm (fun () -> incr changed);
+  Vm.add_on_flows_changed vm (fun ~removed:_ ~added:_ -> incr changed);
   Iface.set_transmit (Vm.nic vm 1) (fun _ -> ());
   Iface.set_transmit (Vm.nic vm 2) (fun _ -> ());
   (* Teach next-hop and host MACs. *)
@@ -457,34 +457,6 @@ let test_priority_grows_with_prefix_len () =
   Alcotest.(check bool) "bounded" true
     (Rf_controller_app.priority_of_prefix_len 32 < 0xFFFF)
 
-let test_sync_flows_diff () =
-  let engine = Engine.create () in
-  let vs = Rf_vs.create engine in
-  let app = Rf_controller_app.create engine vs in
-  (* A real switch behind the app. *)
-  let dp = Rf_net.Datapath.create engine ~dpid:7L ~n_ports:2 in
-  let sw_end, ctl_end = Rf_net.Channel.create engine () in
-  let _agent = Rf_net.Of_agent.create engine dp sw_end in
-  Rf_controller_app.attach app ~dpid:7L ctl_end;
-  ignore (Engine.run ~until:(Vtime.of_s 1.0) engine);
-  let fr p port =
-    { Vm.fr_prefix = pfx p; fr_port = port; fr_src_mac = Mac.make_local 1;
-      fr_dst_mac = Mac.make_local 2 }
-  in
-  Rf_controller_app.sync_flows app ~dpid:7L [ fr "10.0.1.0/24" 1; fr "10.0.2.0/24" 2 ];
-  ignore (Engine.run ~until:(Vtime.of_s 2.0) engine);
-  Alcotest.(check int) "two installed" 2
-    (Rf_net.Flow_table.size (Rf_net.Datapath.flow_table dp));
-  (* Replace one: diff should delete one and add one (3rd + 4th mod). *)
-  Rf_controller_app.sync_flows app ~dpid:7L [ fr "10.0.1.0/24" 1; fr "10.0.3.0/24" 2 ];
-  ignore (Engine.run ~until:(Vtime.of_s 3.0) engine);
-  Alcotest.(check int) "still two" 2
-    (Rf_net.Flow_table.size (Rf_net.Datapath.flow_table dp));
-  Alcotest.(check int) "four flow-mods total" 4 (Rf_controller_app.flow_mods_sent app);
-  (* Identical sync is a no-op. *)
-  Rf_controller_app.sync_flows app ~dpid:7L [ fr "10.0.1.0/24" 1; fr "10.0.3.0/24" 2 ];
-  Alcotest.(check int) "no-op sync" 4 (Rf_controller_app.flow_mods_sent app)
-
 (* --- flow export vs the full-recompute reference ---------------------- *)
 
 (* The export as it was before it went per-prefix: every selected route
@@ -655,9 +627,9 @@ let prop_flow_export_matches_reference =
                 sent := (port, a.Arp.target_ip) :: !sent
             | Ok _ | Error _ -> ())
       done;
-      let expected_mods = ref [] in
-      Vm.set_on_flows_changed vm (fun () ->
-          let installed = Rf_controller_app.installed_flows app 7L in
+      let expected_mods = ref [] and last_exported = ref [] in
+      Vm.add_on_flows_changed vm (fun ~removed:_ ~added:_ ->
+          let installed = !last_exported in
           let flows = Vm.flow_routes vm in
           let stale = List.filter (fun f -> not (List.mem f flows)) installed in
           let fresh = List.filter (fun f -> not (List.mem f installed)) flows in
@@ -666,7 +638,8 @@ let prop_flow_export_matches_reference =
               (List.map (mod_of_route ~add:false) stale
               @ List.map (mod_of_route ~add:true) fresh)
               !expected_mods;
-          Rf_controller_app.sync_flows app ~dpid:7L flows);
+          last_exported := flows);
+      Vm.add_on_flows_changed vm (Rf_controller_app.sync_flows app ~dpid:7L vm);
       let conf =
         "hostname vm-7\npassword x\n!\n"
         ^ String.concat ""
@@ -751,6 +724,140 @@ let prop_flow_export_matches_reference =
         ops;
       !ok)
 
+(* --- Rf_controller_app.sync_flows over real exports ------------------ *)
+
+(* A datapath with dpid 7 behind [app], on its own channel. *)
+let switch_behind engine app =
+  let dp = Rf_net.Datapath.create engine ~dpid:7L ~n_ports:3 in
+  let sw_end, ctl_end = Rf_net.Channel.create engine () in
+  let _agent = Rf_net.Of_agent.create engine dp sw_end in
+  Rf_controller_app.attach app ~dpid:7L ctl_end;
+  dp
+
+(* A VM for dpid 7 exporting to [app] through the listener Rf_system
+   registers, with eth[p] addressed 10.0.[p].1/24 and the neighbour
+   10.0.[p].2 learned (MAC from [mac_gen]) on each port of [learn]. *)
+let exporting_vm engine app ?(mac_gen = 0) learn =
+  let vm = Vm.create engine ~dpid:7L ~n_ports:3 () in
+  Vm.add_on_flows_changed vm (Rf_controller_app.sync_flows app ~dpid:7L vm);
+  let conf =
+    "hostname vm-7\npassword x\n!\n"
+    ^ String.concat ""
+        (List.init 3 (fun i ->
+             Printf.sprintf "interface eth%d\n ip address 10.0.%d.1/24\n!\n"
+               (i + 1) (i + 1)))
+  in
+  (match Vm.apply_zebra_config vm conf with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  List.iter
+    (fun port ->
+      let nic = Vm.nic vm port in
+      Iface.set_transmit nic (fun _ -> ());
+      let mac = Mac.make_local ((port * 100) + mac_gen) in
+      Iface.deliver nic
+        (Packet.arp ~src:mac ~dst:(Iface.mac nic)
+           (Arp.reply ~sender_mac:mac
+              ~sender_ip:(ip (Printf.sprintf "10.0.%d.2" port))
+              ~target_mac:(Iface.mac nic)
+              ~target_ip:(ip (Printf.sprintf "10.0.%d.1" port)))))
+    learn;
+  vm
+
+let ospf_via vm prefix port =
+  Rib.update (Vm.rib vm)
+    {
+      Rib.r_prefix = pfx prefix;
+      r_proto = Rib.Ospf;
+      r_distance = Rib.default_distance Rib.Ospf;
+      r_metric = 1;
+      r_next_hop = Some (ip (Printf.sprintf "10.0.%d.2" port));
+      r_iface = Printf.sprintf "eth%d" port;
+    }
+
+(* What a switch holds and what a VM's table asks for, as sorted
+   (priority, match, actions) triples. *)
+let switch_flows dp =
+  Rf_net.Flow_table.entries (Rf_net.Datapath.flow_table dp)
+  |> List.map (fun (e : Rf_net.Flow_table.entry) ->
+         (e.e_priority, e.e_match, e.e_actions))
+  |> List.sort compare
+
+let vm_flows vm =
+  Vm.flow_routes vm
+  |> List.map (fun fr ->
+         let _, priority, m, actions = mod_of_route ~add:true fr in
+         (priority, m, actions))
+  |> List.sort compare
+
+let run_to engine s = ignore (Engine.run ~until:(Vtime.of_s s) engine)
+
+let test_sync_flows_diff () =
+  let engine = Engine.create () in
+  let app = Rf_controller_app.create engine (Rf_vs.create engine) in
+  let dp = switch_behind engine app in
+  run_to engine 1.0;
+  let vm = exporting_vm engine app [ 1; 2 ] in
+  ospf_via vm "10.9.1.0/24" 1;
+  ospf_via vm "10.9.2.0/24" 2;
+  run_to engine 2.0;
+  (* Two host flows from ARP and two routes. *)
+  Alcotest.(check int) "four installed" 4
+    (Rf_net.Flow_table.size (Rf_net.Datapath.flow_table dp));
+  Alcotest.(check bool) "switch holds the table" true (switch_flows dp = vm_flows vm);
+  let mods = Rf_controller_app.flow_mods_sent app in
+  (* Re-route one prefix: one delete and one add. *)
+  ospf_via vm "10.9.2.0/24" 1;
+  run_to engine 3.0;
+  Alcotest.(check int) "one delete, one add" (mods + 2)
+    (Rf_controller_app.flow_mods_sent app);
+  Alcotest.(check bool) "switch follows" true (switch_flows dp = vm_flows vm);
+  (* An empty delta sends nothing. *)
+  Rf_controller_app.sync_flows app ~dpid:7L vm ~removed:[] ~added:[];
+  Alcotest.(check int) "no-op sync" (mods + 2) (Rf_controller_app.flow_mods_sent app)
+
+let test_sync_flows_rehandshake () =
+  let engine = Engine.create () in
+  let app = Rf_controller_app.create engine (Rf_vs.create engine) in
+  let _first = switch_behind engine app in
+  run_to engine 1.0;
+  let vm = exporting_vm engine app [ 1; 2 ] in
+  ospf_via vm "10.9.1.0/24" 1;
+  run_to engine 2.0;
+  (* The switch comes back on a new connection: the handshake replaces
+     the app's session for dpid 7. *)
+  let dp = switch_behind engine app in
+  run_to engine 3.0;
+  Alcotest.(check int) "new switch empty" 0
+    (Rf_net.Flow_table.size (Rf_net.Datapath.flow_table dp));
+  let mods = Rf_controller_app.flow_mods_sent app in
+  ospf_via vm "10.9.2.0/24" 2;
+  run_to engine 4.0;
+  Alcotest.(check int) "whole table added" (mods + 4)
+    (Rf_controller_app.flow_mods_sent app);
+  Alcotest.(check bool) "switch holds the table" true (switch_flows dp = vm_flows vm)
+
+let test_sync_flows_second_vm () =
+  let engine = Engine.create () in
+  let app = Rf_controller_app.create engine (Rf_vs.create engine) in
+  let dp = switch_behind engine app in
+  run_to engine 1.0;
+  let first = exporting_vm engine app [ 1; 2 ] in
+  ospf_via first "10.9.1.0/24" 1;
+  ospf_via first "10.9.2.0/24" 2;
+  run_to engine 2.0;
+  let mods = Rf_controller_app.flow_mods_sent app in
+  (* A replacement VM on the same connection shares the port-1 host
+     flow and route, and has a new port-3 neighbour instead of port 2. *)
+  let second = exporting_vm engine app [ 1; 3 ] in
+  ospf_via second "10.9.1.0/24" 1;
+  ospf_via second "10.9.3.0/24" 3;
+  run_to engine 3.0;
+  Alcotest.(check bool) "switch holds the second table" true
+    (switch_flows dp = vm_flows second);
+  Alcotest.(check int) "two stale deleted, two added" (mods + 4)
+    (Rf_controller_app.flow_mods_sent app)
+
 let suite =
   [
     Alcotest.test_case "vm identity and NICs" `Quick test_vm_identity;
@@ -783,4 +890,8 @@ let suite =
     Alcotest.test_case "flow priority by prefix length" `Quick
       test_priority_grows_with_prefix_len;
     Alcotest.test_case "sync_flows installs diffs only" `Quick test_sync_flows_diff;
+    Alcotest.test_case "a re-handshaken connection gets the VM's whole table"
+      `Quick test_sync_flows_rehandshake;
+    Alcotest.test_case "a second VM on an open connection deletes stale flows"
+      `Quick test_sync_flows_second_vm;
   ]
