@@ -61,15 +61,14 @@ type t = {
   (* Advertising routers whose LSAs changed since the last SPF run;
      drives the incremental recomputation. *)
   spf_dirty : (Ipv4_addr.t, unit) Hashtbl.t;
-  (* Parsed stub links per advertising router — prefix, packed prefix
-     key, link metric — refreshed when the router's LSA changes, so
-     route publication does not re-derive masks and prefixes from
-     unchanged LSAs every run. *)
-  stub_cache : (Ipv4_addr.t, (Ipv4_addr.Prefix.t * int * int) array) Hashtbl.t;
-  (* Prefix key -> routers whose cached stub links list it: the
-     inverse of [stub_cache], so a publication recomputes one prefix
-     from its advertisers alone. *)
-  advertisers : (int, Ipv4_addr.t list) Hashtbl.t;
+  (* Parsed stub links per advertising router — prefix, link metric —
+     refreshed when the router's LSA changes, so route publication does
+     not re-derive masks and prefixes from unchanged LSAs every run. *)
+  stub_cache : (Ipv4_addr.t, (Ipv4_addr.Prefix.t * int) array) Hashtbl.t;
+  (* Prefix -> routers whose cached stub links list it: the inverse of
+     [stub_cache], so a publication recomputes one prefix from its
+     advertisers alone. *)
+  advertisers : (Ipv4_addr.Prefix.t, Ipv4_addr.t list) Hashtbl.t;
   mutable my_seq : int32;
   mutable spf_scheduled : bool;
   mutable spf_count : int;
@@ -78,10 +77,10 @@ type t = {
   mutable started_at : Rf_sim.Vtime.t;
   (* What every route also depends on besides the tree and the stub
      links, as of the last publication: (router id, address, interface)
-     of each Full neighbour, and the keys of our own prefixes. A change
-     in either forces a full publication. *)
+     of each Full neighbour, and our own prefixes. A change in either
+     forces a full publication. *)
   mutable hops : (Ipv4_addr.t * Ipv4_addr.t * string) list;
-  mutable own_keys : int list;
+  mutable own_prefixes : Ipv4_addr.Prefix.t list;
   m_spf : Rf_obs.Metrics.counter;
   m_hellos : Rf_obs.Metrics.counter;
   m_floods : Rf_obs.Metrics.counter;
@@ -110,7 +109,7 @@ let create engine ?entity cfg rib =
     started = false;
     started_at = Rf_sim.Vtime.zero;
     hops = [];
-    own_keys = [];
+    own_prefixes = [];
     m_spf =
       Rf_obs.Metrics.counter
         (Rf_sim.Engine.metrics engine)
@@ -260,13 +259,9 @@ let mask_len_of m =
   let v = (v + (v lsr 4)) land 0x0F0F0F0F in
   ((v * 0x01010101) land 0xFFFFFFFF) lsr 24
 
-(* A prefix as a plain int, ordered exactly like [Prefix.compare]
-   (unsigned 32-bit network address, then length): cheap hash key and
-   sort key on the route-publication path. *)
-let prefix_key (p : Ipv4_addr.Prefix.t) = (p :> int)
-
-(* Stub links of [rid]'s router LSA as (prefix, key, metric) triples,
-   parsed once per LSA generation and entered into [advertisers]. *)
+(* Stub links of [rid]'s router LSA as (prefix, metric) pairs, parsed
+   once per LSA generation and entered into [advertisers]. A prefix is
+   an immediate int, so it is its own cheap hash key. *)
 let stub_links_of t rid =
   match Hashtbl.find_opt t.stub_cache rid with
   | Some a -> a
@@ -276,13 +271,10 @@ let stub_links_of t rid =
         | Some { Ospf_pkt.body = Ospf_pkt.Router { links }; _ } ->
             List.filter_map
               (fun (l : Ospf_pkt.router_link) ->
-                if l.link_type = Ospf_pkt.Stub then begin
-                  let p =
-                    Ipv4_addr.Prefix.make l.link_id
-                      (mask_len_of l.link_data)
-                  in
-                  Some (p, prefix_key p, l.metric)
-                end
+                if l.link_type = Ospf_pkt.Stub then
+                  Some
+                    ( Ipv4_addr.Prefix.make l.link_id (mask_len_of l.link_data),
+                      l.metric )
                 else None)
               links
             |> Array.of_list
@@ -290,36 +282,36 @@ let stub_links_of t rid =
       in
       Hashtbl.add t.stub_cache rid a;
       Array.iter
-        (fun (_, k, _) ->
+        (fun (p, _) ->
           let advs =
-            Option.value (Hashtbl.find_opt t.advertisers k) ~default:[]
+            Option.value (Hashtbl.find_opt t.advertisers p) ~default:[]
           in
           if not (List.exists (Ipv4_addr.equal rid) advs) then
-            Hashtbl.replace t.advertisers k (rid :: advs))
+            Hashtbl.replace t.advertisers p (rid :: advs))
         a;
       a
 
-(* Drops [rid]'s cached stub links, adding their keys (with their
-   prefixes) to [affected]. *)
+(* Drops [rid]'s cached stub links, adding their prefixes to the set
+   [affected]. *)
 let forget_stub_links t rid affected =
   match Hashtbl.find_opt t.stub_cache rid with
   | None -> ()
   | Some a ->
       Hashtbl.remove t.stub_cache rid;
       Array.iter
-        (fun (p, k, _) ->
-          Hashtbl.replace affected k p;
-          match Hashtbl.find_opt t.advertisers k with
+        (fun (p, _) ->
+          Hashtbl.replace affected p ();
+          match Hashtbl.find_opt t.advertisers p with
           | Some advs -> (
               match List.filter (fun r -> not (Ipv4_addr.equal r rid)) advs with
-              | [] -> Hashtbl.remove t.advertisers k
-              | rest -> Hashtbl.replace t.advertisers k rest)
+              | [] -> Hashtbl.remove t.advertisers p
+              | rest -> Hashtbl.replace t.advertisers p rest)
           | None -> ())
         a
 
 (* Takes the routers whose LSAs changed since the last run, refreshing
-   their graph nodes and stub links. Returns them with the prefixes,
-   by key, their old and new stub links cover. *)
+   their graph nodes and stub links. Returns them with the set of
+   prefixes their old and new stub links cover. *)
 let take_dirty t =
   let dirty = Hashtbl.fold (fun rid () acc -> rid :: acc) t.spf_dirty [] in
   Hashtbl.reset t.spf_dirty;
@@ -328,9 +320,7 @@ let take_dirty t =
     (fun rid ->
       refresh_graph_node t rid;
       forget_stub_links t rid affected;
-      Array.iter
-        (fun (p, k, _) -> Hashtbl.replace affected k p)
-        (stub_links_of t rid))
+      Array.iter (fun (p, _) -> Hashtbl.replace affected p ()) (stub_links_of t rid))
     dirty;
   (dirty, affected)
 
@@ -355,17 +345,17 @@ let same_hops =
    hash and advertiser order. *)
 let publish_routes t ~changed affected =
   let hops = full_hops t in
-  let own_keys =
-    List.map (fun oif -> prefix_key (Iface.prefix oif.ifc)) t.ifaces
-  in
+  let own_prefixes = List.map (fun oif -> Iface.prefix oif.ifc) t.ifaces in
   let changed =
-    if same_hops hops t.hops && List.equal Int.equal own_keys t.own_keys then
-      changed
+    if
+      same_hops hops t.hops
+      && List.equal Ipv4_addr.Prefix.equal own_prefixes t.own_prefixes
+    then changed
     else None
   in
   t.hops <- hops;
-  t.own_keys <- own_keys;
-  let candidates : (int, Rib.route * Ipv4_addr.t) Hashtbl.t =
+  t.own_prefixes <- own_prefixes;
+  let candidates : (Ipv4_addr.Prefix.t, Rib.route * Ipv4_addr.t) Hashtbl.t =
     Hashtbl.create 64
   in
   (* Distinct first hops number at most the root's degree, so the
@@ -390,11 +380,11 @@ let publish_routes t ~changed affected =
     match hop_info hop with
     | Some (next_hop, iface) ->
         Array.iter
-          (fun (prefix, pkey, link_metric) ->
-            if wanted pkey then begin
+          (fun (prefix, link_metric) ->
+            if wanted prefix then begin
               let metric = d + link_metric in
               let better =
-                match Hashtbl.find_opt candidates pkey with
+                match Hashtbl.find_opt candidates prefix with
                 | None -> true
                 | Some (existing, adv) ->
                     metric < existing.Rib.r_metric
@@ -402,7 +392,7 @@ let publish_routes t ~changed affected =
                        && Ipv4_addr.compare rid adv < 0
               in
               if better then
-                Hashtbl.replace candidates pkey
+                Hashtbl.replace candidates prefix
                   ( {
                       Rib.r_prefix = prefix;
                       r_proto = Rib.Ospf;
@@ -422,12 +412,12 @@ let publish_routes t ~changed affected =
       List.iter
         (fun rid ->
           Array.iter
-            (fun (p, k, _) -> Hashtbl.replace affected k p)
+            (fun (p, _) -> Hashtbl.replace affected p ())
             (stub_links_of t rid))
         routers;
       let seen = Hashtbl.create 16 in
       Hashtbl.iter
-        (fun k _ ->
+        (fun p () ->
           List.iter
             (fun rid ->
               if not (Hashtbl.mem seen rid) then begin
@@ -437,27 +427,28 @@ let publish_routes t ~changed affected =
                     offer ~wanted:(Hashtbl.mem affected) rid d hop
                 | (Some _ | None), _ -> ()
               end)
-            (Option.value (Hashtbl.find_opt t.advertisers k) ~default:[]))
+            (Option.value (Hashtbl.find_opt t.advertisers p) ~default:[]))
         affected);
   (* Prefixes we own directly are left out: connected wins anyway, but
-     keeping them out of the OSPF table matches Quagga. Keys sort like
-     prefixes, which is the order the RIB takes. A full run republishes
-     every OSPF prefix; a repaired one only the affected prefixes. *)
-  let by_key (a, _) (b, _) = Int.compare a b in
+     keeping them out of the OSPF table matches Quagga. Both lists go
+     to the RIB in prefix order. A full run republishes every OSPF
+     prefix; a repaired one only the affected prefixes. *)
   let fresh =
     Hashtbl.fold
-      (fun k (route, _) acc ->
-        if List.exists (Int.equal k) own_keys then acc else (k, route) :: acc)
+      (fun p (route, _) acc ->
+        if List.exists (Ipv4_addr.Prefix.equal p) own_prefixes then acc
+        else route :: acc)
       candidates []
-    |> List.sort by_key |> List.map snd
+    |> List.sort (fun (a : Rib.route) b ->
+           Ipv4_addr.Prefix.compare a.r_prefix b.r_prefix)
   in
   let scope =
     match changed with
     | None -> None
     | Some _ ->
         Some
-          (Hashtbl.fold (fun k p acc -> (k, p) :: acc) affected []
-          |> List.sort by_key |> List.map snd)
+          (Hashtbl.fold (fun p () acc -> p :: acc) affected []
+          |> List.sort Ipv4_addr.Prefix.compare)
   in
   Rib.replace_proto t.rib ?scope Rib.Ospf fresh
 

@@ -290,7 +290,7 @@ let test_fast_reroute_on_link_failure () =
    the scenario keeps reachable (its live data, whatever else the test
    process holds) are divided by its (router, route) pairs. The count
    depends on what the run keeps, not on the host, so the bound sits
-   just above the measured 478.3 words (626.6 before LSAs were shared,
+   just above the measured 475.4 words (626.6 before LSAs were shared,
    addresses made immediate and flow entries compacted) and the
    per-route constant cannot creep back. *)
 let test_live_words_per_route () =
@@ -314,7 +314,7 @@ let test_live_words_per_route () =
   in
   Alcotest.(check bool)
     (Printf.sprintf "%.1f live words per (router, route) pair" words)
-    true (words < 490.)
+    true (words < 487.)
 
 let suite =
   [
