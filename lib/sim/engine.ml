@@ -91,9 +91,10 @@ let periodic ?entity t ?jitter every f =
         Vtime.span_add every (Vtime.span_s extra_s)
   in
   (* One inner timer, built once and pushed again after each firing, so
-     a firing allocates nothing. It checks [handle.cancelled]: after
-     cancellation its pending firing still runs (and counts) as a no-op,
-     and the chain ends. *)
+     a firing allocates nothing. It checks [handle.cancelled] before and
+     after [f]: a callback that cancels its own handle ends the chain at
+     once; a cancel from elsewhere leaves the pending firing to run (and
+     count) as a no-op. *)
   let rec inner =
     {
       cancelled = false;
@@ -101,7 +102,8 @@ let periodic ?entity t ?jitter every f =
         (fun () ->
           if not handle.cancelled then begin
             f ();
-            Event_heap.push t.queue (Vtime.add t.clock (next_delay ())) inner
+            if not handle.cancelled then
+              Event_heap.push t.queue (Vtime.add t.clock (next_delay ())) inner
           end);
       entity;
     }

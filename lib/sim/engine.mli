@@ -63,9 +63,11 @@ val periodic :
 (** [periodic t every f] runs [f] every [every], first firing after
     [every]. With [~jitter:j], each interval is lengthened by a uniform
     draw from [0, j) (desynchronises protocol timers, as real
-    implementations do). Cancel to stop: the firing already scheduled
-    then runs as a no-op, counted by {!events_executed}, and none
-    follows. Without a jitter a firing allocates nothing. *)
+    implementations do). Cancel to stop. When [f] cancels its own
+    timer, no firing follows. A cancel from outside [f] leaves the
+    firing already scheduled to run as a no-op, counted by
+    {!events_executed}, and none follows. Without a jitter a firing
+    allocates nothing. *)
 
 val cancel : timer -> unit
 (** Cancelling an already-fired one-shot timer is a no-op. *)

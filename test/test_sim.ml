@@ -252,6 +252,20 @@ let test_periodic_rearm_allocates_nothing () =
   Alcotest.(check int) "the pending firing runs as a counted no-op" 1
     (Engine.events_executed e - fired)
 
+let test_periodic_self_cancel () =
+  let e = Engine.create () in
+  let fired = ref 0 in
+  let timer = ref None in
+  timer :=
+    Some
+      (Engine.periodic e (Vtime.span_s 1.0) (fun () ->
+           incr fired;
+           if !fired = 3 then Option.iter Engine.cancel !timer));
+  Alcotest.(check bool) "heap drains" true (Engine.run e = Engine.Quiescent);
+  Alcotest.(check int) "three firings" 3 !fired;
+  Alcotest.(check int) "three events, no trailing no-op" 3
+    (Engine.events_executed e)
+
 let test_engine_deadline () =
   let e = Engine.create () in
   ignore (Engine.schedule e (Vtime.span_s 10.0) (fun () -> ()));
@@ -559,6 +573,8 @@ let suite =
     Alcotest.test_case "engine periodic + cancel" `Quick test_engine_periodic;
     Alcotest.test_case "periodic re-arm allocates nothing" `Quick
       test_periodic_rearm_allocates_nothing;
+    Alcotest.test_case "a periodic cancelled by its callback stops at once"
+      `Quick test_periodic_self_cancel;
     Alcotest.test_case "engine deadline semantics" `Quick test_engine_deadline;
     Alcotest.test_case "engine stop" `Quick test_engine_stop;
     Alcotest.test_case "engine rejects scheduling into the past" `Quick
