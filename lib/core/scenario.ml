@@ -510,35 +510,38 @@ let build ?(options = default_options) topo =
   (* Reconvergence probe, only when a fault plan is active: once per
      simulated second, {!refresh_route_views} compares every VM's
      selected routes with the previous tick's, re-projecting only the
-     VMs whose RIB changed generation. *)
+     VMs whose RIB changed generation. Without one, the probe stops once
+     it has set [converged_at]. *)
   let track_routes = not (Rf_sim.Faults.is_empty options.faults) in
-  ignore
-    (Rf_sim.Engine.periodic
-       ~entity:(Rf_obs.Profiler.component "scenario")
-       engine (Rf_sim.Vtime.span_s 1.0) (fun () ->
-         if t.converged_at = None && converged () then begin
-           t.converged_at <- Some (Rf_sim.Engine.now engine);
-           (* Retroactive convergence span: the routing tail between the
-              last switch turning green and full RIB coverage. *)
-           let tracer = Rf_sim.Engine.tracer engine in
-           let start_us =
-             match Gui.all_green_at gui with
-             | Some at -> Rf_sim.Vtime.to_us at
-             | None -> Rf_obs.Tracer.now_us tracer
-           in
-           let sp =
-             Rf_obs.Tracer.span_start tracer ~start_us "phase.convergence"
-           in
-           Rf_obs.Tracer.span_end tracer sp
-         end;
-         if track_routes then begin
-           let views, changed =
-             refresh_route_views t.route_views (Rf_system.vms rf_sys)
-           in
-           t.route_views <- views;
-           if changed then
-             t.last_route_change_at <- Some (Rf_sim.Engine.now engine)
-         end));
+  let probe = ref None in
+  let tick () =
+    if t.converged_at = None && converged () then begin
+      t.converged_at <- Some (Rf_sim.Engine.now engine);
+      (* Retroactive convergence span: the routing tail between the
+         last switch turning green and full RIB coverage. *)
+      let tracer = Rf_sim.Engine.tracer engine in
+      let start_us =
+        match Gui.all_green_at gui with
+        | Some at -> Rf_sim.Vtime.to_us at
+        | None -> Rf_obs.Tracer.now_us tracer
+      in
+      let sp = Rf_obs.Tracer.span_start tracer ~start_us "phase.convergence" in
+      Rf_obs.Tracer.span_end tracer sp;
+      if not track_routes then Option.iter Rf_sim.Engine.cancel !probe
+    end;
+    if track_routes then begin
+      let views, changed =
+        refresh_route_views t.route_views (Rf_system.vms rf_sys)
+      in
+      t.route_views <- views;
+      if changed then t.last_route_change_at <- Some (Rf_sim.Engine.now engine)
+    end
+  in
+  probe :=
+    Some
+      (Rf_sim.Engine.periodic
+         ~entity:(Rf_obs.Profiler.component "scenario")
+         engine (Rf_sim.Vtime.span_s 1.0) tick);
   t
 
 let engine t = t.engine

@@ -209,6 +209,27 @@ let disagreements (n, seed, faults) =
   Scenario.run_for s (Vtime.span_s 100.0);
   List.rev !bad
 
+(* Without a fault plan the once-a-second probe has nothing left to do
+   after convergence, and stops. *)
+let test_probe_stops_after_convergence () =
+  let s = Scenario.build (Topo_gen.ring 4) in
+  let profiler = Rf_obs.Profiler.create ~clock_ns:(fun () -> 0) () in
+  Engine.set_profiler (Scenario.engine s) (Some profiler);
+  while Scenario.routing_converged_at s = None do
+    Scenario.run_for s (Vtime.span_s 1.0)
+  done;
+  let probe_events () =
+    List.fold_left
+      (fun acc (st : Rf_obs.Profiler.entity_stat) ->
+        if String.equal st.es_id "comp:scenario" then st.es_events else acc)
+      0 (Rf_obs.Profiler.snapshot profiler).sn_entities
+  in
+  let at_convergence = probe_events () in
+  Scenario.run_for s (Vtime.span_s 100.0);
+  Alcotest.(check bool) "the probe ran" true (at_convergence > 0);
+  Alcotest.(check int) "no probe event after convergence" at_convergence
+    (probe_events ())
+
 let prop_tracker_matches_reference =
   QCheck.Test.make ~count:(100 * long_factor)
     ~name:"generation-gated tracker = per-second full digest"
@@ -228,6 +249,8 @@ let suite =
       test_e3_link_cut_pinned;
     Alcotest.test_case "E4 restart reconvergence pinned" `Quick
       test_e4_restart_pinned;
+    Alcotest.test_case "the convergence probe stops without faults" `Quick
+      test_probe_stops_after_convergence;
     Alcotest.test_case "E9 leader crash reconvergence pinned" `Slow
       test_e9_leader_crash_pinned;
     QCheck_alcotest.to_alcotest prop_tracker_matches_reference;
