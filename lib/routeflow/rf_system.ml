@@ -275,7 +275,8 @@ and finish_boot t ss =
   ss.ss_vm <- Some vm;
   t.created <- t.created + 1;
   Rf_vs.register_vm t.vs vm;
-  Vm.add_on_flows_changed vm (Rf_controller_app.sync_flows t.app ~dpid:ss.ss_dpid vm);
+  Vm.add_on_flows_changed vm
+    (Rf_controller_app.sync_flows t.app ~dpid:ss.ss_dpid vm);
   (match Rf_obs.Tracer.take (tracer t) ~key:(span_key "vm" ss.ss_dpid) with
   | Some vm_span ->
       (match Rf_obs.Tracer.find_span (tracer t) vm_span with
