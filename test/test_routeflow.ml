@@ -736,8 +736,8 @@ let switch_behind engine app =
 
 (* A VM for dpid 7 exporting to [app] through the listener Rf_system
    registers, with eth[p] addressed 10.0.[p].1/24 and the neighbour
-   10.0.[p].2 learned (MAC from [mac_gen]) on each port of [learn]. *)
-let exporting_vm engine app ?(mac_gen = 0) learn =
+   10.0.[p].2 learned on each port of [learn]. *)
+let exporting_vm engine app learn =
   let vm = Vm.create engine ~dpid:7L ~n_ports:3 () in
   Vm.add_on_flows_changed vm (Rf_controller_app.sync_flows app ~dpid:7L vm);
   let conf =
@@ -754,7 +754,7 @@ let exporting_vm engine app ?(mac_gen = 0) learn =
     (fun port ->
       let nic = Vm.nic vm port in
       Iface.set_transmit nic (fun _ -> ());
-      let mac = Mac.make_local ((port * 100) + mac_gen) in
+      let mac = Mac.make_local (port * 100) in
       Iface.deliver nic
         (Packet.arp ~src:mac ~dst:(Iface.mac nic)
            (Arp.reply ~sender_mac:mac
