@@ -320,7 +320,9 @@ let take_dirty t =
     (fun rid ->
       refresh_graph_node t rid;
       forget_stub_links t rid affected;
-      Array.iter (fun (p, _) -> Hashtbl.replace affected p ()) (stub_links_of t rid))
+      Array.iter
+        (fun (p, _) -> Hashtbl.replace affected p ())
+        (stub_links_of t rid))
     dirty;
   (dirty, affected)
 

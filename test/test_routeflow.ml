@@ -804,7 +804,8 @@ let test_sync_flows_diff () =
   (* Two host flows from ARP and two routes. *)
   Alcotest.(check int) "four installed" 4
     (Rf_net.Flow_table.size (Rf_net.Datapath.flow_table dp));
-  Alcotest.(check bool) "switch holds the table" true (switch_flows dp = vm_flows vm);
+  Alcotest.(check bool) "switch holds the table" true
+    (switch_flows dp = vm_flows vm);
   let mods = Rf_controller_app.flow_mods_sent app in
   (* Re-route one prefix: one delete and one add. *)
   ospf_via vm "10.9.2.0/24" 1;
@@ -814,7 +815,8 @@ let test_sync_flows_diff () =
   Alcotest.(check bool) "switch follows" true (switch_flows dp = vm_flows vm);
   (* An empty delta sends nothing. *)
   Rf_controller_app.sync_flows app ~dpid:7L vm ~removed:[] ~added:[];
-  Alcotest.(check int) "no-op sync" (mods + 2) (Rf_controller_app.flow_mods_sent app)
+  Alcotest.(check int) "no-op sync" (mods + 2)
+    (Rf_controller_app.flow_mods_sent app)
 
 let test_sync_flows_rehandshake () =
   let engine = Engine.create () in
@@ -835,7 +837,8 @@ let test_sync_flows_rehandshake () =
   run_to engine 4.0;
   Alcotest.(check int) "whole table added" (mods + 4)
     (Rf_controller_app.flow_mods_sent app);
-  Alcotest.(check bool) "switch holds the table" true (switch_flows dp = vm_flows vm)
+  Alcotest.(check bool) "switch holds the table" true
+    (switch_flows dp = vm_flows vm)
 
 let test_sync_flows_second_vm () =
   let engine = Engine.create () in
