@@ -324,7 +324,10 @@ let sample_flow_mod_wire =
                Rf_openflow.Of_action.output 3;
              ])))
 
-let sample_lldp_wire = Lldp.to_wire (Lldp.discovery_probe ~dpid:42L ~port:7)
+let sample_lldp_wire =
+  let w = Wire.Writer.create () in
+  Lldp.write w (Lldp.discovery_probe ~dpid:42L ~port:7);
+  Wire.Writer.contents w
 
 let sample_lsa_body =
   Ospf_pkt.Router
@@ -546,7 +549,7 @@ let micro_tests () =
            | Error e -> failwith e));
     Test.make ~name:"lldp_probe_decode"
       (Staged.stage (fun () ->
-           match Lldp.of_wire sample_lldp_wire with
+           match Lldp.read (Wire.Reader.of_string sample_lldp_wire) with
            | Ok l -> ignore (Lldp.parse_discovery l)
            | Error e -> failwith e));
     Test.make ~name:"lsa_encode_fletcher"

@@ -40,21 +40,21 @@ let encode w action =
   | Set_dl_src mac ->
       Wire.Writer.u16 w 4;
       Wire.Writer.u16 w 16;
-      Wire.Writer.bytes w (Mac.to_bytes mac);
+      Mac.write w mac;
       Wire.Writer.zeros w 6
   | Set_dl_dst mac ->
       Wire.Writer.u16 w 5;
       Wire.Writer.u16 w 16;
-      Wire.Writer.bytes w (Mac.to_bytes mac);
+      Mac.write w mac;
       Wire.Writer.zeros w 6
   | Set_nw_src ip ->
       Wire.Writer.u16 w 6;
       Wire.Writer.u16 w 8;
-      Wire.Writer.u32 w (Ipv4_addr.to_int32 ip)
+      Ipv4_addr.write w ip
   | Set_nw_dst ip ->
       Wire.Writer.u16 w 7;
       Wire.Writer.u16 w 8;
-      Wire.Writer.u32 w (Ipv4_addr.to_int32 ip)
+      Ipv4_addr.write w ip
   | Set_nw_tos tos ->
       Wire.Writer.u16 w 8;
       Wire.Writer.u16 w 8;
@@ -71,10 +71,7 @@ let encode w action =
       Wire.Writer.u16 w port;
       Wire.Writer.zeros w 2
 
-let list_to_wire actions =
-  let w = Wire.Writer.create ~initial:32 () in
-  List.iter (encode w) actions;
-  Wire.Writer.contents w
+let write_list w actions = List.iter (encode w) actions
 
 let decode_one r =
   let typ = Wire.Reader.u16 r in
@@ -88,10 +85,10 @@ let decode_one r =
         let max_len = Wire.Reader.u16 body in
         Ok (Output { port; max_len })
     | 3 -> Ok Strip_vlan
-    | 4 -> Ok (Set_dl_src (Mac.of_bytes (Wire.Reader.bytes body 6)))
-    | 5 -> Ok (Set_dl_dst (Mac.of_bytes (Wire.Reader.bytes body 6)))
-    | 6 -> Ok (Set_nw_src (Ipv4_addr.of_int32 (Wire.Reader.u32 body)))
-    | 7 -> Ok (Set_nw_dst (Ipv4_addr.of_int32 (Wire.Reader.u32 body)))
+    | 4 -> Ok (Set_dl_src (Mac.read body))
+    | 5 -> Ok (Set_dl_dst (Mac.read body))
+    | 6 -> Ok (Set_nw_src (Ipv4_addr.read body))
+    | 7 -> Ok (Set_nw_dst (Ipv4_addr.read body))
     | 8 -> Ok (Set_nw_tos (Wire.Reader.u8 body))
     | 9 -> Ok (Set_tp_src (Wire.Reader.u16 body))
     | 10 -> Ok (Set_tp_dst (Wire.Reader.u16 body))

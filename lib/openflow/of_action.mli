@@ -25,7 +25,8 @@ val outputs : t list -> int list
 val size : t -> int
 (** Encoded size in bytes (multiple of 8). *)
 
-val list_to_wire : t list -> string
+val write_list : Wire.Writer.t -> t list -> unit
+(** Appends the actions in order, {!size} bytes each. *)
 
 val list_of_wire : Wire.Reader.t -> (t list, string) result
 (** Consumes the whole reader. *)

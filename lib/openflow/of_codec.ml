@@ -11,7 +11,7 @@ let buffer_of_wire v = if Int32.equal v no_buffer then None else Some v
 
 let encode_phys_port w (p : phys_port) =
   Wire.Writer.u16 w p.port_no;
-  Wire.Writer.bytes w (Mac.to_bytes p.hw_addr);
+  Mac.write w p.hw_addr;
   let name = if String.length p.name > 15 then String.sub p.name 0 15 else p.name in
   Wire.Writer.bytes w name;
   Wire.Writer.zeros w (16 - String.length name);
@@ -24,7 +24,7 @@ let encode_phys_port w (p : phys_port) =
 
 let decode_phys_port r =
   let port_no = Wire.Reader.u16 r in
-  let hw_addr = Mac.of_bytes (Wire.Reader.bytes r 6) in
+  let hw_addr = Mac.read r in
   let raw_name = Wire.Reader.bytes r 16 in
   let name =
     match String.index_opt raw_name '\000' with
@@ -62,6 +62,8 @@ let command_of_code = function
   | 4 -> Ok Delete_strict
   | n -> Stdlib.Error (Printf.sprintf "of_codec: bad flow-mod command %d" n)
 
+let actions_size = List.fold_left (fun n a -> n + Of_action.size a) 0
+
 let encode_body w = function
   | Hello | Features_request | Get_config_request | Barrier_request
   | Barrier_reply ->
@@ -95,7 +97,7 @@ let encode_body w = function
       Wire.Writer.u8 w 0;
       Wire.Writer.bytes w pi.pi_data
   | Flow_removed fr ->
-      Wire.Writer.bytes w (Of_match.to_wire fr.fr_match);
+      Of_match.write w fr.fr_match;
       Wire.Writer.u64 w fr.fr_cookie;
       Wire.Writer.u16 w fr.fr_priority;
       Wire.Writer.u8 w
@@ -116,14 +118,13 @@ let encode_body w = function
       Wire.Writer.zeros w 7;
       encode_phys_port w desc
   | Packet_out po ->
-      let actions = Of_action.list_to_wire po.po_actions in
       Wire.Writer.u32 w (buffer_to_wire po.po_buffer_id);
       Wire.Writer.u16 w po.po_in_port;
-      Wire.Writer.u16 w (String.length actions);
-      Wire.Writer.bytes w actions;
+      Wire.Writer.u16 w (actions_size po.po_actions);
+      Of_action.write_list w po.po_actions;
       Wire.Writer.bytes w po.po_data
   | Flow_mod fm ->
-      Wire.Writer.bytes w (Of_match.to_wire fm.fm_match);
+      Of_match.write w fm.fm_match;
       Wire.Writer.u64 w fm.fm_cookie;
       Wire.Writer.u16 w (command_code fm.fm_command);
       Wire.Writer.u16 w fm.fm_idle_timeout;
@@ -132,10 +133,10 @@ let encode_body w = function
       Wire.Writer.u32 w (buffer_to_wire fm.fm_buffer_id);
       Wire.Writer.u16 w (Option.value fm.fm_out_port ~default:Of_port.none);
       Wire.Writer.u16 w (if fm.fm_notify_removed then 1 else 0);
-      Wire.Writer.bytes w (Of_action.list_to_wire fm.fm_actions)
+      Of_action.write_list w fm.fm_actions
   | Port_mod { pm_port_no; pm_hw_addr; pm_down } ->
       Wire.Writer.u16 w pm_port_no;
-      Wire.Writer.bytes w (Mac.to_bytes pm_hw_addr);
+      Mac.write w pm_hw_addr;
       Wire.Writer.u32 w (if pm_down then 1l else 0l) (* config *);
       Wire.Writer.u32 w 1l (* mask: PORT_DOWN *);
       Wire.Writer.u32 w 0l (* advertise *);
@@ -148,7 +149,7 @@ let encode_body w = function
       | Flow_req { qf_match; qf_out_port } ->
           Wire.Writer.u16 w 1;
           Wire.Writer.u16 w 0;
-          Wire.Writer.bytes w (Of_match.to_wire qf_match);
+          Of_match.write w qf_match;
           Wire.Writer.u8 w 0xff (* table: all *);
           Wire.Writer.u8 w 0;
           Wire.Writer.u16 w (Option.value qf_out_port ~default:Of_port.none)
@@ -172,11 +173,10 @@ let encode_body w = function
           Wire.Writer.u16 w 0;
           List.iter
             (fun fs ->
-              let actions = Of_action.list_to_wire fs.fs_actions in
-              Wire.Writer.u16 w (88 + String.length actions);
+              Wire.Writer.u16 w (88 + actions_size fs.fs_actions);
               Wire.Writer.u8 w 0 (* table *);
               Wire.Writer.u8 w 0;
-              Wire.Writer.bytes w (Of_match.to_wire fs.fs_match);
+              Of_match.write w fs.fs_match;
               Wire.Writer.u32 w (Int32.of_int fs.fs_duration_s);
               Wire.Writer.u32 w 0l;
               Wire.Writer.u16 w fs.fs_priority;
@@ -186,7 +186,7 @@ let encode_body w = function
               Wire.Writer.u64 w fs.fs_cookie;
               Wire.Writer.u64 w fs.fs_packet_count;
               Wire.Writer.u64 w fs.fs_byte_count;
-              Wire.Writer.bytes w actions)
+              Of_action.write_list w fs.fs_actions)
             entries
       | Port_reply entries ->
           Wire.Writer.u16 w 4;
@@ -205,16 +205,26 @@ let encode_body w = function
               Wire.Writer.zeros w 48)
             entries)
 
+(* The encoded length of the messages sent most, so that their one
+   buffer never grows; others start at 64 bytes. *)
+let capacity = function
+  | Flow_mod fm -> 72 + actions_size fm.fm_actions
+  | Packet_in pi -> 18 + String.length pi.pi_data
+  | Packet_out po ->
+      16 + actions_size po.po_actions + String.length po.po_data
+  | Echo_request data | Echo_reply data -> 8 + String.length data
+  | _ -> 64
+
+(* The body is written after the header, whose length is patched once
+   the body is in. *)
 let to_wire t =
-  let body = Wire.Writer.create ~initial:64 () in
-  encode_body body t.payload;
-  let body = Wire.Writer.contents body in
-  let w = Wire.Writer.create ~initial:(8 + String.length body) () in
+  let w = Wire.Writer.create ~initial:(capacity t.payload) () in
   Wire.Writer.u8 w version;
   Wire.Writer.u8 w (type_code t.payload);
-  Wire.Writer.u16 w (8 + String.length body);
+  Wire.Writer.u16 w 0 (* length, patched below *);
   Wire.Writer.u32 w t.xid;
-  Wire.Writer.bytes w body;
+  encode_body w t.payload;
+  Wire.Writer.patch_u16 w 2 (Wire.Writer.length w);
   Wire.Writer.contents w
 
 let ( let* ) = Result.bind
@@ -442,7 +452,7 @@ let decode_body typ xid r =
               }))
   | 15 ->
       let pm_port_no = Wire.Reader.u16 r in
-      let pm_hw_addr = Mac.of_bytes (Wire.Reader.bytes r 6) in
+      let pm_hw_addr = Mac.read r in
       let config = Wire.Reader.u32 r in
       let mask = Wire.Reader.u32 r in
       let _advertise = Wire.Reader.u32 r in

@@ -100,7 +100,9 @@ let l4_ports f ~protocol q n =
       | 3 -> 3 lor (u8 f (q + 1) lsl 16)
       | _ -> -1
   else if protocol = Ipv4.proto_ospf then
-    match Ospf_pkt.of_wire (String.sub f q n) with Ok _ -> 0 | Error _ -> -1
+    match Ospf_pkt.read (Wire.Reader.sub (Wire.Reader.of_string ~pos:q f) n) with
+    | Ok _ -> 0
+    | Error _ -> -1
   else 0
 
 let ipv4_key ~in_port f =
@@ -290,8 +292,7 @@ let wc_dl_vlan_pcp = 1 lsl 20
 
 let wc_nw_tos = 1 lsl 21
 
-let to_wire m =
-  let w = Wire.Writer.create ~initial:40 () in
+let write w m =
   let bit b = function Some _ -> 0 | None -> b in
   let src_wc_bits =
     match m.m_nw_src with
@@ -317,10 +318,10 @@ let to_wire m =
     lor bit wc_dl_vlan_pcp m.m_dl_pcp
     lor bit wc_nw_tos m.m_nw_tos
   in
-  Wire.Writer.u32 w (Int32.of_int wildcards);
+  Wire.Writer.u32_int w wildcards;
   Wire.Writer.u16 w (Option.value m.m_in_port ~default:0);
-  Wire.Writer.bytes w (Mac.to_bytes (Option.value m.m_dl_src ~default:Mac.zero));
-  Wire.Writer.bytes w (Mac.to_bytes (Option.value m.m_dl_dst ~default:Mac.zero));
+  Mac.write w (Option.value m.m_dl_src ~default:Mac.zero);
+  Mac.write w (Option.value m.m_dl_dst ~default:Mac.zero);
   Wire.Writer.u16 w (Option.value m.m_dl_vlan ~default:0);
   Wire.Writer.u8 w (Option.value m.m_dl_pcp ~default:0);
   Wire.Writer.u8 w 0 (* pad *);
@@ -332,18 +333,22 @@ let to_wire m =
     | None -> Ipv4_addr.any
     | Some p -> Ipv4_addr.Prefix.network p
   in
-  Wire.Writer.u32 w (Ipv4_addr.to_int32 (prefix_addr m.m_nw_src));
-  Wire.Writer.u32 w (Ipv4_addr.to_int32 (prefix_addr m.m_nw_dst));
+  Ipv4_addr.write w (prefix_addr m.m_nw_src);
+  Ipv4_addr.write w (prefix_addr m.m_nw_dst);
   Wire.Writer.u16 w (Option.value m.m_tp_src ~default:0);
-  Wire.Writer.u16 w (Option.value m.m_tp_dst ~default:0);
+  Wire.Writer.u16 w (Option.value m.m_tp_dst ~default:0)
+
+let to_wire m =
+  let w = Wire.Writer.create ~initial:40 () in
+  write w m;
   Wire.Writer.contents w
 
 let of_wire r =
   try
-    let wildcards = Int32.to_int (Wire.Reader.u32 r) land 0x3FFFFF in
+    let wildcards = Wire.Reader.u32_int r land 0x3FFFFF in
     let in_port = Wire.Reader.u16 r in
-    let dl_src = Mac.of_bytes (Wire.Reader.bytes r 6) in
-    let dl_dst = Mac.of_bytes (Wire.Reader.bytes r 6) in
+    let dl_src = Mac.read r in
+    let dl_dst = Mac.read r in
     let dl_vlan = Wire.Reader.u16 r in
     let dl_pcp = Wire.Reader.u8 r in
     Wire.Reader.skip r 1;
@@ -351,8 +356,8 @@ let of_wire r =
     let nw_tos = Wire.Reader.u8 r in
     let nw_proto = Wire.Reader.u8 r in
     Wire.Reader.skip r 2;
-    let nw_src = Ipv4_addr.of_int32 (Wire.Reader.u32 r) in
-    let nw_dst = Ipv4_addr.of_int32 (Wire.Reader.u32 r) in
+    let nw_src = Ipv4_addr.read r in
+    let nw_dst = Ipv4_addr.read r in
     let tp_src = Wire.Reader.u16 r in
     let tp_dst = Wire.Reader.u16 r in
     let opt bit v = if wildcards land bit <> 0 then None else Some v in

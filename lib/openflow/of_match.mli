@@ -67,8 +67,11 @@ val intersects : t -> t -> bool
     wildcard a field pair asymmetrically — exact for the fields used in
     this system). *)
 
+val write : Wire.Writer.t -> t -> unit
+(** Appends the 40-byte [ofp_match]. *)
+
 val to_wire : t -> string
-(** 40-byte [ofp_match]. *)
+(** The 40 bytes {!write} appends: a canonical key for a match. *)
 
 val of_wire : Wire.Reader.t -> (t, string) result
 

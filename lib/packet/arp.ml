@@ -16,22 +16,19 @@ let reply ~sender_mac ~sender_ip ~target_mac ~target_ip =
 
 let op_code = function Request -> 1 | Reply -> 2
 
-let to_wire t =
-  let w = Wire.Writer.create ~initial:28 () in
+let write w t =
   Wire.Writer.u16 w 1 (* hardware: ethernet *);
   Wire.Writer.u16 w Ethernet.ethertype_ipv4;
   Wire.Writer.u8 w 6;
   Wire.Writer.u8 w 4;
   Wire.Writer.u16 w (op_code t.op);
-  Wire.Writer.bytes w (Mac.to_bytes t.sender_mac);
-  Wire.Writer.u32 w (Ipv4_addr.to_int32 t.sender_ip);
-  Wire.Writer.bytes w (Mac.to_bytes t.target_mac);
-  Wire.Writer.u32 w (Ipv4_addr.to_int32 t.target_ip);
-  Wire.Writer.contents w
+  Mac.write w t.sender_mac;
+  Ipv4_addr.write w t.sender_ip;
+  Mac.write w t.target_mac;
+  Ipv4_addr.write w t.target_ip
 
-let of_wire s =
+let read r =
   try
-    let r = Wire.Reader.of_string s in
     let htype = Wire.Reader.u16 r in
     let ptype = Wire.Reader.u16 r in
     let hlen = Wire.Reader.u8 r in
@@ -40,10 +37,10 @@ let of_wire s =
     then Error "arp: unsupported hardware/protocol"
     else
       let opcode = Wire.Reader.u16 r in
-      let sender_mac = Mac.of_bytes (Wire.Reader.bytes r 6) in
-      let sender_ip = Ipv4_addr.of_int32 (Wire.Reader.u32 r) in
-      let target_mac = Mac.of_bytes (Wire.Reader.bytes r 6) in
-      let target_ip = Ipv4_addr.of_int32 (Wire.Reader.u32 r) in
+      let sender_mac = Mac.read r in
+      let sender_ip = Ipv4_addr.read r in
+      let target_mac = Mac.read r in
+      let target_ip = Ipv4_addr.read r in
       match opcode with
       | 1 -> Ok { op = Request; sender_mac; sender_ip; target_mac; target_ip }
       | 2 -> Ok { op = Reply; sender_mac; sender_ip; target_mac; target_ip }

@@ -19,8 +19,9 @@ val reply :
   target_ip:Ipv4_addr.t ->
   t
 
-val to_wire : t -> string
+val write : Wire.Writer.t -> t -> unit
+(** Appends the 28-byte Ethernet/IPv4 ARP packet. *)
 
-val of_wire : string -> (t, string) result
+val read : Wire.Reader.t -> (t, string) result
 
 val pp : Format.formatter -> t -> unit

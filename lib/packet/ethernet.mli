@@ -1,16 +1,18 @@
 (** Ethernet II framing. *)
 
-type t = { dst : Mac.t; src : Mac.t; ethertype : int; payload : string }
-(** [payload] is the raw bytes after the 14-byte header; higher layers
-    parse it according to [ethertype]. *)
+type t = { dst : Mac.t; src : Mac.t; ethertype : int }
+(** The 14-byte header. The payload is the rest of the frame; higher
+    layers read it in place according to [ethertype]. *)
 
 val ethertype_ipv4 : int
 val ethertype_arp : int
 val ethertype_lldp : int
 
-val to_wire : t -> string
+val write : Wire.Writer.t -> dst:Mac.t -> src:Mac.t -> ethertype:int -> unit
+(** Writes the header; the payload follows it in the same writer. *)
 
-val of_wire : string -> (t, string) result
-(** Fails on frames shorter than the header. *)
+val read : Wire.Reader.t -> (t, string) result
+(** Reads the header and leaves the reader at the payload. Fails on
+    frames shorter than the header. *)
 
 val pp : Format.formatter -> t -> unit

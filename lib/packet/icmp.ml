@@ -4,8 +4,8 @@ type t =
   | Dest_unreachable of { code : int; original : string }
   | Time_exceeded of { original : string }
 
-let to_wire t =
-  let w = Wire.Writer.create ~initial:16 () in
+let write w t =
+  let start = Wire.Writer.length w in
   (match t with
   | Echo_request { ident; seq; payload } ->
       Wire.Writer.u8 w 8;
@@ -33,15 +33,14 @@ let to_wire t =
       Wire.Writer.u16 w 0;
       Wire.Writer.u32 w 0l;
       Wire.Writer.bytes w original);
-  let body = Wire.Writer.contents w in
-  Wire.Writer.patch_u16 w 2 (Wire.checksum body);
-  Wire.Writer.contents w
+  Wire.Writer.patch_u16 w (start + 2)
+    (Wire.Writer.checksum w start (Wire.Writer.length w - start))
 
-let of_wire s =
+let read r =
   try
-    if Wire.checksum s <> 0 then Error "icmp: bad checksum"
+    if Wire.Reader.checksum r (Wire.Reader.remaining r) <> 0 then
+      Error "icmp: bad checksum"
     else begin
-      let r = Wire.Reader.of_string s in
       let typ = Wire.Reader.u8 r in
       let code = Wire.Reader.u8 r in
       let _checksum = Wire.Reader.u16 r in

@@ -6,8 +6,11 @@ type t =
   | Dest_unreachable of { code : int; original : string }
   | Time_exceeded of { original : string }
 
-val to_wire : t -> string
+val write : Wire.Writer.t -> t -> unit
+(** Appends the message and patches its checksum in place. *)
 
-val of_wire : string -> (t, string) result
+val read : Wire.Reader.t -> (t, string) result
+(** Decodes the message from the reader's remaining bytes after
+    verifying their checksum. *)
 
 val pp : Format.formatter -> t -> unit

@@ -23,33 +23,48 @@ let decrement_ttl t = if t.ttl <= 1 then None else Some { t with ttl = t.ttl - 1
 
 let header_words = 5
 
-let to_wire t =
-  let w = Wire.Writer.create ~initial:(20 + String.length t.payload) () in
-  Wire.Writer.u8 w ((4 lsl 4) lor header_words);
-  Wire.Writer.u8 w t.tos;
-  Wire.Writer.u16 w (20 + String.length t.payload);
-  Wire.Writer.u16 w t.ident;
-  Wire.Writer.u16 w 0 (* flags/fragment *);
-  Wire.Writer.u8 w t.ttl;
-  Wire.Writer.u8 w t.protocol;
-  Wire.Writer.u16 w 0 (* checksum placeholder *);
-  Wire.Writer.u32 w (Ipv4_addr.to_int32 t.src);
-  Wire.Writer.u32 w (Ipv4_addr.to_int32 t.dst);
-  let header = Wire.Writer.contents w in
-  let csum = Wire.checksum header in
-  Wire.Writer.patch_u16 w 10 csum;
-  Wire.Writer.bytes w t.payload;
-  Wire.Writer.contents w
+let header_size = 4 * header_words
 
-let of_wire s =
+let write_header w ~tos ~ident ~ttl ~protocol ~src ~dst =
+  let off = Wire.Writer.length w in
+  Wire.Writer.u8 w ((4 lsl 4) lor header_words);
+  Wire.Writer.u8 w tos;
+  Wire.Writer.u16 w 0 (* total length, patched by [finish] *);
+  Wire.Writer.u16 w ident;
+  Wire.Writer.u16 w 0 (* flags/fragment *);
+  Wire.Writer.u8 w ttl;
+  Wire.Writer.u8 w protocol;
+  Wire.Writer.u16 w 0 (* checksum, patched by [finish] *);
+  Ipv4_addr.write w src;
+  Ipv4_addr.write w dst;
+  off
+
+let finish w off =
+  Wire.Writer.patch_u16 w (off + 2) (Wire.Writer.length w - off);
+  Wire.Writer.patch_u16 w (off + 10) (Wire.Writer.checksum w off header_size)
+
+let write w t =
+  let off =
+    write_header w ~tos:t.tos ~ident:t.ident ~ttl:t.ttl ~protocol:t.protocol
+      ~src:t.src ~dst:t.dst
+  in
+  Wire.Writer.bytes w t.payload;
+  finish w off
+
+let read r =
   try
-    let r = Wire.Reader.of_string s in
-    let vihl = Wire.Reader.u8 r in
+    let n = Wire.Reader.remaining r in
+    let vihl = Wire.Reader.peek_u16 r 0 lsr 8 in
     let version = vihl lsr 4 in
     let ihl = vihl land 0xF in
     if version <> 4 then Error "ipv4: not version 4"
     else if ihl < 5 then Error "ipv4: bad header length"
     else begin
+      let header_len = ihl * 4 in
+      let checksum =
+        if header_len > n then -1 else Wire.Reader.checksum r header_len
+      in
+      Wire.Reader.skip r 1;
       let tos = Wire.Reader.u8 r in
       let total_len = Wire.Reader.u16 r in
       let ident = Wire.Reader.u16 r in
@@ -57,15 +72,13 @@ let of_wire s =
       let ttl = Wire.Reader.u8 r in
       let protocol = Wire.Reader.u8 r in
       let _checksum = Wire.Reader.u16 r in
-      let src = Ipv4_addr.of_int32 (Wire.Reader.u32 r) in
-      let dst = Ipv4_addr.of_int32 (Wire.Reader.u32 r) in
-      let header_len = ihl * 4 in
-      if header_len > String.length s then Error "ipv4: truncated options"
-      else if Wire.checksum_sub s 0 header_len <> 0 then
-        Error "ipv4: bad checksum"
+      let src = Ipv4_addr.read r in
+      let dst = Ipv4_addr.read r in
+      if header_len > n then Error "ipv4: truncated options"
+      else if checksum <> 0 then Error "ipv4: bad checksum"
       else begin
         Wire.Reader.skip r (header_len - 20);
-        if total_len < header_len || total_len > String.length s then
+        if total_len < header_len || total_len > n then
           Error "ipv4: bad total length"
         else
           let payload = Wire.Reader.bytes r (total_len - header_len) in

@@ -28,11 +28,29 @@ val make :
 val decrement_ttl : t -> t option
 (** [None] when the TTL reaches zero (packet must be dropped). *)
 
-val to_wire : t -> string
-(** Computes the header checksum. *)
+val write_header :
+  Wire.Writer.t ->
+  tos:int ->
+  ident:int ->
+  ttl:int ->
+  protocol:int ->
+  src:Ipv4_addr.t ->
+  dst:Ipv4_addr.t ->
+  int
+(** Appends a 20-byte header whose total length and checksum are left
+    zero, and returns its offset in the writer. The payload is written
+    after it, then {!finish} fills both fields in. *)
 
-val of_wire : string -> (t, string) result
+val finish : Wire.Writer.t -> int -> unit
+(** [finish w off] patches the total length (everything written since
+    [off]) and the checksum of the header at [off]. *)
+
+val write : Wire.Writer.t -> t -> unit
+(** Header and payload. *)
+
+val read : Wire.Reader.t -> (t, string) result
 (** Verifies the header checksum. Total: any input that is not a valid
-    header, including one whose options run past the end, is [Error]. *)
+    header, including one whose options run past the end, is [Error].
+    Bytes past the total length (Ethernet padding) are left unread. *)
 
 val pp : Format.formatter -> t -> unit

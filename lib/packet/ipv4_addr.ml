@@ -21,6 +21,10 @@ let to_int t = t
 let get s off =
   (String.get_uint16_be s off lsl 16) lor String.get_uint16_be s (off + 2)
 
+let read r = Wire.Reader.u32_int r
+
+let write w t = Wire.Writer.u32_int w t
+
 let of_octets a b c d =
   let ok v = v >= 0 && v <= 255 in
   if not (ok a && ok b && ok c && ok d) then invalid_arg "Ipv4_addr.of_octets";

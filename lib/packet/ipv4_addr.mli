@@ -24,6 +24,12 @@ val get : string -> int -> t
     [s.[off + 3]]. Raises [Invalid_argument] if that range is not
     inside [s]. *)
 
+val read : Wire.Reader.t -> t
+(** Reads four bytes, big-endian. *)
+
+val write : Wire.Writer.t -> t -> unit
+(** Writes four bytes, big-endian. *)
+
 val of_octets : int -> int -> int -> int -> t
 
 val of_string : string -> t option

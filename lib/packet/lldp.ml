@@ -11,33 +11,36 @@ let chassis_subtype_local = 7
 
 let port_subtype_local = 7
 
-let write_tlv w typ value =
-  let len = String.length value in
+(* A TLV header: 7-bit type, 9-bit length of the value that follows. *)
+let tlv_header w typ len =
   if len > 511 then invalid_arg "Lldp: TLV too long";
-  Wire.Writer.u16 w ((typ lsl 9) lor len);
+  Wire.Writer.u16 w ((typ lsl 9) lor len)
+
+let write_tlv w typ value =
+  tlv_header w typ (String.length value);
   Wire.Writer.bytes w value
 
-let to_wire t =
-  let w = Wire.Writer.create ~initial:48 () in
+(* Chassis and port IDs: a subtype byte, then the ID. *)
+let write_id w typ subtype value =
+  tlv_header w typ (1 + String.length value);
+  Wire.Writer.u8 w subtype;
+  Wire.Writer.bytes w value
+
+let write w t =
   let emit = function
-    | Chassis_id { subtype; value } ->
-        write_tlv w 1 (String.make 1 (Char.chr subtype) ^ value)
-    | Port_id { subtype; value } ->
-        write_tlv w 2 (String.make 1 (Char.chr subtype) ^ value)
+    | Chassis_id { subtype; value } -> write_id w 1 subtype value
+    | Port_id { subtype; value } -> write_id w 2 subtype value
     | Ttl ttl ->
-        let b = Wire.Writer.create ~initial:2 () in
-        Wire.Writer.u16 b ttl;
-        write_tlv w 3 (Wire.Writer.contents b)
+        tlv_header w 3 2;
+        Wire.Writer.u16 w ttl
     | System_name name -> write_tlv w 5 name
     | Custom { typ; value } -> write_tlv w typ value
   in
   List.iter emit t.tlvs;
-  write_tlv w 0 "" (* end of LLDPDU *);
-  Wire.Writer.contents w
+  tlv_header w 0 0 (* end of LLDPDU *)
 
-let of_wire s =
+let read r =
   try
-    let r = Wire.Reader.of_string s in
     let rec loop acc =
       if Wire.Reader.remaining r < 2 then Ok { tlvs = List.rev acc }
       else begin

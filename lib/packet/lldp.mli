@@ -12,10 +12,12 @@ type tlv =
 
 type t = { tlvs : tlv list }
 
-val to_wire : t -> string
-(** Appends the End-of-LLDPDU TLV. *)
+val write : Wire.Writer.t -> t -> unit
+(** Appends the TLVs and the End-of-LLDPDU TLV. *)
 
-val of_wire : string -> (t, string) result
+val read : Wire.Reader.t -> (t, string) result
+(** Decodes TLVs from the reader's remaining bytes up to the
+    End-of-LLDPDU TLV. *)
 
 (** {2 Discovery probes} *)
 

@@ -31,6 +31,10 @@ let set b off t =
   Bytes.set_uint16_be b (off + 2) ((t lsr 16) land 0xFFFF);
   Bytes.set_uint16_be b (off + 4) (t land 0xFFFF)
 
+let read r = Wire.Reader.u48 r
+
+let write w t = Wire.Writer.u48 w t
+
 let to_bytes t =
   let b = Bytes.create 6 in
   set b 0 t;

@@ -31,6 +31,12 @@ val get : string -> int -> t
 val set : Bytes.t -> int -> t -> unit
 (** [set b off t] writes [t] big-endian at [b.[off]] to [b.[off + 5]]. *)
 
+val read : Wire.Reader.t -> t
+(** Reads six bytes, big-endian. *)
+
+val write : Wire.Writer.t -> t -> unit
+(** Writes six bytes, big-endian. *)
+
 val of_string : string -> t option
 (** Parses ["aa:bb:cc:dd:ee:ff"]. *)
 

@@ -110,8 +110,8 @@ let encode ~age ~options ~link_state_id ~adv_router ~seq body =
   Wire.Writer.u16 w age;
   Wire.Writer.u8 w options;
   Wire.Writer.u8 w (lsa_type body);
-  Wire.Writer.u32 w (Ipv4_addr.to_int32 link_state_id);
-  Wire.Writer.u32 w (Ipv4_addr.to_int32 adv_router);
+  Ipv4_addr.write w link_state_id;
+  Ipv4_addr.write w adv_router;
   Wire.Writer.u32 w seq;
   Wire.Writer.u16 w 0 (* checksum placeholder *);
   Wire.Writer.u16 w 0 (* length placeholder *);
@@ -122,15 +122,15 @@ let encode ~age ~options ~link_state_id ~adv_router ~seq body =
       Wire.Writer.u16 w (List.length links);
       List.iter
         (fun l ->
-          Wire.Writer.u32 w (Ipv4_addr.to_int32 l.link_id);
-          Wire.Writer.u32 w (Ipv4_addr.to_int32 l.link_data);
+          Ipv4_addr.write w l.link_id;
+          Ipv4_addr.write w l.link_data;
           Wire.Writer.u8 w (link_type_code l.link_type);
           Wire.Writer.u8 w 0 (* #TOS *);
           Wire.Writer.u16 w l.metric)
         links
   | Network { mask; attached } ->
-      Wire.Writer.u32 w (Ipv4_addr.to_int32 mask);
-      List.iter (fun r -> Wire.Writer.u32 w (Ipv4_addr.to_int32 r)) attached
+      Ipv4_addr.write w mask;
+      List.iter (fun r -> Ipv4_addr.write w r) attached
   | Opaque { data; _ } -> Wire.Writer.bytes w data);
   Wire.Writer.patch_u16 w 18 (Wire.Writer.length w);
   Wire.Writer.patch_u16 w 16 (lsa_checksum (Wire.Writer.contents w));
@@ -188,8 +188,8 @@ let decode_body typ r =
       let rec links acc i =
         if i = 0 then Ok (List.rev acc)
         else begin
-          let link_id = Ipv4_addr.of_int32 (Wire.Reader.u32 r) in
-          let link_data = Ipv4_addr.of_int32 (Wire.Reader.u32 r) in
+          let link_id = Ipv4_addr.read r in
+          let link_data = Ipv4_addr.read r in
           let code = Wire.Reader.u8 r in
           let _tos = Wire.Reader.u8 r in
           let metric = Wire.Reader.u16 r in
@@ -201,10 +201,10 @@ let decode_body typ r =
       in
       Result.map (fun links -> Router { links }) (links [] n)
   | 2 ->
-      let mask = Ipv4_addr.of_int32 (Wire.Reader.u32 r) in
+      let mask = Ipv4_addr.read r in
       let rec attached acc =
         if Wire.Reader.remaining r < 4 then List.rev acc
-        else attached (Ipv4_addr.of_int32 (Wire.Reader.u32 r) :: acc)
+        else attached (Ipv4_addr.read r :: acc)
       in
       Ok (Network { mask; attached = attached [] })
   | other -> Ok (Opaque { lsa_type = other; data = Wire.Reader.rest r })
@@ -215,8 +215,8 @@ let decode_lsa wire =
   let age = Wire.Reader.u16 r in
   let options = Wire.Reader.u8 r in
   let typ = Wire.Reader.u8 r in
-  let link_state_id = Ipv4_addr.of_int32 (Wire.Reader.u32 r) in
-  let adv_router = Ipv4_addr.of_int32 (Wire.Reader.u32 r) in
+  let link_state_id = Ipv4_addr.read r in
+  let adv_router = Ipv4_addr.read r in
   let seq = Wire.Reader.u32 r in
   Wire.Reader.skip r 4 (* checksum and length *);
   Result.map
@@ -251,8 +251,8 @@ let lsa_header_to_wire w h =
   Wire.Writer.u16 w h.h_age;
   Wire.Writer.u8 w h.h_options;
   Wire.Writer.u8 w h.h_key.k_type;
-  Wire.Writer.u32 w (Ipv4_addr.to_int32 h.h_key.k_id);
-  Wire.Writer.u32 w (Ipv4_addr.to_int32 h.h_key.k_adv);
+  Ipv4_addr.write w h.h_key.k_id;
+  Ipv4_addr.write w h.h_key.k_adv;
   Wire.Writer.u32 w h.h_seq;
   Wire.Writer.u16 w h.h_checksum;
   Wire.Writer.u16 w h.h_length
@@ -261,8 +261,8 @@ let lsa_header_of_wire r =
   let h_age = Wire.Reader.u16 r in
   let h_options = Wire.Reader.u8 r in
   let k_type = Wire.Reader.u8 r in
-  let k_id = Ipv4_addr.of_int32 (Wire.Reader.u32 r) in
-  let k_adv = Ipv4_addr.of_int32 (Wire.Reader.u32 r) in
+  let k_id = Ipv4_addr.read r in
+  let k_adv = Ipv4_addr.read r in
   let h_seq = Wire.Reader.u32 r in
   let h_checksum = Wire.Reader.u16 r in
   let h_length = Wire.Reader.u16 r in
@@ -305,14 +305,14 @@ let payload_type = function
 
 let encode_payload w = function
   | Hello h ->
-      Wire.Writer.u32 w (Ipv4_addr.to_int32 h.netmask);
+      Ipv4_addr.write w h.netmask;
       Wire.Writer.u16 w h.hello_interval;
       Wire.Writer.u8 w 0x02 (* options: E *);
       Wire.Writer.u8 w h.priority;
-      Wire.Writer.u32 w (Int32.of_int h.dead_interval);
-      Wire.Writer.u32 w (Ipv4_addr.to_int32 h.dr);
-      Wire.Writer.u32 w (Ipv4_addr.to_int32 h.bdr);
-      List.iter (fun n -> Wire.Writer.u32 w (Ipv4_addr.to_int32 n)) h.neighbors
+      Wire.Writer.u32_int w h.dead_interval;
+      Ipv4_addr.write w h.dr;
+      Ipv4_addr.write w h.bdr;
+      List.iter (fun n -> Ipv4_addr.write w n) h.neighbors
   | Db_desc d ->
       Wire.Writer.u16 w d.mtu;
       Wire.Writer.u8 w 0x02;
@@ -325,47 +325,57 @@ let encode_payload w = function
   | Ls_request keys ->
       List.iter
         (fun k ->
-          Wire.Writer.u32 w (Int32.of_int k.k_type);
-          Wire.Writer.u32 w (Ipv4_addr.to_int32 k.k_id);
-          Wire.Writer.u32 w (Ipv4_addr.to_int32 k.k_adv))
+          Wire.Writer.u32_int w k.k_type;
+          Ipv4_addr.write w k.k_id;
+          Ipv4_addr.write w k.k_adv)
         keys
   | Ls_update lsas ->
-      Wire.Writer.u32 w (Int32.of_int (List.length lsas));
+      Wire.Writer.u32_int w (List.length lsas);
       List.iter (fun lsa -> Wire.Writer.bytes w (lsa_to_wire lsa)) lsas
   | Ls_ack headers -> List.iter (lsa_header_to_wire w) headers
 
-let to_wire t =
-  let body = Wire.Writer.create ~initial:64 () in
-  encode_payload body t.payload;
-  let body = Wire.Writer.contents body in
-  let w = Wire.Writer.create ~initial:(24 + String.length body) () in
+let header_size = 24
+
+let size t =
+  header_size
+  +
+  match t.payload with
+  | Hello h -> 20 + (4 * List.length h.neighbors)
+  | Db_desc d -> 8 + (20 * List.length d.headers)
+  | Ls_request keys -> 12 * List.length keys
+  | Ls_update lsas ->
+      List.fold_left (fun n lsa -> n + String.length lsa.wire) 4 lsas
+  | Ls_ack headers -> 20 * List.length headers
+
+let write w t =
+  let off = Wire.Writer.length w in
   Wire.Writer.u8 w 2 (* version *);
   Wire.Writer.u8 w (payload_type t.payload);
-  Wire.Writer.u16 w (24 + String.length body);
-  Wire.Writer.u32 w (Ipv4_addr.to_int32 t.router_id);
-  Wire.Writer.u32 w (Ipv4_addr.to_int32 t.area_id);
-  Wire.Writer.u16 w 0 (* checksum placeholder *);
+  Wire.Writer.u16 w 0 (* length, patched below *);
+  Ipv4_addr.write w t.router_id;
+  Ipv4_addr.write w t.area_id;
+  Wire.Writer.u16 w 0 (* checksum, patched below *);
   Wire.Writer.u16 w 0 (* autype: null *);
-  Wire.Writer.u64 w 0L (* auth data *);
-  Wire.Writer.bytes w body;
-  let encoded = Wire.Writer.contents w in
-  Wire.Writer.patch_u16 w 12 (Wire.checksum encoded);
-  Wire.Writer.contents w
+  Wire.Writer.zeros w 8 (* auth data *);
+  encode_payload w t.payload;
+  let len = Wire.Writer.length w - off in
+  Wire.Writer.patch_u16 w (off + 2) len;
+  Wire.Writer.patch_u16 w (off + 12) (Wire.Writer.checksum w off len)
 
 let decode_payload typ r =
   try
     match typ with
     | 1 ->
-        let netmask = Ipv4_addr.of_int32 (Wire.Reader.u32 r) in
+        let netmask = Ipv4_addr.read r in
         let hello_interval = Wire.Reader.u16 r in
         let _options = Wire.Reader.u8 r in
         let priority = Wire.Reader.u8 r in
-        let dead_interval = Int32.to_int (Wire.Reader.u32 r) in
-        let dr = Ipv4_addr.of_int32 (Wire.Reader.u32 r) in
-        let bdr = Ipv4_addr.of_int32 (Wire.Reader.u32 r) in
+        let dead_interval = Wire.Reader.u32_int r in
+        let dr = Ipv4_addr.read r in
+        let bdr = Ipv4_addr.read r in
         let rec neighbors acc =
           if Wire.Reader.remaining r < 4 then List.rev acc
-          else neighbors (Ipv4_addr.of_int32 (Wire.Reader.u32 r) :: acc)
+          else neighbors (Ipv4_addr.read r :: acc)
         in
         Ok
           (Hello
@@ -401,15 +411,15 @@ let decode_payload typ r =
         let rec keys acc =
           if Wire.Reader.remaining r < 12 then List.rev acc
           else begin
-            let k_type = Int32.to_int (Wire.Reader.u32 r) in
-            let k_id = Ipv4_addr.of_int32 (Wire.Reader.u32 r) in
-            let k_adv = Ipv4_addr.of_int32 (Wire.Reader.u32 r) in
+            let k_type = Wire.Reader.u32_int r in
+            let k_id = Ipv4_addr.read r in
+            let k_adv = Ipv4_addr.read r in
             keys ({ k_type; k_id; k_adv } :: acc)
           end
         in
         Ok (Ls_request (keys []))
     | 4 ->
-        let n = Int32.to_int (Wire.Reader.u32 r) in
+        let n = Wire.Reader.u32_int r in
         let rec lsas acc i =
           if i = 0 then Ok (Ls_update (List.rev acc))
           else
@@ -427,25 +437,25 @@ let decode_payload typ r =
     | n -> Error (Printf.sprintf "ospf: unknown packet type %d" n)
   with Wire.Truncated -> Error "ospf: truncated payload"
 
-let of_wire s =
+let read r =
   try
-    if Wire.checksum s <> 0 then Error "ospf: bad packet checksum"
+    let n = Wire.Reader.remaining r in
+    if Wire.Reader.checksum r n <> 0 then Error "ospf: bad packet checksum"
     else begin
-      let r = Wire.Reader.of_string s in
       let version = Wire.Reader.u8 r in
       if version <> 2 then Error "ospf: not OSPFv2"
       else begin
         let typ = Wire.Reader.u8 r in
         let length = Wire.Reader.u16 r in
-        let router_id = Ipv4_addr.of_int32 (Wire.Reader.u32 r) in
-        let area_id = Ipv4_addr.of_int32 (Wire.Reader.u32 r) in
+        let router_id = Ipv4_addr.read r in
+        let area_id = Ipv4_addr.read r in
         let _checksum = Wire.Reader.u16 r in
         let _autype = Wire.Reader.u16 r in
-        let _auth = Wire.Reader.u64 r in
-        if length < 24 || length > String.length s then
+        Wire.Reader.skip r 8 (* auth data *);
+        if length < header_size || length > n then
           Error "ospf: bad packet length"
         else
-          let body = Wire.Reader.sub r (length - 24) in
+          let body = Wire.Reader.sub r (length - header_size) in
           Result.map
             (fun payload -> { router_id; area_id; payload })
             (decode_payload typ body)

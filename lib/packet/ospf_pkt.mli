@@ -120,8 +120,14 @@ type payload =
 
 type t = { router_id : Ipv4_addr.t; area_id : Ipv4_addr.t; payload : payload }
 
-val to_wire : t -> string
+val size : t -> int
+(** Encoded length in bytes, header included. *)
 
-val of_wire : string -> (t, string) result
+val write : Wire.Writer.t -> t -> unit
+(** Appends the packet and patches its length and checksum in place. *)
+
+val read : Wire.Reader.t -> (t, string) result
+(** Decodes the packet from the reader's remaining bytes, which the
+    packet checksum covers. *)
 
 val pp : Format.formatter -> t -> unit

@@ -32,8 +32,7 @@ let flags_of_int v =
     ack = v land 0x10 <> 0;
   }
 
-let to_wire t =
-  let w = Wire.Writer.create ~initial:(20 + String.length t.payload) () in
+let write w t =
   Wire.Writer.u16 w t.src_port;
   Wire.Writer.u16 w t.dst_port;
   Wire.Writer.u32 w t.seq;
@@ -43,12 +42,10 @@ let to_wire t =
   Wire.Writer.u16 w t.window;
   Wire.Writer.u16 w 0 (* checksum: channels are reliable in-simulator *);
   Wire.Writer.u16 w 0 (* urgent *);
-  Wire.Writer.bytes w t.payload;
-  Wire.Writer.contents w
+  Wire.Writer.bytes w t.payload
 
-let of_wire s =
+let read r =
   try
-    let r = Wire.Reader.of_string s in
     let src_port = Wire.Reader.u16 r in
     let dst_port = Wire.Reader.u16 r in
     let seq = Wire.Reader.u32 r in

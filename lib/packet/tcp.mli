@@ -25,8 +25,10 @@ val make :
   string ->
   t
 
-val to_wire : t -> string
+val write : Wire.Writer.t -> t -> unit
+(** Appends a 20-byte header (no options) and the payload. *)
 
-val of_wire : string -> (t, string) result
+val read : Wire.Reader.t -> (t, string) result
+(** Decodes the segment from the reader's remaining bytes. *)
 
 val pp : Format.formatter -> t -> unit

@@ -5,8 +5,11 @@ type t = { src_port : int; dst_port : int; payload : string }
 
 val make : src_port:int -> dst_port:int -> string -> t
 
-val to_wire : t -> string
+val write : Wire.Writer.t -> t -> unit
+(** Appends the header and payload; the checksum is left zero (optional
+    in IPv4). *)
 
-val of_wire : string -> (t, string) result
+val read : Wire.Reader.t -> (t, string) result
+(** Decodes the datagram from the reader's remaining bytes. *)
 
 val pp : Format.formatter -> t -> unit

@@ -1,5 +1,24 @@
 exception Truncated
 
+let checksum_sub s off len =
+  if off < 0 || len < 0 || off > String.length s - len then
+    invalid_arg "Wire.checksum_sub";
+  let stop = off + len in
+  let sum = ref 0 in
+  let i = ref off in
+  while !i + 1 < stop do
+    sum :=
+      !sum
+      + (Char.code (String.unsafe_get s !i) lsl 8)
+      + Char.code (String.unsafe_get s (!i + 1));
+    i := !i + 2
+  done;
+  if !i < stop then sum := !sum + (Char.code (String.unsafe_get s !i) lsl 8);
+  while !sum lsr 16 <> 0 do
+    sum := (!sum land 0xffff) + (!sum lsr 16)
+  done;
+  lnot !sum land 0xffff
+
 module Writer = struct
   type t = { mutable buf : Bytes.t; mutable len : int }
 
@@ -35,6 +54,19 @@ module Writer = struct
     Bytes.set_int32_be w.buf w.len v;
     w.len <- w.len + 4
 
+  let u32_int w v =
+    ensure w 4;
+    Bytes.set_uint16_be w.buf w.len ((v lsr 16) land 0xffff);
+    Bytes.set_uint16_be w.buf (w.len + 2) (v land 0xffff);
+    w.len <- w.len + 4
+
+  let u48 w v =
+    ensure w 6;
+    Bytes.set_uint16_be w.buf w.len ((v lsr 32) land 0xffff);
+    Bytes.set_uint16_be w.buf (w.len + 2) ((v lsr 16) land 0xffff);
+    Bytes.set_uint16_be w.buf (w.len + 4) (v land 0xffff);
+    w.len <- w.len + 6
+
   let u64 w v =
     ensure w 8;
     Bytes.set_int64_be w.buf w.len v;
@@ -53,10 +85,13 @@ module Writer = struct
 
   let contents w = Bytes.sub_string w.buf 0 w.len
 
+  let checksum w off len =
+    if off < 0 || len < 0 || off > w.len - len then invalid_arg "Writer.checksum";
+    checksum_sub (Bytes.unsafe_to_string w.buf) off len
+
   let patch_u16 w off v =
     if off < 0 || off + 2 > w.len then invalid_arg "Writer.patch_u16";
-    Bytes.set w.buf off (Char.chr ((v lsr 8) land 0xff));
-    Bytes.set w.buf (off + 1) (Char.chr (v land 0xff))
+    Bytes.set_uint16_be w.buf off (v land 0xffff)
 end
 
 module Reader = struct
@@ -95,6 +130,20 @@ module Reader = struct
     r.pos <- p + 4;
     String.get_int32_be r.src p
 
+  let u32_int r =
+    check r 4;
+    let p = r.pos in
+    r.pos <- p + 4;
+    (String.get_uint16_be r.src p lsl 16) lor String.get_uint16_be r.src (p + 2)
+
+  let u48 r =
+    check r 6;
+    let p = r.pos in
+    r.pos <- p + 6;
+    (String.get_uint16_be r.src p lsl 32)
+    lor (String.get_uint16_be r.src (p + 2) lsl 16)
+    lor String.get_uint16_be r.src (p + 4)
+
   let u64 r =
     check r 8;
     let p = r.pos in
@@ -113,30 +162,15 @@ module Reader = struct
 
   let rest r = bytes r (remaining r)
 
+  let checksum r n =
+    check r n;
+    checksum_sub r.src r.pos n
+
   let sub r n =
     check r n;
     let sub_reader = { src = r.src; pos = r.pos; limit = r.pos + n } in
     r.pos <- r.pos + n;
     sub_reader
 end
-
-let checksum_sub s off len =
-  if off < 0 || len < 0 || off > String.length s - len then
-    invalid_arg "Wire.checksum_sub";
-  let stop = off + len in
-  let sum = ref 0 in
-  let i = ref off in
-  while !i + 1 < stop do
-    sum :=
-      !sum
-      + (Char.code (String.unsafe_get s !i) lsl 8)
-      + Char.code (String.unsafe_get s (!i + 1));
-    i := !i + 2
-  done;
-  if !i < stop then sum := !sum + (Char.code (String.unsafe_get s !i) lsl 8);
-  while !sum lsr 16 <> 0 do
-    sum := (!sum land 0xffff) + (!sum lsr 16)
-  done;
-  lnot !sum land 0xffff
 
 let checksum s = checksum_sub s 0 (String.length s)

@@ -22,6 +22,13 @@ module Writer : sig
 
   val u32 : t -> int32 -> unit
 
+  val u32_int : t -> int -> unit
+  (** Big-endian, low 32 bits of an int: {!u32} without the boxed
+      [int32]. *)
+
+  val u48 : t -> int -> unit
+  (** Big-endian, low 48 bits (a MAC address). *)
+
   val u64 : t -> int64 -> unit
 
   val bytes : t -> string -> unit
@@ -33,8 +40,13 @@ module Writer : sig
   val contents : t -> string
 
   val patch_u16 : t -> int -> int -> unit
-  (** [patch_u16 w off v] overwrites two bytes at offset [off]; used to
-      backfill length fields. *)
+  (** [patch_u16 w off v] overwrites two bytes at offset [off] with the
+      low 16 bits of [v]; used to backfill length and checksum fields. *)
+
+  val checksum : t -> int -> int -> int
+  (** [checksum w off len] is the RFC 1071 Internet checksum of the
+      [len] bytes written at offset [off]. Raises [Invalid_argument] if
+      that range has not been written. *)
 end
 
 module Reader : sig
@@ -57,6 +69,12 @@ module Reader : sig
 
   val u32 : t -> int32
 
+  val u32_int : t -> int
+  (** {!u32} as an int in [\[0, 2{^32})], without the boxed [int32]. *)
+
+  val u48 : t -> int
+  (** Big-endian 48 bits (a MAC address). *)
+
   val u64 : t -> int64
 
   val bytes : t -> int -> string
@@ -65,6 +83,10 @@ module Reader : sig
 
   val rest : t -> string
   (** All remaining bytes; the reader ends up empty. *)
+
+  val checksum : t -> int -> int
+  (** [checksum r n] is the RFC 1071 Internet checksum of the next [n]
+      bytes, which are not consumed. *)
 
   val sub : t -> int -> t
   (** [sub r n] is a reader over the next [n] bytes, which are consumed

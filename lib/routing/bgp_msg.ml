@@ -58,48 +58,46 @@ let encode_body w = function
       Wire.Writer.u8 w code;
       Wire.Writer.u8 w subcode
   | Update u ->
-      let withdrawn = Wire.Writer.create ~initial:16 () in
-      List.iter (write_prefix withdrawn) u.u_withdrawn;
-      let withdrawn = Wire.Writer.contents withdrawn in
-      Wire.Writer.u16 w (String.length withdrawn);
-      Wire.Writer.bytes w withdrawn;
-      let attrs = Wire.Writer.create ~initial:32 () in
-      if u.u_nlri <> [] then begin
-        (* ORIGIN: IGP *)
-        Wire.Writer.u8 attrs 0x40;
-        Wire.Writer.u8 attrs 1;
-        Wire.Writer.u8 attrs 1;
-        Wire.Writer.u8 attrs 0;
-        (* AS_PATH: one AS_SEQUENCE segment *)
-        Wire.Writer.u8 attrs 0x40;
-        Wire.Writer.u8 attrs 2;
-        Wire.Writer.u8 attrs (2 + (2 * List.length u.u_as_path));
-        Wire.Writer.u8 attrs 2 (* AS_SEQUENCE *);
-        Wire.Writer.u8 attrs (List.length u.u_as_path);
-        List.iter (fun asn -> Wire.Writer.u16 attrs asn) u.u_as_path;
-        (* NEXT_HOP *)
-        match u.u_next_hop with
-        | Some nh ->
-            Wire.Writer.u8 attrs 0x40;
-            Wire.Writer.u8 attrs 3;
-            Wire.Writer.u8 attrs 4;
-            Wire.Writer.u32 attrs (Ipv4_addr.to_int32 nh)
-        | None -> ()
-      end;
-      let attrs = Wire.Writer.contents attrs in
-      Wire.Writer.u16 w (String.length attrs);
-      Wire.Writer.bytes w attrs;
+      (* Each section's 2-byte length is patched once it is written. *)
+      let section write =
+        let off = Wire.Writer.length w in
+        Wire.Writer.u16 w 0;
+        write ();
+        Wire.Writer.patch_u16 w off (Wire.Writer.length w - off - 2)
+      in
+      section (fun () -> List.iter (write_prefix w) u.u_withdrawn);
+      section (fun () ->
+        if u.u_nlri <> [] then begin
+          (* ORIGIN: IGP *)
+          Wire.Writer.u8 w 0x40;
+          Wire.Writer.u8 w 1;
+          Wire.Writer.u8 w 1;
+          Wire.Writer.u8 w 0;
+          (* AS_PATH: one AS_SEQUENCE segment *)
+          Wire.Writer.u8 w 0x40;
+          Wire.Writer.u8 w 2;
+          Wire.Writer.u8 w (2 + (2 * List.length u.u_as_path));
+          Wire.Writer.u8 w 2 (* AS_SEQUENCE *);
+          Wire.Writer.u8 w (List.length u.u_as_path);
+          List.iter (fun asn -> Wire.Writer.u16 w asn) u.u_as_path;
+          (* NEXT_HOP *)
+          match u.u_next_hop with
+          | Some nh ->
+              Wire.Writer.u8 w 0x40;
+              Wire.Writer.u8 w 3;
+              Wire.Writer.u8 w 4;
+              Wire.Writer.u32 w (Ipv4_addr.to_int32 nh)
+          | None -> ()
+        end);
       List.iter (write_prefix w) u.u_nlri
 
 let to_wire t =
-  let body = Wire.Writer.create ~initial:32 () in
-  encode_body body t;
-  let body = Wire.Writer.contents body in
-  let w = Wire.Writer.create ~initial:(19 + String.length body) () in
+  let w = Wire.Writer.create ~initial:64 () in
   Wire.Writer.bytes w marker;
-  Wire.Writer.u16 w (19 + String.length body);
+  Wire.Writer.u16 w 0 (* length, patched below *);
   Wire.Writer.u8 w (type_code t);
-  Wire.Writer.bytes w body;
+  encode_body w t;
+  Wire.Writer.patch_u16 w 16 (Wire.Writer.length w);
   Wire.Writer.contents w
 
 let ( let* ) = Result.bind

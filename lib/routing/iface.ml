@@ -7,7 +7,7 @@ type t = {
   mutable prefix_len : int;
   mutable up : bool;
   mutable transmit : (string -> unit) option;
-  mutable receivers : (string -> unit) list;
+  mutable receivers : (Packet.t -> unit) list;
   mutable state_listeners : (bool -> unit) list;
   mutable address_listeners : (unit -> unit) list;
   mutable rx : int;
@@ -68,7 +68,10 @@ let send t frame =
 let deliver t frame =
   if t.up then begin
     t.rx <- t.rx + 1;
-    List.iter (fun f -> f frame) t.receivers
+    if t.receivers <> [] then
+      match Packet.parse frame with
+      | Ok pkt -> List.iter (fun f -> f pkt) t.receivers
+      | Error _ -> ()
   end
 
 let add_receiver t f = t.receivers <- t.receivers @ [ f ]

@@ -2,8 +2,9 @@
 
     An interface carries raw Ethernet frames: the owner wires
     [set_transmit] to the virtual switch, and protocol stacks register
-    receivers. Every receiver sees every incoming frame and filters for
-    itself.
+    receivers. Like a guest kernel, the interface parses each incoming
+    frame once and hands the parsed packet to every receiver; each
+    receiver filters for itself.
 
     NICs are created unnumbered (0.0.0.0/0) — the RouteFlow VM gets its
     addresses later, from the RPC server's link-up configuration — so
@@ -47,10 +48,11 @@ val send : t -> string -> unit
 (** Drops silently when down or unwired. *)
 
 val deliver : t -> string -> unit
-(** A frame arrived from the wire; fans out to receivers unless the
-    interface is down. *)
+(** A frame arrived from the wire. Unless the interface is down, it is
+    parsed once and the packet fans out to the receivers in the order
+    they were added; a frame that does not parse reaches none. *)
 
-val add_receiver : t -> (string -> unit) -> unit
+val add_receiver : t -> (Packet.t -> unit) -> unit
 
 val add_state_listener : t -> (bool -> unit) -> unit
 

@@ -813,14 +813,14 @@ let add_interface t ?(passive = false) ifc =
       r_next_hop = None;
       r_iface = Iface.name ifc;
     };
-  Iface.add_receiver ifc (fun frame ->
-      match Packet.parse frame with
-      | Ok { l3 = Packet.Ipv4 (ip, Packet.Ospf pkt); _ } ->
+  Iface.add_receiver ifc (fun (frame : Packet.t) ->
+      match frame.l3 with
+      | Packet.Ipv4 (ip, Packet.Ospf pkt) ->
           if
             Ipv4_addr.equal ip.dst Ipv4_addr.ospf_all_routers
             || Ipv4_addr.equal ip.dst (Iface.ip ifc)
           then handle_packet t oif ~src:ip.src pkt
-      | Ok _ | Error _ -> ());
+      | Packet.Ipv4 _ | Packet.Arp _ | Packet.Lldp _ | Packet.Raw_l3 _ -> ());
   (* Interface state drives immediate reconvergence: a downed link
      kills its adjacencies and re-originates at once instead of waiting
      out the dead interval. *)

@@ -221,15 +221,15 @@ let add_interface t ?(passive = false) ifc =
       r_next_hop = None;
       r_iface = Iface.name ifc;
     };
-  Iface.add_receiver ifc (fun frame ->
-      match Packet.parse frame with
-      | Ok { l3 = Packet.Ipv4 (iph, Packet.Udp u); _ }
+  Iface.add_receiver ifc (fun (frame : Packet.t) ->
+      match frame.l3 with
+      | Packet.Ipv4 (iph, Packet.Udp u)
         when u.Udp.dst_port = Rip_pkt.port
              && not (Ipv4_addr.equal iph.Ipv4.src (Iface.ip ifc)) -> (
           match Rip_pkt.of_wire u.Udp.payload with
           | Ok pkt -> handle_packet t rif ~src:iph.Ipv4.src pkt
           | Error _ -> ())
-      | Ok _ | Error _ -> ());
+      | Packet.Ipv4 _ | Packet.Arp _ | Packet.Lldp _ | Packet.Raw_l3 _ -> ());
   Iface.add_state_listener ifc (fun up ->
       if not up then
         Hashtbl.iter

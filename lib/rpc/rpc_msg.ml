@@ -92,59 +92,61 @@ let encode_request w = function
       Wire.Writer.u32 w (Ipv4_addr.to_int32 e.gateway);
       Wire.Writer.u8 w e.prefix_len
 
+(* A 4-byte length, then the body written behind it; the length is
+   patched once the body is in. *)
 let to_wire env =
-  let body = Wire.Writer.create ~initial:32 () in
-  Wire.Writer.u32 body env.epoch;
-  Wire.Writer.u32 body env.seq;
+  let w = Wire.Writer.create ~initial:48 () in
+  Wire.Writer.u32 w 0l (* length, patched below *);
+  Wire.Writer.u32 w env.epoch;
+  Wire.Writer.u32 w env.seq;
   (match env.body with
   | Request r ->
-      Wire.Writer.u8 body 0;
-      encode_request body r
+      Wire.Writer.u8 w 0;
+      encode_request w r
   | Ack { a_epoch; a_cum; a_seq } ->
-      Wire.Writer.u8 body 1;
-      Wire.Writer.u32 body a_epoch;
-      Wire.Writer.u32 body a_cum;
-      Wire.Writer.u32 body a_seq
-  | Ping -> Wire.Writer.u8 body 2
-  | Pong -> Wire.Writer.u8 body 3
-  | Sync_request -> Wire.Writer.u8 body 4
+      Wire.Writer.u8 w 1;
+      Wire.Writer.u32 w a_epoch;
+      Wire.Writer.u32 w a_cum;
+      Wire.Writer.u32 w a_seq
+  | Ping -> Wire.Writer.u8 w 2
+  | Pong -> Wire.Writer.u8 w 3
+  | Sync_request -> Wire.Writer.u8 w 4
   | Sync_snapshot msgs ->
       if List.length msgs > max_snapshot_msgs then
         invalid_arg "Rpc_msg.to_wire: snapshot too large";
-      Wire.Writer.u8 body 5;
-      Wire.Writer.u16 body (List.length msgs);
-      List.iter (encode_request body) msgs
+      Wire.Writer.u8 w 5;
+      Wire.Writer.u16 w (List.length msgs);
+      List.iter (encode_request w) msgs
   | Elect_request { el_epoch; el_candidate; el_last } ->
-      Wire.Writer.u8 body 6;
-      Wire.Writer.u32 body el_epoch;
-      Wire.Writer.u16 body el_candidate;
-      Wire.Writer.u32 body el_last
+      Wire.Writer.u8 w 6;
+      Wire.Writer.u32 w el_epoch;
+      Wire.Writer.u16 w el_candidate;
+      Wire.Writer.u32 w el_last
   | Elect_vote { ev_epoch; ev_voter; ev_granted } ->
-      Wire.Writer.u8 body 7;
-      Wire.Writer.u32 body ev_epoch;
-      Wire.Writer.u16 body ev_voter;
-      Wire.Writer.u8 body (if ev_granted then 1 else 0)
+      Wire.Writer.u8 w 7;
+      Wire.Writer.u32 w ev_epoch;
+      Wire.Writer.u16 w ev_voter;
+      Wire.Writer.u8 w (if ev_granted then 1 else 0)
   | Leader_heartbeat { lh_epoch; lh_leader; lh_commit; lh_len } ->
-      Wire.Writer.u8 body 8;
-      Wire.Writer.u32 body lh_epoch;
-      Wire.Writer.u16 body lh_leader;
-      Wire.Writer.u32 body lh_commit;
-      Wire.Writer.u32 body lh_len
+      Wire.Writer.u8 w 8;
+      Wire.Writer.u32 w lh_epoch;
+      Wire.Writer.u16 w lh_leader;
+      Wire.Writer.u32 w lh_commit;
+      Wire.Writer.u32 w lh_len
   | Replicate { rp_epoch; rp_leader; rp_index; rp_msg } ->
-      Wire.Writer.u8 body 9;
-      Wire.Writer.u32 body rp_epoch;
-      Wire.Writer.u16 body rp_leader;
-      Wire.Writer.u32 body rp_index;
-      encode_request body rp_msg
+      Wire.Writer.u8 w 9;
+      Wire.Writer.u32 w rp_epoch;
+      Wire.Writer.u16 w rp_leader;
+      Wire.Writer.u32 w rp_index;
+      encode_request w rp_msg
   | Replicate_ack { ra_epoch; ra_replica; ra_index } ->
-      Wire.Writer.u8 body 10;
-      Wire.Writer.u32 body ra_epoch;
-      Wire.Writer.u16 body ra_replica;
-      Wire.Writer.u32 body ra_index);
-  let body = Wire.Writer.contents body in
-  let w = Wire.Writer.create ~initial:(4 + String.length body) () in
-  Wire.Writer.u32 w (Int32.of_int (String.length body));
-  Wire.Writer.bytes w body;
+      Wire.Writer.u8 w 10;
+      Wire.Writer.u32 w ra_epoch;
+      Wire.Writer.u16 w ra_replica;
+      Wire.Writer.u32 w ra_index);
+  let len = Wire.Writer.length w - 4 in
+  Wire.Writer.patch_u16 w 0 (len lsr 16);
+  Wire.Writer.patch_u16 w 2 len;
   Wire.Writer.contents w
 
 let decode_request r =

@@ -119,7 +119,11 @@ let test_action_list_roundtrip () =
       Of_action.to_controller;
     ]
   in
-  let wire = Of_action.list_to_wire actions in
+  let wire =
+    let w = Wire.Writer.create () in
+    Of_action.write_list w actions;
+    Wire.Writer.contents w
+  in
   match Of_action.list_of_wire (Wire.Reader.of_string wire) with
   | Ok actions' ->
       Alcotest.(check int) "count" (List.length actions) (List.length actions');

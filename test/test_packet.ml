@@ -11,6 +11,15 @@ let mac_t = Alcotest.testable Mac.pp Mac.equal
 
 let ip_t = Alcotest.testable Ipv4_addr.pp Ipv4_addr.equal
 
+(* The bytes one layer's writer appends to a fresh buffer, and that
+   layer's reader over a whole string. *)
+let encode write v =
+  let w = Wire.Writer.create () in
+  write w v;
+  Wire.Writer.contents w
+
+let decode read s = read (Wire.Reader.of_string s)
+
 (* --- Wire ------------------------------------------------------------ *)
 
 let test_wire_roundtrip () =
@@ -127,20 +136,20 @@ let prop_prefix_mem_own_network =
 (* --- Ethernet / ARP -------------------------------------------------------- *)
 
 let test_ethernet_roundtrip () =
-  let frame =
-    { Ethernet.dst = Mac.broadcast; src = Mac.make_local 9; ethertype = 0x0800;
-      payload = "payload!" }
-  in
-  match Ethernet.of_wire (Ethernet.to_wire frame) with
+  let w = Wire.Writer.create () in
+  Ethernet.write w ~dst:Mac.broadcast ~src:(Mac.make_local 9) ~ethertype:0x0800;
+  Wire.Writer.bytes w "payload!";
+  let r = Wire.Reader.of_string (Wire.Writer.contents w) in
+  match Ethernet.read r with
   | Ok f ->
-      Alcotest.check mac_t "dst" frame.Ethernet.dst f.Ethernet.dst;
-      Alcotest.check mac_t "src" frame.Ethernet.src f.Ethernet.src;
+      Alcotest.check mac_t "dst" Mac.broadcast f.Ethernet.dst;
+      Alcotest.check mac_t "src" (Mac.make_local 9) f.Ethernet.src;
       Alcotest.(check int) "type" 0x0800 f.Ethernet.ethertype;
-      Alcotest.(check string) "payload" "payload!" f.Ethernet.payload
+      Alcotest.(check string) "payload" "payload!" (Wire.Reader.rest r)
   | Error e -> Alcotest.fail e
 
 let test_ethernet_short () =
-  match Ethernet.of_wire "too short" with
+  match decode Ethernet.read "too short" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted short frame"
 
@@ -149,7 +158,7 @@ let test_arp_roundtrip () =
     Arp.reply ~sender_mac:(Mac.make_local 1) ~sender_ip:(ip "10.0.0.1")
       ~target_mac:(Mac.make_local 2) ~target_ip:(ip "10.0.0.2")
   in
-  match Arp.of_wire (Arp.to_wire a) with
+  match decode Arp.read (encode Arp.write a) with
   | Ok a' ->
       Alcotest.(check bool) "reply" true (a'.Arp.op = Arp.Reply);
       Alcotest.check ip_t "sender" (ip "10.0.0.1") a'.Arp.sender_ip;
@@ -163,8 +172,8 @@ let test_ipv4_roundtrip_and_checksum () =
     Ipv4.make ~ttl:17 ~protocol:Ipv4.proto_udp ~src:(ip "1.2.3.4")
       ~dst:(ip "5.6.7.8") "datagram"
   in
-  let wire = Ipv4.to_wire p in
-  (match Ipv4.of_wire wire with
+  let wire = encode Ipv4.write p in
+  (match decode Ipv4.read wire with
   | Ok p' ->
       Alcotest.(check int) "ttl" 17 p'.Ipv4.ttl;
       Alcotest.check ip_t "src" (ip "1.2.3.4") p'.Ipv4.src;
@@ -173,7 +182,7 @@ let test_ipv4_roundtrip_and_checksum () =
   (* Corrupt one header byte: checksum must catch it. *)
   let bad = Bytes.of_string wire in
   Bytes.set bad 8 '\xFF' (* ttl *);
-  match Ipv4.of_wire (Bytes.to_string bad) with
+  match decode Ipv4.read (Bytes.to_string bad) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted corrupted header"
 
@@ -187,7 +196,7 @@ let test_ipv4_ttl () =
 
 let test_udp_roundtrip () =
   let u = Udp.make ~src_port:5004 ~dst_port:1234 "video" in
-  match Udp.of_wire (Udp.to_wire u) with
+  match decode Udp.read (encode Udp.write u) with
   | Ok u' ->
       Alcotest.(check int) "src" 5004 u'.Udp.src_port;
       Alcotest.(check int) "dst" 1234 u'.Udp.dst_port;
@@ -200,7 +209,7 @@ let test_tcp_roundtrip () =
       ~flags:{ Tcp.no_flags with syn = true; ack = true }
       ~src_port:6633 ~dst_port:45000 "of-handshake"
   in
-  match Tcp.of_wire (Tcp.to_wire t) with
+  match decode Tcp.read (encode Tcp.write t) with
   | Ok t' ->
       Alcotest.(check int32) "seq" 1000l t'.Tcp.seq;
       Alcotest.(check bool) "syn" true t'.Tcp.flags.Tcp.syn;
@@ -210,7 +219,7 @@ let test_tcp_roundtrip () =
 
 let test_icmp_roundtrip () =
   let i = Icmp.Echo_request { ident = 7; seq = 3; payload = "ping" } in
-  (match Icmp.of_wire (Icmp.to_wire i) with
+  (match decode Icmp.read (encode Icmp.write i) with
   | Ok (Icmp.Echo_request { ident; seq; payload }) ->
       Alcotest.(check int) "ident" 7 ident;
       Alcotest.(check int) "seq" 3 seq;
@@ -218,9 +227,9 @@ let test_icmp_roundtrip () =
   | Ok _ -> Alcotest.fail "wrong type"
   | Error e -> Alcotest.fail e);
   (* Corruption detection. *)
-  let bad = Bytes.of_string (Icmp.to_wire i) in
+  let bad = Bytes.of_string (encode Icmp.write i) in
   Bytes.set bad 5 'X';
-  match Icmp.of_wire (Bytes.to_string bad) with
+  match decode Icmp.read (Bytes.to_string bad) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted corrupted icmp"
 
@@ -228,7 +237,7 @@ let test_icmp_roundtrip () =
 
 let test_lldp_discovery_roundtrip () =
   let probe = Lldp.discovery_probe ~dpid:0xDEADL ~port:42 in
-  match Lldp.of_wire (Lldp.to_wire probe) with
+  match decode Lldp.read (encode Lldp.write probe) with
   | Ok l -> (
       match Lldp.parse_discovery l with
       | Some (dpid, port) ->
@@ -242,7 +251,7 @@ let test_lldp_generic_tlvs () =
     { Lldp.tlvs = [ Lldp.System_name "switch-7"; Lldp.Ttl 120;
                     Lldp.Custom { typ = 9; value = "xyz" } ] }
   in
-  match Lldp.of_wire (Lldp.to_wire l) with
+  match decode Lldp.read (encode Lldp.write l) with
   | Ok l' ->
       Alcotest.(check int) "tlv count" 3 (List.length l'.Lldp.tlvs);
       Alcotest.(check bool) "not discovery" true (Lldp.parse_discovery l' = None)
@@ -283,7 +292,7 @@ let test_ospf_hello_roundtrip () =
           };
     }
   in
-  match Ospf_pkt.of_wire (Ospf_pkt.to_wire pkt) with
+  match decode Ospf_pkt.read (encode Ospf_pkt.write pkt) with
   | Ok { payload = Ospf_pkt.Hello h; router_id; _ } ->
       Alcotest.check ip_t "router id" (ip "10.255.0.1") router_id;
       Alcotest.(check int) "hello interval" 10 h.Ospf_pkt.hello_interval;
@@ -299,7 +308,7 @@ let test_ospf_lsu_roundtrip () =
       payload = Ospf_pkt.Ls_update [ router_lsa ];
     }
   in
-  match Ospf_pkt.of_wire (Ospf_pkt.to_wire pkt) with
+  match decode Ospf_pkt.read (encode Ospf_pkt.write pkt) with
   | Ok { payload = Ospf_pkt.Ls_update [ lsa ]; _ } -> (
       Alcotest.(check int32) "seq" Ospf_pkt.initial_seq lsa.Ospf_pkt.seq;
       match lsa.Ospf_pkt.body with
@@ -324,7 +333,7 @@ let test_ospf_dd_and_ack_roundtrip () =
             dd_seq = 7l; headers = [ header ] };
     }
   in
-  (match Ospf_pkt.of_wire (Ospf_pkt.to_wire dd) with
+  (match decode Ospf_pkt.read (encode Ospf_pkt.write dd) with
   | Ok { payload = Ospf_pkt.Db_desc d; _ } ->
       Alcotest.(check bool) "init" true d.Ospf_pkt.dd_init;
       Alcotest.(check bool) "master" true d.Ospf_pkt.dd_master;
@@ -335,20 +344,20 @@ let test_ospf_dd_and_ack_roundtrip () =
     { Ospf_pkt.router_id = ip "10.255.0.2"; area_id = Ipv4_addr.any;
       payload = Ospf_pkt.Ls_ack [ header ] }
   in
-  match Ospf_pkt.of_wire (Ospf_pkt.to_wire ack) with
+  match decode Ospf_pkt.read (encode Ospf_pkt.write ack) with
   | Ok { payload = Ospf_pkt.Ls_ack [ h ]; _ } ->
       Alcotest.(check int32) "acked seq" Ospf_pkt.initial_seq h.Ospf_pkt.h_seq
   | Ok _ -> Alcotest.fail "wrong payload"
   | Error e -> Alcotest.fail e
 
 let test_ospf_checksum_rejects_corruption () =
-  let wire = Ospf_pkt.to_wire
+  let wire = encode Ospf_pkt.write
       { Ospf_pkt.router_id = ip "1.1.1.1"; area_id = Ipv4_addr.any;
         payload = Ospf_pkt.Ls_request [ { Ospf_pkt.k_type = 1; k_id = ip "2.2.2.2"; k_adv = ip "2.2.2.2" } ] }
   in
   let bad = Bytes.of_string wire in
   Bytes.set bad (Bytes.length bad - 1) '\xFF';
-  match Ospf_pkt.of_wire (Bytes.to_string bad) with
+  match decode Ospf_pkt.read (Bytes.to_string bad) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted corrupted OSPF packet"
 
@@ -372,14 +381,14 @@ let test_lsa_bad_checksum_rejected () =
       payload = Ospf_pkt.Ls_update [ router_lsa ];
     }
   in
-  let bad = Bytes.of_string (Ospf_pkt.to_wire pkt) in
+  let bad = Bytes.of_string (encode Ospf_pkt.write pkt) in
   (* 24-byte packet header, 4-byte LSA count, then the LSA: flip the
      low byte of the first link's metric. *)
   let metric = 24 + 4 + 20 + 4 + 11 in
   Bytes.set bad metric (Char.chr (Char.code (Bytes.get bad metric) lxor 1));
   Bytes.set_uint16_be bad 12 0;
   Bytes.set_uint16_be bad 12 (Wire.checksum (Bytes.to_string bad));
-  match Ospf_pkt.of_wire (Bytes.to_string bad) with
+  match decode Ospf_pkt.read (Bytes.to_string bad) with
   | Error e -> Alcotest.(check string) "reason" "ospf: bad LSA checksum" e
   | Ok _ -> Alcotest.fail "accepted an LSA with a bad Fletcher checksum"
 
@@ -407,9 +416,10 @@ let test_packet_parse_udp () =
 
 let test_packet_parse_unknown_ethertype () =
   let frame =
-    Ethernet.to_wire
-      { Ethernet.dst = Mac.broadcast; src = Mac.make_local 3; ethertype = 0x9999;
-        payload = "???" }
+    let w = Wire.Writer.create () in
+    Ethernet.write w ~dst:Mac.broadcast ~src:(Mac.make_local 3) ~ethertype:0x9999;
+    Wire.Writer.bytes w "???";
+    Wire.Writer.contents w
   in
   match Packet.parse frame with
   | Ok { l3 = Packet.Raw_l3 { ethertype; _ }; _ } ->
@@ -436,7 +446,7 @@ let prop_lldp_discovery_roundtrip =
     QCheck.(pair (int_bound 0xFFFF) (int_bound 0xFF00))
     (fun (d, p) ->
       let probe = Lldp.discovery_probe ~dpid:(Int64.of_int d) ~port:p in
-      match Lldp.of_wire (Lldp.to_wire probe) with
+      match decode Lldp.read (encode Lldp.write probe) with
       | Ok l -> Lldp.parse_discovery l = Some (Int64.of_int d, p)
       | Error _ -> false)
 
@@ -470,7 +480,7 @@ let prop_router_lsa_roundtrip =
         { Ospf_pkt.router_id = ip "10.255.0.1"; area_id = Ipv4_addr.any;
           payload = Ospf_pkt.Ls_update [ lsa ] }
       in
-      match Ospf_pkt.of_wire (Ospf_pkt.to_wire pkt) with
+      match decode Ospf_pkt.read (encode Ospf_pkt.write pkt) with
       | Ok { payload = Ospf_pkt.Ls_update [ lsa' ]; _ } ->
           lsa'.Ospf_pkt.seq = lsa.Ospf_pkt.seq
           && (match lsa'.Ospf_pkt.body with
@@ -525,7 +535,7 @@ let prop_icmp_roundtrip =
   QCheck.Test.make ~name:"icmp echoes round-trip" ~count:200
     QCheck.(triple (int_bound 0xFFFF) (int_bound 0xFFFF) (string_of_size (QCheck.Gen.int_bound 64)))
     (fun (ident, seq, payload) ->
-      match Icmp.of_wire (Icmp.to_wire (Icmp.Echo_request { ident; seq; payload })) with
+      match decode Icmp.read (encode Icmp.write (Icmp.Echo_request { ident; seq; payload })) with
       | Ok (Icmp.Echo_request e) ->
           e.ident = ident && e.seq = seq && e.payload = payload
       | Ok _ | Error _ -> false)

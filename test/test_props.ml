@@ -572,8 +572,10 @@ let key_frames =
       ( "tcp",
         Packet.ipv4 ~src_mac:mac1 ~dst_mac:mac2
           (Ipv4.make ~tos:0x10 ~protocol:Ipv4.proto_tcp ~src:a ~dst:b
-             (Tcp.to_wire
-                (Tcp.make ~src_port:40000 ~dst_port:179 (String.make 12 't')))) );
+             (let w = Wire.Writer.create () in
+              Tcp.write w
+                (Tcp.make ~src_port:40000 ~dst_port:179 (String.make 12 't'));
+              Wire.Writer.contents w)) );
       ("icmp-reply", icmp (Icmp.Echo_reply { ident = 9; seq = 3; payload = "" }));
       ( "icmp-unreachable",
         icmp (Icmp.Dest_unreachable { code = 1; original = String.make 28 'o' }) );
@@ -586,9 +588,10 @@ let key_frames =
           (Arp.reply ~sender_mac:mac2 ~sender_ip:b ~target_mac:mac1
              ~target_ip:a) );
       ( "raw-l3",
-        Ethernet.to_wire
-          { Ethernet.src = mac1; dst = mac2; ethertype = 0x86dd;
-            payload = String.make 40 'x' } );
+        (let w = Wire.Writer.create () in
+         Ethernet.write w ~dst:mac2 ~src:mac1 ~ethertype:0x86dd;
+         Wire.Writer.bytes w (String.make 40 'x');
+         Wire.Writer.contents w) );
     ]
 
 let gen_key_case =

@@ -319,6 +319,20 @@ let test_vm_bgpd_config () =
 
 (* --- Rf_vs ------------------------------------------------------------------ *)
 
+(* A frame of the IEEE local experimental ethertype carrying [tag]: the
+   VMs ignore it, and a NIC receiver sees it as [Raw_l3 tag]. *)
+let tagged_frame tag =
+  let w = Wire.Writer.create () in
+  Ethernet.write w ~dst:Mac.broadcast ~src:(Mac.make_local 99)
+    ~ethertype:0x88b5;
+  Wire.Writer.bytes w tag;
+  Wire.Writer.contents w
+
+let tag_of (pkt : Packet.t) =
+  match pkt.l3 with
+  | Packet.Raw_l3 { data; _ } -> data
+  | Packet.Arp _ | Packet.Ipv4 _ | Packet.Lldp _ -> "?"
+
 let test_rf_vs_virtual_link_and_physical_out () =
   let engine = Engine.create () in
   let vs = Rf_vs.create engine in
@@ -331,26 +345,26 @@ let test_rf_vs_virtual_link_and_physical_out () =
   Rf_vs.set_physical_out vs (fun ~dpid ~port frame ->
       physical := (dpid, port, frame) :: !physical);
   let got2 = ref [] in
-  Iface.add_receiver (Vm.nic vm2 1) (fun f -> got2 := f :: !got2);
+  Iface.add_receiver (Vm.nic vm2 1) (fun p -> got2 := tag_of p :: !got2);
   (* Port 1 has a virtual peer: frame goes VM-to-VM. *)
-  Iface.send (Vm.nic vm1 1) "vframe";
+  Iface.send (Vm.nic vm1 1) (tagged_frame "vframe");
   (* Port 2 has none: frame exits to the physical network. *)
-  Iface.send (Vm.nic vm1 2) "pframe";
+  Iface.send (Vm.nic vm1 2) (tagged_frame "pframe");
   ignore (Engine.run ~until:(Vtime.of_s 1.0) engine);
   Alcotest.(check (list string)) "virtual delivery" [ "vframe" ] !got2;
   (match !physical with
-  | [ (1L, 2, "pframe") ] -> ()
+  | [ (1L, 2, f) ] when String.equal f (tagged_frame "pframe") -> ()
   | _ -> Alcotest.fail "physical out mismatch");
   Alcotest.(check int) "virtual count" 1 (Rf_vs.virtual_frames vs);
   Alcotest.(check int) "physical count" 1 (Rf_vs.physical_out_frames vs);
   (* Injection from physical reaches the NIC. *)
   let got1 = ref [] in
-  Iface.add_receiver (Vm.nic vm1 2) (fun f -> got1 := f :: !got1);
-  Rf_vs.inject_from_physical vs ~dpid:1L ~port:2 "inject";
+  Iface.add_receiver (Vm.nic vm1 2) (fun p -> got1 := tag_of p :: !got1);
+  Rf_vs.inject_from_physical vs ~dpid:1L ~port:2 (tagged_frame "inject");
   Alcotest.(check (list string)) "inject" [ "inject" ] !got1;
   (* Disconnect: traffic falls back to physical. *)
   Rf_vs.disconnect_ports vs ~a:(1L, 1) ~b:(2L, 1);
-  Iface.send (Vm.nic vm1 1) "after";
+  Iface.send (Vm.nic vm1 1) (tagged_frame "after");
   ignore (Engine.run ~until:(Vtime.of_s 2.0) engine);
   Alcotest.(check int) "no more virtual" 1 (Rf_vs.virtual_frames vs)
 
