@@ -293,10 +293,12 @@ let add_on_flows_changed t f = t.flow_listeners <- t.flow_listeners @ [ f ]
 
 (* --- data plane ----------------------------------------------------- *)
 
-let my_addresses t =
-  Array.to_list t.nics
-  |> List.filter_map (fun ifc ->
-         if Iface.is_addressed ifc then Some (Iface.ip ifc) else None)
+(* Whether [dst] is the address of one of [nics] from index [i] on;
+   a scan in place, with no list built per frame. *)
+let rec owns_address nics dst i =
+  i < Array.length nics
+  && ((Iface.is_addressed nics.(i) && Ipv4_addr.equal (Iface.ip nics.(i)) dst)
+     || owns_address nics dst (i + 1))
 
 let learn t port ip mac =
   if not (Ipv4_addr.equal ip Ipv4_addr.any) then begin
@@ -386,7 +388,7 @@ let handle_frame t port (pkt : Packet.t) =
       (* Passive neighbour learning from any on-subnet source. *)
       if Iface.is_addressed ifc && Ipv4_addr.Prefix.mem ip.src (Iface.prefix ifc)
       then learn t port ip.src pkt.eth.src;
-      if List.exists (Ipv4_addr.equal ip.dst) (my_addresses t) then begin
+      if owns_address t.nics ip.dst 0 then begin
         (* Local delivery: the guest answers pings; OSPF packets are
            consumed by ospfd's own receiver. *)
         match l4 with
