@@ -71,7 +71,11 @@ let encode w action =
       Wire.Writer.u16 w port;
       Wire.Writer.zeros w 2
 
-let write_list w actions = List.iter (encode w) actions
+let rec write_list w = function
+  | [] -> ()
+  | a :: rest ->
+      encode w a;
+      write_list w rest
 
 let decode_one r =
   let typ = Wire.Reader.u16 r in

@@ -303,6 +303,20 @@ let payload_type = function
   | Ls_update _ -> 4
   | Ls_ack _ -> 5
 
+(* [write_each f w l] is [List.iter (f w) l] without the closure. *)
+let rec write_each f w = function
+  | [] -> ()
+  | x :: rest ->
+      f w x;
+      write_each f w rest
+
+let write_key w k =
+  Wire.Writer.u32_int w k.k_type;
+  Ipv4_addr.write w k.k_id;
+  Ipv4_addr.write w k.k_adv
+
+let write_lsa w lsa = Wire.Writer.bytes w lsa.wire
+
 let encode_payload w = function
   | Hello h ->
       Ipv4_addr.write w h.netmask;
@@ -312,7 +326,7 @@ let encode_payload w = function
       Wire.Writer.u32_int w h.dead_interval;
       Ipv4_addr.write w h.dr;
       Ipv4_addr.write w h.bdr;
-      List.iter (fun n -> Ipv4_addr.write w n) h.neighbors
+      write_each Ipv4_addr.write w h.neighbors
   | Db_desc d ->
       Wire.Writer.u16 w d.mtu;
       Wire.Writer.u8 w 0x02;
@@ -321,18 +335,12 @@ let encode_payload w = function
         lor (if d.dd_more then 0x02 else 0)
         lor if d.dd_master then 0x01 else 0);
       Wire.Writer.u32 w d.dd_seq;
-      List.iter (lsa_header_to_wire w) d.headers
-  | Ls_request keys ->
-      List.iter
-        (fun k ->
-          Wire.Writer.u32_int w k.k_type;
-          Ipv4_addr.write w k.k_id;
-          Ipv4_addr.write w k.k_adv)
-        keys
+      write_each lsa_header_to_wire w d.headers
+  | Ls_request keys -> write_each write_key w keys
   | Ls_update lsas ->
       Wire.Writer.u32_int w (List.length lsas);
-      List.iter (fun lsa -> Wire.Writer.bytes w (lsa_to_wire lsa)) lsas
-  | Ls_ack headers -> List.iter (lsa_header_to_wire w) headers
+      write_each write_lsa w lsas
+  | Ls_ack headers -> write_each lsa_header_to_wire w headers
 
 let header_size = 24
 
