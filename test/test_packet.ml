@@ -540,6 +540,138 @@ let prop_icmp_roundtrip =
           e.ident = ident && e.seq = seq && e.payload = payload
       | Ok _ | Error _ -> false)
 
+(* --- Golden bytes ---------------------------------------------------- *)
+
+let to_hex s =
+  String.concat ""
+    (List.map
+       (fun c -> Printf.sprintf "%02x" (Char.code c))
+       (List.of_seq (String.to_seq s)))
+
+let golden_router_lsa =
+  Ospf_pkt.make_lsa ~age:1 ~options:0x02 ~link_state_id:(ip "1.1.1.1")
+    ~adv_router:(ip "1.1.1.1") ~seq:0x80000003l
+    (Ospf_pkt.Router
+       {
+         links =
+           [
+             { Ospf_pkt.link_id = ip "2.2.2.2"; link_data = ip "10.0.0.1";
+               link_type = Ospf_pkt.Point_to_point; metric = 10 };
+             { link_id = ip "10.0.0.0"; link_data = ip "255.255.255.252";
+               link_type = Ospf_pkt.Stub; metric = 10 };
+           ];
+       })
+
+let golden_network_lsa =
+  Ospf_pkt.make_lsa ~age:7 ~options:0x02 ~link_state_id:(ip "10.0.1.1")
+    ~adv_router:(ip "3.3.3.3") ~seq:Ospf_pkt.initial_seq
+    (Ospf_pkt.Network
+       { mask = ip "255.255.255.0"; attached = [ ip "3.3.3.3"; ip "4.4.4.4" ] })
+
+let golden_ospf payload =
+  Packet.ospf ~src_mac:(Mac.make_local 1)
+    ~dst_mac:(Mac.of_int64 0x01005e000005L) ~src_ip:(ip "10.0.0.1")
+    ~dst_ip:Ipv4_addr.ospf_all_routers
+    { Ospf_pkt.router_id = ip "1.1.1.1"; area_id = Ipv4_addr.any; payload }
+
+(* One frame per builder and per OSPF packet type, and the bytes the
+   layered encoders wrote for it (each layer encoded on its own, then
+   copied behind the header of the layer below). The one-buffer
+   builders must write exactly those bytes. *)
+let golden_frames () =
+  let mac1 = Mac.make_local 1 and mac2 = Mac.make_local 2 in
+  let headers =
+    [ Ospf_pkt.header_of_lsa golden_router_lsa;
+      Ospf_pkt.header_of_lsa golden_network_lsa ]
+  in
+  [
+    ( "arp",
+      Packet.arp ~src:mac1 ~dst:Mac.broadcast
+        (Arp.request ~sender_mac:mac1 ~sender_ip:(ip "10.0.0.1")
+           ~target_ip:(ip "10.0.0.2")),
+      "ffffffffffff020000000001080600010800060400010200000000010a000001\
+       0000000000000a000002" );
+    ( "lldp",
+      Packet.lldp ~src:mac2
+        {
+          Lldp.tlvs =
+            (Lldp.discovery_probe ~dpid:42L ~port:7).Lldp.tlvs
+            @ [ Lldp.System_name "sw1";
+                Lldp.Custom { typ = 127; value = "\x00\x26\xe1rf" } ];
+        },
+      "0180c200000e02000000000288cc020907000000000000002a04030700070602\
+       00780a03737731fe050026e172660000" );
+    ( "ipv4",
+      Packet.ipv4 ~src_mac:mac1 ~dst_mac:mac2
+        (Ipv4.make ~tos:4 ~ttl:17 ~protocol:200 ~src:(ip "10.0.0.1")
+           ~dst:(ip "10.0.1.9") "raw bytes"),
+      "02000000000202000000000108004504001d0000000011c8940c0a0000010a00\
+       0109726177206279746573" );
+    ( "udp",
+      Packet.udp ~src_mac:mac1 ~dst_mac:mac2 ~src_ip:(ip "10.0.0.1")
+        ~dst_ip:(ip "224.0.0.9") ~ttl:1
+        (Udp.make ~src_port:520 ~dst_port:520 "rip payload"),
+      "020000000002020000000001080045000027000000000111cfbc0a000001e000\
+       00090208020800130000726970207061796c6f6164" );
+    ( "icmp-echo",
+      Packet.icmp ~src_mac:mac2 ~dst_mac:mac1 ~src_ip:(ip "10.0.1.9")
+        ~dst_ip:(ip "10.0.0.1")
+        (Icmp.Echo_request { ident = 1; seq = 7; payload = "rf-ping" }),
+      "02000000000102000000000208004500002300000000400165d10a0001090a00\
+       0001080087b20001000772662d70696e67" );
+    ( "icmp-unreachable",
+      Packet.icmp ~src_mac:mac2 ~dst_mac:mac1 ~src_ip:(ip "10.0.1.9")
+        ~dst_ip:(ip "10.0.0.1")
+        (Icmp.Dest_unreachable { code = 1; original = "orig-hdr" }),
+      "02000000000102000000000208004500002400000000400165d00a0001090a00\
+       00010301924a000000006f7269672d686472" );
+    ( "ospf-hello",
+      golden_ospf
+        (Ospf_pkt.Hello
+           { netmask = ip "255.255.255.252"; hello_interval = 10;
+             dead_interval = 40; priority = 1; dr = Ipv4_addr.any;
+             bdr = Ipv4_addr.any; neighbors = [ ip "2.2.2.2"; ip "3.3.3.3" ] }),
+      "01005e000005020000000001080045000048000000000159cf570a000001e000\
+       0005020100340101010100000000ef8e00000000000000000000fffffffc000a\
+       02010000002800000000000000000202020203030303" );
+    ( "ospf-db-desc",
+      golden_ospf
+        (Ospf_pkt.Db_desc
+           { mtu = 1500; dd_init = true; dd_more = true; dd_master = false;
+             dd_seq = 0x1234l; headers }),
+      "01005e00000502000000000108004500005c000000000159cf430a000001e000\
+       00050202004801010101000000002b9c0000000000000000000005dc02060000\
+       123400010201010101010101010180000003de2e0030000702020a0001010303\
+       030380000001be670020" );
+    ( "ospf-ls-request",
+      golden_ospf
+        (Ospf_pkt.Ls_request
+           [ Ospf_pkt.key_of_lsa golden_router_lsa;
+             Ospf_pkt.key_of_lsa golden_network_lsa ]),
+      "01005e000005020000000001080045000044000000000159cf5b0a000001e000\
+       0005020300300101010100000000e6bc00000000000000000000000000010101\
+       010101010101000000020a00010103030303" );
+    ( "ospf-ls-update",
+      golden_ospf (Ospf_pkt.Ls_update [ golden_router_lsa; golden_network_lsa ]),
+      "01005e000005020000000001080045000080000000000159cf1f0a000001e000\
+       00050204006c01010101000000001c6300000000000000000000000000020001\
+       0201010101010101010180000003de2e003000000002020202020a0000010100\
+       000a0a000000fffffffc0300000a000702020a0001010303030380000001be67\
+       0020ffffff000303030304040404" );
+    ( "ospf-ls-ack",
+      golden_ospf (Ospf_pkt.Ls_ack headers),
+      "01005e000005020000000001080045000054000000000159cf4b0a000001e000\
+       000502050040010101010000000045b700000000000000000000000102010101\
+       01010101010180000003de2e0030000702020a0001010303030380000001be67\
+       0020" );
+  ]
+
+let test_golden_frames () =
+  List.iter
+    (fun (name, frame, expected) ->
+      Alcotest.(check string) name expected (to_hex frame))
+    (golden_frames ())
+
 let suite =
   [
     Alcotest.test_case "wire writer/reader roundtrip" `Quick test_wire_roundtrip;
@@ -587,4 +719,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_router_lsa_roundtrip;
     QCheck_alcotest.to_alcotest prop_header_matches_wire;
     QCheck_alcotest.to_alcotest prop_icmp_roundtrip;
+    Alcotest.test_case "one-buffer frames keep the layered encoders' bytes"
+      `Quick test_golden_frames;
   ]

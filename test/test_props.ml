@@ -1,5 +1,6 @@
 (* Property-based tests: the OpenFlow and RPC wire codecs round-trip
-   every message they can emit, every wire decoder is total on
+   every message they can emit, [Packet.parse] returns what each frame
+   builder encoded, every wire decoder is total on
    corrupted input, address parsing round-trips, and the prefix trie
    agrees with a naive longest-prefix-match scan. *)
 
@@ -294,6 +295,183 @@ let codec_roundtrip =
       match Of_codec.of_wire (Of_codec.to_wire m) with
       | Ok m' -> m' = m
       | Error e -> QCheck.Test.fail_reportf "decode error: %s" e)
+
+(* --- whole frames --------------------------------------------------- *)
+
+let gen_link =
+  let open G in
+  let* link_id = gen_ip in
+  let* link_data = gen_ip in
+  let* link_type =
+    oneofl
+      [ Ospf_pkt.Point_to_point; Ospf_pkt.Transit; Ospf_pkt.Stub;
+        Ospf_pkt.Virtual_link ]
+  in
+  let* metric = gen_u16 in
+  return { Ospf_pkt.link_id; link_data; link_type; metric }
+
+(* Types 1 and 2 decode as router and network LSAs, any other as an
+   opaque body. *)
+let gen_lsa =
+  let open G in
+  let* body =
+    oneof
+      [
+        map (fun links -> Ospf_pkt.Router { links }) (list_size (int_range 0 6) gen_link);
+        map2
+          (fun mask attached -> Ospf_pkt.Network { mask; attached })
+          gen_ip (list_size (int_range 0 6) gen_ip);
+        map2
+          (fun lsa_type data -> Ospf_pkt.Opaque { lsa_type; data })
+          (int_range 3 0xff) gen_small_string;
+      ]
+  in
+  let* age = gen_u16 in
+  let* options = gen_u8 in
+  let* link_state_id = gen_ip in
+  let* adv_router = gen_ip in
+  let* seq = G.int32 in
+  return (Ospf_pkt.make_lsa ~age ~options ~link_state_id ~adv_router ~seq body)
+
+let gen_ospf =
+  let open G in
+  let headers = list_size (int_range 0 4) (map Ospf_pkt.header_of_lsa gen_lsa) in
+  let* payload =
+    oneof
+      [
+        (let* netmask = gen_ip in
+         let* hello_interval = gen_u16 in
+         let* dead_interval = int_range 0 0xffff_ffff in
+         let* priority = gen_u8 in
+         let* dr = gen_ip in
+         let* bdr = gen_ip in
+         let* neighbors = list_size (int_range 0 4) gen_ip in
+         return
+           (Ospf_pkt.Hello
+              { netmask; hello_interval; dead_interval; priority; dr; bdr;
+                neighbors }));
+        (let* mtu = gen_u16 in
+         let* dd_init = bool in
+         let* dd_more = bool in
+         let* dd_master = bool in
+         let* dd_seq = G.int32 in
+         let* headers = headers in
+         return
+           (Ospf_pkt.Db_desc { mtu; dd_init; dd_more; dd_master; dd_seq; headers }));
+        map
+          (fun keys -> Ospf_pkt.Ls_request keys)
+          (list_size (int_range 0 4)
+             (map3
+                (fun k_type k_id k_adv -> { Ospf_pkt.k_type; k_id; k_adv })
+                (int_range 0 0xffff_ffff) gen_ip gen_ip));
+        map (fun lsas -> Ospf_pkt.Ls_update lsas) (list_size (int_range 0 4) gen_lsa);
+        map (fun hs -> Ospf_pkt.Ls_ack hs) headers;
+      ]
+  in
+  let* router_id = gen_ip in
+  let* area_id = gen_ip in
+  return { Ospf_pkt.router_id; area_id; payload }
+
+let gen_tlv =
+  let open G in
+  let id = string_size ~gen:char (int_range 0 32) in
+  oneof
+    [
+      map2 (fun subtype value -> Lldp.Chassis_id { subtype; value }) gen_u8 id;
+      map2 (fun subtype value -> Lldp.Port_id { subtype; value }) gen_u8 id;
+      map (fun ttl -> Lldp.Ttl ttl) gen_u16;
+      map (fun name -> Lldp.System_name name) gen_small_string;
+      map2
+        (fun typ value -> Lldp.Custom { typ; value })
+        (oneof [ return 4; int_range 6 127 ])
+        gen_small_string;
+    ]
+
+let gen_icmp =
+  let open G in
+  oneof
+    [
+      map3
+        (fun ident seq payload -> Icmp.Echo_request { ident; seq; payload })
+        gen_u16 gen_u16 gen_small_string;
+      map3
+        (fun ident seq payload -> Icmp.Echo_reply { ident; seq; payload })
+        gen_u16 gen_u16 gen_small_string;
+      map2
+        (fun code original -> Icmp.Dest_unreachable { code; original })
+        gen_u8 gen_small_string;
+      map (fun original -> Icmp.Time_exceeded { original }) gen_small_string;
+    ]
+
+(* A frame from one of [Packet]'s builders, and the packet [parse] must
+   return for it. An IPv4 payload is the rest of the frame past the
+   20-byte header. *)
+let gen_built_frame =
+  let open G in
+  let* src = gen_mac in
+  let* dst = gen_mac in
+  let* src_ip = gen_ip in
+  let* dst_ip = gen_ip in
+  let eth ethertype = { Ethernet.dst; src; ethertype } in
+  let ip_packet frame ~tos ~ttl ~protocol l4 =
+    let ip =
+      { Ipv4.tos; ident = 0; ttl; protocol; src = src_ip; dst = dst_ip;
+        payload = String.sub frame 34 (String.length frame - 34) }
+    in
+    (frame, { Packet.eth = eth Ethernet.ethertype_ipv4; l3 = Packet.Ipv4 (ip, l4) })
+  in
+  oneof
+    [
+      (let* op = oneofl [ Arp.Request; Arp.Reply ] in
+       let* target_mac = gen_mac in
+       let a =
+         { Arp.op; sender_mac = src; sender_ip = src_ip; target_mac;
+           target_ip = dst_ip }
+       in
+       return
+         ( Packet.arp ~src ~dst a,
+           { Packet.eth = eth Ethernet.ethertype_arp; l3 = Packet.Arp a } ));
+      (let* tlvs = list_size (int_range 0 5) gen_tlv in
+       let l = { Lldp.tlvs } in
+       return
+         ( Packet.lldp ~src l,
+           { Packet.eth =
+               { Ethernet.dst = Mac.lldp_multicast; src;
+                 ethertype = Ethernet.ethertype_lldp };
+             l3 = Packet.Lldp l } ));
+      (let* ttl = gen_u8 in
+       let* u = map3 (fun sp dp p -> Udp.make ~src_port:sp ~dst_port:dp p)
+           gen_u16 gen_u16 gen_small_string in
+       let frame = Packet.udp ~src_mac:src ~dst_mac:dst ~src_ip ~dst_ip ~ttl u in
+       return (ip_packet frame ~tos:0 ~ttl ~protocol:Ipv4.proto_udp (Packet.Udp u)));
+      (let* i = gen_icmp in
+       let frame = Packet.icmp ~src_mac:src ~dst_mac:dst ~src_ip ~dst_ip i in
+       return
+         (ip_packet frame ~tos:0 ~ttl:64 ~protocol:Ipv4.proto_icmp (Packet.Icmp i)));
+      (let* o = gen_ospf in
+       let frame = Packet.ospf ~src_mac:src ~dst_mac:dst ~src_ip ~dst_ip o in
+       return
+         (ip_packet frame ~tos:0 ~ttl:1 ~protocol:Ipv4.proto_ospf (Packet.Ospf o)));
+      (let* tos = gen_u8 in
+       let* ttl = gen_u8 in
+       let* protocol = oneofl [ 0; 2; 47; 50; 132; 255 ] in
+       let* data = gen_small_string in
+       let frame =
+         Packet.ipv4 ~src_mac:src ~dst_mac:dst
+           (Ipv4.make ~tos ~ttl ~protocol ~src:src_ip ~dst:dst_ip data)
+       in
+       return (ip_packet frame ~tos ~ttl ~protocol (Packet.Raw_l4 { protocol; data })));
+    ]
+
+let print_built_frame (frame, expected) =
+  Format.asprintf "%a (%d bytes)" Packet.pp expected (String.length frame)
+
+let parse_returns_built =
+  prop "Packet.parse returns the packet each builder encoded" gen_built_frame
+    print_built_frame (fun (frame, expected) ->
+      match Packet.parse frame with
+      | Ok p -> p = expected
+      | Error e -> QCheck.Test.fail_reportf "parse error: %s" e)
 
 (* --- RPC envelope codec ---------------------------------------------- *)
 
@@ -872,4 +1050,5 @@ let suite =
     prefix_roundtrip;
     trie_vs_naive;
     address_orders_agree;
+    parse_returns_built;
   ]
