@@ -968,6 +968,7 @@ let gui_frames ?(vm_boot_s = 8.0) ?(every_s = 30.0) () =
 type scaling_row = {
   sc_switches : int;
   sc_auto_s : float;
+  sc_converged_s : float option;
   sc_manual_min : float;
   sc_events : int;
 }
@@ -986,6 +987,7 @@ let scaling ?(sizes = [ 50; 100; 250; 500; 1000 ]) () =
       {
         sc_switches = n;
         sc_auto_s = all_green_or_nan s;
+        sc_converged_s = to_s_opt (Scenario.routing_converged_at s);
         sc_manual_min =
           Manual_model.total_minutes Manual_model.paper_costs ~switches:n;
         sc_events = Rf_sim.Engine.events_executed (Scenario.engine s);
@@ -994,11 +996,13 @@ let scaling ?(sizes = [ 50; 100; 250; 500; 1000 ]) () =
 
 let print_scaling ppf rows =
   Format.fprintf ppf "Scaling — rings beyond the paper's 28 switches@.";
-  Format.fprintf ppf "%-10s %12s %16s %12s@." "switches" "auto" "manual"
-    "sim events";
+  Format.fprintf ppf "%-10s %12s %12s %16s %12s@." "switches" "auto"
+    "converged" "manual" "sim events";
   List.iter
     (fun r ->
-      Format.fprintf ppf "%-10d %11.0fs %16s %12d@." r.sc_switches r.sc_auto_s
+      Format.fprintf ppf "%-10d %11.0fs %12s %16s %12d@." r.sc_switches
+        r.sc_auto_s
+        (opt "%.1fs" r.sc_converged_s)
         (Format.asprintf "%a" Manual_model.pp_duration r.sc_manual_min)
         r.sc_events)
     rows

@@ -277,6 +277,7 @@ val gui_frames : ?vm_boot_s:float -> ?every_s:float -> unit -> string list
 type scaling_row = {
   sc_switches : int;
   sc_auto_s : float;
+  sc_converged_s : float option;  (** routing convergence, if reached *)
   sc_manual_min : float;
   sc_events : int;  (** simulator events executed *)
 }

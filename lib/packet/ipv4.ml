@@ -39,8 +39,14 @@ let write_header w ~tos ~ident ~ttl ~protocol ~src ~dst =
   Ipv4_addr.write w dst;
   off
 
+let max_total_length = 0xffff
+
 let finish w off =
-  Wire.Writer.patch_u16 w (off + 2) (Wire.Writer.length w - off);
+  let total = Wire.Writer.length w - off in
+  if total > max_total_length then
+    invalid_arg
+      (Printf.sprintf "Ipv4: total length %d over %d" total max_total_length);
+  Wire.Writer.patch_u16 w (off + 2) total;
   Wire.Writer.patch_u16 w (off + 10) (Wire.Writer.checksum w off header_size)
 
 let write w t =

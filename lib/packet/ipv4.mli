@@ -43,7 +43,10 @@ val write_header :
 
 val finish : Wire.Writer.t -> int -> unit
 (** [finish w off] patches the total length (everything written since
-    [off]) and the checksum of the header at [off]. *)
+    [off]) and the checksum of the header at [off]. Raises
+    [Invalid_argument] if the total length does not fit its 16 bits
+    (65,535 bytes): the packet cannot be sent, and masking the length
+    would send a different one. *)
 
 val write : Wire.Writer.t -> t -> unit
 (** Header and payload. *)

@@ -140,6 +140,32 @@ let send_pkt t (oif : oiface) payload =
     (Packet.ospf ~src_mac:(Iface.mac oif.ifc) ~dst_mac:ospf_multicast_mac
        ~src_ip:(Iface.ip oif.ifc) ~dst_ip:Ipv4_addr.ospf_all_routers pkt)
 
+(* The IP MTU of every interface: RouteFlow VM NICs are Ethernet. *)
+let mtu = 1500
+
+(* The IPv4 header, the OSPF header and an LS Update's LSA count. *)
+let ls_update_overhead = 20 + 24 + 4
+
+(* Sends [lsas] in order in as many LS Updates as keep each IP packet
+   within the MTU (RFC 2328 §13.3); an LSA larger than that on its own
+   goes alone. *)
+let send_ls_updates t oif lsas =
+  let flush = function
+    | [] -> ()
+    | chunk -> send_pkt t oif (Ospf_pkt.Ls_update (List.rev chunk))
+  in
+  let rec pack chunk size = function
+    | [] -> flush chunk
+    | lsa :: rest ->
+        let n = String.length (Ospf_pkt.lsa_to_wire lsa) in
+        if chunk <> [] && size + n > mtu then begin
+          flush chunk;
+          pack [ lsa ] (ls_update_overhead + n) rest
+        end
+        else pack (lsa :: chunk) (size + n) rest
+  in
+  pack [] ls_update_overhead lsas
+
 (* --- hello ------------------------------------------------------- *)
 
 let neighbors_on t oif =
@@ -188,7 +214,7 @@ let arm_rxmt t nbr =
       in
       if lsas = [] then nbr.n_rxmt_timer <- None
       else begin
-        send_pkt t nbr.n_oiface (Ospf_pkt.Ls_update lsas);
+        send_ls_updates t nbr.n_oiface lsas;
         nbr.n_rxmt_timer <-
           Some (Rf_sim.Engine.schedule ?entity:t.entity t.engine every fire)
       end
@@ -548,7 +574,7 @@ let send_dd t nbr =
   send_pkt t nbr.n_oiface
     (Ospf_pkt.Db_desc
        {
-         mtu = 1500;
+         mtu;
          dd_init = false;
          dd_more = false;
          dd_master = Ipv4_addr.compare t.cfg.router_id nbr.n_router_id > 0;
@@ -695,7 +721,7 @@ let handle_lsr t nbr keys =
     List.filter_map (fun key -> Hashtbl.find_opt t.lsdb key) keys
   in
   if lsas <> [] then begin
-    send_pkt t nbr.n_oiface (Ospf_pkt.Ls_update lsas);
+    send_ls_updates t nbr.n_oiface lsas;
     List.iter
       (fun lsa ->
         Hashtbl.replace nbr.n_rxmt (Ospf_pkt.key_of_lsa lsa) ();

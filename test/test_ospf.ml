@@ -335,6 +335,79 @@ let test_late_joiner_syncs_database () =
   Alcotest.(check bool) "r1 reaches new stub" true
     (Rib.best routers.(0).rib (pfx "10.0.4.0/24") <> None)
 
+(* A late joiner's LS Request for a 30-router line's database asks for
+   more LSAs than one packet can carry within the 1,500-byte MTU. The
+   answer comes as several LS Updates, each IP packet within the MTU
+   (so each frame within 1,514 bytes), that together carry every LSA
+   requested (RFC 2328 §13.3). *)
+let test_lsr_answer_split_at_mtu () =
+  let engine = Engine.create () in
+  let routers = build_line engine 30 in
+  run_for engine 60.;
+  let r30 = routers.(29) and joiner = make_router engine 31 in
+  let ia =
+    Iface.create ~name:"eth30_r" ~mac:(Mac.make_local 1201)
+      ~ip:(ip "172.16.60.1") ~prefix_len:30 ()
+  in
+  let ib =
+    Iface.create ~name:"eth31_l" ~mac:(Mac.make_local 1202)
+      ~ip:(ip "172.16.60.2") ~prefix_len:30 ()
+  in
+  let requested = ref [] and updates = ref [] in
+  let wire dst frame =
+    (match Packet.parse frame with
+    | Ok { l3 = Packet.Ipv4 (_, Packet.Ospf { payload; _ }); _ } -> (
+        match payload with
+        | Ospf_pkt.Ls_request keys when dst == ia ->
+            requested := keys @ !requested
+        | Ospf_pkt.Ls_update lsas when dst == ib ->
+            updates := (String.length frame, lsas) :: !updates
+        | _ -> ())
+    | Ok _ | Error _ -> ());
+    ignore
+      (Engine.schedule engine (Vtime.span_ms 1) (fun () ->
+           Iface.deliver dst frame))
+  in
+  Iface.set_transmit ia (wire ib);
+  Iface.set_transmit ib (wire ia);
+  Ospfd.add_interface r30.ospf ia;
+  Ospfd.add_interface joiner.ospf ib;
+  Ospfd.start joiner.ospf;
+  run_for engine 30.;
+  let requested_bytes =
+    List.fold_left
+      (fun n key ->
+        match
+          List.find_opt
+            (fun lsa -> Ospf_pkt.key_of_lsa lsa = key)
+            (Ospfd.lsdb r30.ospf)
+        with
+        | Some lsa -> n + String.length (Ospf_pkt.lsa_to_wire lsa)
+        | None -> n)
+      0 !requested
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d LSAs requested, %d bytes: more than one MTU"
+       (List.length !requested) requested_bytes)
+    true (requested_bytes > 1500);
+  List.iter
+    (fun (frame_len, lsas) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%d-LSA LS Update: %d-byte IP packet" (List.length lsas)
+           (frame_len - 14))
+        true (frame_len - 14 <= 1500))
+    !updates;
+  Alcotest.(check bool) "several multi-LSA LS Updates" true
+    (List.length (List.filter (fun (_, l) -> List.length l > 1) !updates) >= 2);
+  let sent = List.concat_map (fun (_, lsas) -> lsas) !updates in
+  List.iter
+    (fun key ->
+      if not (List.exists (fun lsa -> Ospf_pkt.key_of_lsa lsa = key) sent) then
+        Alcotest.fail "a requested LSA was never sent")
+    !requested;
+  Alcotest.(check int) "joiner holds every router LSA" 31
+    (Ospfd.lsdb_size joiner.ospf)
+
 (* Property: on random connected topologies, once converged, each
    router's OSPF metric to each stub equals (BFS hops x 10) + 10 —
    uniform link costs make shortest-path checking exact. *)
@@ -486,6 +559,8 @@ let suite =
     Alcotest.test_case "SPF run count bounded" `Quick test_spf_runs_bounded;
     Alcotest.test_case "late joiner syncs the database" `Quick
       test_late_joiner_syncs_database;
+    Alcotest.test_case "an LS Request answer is split at the MTU" `Quick
+      test_lsr_answer_split_at_mtu;
     Alcotest.test_case "SPF matches BFS on random topologies" `Quick
       test_random_topology_spf_matches_bfs;
     Alcotest.test_case "vtysh show rendering" `Quick test_show_rendering;
