@@ -100,7 +100,8 @@ let l4_ports f ~protocol q n =
       | 3 -> 3 lor (u8 f (q + 1) lsl 16)
       | _ -> -1
   else if protocol = Ipv4.proto_ospf then
-    match Ospf_pkt.read (Wire.Reader.sub (Wire.Reader.of_string ~pos:q f) n) with
+    let payload = Wire.Reader.sub (Wire.Reader.of_string ~pos:q f) n in
+    match Ospf_pkt.read payload with
     | Ok _ -> 0
     | Error _ -> -1
   else 0

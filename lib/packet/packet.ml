@@ -47,7 +47,8 @@ let parse frame =
     let* l4 = parse_l4 ip in
     Ok { eth; l3 = Ipv4 (ip, l4) }
   else
-    Ok { eth; l3 = Raw_l3 { ethertype = eth.ethertype; data = Wire.Reader.rest r } }
+    let data = Wire.Reader.rest r in
+    Ok { eth; l3 = Raw_l3 { ethertype = eth.ethertype; data } }
 
 (* --- builders: every layer is written into one buffer ------------- *)
 
@@ -61,7 +62,8 @@ let frame ~src ~dst ~ethertype size write v =
   write w v;
   Wire.Writer.contents w
 
-let arp ~src ~dst a = frame ~src ~dst ~ethertype:Ethernet.ethertype_arp 28 Arp.write a
+let arp ~src ~dst a =
+  frame ~src ~dst ~ethertype:Ethernet.ethertype_arp 28 Arp.write a
 
 let lldp ~src l =
   frame ~src ~dst:Mac.lldp_multicast ~ethertype:Ethernet.ethertype_lldp 32

@@ -86,7 +86,8 @@ module Writer = struct
   let contents w = Bytes.sub_string w.buf 0 w.len
 
   let checksum w off len =
-    if off < 0 || len < 0 || off > w.len - len then invalid_arg "Writer.checksum";
+    if off < 0 || len < 0 || off > w.len - len then
+      invalid_arg "Writer.checksum";
     checksum_sub (Bytes.unsafe_to_string w.buf) off len
 
   let patch_u16 w off v =

@@ -391,7 +391,8 @@ let golden_messages () =
              supported_actions = 0xfffl;
              ports =
                [
-                 { Of_msg.port_no = 1; hw_addr = mac1; name = "eth1"; up = true };
+                 { Of_msg.port_no = 1; hw_addr = mac1; name = "eth1";
+                   up = true };
                  { port_no = 2; hw_addr = mac2; name = "a-very-long-port-name";
                    up = false };
                ];
@@ -400,7 +401,9 @@ let golden_messages () =
        0001020000000001657468310000000000000000000000000000000000000000\
        000000000000000000000000000000000002020000000002612d766572792d6c\
        6f6e672d706f7200000000000000000100000000000000000000000000000000" );
-    ("echo-request", m (Of_msg.Echo_request "ping"), "0102000c0000002a70696e67");
+    ( "echo-request",
+      m (Of_msg.Echo_request "ping"),
+      "0102000c0000002a70696e67" );
     ("echo-reply", m (Of_msg.Echo_reply "ping"), "0103000c0000002a70696e67");
     ( "set-config",
       m (Of_msg.Set_config { flags = 0; miss_send_len = 0xffff }),
@@ -419,7 +422,9 @@ let golden_messages () =
              po_data = "lldp-frame" }),
       "010d002a0000002affffffffffff0010000000080004ffff0008000808000000\
        6c6c64702d6672616d65" );
-    ("flow-mod add", m (Of_msg.Flow_mod route), "010e00700000002a003220ef0000000000000000000000000000000000000800\
+    ( "flow-mod add",
+      m (Of_msg.Flow_mod route),
+      "010e00700000002a003220ef0000000000000000000000000000000000000800\
        00000000000000000a0001000000000000000000000000000000000000004018\
        ffffffffffff0000000400100200000000010000000000000005001002000000\
        0002000000000000000000080003ffff");

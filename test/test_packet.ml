@@ -417,7 +417,8 @@ let test_packet_parse_udp () =
 let test_packet_parse_unknown_ethertype () =
   let frame =
     let w = Wire.Writer.create () in
-    Ethernet.write w ~dst:Mac.broadcast ~src:(Mac.make_local 3) ~ethertype:0x9999;
+    Ethernet.write w ~dst:Mac.broadcast ~src:(Mac.make_local 3)
+      ~ethertype:0x9999;
     Wire.Writer.bytes w "???";
     Wire.Writer.contents w
   in
@@ -535,7 +536,8 @@ let prop_icmp_roundtrip =
   QCheck.Test.make ~name:"icmp echoes round-trip" ~count:200
     QCheck.(triple (int_bound 0xFFFF) (int_bound 0xFFFF) (string_of_size (QCheck.Gen.int_bound 64)))
     (fun (ident, seq, payload) ->
-      match decode Icmp.read (encode Icmp.write (Icmp.Echo_request { ident; seq; payload })) with
+      let echo = Icmp.Echo_request { ident; seq; payload } in
+      match decode Icmp.read (encode Icmp.write echo) with
       | Ok (Icmp.Echo_request e) ->
           e.ident = ident && e.seq = seq && e.payload = payload
       | Ok _ | Error _ -> false)
@@ -652,7 +654,8 @@ let golden_frames () =
        0005020300300101010100000000e6bc00000000000000000000000000010101\
        010101010101000000020a00010103030303" );
     ( "ospf-ls-update",
-      golden_ospf (Ospf_pkt.Ls_update [ golden_router_lsa; golden_network_lsa ]),
+      golden_ospf
+        (Ospf_pkt.Ls_update [ golden_router_lsa; golden_network_lsa ]),
       "01005e000005020000000001080045000080000000000159cf1f0a000001e000\
        00050204006c01010101000000001c6300000000000000000000000000020001\
        0201010101010101010180000003de2e003000000002020202020a0000010100\

@@ -317,7 +317,9 @@ let gen_lsa =
   let* body =
     oneof
       [
-        map (fun links -> Ospf_pkt.Router { links }) (list_size (int_range 0 6) gen_link);
+        map
+          (fun links -> Ospf_pkt.Router { links })
+          (list_size (int_range 0 6) gen_link);
         map2
           (fun mask attached -> Ospf_pkt.Network { mask; attached })
           gen_ip (list_size (int_range 0 6) gen_ip);
@@ -335,7 +337,9 @@ let gen_lsa =
 
 let gen_ospf =
   let open G in
-  let headers = list_size (int_range 0 4) (map Ospf_pkt.header_of_lsa gen_lsa) in
+  let headers =
+    list_size (int_range 0 4) (map Ospf_pkt.header_of_lsa gen_lsa)
+  in
   let* payload =
     oneof
       [
@@ -357,14 +361,17 @@ let gen_ospf =
          let* dd_seq = G.int32 in
          let* headers = headers in
          return
-           (Ospf_pkt.Db_desc { mtu; dd_init; dd_more; dd_master; dd_seq; headers }));
+           (Ospf_pkt.Db_desc
+              { mtu; dd_init; dd_more; dd_master; dd_seq; headers }));
         map
           (fun keys -> Ospf_pkt.Ls_request keys)
           (list_size (int_range 0 4)
              (map3
                 (fun k_type k_id k_adv -> { Ospf_pkt.k_type; k_id; k_adv })
                 (int_range 0 0xffff_ffff) gen_ip gen_ip));
-        map (fun lsas -> Ospf_pkt.Ls_update lsas) (list_size (int_range 0 4) gen_lsa);
+        map
+          (fun lsas -> Ospf_pkt.Ls_update lsas)
+          (list_size (int_range 0 4) gen_lsa);
         map (fun hs -> Ospf_pkt.Ls_ack hs) headers;
       ]
   in
@@ -418,7 +425,8 @@ let gen_built_frame =
       { Ipv4.tos; ident = 0; ttl; protocol; src = src_ip; dst = dst_ip;
         payload = String.sub frame 34 (String.length frame - 34) }
     in
-    (frame, { Packet.eth = eth Ethernet.ethertype_ipv4; l3 = Packet.Ipv4 (ip, l4) })
+    ( frame,
+      { Packet.eth = eth Ethernet.ethertype_ipv4; l3 = Packet.Ipv4 (ip, l4) } )
   in
   oneof
     [
@@ -442,16 +450,21 @@ let gen_built_frame =
       (let* ttl = gen_u8 in
        let* u = map3 (fun sp dp p -> Udp.make ~src_port:sp ~dst_port:dp p)
            gen_u16 gen_u16 gen_small_string in
-       let frame = Packet.udp ~src_mac:src ~dst_mac:dst ~src_ip ~dst_ip ~ttl u in
-       return (ip_packet frame ~tos:0 ~ttl ~protocol:Ipv4.proto_udp (Packet.Udp u)));
+       let frame =
+         Packet.udp ~src_mac:src ~dst_mac:dst ~src_ip ~dst_ip ~ttl u
+       in
+       return
+         (ip_packet frame ~tos:0 ~ttl ~protocol:Ipv4.proto_udp (Packet.Udp u)));
       (let* i = gen_icmp in
        let frame = Packet.icmp ~src_mac:src ~dst_mac:dst ~src_ip ~dst_ip i in
        return
-         (ip_packet frame ~tos:0 ~ttl:64 ~protocol:Ipv4.proto_icmp (Packet.Icmp i)));
+         (ip_packet frame ~tos:0 ~ttl:64 ~protocol:Ipv4.proto_icmp
+            (Packet.Icmp i)));
       (let* o = gen_ospf in
        let frame = Packet.ospf ~src_mac:src ~dst_mac:dst ~src_ip ~dst_ip o in
        return
-         (ip_packet frame ~tos:0 ~ttl:1 ~protocol:Ipv4.proto_ospf (Packet.Ospf o)));
+         (ip_packet frame ~tos:0 ~ttl:1 ~protocol:Ipv4.proto_ospf
+            (Packet.Ospf o)));
       (let* tos = gen_u8 in
        let* ttl = gen_u8 in
        let* protocol = oneofl [ 0; 2; 47; 50; 132; 255 ] in
@@ -460,7 +473,9 @@ let gen_built_frame =
          Packet.ipv4 ~src_mac:src ~dst_mac:dst
            (Ipv4.make ~tos ~ttl ~protocol ~src:src_ip ~dst:dst_ip data)
        in
-       return (ip_packet frame ~tos ~ttl ~protocol (Packet.Raw_l4 { protocol; data })));
+       return
+         (ip_packet frame ~tos ~ttl ~protocol
+            (Packet.Raw_l4 { protocol; data })));
     ]
 
 let print_built_frame (frame, expected) =

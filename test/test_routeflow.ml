@@ -342,7 +342,8 @@ let single_lsa_update =
                    [
                      link (ip "10.255.0.1") (ip "172.16.0.2")
                        Ospf_pkt.Point_to_point;
-                     link (ip "172.16.0.0") (ip "255.255.255.252") Ospf_pkt.Stub;
+                     link (ip "172.16.0.0") (ip "255.255.255.252")
+                       Ospf_pkt.Stub;
                      link (ip "10.0.2.0") (ip "255.255.255.0") Ospf_pkt.Stub;
                    ];
                });
