@@ -35,16 +35,24 @@ let spf_fixture () =
           (Rf_sim.Engine.schedule engine (Rf_sim.Vtime.span_ms 1) (fun () ->
                Rf_routing.Iface.deliver a f)))
   in
+  (* Zebra owns each router's connected routes, as in a RouteFlow VM. *)
+  let zebras =
+    Array.init 24 (fun i ->
+        Rf_routing.Zebra.create ~hostname:(Printf.sprintf "r%d" i) ())
+  in
   let routers =
     Array.init 24 (fun i ->
         let rid = ip (Printf.sprintf "10.255.0.%d" (i + 1)) in
-        let rib = Rf_routing.Rib.create () in
         Rf_routing.Ospfd.create engine
           (Rf_routing.Ospfd.default_config ~router_id:rid)
-          rib)
+          (Rf_routing.Zebra.rib zebras.(i)))
+  in
+  let add i ?passive ifc =
+    Rf_routing.Zebra.add_interface zebras.(i) ifc;
+    Rf_routing.Ospfd.add_interface routers.(i) ?passive ifc
   in
   Array.iteri
-    (fun i d ->
+    (fun i _ ->
       let stub =
         Rf_routing.Iface.create
           ~name:(Printf.sprintf "stub%d" i)
@@ -52,7 +60,7 @@ let spf_fixture () =
           ~ip:(ip (Printf.sprintf "10.9.%d.1" i))
           ~prefix_len:24 ()
       in
-      Rf_routing.Ospfd.add_interface d ~passive:true stub)
+      add i ~passive:true stub)
     routers;
   for i = 0 to Array.length routers - 2 do
     let ia =
@@ -70,8 +78,8 @@ let spf_fixture () =
         ~prefix_len:30 ()
     in
     join ia ib;
-    Rf_routing.Ospfd.add_interface routers.(i) ia;
-    Rf_routing.Ospfd.add_interface routers.(i + 1) ib
+    add i ia;
+    add (i + 1) ib
   done;
   Array.iter Rf_routing.Ospfd.start routers;
   ignore (Rf_sim.Engine.run ~until:(Rf_sim.Vtime.of_s 60.) engine);
@@ -86,21 +94,28 @@ let spf_fixture () =
 let leaf_join_fixture n =
   let engine = Rf_sim.Engine.create () in
   let rid i = Ipv4_addr.of_octets 10 254 (i / 256) (i mod 256) in
+  (* A daemon, and an adder that gives an interface to it and to the
+     zebra that owns its connected routes. *)
   let daemon i =
+    let z = Rf_routing.Zebra.create ~hostname:(Printf.sprintf "r%d" i) () in
     let d =
       Rf_routing.Ospfd.create engine
         (Rf_routing.Ospfd.default_config ~router_id:(rid (i + 1)))
-        (Rf_routing.Rib.create ())
+        (Rf_routing.Zebra.rib z)
     in
-    Rf_routing.Ospfd.add_interface d ~passive:true
+    let add ?passive ifc =
+      Rf_routing.Zebra.add_interface z ifc;
+      Rf_routing.Ospfd.add_interface d ?passive ifc
+    in
+    add ~passive:true
       (Rf_routing.Iface.create
          ~name:(Printf.sprintf "stub%d" i)
          ~mac:(Mac.make_local (9500 + i))
          ~ip:(Ipv4_addr.of_octets 10 5 i 1)
          ~prefix_len:24 ());
-    d
+    (d, add)
   in
-  let d0 = daemon 0 and d1 = daemon 1 in
+  let d0, add0 = daemon 0 and d1, add1 = daemon 1 in
   let a =
     Rf_routing.Iface.create ~name:"p0" ~mac:(Mac.make_local 9600)
       ~ip:(ip "172.22.0.1") ~prefix_len:30 ()
@@ -116,8 +131,8 @@ let leaf_join_fixture n =
   in
   wire a b;
   wire b a;
-  Rf_routing.Ospfd.add_interface d0 a;
-  Rf_routing.Ospfd.add_interface d1 b;
+  add0 a;
+  add1 b;
   Rf_routing.Ospfd.start d0;
   Rf_routing.Ospfd.start d1;
   ignore (Rf_sim.Engine.run ~until:(Rf_sim.Vtime.of_s 60.) engine);

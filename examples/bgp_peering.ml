@@ -24,12 +24,19 @@ let join engine a b =
   Iface.set_transmit b (fun f ->
       ignore (Engine.schedule engine (Vtime.span_ms 2) (fun () -> Iface.deliver a f)))
 
-type router = { name : string; rib : Rib.t; ospf : Ospfd.t }
+type router = { name : string; zebra : Zebra.t; rib : Rib.t; ospf : Ospfd.t }
 
+(* Zebra owns each router's interfaces and connected routes; ospfd
+   shares its RIB. *)
 let make_router engine ~name ~rid =
-  let rib = Rib.create () in
+  let zebra = Zebra.create ~hostname:name () in
+  let rib = Zebra.rib zebra in
   let ospf = Ospfd.create engine (Ospfd.default_config ~router_id:(ip rid)) rib in
-  { name; rib; ospf }
+  { name; zebra; rib; ospf }
+
+let add_iface r ?passive ifc =
+  Zebra.add_interface r.zebra ifc;
+  Ospfd.add_interface r.ospf ?passive ifc
 
 (* A 3-router OSPF line with stubs [base].{1,2,3}.0/24 and transfer
    nets under [tbase]. *)
@@ -46,7 +53,7 @@ let build_domain engine ~names ~rids ~base ~tbase ~mac_base =
           ~ip:(ip (Printf.sprintf "%s.%d.1" base (i + 1)))
           ~prefix_len:24 ()
       in
-      Ospfd.add_interface r.ospf ~passive:true stub)
+      add_iface r ~passive:true stub)
     routers;
   for i = 0 to 1 do
     let ia =
@@ -64,8 +71,8 @@ let build_domain engine ~names ~rids ~base ~tbase ~mac_base =
         ~prefix_len:30 ()
     in
     join engine ia ib;
-    Ospfd.add_interface routers.(i).ospf ia;
-    Ospfd.add_interface routers.(i + 1).ospf ib
+    add_iface routers.(i) ia;
+    add_iface routers.(i + 1) ib
   done;
   Array.iter (fun r -> Ospfd.start r.ospf) routers;
   routers

@@ -69,9 +69,6 @@ let nic t port =
     invalid_arg (Printf.sprintf "Vm.nic: port %d out of range" port);
   t.nics.(port - 1)
 
-let nic_by_name t name =
-  Array.find_opt (fun i -> String.equal (Iface.name i) name) t.nics
-
 let zebra t = t.zebra
 
 let rib t = Zebra.rib t.zebra
@@ -515,36 +512,30 @@ let already_applied t file text =
 let apply_zebra_config t text =
   if already_applied t "zebra.conf" text then Ok ()
   else
-  match Quagga_conf.parse_zebra text with
-  | Error e -> Error e
-  | Ok conf ->
-      let apply_iface (ic : Quagga_conf.iface_conf) =
-        match nic_by_name t ic.ic_name with
-        | None -> Error (Printf.sprintf "vm %s: no NIC %s" t.hostname ic.ic_name)
-        | Some ifc ->
-            Iface.set_address ifc ~ip:ic.ic_ip ~prefix_len:ic.ic_prefix_len;
-            Ok ()
-      in
-      let rec apply_all = function
-        | [] -> Ok ()
-        | ic :: rest -> (
-            match apply_iface ic with Ok () -> apply_all rest | Error e -> Error e)
-      in
-      (match apply_all conf.z_ifaces with
-      | Error e -> Error e
-      | Ok () ->
-          List.iter
-            (fun (s : Quagga_conf.static_route) ->
-              Zebra.add_static t.zebra s.sr_prefix s.sr_next_hop)
-            conf.z_statics;
-          Hashtbl.replace t.configs "zebra.conf" text;
-          Ok ())
+    match Quagga_conf.parse_zebra text with
+    | Error e -> Error e
+    | Ok conf ->
+        Zebra.apply_config t.zebra conf
+        |> Result.map (fun () -> Hashtbl.replace t.configs "zebra.conf" text)
 
-let ospf_covers (conf : Quagga_conf.ospfd_conf) ifc =
-  List.exists
-    (fun (prefix, _area) ->
-      Iface.is_addressed ifc && Ipv4_addr.Prefix.subset (Iface.prefix ifc) prefix)
-    conf.o_networks
+(* Hands [add] every addressed NIC inside one of [networks] and not yet
+   in [enabled], in port order, each passive when [passive] names it.
+   Returns [enabled] with their names added. *)
+let enable_covered t ~networks ~passive ~enabled
+    (add : ?passive:bool -> Iface.t -> unit) =
+  Array.fold_left
+    (fun enabled ifc ->
+      let name = Iface.name ifc in
+      if
+        Iface.is_addressed ifc
+        && List.exists (Ipv4_addr.Prefix.subset (Iface.prefix ifc)) networks
+        && not (List.mem name enabled)
+      then begin
+        add ~passive:(List.mem name passive) ifc;
+        name :: enabled
+      end
+      else enabled)
+    enabled t.nics
 
 let apply_ospfd_config t text =
   if already_applied t "ospfd.conf" text then Ok ()
@@ -558,8 +549,8 @@ let apply_ospfd_config t text =
         | None ->
             let cfg =
               {
-                (Ospfd.default_config ~router_id:conf.o_router_id) with
-                Ospfd.hello_interval = conf.o_hello_interval;
+                Ospfd.router_id = conf.o_router_id;
+                hello_interval = conf.o_hello_interval;
                 dead_interval = conf.o_dead_interval;
               }
             in
@@ -567,26 +558,13 @@ let apply_ospfd_config t text =
             t.ospfd <- Some d;
             d
       in
-      (* Enable OSPF on every addressed NIC covered by a network
-         statement and not yet enabled. *)
-      Array.iter
-        (fun ifc ->
-          if ospf_covers conf ifc && not (List.mem (Iface.name ifc) t.ospf_enabled)
-          then begin
-            let passive = List.mem (Iface.name ifc) conf.o_passive in
-            Ospfd.add_interface daemon ~passive ifc;
-            t.ospf_enabled <- Iface.name ifc :: t.ospf_enabled
-          end)
-        t.nics;
+      t.ospf_enabled <-
+        enable_covered t ~networks:(List.map fst conf.o_networks)
+          ~passive:conf.o_passive ~enabled:t.ospf_enabled
+          (Ospfd.add_interface daemon);
       Ospfd.start daemon;
       Hashtbl.replace t.configs "ospfd.conf" text;
       Ok ()
-
-let rip_covers (conf : Quagga_conf.ripd_conf) ifc =
-  List.exists
-    (fun prefix ->
-      Iface.is_addressed ifc && Ipv4_addr.Prefix.subset (Iface.prefix ifc) prefix)
-    conf.r_networks
 
 let apply_ripd_config t text =
   if already_applied t "ripd.conf" text then Ok ()
@@ -609,15 +587,9 @@ let apply_ripd_config t text =
             t.ripd <- Some d;
             d
       in
-      Array.iter
-        (fun ifc ->
-          if rip_covers conf ifc && not (List.mem (Iface.name ifc) t.rip_enabled)
-          then begin
-            let passive = List.mem (Iface.name ifc) conf.r_passive in
-            Ripd.add_interface daemon ~passive ifc;
-            t.rip_enabled <- Iface.name ifc :: t.rip_enabled
-          end)
-        t.nics;
+      t.rip_enabled <-
+        enable_covered t ~networks:conf.r_networks ~passive:conf.r_passive
+          ~enabled:t.rip_enabled (Ripd.add_interface daemon);
       Ripd.start daemon;
       Hashtbl.replace t.configs "ripd.conf" text;
       Ok ()

@@ -2,24 +2,23 @@ open Rf_packet
 
 type config = {
   router_id : Ipv4_addr.t;
-  area_id : Ipv4_addr.t;
   hello_interval : int;
   dead_interval : int;
-  rxmt_interval : int;
-  spf_delay : Rf_sim.Vtime.span;
-  reference_cost : int;
 }
 
 let default_config ~router_id =
-  {
-    router_id;
-    area_id = Ipv4_addr.any;
-    hello_interval = 10;
-    dead_interval = 40;
-    rxmt_interval = 5;
-    spf_delay = Rf_sim.Vtime.span_s 1.0;
-    reference_cost = 10;
-  }
+  { router_id; hello_interval = 10; dead_interval = 40 }
+
+(* Quagga's defaults for what ospfd.conf does not set: the backbone
+   area, the retransmit interval, the holddown between an LSDB change
+   and SPF, and every interface's cost. *)
+let area_id = Ipv4_addr.any
+
+let rxmt_interval = Rf_sim.Vtime.span_s 5.0
+
+let spf_delay = Rf_sim.Vtime.span_s 1.0
+
+let cost = 10
 
 type neighbor_state = Down | Init | Exstart | Exchange | Loading | Full
 
@@ -32,7 +31,6 @@ type neighbor_info = {
 
 type oiface = {
   ifc : Iface.t;
-  cost : int;
   passive : bool;
   mutable hello_timer : Rf_sim.Engine.timer option;
 }
@@ -133,9 +131,7 @@ let config t = t.cfg
 let router_id t = t.cfg.router_id
 
 let send_pkt t (oif : oiface) payload =
-  let pkt =
-    { Ospf_pkt.router_id = t.cfg.router_id; area_id = t.cfg.area_id; payload }
-  in
+  let pkt = { Ospf_pkt.router_id = t.cfg.router_id; area_id; payload } in
   Iface.send oif.ifc
     (Packet.ospf ~src_mac:(Iface.mac oif.ifc) ~dst_mac:ospf_multicast_mac
        ~src_ip:(Iface.ip oif.ifc) ~dst_ip:Ipv4_addr.ospf_all_routers pkt)
@@ -200,7 +196,6 @@ let send_hello t oif =
    one interval after that send. *)
 let arm_rxmt t nbr =
   if nbr.n_rxmt_timer = None then begin
-    let every = Rf_sim.Vtime.span_s (float_of_int t.cfg.rxmt_interval) in
     let rec fire () =
       let lsas =
         Hashtbl.fold
@@ -216,11 +211,14 @@ let arm_rxmt t nbr =
       else begin
         send_ls_updates t nbr.n_oiface lsas;
         nbr.n_rxmt_timer <-
-          Some (Rf_sim.Engine.schedule ?entity:t.entity t.engine every fire)
+          Some
+            (Rf_sim.Engine.schedule ?entity:t.entity t.engine rxmt_interval
+               fire)
       end
     in
     nbr.n_rxmt_timer <-
-      Some (Rf_sim.Engine.schedule ?entity:t.entity t.engine every fire)
+      Some
+        (Rf_sim.Engine.schedule ?entity:t.entity t.engine rxmt_interval fire)
   end
 
 let flood t ?except lsa =
@@ -484,7 +482,7 @@ let rec schedule_spf t =
   if not t.spf_scheduled then begin
     t.spf_scheduled <- true;
     ignore
-      (Rf_sim.Engine.schedule ?entity:t.entity t.engine t.cfg.spf_delay
+      (Rf_sim.Engine.schedule ?entity:t.entity t.engine spf_delay
          (fun () -> run_spf t))
   end
 
@@ -540,7 +538,7 @@ let originate_router_lsa t =
                         Ospf_pkt.link_id = n.n_router_id;
                         link_data = Iface.ip oif.ifc;
                         link_type = Ospf_pkt.Point_to_point;
-                        metric = oif.cost;
+                        metric = cost;
                       }
                   else None)
                 (neighbors_on t oif)
@@ -550,7 +548,7 @@ let originate_router_lsa t =
               Ospf_pkt.link_id = Ipv4_addr.Prefix.network (Iface.prefix oif.ifc);
               link_data = Iface.netmask oif.ifc;
               link_type = Ospf_pkt.Stub;
-              metric = oif.cost;
+              metric = cost;
             }
           in
           p2p @ [ stub ]
@@ -792,7 +790,7 @@ let handle_lsack _t nbr headers =
 let handle_packet t oif ~src (pkt : Ospf_pkt.t) =
   if not t.started then () (* a stopped daemon is deaf *)
   else if Ipv4_addr.equal pkt.router_id t.cfg.router_id then ()
-  else if not (Ipv4_addr.equal pkt.area_id t.cfg.area_id) then ()
+  else if not (Ipv4_addr.equal pkt.area_id area_id) then ()
   else
     match pkt.payload with
     | Ospf_pkt.Hello h -> handle_hello t oif ~src h ~from_rid:pkt.router_id
@@ -827,18 +825,8 @@ let arm_iface t oif =
 let add_interface t ?(passive = false) ifc =
   if not (Iface.is_addressed ifc) then
     invalid_arg "Ospfd.add_interface: interface has no address";
-  let oif = { ifc; cost = t.cfg.reference_cost; passive; hello_timer = None } in
+  let oif = { ifc; passive; hello_timer = None } in
   t.ifaces <- t.ifaces @ [ oif ];
-  (* Connected route. *)
-  Rib.update t.rib
-    {
-      Rib.r_prefix = Iface.prefix ifc;
-      r_proto = Rib.Connected;
-      r_distance = Rib.default_distance Rib.Connected;
-      r_metric = 0;
-      r_next_hop = None;
-      r_iface = Iface.name ifc;
-    };
   Iface.add_receiver ifc (fun (frame : Packet.t) ->
       match frame.l3 with
       | Packet.Ipv4 (ip, Packet.Ospf pkt) ->

@@ -15,17 +15,15 @@ open Rf_packet
 
 type config = {
   router_id : Ipv4_addr.t;
-  area_id : Ipv4_addr.t;
   hello_interval : int;  (** seconds *)
   dead_interval : int;
-  rxmt_interval : int;
-  spf_delay : Rf_sim.Vtime.span;  (** holddown between LSDB change and SPF *)
-  reference_cost : int;  (** every interface's cost *)
 }
+(** What ospfd.conf sets. The rest is fixed at Quagga's defaults: area
+    0.0.0.0, retransmit interval 5 s, SPF holddown 1 s after an LSDB
+    change, and a cost of 10 on every interface. *)
 
 val default_config : router_id:Ipv4_addr.t -> config
-(** Quagga defaults: hello 10 s, dead 40 s, rxmt 5 s, SPF delay 1 s,
-    cost 10, area 0.0.0.0. *)
+(** Quagga defaults: hello 10 s, dead 40 s. *)
 
 type neighbor_state = Down | Init | Exstart | Exchange | Loading | Full
 
@@ -47,8 +45,8 @@ val create :
 val config : t -> config
 
 val add_interface : t -> ?passive:bool -> Iface.t -> unit
-(** Must be called before [start]. Also installs the connected route
-    into the RIB. Every interface costs [reference_cost]. *)
+(** Must be addressed. On a running daemon it comes up at once. The
+    connected route is zebra's ({!Zebra.add_interface}), not ospfd's. *)
 
 val start : t -> unit
 (** Sends the first hellos immediately and starts the hello timers.

@@ -201,7 +201,8 @@ let add_interface t ?(passive = false) ifc =
     invalid_arg "Ripd.add_interface: interface has no address";
   let rif = { ifc; passive } in
   t.ifaces <- t.ifaces @ [ rif ];
-  (* The connected route, at metric 1 as RIP counts it. *)
+  (* The connected subnet, at metric 1 as RIP counts and advertises it;
+     zebra installs the connected route itself. *)
   Hashtbl.replace t.table (Iface.prefix ifc)
     {
       re_prefix = Iface.prefix ifc;
@@ -211,15 +212,6 @@ let add_interface t ?(passive = false) ifc =
       re_expires = None;
       re_garbage = None;
       re_changed = true;
-    };
-  Rib.update t.rib
-    {
-      Rib.r_prefix = Iface.prefix ifc;
-      r_proto = Rib.Connected;
-      r_distance = Rib.default_distance Rib.Connected;
-      r_metric = 0;
-      r_next_hop = None;
-      r_iface = Iface.name ifc;
     };
   Iface.add_receiver ifc (fun (frame : Packet.t) ->
       match frame.l3 with

@@ -30,8 +30,8 @@ val create :
   t
 
 val add_interface : t -> ?passive:bool -> Iface.t -> unit
-(** Must be addressed. Advertises the connected subnet at metric 1 and
-    installs the connected route. *)
+(** Must be addressed. Advertises the connected subnet at metric 1; the
+    connected route is zebra's ({!Zebra.add_interface}), not ripd's. *)
 
 val start : t -> unit
 (** Sends an immediate request + first response round. *)

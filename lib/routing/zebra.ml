@@ -1,5 +1,3 @@
-open Rf_packet
-
 type t = {
   hostname : string;
   rib : Rib.t;
@@ -7,8 +5,6 @@ type t = {
 }
 
 let create ~hostname () = { hostname; rib = Rib.create (); ifaces = [] }
-
-let hostname t = t.hostname
 
 let rib t = t.rib
 
@@ -36,11 +32,6 @@ let add_interface t ifc =
       if Iface.is_up ifc && Iface.is_addressed ifc then
         Rib.update t.rib (connected_route ifc))
 
-let interfaces t = t.ifaces
-
-let interface t name =
-  List.find_opt (fun i -> String.equal (Iface.name i) name) t.ifaces
-
 let add_static t prefix next_hop =
   Rib.update t.rib
     {
@@ -52,37 +43,29 @@ let add_static t prefix next_hop =
       r_iface = "";
     }
 
+(* Addresses the interfaces in config order, stopping at the first
+   unknown name; the statics go in only once every address is set. *)
 let apply_config t (c : Quagga_conf.zebra_conf) =
-  let check_iface (ic : Quagga_conf.iface_conf) =
-    match interface t ic.ic_name with
-    | None -> Error (Printf.sprintf "zebra: no such interface %s" ic.ic_name)
-    | Some ifc ->
-        if
-          Ipv4_addr.equal (Iface.ip ifc) ic.ic_ip
-          && Iface.prefix_len ifc = ic.ic_prefix_len
-        then Ok ()
-        else
-          Error
-            (Printf.sprintf "zebra: interface %s address mismatch (%s/%d vs %s/%d)"
-               ic.ic_name
-               (Ipv4_addr.to_string (Iface.ip ifc))
-               (Iface.prefix_len ifc)
-               (Ipv4_addr.to_string ic.ic_ip)
-               ic.ic_prefix_len)
-  in
-  let rec check = function
+  let rec address = function
     | [] -> Ok ()
-    | ic :: rest -> (
-        match check_iface ic with Ok () -> check rest | Error e -> Error e)
+    | (ic : Quagga_conf.iface_conf) :: rest -> (
+        let named i = String.equal (Iface.name i) ic.ic_name in
+        match List.find_opt named t.ifaces with
+        | None ->
+            Error
+              (Printf.sprintf "zebra %s: no such interface %s" t.hostname
+                 ic.ic_name)
+        | Some ifc ->
+            Iface.set_address ifc ~ip:ic.ic_ip ~prefix_len:ic.ic_prefix_len;
+            address rest)
   in
-  match check c.z_ifaces with
-  | Error e -> Error e
-  | Ok () ->
+  Result.map
+    (fun () ->
       List.iter
         (fun (s : Quagga_conf.static_route) ->
           add_static t s.sr_prefix s.sr_next_hop)
-        c.z_statics;
-      Ok ()
+        c.z_statics)
+    (address c.z_ifaces)
 
 let connected_routes t =
   List.filter (fun r -> r.Rib.r_proto = Rib.Connected) (Rib.selected t.rib)

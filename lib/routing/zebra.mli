@@ -1,6 +1,7 @@
-(** The zebra daemon: owns the RIB, the interfaces, connected and
-    static routes. Routing protocol daemons (ospfd, bgpd) share its
-    RIB; RouteFlow's RF-client listens to the RIB's change stream. *)
+(** The zebra daemon: owns the RIB, the interfaces and their addresses,
+    connected and static routes. Routing protocol daemons (ospfd, ripd,
+    bgpd) share its RIB but install no connected route of their own;
+    RouteFlow's RF-client listens to the RIB's change stream. *)
 
 open Rf_packet
 
@@ -8,22 +9,19 @@ type t
 
 val create : hostname:string -> unit -> t
 
-val hostname : t -> string
-
 val rib : t -> Rib.t
 
 val add_interface : t -> Iface.t -> unit
-(** Installs the connected route; tracks it across up/down flaps. *)
-
-val interfaces : t -> Iface.t list
-
-val interface : t -> string -> Iface.t option
+(** The one installer of the interface's connected route: present while
+    the interface is up and addressed, withdrawn while it is down, and
+    replaced when it is re-addressed. *)
 
 val add_static : t -> Ipv4_addr.Prefix.t -> Ipv4_addr.t -> unit
 
 val apply_config : t -> Quagga_conf.zebra_conf -> (unit, string) result
-(** Declares interfaces named in the config (they must already exist
-    physically — created by the VM from its NIC list) and installs the
-    static routes. Address mismatches are reported as errors. *)
+(** Sets the address of each interface the config names, as Quagga's
+    zebra does, in config order, then installs the static routes. An
+    interface that was never added is an error: the addresses before it
+    stay set and no static route goes in. *)
 
 val connected_routes : t -> Rib.route list

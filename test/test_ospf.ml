@@ -8,6 +8,7 @@ module Vtime = Rf_sim.Vtime
 module Iface = Rf_routing.Iface
 module Ospfd = Rf_routing.Ospfd
 module Rib = Rf_routing.Rib
+module Zebra = Rf_routing.Zebra
 
 let ip = Ipv4_addr.of_string_exn
 
@@ -22,14 +23,25 @@ let join engine ?(ms = 1) a b =
       ignore
         (Engine.schedule engine (Vtime.span_ms ms) (fun () -> Iface.deliver a frame)))
 
-type router = { rid : Ipv4_addr.t; rib : Rib.t; ospf : Ospfd.t }
+type router = {
+  rid : Ipv4_addr.t;
+  zebra : Zebra.t;
+  rib : Rib.t;
+  ospf : Ospfd.t;
+}
 
+(* Zebra owns the connected routes, as in a RouteFlow VM. *)
 let make_router engine i =
   let rid = ip (Printf.sprintf "10.255.0.%d" i) in
-  let rib = Rib.create () in
+  let zebra = Zebra.create ~hostname:(Ipv4_addr.to_string rid) () in
+  let rib = Zebra.rib zebra in
   let cfg = Ospfd.default_config ~router_id:rid in
   let ospf = Ospfd.create engine cfg rib in
-  { rid; rib; ospf }
+  { rid; zebra; rib; ospf }
+
+let add_iface r ?passive ifc =
+  Zebra.add_interface r.zebra ifc;
+  Ospfd.add_interface r.ospf ?passive ifc
 
 (* A line of n routers: r1 -- r2 -- ... -- rn, transfer nets
    172.16.k.0/30, each router also has a passive stub 10.0.i.0/24. *)
@@ -44,7 +56,7 @@ let build_line engine n =
           ~ip:(ip (Printf.sprintf "10.0.%d.1" (i + 1)))
           ~prefix_len:24 ()
       in
-      Ospfd.add_interface r.ospf ~passive:true stub)
+      add_iface r ~passive:true stub)
     routers;
   for i = 0 to n - 2 do
     let left = routers.(i) and right = routers.(i + 1) in
@@ -63,8 +75,8 @@ let build_line engine n =
         ~prefix_len:30 ()
     in
     join engine ia ib;
-    Ospfd.add_interface left.ospf ia;
-    Ospfd.add_interface right.ospf ib
+    add_iface left ia;
+    add_iface right ib
   done;
   Array.iter (fun r -> Ospfd.start r.ospf) routers;
   routers
@@ -143,8 +155,8 @@ let test_lsdbs_share_lsa_values () =
     in
     let a = nic "a" 0 and b = nic "b" 1 in
     join engine a b;
-    Ospfd.add_interface routers.(i).ospf a;
-    Ospfd.add_interface routers.((i + 1) mod n).ospf b
+    add_iface routers.(i) a;
+    add_iface routers.((i + 1) mod n) b
   done;
   Array.iter (fun r -> Ospfd.start r.ospf) routers;
   run_for engine 30.;
@@ -206,8 +218,8 @@ let filtered_pair engine ~a_to_b ~b_to_a =
   in
   Iface.set_transmit ia (wire a_to_b ib);
   Iface.set_transmit ib (wire b_to_a ia);
-  Ospfd.add_interface r1.ospf ia;
-  Ospfd.add_interface r2.ospf ib;
+  add_iface r1 ia;
+  add_iface r2 ib;
   (r1, r2)
 
 (* A neighbour that falls silent while its interface stays up dies on
@@ -264,7 +276,7 @@ let test_rxmt_runs_only_while_pending () =
   Alcotest.(check bool) "adjacent" true (Ospfd.is_adjacent_to r1.ospf r2.rid);
   updates := [];
   drop_acks := true;
-  Ospfd.add_interface r1.ospf ~passive:true
+  add_iface r1 ~passive:true
     (Iface.create ~name:"stub9" ~mac:(Mac.make_local 1409)
        ~ip:(ip "10.0.9.1") ~prefix_len:24 ());
   run_for engine 2.7;
@@ -310,7 +322,7 @@ let test_late_joiner_syncs_database () =
     Iface.create ~name:"stub4" ~mac:(Mac.make_local 1100)
       ~ip:(ip "10.0.4.1") ~prefix_len:24 ()
   in
-  Ospfd.add_interface r4.ospf ~passive:true stub;
+  add_iface r4 ~passive:true stub;
   let ia =
     Iface.create ~name:"eth3_r" ~mac:(Mac.make_local 1101)
       ~ip:(ip "172.16.50.1") ~prefix_len:30 ()
@@ -320,8 +332,8 @@ let test_late_joiner_syncs_database () =
       ~ip:(ip "172.16.50.2") ~prefix_len:30 ()
   in
   join engine ia ib;
-  Ospfd.add_interface routers.(2).ospf ia;
-  Ospfd.add_interface r4.ospf ib;
+  add_iface routers.(2) ia;
+  add_iface r4 ib;
   Ospfd.start r4.ospf;
   run_for engine 30.;
   (* r4 holds all four router LSAs and routes to every old stub. *)
@@ -370,8 +382,8 @@ let test_lsr_answer_split_at_mtu () =
   in
   Iface.set_transmit ia (wire ib);
   Iface.set_transmit ib (wire ia);
-  Ospfd.add_interface r30.ospf ia;
-  Ospfd.add_interface joiner.ospf ib;
+  add_iface r30 ia;
+  add_iface joiner ib;
   Ospfd.start joiner.ospf;
   run_for engine 30.;
   let requested_bytes =
@@ -427,7 +439,7 @@ let test_random_topology_spf_matches_bfs () =
               ~ip:(ip (Printf.sprintf "10.0.%d.1" (i + 1)))
               ~prefix_len:24 ()
           in
-          Ospfd.add_interface r.ospf ~passive:true stub)
+          add_iface r ~passive:true stub)
         routers;
       List.iteri
         (fun k (e : Rf_net.Topology.edge) ->
@@ -448,8 +460,8 @@ let test_random_topology_spf_matches_bfs () =
                   ~prefix_len:30 ()
               in
               join engine ia ib;
-              Ospfd.add_interface routers.(Int64.to_int a - 1).ospf ia;
-              Ospfd.add_interface routers.(Int64.to_int b - 1).ospf ib
+              add_iface routers.(Int64.to_int a - 1) ia;
+              add_iface routers.(Int64.to_int b - 1) ib
           | _ -> ())
         (Rf_net.Topology.edges topo);
       Array.iter (fun r -> Ospfd.start r.ospf) routers;
@@ -517,7 +529,7 @@ let test_hello_mismatch_blocks_adjacency () =
       ~prefix_len:30 ()
   in
   join engine ia ib;
-  Ospfd.add_interface r1.ospf ia;
+  add_iface r1 ia;
   Ospfd.add_interface r2 ib;
   Ospfd.start r1.ospf;
   Ospfd.start r2;

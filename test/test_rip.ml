@@ -62,14 +62,25 @@ let join engine a b =
    so tests stay cheap: 5 s updates, 15 s timeout, 10 s garbage. *)
 let rip_config = { Ripd.update_interval = 5.; timeout = 15.; garbage = 10. }
 
+(* Each router's zebra owns its connected routes, as in a RouteFlow
+   VM. *)
 let build_line engine n =
-  let make _i =
-    let rib = Rib.create () in
-    (Ripd.create engine ~config:rip_config rib, rib)
+  let zebras =
+    Array.init n (fun i ->
+        Zebra.create ~hostname:(Printf.sprintf "r%d" (i + 1)) ())
   in
-  let routers = Array.init n (fun i -> make (i + 1)) in
+  let routers =
+    Array.map
+      (fun z ->
+        (Ripd.create engine ~config:rip_config (Zebra.rib z), Zebra.rib z))
+      zebras
+  in
+  let add i ?passive ifc =
+    Zebra.add_interface zebras.(i) ifc;
+    Ripd.add_interface (fst routers.(i)) ?passive ifc
+  in
   Array.iteri
-    (fun i (d, _) ->
+    (fun i _ ->
       let stub =
         Iface.create
           ~name:(Printf.sprintf "stub%d" (i + 1))
@@ -77,7 +88,7 @@ let build_line engine n =
           ~ip:(ip (Printf.sprintf "10.0.%d.1" (i + 1)))
           ~prefix_len:24 ()
       in
-      Ripd.add_interface d ~passive:true stub)
+      add i ~passive:true stub)
     routers;
   let links = ref [] in
   for i = 0 to n - 2 do
@@ -94,8 +105,8 @@ let build_line engine n =
         ~prefix_len:30 ()
     in
     join engine ia ib;
-    Ripd.add_interface (fst routers.(i)) ia;
-    Ripd.add_interface (fst routers.(i + 1)) ib;
+    add i ia;
+    add (i + 1) ib;
     links := (ia, ib) :: !links
   done;
   Array.iter (fun (d, _) -> Ripd.start d) routers;
@@ -173,7 +184,9 @@ let test_rip_iface_down_poisons () =
 let test_rip_split_horizon () =
   let engine = Engine.create () in
   (* Two routers; capture what r1 advertises back toward r2. *)
-  let rib1 = Rib.create () and rib2 = Rib.create () in
+  let z1 = Zebra.create ~hostname:"r1" ()
+  and z2 = Zebra.create ~hostname:"r2" () in
+  let rib1 = Zebra.rib z1 and rib2 = Zebra.rib z2 in
   let d1 = Ripd.create engine ~config:rip_config rib1 in
   let d2 = Ripd.create engine ~config:rip_config rib2 in
   let ia =
@@ -210,6 +223,9 @@ let test_rip_split_horizon () =
     Iface.create ~name:"stub9" ~mac:(Mac.make_local 3503) ~ip:(ip "10.0.9.1")
       ~prefix_len:24 ()
   in
+  Zebra.add_interface z2 stub;
+  Zebra.add_interface z1 ia;
+  Zebra.add_interface z2 ib;
   Ripd.add_interface d2 ~passive:true stub;
   Ripd.add_interface d1 ia;
   Ripd.add_interface d2 ib;

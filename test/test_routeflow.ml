@@ -55,6 +55,30 @@ let test_vm_config_addresses_nics () =
   Alcotest.(check bool) "configs retrievable" true
     (Vm.config_file vm "zebra.conf" <> None && Vm.config_file vm "ospfd.conf" <> None)
 
+let ripd_conf_text =
+  "hostname vm-1\npassword x\n!\nrouter rip\n passive-interface eth2\n\
+   network 172.16.0.0/30\n network 10.0.1.0/24\n!\nline vty\n"
+
+(* Zebra alone installs connected routes: a NIC that is down when a
+   routing daemon's config enables it gets none until it comes up. *)
+let check_down_nic_gets_no_route apply text () =
+  let engine = Engine.create () in
+  let vm = Vm.create engine ~dpid:1L ~n_ports:2 () in
+  (match Vm.apply_zebra_config vm zebra_conf_text with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  let eth1 = Vm.nic vm 1 and transfer = pfx "172.16.0.0/30" in
+  Iface.set_up eth1 false;
+  (match apply vm text with Ok () -> () | Error e -> Alcotest.fail e);
+  Alcotest.(check bool) "no connected route while down" true
+    (Rib.best (Vm.rib vm) transfer = None);
+  Iface.set_up eth1 true;
+  match Rib.best (Vm.rib vm) transfer with
+  | Some r ->
+      Alcotest.(check string) "connected once up" "connected"
+        (Rib.proto_name r.Rib.r_proto)
+  | None -> Alcotest.fail "no connected route once up"
+
 let test_vm_answers_arp () =
   let engine = Engine.create () in
   let vm = make_vm engine in
@@ -960,6 +984,12 @@ let suite =
       test_lsu_encode_one_buffer;
     Alcotest.test_case "configs address NICs and boot daemons" `Quick
       test_vm_config_addresses_nics;
+    Alcotest.test_case "ospfd.conf on a down NIC adds no connected route"
+      `Quick
+      (check_down_nic_gets_no_route Vm.apply_ospfd_config ospfd_conf_text);
+    Alcotest.test_case "ripd.conf on a down NIC adds no connected route"
+      `Quick
+      (check_down_nic_gets_no_route Vm.apply_ripd_config ripd_conf_text);
     Alcotest.test_case "vm answers ARP and learns" `Quick test_vm_answers_arp;
     Alcotest.test_case "vm answers ping" `Quick test_vm_answers_ping;
     Alcotest.test_case "vm slow-path forwarding rewrites and decrements TTL"

@@ -560,8 +560,7 @@ let test_zebra_unnumbered_then_addressed () =
 
 let test_zebra_apply_config () =
   let z = Zebra.create ~hostname:"r1" () in
-  let ifc = Iface.create ~name:"eth1" ~mac:(Mac.make_local 1) ~ip:(ip "172.16.0.1")
-      ~prefix_len:30 () in
+  let ifc = Iface.create ~name:"eth1" ~mac:(Mac.make_local 1) () in
   Zebra.add_interface z ifc;
   let conf =
     {
@@ -574,16 +573,35 @@ let test_zebra_apply_config () =
   (match Zebra.apply_config z conf with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
+  (* The config sets the address, and with it the connected route. *)
+  Alcotest.(check string) "address set" "172.16.0.1/30"
+    (Printf.sprintf "%s/%d"
+       (Ipv4_addr.to_string (Iface.ip ifc))
+       (Iface.prefix_len ifc));
+  Alcotest.(check bool) "connected installed" true
+    (Rib.best (Zebra.rib z) (pfx "172.16.0.0/30") <> None);
   Alcotest.(check bool) "static installed" true
     (Rib.best (Zebra.rib z) (pfx "10.0.0.0/8") <> None);
-  (* Mismatched address is rejected. *)
+  (* An unknown interface is rejected and installs no static. *)
   let bad =
-    { conf with Quagga_conf.z_ifaces =
-        [ { Quagga_conf.ic_name = "eth1"; ic_ip = ip "9.9.9.9"; ic_prefix_len = 8 } ] }
+    {
+      conf with
+      Quagga_conf.z_ifaces =
+        [ { Quagga_conf.ic_name = "eth9"; ic_ip = ip "9.9.9.9"; ic_prefix_len = 8 } ];
+      z_statics =
+        [
+          {
+            Quagga_conf.sr_prefix = pfx "10.9.0.0/16";
+            sr_next_hop = ip "172.16.0.2";
+          };
+        ];
+    }
   in
-  match Zebra.apply_config z bad with
+  (match Zebra.apply_config z bad with
   | Error _ -> ()
-  | Ok () -> Alcotest.fail "accepted mismatched address"
+  | Ok () -> Alcotest.fail "accepted an unknown interface");
+  Alcotest.(check bool) "no static from the rejected config" true
+    (Rib.best (Zebra.rib z) (pfx "10.9.0.0/16") = None)
 
 (* --- incremental SPF vs full recompute (differential oracle) ------------ *)
 
@@ -723,14 +741,21 @@ let ospf_ring () =
                Iface.deliver a f)))
   in
   let n = 4 in
-  let ribs = Array.init n (fun _ -> Rib.create ()) in
+  let zebras =
+    Array.init n (fun i -> Zebra.create ~hostname:(Printf.sprintf "r%d" i) ())
+  in
+  let ribs = Array.map Zebra.rib zebras in
   let routers =
     Array.init n (fun i ->
         let rid = ip (Printf.sprintf "10.250.0.%d" (i + 1)) in
         Ospfd.create engine (Ospfd.default_config ~router_id:rid) ribs.(i))
   in
+  let add i ?passive ifc =
+    Zebra.add_interface zebras.(i) ifc;
+    Ospfd.add_interface routers.(i) ?passive ifc
+  in
   Array.iteri
-    (fun i d ->
+    (fun i _ ->
       let stub =
         Iface.create
           ~name:(Printf.sprintf "stub%d" i)
@@ -738,7 +763,7 @@ let ospf_ring () =
           ~ip:(ip (Printf.sprintf "10.8.%d.1" i))
           ~prefix_len:24 ()
       in
-      Ospfd.add_interface d ~passive:true stub)
+      add i ~passive:true stub)
     routers;
   for i = 0 to n - 1 do
     let j = (i + 1) mod n in
@@ -757,8 +782,8 @@ let ospf_ring () =
         ~prefix_len:30 ()
     in
     join ia ib;
-    Ospfd.add_interface routers.(i) ia;
-    Ospfd.add_interface routers.(j) ib
+    add i ia;
+    add j ib
   done;
   Array.iter Ospfd.start routers;
   ignore (Engine.run ~until:(Vtime.of_s 60.) engine);
