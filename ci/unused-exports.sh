@@ -1,5 +1,5 @@
 #!/bin/sh
-# Two passes over every lib/**/*.mli; either one failing fails the
+# Three passes over every lib/**/*.mli; any one failing fails the
 # script.
 #
 # 1. Exports. Fails when a top-level value declared in a .mli has no
@@ -15,10 +15,18 @@
 #    the line that names the val plus the lines after it indented
 #    deeper; a label applied through a first-class function or a local
 #    alias is not seen, so such an argument needs an exemption.
+# 3. Settings fields. Fails when a field of a top-level record type
+#    named config, params or options has no "field =" (qualified by
+#    module names or not, and not "==") in any .ml under the same
+#    directories other than its own module's .ml: a setting that no
+#    caller sets. Such a field is deleted and its value used as a
+#    constant. A local binding of the same name counts as a setting,
+#    so the pass can miss a field but never flags a set one.
 #
 # Exemptions live in ci/unused-exports.allow, one per line as
-# "Module.value  reason" (pass 1) or "Module.value?label  reason"
-# (pass 2); blank lines and lines starting with # are ignored.
+# "Module.value  reason" (pass 1), "Module.value?label  reason"
+# (pass 2) or "Module.type.field  reason" (pass 3); blank lines and
+# lines starting with # are ignored.
 #
 # Usage, from anywhere in the checkout: sh ci/unused-exports.sh
 set -u
@@ -80,6 +88,40 @@ for mli in $(find lib -name '*.mli' | LC_ALL=C sort); do
       }
       END { exit !found }' $files; then
       echo "$mli: val $v has ?$l, which no caller outside $ml sets ($mod.$v?$l)"
+      status=1
+    fi
+  done
+  # A record runs from its "type" line to the first "}" outside a
+  # comment; comments inside it are stripped.
+  fields=$(awk '
+    /^type (config|params|options) = \{/ { ty = $2; rec = "" }
+    ty != "" {
+      rec = rec " " $0
+      gsub(/\(\*([^*]|\*+[^*)])*\*+\)/, "", rec)
+      if (!index(rec, "(*") && index(rec, "}")) {
+        sub(/^[^{]*\{/, "", rec)
+        sub(/\}.*/, "", rec)
+        n = split(rec, decls, ";")
+        for (i = 1; i <= n; i++)
+          if (match(decls[i], /^[ \t]*(mutable[ \t]+)?[a-z_][A-Za-z0-9_]*[ \t]*:/)) {
+            f = substr(decls[i], RSTART, RLENGTH - 1)
+            sub(/^[ \t]*(mutable[ \t]+)?/, "", f)
+            sub(/[ \t]*$/, "", f)
+            print ty "." f
+          }
+        ty = ""
+      }
+    }' "$mli")
+  for tf in $fields; do
+    f=${tf#*.}
+    if grep -q "^$mod\.$tf[[:space:]]" "$allow"; then
+      continue
+    fi
+    if ! find lib bin bench test examples -name '*.ml' ! -path "$ml" \
+      -exec grep -lE -- \
+        "(^|[^A-Za-z0-9_'.])([A-Z][A-Za-z0-9_']*\.)*$f[[:space:]]*=([^=]|\$)" \
+        {} + | grep -q .; then
+      echo "$mli: field $tf has no setter outside $ml ($mod.$tf)"
       status=1
     fi
   done

@@ -185,7 +185,7 @@ let create engine ~rng ?(replicas = 3) ?(latency = Vtime.span_ms 1) () =
   done;
   t.members <-
     Array.init replicas (fun i ->
-        let cfg = { Replica.default_config with id = i; replicas } in
+        let cfg = { Replica.id = i; replicas } in
         Replica.create engine
           ~rng:(Rng.derive rng (i + 1))
           cfg

@@ -9,22 +9,15 @@ let pp_role ppf = function
   | Candidate -> Format.pp_print_string ppf "candidate"
   | Leader -> Format.pp_print_string ppf "leader"
 
-type config = {
-  id : int;
-  replicas : int;
-  election_base : Vtime.span;
-  heartbeat_every : Vtime.span;
-  heartbeat_jitter : float;
-}
+type config = { id : int; replicas : int }
 
-let default_config =
-  {
-    id = 0;
-    replicas = 3;
-    election_base = Vtime.span_s 2.0;
-    heartbeat_every = Vtime.span_s 0.5;
-    heartbeat_jitter = 0.25;
-  }
+(* Minimum silence before standing for election, in seconds; a leader's
+   heartbeat period, and its extra uniform delay as a fraction of it. *)
+let election_base = 2.0
+
+let heartbeat_every = 0.5
+
+let heartbeat_jitter = 0.25
 
 type t = {
   engine : Engine.t;
@@ -89,11 +82,10 @@ let set_role t role =
 (* Deterministic bias by id plus a seeded jitter smaller than the bias
    step, so timeouts never collide and replica 0 bootstraps first. *)
 let timeout_span t =
-  let base = Vtime.span_to_s t.cfg.election_base in
   let n = float_of_int (max 1 t.cfg.replicas) in
-  let bias = base *. (float_of_int t.cfg.id /. n) in
-  let jitter = Rng.float t.rng (base /. (2. *. n)) in
-  Vtime.span_s (base +. bias +. jitter)
+  let bias = election_base *. (float_of_int t.cfg.id /. n) in
+  let jitter = Rng.float t.rng (election_base /. (2. *. n)) in
+  Vtime.span_s (election_base +. bias +. jitter)
 
 let cancel_election_timer t =
   match t.election_timer with
@@ -163,8 +155,9 @@ and send_heartbeat t =
 and heartbeat_loop t gen =
   if (not t.crashed) && t.role = Leader && gen = t.hb_gen then begin
     send_heartbeat t;
-    let base = Vtime.span_to_s t.cfg.heartbeat_every in
-    let wait = base +. Rng.float t.rng (t.cfg.heartbeat_jitter *. base) in
+    let wait =
+      heartbeat_every +. Rng.float t.rng (heartbeat_jitter *. heartbeat_every)
+    in
     ignore
       (Engine.schedule ~entity:t.entity t.engine (Vtime.span_s wait)
          (fun () -> heartbeat_loop t gen))

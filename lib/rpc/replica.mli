@@ -27,19 +27,12 @@ type role = Follower | Candidate | Leader
 type config = {
   id : int;  (** this replica's index, [0 .. replicas-1] *)
   replicas : int;
-  election_base : Rf_sim.Vtime.span;
-      (** minimum silence before standing for election; each replica
-          adds a deterministic bias proportional to its id plus a
-          seeded jitter draw, so replica 0 bootstraps as the first
-          leader and re-elections rarely collide *)
-  heartbeat_every : Rf_sim.Vtime.span;
-  heartbeat_jitter : float;
-      (** extra uniform delay per leader heartbeat, as a fraction of
-          [heartbeat_every] *)
 }
-
-val default_config : config
-(** 3 replicas, 2 s election base, 0.5 s heartbeats with 0.25 jitter. *)
+(** The timers are fixed. A replica stands for election after 2 s of
+    silence plus a deterministic bias proportional to its id and a
+    seeded jitter draw, so replica 0 bootstraps as the first leader and
+    re-elections rarely collide. A leader heartbeats every 0.5 s plus a
+    seeded uniform delay of up to a quarter of that. *)
 
 type t
 
