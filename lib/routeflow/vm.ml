@@ -22,10 +22,11 @@ type t = {
   mutable ospfd : Ospfd.t option;
   mutable ripd : Ripd.t option;
   mutable bgpd : Bgpd.t option;
-  arp : (int * Ipv4_addr.t, Mac.t) Hashtbl.t;
-  arp_confirmed : (int * Ipv4_addr.t, Rf_sim.Vtime.t) Hashtbl.t;
-  arp_probing : (int * Ipv4_addr.t, int) Hashtbl.t;  (** probes left *)
-  pending : (int * Ipv4_addr.t, pending_packet list ref) Hashtbl.t;
+  (* The neighbour tables, keyed by {!arp_key}. *)
+  arp : (int, Mac.t) Hashtbl.t;
+  arp_confirmed : (int, Rf_sim.Vtime.t) Hashtbl.t;
+  arp_probing : (int, int) Hashtbl.t;  (** probes left *)
+  pending : (int, pending_packet list ref) Hashtbl.t;
   configs : (string, string) Hashtbl.t;
   mutable ospf_enabled : string list;  (** NIC names already under OSPF *)
   mutable rip_enabled : string list;
@@ -53,6 +54,14 @@ type t = {
 }
 
 let arp_retry = Rf_sim.Vtime.span_s 1.0
+
+(* A neighbour's port and address in one immediate int, so a lookup
+   allocates no key. *)
+let arp_key port ip = (port lsl 32) lor Ipv4_addr.to_int ip
+
+let key_port key = key lsr 32
+
+let key_ip key = Ipv4_addr.of_int key
 
 let max_arp_retries = 30
 
@@ -156,9 +165,10 @@ let add_route_flows t acc (r : Rib.route) =
       | Some port ->
           let ifc = nic t port in
           Hashtbl.fold
-            (fun (p, ip) mac acc ->
+            (fun key mac acc ->
+              let ip = key_ip key in
               if
-                p = port
+                key_port key = port
                 && Ipv4_addr.Prefix.mem ip r.r_prefix
                 && not (Ipv4_addr.equal ip (Iface.ip ifc))
               then
@@ -174,7 +184,7 @@ let add_route_flows t acc (r : Rib.route) =
   | Rib.Static | Rib.Ospf | Rib.Rip | Rib.Bgp -> (
       match resolve_route t r with
       | Some (port, Some nh) -> (
-          match Hashtbl.find_opt t.arp (port, nh) with
+          match Hashtbl.find_opt t.arp (arp_key port nh) with
           | Some mac ->
               {
                 fr_prefix = r.r_prefix;
@@ -299,15 +309,15 @@ let rec owns_address nics dst i =
 
 let learn t port ip mac =
   if not (Ipv4_addr.equal ip Ipv4_addr.any) then begin
-    let key = (port, ip) in
-    let known = Hashtbl.find_opt t.arp key in
+    let key = arp_key port ip in
     Hashtbl.replace t.arp_confirmed key (Rf_sim.Engine.now t.engine);
     Hashtbl.remove t.arp_probing key;
-    if known <> Some mac then begin
-      Hashtbl.replace t.arp key mac;
-      t.export_all <- true;
-      refresh_flows t
-    end;
+    (match Hashtbl.find t.arp key with
+    | known when Mac.equal known mac -> ()
+    | _ | (exception Not_found) ->
+        Hashtbl.replace t.arp key mac;
+        t.export_all <- true;
+        refresh_flows t);
     match Hashtbl.find_opt t.pending key with
     | Some queue ->
         Hashtbl.remove t.pending key;
@@ -324,10 +334,9 @@ let learn t port ip mac =
 
 let rec arp_retry_tick t key retries =
   if Hashtbl.mem t.pending key then begin
-    let port, target = key in
     if retries <= 0 then Hashtbl.remove t.pending key
     else begin
-      send_arp_request t port target;
+      send_arp_request t (key_port key) (key_ip key);
       ignore
         (Rf_sim.Engine.schedule ~entity:t.entity t.engine arp_retry (fun () ->
              arp_retry_tick t key (retries - 1)))
@@ -335,7 +344,7 @@ let rec arp_retry_tick t key retries =
   end
 
 let enqueue_pending t port next_hop ipv4 =
-  let key = (port, next_hop) in
+  let key = arp_key port next_hop in
   match Hashtbl.find_opt t.pending key with
   | Some queue -> queue := { pp_ipv4 = ipv4 } :: !queue
   | None ->
@@ -357,7 +366,7 @@ let forward_ipv4 t (ip : Ipv4.t) =
           | Some (port, nh) -> (
               let next_hop = match nh with Some nh -> nh | None -> ip.dst in
               let ifc = nic t port in
-              match Hashtbl.find_opt t.arp (port, next_hop) with
+              match Hashtbl.find_opt t.arp (arp_key port next_hop) with
               | Some mac ->
                   t.slow_forwarded <- t.slow_forwarded + 1;
                   Rf_obs.Metrics.incr t.m_slow_path;
@@ -482,11 +491,11 @@ let create engine ~dpid ~n_ports () =
              t.arp []
          in
          List.iter
-           (fun ((port, target) as key) ->
+           (fun key ->
              match Hashtbl.find_opt t.arp_probing key with
              | None ->
                  Hashtbl.replace t.arp_probing key 3;
-                 send_arp_request t port target
+                 send_arp_request t (key_port key) (key_ip key)
              | Some 0 ->
                  Hashtbl.remove t.arp_probing key;
                  Hashtbl.remove t.arp key;
@@ -495,7 +504,7 @@ let create engine ~dpid ~n_ports () =
                  refresh_flows t
              | Some n ->
                  Hashtbl.replace t.arp_probing key (n - 1);
-                 send_arp_request t port target)
+                 send_arp_request t (key_port key) (key_ip key))
            (List.rev stale)));
   t
 
@@ -639,7 +648,9 @@ let apply_bgpd_config t ~peer_channel text =
       Ok ()
 
 let arp_entries t =
-  Hashtbl.fold (fun (port, ip) mac acc -> (port, ip, mac) :: acc) t.arp []
+  Hashtbl.fold
+    (fun key mac acc -> (key_port key, key_ip key, mac) :: acc)
+    t.arp []
   |> List.sort compare
 
 let packets_forwarded_slow_path t = t.slow_forwarded
