@@ -139,28 +139,43 @@ let send_pkt t (oif : oiface) payload =
 (* The IP MTU of every interface: RouteFlow VM NICs are Ethernet. *)
 let mtu = 1500
 
-(* The IPv4 header, the OSPF header and an LS Update's LSA count. *)
-let ls_update_overhead = 20 + 24 + 4
+(* The IPv4 header and the OSPF header. *)
+let ip_ospf_overhead = 20 + 24
 
-(* Sends [lsas] in order in as many LS Updates as keep each IP packet
-   within the MTU (RFC 2328 §13.3); an LSA larger than that on its own
-   goes alone. *)
-let send_ls_updates t oif lsas =
+(* Sends [items] in order in as many packets, each [packet] of a
+   chunk, as keep each IP packet within the MTU: [overhead] bytes plus
+   [size] bytes per item. An item larger than that on its own goes
+   alone. *)
+let send_packed t oif ~overhead ~size packet items =
   let flush = function
     | [] -> ()
-    | chunk -> send_pkt t oif (Ospf_pkt.Ls_update (List.rev chunk))
+    | chunk -> send_pkt t oif (packet (List.rev chunk))
   in
-  let rec pack chunk size = function
+  let rec pack chunk bytes = function
     | [] -> flush chunk
-    | lsa :: rest ->
-        let n = String.length (Ospf_pkt.lsa_to_wire lsa) in
-        if chunk <> [] && size + n > mtu then begin
+    | item :: rest ->
+        let n = size item in
+        if chunk <> [] && bytes + n > mtu then begin
           flush chunk;
-          pack [ lsa ] (ls_update_overhead + n) rest
+          pack [ item ] (overhead + n) rest
         end
-        else pack (lsa :: chunk) (size + n) rest
+        else pack (item :: chunk) (bytes + n) rest
   in
-  pack [] ls_update_overhead lsas
+  pack [] overhead items
+
+(* LS Updates after their LSA count (RFC 2328 §13.3). *)
+let send_ls_updates t oif lsas =
+  send_packed t oif ~overhead:(ip_ospf_overhead + 4)
+    ~size:(fun lsa -> String.length (Ospf_pkt.lsa_to_wire lsa))
+    (fun lsas -> Ospf_pkt.Ls_update lsas)
+    lsas
+
+(* LS Requests of 12-byte keys (RFC 2328 §10.9). *)
+let send_ls_requests t oif keys =
+  send_packed t oif ~overhead:ip_ospf_overhead
+    ~size:(fun _ -> 12)
+    (fun keys -> Ospf_pkt.Ls_request keys)
+    keys
 
 (* --- hello ------------------------------------------------------- *)
 
@@ -712,7 +727,7 @@ let handle_dd t nbr (dd : Ospf_pkt.db_desc) =
   | keys ->
       nbr.n_req <- keys;
       nbr.n_state <- Loading;
-      send_pkt t nbr.n_oiface (Ospf_pkt.Ls_request keys)
+      send_ls_requests t nbr.n_oiface keys
 
 let handle_lsr t nbr keys =
   let lsas =
@@ -727,6 +742,8 @@ let handle_lsr t nbr keys =
       lsas
   end
 
+(* One ack answers one LS Update, and an LSA header is no larger than
+   its LSA, so the ack fits in the MTU wherever the update did. *)
 let send_ack t oif headers =
   if headers <> [] then send_pkt t oif (Ospf_pkt.Ls_ack headers)
 

@@ -420,6 +420,81 @@ let test_lsr_answer_split_at_mtu () =
   Alcotest.(check int) "joiner holds every router LSA" 31
     (Ospfd.lsdb_size joiner.ospf)
 
+(* A Database Description listing 130 LSAs that an empty router lacks:
+   the router asks for them in several LS Requests, each IP packet
+   within the 1,500-byte MTU (RFC 2328 §10.9), that together name every
+   key. In one packet they would take 20 + 24 + 130 * 12 = 1,604
+   bytes. *)
+let test_ls_request_split_at_mtu () =
+  let engine = Engine.create () in
+  let r1 = make_router engine 1 in
+  let nbr = ip "10.255.0.2" and nbr_ip = ip "172.16.0.2" in
+  let ifc =
+    Iface.create ~name:"eth1" ~mac:(Mac.make_local 1501)
+      ~ip:(ip "172.16.0.1") ~prefix_len:30 ()
+  in
+  let requests = ref [] in
+  Iface.set_transmit ifc (fun frame ->
+      match Packet.parse frame with
+      | Ok { l3 = Packet.Ipv4 (_, Packet.Ospf pkt); _ } -> (
+          match pkt.payload with
+          | Ospf_pkt.Ls_request keys ->
+              requests := (String.length frame - 14, keys) :: !requests
+          | _ -> ())
+      | Ok _ | Error _ -> ());
+  add_iface r1 ifc;
+  Ospfd.start r1.ospf;
+  let from_nbr payload =
+    Iface.deliver ifc
+      (Packet.ospf ~src_mac:(Mac.make_local 1502) ~dst_mac:(Iface.mac ifc)
+         ~src_ip:nbr_ip ~dst_ip:(Iface.ip ifc)
+         { Ospf_pkt.router_id = nbr; area_id = Ipv4_addr.any; payload })
+  in
+  from_nbr
+    (Ospf_pkt.Hello
+       {
+         netmask = ip "255.255.255.252";
+         hello_interval = 10;
+         dead_interval = 40;
+         priority = 1;
+         dr = Ipv4_addr.any;
+         bdr = Ipv4_addr.any;
+         neighbors = [ r1.rid ];
+       });
+  let headers =
+    List.init 130 (fun i ->
+        let rid = Ipv4_addr.of_octets 10 254 (i / 200) (1 + (i mod 200)) in
+        Ospf_pkt.header_of_lsa
+          (Ospf_pkt.make_lsa ~age:1 ~options:2 ~link_state_id:rid
+             ~adv_router:rid ~seq:Ospf_pkt.initial_seq
+             (Ospf_pkt.Router { links = [] })))
+  in
+  from_nbr
+    (Ospf_pkt.Db_desc
+       {
+         mtu = 1500;
+         dd_init = false;
+         dd_more = false;
+         dd_master = true;
+         dd_seq = 1l;
+         headers;
+       });
+  run_for engine 1.;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d LS Requests" (List.length !requests))
+    true
+    (List.length !requests > 1);
+  List.iter
+    (fun (len, keys) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%d-key LS Request: %d-byte IP packet"
+           (List.length keys) len)
+        true (len <= 1500))
+    !requests;
+  let asked = List.concat_map snd (List.rev !requests) in
+  Alcotest.(check bool) "every key asked for, once, in order" true
+    (asked = List.map (fun (h : Ospf_pkt.lsa_header) -> h.h_key) headers)
+
 (* Property: on random connected topologies, once converged, each
    router's OSPF metric to each stub equals (BFS hops x 10) + 10 —
    uniform link costs make shortest-path checking exact. *)
@@ -573,6 +648,8 @@ let suite =
       test_late_joiner_syncs_database;
     Alcotest.test_case "an LS Request answer is split at the MTU" `Quick
       test_lsr_answer_split_at_mtu;
+    Alcotest.test_case "LS Request split at the MTU" `Quick
+      test_ls_request_split_at_mtu;
     Alcotest.test_case "SPF matches BFS on random topologies" `Quick
       test_random_topology_spf_matches_bfs;
     Alcotest.test_case "vtysh show rendering" `Quick test_show_rendering;
