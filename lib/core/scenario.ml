@@ -75,7 +75,6 @@ type t = {
   host_plans : (string * host_plan) list;
   n_switches : int;
   n_subnets : int;
-  mutable vm_ready_listeners : (int64 -> unit) list;
   mutable converged_at : Rf_sim.Vtime.t option;
   fault_handle : Rf_sim.Faults.handle;
   mutable route_views : route_view list;
@@ -465,7 +464,6 @@ let build ?(options = default_options) topo =
       host_plans;
       n_switches;
       n_subnets;
-      vm_ready_listeners = [];
       converged_at = None;
       fault_handle;
       route_views = [];
@@ -473,30 +471,24 @@ let build ?(options = default_options) topo =
       opts = options;
     }
   in
-  Rf_system.set_on_vm_ready rf_sys (fun dpid ->
-      Gui.set_green gui dpid;
-      List.iter (fun f -> f dpid) t.vm_ready_listeners);
+  Rf_system.add_on_vm_ready rf_sys (Gui.set_green gui);
   (* RIB feed: each VM publishes its desired FIB — the (prefix, port)
      pairs the RF-client wants installed — to the auditor on every
      flow-export change. Attached on readiness because VMs are created
      dynamically (and re-created across restarts). *)
   (match auditor with
   | Some au ->
-      t.vm_ready_listeners <-
-        t.vm_ready_listeners
-        @ [
-            (fun dpid ->
-              match Rf_system.vm rf_sys dpid with
-              | Some vm ->
-                  Rf_routeflow.Vm.add_on_flows_changed vm
-                    (fun ~removed:_ ~added:_ ->
-                      Rf_obs.Auditor.set_rib au dpid
-                        (List.map
-                           (fun (fr : Rf_routeflow.Vm.flow_route) ->
-                             (fr.Rf_routeflow.Vm.fr_prefix, fr.Rf_routeflow.Vm.fr_port))
-                           (Rf_routeflow.Vm.flow_routes vm)))
-              | None -> ());
-          ]
+      Rf_system.add_on_vm_ready rf_sys (fun dpid ->
+          match Rf_system.vm rf_sys dpid with
+          | Some vm ->
+              Rf_routeflow.Vm.add_on_flows_changed vm
+                (fun ~removed:_ ~added:_ ->
+                  Rf_obs.Auditor.set_rib au dpid
+                    (List.map
+                       (fun (fr : Rf_routeflow.Vm.flow_route) ->
+                         (fr.Rf_routeflow.Vm.fr_prefix, fr.Rf_routeflow.Vm.fr_port))
+                       (Rf_routeflow.Vm.flow_routes vm)))
+          | None -> ())
   | None -> ());
   (* Convergence probe: every VM's RIB covers every subnet. *)
   let converged () =
@@ -583,8 +575,7 @@ let run_for t span =
        ~until:(Rf_sim.Vtime.add (Rf_sim.Engine.now t.engine) span)
        t.engine)
 
-let add_vm_ready_listener t f =
-  t.vm_ready_listeners <- t.vm_ready_listeners @ [ f ]
+let add_vm_ready_listener t f = Rf_system.add_on_vm_ready t.rf_sys f
 
 let all_configured_at t = Gui.all_green_at t.gui
 

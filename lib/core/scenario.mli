@@ -103,6 +103,8 @@ val run_for : t -> Rf_sim.Vtime.span -> unit
 (** Advances the simulation by the given span of virtual time. *)
 
 val add_vm_ready_listener : t -> (int64 -> unit) -> unit
+(** Runs once per VM that finishes booting, after the GUI turns its
+    switch green and the auditor's RIB feed attaches. *)
 
 val all_configured_at : t -> Rf_sim.Vtime.t option
 (** When the last switch turned green (paper metric: every switch has

@@ -41,7 +41,7 @@ type t = {
   mutable boot_queue : sw_state list;  (** FIFO, head = oldest *)
   mutable booting : int;
   mutable created : int;
-  mutable on_vm_ready : int64 -> unit;
+  mutable on_vm_ready : (int64 -> unit) list;  (** in registration order *)
   boot_faults : (int64, int ref) Hashtbl.t;
       (** armed clone failures remaining, per dpid *)
   mutable boot_failures : int;
@@ -70,7 +70,7 @@ let create engine app vs params =
     boot_queue = [];
     booting = 0;
     created = 0;
-    on_vm_ready = (fun _ -> ());
+    on_vm_ready = [];
     boot_faults = Hashtbl.create 4;
     boot_failures = 0;
     mutation_guard = (fun () -> true);
@@ -298,7 +298,7 @@ and finish_boot t ss =
   Rf_obs.Tracer.correlate (tracer t) ~key:(span_key "quagga" ss.ss_dpid) quagga;
   Rf_sim.Engine.record t.engine ~component:"rf-server" ~event:"vm-ready"
     (Printf.sprintf "vm-%Ld" ss.ss_dpid);
-  t.on_vm_ready ss.ss_dpid;
+  List.iter (fun f -> f ss.ss_dpid) t.on_vm_ready;
   (* Any configuration that arrived while the VM was booting. *)
   schedule_apply t ss
 
@@ -455,7 +455,7 @@ let is_configured t dpid = vm t dpid <> None
 
 let configured_count t = List.length (vms t)
 
-let set_on_vm_ready t f = t.on_vm_ready <- f
+let add_on_vm_ready t f = t.on_vm_ready <- t.on_vm_ready @ [ f ]
 
 let set_mutation_guard t f = t.mutation_guard <- f
 

@@ -91,7 +91,11 @@ val is_configured : t -> int64 -> bool
 
 val configured_count : t -> int
 
-val set_on_vm_ready : t -> (int64 -> unit) -> unit
+val add_on_vm_ready : t -> (int64 -> unit) -> unit
+(** Registers a listener for each VM that finishes booting, before any
+    configuration that waited for it is applied. Listeners run in
+    registration order: in a scenario, the GUI first, then the
+    auditor's RIB feed, then the scenario's own listeners. *)
 
 val set_mutation_guard : t -> (unit -> bool) -> unit
 (** Installed by clustered deployments: every configuration mutation

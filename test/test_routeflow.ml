@@ -485,7 +485,7 @@ let test_rf_system_serialized_boot () =
         routing_protocol = Rf_system.Proto_ospf }
   in
   let ready = ref [] in
-  Rf_system.set_on_vm_ready rf (fun d ->
+  Rf_system.add_on_vm_ready rf (fun d ->
       ready := (d, Vtime.to_s (Engine.now engine)) :: !ready);
   Rf_system.switch_up rf ~dpid:1L ~n_ports:2;
   Rf_system.switch_up rf ~dpid:2L ~n_ports:2;
