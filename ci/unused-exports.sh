@@ -103,7 +103,8 @@ for mli in $(find lib -name '*.mli' | LC_ALL=C sort); do
         sub(/\}.*/, "", rec)
         n = split(rec, decls, ";")
         for (i = 1; i <= n; i++)
-          if (match(decls[i], /^[ \t]*(mutable[ \t]+)?[a-z_][A-Za-z0-9_]*[ \t]*:/)) {
+          if (match(decls[i],
+                    /^[ \t]*(mutable[ \t]+)?[a-z_][A-Za-z0-9_]*[ \t]*:/)) {
             f = substr(decls[i], RSTART, RLENGTH - 1)
             sub(/^[ \t]*(mutable[ \t]+)?/, "", f)
             sub(/[ \t]*$/, "", f)

@@ -486,7 +486,7 @@ let build ?(options = default_options) topo =
                   Rf_obs.Auditor.set_rib au dpid
                     (List.map
                        (fun (fr : Rf_routeflow.Vm.flow_route) ->
-                         (fr.Rf_routeflow.Vm.fr_prefix, fr.Rf_routeflow.Vm.fr_port))
+                         (fr.fr_prefix, fr.fr_port))
                        (Rf_routeflow.Vm.flow_routes vm)))
           | None -> ())
   | None -> ());

@@ -587,7 +587,13 @@ let test_zebra_apply_config () =
     {
       conf with
       Quagga_conf.z_ifaces =
-        [ { Quagga_conf.ic_name = "eth9"; ic_ip = ip "9.9.9.9"; ic_prefix_len = 8 } ];
+        [
+          {
+            Quagga_conf.ic_name = "eth9";
+            ic_ip = ip "9.9.9.9";
+            ic_prefix_len = 8;
+          };
+        ];
       z_statics =
         [
           {
