@@ -29,8 +29,6 @@ type t = {
   mutable on_switch_down : int64 -> unit;
   mutable on_link_up : link -> unit;
   mutable on_link_down : link -> unit;
-  mutable probes : int;
-  mutable lldp_rx : int;
   m_probes : Rf_obs.Metrics.counter;
   m_lldp_rx : Rf_obs.Metrics.counter;
   m_links : Rf_obs.Metrics.counter;
@@ -51,8 +49,6 @@ let create engine ?(probe_interval = Rf_sim.Vtime.span_s 5.0) () =
       on_switch_down = (fun _ -> ());
       on_link_up = (fun _ -> ());
       on_link_down = (fun _ -> ());
-      probes = 0;
-      lldp_rx = 0;
       m_probes =
         Rf_obs.Metrics.counter
           (Rf_sim.Engine.metrics engine)
@@ -93,7 +89,6 @@ let send_probes t dpid (st : switch_state) =
   List.iter
     (fun (p : Of_msg.phys_port) ->
       if Of_port.is_physical p.port_no && p.up then begin
-        t.probes <- t.probes + 1;
         Rf_obs.Metrics.incr t.m_probes;
         let frame =
           Packet.lldp ~src:p.hw_addr (Lldp.discovery_probe ~dpid ~port:p.port_no)
@@ -108,7 +103,6 @@ let handle_lldp t ~rx_dpid ~rx_port frame =
   match Packet.parse frame with
   | Error _ -> ()
   | Ok { l3 = Packet.Lldp lldp; _ } -> (
-      t.lldp_rx <- t.lldp_rx + 1;
       Rf_obs.Metrics.incr t.m_lldp_rx;
       match Lldp.parse_discovery lldp with
       | None -> ()
@@ -238,9 +232,9 @@ let switch_seen_at t dpid =
 let link_seen_at t link =
   Option.map (fun st -> st.first_reported) (Hashtbl.find_opt t.links link)
 
-let probes_sent t = t.probes
+let probes_sent t = Rf_obs.Metrics.counter_value t.m_probes
 
-let lldp_received t = t.lldp_rx
+let lldp_received t = Rf_obs.Metrics.counter_value t.m_lldp_rx
 
 let pp_link ppf l =
   Format.fprintf ppf "sw%Ld/%d <-> sw%Ld/%d" l.la_dpid l.la_port l.lb_dpid

@@ -53,7 +53,9 @@ val link_seen_at : t -> link -> Rf_sim.Vtime.t option
 (** When the link was first reported. *)
 
 val probes_sent : t -> int
+(** Reads the engine's [discovery_probes_total] counter. *)
 
 val lldp_received : t -> int
+(** Reads the engine's [discovery_lldp_rx_total] counter. *)
 
 val pp_link : Format.formatter -> link -> unit

@@ -9,6 +9,7 @@ module Slo = Rf_obs.Slo
 module Critical_path = Rf_obs.Critical_path
 module Flamegraph = Rf_obs.Flamegraph
 module Baseline = Rf_obs.Baseline
+module Phase = Rf_obs.Phase
 
 let rule ?(unit_ = "s") ?(direction = Slo.At_most) name source ~warn ~fail =
   {
@@ -30,7 +31,8 @@ let e1b_rules =
   [
     (* Slowest switch end-to-end configure time. *)
     rule "e1b.configure_max_s"
-      (Slo.Span_max_duration_s "sw.configure") ~warn:17. ~fail:25.;
+      (Slo.Span_max_duration_s (Phase.name Configure))
+      ~warn:17. ~fail:25.;
     (* Routing tail between all-green and full RIB coverage. *)
     rule "e1b.convergence_tail_s"
       (Slo.Span_max_duration_s "phase.convergence") ~warn:3. ~fail:10.;
@@ -38,7 +40,7 @@ let e1b_rules =
     rule "e1b.end_to_end_s" (Slo.Meta_s "converged_s") ~warn:20. ~fail:30.;
     (* p99 of per-switch RPC config delivery. *)
     rule "e1b.rpc_p99_s"
-      (Slo.Span_quantile_s ("phase.rpc", 0.99))
+      (Slo.Span_quantile_s (Phase.name Rpc, 0.99))
       ~warn:0.1 ~fail:1.;
     completeness "e1b";
   ]
@@ -173,6 +175,6 @@ let forest (dump : Ingest.dump) = Critical_path.forest dump.spans
 
 let configure_path dump =
   Option.map Critical_path.critical_path
-    (Critical_path.find_longest ~name:"sw.configure" (forest dump))
+    (Critical_path.find_longest ~name:(Phase.name Configure) (forest dump))
 
 let scorecard ppf results = Slo.pp_scorecard ppf results

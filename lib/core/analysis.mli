@@ -32,7 +32,7 @@ val forest : Rf_obs.Ingest.dump -> Rf_obs.Critical_path.node list
 
 val configure_path :
   Rf_obs.Ingest.dump -> Rf_obs.Critical_path.step list option
-(** Critical path of the longest [sw.configure] span, [None] when the
-    dump has none. *)
+(** Critical path of the longest {!Rf_obs.Phase.Configure} span, [None]
+    when the dump has none. *)
 
 val scorecard : Format.formatter -> Rf_obs.Slo.result list -> unit

@@ -15,9 +15,9 @@ type t = {
   config : admin_config;
   alloc : Ip_alloc.t;
   link_allocs : (Discovery.link, link_alloc) Hashtbl.t;
-  mutable switches : int;
-  mutable links : int;
-  mutable links_exhausted : int;
+  m_switches : Rf_obs.Metrics.counter;
+  m_links : Rf_obs.Metrics.counter;
+  m_links_exhausted : Rf_obs.Metrics.counter;
 }
 
 let physical_ports ports =
@@ -91,6 +91,7 @@ let snapshot t =
   switch_msgs @ edges @ links
 
 let create engine disc rpc config =
+  let metrics = Rf_sim.Engine.metrics engine in
   let t =
     {
       engine;
@@ -99,59 +100,35 @@ let create engine disc rpc config =
       config;
       alloc = Ip_alloc.create config.ac_range;
       link_allocs = Hashtbl.create 64;
-      switches = 0;
-      links = 0;
-      links_exhausted = 0;
+      m_switches =
+        Rf_obs.Metrics.counter metrics ~help:"Switches reported over RPC"
+          "autoconf_switches_total";
+      m_links =
+        Rf_obs.Metrics.counter metrics ~help:"Links reported over RPC"
+          "autoconf_links_total";
+      m_links_exhausted =
+        Rf_obs.Metrics.counter metrics
+          ~help:"Links left unconfigured because the IP range is exhausted"
+          "autoconf_alloc_exhausted_total";
     }
   in
   Rf_rpc.Rpc_client.set_snapshot_provider rpc (fun () -> snapshot t);
   let tracer = Rf_sim.Engine.tracer engine in
-  let metrics = Rf_sim.Engine.metrics engine in
-  let switches_seen =
-    Rf_obs.Metrics.counter metrics ~help:"Switches reported over RPC"
-      "autoconf_switches_total"
-  in
-  let links_seen =
-    Rf_obs.Metrics.counter metrics ~help:"Links reported over RPC"
-      "autoconf_links_total"
-  in
-  let alloc_exhausted =
-    Rf_obs.Metrics.counter metrics
-      ~help:"Links left unconfigured because the IP range is exhausted"
-      "autoconf_alloc_exhausted_total"
-  in
   let discovery_latency =
     Rf_obs.Metrics.histogram metrics
       ~help:"Switch attach to topology-controller detection"
       "autoconf_discovery_seconds"
   in
   Discovery.set_on_switch_up disc (fun dpid ports ->
-      t.switches <- t.switches + 1;
-      Rf_obs.Metrics.incr switches_seen;
+      Rf_obs.Metrics.incr t.m_switches;
       let physical = physical_ports ports in
       (* Detection closes this switch's discovery phase and opens its
          RPC phase (closed by the client when the Switch_up frame is
          acknowledged). *)
-      (match
-         Rf_obs.Tracer.take tracer ~key:(Printf.sprintf "disc:%Ld" dpid)
-       with
-      | Some disc_span ->
-          (match Rf_obs.Tracer.find_span tracer disc_span with
-          | Some sp ->
-              Rf_obs.Metrics.observe discovery_latency
-                (float_of_int
-                   (Rf_obs.Tracer.now_us tracer - sp.Rf_obs.Tracer.start_us)
-                /. 1e6)
-          | None -> ());
-          Rf_obs.Tracer.span_end tracer disc_span
-      | None -> ());
-      let parent =
-        Rf_obs.Tracer.correlated tracer ~key:(Printf.sprintf "cfg:%Ld" dpid)
-      in
-      let rpc_span = Rf_obs.Tracer.span_start tracer ?parent "phase.rpc" in
-      Rf_obs.Tracer.correlate tracer
-        ~key:(Printf.sprintf "rpc:%Ld" dpid)
-        rpc_span;
+      Option.iter
+        (Rf_obs.Metrics.observe discovery_latency)
+        (Rf_obs.Phase.finish tracer Discovery dpid);
+      Rf_obs.Phase.start tracer Rpc dpid;
       Rf_sim.Engine.record engine ~component:"autoconf" ~event:"switch-detected"
         (Printf.sprintf "sw%Ld ports=%d" dpid physical);
       Rf_rpc.Rpc_client.send rpc
@@ -161,14 +138,12 @@ let create engine disc rpc config =
       let desc = Format.asprintf "%a" Discovery.pp_link link in
       match link_up_msg t link with
       | Some msg ->
-          t.links <- t.links + 1;
-          Rf_obs.Metrics.incr links_seen;
+          Rf_obs.Metrics.incr t.m_links;
           Rf_sim.Engine.record engine ~component:"autoconf"
             ~event:"link-detected" desc;
           Rf_rpc.Rpc_client.send rpc msg
       | None ->
-          t.links_exhausted <- t.links_exhausted + 1;
-          Rf_obs.Metrics.incr alloc_exhausted;
+          Rf_obs.Metrics.incr t.m_links_exhausted;
           Rf_sim.Engine.record engine ~component:"autoconf"
             ~event:"alloc-exhausted" desc);
   Discovery.set_on_switch_down disc (fun dpid ->
@@ -186,8 +161,8 @@ let create engine disc rpc config =
 
 let allocator t = t.alloc
 
-let switches_reported t = t.switches
+let switches_reported t = Rf_obs.Metrics.counter_value t.m_switches
 
-let links_reported t = t.links
+let links_reported t = Rf_obs.Metrics.counter_value t.m_links
 
-let links_exhausted t = t.links_exhausted
+let links_exhausted t = Rf_obs.Metrics.counter_value t.m_links_exhausted

@@ -44,11 +44,15 @@ val snapshot : t -> Rf_rpc.Rpc_msg.t list
 val allocator : t -> Ip_alloc.t
 
 val switches_reported : t -> int
+(** Switches sent as [Switch_up]: reads the engine's
+    [autoconf_switches_total] counter. *)
 
 val links_reported : t -> int
 (** Links sent as [Link_up] (each detection counts, so a re-appearing
-    link counts again). *)
+    link counts again): reads the engine's [autoconf_links_total]
+    counter. *)
 
 val links_exhausted : t -> int
 (** Link detections left unconfigured because the range was
-    exhausted. *)
+    exhausted: reads the engine's [autoconf_alloc_exhausted_total]
+    counter. *)

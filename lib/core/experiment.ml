@@ -288,17 +288,18 @@ let breakdown_of s =
   let open Rf_obs.Tracer in
   let tracer = Rf_sim.Engine.tracer (Scenario.engine s) in
   let spans = spans tracer in
-  let cfgs =
-    List.filter (fun sp -> String.equal sp.name "sw.configure") spans
-  in
-  if cfgs = [] then invalid_arg "breakdown_of: no sw.configure spans yet";
+  let configure = Rf_obs.Phase.(name Configure) in
+  let cfgs = List.filter (fun sp -> String.equal sp.name configure) spans in
+  if cfgs = [] then
+    invalid_arg ("breakdown_of: no " ^ configure ^ " spans yet");
   let row_of cfg =
     let dpid =
       match List.assoc_opt "dpid" cfg.attrs with
       | Some d -> Int64.of_string d
       | None -> -1L
     in
-    let child name =
+    let child phase =
+      let name = Rf_obs.Phase.name phase in
       match
         List.find_opt
           (fun sp -> sp.parent = Some cfg.id && String.equal sp.name name)
@@ -309,10 +310,10 @@ let breakdown_of s =
     in
     {
       ph_dpid = dpid;
-      ph_discovery_s = child "phase.discovery";
-      ph_rpc_s = child "phase.rpc";
-      ph_vm_s = child "phase.vm";
-      ph_quagga_s = child "phase.quagga";
+      ph_discovery_s = child Discovery;
+      ph_rpc_s = child Rpc;
+      ph_vm_s = child Vm;
+      ph_quagga_s = child Quagga;
       ph_config_s = span_dur cfg;
     }
   in

@@ -40,7 +40,7 @@ type phase_row = {
   ph_rpc_s : float;  (** detection → Switch_up frame acknowledged *)
   ph_vm_s : float;  (** RF-controller delivery → VM booted (queueing) *)
   ph_quagga_s : float;  (** VM up → Quagga configs applied *)
-  ph_config_s : float;  (** whole sw.configure span *)
+  ph_config_s : float;  (** whole {!Rf_obs.Phase.Configure} span *)
 }
 
 type phase_breakdown = {
@@ -510,10 +510,10 @@ val print_cluster : Format.formatter -> cluster_result -> unit
 (** {1 E10 — engine profile}
 
     One E6-style scaling run with the {!Rf_obs.Profiler} attached:
-    per-entity load attribution and heap/GC telemetry. Every figure in
+    per-entity load attribution and heap telemetry. Every figure in
     the deterministic report derives from simulation state (event
     counts, heap shape), so the summary can be fingerprinted;
-    wall-clock rates and GC words appear only in the [wall] form of
+    wall-clock rates and busy times appear only in the [wall] form of
     the printer. *)
 
 type profile_result = {

@@ -103,8 +103,8 @@ let profile_arg =
     & info [ "profile" ]
         ~doc:
           "Attach the engine profiler to the run and print the per-entity \
-           load table, heap-depth curve and GC deltas afterwards (wall \
-           figures; never part of fingerprinted output).")
+           load table and heap-depth curve afterwards (wall figures; \
+           never part of fingerprinted output).")
 
 let audit_arg =
   Arg.(
@@ -643,7 +643,7 @@ let profile =
   entry ~id:"profile"
     ~doc:
       "E10: profile the engine across the fat-tree scaling run — per-entity \
-       load attribution, event-heap depth/churn and GC telemetry"
+       load attribution and event-heap depth/churn"
     ~meta_tag:"profile"
     ~slo:
       {

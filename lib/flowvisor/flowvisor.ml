@@ -246,23 +246,13 @@ let handle_from_switch t sw (m : Of_msg.t) =
   | Of_msg.Barrier_request ->
       ()
 
-(* Correlation keys for the per-switch configuration span tree; the
-   downstream phases (autoconfig, RPC, RF-server) close them. *)
-let span_key prefix dpid = Printf.sprintf "%s:%Ld" prefix dpid
-
 let switch_attach t ~dpid endpoint =
   let tracer = Rf_sim.Engine.tracer t.engine in
   (* The root of this switch's configuration span tree: opened the
      instant the switch reaches the slicer, closed when its VM's
      Quagga config has been applied. *)
-  let root =
-    Rf_obs.Tracer.span_start tracer
-      ~attrs:[ ("dpid", Int64.to_string dpid) ]
-      "sw.configure"
-  in
-  Rf_obs.Tracer.correlate tracer ~key:(span_key "cfg" dpid) root;
-  let disc = Rf_obs.Tracer.span_start tracer ~parent:root "phase.discovery" in
-  Rf_obs.Tracer.correlate tracer ~key:(span_key "disc" dpid) disc;
+  Rf_obs.Phase.start tracer Configure dpid;
+  Rf_obs.Phase.start tracer Discovery dpid;
   let conn = Of_conn.create t.engine endpoint in
   Of_conn.set_on_handshake conn (fun features ->
       let dpid = features.Of_msg.datapath_id in
@@ -287,17 +277,7 @@ let switch_attach t ~dpid endpoint =
           (* A mid-configuration disconnect aborts whatever phase
              spans are still open for this switch; a reconnect opens
              a fresh tree. *)
-          List.iter
-            (fun prefix ->
-              match
-                Rf_obs.Tracer.take tracer ~key:(span_key prefix dpid)
-              with
-              | Some id ->
-                  Rf_obs.Tracer.span_end tracer
-                    ~attrs:[ ("status", "aborted") ]
-                    id
-              | None -> ())
-            [ "quagga"; "vm"; "rpc"; "disc"; "cfg" ]);
+          Rf_obs.Phase.abort tracer dpid);
       (* One impersonated switch connection per slice. *)
       List.iter
         (fun slice ->

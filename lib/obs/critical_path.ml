@@ -1,11 +1,11 @@
 (* Critical-path extraction over a span tree.
 
-   The configure pipeline traces as a root span (sw.configure) with
-   phase children (discovery, rpc, vm, quagga); the critical path is
-   the root-to-leaf chain of locally-longest spans, and self time is
-   the part of each span not covered by its children — computed as
-   interval arithmetic on the integer-microsecond stamps, so results
-   are exact and byte-stable across same-seed runs. *)
+   The configure pipeline traces as a root span with phase children
+   (the tree [Phase] owns); the critical path is the root-to-leaf
+   chain of locally-longest spans, and self time is the part of each
+   span not covered by its children — computed as interval arithmetic
+   on the integer-microsecond stamps, so results are exact and
+   byte-stable across same-seed runs. *)
 
 type node = {
   span : Tracer.span;

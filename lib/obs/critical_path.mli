@@ -1,6 +1,6 @@
 (** Critical-path extraction and self-time attribution over the span
-    trees the simulator emits (e.g. [sw.configure] with
-    [phase.discovery]/[phase.rpc]/[phase.vm]/[phase.quagga] children).
+    trees the simulator emits (e.g. a switch's {!Phase.Configure} span
+    with its four phase children).
 
     All arithmetic is on the integer-microsecond stamps, so totals and
     self times are exact and two same-seed runs produce byte-identical

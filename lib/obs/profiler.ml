@@ -54,8 +54,6 @@ let kind_id = function
 type sample = {
   s_us : int;  (** virtual-clock timestamp of the sample *)
   s_depth : int;  (** event-heap depth at the sample point *)
-  s_minor_words : float;  (** cumulative minor words since [create] *)
-  s_major_collections : int;
 }
 
 type t = {
@@ -63,7 +61,6 @@ type t = {
   clock_every : int;
   stamp_id : int;
   idle : entity;
-  gc0 : Gc.stat;
   mutable handles : entity list;
   mutable current : entity;
   mutable last_ns : int;
@@ -76,7 +73,6 @@ type t = {
   mutable heap_peak : int;
   mutable pushes : int;
   mutable samples : sample list;  (* newest first *)
-  mutable gc_last : Gc.stat;
 }
 
 (* Wall clock in integer nanoseconds relative to a base captured at
@@ -89,7 +85,7 @@ let default_clock () =
 
 let stamp_counter = ref 0
 
-(* Event-count period of heap/GC samples. *)
+(* Event-count period of heap-depth samples. *)
 let sample_every = 4096
 
 let create ?clock_ns ?(clock_every = 32) () =
@@ -101,13 +97,11 @@ let create ?clock_ns ?(clock_every = 32) () =
   in
   let idle = make Idle in
   idle.stamp <- stamp;
-  let gc0 = Gc.quick_stat () in
   {
     clock_ns;
     clock_every;
     stamp_id = stamp;
     idle;
-    gc0;
     handles = [ idle ];
     current = idle;
     last_ns = 0;
@@ -120,7 +114,6 @@ let create ?clock_ns ?(clock_every = 32) () =
     heap_peak = 0;
     pushes = 0;
     samples = [];
-    gc_last = gc0;
   }
 
 let register p e =
@@ -130,17 +123,7 @@ let register p e =
   p.handles <- e :: p.handles
 
 let take_sample p ~now_us ~depth =
-  let st = Gc.quick_stat () in
-  p.gc_last <- st;
-  p.samples <-
-    {
-      s_us = now_us;
-      s_depth = depth;
-      s_minor_words = st.Gc.minor_words -. p.gc0.Gc.minor_words;
-      s_major_collections =
-        st.Gc.major_collections - p.gc0.Gc.major_collections;
-    }
-    :: p.samples
+  p.samples <- { s_us = now_us; s_depth = depth } :: p.samples
 
 let run_begin p =
   if not p.running then begin
@@ -170,7 +153,7 @@ let tick p e ~depth ~now_us =
     p.current.busy_ns <- p.current.busy_ns + (t - p.last_ns);
     p.last_ns <- t;
     p.current <- e;
-    (* Heap/GC samples align to clock boundaries, so their points stay
+    (* Depth samples align to clock boundaries, so their points stay
        a deterministic function of the dispatch count. *)
     if d >= p.next_sample then begin
       p.next_sample <- d + sample_every;
@@ -188,8 +171,8 @@ let run_end p ~depth ~now_us ~pushes ~peak =
     p.running <- false;
     if peak > p.heap_peak then p.heap_peak <- peak;
     p.pushes <- pushes;
-    (* Close the depth/GC timeseries with a final sample at the run's
-       last virtual instant. *)
+    (* Close the depth timeseries with a final sample at the run's last
+       virtual instant. *)
     take_sample p ~now_us ~depth
   end
 
@@ -202,16 +185,6 @@ type entity_stat = {
   es_busy_ns : int;
 }
 
-type gc_delta = {
-  gd_minor_words : float;
-  gd_promoted_words : float;
-  gd_major_words : float;
-  gd_minor_collections : int;
-  gd_major_collections : int;
-  gd_compactions : int;
-  gd_top_heap_words : int;
-}
-
 type snapshot = {
   sn_events : int;
   sn_entities : entity_stat list;
@@ -222,7 +195,6 @@ type snapshot = {
   sn_heap_peak : int;
   sn_heap_pushes : int;
   sn_samples : sample list;
-  sn_gc : gc_delta;
 }
 
 let snapshot p =
@@ -260,20 +232,6 @@ let snapshot p =
         match e.es_kind with Unattributed | Idle -> acc | _ -> acc + e.es_events)
       0 entities
   in
-  let gc =
-    {
-      gd_minor_words = p.gc_last.Gc.minor_words -. p.gc0.Gc.minor_words;
-      gd_promoted_words =
-        p.gc_last.Gc.promoted_words -. p.gc0.Gc.promoted_words;
-      gd_major_words = p.gc_last.Gc.major_words -. p.gc0.Gc.major_words;
-      gd_minor_collections =
-        p.gc_last.Gc.minor_collections - p.gc0.Gc.minor_collections;
-      gd_major_collections =
-        p.gc_last.Gc.major_collections - p.gc0.Gc.major_collections;
-      gd_compactions = p.gc_last.Gc.compactions - p.gc0.Gc.compactions;
-      gd_top_heap_words = p.gc_last.Gc.top_heap_words;
-    }
-  in
   {
     sn_events = p.dispatches;
     sn_entities = entities;
@@ -284,7 +242,6 @@ let snapshot p =
     sn_heap_peak = p.heap_peak;
     sn_heap_pushes = p.pushes;
     sn_samples = List.rev p.samples;
-    sn_gc = gc;
   }
 
 let attributed_share sn =
@@ -297,7 +254,7 @@ let events_per_second sn =
 
 (* Deterministic key/value pairs for telemetry meta: only values
    derived from the virtual simulation (event counts, heap shape) —
-   never wall-clock or GC figures, which would break byte-identical
+   never wall-clock figures, which would break byte-identical
    fingerprints. *)
 let meta sn =
   [
@@ -363,8 +320,8 @@ let pp_share ppf (part, total) =
   else Format.fprintf ppf "%.1f%%" (100. *. float_of_int part /. float_of_int total)
 
 (* [wall:false] prints only simulation-deterministic figures and is
-   what fingerprinted summaries use; [wall:true] adds busy time, event
-   rate and GC columns for interactive runs. *)
+   what fingerprinted summaries use; [wall:true] adds busy time and
+   event rate for interactive runs. *)
 let pp_top ?(wall = false) ~top ppf sn =
   Format.fprintf ppf "profile: %d events over %d entities, %a attributed@."
     sn.sn_events
@@ -379,12 +336,7 @@ let pp_top ?(wall = false) ~top ppf sn =
       (float_of_int sn.sn_run_ns /. 1e9)
       (events_per_second sn /. 1e6)
       (float_of_int sn.sn_busy_ns /. 1e9)
-      (float_of_int sn.sn_idle_ns /. 1e9);
-    Format.fprintf ppf
-      "gc: %.1f M minor words, %.1f M major words, %d minor / %d major collections@."
-      (sn.sn_gc.gd_minor_words /. 1e6)
-      (sn.sn_gc.gd_major_words /. 1e6)
-      sn.sn_gc.gd_minor_collections sn.sn_gc.gd_major_collections
+      (float_of_int sn.sn_idle_ns /. 1e9)
   end;
   let shown = ref 0 in
   Format.fprintf ppf "%4s  %-24s %12s %7s" "rank" "entity" "events" "share";

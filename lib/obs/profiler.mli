@@ -11,9 +11,8 @@
     dispatch path does not allocate and pays only a [None] branch.
 
     Alongside attribution the profiler records an event-heap
-    depth/churn timeseries and periodic [Gc.quick_stat] deltas
-    (sampled every 4096 events, so sample {e points} are
-    deterministic even though the GC figures are not). *)
+    depth/churn timeseries, sampled every 4096 events, so its points
+    are deterministic. *)
 
 type kind =
   | Unattributed  (** events scheduled without an [~entity] tag *)
@@ -53,7 +52,7 @@ val create :
     sampling-profiler semantics that keep the per-event cost to a few
     integer stores; [clock_every:1] recovers exact per-event
     attribution. Intervals partition the run either way, so busy +
-    idle always equals total run time exactly. Heap/GC samples are
+    idle always equals total run time exactly. Heap-depth samples are
     taken every 4096 events (aligned to clock strides). Raises
     [Invalid_argument] if [clock_every < 1]. *)
 
@@ -73,28 +72,13 @@ val run_end : t -> depth:int -> now_us:int -> pushes:int -> peak:int -> unit
 
 (** {1 Snapshots} *)
 
-type sample = {
-  s_us : int;
-  s_depth : int;
-  s_minor_words : float;
-  s_major_collections : int;
-}
+type sample = { s_us : int; s_depth : int }
 
 type entity_stat = {
   es_id : string;
   es_kind : kind;
   es_events : int;
   es_busy_ns : int;
-}
-
-type gc_delta = {
-  gd_minor_words : float;
-  gd_promoted_words : float;
-  gd_major_words : float;
-  gd_minor_collections : int;
-  gd_major_collections : int;
-  gd_compactions : int;
-  gd_top_heap_words : int;
 }
 
 type snapshot = {
@@ -107,7 +91,6 @@ type snapshot = {
   sn_heap_peak : int;
   sn_heap_pushes : int;
   sn_samples : sample list;  (** chronological *)
-  sn_gc : gc_delta;
 }
 
 val snapshot : t -> snapshot
@@ -116,7 +99,7 @@ val attributed_share : snapshot -> float
 
 val meta : snapshot -> (string * string) list
 (** Deterministic telemetry meta (event counts, heap shape) — safe
-    for byte-identical fingerprints. Wall-clock and GC figures are
+    for byte-identical fingerprints. Wall-clock figures are
     deliberately excluded. *)
 
 val emit : snapshot -> tracer:Tracer.t -> metrics:Metrics.t -> now_us:int -> unit
@@ -129,7 +112,7 @@ val emit : snapshot -> tracer:Tracer.t -> metrics:Metrics.t -> now_us:int -> uni
 val pp_top : ?wall:bool -> top:int -> Format.formatter -> snapshot -> unit
 (** Top-entities table. With [wall:false] (the default) only
     simulation-deterministic figures are printed — this is the form
-    fingerprinted summaries use; [wall:true] adds busy time, event
-    rate and GC lines. *)
+    fingerprinted summaries use; [wall:true] adds busy time and event
+    rate. *)
 
 val pp_depth_curve : Format.formatter -> snapshot -> unit

@@ -23,7 +23,7 @@ type t = {
   by_id : (int, span) Hashtbl.t;
   mutable events_rev : event list;
   mutable n_events : int;
-  keys : (string, int) Hashtbl.t;
+  keys : (int, int) Hashtbl.t;
 }
 
 let create ?(clock = fun () -> 0) () =

@@ -80,16 +80,16 @@ val event_count : t -> int
 (** {1 Correlation}
 
     Cross-component span hand-off. The component that opens a span
-    registers it under a string key (["cfg:5"], ["rpc:5"], ...); the
-    component that closes it — typically in another library, reached
-    only via callbacks — looks the key up. Keys are process-local and
-    deterministic, so this adds no wire format. *)
+    registers it under an int key; the component that closes it —
+    typically in another library, reached only via callbacks — looks
+    the key up. {!Phase} owns the keys of the per-switch configuration
+    span tree; nothing else registers any. *)
 
-val correlate : t -> key:string -> int -> unit
+val correlate : t -> key:int -> int -> unit
 (** Registers (or overwrites) a key. *)
 
-val correlated : t -> key:string -> int option
+val correlated : t -> key:int -> int option
 
-val take : t -> key:string -> int option
+val take : t -> key:int -> int option
 (** Like [correlated] but removes the key, so a phase boundary fires
     at most once per key registration. *)

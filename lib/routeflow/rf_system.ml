@@ -44,7 +44,6 @@ type t = {
   mutable on_vm_ready : (int64 -> unit) list;  (** in registration order *)
   boot_faults : (int64, int ref) Hashtbl.t;
       (** armed clone failures remaining, per dpid *)
-  mutable boot_failures : int;
   mutable mutation_guard : unit -> bool;
       (** consulted before every configuration mutation; in clustered
           deployments only the committed-entry apply path may pass *)
@@ -55,8 +54,6 @@ type t = {
 }
 
 let tracer t = Rf_sim.Engine.tracer t.engine
-
-let span_key prefix dpid = Printf.sprintf "%s:%Ld" prefix dpid
 
 let create engine app vs params =
   if params.parallel_boot < 1 then invalid_arg "Rf_system: parallel_boot >= 1";
@@ -72,7 +69,6 @@ let create engine app vs params =
     created = 0;
     on_vm_ready = [];
     boot_faults = Hashtbl.create 4;
-    boot_failures = 0;
     mutation_guard = (fun () -> true);
     mutations_rejected = 0;
     m_boots =
@@ -201,16 +197,8 @@ let apply_configs t ss =
               ~event:"config-error" e);
         Rf_sim.Engine.record t.engine ~component:"rf-server" ~event:"configured"
           (Printf.sprintf "vm-%Ld" ss.ss_dpid);
-        (match
-           Rf_obs.Tracer.take (tracer t) ~key:(span_key "quagga" ss.ss_dpid)
-         with
-        | Some span -> Rf_obs.Tracer.span_end (tracer t) span
-        | None -> ());
-        (match
-           Rf_obs.Tracer.take (tracer t) ~key:(span_key "cfg" ss.ss_dpid)
-         with
-        | Some root -> Rf_obs.Tracer.span_end (tracer t) root
-        | None -> ());
+        ignore (Rf_obs.Phase.finish (tracer t) Quagga ss.ss_dpid);
+        ignore (Rf_obs.Phase.finish (tracer t) Configure ss.ss_dpid);
         reconcile_vlinks t
       end
 
@@ -233,7 +221,7 @@ let boot_fails t ss =
   match Hashtbl.find_opt t.boot_faults ss.ss_dpid with
   | Some n when !n > 0 ->
       decr n;
-      t.boot_failures <- t.boot_failures + 1;
+      Rf_obs.Metrics.incr t.m_boot_failures;
       true
   | Some _ | None -> false
 
@@ -246,8 +234,7 @@ let rec start_boots t =
         t.booting <- t.booting + 1;
         Rf_obs.Metrics.incr t.m_boots;
         Rf_sim.Engine.record t.engine
-          ?span:(Rf_obs.Tracer.correlated (tracer t)
-                   ~key:(span_key "vm" ss.ss_dpid))
+          ?span:(Rf_obs.Phase.current (tracer t) Vm ss.ss_dpid)
           ~component:"rf-server" ~event:"vm-boot-start"
           (Printf.sprintf "vm-%Ld" ss.ss_dpid);
         ignore
@@ -255,10 +242,8 @@ let rec start_boots t =
              t.params.vm_boot_time (fun () ->
                t.booting <- t.booting - 1;
                if boot_fails t ss then begin
-                 Rf_obs.Metrics.incr t.m_boot_failures;
                  Rf_sim.Engine.record t.engine
-                   ?span:(Rf_obs.Tracer.correlated (tracer t)
-                            ~key:(span_key "vm" ss.ss_dpid))
+                   ?span:(Rf_obs.Phase.current (tracer t) Vm ss.ss_dpid)
                    ~component:"rf-server" ~event:"vm-boot-failed"
                    (Printf.sprintf "vm-%Ld" ss.ss_dpid);
                  (* Retry unless the switch went away while booting. *)
@@ -277,25 +262,13 @@ and finish_boot t ss =
   Rf_vs.register_vm t.vs vm;
   Vm.add_on_flows_changed vm
     (Rf_controller_app.sync_flows t.app ~dpid:ss.ss_dpid vm);
-  (match Rf_obs.Tracer.take (tracer t) ~key:(span_key "vm" ss.ss_dpid) with
-  | Some vm_span ->
-      (match Rf_obs.Tracer.find_span (tracer t) vm_span with
-      | Some sp ->
-          Rf_obs.Metrics.observe t.m_provision
-            (float_of_int
-               (Rf_obs.Tracer.now_us (tracer t) - sp.Rf_obs.Tracer.start_us)
-            /. 1e6)
-      | None -> ());
-      Rf_obs.Tracer.span_end (tracer t) vm_span
-  | None -> ());
+  Option.iter
+    (Rf_obs.Metrics.observe t.m_provision)
+    (Rf_obs.Phase.finish (tracer t) Vm ss.ss_dpid);
   (* The Quagga phase runs from VM ready to the first non-empty config
      application (zebra + routing daemon), which also completes the
      switch's configuration span. *)
-  let parent =
-    Rf_obs.Tracer.correlated (tracer t) ~key:(span_key "cfg" ss.ss_dpid)
-  in
-  let quagga = Rf_obs.Tracer.span_start (tracer t) ?parent "phase.quagga" in
-  Rf_obs.Tracer.correlate (tracer t) ~key:(span_key "quagga" ss.ss_dpid) quagga;
+  Rf_obs.Phase.start (tracer t) Quagga ss.ss_dpid;
   Rf_sim.Engine.record t.engine ~component:"rf-server" ~event:"vm-ready"
     (Printf.sprintf "vm-%Ld" ss.ss_dpid);
   List.iter (fun f -> f ss.ss_dpid) t.on_vm_ready;
@@ -329,11 +302,7 @@ let switch_up t ~dpid ~n_ports =
     (* The VM phase covers the whole provisioning wait: time in the
        serialized boot queue plus the boots themselves (including
        failed clones). *)
-    let parent =
-      Rf_obs.Tracer.correlated (tracer t) ~key:(span_key "cfg" dpid)
-    in
-    let vm_span = Rf_obs.Tracer.span_start (tracer t) ?parent "phase.vm" in
-    Rf_obs.Tracer.correlate (tracer t) ~key:(span_key "vm" dpid) vm_span;
+    Rf_obs.Phase.start (tracer t) Vm dpid;
     t.boot_queue <- t.boot_queue @ [ ss ];
     start_boots t
   end
@@ -465,6 +434,6 @@ let arm_boot_failures t ~dpid ~failures =
   if failures < 0 then invalid_arg "Rf_system.arm_boot_failures: negative count";
   Hashtbl.replace t.boot_faults dpid (ref failures)
 
-let boot_failures_injected t = t.boot_failures
+let boot_failures_injected t = Rf_obs.Metrics.counter_value t.m_boot_failures
 
 let vms_created t = t.created

@@ -117,6 +117,7 @@ val arm_boot_failures : t -> dpid:int64 -> failures:int -> unit
     switch with a finite failure count still becomes configured. *)
 
 val boot_failures_injected : t -> int
-(** Total clone failures that have fired. *)
+(** Total clone failures that have fired: reads the engine's
+    [vm_boot_failures_total] counter. *)
 
 val vms_created : t -> int

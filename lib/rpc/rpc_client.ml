@@ -56,12 +56,8 @@ type t = {
   mutable peer_alive : bool;
   mutable last_heard : Vtime.t;
   mutable crashed : bool;
-  mutable sent : int;
-  mutable retx : int;
-  mutable gave_up : int;
   mutable pings : int;
   mutable snapshots : int;
-  mutable resyncs : int;
   mutable dropped_while_down : int;
   m_sent : Rf_obs.Metrics.counter;
   m_retx : Rf_obs.Metrics.counter;
@@ -92,12 +88,11 @@ let body_kind = function
 
 (* A Switch_up frame delivers *the* configuration message of the
    switch's RPC phase, so its span nests under that phase span (opened
-   by autoconfig under "rpc:<dpid>"); everything else hangs free. *)
+   by autoconfig); everything else hangs free. *)
 let frame_parent t body =
   match body with
   | Rpc_msg.Request (Rpc_msg.Switch_up { dpid; _ }) ->
-      Rf_obs.Tracer.correlated (Engine.tracer t.engine)
-        ~key:(Printf.sprintf "rpc:%Ld" dpid)
+      Rf_obs.Phase.current (Engine.tracer t.engine) Rpc dpid
   | _ -> None
 
 (* Ack received: close the frame span; for a Switch_up also close the
@@ -115,12 +110,8 @@ let frame_acked t p =
     ~attrs:[ ("attempts", string_of_int p.p_attempts) ]
     p.p_span;
   match p.p_body with
-  | Rpc_msg.Request (Rpc_msg.Switch_up { dpid; _ }) -> (
-      match
-        Rf_obs.Tracer.take tracer ~key:(Printf.sprintf "rpc:%Ld" dpid)
-      with
-      | Some phase -> Rf_obs.Tracer.span_end tracer phase
-      | None -> ())
+  | Rpc_msg.Request (Rpc_msg.Switch_up { dpid; _ }) ->
+      ignore (Rf_obs.Phase.finish tracer Rpc dpid)
   | _ -> ()
 
 (* Per-frame fault application, as Of_conn does for the OpenFlow
@@ -176,7 +167,6 @@ let rec arm t p =
            then
              if p.p_attempts >= t.params.max_retries then begin
                p.p_parked <- true;
-               t.gave_up <- t.gave_up + 1;
                Rf_obs.Metrics.incr t.m_gave_up;
                if t.peer_alive then begin
                  t.peer_alive <- false;
@@ -187,7 +177,6 @@ let rec arm t p =
              end
              else begin
                p.p_attempts <- p.p_attempts + 1;
-               t.retx <- t.retx + 1;
                Rf_obs.Metrics.incr t.m_retx;
                transmit t (encode_pending t p);
                arm t p
@@ -215,7 +204,6 @@ let send_tracked t body =
     }
   in
   Hashtbl.replace t.pending p.p_seq p;
-  t.sent <- t.sent + 1;
   Rf_obs.Metrics.incr t.m_sent;
   transmit t (encode_pending t p);
   arm t p
@@ -241,7 +229,6 @@ let send_snapshot t msgs =
    snapshot when a provider is installed, otherwise by renumbering and
    resending whatever was still in flight. *)
 let resync t =
-  t.resyncs <- t.resyncs + 1;
   Rf_obs.Metrics.incr t.m_resyncs;
   t.epoch <- Rpc_msg.seq_succ t.epoch;
   t.next_seq <- 0l;
@@ -281,7 +268,6 @@ let revive t =
           if p.p_parked then begin
             p.p_parked <- false;
             p.p_attempts <- 0;
-            t.retx <- t.retx + 1;
             Rf_obs.Metrics.incr t.m_retx;
             transmit t (encode_pending t p);
             arm t p
@@ -367,12 +353,8 @@ let create engine ?(params = default_params) chan =
       peer_alive = true;
       last_heard = Engine.now engine;
       crashed = false;
-      sent = 0;
-      retx = 0;
-      gave_up = 0;
       pings = 0;
       snapshots = 0;
-      resyncs = 0;
       dropped_while_down = 0;
       m_sent =
         Rf_obs.Metrics.counter
@@ -460,17 +442,17 @@ let restart t =
 
 let unacked t = Hashtbl.length t.pending
 
-let sent t = t.sent
+let sent t = Rf_obs.Metrics.counter_value t.m_sent
 
-let retransmissions t = t.retx
+let retransmissions t = Rf_obs.Metrics.counter_value t.m_retx
 
-let gave_up t = t.gave_up
+let gave_up t = Rf_obs.Metrics.counter_value t.m_gave_up
 
 let pings_sent t = t.pings
 
 let snapshots_sent t = t.snapshots
 
-let resyncs t = t.resyncs
+let resyncs t = Rf_obs.Metrics.counter_value t.m_resyncs
 
 let dropped_while_down t = t.dropped_while_down
 

@@ -82,18 +82,22 @@ val restart : t -> unit
 val unacked : t -> int
 
 val sent : t -> int
-(** Tracked frames sent (excluding retransmissions). *)
+(** Tracked frames sent (excluding retransmissions): reads the
+    engine's [rpc_client_sent_total] counter. *)
 
 val retransmissions : t -> int
+(** Reads the engine's [rpc_client_retx_total] counter. *)
 
 val gave_up : t -> int
-(** Frames that exhausted [max_retries] and were parked. *)
+(** Frames that exhausted [max_retries] and were parked: reads the
+    engine's [rpc_client_gave_up_total] counter. *)
 
 val pings_sent : t -> int
 
 val snapshots_sent : t -> int
 
 val resyncs : t -> int
+(** Reads the engine's [rpc_client_resyncs_total] counter. *)
 
 val dropped_while_down : t -> int
 

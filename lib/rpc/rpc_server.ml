@@ -23,9 +23,6 @@ type t = {
   mutable snapshot_handler : Rpc_msg.t list -> unit;
   mutable faults : (Rng.t * Faults.chan_profile) option;
   mutable crashed : bool;
-  mutable handled : int;
-  mutable dups : int;
-  mutable snapshots : int;
   m_handled : Rf_obs.Metrics.counter;
   m_dups : Rf_obs.Metrics.counter;
   m_snapshots : Rf_obs.Metrics.counter;
@@ -52,12 +49,10 @@ let ack t seq =
   reply t (Rpc_msg.Ack { a_epoch = t.epoch; a_cum = t.watermark; a_seq = seq })
 
 let deliver t body =
-  t.handled <- t.handled + 1;
   Rf_obs.Metrics.incr t.m_handled;
   match body with
   | Rpc_msg.Request req -> t.handler req
   | Rpc_msg.Sync_snapshot msgs ->
-      t.snapshots <- t.snapshots + 1;
       Rf_obs.Metrics.incr t.m_snapshots;
       record t "sync-snapshot" (Printf.sprintf "%d messages" (List.length msgs));
       t.snapshot_handler msgs
@@ -98,7 +93,6 @@ let handle_tracked t (env : Rpc_msg.envelope) =
   if Int32.equal env.epoch t.epoch then
     if not (Rpc_msg.seq_after env.seq t.watermark) then begin
       (* already delivered; re-ack so the client stops retransmitting *)
-      t.dups <- t.dups + 1;
       Rf_obs.Metrics.incr t.m_dups;
       ack t env.seq
     end
@@ -109,7 +103,6 @@ let handle_tracked t (env : Rpc_msg.envelope) =
       ack t env.seq
     end
     else if Hashtbl.mem t.ooo env.seq then begin
-      t.dups <- t.dups + 1;
       Rf_obs.Metrics.incr t.m_dups;
       ack t env.seq
     end
@@ -145,8 +138,6 @@ let create engine chan =
       snapshot_handler = (fun _ -> ());
       faults = None;
       crashed = false;
-      handled = 0;
-      dups = 0;
       m_handled =
         Rf_obs.Metrics.counter
           (Engine.metrics engine)
@@ -161,7 +152,6 @@ let create engine chan =
         Rf_obs.Metrics.counter
           (Engine.metrics engine)
           ~help:"Anti-entropy snapshots applied" "rpc_server_snapshots_total";
-      snapshots = 0;
     }
   in
   Rf_net.Channel.set_receiver chan (fun bytes ->
@@ -197,11 +187,11 @@ let restart t =
     reply t Rpc_msg.Sync_request
   end
 
-let requests_handled t = t.handled
+let requests_handled t = Rf_obs.Metrics.counter_value t.m_handled
 
-let duplicates_dropped t = t.dups
+let duplicates_dropped t = Rf_obs.Metrics.counter_value t.m_dups
 
-let snapshots_received t = t.snapshots
+let snapshots_received t = Rf_obs.Metrics.counter_value t.m_snapshots
 
 let incarnation t = t.incarnation
 

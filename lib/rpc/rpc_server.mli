@@ -42,10 +42,13 @@ val restart : t -> unit
 (** {1 Introspection} *)
 
 val requests_handled : t -> int
+(** Reads the engine's [rpc_server_handled_total] counter. *)
 
 val duplicates_dropped : t -> int
+(** Reads the engine's [rpc_server_dups_total] counter. *)
 
 val snapshots_received : t -> int
+(** Reads the engine's [rpc_server_snapshots_total] counter. *)
 
 val incarnation : t -> int32
 

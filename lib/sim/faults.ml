@@ -146,13 +146,12 @@ let dispatch inj = function
   | Controller_partition { cp_a; cp_b } -> inj.inj_partition (Some (cp_a, cp_b))
   | Controller_heal -> inj.inj_partition None
 
-(* Injections targeting one switch link into that switch's
-   configuration span (registered under "cfg:<dpid>" by the slicer),
-   so a span tree shows which faults landed inside which phase. *)
+(* Injections targeting one switch link into that switch's open
+   configuration span, so a span tree shows which faults landed inside
+   which phase. *)
 let span_of_event engine = function
   | Switch_crash d | Switch_recover d | Vm_boot_failure { dpid = d; _ } ->
-      Rf_obs.Tracer.correlated (Engine.tracer engine)
-        ~key:(Printf.sprintf "cfg:%Ld" d)
+      Rf_obs.Phase.current (Engine.tracer engine) Configure d
   | Link_down _ | Link_up _ | Controller_crash _ | Controller_recover _
   | Controller_partition _ | Controller_heal ->
       None

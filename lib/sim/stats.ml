@@ -93,13 +93,3 @@ let summarize s =
         p99 = percentile_of_sorted arr 0.99;
       }
   end
-
-type counter = { mutable v : int }
-
-let counter () = { v = 0 }
-
-let incr c = c.v <- c.v + 1
-
-let incr_by c n = c.v <- c.v + n
-
-let value c = c.v

@@ -1,4 +1,5 @@
-(** Simple statistics collectors used by the experiment harness. *)
+(** Float sample series and their summaries, used by the experiment
+    harness. Counts live in the engine's {!Rf_obs.Metrics} registry. *)
 
 type summary = {
   count : int;
@@ -36,13 +37,3 @@ val percentile_of_sorted : float array -> float -> float
     form reports use; same totality contract. *)
 
 val mean : series -> float
-
-type counter
-
-val counter : unit -> counter
-
-val incr : counter -> unit
-
-val incr_by : counter -> int -> unit
-
-val value : counter -> int

@@ -4,6 +4,7 @@
 
 module Metrics = Rf_obs.Metrics
 module Tracer = Rf_obs.Tracer
+module Phase = Rf_obs.Phase
 module Export = Rf_obs.Export
 module Scenario = Rf_core.Scenario
 module Experiment = Rf_core.Experiment
@@ -204,12 +205,67 @@ let test_tracer_spans () =
 let test_tracer_correlation () =
   let tr = Tracer.create () in
   let sp = Tracer.span_start tr "phase" in
-  Tracer.correlate tr ~key:"cfg:1" sp;
+  Tracer.correlate tr ~key:8 sp;
   Alcotest.(check (option int)) "correlated" (Some sp)
-    (Tracer.correlated tr ~key:"cfg:1");
-  Alcotest.(check (option int)) "take" (Some sp) (Tracer.take tr ~key:"cfg:1");
-  Alcotest.(check (option int)) "take removes" None
-    (Tracer.take tr ~key:"cfg:1")
+    (Tracer.correlated tr ~key:8);
+  Alcotest.(check (option int)) "other key" None (Tracer.correlated tr ~key:9);
+  Alcotest.(check (option int)) "take" (Some sp) (Tracer.take tr ~key:8);
+  Alcotest.(check (option int)) "take removes" None (Tracer.take tr ~key:8)
+
+let test_phase_tree () =
+  let clock = ref 0 in
+  let tr = Tracer.create ~clock:(fun () -> !clock) () in
+  let span id =
+    match Tracer.find_span tr id with
+    | Some sp -> sp
+    | None -> Alcotest.fail "span lost"
+  in
+  let open_id phase dpid =
+    match Phase.current tr phase dpid with
+    | Some id -> id
+    | None -> Alcotest.failf "no open %s" (Phase.name phase)
+  in
+  (* A phase with no open Configure has no parent. *)
+  Phase.start tr Phase.Rpc 7L;
+  Alcotest.(check (option int)) "orphan phase" None
+    (span (open_id Phase.Rpc 7L)).Tracer.parent;
+  Phase.start tr Phase.Configure 1L;
+  Phase.start tr Phase.Configure 2L;
+  let cfg1 = open_id Phase.Configure 1L and cfg2 = open_id Phase.Configure 2L in
+  Alcotest.(check (option string)) "configure carries its dpid" (Some "1")
+    (List.assoc_opt "dpid" (span cfg1).Tracer.attrs);
+  Phase.start tr Phase.Discovery 1L;
+  Phase.start tr Phase.Discovery 2L;
+  Phase.start tr Phase.Vm 1L;
+  let disc1 = open_id Phase.Discovery 1L and vm1 = open_id Phase.Vm 1L in
+  Alcotest.(check (option int)) "under its switch's configure" (Some cfg1)
+    (span disc1).Tracer.parent;
+  Alcotest.(check (option int)) "keys are per dpid" (Some cfg2)
+    (span (open_id Phase.Discovery 2L)).Tracer.parent;
+  Alcotest.(check string)
+    "span name" "phase.discovery" (span disc1).Tracer.name;
+  clock := 2_500_000;
+  Alcotest.(check (option (float 1e-9))) "finish returns the open time"
+    (Some 2.5) (Phase.finish tr Phase.Discovery 1L);
+  Alcotest.(check (option int)) "closed at the clock" (Some 2_500_000)
+    (span disc1).Tracer.end_us;
+  Alcotest.(check (option (float 1e-9))) "closes once" None
+    (Phase.finish tr Phase.Discovery 1L);
+  Alcotest.(check (option int)) "no longer current" None
+    (Phase.current tr Phase.Discovery 1L);
+  clock := 3_000_000;
+  Phase.abort tr 1L;
+  let status id = List.assoc_opt "status" (span id).Tracer.attrs in
+  Alcotest.(check (option string)) "open phase aborted" (Some "aborted")
+    (status vm1);
+  Alcotest.(check (option string)) "configure aborted" (Some "aborted")
+    (status cfg1);
+  Alcotest.(check (option int)) "aborted at the clock" (Some 3_000_000)
+    (span vm1).Tracer.end_us;
+  Alcotest.(check (option string)) "finished phase untouched" None
+    (status disc1);
+  Alcotest.(check (option int)) "other switch still open" None
+    (span cfg2).Tracer.end_us
 
 (* --- Export -------------------------------------------------------- *)
 
@@ -374,6 +430,7 @@ let suite =
     Alcotest.test_case "tracer span lifecycle" `Quick test_tracer_spans;
     Alcotest.test_case "tracer correlation keys" `Quick
       test_tracer_correlation;
+    Alcotest.test_case "phase span tree per switch" `Quick test_phase_tree;
     Alcotest.test_case "json escaping" `Quick test_json_escape;
     Alcotest.test_case "jsonl export shape" `Quick test_jsonl_shape;
     Alcotest.test_case "phases decompose configuration time" `Quick

@@ -391,12 +391,6 @@ let test_stats_empty () =
   let s = Stats.series () in
   Alcotest.(check bool) "no summary of empty" true (Stats.summarize s = None)
 
-let test_stats_counter () =
-  let c = Stats.counter () in
-  Stats.incr c;
-  Stats.incr_by c 10;
-  Alcotest.(check int) "counter" 11 (Stats.value c)
-
 let test_percentile_boundaries () =
   let s = Stats.series () in
   List.iter (Stats.add s) [ 5.; 1.; 3.; 2.; 4. ];
@@ -592,7 +586,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_rng_float_range;
     Alcotest.test_case "stats summary" `Quick test_stats_summary;
     Alcotest.test_case "stats empty" `Quick test_stats_empty;
-    Alcotest.test_case "stats counter" `Quick test_stats_counter;
     Alcotest.test_case "percentile boundaries interpolate" `Quick
       test_percentile_boundaries;
     Alcotest.test_case "percentile edge cases are total" `Quick
