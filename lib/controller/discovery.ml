@@ -34,6 +34,20 @@ type t = {
   m_links : Rf_obs.Metrics.counter;
 }
 
+(* Removes every link [pred] selects, then reports each one down, in
+   [Hashtbl.fold] order. *)
+let drop_links t pred =
+  let gone =
+    Hashtbl.fold
+      (fun link st acc -> if pred link st then link :: acc else acc)
+      t.links []
+  in
+  List.iter
+    (fun link ->
+      Hashtbl.remove t.links link;
+      t.on_link_down link)
+    gone
+
 (* The link timeout scales with the probe interval so that a healthy
    link never ages out between two probe rounds, however slow they
    are. *)
@@ -66,18 +80,7 @@ let create engine ?(probe_interval = Rf_sim.Vtime.span_s 5.0) () =
   (* Age out links whose probes stopped arriving. *)
   let age () =
     let now = Rf_sim.Engine.now engine in
-    let stale =
-      Hashtbl.fold
-        (fun link st acc ->
-          if Rf_sim.Vtime.(add st.last_seen t.link_timeout < now) then link :: acc
-          else acc)
-        t.links []
-    in
-    List.iter
-      (fun link ->
-        Hashtbl.remove t.links link;
-        t.on_link_down link)
-      stale
+    drop_links t (fun _ st -> Rf_sim.Vtime.(add st.last_seen t.link_timeout < now))
   in
   ignore
     (Rf_sim.Engine.periodic
@@ -123,19 +126,8 @@ let remove_switch t dpid =
   | Some st ->
       Rf_sim.Engine.cancel st.probe_timer;
       Hashtbl.remove t.switches dpid;
-      let gone =
-        Hashtbl.fold
-          (fun link _ acc ->
-            if Int64.equal link.la_dpid dpid || Int64.equal link.lb_dpid dpid then
-              link :: acc
-            else acc)
-          t.links []
-      in
-      List.iter
-        (fun link ->
-          Hashtbl.remove t.links link;
-          t.on_link_down link)
-        gone;
+      drop_links t (fun link _ ->
+          Int64.equal link.la_dpid dpid || Int64.equal link.lb_dpid dpid);
       t.on_switch_down dpid
 
 let attach t conn =
@@ -179,23 +171,11 @@ let attach t conn =
              aging timeout. *)
           match Of_conn.dpid conn with
           | Some dpid ->
-              let gone =
-                Hashtbl.fold
-                  (fun link _ acc ->
-                    if
-                      (Int64.equal link.la_dpid dpid
-                      && link.la_port = desc.Of_msg.port_no)
-                      || (Int64.equal link.lb_dpid dpid
-                         && link.lb_port = desc.Of_msg.port_no)
-                    then link :: acc
-                    else acc)
-                  t.links []
-              in
-              List.iter
-                (fun link ->
-                  Hashtbl.remove t.links link;
-                  t.on_link_down link)
-                gone
+              drop_links t (fun link _ ->
+                  (Int64.equal link.la_dpid dpid
+                  && link.la_port = desc.Of_msg.port_no)
+                  || (Int64.equal link.lb_dpid dpid
+                     && link.lb_port = desc.Of_msg.port_no))
           | None -> ())
       | Of_msg.Port_status _ | Of_msg.Error _ | Of_msg.Vendor _
       | Of_msg.Hello | Of_msg.Echo_request _ | Of_msg.Echo_reply _

@@ -45,15 +45,13 @@ type t = {
   tracer : Tracer.t option;
   inst : instruments option;
   classes : (string, cls) Hashtbl.t;
-  sw_prefixes : (int64, (string * Prefix.t) list) Hashtbl.t;
-      (* per switch, the classifier's nw_dst prefixes, sorted by key,
-         duplicates kept (it is a multiset diff) *)
   mutable host_prefixes : Prefix.t list;
   known : (int64, unit) Hashtbl.t;
   verdicts : (string * int64, string * (kind * string) option) Hashtbl.t;
   paths : (string * int64, int64 list) Hashtbl.t;
-  touched : (int64, (string * int64, unit) Hashtbl.t) Hashtbl.t;
-      (* switch -> walks whose footprint contains it *)
+  touched : (int64 * string, (int64, unit) Hashtbl.t) Hashtbl.t;
+      (* (switch, class) -> ingresses whose walk of the class visits
+         the switch *)
   active : (kind * string, int) Hashtbl.t;
   open_wins : (kind * string, window * int option) Hashtbl.t;
   mutable windows_rev : window list;
@@ -106,7 +104,6 @@ let create ?clock ?tracer ?metrics () =
     tracer;
     inst;
     classes = Hashtbl.create 64;
-    sw_prefixes = Hashtbl.create 64;
     host_prefixes = [];
     known = Hashtbl.create 64;
     verdicts = Hashtbl.create 512;
@@ -228,26 +225,28 @@ let contribution cls = function
   | Fwd_model.Blackhole _ -> if cls.c_covered then Some (Blackhole, cls.c_key) else None
   | Fwd_model.Delivered _ -> None
 
-let index_remove t wk path =
+let index_remove t (ckey, src) path =
   List.iter
     (fun d ->
-      match Hashtbl.find_opt t.touched d with
-      | Some tbl -> Hashtbl.remove tbl wk
+      match Hashtbl.find_opt t.touched (d, ckey) with
+      | Some srcs ->
+          Hashtbl.remove srcs src;
+          if Hashtbl.length srcs = 0 then Hashtbl.remove t.touched (d, ckey)
       | None -> ())
     path
 
-let index_add t wk path =
+let index_add t (ckey, src) path =
   List.iter
     (fun d ->
-      let tbl =
-        match Hashtbl.find_opt t.touched d with
-        | Some tbl -> tbl
+      let srcs =
+        match Hashtbl.find_opt t.touched (d, ckey) with
+        | Some srcs -> srcs
         | None ->
-            let tbl = Hashtbl.create 32 in
-            Hashtbl.replace t.touched d tbl;
-            tbl
+            let srcs = Hashtbl.create 8 in
+            Hashtbl.replace t.touched (d, ckey) srcs;
+            srcs
       in
-      Hashtbl.replace tbl wk ())
+      Hashtbl.replace srcs src ())
     path
 
 let update_walk t cls dpid =
@@ -348,25 +347,30 @@ let decr_class t prefix =
         List.iter (fun c -> refresh_class t c) (enclosing_classes t prefix)
       end
 
-let affected_walks t dpids =
+(* The walks of [ckeys] that visit one of [dpids], sorted by (class,
+   ingress) so that windows open in a fixed order. *)
+let affected_walks t ckeys dpids =
   let acc = Hashtbl.create 64 in
   List.iter
     (fun d ->
-      match Hashtbl.find_opt t.touched d with
-      | Some tbl -> Hashtbl.iter (fun wk () -> Hashtbl.replace acc wk ()) tbl
-      | None -> ())
+      List.iter
+        (fun ckey ->
+          match Hashtbl.find_opt t.touched (d, ckey) with
+          | Some srcs -> Hashtbl.iter (fun s () -> Hashtbl.replace acc (ckey, s) ()) srcs
+          | None -> ())
+        ckeys)
     dpids;
   Hashtbl.fold (fun wk () l -> wk :: l) acc []
   |> List.sort (fun (k1, d1) (k2, d2) ->
          match String.compare k1 k2 with 0 -> Int64.compare d1 d2 | c -> c)
 
-let rerun_walks t dpids =
+let rerun_walks t ckeys dpids =
   List.iter
     (fun (ckey, dpid) ->
       match Hashtbl.find_opt t.classes ckey with
       | Some cls -> update_walk t cls dpid
       | None -> ())
-    (affected_walks t dpids)
+    (affected_walks t ckeys dpids)
 
 (* {2 Per-switch checks} *)
 
@@ -475,7 +479,7 @@ let add_link t ~a ~b =
       register_switch t (fst a);
       register_switch t (fst b);
       Fwd_model.add_link t.model ~a ~b;
-      rerun_walks t [ fst a; fst b ])
+      rerun_walks t (class_keys_sorted t) [ fst a; fst b ])
 
 let add_host t ~dpid ~port prefix =
   with_update t (fun () ->
@@ -492,7 +496,7 @@ let add_host t ~dpid ~port prefix =
           | Some cls -> refresh_class t cls
           | None -> ())
         (class_keys_sorted t);
-      rerun_walks t [ dpid ])
+      rerun_walks t (class_keys_sorted t) [ dpid ])
 
 let set_slice t name patterns =
   with_update t (fun () ->
@@ -510,90 +514,63 @@ let prefixes_of_rules rules =
     rules
   |> List.sort (fun (k1, _) (k2, _) -> String.compare k1 k2)
 
-(* Multiset diff of two sorted association lists: (only in old, only
-   in new). *)
-let rec diff_sorted old fresh =
+(* Multiset diff of two lists sorted by [cmp]: (only in old, only in
+   new). *)
+let rec diff_sorted cmp old fresh =
   match (old, fresh) with
   | [], fresh -> ([], fresh)
   | old, [] -> (old, [])
-  | (k1, _) :: o', (k2, _) :: f' when String.equal k1 k2 ->
-      diff_sorted o' f'
-  | ((k1, _) as x) :: o', (k2, _) :: _ when String.compare k1 k2 < 0 ->
-      let removed, added = diff_sorted o' fresh in
-      (x :: removed, added)
-  | old, y :: f' ->
-      let removed, added = diff_sorted old f' in
-      (removed, y :: added)
+  | x :: o', y :: f' ->
+      let c = cmp x y in
+      if c = 0 then diff_sorted cmp o' f'
+      else if c < 0 then
+        let removed, added = diff_sorted cmp o' fresh in
+        (x :: removed, added)
+      else
+        let removed, added = diff_sorted cmp old f' in
+        (removed, y :: added)
 
 (* A walk's key varies along its path only in [in_port] and the two
-   MACs (rewrites); every other field is fixed by the probe. When no
-   rule on a switch matches on those three fields, the table's verdict
-   for a class depends only on the class representative, so a rule
-   push needs to re-walk just the classes whose first match at this
-   switch actually changed. A single rule matching any of the mutable
-   fields falls back to re-walking everything that touches the switch. *)
-let port_mac_insensitive rules =
-  List.for_all
-    (fun (ru : Fwd_model.rule) ->
-      ru.ru_match.Of_match.m_in_port = None
-      && ru.ru_match.Of_match.m_dl_src = None
-      && ru.ru_match.Of_match.m_dl_dst = None)
-    rules
-
-let rec first_match_list (rules : Fwd_model.rule list) key =
-  match rules with
-  | [] -> None
-  | ru :: rest ->
-      if Of_match.matches ru.ru_match key then Some ru
-      else first_match_list rest key
-
-let match_signature = function
-  | None -> None
-  | Some (ru : Fwd_model.rule) ->
-      Some
-        ( Of_match.to_wire ru.ru_match,
-          ru.ru_priority,
-          ru.ru_out_ports,
-          ru.ru_set_dl_src,
-          ru.ru_set_dl_dst )
-
-let changed_classes t ~old_rules ~new_rules =
-  Hashtbl.fold
-    (fun key cls acc ->
-      match cls.c_rep with
-      | None -> acc
-      | Some rep ->
-          let probe = probe_key ~in_port:0 rep in
-          if
-            match_signature (first_match_list old_rules probe)
-            = match_signature (first_match_list new_rules probe)
-          then acc
-          else key :: acc)
-    t.classes []
+   MACs (rewrites); every other field is fixed by the probe. A rule
+   that matches none of a class's headers at this switch cannot change
+   its first match there, so a push re-walks only the classes whose
+   representative some left or entered rule matches with those three
+   fields wildcarded: a superset of the classes whose first match
+   changed. *)
+let touches (ru : Fwd_model.rule) =
+  let m =
+    { ru.ru_match with Of_match.m_in_port = None; m_dl_src = None; m_dl_dst = None }
+  in
+  fun rep -> Of_match.matches m (probe_key ~in_port:0 rep)
 
 let set_switch_rules t dpid rules =
   with_update t (fun () ->
       register_switch t dpid;
       let old_rules = Fwd_model.switch_rules t.model dpid in
       Fwd_model.set_switch_rules t.model dpid rules;
-      let new_rules = Fwd_model.switch_rules t.model dpid in
-      let old = Option.value (Hashtbl.find_opt t.sw_prefixes dpid) ~default:[] in
-      let fresh = prefixes_of_rules rules in
-      Hashtbl.replace t.sw_prefixes dpid fresh;
-      let removed, added = diff_sorted old fresh in
+      let left, entered =
+        diff_sorted Fwd_model.compare_rules old_rules
+          (Fwd_model.switch_rules t.model dpid)
+      in
+      (* Equal prefixes cancel before any refcount moves, so no class
+         is deleted and recreated within one push. *)
+      let removed, added =
+        diff_sorted
+          (fun (k1, _) (k2, _) -> String.compare k1 k2)
+          (prefixes_of_rules left) (prefixes_of_rules entered)
+      in
       List.iter (fun (_, p) -> decr_class t p) removed;
       List.iter (fun (_, p) -> incr_class t p) added;
-      if port_mac_insensitive old_rules && port_mac_insensitive new_rules then begin
-        let changed = changed_classes t ~old_rules ~new_rules in
-        List.iter
-          (fun (ckey, d) ->
-            if List.mem ckey changed then
-              match Hashtbl.find_opt t.classes ckey with
-              | Some cls -> update_walk t cls d
-              | None -> ())
-          (affected_walks t [ dpid ])
-      end
-      else rerun_walks t [ dpid ];
+      let changed = List.map touches (left @ entered) in
+      let ckeys =
+        Hashtbl.fold
+          (fun key cls acc ->
+            match cls.c_rep with
+            | Some rep when List.exists (fun hit -> hit rep) changed -> key :: acc
+            | Some _ | None -> acc)
+          t.classes []
+      in
+      rerun_walks t ckeys [ dpid ];
       recheck_rib t dpid;
       recheck_slice t dpid)
 
@@ -602,7 +579,7 @@ let set_link_state t ~a ~b up =
       register_switch t (fst a);
       register_switch t (fst b);
       Fwd_model.set_link_state t.model ~a ~b up;
-      rerun_walks t [ fst a; fst b ])
+      rerun_walks t (class_keys_sorted t) [ fst a; fst b ])
 
 let set_rib t dpid routes =
   with_update t (fun () ->

@@ -23,8 +23,10 @@
     [audit_eq_classes], [audit_dropped_total]).
 
     Incrementality: every forwarding walk records the switches it
-    visited; a rule or link update re-runs only the walks whose
-    footprint contains a touched switch. {!full_recheck} re-runs
+    visited, indexed by (switch, class). A link update re-runs the
+    walks that visit either end; a rule push diffs the old and new
+    rule lists and re-runs, at that switch, only the walks of classes
+    a left or entered rule can match. {!full_recheck} re-runs
     everything and is the differential comparator the bench and the
     qcheck oracle use. All timestamps come from the injected clock
     (the simulation installs virtual time), so same-seed windows are

@@ -35,10 +35,11 @@ let verdict_to_string = function
   | Loop _ -> "loop"
 
 (* Priority descending, then installation order — the Flow_table
-   lookup order. *)
+   lookup order — then the whole rule, so that two snapshots diff as
+   sorted lists. *)
 let compare_rules a b =
-  match compare b.ru_priority a.ru_priority with
-  | 0 -> compare a.ru_seq b.ru_seq
+  match Int.compare b.ru_priority a.ru_priority with
+  | 0 -> ( match Int.compare a.ru_seq b.ru_seq with 0 -> compare a b | c -> c)
   | c -> c
 
 type t = {

@@ -25,6 +25,10 @@ type rule = {
   ru_set_dl_dst : Mac.t option;
 }
 
+val compare_rules : rule -> rule -> int
+(** A total order: priority descending, then [ru_seq] ascending (the
+    datapath's lookup order), then the whole rule. *)
+
 val rule_of_actions :
   match_:Rf_openflow.Of_match.t ->
   priority:int ->
@@ -56,7 +60,7 @@ val set_switch_rules : t -> int64 -> rule list -> unit
     if needed). Rules are re-sorted internally. *)
 
 val switch_rules : t -> int64 -> rule list
-(** Priority descending, then [ru_seq] ascending; [] when unknown. *)
+(** In {!compare_rules} order; [] when unknown. *)
 
 val switches : t -> int64 list
 (** Sorted. *)

@@ -41,6 +41,7 @@ type t = {
   mutable boot_queue : sw_state list;  (** FIFO, head = oldest *)
   mutable booting : int;
   mutable created : int;
+  mutable configured : int;  (** table entries holding a VM *)
   mutable on_vm_ready : (int64 -> unit) list;  (** in registration order *)
   boot_faults : (int64, int ref) Hashtbl.t;
       (** armed clone failures remaining, per dpid *)
@@ -67,6 +68,7 @@ let create engine app vs params =
     boot_queue = [];
     booting = 0;
     created = 0;
+    configured = 0;
     on_vm_ready = [];
     boot_faults = Hashtbl.create 4;
     mutation_guard = (fun () -> true);
@@ -259,6 +261,11 @@ and finish_boot t ss =
   let vm = Vm.create t.engine ~dpid:ss.ss_dpid ~n_ports:ss.ss_ports () in
   ss.ss_vm <- Some vm;
   t.created <- t.created + 1;
+  (* A switch that went down mid-boot is no longer the table's entry;
+     its VM is not configured. *)
+  (match Hashtbl.find_opt t.switches ss.ss_dpid with
+  | Some s when s == ss -> t.configured <- t.configured + 1
+  | Some _ | None -> ());
   Rf_vs.register_vm t.vs vm;
   Vm.add_on_flows_changed vm
     (Rf_controller_app.sync_flows t.app ~dpid:ss.ss_dpid vm);
@@ -315,6 +322,7 @@ let switch_down t ~dpid =
   | Some ss ->
       (match ss.ss_vm with
       | Some vm ->
+          t.configured <- t.configured - 1;
           (match Vm.ospfd vm with Some d -> Ospfd.stop d | None -> ());
           (match Vm.ripd vm with Some d -> Ripd.stop d | None -> ());
           List.iter
@@ -422,7 +430,7 @@ let vms t =
 
 let is_configured t dpid = vm t dpid <> None
 
-let configured_count t = List.length (vms t)
+let configured_count t = t.configured
 
 let add_on_vm_ready t f = t.on_vm_ready <- t.on_vm_ready @ [ f ]
 

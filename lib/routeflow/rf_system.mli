@@ -90,6 +90,7 @@ val is_configured : t -> int64 -> bool
 (** Paper semantics: the switch has a corresponding VM. *)
 
 val configured_count : t -> int
+(** [List.length (vms t)], kept as a count. *)
 
 val add_on_vm_ready : t -> (int64 -> unit) -> unit
 (** Registers a listener for each VM that finishes booting, before any

@@ -41,7 +41,7 @@ type neighbor = {
   n_oiface : oiface;
   mutable n_state : neighbor_state;
   mutable n_last_hello : Rf_sim.Vtime.t;
-  mutable n_req : Ospf_pkt.lsa_key list;
+  n_req : (Ospf_pkt.lsa_key, unit) Hashtbl.t;
   n_rxmt : (Ospf_pkt.lsa_key, unit) Hashtbl.t;
   mutable n_rxmt_timer : Rf_sim.Engine.timer option;
 }
@@ -676,7 +676,7 @@ let handle_hello t oif ~src (h : Ospf_pkt.hello) ~from_rid =
             n_oiface = oif;
             n_state = Init;
             n_last_hello = now;
-            n_req = [];
+            n_req = Hashtbl.create 16;
             n_rxmt = Hashtbl.create 16;
             n_rxmt_timer = None;
           }
@@ -725,7 +725,8 @@ let handle_dd t nbr (dd : Ospf_pkt.db_desc) =
   match missing with
   | [] -> if nbr.n_state <> Full then to_full t nbr
   | keys ->
-      nbr.n_req <- keys;
+      Hashtbl.reset nbr.n_req;
+      List.iter (fun k -> Hashtbl.replace nbr.n_req k ()) keys;
       nbr.n_state <- Loading;
       send_ls_requests t nbr.n_oiface keys
 
@@ -794,8 +795,9 @@ let handle_lsu t nbr lsas =
         | `Send_back mine -> send_pkt t nbr.n_oiface (Ospf_pkt.Ls_update [ mine ])
       end;
       (* Progress database loading. *)
-      nbr.n_req <- List.filter (fun k -> k <> key) nbr.n_req;
-      if nbr.n_state = Loading && nbr.n_req = [] then to_full t nbr)
+      Hashtbl.remove nbr.n_req key;
+      if nbr.n_state = Loading && Hashtbl.length nbr.n_req = 0 then
+        to_full t nbr)
     lsas;
   send_ack t nbr.n_oiface !acks
 

@@ -165,8 +165,8 @@ let test_slice_isolation () =
 (* --- qcheck: incremental vs brute-force rebuild -------------------- *)
 
 (* Random ring topologies fed random update sequences (rule pushes
-   with equal-priority overlaps and slices, link flaps, RIB
-   publications). The incrementally-maintained auditor must agree
+   with equal-priority overlaps and slices, some matching the ingress
+   port or destination MAC; link flaps; RIB publications). The incrementally-maintained auditor must agree
    with (a) a fresh auditor fed only the final state and (b) itself
    after a full recheck. *)
 
@@ -192,18 +192,25 @@ let gen_case =
       pfx "10.0.0.0/16"; pfx "10.0.1.128/25"; pfx "192.168.7.0/24";
     ]
   in
+  (* Some rules match the fields a walk rewrites or changes per hop:
+     the ingress port (a ring port) and the destination MAC, which
+     starts as [Mac.zero] and becomes [other_mac] after a rewrite. *)
+  let other_mac = Mac.of_int64 0x020000000001L in
+  let sometimes g = frequency [ (3, return None); (1, map Option.some g) ] in
   let gen_rule seq =
     let* p = oneofl prefix_pool in
     let* prio = oneofl [ rf_prio; rf_prio; 0x4000 + (16 * 64); 0x4800 ] in
     let* port = int_range 1 3 in
-    let* rewrites = bool in
-    let actions =
-      (if rewrites then [ Of_action.Set_dl_src Mac.zero ] else [])
-      @ [ Of_action.output port ]
+    let* rewrite =
+      oneofl
+        [ []; [ Of_action.Set_dl_src Mac.zero ]; [ Of_action.Set_dl_dst other_mac ] ]
     in
+    let* m_in_port = sometimes (int_range 1 2) in
+    let* m_dl_dst = sometimes (oneofl [ Mac.zero; other_mac ]) in
+    let match_ = { (Of_match.nw_dst_prefix p) with m_in_port; m_dl_dst } in
     return
-      (Fwd.rule_of_actions ~match_:(Of_match.nw_dst_prefix p) ~priority:prio
-         ~seq actions)
+      (Fwd.rule_of_actions ~match_ ~priority:prio ~seq
+         (rewrite @ [ Of_action.output port ]))
   in
   let gen_op =
     let* d = int_range 1 n in

@@ -512,6 +512,36 @@ let test_rf_system_parallel_boot () =
   ignore (Engine.run ~until:(Vtime.of_s 6.0) engine);
   Alcotest.(check int) "all booted concurrently" 4 (Rf_system.configured_count rf)
 
+let test_rf_system_configured_count () =
+  let engine = Engine.create () in
+  let rf, _, _ =
+    make_rf engine
+      { Rf_system.vm_boot_time = Vtime.span_s 5.0; parallel_boot = 2;
+        config_apply_delay = Vtime.span_ms 100;
+        routing_protocol = Rf_system.Proto_ospf }
+  in
+  let check label expected =
+    let n = List.length (Rf_system.vms rf) in
+    Alcotest.(check int) (label ^ ": vms") expected n;
+    Alcotest.(check int) (label ^ ": count") n (Rf_system.configured_count rf)
+  in
+  Rf_system.switch_up rf ~dpid:1L ~n_ports:2;
+  Rf_system.switch_up rf ~dpid:2L ~n_ports:2;
+  ignore (Engine.run ~until:(Vtime.of_s 6.0) engine);
+  check "both booted" 2;
+  (* sw3 goes down mid-boot and comes back before the first boot ends:
+     the orphaned boot must not count, the second one must. *)
+  Rf_system.switch_up rf ~dpid:3L ~n_ports:2;
+  ignore (Engine.run ~until:(Vtime.of_s 8.0) engine);
+  Rf_system.switch_down rf ~dpid:3L;
+  Rf_system.switch_up rf ~dpid:3L ~n_ports:2;
+  ignore (Engine.run ~until:(Vtime.of_s 12.0) engine);
+  check "orphaned boot finished" 2;
+  ignore (Engine.run ~until:(Vtime.of_s 20.0) engine);
+  check "re-up booted" 3;
+  Rf_system.switch_down rf ~dpid:1L;
+  check "configured switch down" 2
+
 let test_rf_system_link_before_vm () =
   let engine = Engine.create () in
   let rf, vs, _ =
@@ -1010,6 +1040,8 @@ let suite =
     Alcotest.test_case "serialized VM boot queue" `Quick
       test_rf_system_serialized_boot;
     Alcotest.test_case "parallel VM boot" `Quick test_rf_system_parallel_boot;
+    Alcotest.test_case "configured count follows the VM table" `Quick
+      test_rf_system_configured_count;
     Alcotest.test_case "link config before VM exists" `Quick
       test_rf_system_link_before_vm;
     Alcotest.test_case "switch down destroys and recreates" `Quick
