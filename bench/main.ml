@@ -372,64 +372,62 @@ let obs_fixture () =
   (m, tracer, c, h)
 
 (* Forwarding-state auditor on a 28-switch ring (the E9 scale): one
-   host subnet per switch, RouteFlow-style classifiers (dl_type 0x800 +
+   host subnet per switch, RouteFlow-style flow tables (dl_type 0x800 +
    nw_dst /24, MAC rewrites, one output) pointing the short way round.
-   The steady-state unit of work is one classifier snapshot push that
-   reroutes a single remote prefix between the two ring directions:
-   both variants deliver, so the incremental path re-walks only the
-   affected (class, switch) pairs and opens no windows. *)
+   The steady-state unit of work is one flow-mod that reroutes a single
+   remote prefix between the two ring directions (an add replacing the
+   identical entry): both variants deliver, so the incremental path
+   re-walks only the affected (class, switch) pairs and opens no
+   windows. *)
 let audit_ring = 28
 
-let audit_rules ~flip dpid =
+(* Switch [i]'s flow for the prefix of switch [j]; [flip] sends it the
+   long way round when [j] is [i]'s clockwise neighbour. *)
+let audit_flow ~flip i j =
   let n = audit_ring in
-  let i = Int64.to_int dpid in
-  let pfx_of j = pfx (Printf.sprintf "10.0.%d.0/24" j) in
-  let rules = ref [] in
-  let seq = ref 0 in
-  List.iter
-    (fun j ->
-      if j <> i then begin
-        incr seq;
-        let fwd = (j - i + n) mod n and bwd = (i - j + n) mod n in
-        let port = if fwd <= bwd then 1 else 2 in
-        (* The flapping prefix swaps direction each iteration. *)
-        let port = if flip && j = ((i mod n) + 1) then 3 - port else port in
-        rules :=
-          Rf_obs.Fwd_model.rule_of_actions
-            ~match_:(Rf_openflow.Of_match.nw_dst_prefix (pfx_of j))
-            ~priority:(0x4000 + (24 * 64))
-            ~seq:!seq
-            [
-              Rf_openflow.Of_action.Set_dl_src Mac.zero;
-              Rf_openflow.Of_action.Set_dl_dst Mac.zero;
-              Rf_openflow.Of_action.output port;
-            ]
-          :: !rules
-      end)
-    (List.init n (fun k -> k + 1));
-  List.rev !rules
+  let fwd = (j - i + n) mod n and bwd = (i - j + n) mod n in
+  let port = if fwd <= bwd then 1 else 2 in
+  let port = if flip && j = (i mod n) + 1 then 3 - port else port in
+  Rf_openflow.Of_msg.flow_add
+    ~priority:(0x4000 + (24 * 64))
+    (Rf_openflow.Of_match.nw_dst_prefix (pfx (Printf.sprintf "10.0.%d.0/24" j)))
+    [
+      Rf_openflow.Of_action.Set_dl_src Mac.zero;
+      Rf_openflow.Of_action.Set_dl_dst Mac.zero;
+      Rf_openflow.Of_action.output port;
+    ]
 
+let apply_flow table fm =
+  match Rf_net.Flow_table.apply_flow_mod table ~now:Rf_sim.Vtime.zero fm with
+  | Ok change -> change
+  | Error e -> failwith e
+
+(* The auditor and switch 1's table. *)
 let audit_fixture () =
-  let au = Rf_obs.Auditor.create () in
+  let au = Rf_net.Auditor.create () in
   let n = audit_ring in
-  for i = 1 to n do
-    Rf_obs.Auditor.add_switch au (Int64.of_int i)
-  done;
+  let tables =
+    Array.init n (fun k ->
+        let i = k + 1 and table = Rf_net.Flow_table.create () in
+        for j = 1 to n do
+          if j <> i then ignore (apply_flow table (audit_flow ~flip:false i j))
+        done;
+        table)
+  in
+  Array.iteri
+    (fun k table -> Rf_net.Auditor.add_switch au (Int64.of_int (k + 1)) table)
+    tables;
   for i = 1 to n do
     let j = (i mod n) + 1 in
-    Rf_obs.Auditor.add_link au
+    Rf_net.Auditor.add_link au
       ~a:(Int64.of_int i, 1)
       ~b:(Int64.of_int j, 2)
   done;
   for i = 1 to n do
-    Rf_obs.Auditor.add_host au ~dpid:(Int64.of_int i) ~port:3
+    Rf_net.Auditor.add_host au ~dpid:(Int64.of_int i) ~port:3
       (pfx (Printf.sprintf "10.0.%d.0/24" i))
   done;
-  for i = 1 to n do
-    Rf_obs.Auditor.set_switch_rules au (Int64.of_int i)
-      (audit_rules ~flip:false (Int64.of_int i))
-  done;
-  au
+  (au, tables.(0))
 
 (* One probe round trip, [sent] then [delivered], on a measurement
    plane holding [n] registered flows. *)
@@ -585,18 +583,16 @@ let micro_tests () =
            Rf_obs.Tracer.span_end obs_tracer sp));
     Test.make ~name:"audit_update_incremental"
       (Staged.stage
-         (let au = audit_fixture () in
-          let rules_a = audit_rules ~flip:false 1L in
-          let rules_b = audit_rules ~flip:true 1L in
+         (let au, table = audit_fixture () in
           let flip = ref false in
           fun () ->
             flip := not !flip;
-            Rf_obs.Auditor.set_switch_rules au 1L
-              (if !flip then rules_b else rules_a)));
+            let left, entered = apply_flow table (audit_flow ~flip:!flip 1 2) in
+            Rf_net.Auditor.table_changed au 1L ~left ~entered));
     Test.make ~name:"audit_full_recheck"
       (Staged.stage
-         (let au = audit_fixture () in
-          fun () -> Rf_obs.Auditor.full_recheck au));
+         (let au, _ = audit_fixture () in
+          fun () -> Rf_net.Auditor.full_recheck au));
     (* Engine dispatch with and without a profiler installed. Each run
        is a single event, so the profiled row carries the whole run
        envelope (run_begin/run_end, final GC sample) on top of the

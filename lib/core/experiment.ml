@@ -61,7 +61,7 @@ let interval_union ivs =
    closes there. *)
 let audit_run_of s ~label ~first_fault_s ~horizon_s =
   let au = Option.get (Scenario.auditor s) in
-  let module A = Rf_obs.Auditor in
+  let module A = Rf_net.Auditor in
   let horizon_us = Vtime.to_us (Vtime.of_s horizon_s) in
   let wins = A.windows au in
   let fault_us = Vtime.to_us (Vtime.of_s first_fault_s) in

@@ -109,7 +109,7 @@ val print_demo : Format.formatter -> demo_result -> unit
 
 (** {1 E12 — forwarding-state audit (shared result shape)}
 
-    One audited run's view of the {!Rf_obs.Auditor} attached via
+    One audited run's view of the {!Rf_net.Auditor} attached via
     {!Scenario.options.audit}: window counts per invariant, union
     durations of the violation windows before and after the first
     planned fault, and the steady-state gate input — windows strictly
@@ -552,7 +552,7 @@ val print_profile :
 (** {1 E12 — forwarding-state audit of the fault replays}
 
     The E3 link-cut, E4 crash/restart and E9 leader-crash fault
-    schedules replayed with the {!Rf_obs.Auditor} attached, automatic
+    schedules replayed with the {!Rf_net.Auditor} attached, automatic
     vs. legacy control plane, on rings with one host per switch and no
     traffic workload — E12 measures the forwarding *state*: how long
     each fault leaves the network with loops, blackholes, RIB–FIB

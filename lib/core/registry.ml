@@ -62,16 +62,17 @@ let pin file argv = { argv; file }
 let report summary =
   { summary; shown = summary; steady_violations = 0; analysed = None }
 
-(* The summary plus the window lists of whichever runs were audited;
-   any window inside a steady-state interval trips exit 5. *)
+(* The summary plus the window lists of whichever runs were audited
+   (virtual-clock figures, so pinned with it); any window inside a
+   steady-state interval trips exit 5. *)
 let audited summary runs =
   let runs = List.filter_map Fun.id runs in
   {
-    (report summary) with
-    shown =
-      summary
-      ^ String.concat ""
-          (List.map (Format.asprintf "%a" Experiment.print_audit_run) runs);
+    (report
+       (summary
+       ^ String.concat ""
+           (List.map (Format.asprintf "%a" Experiment.print_audit_run) runs)))
+    with
     steady_violations =
       List.fold_left
         (fun acc (r : Experiment.audit_run) -> acc + r.ar_steady_windows)
@@ -478,7 +479,11 @@ let failure =
         reads = [];
       }
     ~flags:[ Seed; Profile; Audit; Trace_analysis ]
-    ~pins:[ pin "e3-failure-summary.txt" [] ]
+    ~pins:
+      [
+        pin "e3-failure-summary.txt" [];
+        pin "e3-failure-audit-summary.txt" [ "--audit" ];
+      ]
     Term.(
       const run
       $ switches_arg ~doc:"Ring size (>= 4)." 6
@@ -510,7 +515,11 @@ let restart =
         reads = [];
       }
     ~flags:[ Seed; Audit; Trace_analysis ]
-    ~pins:[ pin "e4-restart-summary.txt" [] ]
+    ~pins:
+      [
+        pin "e4-restart-summary.txt" [];
+        pin "e4-restart-audit-summary.txt" [ "--audit" ];
+      ]
     Term.(
       const run
       $ switches_arg ~doc:"Ring size (>= 4)." 8

@@ -24,12 +24,12 @@ type options = {
   profiler : Rf_obs.Profiler.t option;
   audit : bool;
       (** attaches the continuous forwarding-state auditor
-          ({!Rf_obs.Auditor}): flow-table snapshots, link state, RIB
+          ({!Rf_net.Auditor}): flow-table changes, link state, RIB
           publications and slice attributions feed an incremental
-          forwarding model whose violation windows appear as
-          [audit.violation] spans and [audit_*] meta keys. Off by
-          default so unaudited telemetry (and its pinned fingerprints)
-          is unchanged. *)
+          forwarding model over the switches' own flow tables, whose
+          violation windows appear as [audit.violation] spans and
+          [audit_*] meta keys. Off by default so unaudited telemetry
+          (and its pinned fingerprints) is unchanged. *)
 }
 
 let default_options =
@@ -70,7 +70,7 @@ type t = {
   rpc_client : Rf_rpc.Rpc_client.t;
   rpc_server : Rf_rpc.Rpc_server.t;
   cluster : Rf_rpc.Cluster.t option;
-  auditor : Rf_obs.Auditor.t option;
+  auditor : Rf_net.Auditor.t option;
   gui : Gui.t;
   host_plans : (string * host_plan) list;
   n_switches : int;
@@ -329,20 +329,24 @@ let build ?(options = default_options) topo =
   (match options.link_capacity with
   | Some _ as cap -> Network.set_all_link_capacity net cap
   | None -> ());
-  (* Forwarding-state auditor (opt-in): feed it the static topology,
-     then subscribe it to every state source — classifier snapshots on
-     table change, link transitions, RIB publications (wired per VM
+  (* Forwarding-state auditor (opt-in): feed it the static topology and
+     every switch's flow table, then subscribe it to every state source
+     — table changes, link transitions, RIB publications (wired per VM
      below, once VMs exist) and FlowVisor's flow-mod attributions. *)
   let auditor =
     if not options.audit then None
     else begin
       let au =
-        Rf_obs.Auditor.create
+        Rf_net.Auditor.create
           ~tracer:(Rf_sim.Engine.tracer engine)
           ~metrics:(Rf_sim.Engine.metrics engine)
           ()
       in
-      List.iter (fun d -> Rf_obs.Auditor.add_switch au d) (Topology.switches topo);
+      List.iter
+        (fun d ->
+          Rf_net.Auditor.add_switch au d
+            (Rf_net.Datapath.flow_table (Network.datapath net d)))
+        (Topology.switches topo);
       let sw_edges =
         List.filter_map
           (fun (e : Topology.edge) ->
@@ -352,37 +356,29 @@ let build ?(options = default_options) topo =
             | (Topology.Switch _ | Topology.Host _), _ -> None)
           (Topology.edges topo)
       in
-      List.iter (fun (a, b) -> Rf_obs.Auditor.add_link au ~a ~b) sw_edges;
+      List.iter (fun (a, b) -> Rf_net.Auditor.add_link au ~a ~b) sw_edges;
       List.iter
-        (fun (dpid, port, subnet) -> Rf_obs.Auditor.add_host au ~dpid ~port subnet)
+        (fun (dpid, port, subnet) -> Rf_net.Auditor.add_host au ~dpid ~port subnet)
         admin_edges;
       List.iter
         (fun (fs : Flowspace.t) ->
-          Rf_obs.Auditor.set_slice au fs.Flowspace.fs_name fs.Flowspace.fs_patterns)
+          Rf_net.Auditor.set_slice au fs.Flowspace.fs_name fs.Flowspace.fs_patterns)
         [ lldp_fs; data_fs ];
       Flowvisor.set_on_flow_mod fv (fun ~dpid ~slice fm ->
           match fm.Rf_openflow.Of_msg.fm_command with
           | Rf_openflow.Of_msg.Add | Rf_openflow.Of_msg.Modify
           | Rf_openflow.Of_msg.Modify_strict ->
-              Rf_obs.Auditor.attribute au ~dpid
+              Rf_net.Auditor.attribute au ~dpid
                 ~match_:fm.Rf_openflow.Of_msg.fm_match
                 ~priority:fm.Rf_openflow.Of_msg.fm_priority slice
           | Rf_openflow.Of_msg.Delete | Rf_openflow.Of_msg.Delete_strict -> ());
       List.iter
         (fun (dpid, dp) ->
-          let push () =
-            let rules =
-              List.map
-                (fun (e : Rf_net.Flow_table.entry) ->
-                  Rf_obs.Fwd_model.rule_of_actions ~match_:e.Rf_net.Flow_table.e_match
-                    ~priority:e.Rf_net.Flow_table.e_priority
-                    ~seq:e.Rf_net.Flow_table.e_seq e.Rf_net.Flow_table.e_actions)
-                (Rf_net.Flow_table.entries (Rf_net.Datapath.flow_table dp))
-            in
-            Rf_obs.Auditor.set_switch_rules au dpid rules
-          in
-          Rf_net.Datapath.set_on_table_changed dp push;
-          push ())
+          let changed = Rf_net.Auditor.table_changed au dpid in
+          Rf_net.Datapath.set_on_table_changed dp changed;
+          (* Subscribing audits the switch once, with nothing changed:
+             every run's audited update count includes it. *)
+          changed ~left:[] ~entered:[])
         (Network.datapaths net);
       Network.set_on_link_state net (fun a b up ->
           match (a, b) with
@@ -398,7 +394,7 @@ let build ?(options = default_options) topo =
                   sw_edges
               in
               (match ends with
-              | Some (ea, eb) -> Rf_obs.Auditor.set_link_state au ~a:ea ~b:eb up
+              | Some (ea, eb) -> Rf_net.Auditor.set_link_state au ~a:ea ~b:eb up
               | None -> ())
           | (Topology.Switch _ | Topology.Host _), _ -> ());
       Some au
@@ -483,7 +479,7 @@ let build ?(options = default_options) topo =
           | Some vm ->
               Rf_routeflow.Vm.add_on_flows_changed vm
                 (fun ~removed:_ ~added:_ ->
-                  Rf_obs.Auditor.set_rib au dpid
+                  Rf_net.Auditor.set_rib au dpid
                     (List.map
                        (fun (fr : Rf_routeflow.Vm.flow_route) ->
                          (fr.fr_prefix, fr.fr_port))
@@ -627,7 +623,7 @@ let telemetry_meta t =
   @ (match t.auditor with
     | None -> []
     | Some au ->
-        let open Rf_obs.Auditor in
+        let open Rf_net.Auditor in
         [
           ("experiment_audited", "1");
           ("audit_updates", string_of_int (updates au));

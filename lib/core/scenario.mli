@@ -37,8 +37,9 @@ type options = {
           scheduled, so boot-phase work is attributed too *)
   audit : bool;
       (** attaches a continuous forwarding-state auditor
-          ({!Rf_obs.Auditor}) fed by flow-table snapshots (on every
-          flow-mod and expiry), link-state transitions, per-VM RIB
+          ({!Rf_net.Auditor}) that walks the switches' flow tables, fed
+          by their changes (on every flow-mod and expiry), link-state
+          transitions, per-VM RIB
           publications and FlowVisor slice attributions. Violation
           windows appear as [audit.violation] spans in the telemetry
           and as [audit_*] meta keys ([audit_dropped] always present
@@ -86,7 +87,7 @@ val rpc_server : t -> Rf_rpc.Rpc_server.t
 val cluster : t -> Rf_rpc.Cluster.t option
 (** The controller cluster; [None] unless [cluster_replicas >= 2]. *)
 
-val auditor : t -> Rf_obs.Auditor.t option
+val auditor : t -> Rf_net.Auditor.t option
 (** The forwarding-state auditor; [None] unless [options.audit]. *)
 
 val gui : t -> Gui.t

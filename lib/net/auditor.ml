@@ -1,6 +1,9 @@
 open Rf_packet
 module Of_match = Rf_openflow.Of_match
+module Of_action = Rf_openflow.Of_action
 module Prefix = Ipv4_addr.Prefix
+module Metrics = Rf_obs.Metrics
+module Tracer = Rf_obs.Tracer
 
 type kind = Loop | Blackhole | Rib_fib | Slice
 
@@ -20,10 +23,10 @@ type window = {
 }
 
 (* One header equivalence class: a destination prefix seen in some
-   classifier or configured on a host, refcounted across both. The
+   flow table or configured on a host, refcounted across both. The
    representative address is the probe destination — chosen inside the
    prefix but outside every strictly-more-specific class, so the walk
-   exercises this prefix's rules and not a longer match's. *)
+   exercises this prefix's entries and not a longer match's. *)
 type cls = {
   c_key : string;
   c_prefix : Prefix.t;
@@ -58,7 +61,10 @@ type t = {
   rib : (int64, (Prefix.t * int) list) Hashtbl.t;
   rib_bad : (int64, unit) Hashtbl.t;
   slices : (string, Of_match.t list) Hashtbl.t;
-  attribution : (int64 * string * int, string) Hashtbl.t;
+  attribution :
+    (int64 * int * Prefix.t option, (Of_match.t * string) list) Hashtbl.t;
+      (* (switch, priority, nw_dst) -> the (match, slice) of each
+         attributed flow with that key *)
   slice_bad : (int64, string list) Hashtbl.t;
   totals : int array;  (* windows opened, by kind_index *)
   mutable updates : int;
@@ -378,17 +384,23 @@ let rib_key dpid = Printf.sprintf "sw%Ld" dpid
 
 let rf_priority_floor = 0x4000
 
+let entries t dpid =
+  match Fwd_model.table t.model dpid with
+  | Some table -> Flow_table.entries table
+  | None -> []
+
 let installed_fib t dpid =
-  Fwd_model.switch_rules t.model dpid
-  |> List.filter_map (fun (ru : Fwd_model.rule) ->
-         if ru.ru_priority < rf_priority_floor then None
-         else if ru.ru_match.Of_match.m_dl_type <> Some 0x800 then None
+  entries t dpid
+  |> List.filter_map (fun (e : Flow_table.entry) ->
+         if e.e_priority < rf_priority_floor then None
+         else if e.e_match.Of_match.m_dl_type <> Some 0x800 then None
          else
-           match ru.ru_match.Of_match.m_nw_dst with
+           match e.e_match.Of_match.m_nw_dst with
            | None -> None
            | Some p -> (
                match
-                 List.find_opt Rf_openflow.Of_port.is_physical ru.ru_out_ports
+                 List.find_opt Rf_openflow.Of_port.is_physical
+                   (Of_action.outputs e.e_actions)
                with
                | Some port -> Some (p, port)
                | None -> None))
@@ -415,25 +427,33 @@ let recheck_rib t dpid =
     bump t Rib_fib (rib_key dpid) (-1)
   end
 
+let attribution_key dpid (m : Of_match.t) priority =
+  (dpid, priority, m.Of_match.m_nw_dst)
+
 let recheck_slice t dpid =
   let viol =
-    Fwd_model.switch_rules t.model dpid
-    |> List.filter_map (fun (ru : Fwd_model.rule) ->
+    entries t dpid
+    |> List.filter_map (fun (e : Flow_table.entry) ->
            match
              Hashtbl.find_opt t.attribution
-               (dpid, Of_match.to_wire ru.ru_match, ru.ru_priority)
+               (attribution_key dpid e.e_match e.e_priority)
            with
            | None -> None
-           | Some slice ->
-               let permitted =
-                 match Hashtbl.find_opt t.slices slice with
-                 | Some patterns ->
-                     List.exists
-                       (fun pat -> Of_match.subsumes pat ru.ru_match)
-                       patterns
-                 | None -> false
-               in
-               if permitted then None else Some slice)
+           | Some flows -> (
+               match
+                 List.find_opt (fun (m, _) -> Of_match.equal m e.e_match) flows
+               with
+               | None -> None
+               | Some (_, slice) ->
+                   let permitted =
+                     match Hashtbl.find_opt t.slices slice with
+                     | Some patterns ->
+                         List.exists
+                           (fun pat -> Of_match.subsumes pat e.e_match)
+                           patterns
+                     | None -> false
+                   in
+                   if permitted then None else Some slice))
     |> List.sort_uniq String.compare
   in
   let old = Option.value (Hashtbl.find_opt t.slice_bad dpid) ~default:[] in
@@ -463,7 +483,6 @@ let with_update t f =
 let register_switch t dpid =
   if not (Hashtbl.mem t.known dpid) then begin
     Hashtbl.replace t.known dpid ();
-    Fwd_model.add_switch t.model dpid;
     List.iter
       (fun key ->
         match Hashtbl.find_opt t.classes key with
@@ -471,8 +490,6 @@ let register_switch t dpid =
         | None -> ())
       (class_keys_sorted t)
   end
-
-let add_switch t dpid = with_update t (fun () -> register_switch t dpid)
 
 let add_link t ~a ~b =
   with_update t (fun () ->
@@ -505,74 +522,70 @@ let set_slice t name patterns =
 
 (* {2 Update feed} *)
 
-let prefixes_of_rules rules =
+let prefixes_of (entries : Flow_table.entry list) =
   List.filter_map
-    (fun (ru : Fwd_model.rule) ->
-      match ru.ru_match.Of_match.m_nw_dst with
+    (fun (e : Flow_table.entry) ->
+      match e.e_match.Of_match.m_nw_dst with
       | Some p -> Some (Prefix.to_string p, p)
       | None -> None)
-    rules
+    entries
   |> List.sort (fun (k1, _) (k2, _) -> String.compare k1 k2)
 
-(* Multiset diff of two lists sorted by [cmp]: (only in old, only in
-   new). *)
-let rec diff_sorted cmp old fresh =
+(* Multiset diff of two key-sorted lists: (only in old, only in new). *)
+let rec diff_sorted old fresh =
   match (old, fresh) with
   | [], fresh -> ([], fresh)
   | old, [] -> (old, [])
-  | x :: o', y :: f' ->
-      let c = cmp x y in
-      if c = 0 then diff_sorted cmp o' f'
+  | ((k1, _) as x) :: o', ((k2, _) as y) :: f' ->
+      let c = String.compare k1 k2 in
+      if c = 0 then diff_sorted o' f'
       else if c < 0 then
-        let removed, added = diff_sorted cmp o' fresh in
+        let removed, added = diff_sorted o' fresh in
         (x :: removed, added)
       else
-        let removed, added = diff_sorted cmp old f' in
+        let removed, added = diff_sorted old f' in
         (removed, y :: added)
 
 (* A walk's key varies along its path only in [in_port] and the two
-   MACs (rewrites); every other field is fixed by the probe. A rule
+   MACs (rewrites); every other field is fixed by the probe. An entry
    that matches none of a class's headers at this switch cannot change
-   its first match there, so a push re-walks only the classes whose
-   representative some left or entered rule matches with those three
-   fields wildcarded: a superset of the classes whose first match
+   its lookup there, so a change re-walks only the classes whose
+   representative some left or entered entry matches with those three
+   fields wildcarded: a superset of the classes whose lookup result
    changed. *)
-let touches (ru : Fwd_model.rule) =
+let touches (e : Flow_table.entry) =
   let m =
-    { ru.ru_match with Of_match.m_in_port = None; m_dl_src = None; m_dl_dst = None }
+    { e.e_match with Of_match.m_in_port = None; m_dl_src = None; m_dl_dst = None }
   in
   fun rep -> Of_match.matches m (probe_key ~in_port:0 rep)
 
-let set_switch_rules t dpid rules =
+let changed t dpid ~left ~entered =
+  register_switch t dpid;
+  (* Equal prefixes cancel before any refcount moves, so no class is
+     deleted and recreated within one change. *)
+  let removed, added = diff_sorted (prefixes_of left) (prefixes_of entered) in
+  List.iter (fun (_, p) -> decr_class t p) removed;
+  List.iter (fun (_, p) -> incr_class t p) added;
+  let hits = List.map touches (left @ entered) in
+  let ckeys =
+    Hashtbl.fold
+      (fun key cls acc ->
+        match cls.c_rep with
+        | Some rep when List.exists (fun hit -> hit rep) hits -> key :: acc
+        | Some _ | None -> acc)
+      t.classes []
+  in
+  rerun_walks t ckeys [ dpid ];
+  recheck_rib t dpid;
+  recheck_slice t dpid
+
+let add_switch t dpid table =
   with_update t (fun () ->
-      register_switch t dpid;
-      let old_rules = Fwd_model.switch_rules t.model dpid in
-      Fwd_model.set_switch_rules t.model dpid rules;
-      let left, entered =
-        diff_sorted Fwd_model.compare_rules old_rules
-          (Fwd_model.switch_rules t.model dpid)
-      in
-      (* Equal prefixes cancel before any refcount moves, so no class
-         is deleted and recreated within one push. *)
-      let removed, added =
-        diff_sorted
-          (fun (k1, _) (k2, _) -> String.compare k1 k2)
-          (prefixes_of_rules left) (prefixes_of_rules entered)
-      in
-      List.iter (fun (_, p) -> decr_class t p) removed;
-      List.iter (fun (_, p) -> incr_class t p) added;
-      let changed = List.map touches (left @ entered) in
-      let ckeys =
-        Hashtbl.fold
-          (fun key cls acc ->
-            match cls.c_rep with
-            | Some rep when List.exists (fun hit -> hit rep) changed -> key :: acc
-            | Some _ | None -> acc)
-          t.classes []
-      in
-      rerun_walks t ckeys [ dpid ];
-      recheck_rib t dpid;
-      recheck_slice t dpid)
+      Fwd_model.add_switch t.model dpid table;
+      changed t dpid ~left:[] ~entered:(Flow_table.entries table))
+
+let table_changed t dpid ~left ~entered =
+  with_update t (fun () -> changed t dpid ~left ~entered)
 
 let set_link_state t ~a ~b up =
   with_update t (fun () ->
@@ -595,9 +608,13 @@ let set_rib t dpid routes =
 
 let attribute t ~dpid ~match_ ~priority slice =
   with_update t (fun () ->
-      Hashtbl.replace t.attribution
-        (dpid, Of_match.to_wire match_, priority)
-        slice;
+      let key = attribution_key dpid match_ priority in
+      let others =
+        List.filter
+          (fun (m, _) -> not (Of_match.equal m match_))
+          (Option.value (Hashtbl.find_opt t.attribution key) ~default:[])
+      in
+      Hashtbl.replace t.attribution key ((match_, slice) :: others);
       recheck_slice t dpid)
 
 let full_recheck t =

@@ -22,11 +22,12 @@
     ([audit_violations_total{kind}], [audit_check_seconds],
     [audit_eq_classes], [audit_dropped_total]).
 
-    Incrementality: every forwarding walk records the switches it
-    visited, indexed by (switch, class). A link update re-runs the
-    walks that visit either end; a rule push diffs the old and new
-    rule lists and re-runs, at that switch, only the walks of classes
-    a left or entered rule can match. {!full_recheck} re-runs
+    The model reads each switch's own {!Flow_table.t}; the datapath's
+    table-change hook hands over what changed. Incrementality: every
+    forwarding walk records the switches it visited, indexed by
+    (switch, class). A link update re-runs the walks that visit either
+    end; a table change re-runs, at that switch, only the walks of
+    classes a left or entered entry can match. {!full_recheck} re-runs
     everything and is the differential comparator the bench and the
     qcheck oracle use. All timestamps come from the injected clock
     (the simulation installs virtual time), so same-seed windows are
@@ -51,8 +52,8 @@ type t
 
 val create :
   ?clock:(unit -> int) ->
-  ?tracer:Tracer.t ->
-  ?metrics:Metrics.t ->
+  ?tracer:Rf_obs.Tracer.t ->
+  ?metrics:Rf_obs.Metrics.t ->
   unit ->
   t
 (** [clock] defaults to the tracer's clock when one is attached, else
@@ -60,8 +61,10 @@ val create :
 
 (** {1 Topology feed (setup time)} *)
 
-val add_switch : t -> int64 -> unit
-(** Registers a switch as a probe ingress (and in the model). *)
+val add_switch : t -> int64 -> Flow_table.t -> unit
+(** Registers a switch, once, as a probe ingress and the flow table its
+    walks read; the entries already in the table count as entered. One
+    audited update. *)
 
 val add_link : t -> a:int64 * int -> b:int64 * int -> unit
 
@@ -74,9 +77,15 @@ val set_slice : t -> string -> Rf_openflow.Of_match.t list -> unit
 
 (** {1 Update feed (every call is one audited update)} *)
 
-val set_switch_rules : t -> int64 -> Fwd_model.rule list -> unit
-(** Replaces the switch's classifier snapshot and re-audits
-    incrementally. *)
+val table_changed :
+  t ->
+  int64 ->
+  left:Flow_table.entry list ->
+  entered:Flow_table.entry list ->
+  unit
+(** The switch's table has changed by exactly this (as
+    {!Flow_table.apply_flow_mod} and {!Flow_table.expire} report it);
+    re-audits incrementally. Fits {!Datapath.set_on_table_changed}. *)
 
 val set_link_state : t -> a:int64 * int -> b:int64 * int -> bool -> unit
 

@@ -27,7 +27,8 @@ type t = {
   mutable on_packet_in : Of_msg.packet_in -> unit;
   mutable on_flow_removed : Of_msg.flow_removed -> unit;
   mutable on_port_status : Of_msg.port_status_reason -> Of_msg.phys_port -> unit;
-  mutable on_table_changed : unit -> unit;
+  mutable on_table_changed :
+    left:Flow_table.entry list -> entered:Flow_table.entry list -> unit;
   mutable forwarded : int;
   mutable missed : int;
   born : Rf_sim.Vtime.t;  (** origin of the 1 s expiry grid *)
@@ -85,7 +86,8 @@ and expiry_tick t =
         | Flow_table.Expired_hard -> Of_msg.Removed_hard)
         e)
     removed;
-  if removed <> [] then t.on_table_changed ();
+  if removed <> [] then
+    t.on_table_changed ~left:(List.map fst removed) ~entered:[];
   t.expiry_armed <- false;
   arm_expiry t
 
@@ -119,7 +121,7 @@ let create engine ~dpid ~n_ports =
     on_packet_in = (fun _ -> ());
     on_flow_removed = (fun _ -> ());
     on_port_status = (fun _ _ -> ());
-    on_table_changed = (fun () -> ());
+    on_table_changed = (fun ~left:_ ~entered:_ -> ());
     forwarded = 0;
     missed = 0;
     born = Rf_sim.Engine.now engine;
@@ -361,19 +363,18 @@ let handle_flow_mod t (fm : Of_msg.flow_mod) =
           err_code = 0;
           err_data = msg;
         }
-  | Ok removed ->
-      List.iter (notify_removed t ~now Of_msg.Removed_delete) removed;
+  | Ok (left, entered) ->
       (match (fm.fm_command, fm.fm_buffer_id) with
       | (Of_msg.Add | Of_msg.Modify | Of_msg.Modify_strict), Some buffer -> (
           match take_buffer t buffer with
           | Some (in_port, frame) ->
               apply_actions t ~in_port frame fm.fm_actions
           | None -> ())
-      | (Of_msg.Add | Of_msg.Modify | Of_msg.Modify_strict | Of_msg.Delete
-        | Of_msg.Delete_strict), (Some _ | None) ->
-          ());
+      | (Of_msg.Delete | Of_msg.Delete_strict), _ ->
+          List.iter (notify_removed t ~now Of_msg.Removed_delete) left
+      | (Of_msg.Add | Of_msg.Modify | Of_msg.Modify_strict), None -> ());
       arm_expiry t;
-      t.on_table_changed ();
+      t.on_table_changed ~left ~entered;
       Ok ()
 
 let handle_packet_out t (po : Of_msg.packet_out) =

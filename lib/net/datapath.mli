@@ -66,9 +66,14 @@ val set_on_flow_removed : t -> (Of_msg.flow_removed -> unit) -> unit
 val set_on_port_status :
   t -> (Of_msg.port_status_reason -> Of_msg.phys_port -> unit) -> unit
 
-val set_on_table_changed : t -> (unit -> unit) -> unit
-(** Fires after every successful flow-mod and after each expiry sweep
-    that removed entries — the forwarding-state auditor's feed. *)
+val set_on_table_changed :
+  t ->
+  (left:Flow_table.entry list -> entered:Flow_table.entry list -> unit) ->
+  unit
+(** Fires after every successful flow-mod (with what
+    {!Flow_table.apply_flow_mod} reports changed, possibly nothing) and
+    after each expiry sweep that removed entries (those as [left]) —
+    the forwarding-state auditor's feed. *)
 
 (** {1 Introspection for experiments} *)
 

@@ -374,7 +374,7 @@ let rec apply_flow_mod t ~now (fm : Of_msg.flow_mod) =
       else begin
         List.iter (remove_entry t) replaced;
         t.next_seq <- t.next_seq + 1;
-        add_entry t
+        let e =
           {
             e_match = fm.fm_match;
             e_priority = fm.fm_priority;
@@ -388,8 +388,10 @@ let rec apply_flow_mod t ~now (fm : Of_msg.flow_mod) =
             e_bytes = 0;
             e_installed = now;
             e_last_used = now;
-          };
-        Ok []
+          }
+        in
+        add_entry t e;
+        Ok (replaced, [ e ])
       end
   | Of_msg.Modify | Of_msg.Modify_strict -> (
       match selected t ~strict:(fm.fm_command = Of_msg.Modify_strict) fm with
@@ -398,7 +400,7 @@ let rec apply_flow_mod t ~now (fm : Of_msg.flow_mod) =
           apply_flow_mod t ~now { fm with fm_command = Of_msg.Add }
       | hits ->
           List.iter (fun e -> e.e_actions <- fm.fm_actions) hits;
-          Ok [])
+          Ok (hits, hits))
   | Of_msg.Delete | Of_msg.Delete_strict ->
       let removed =
         List.filter
@@ -409,7 +411,7 @@ let rec apply_flow_mod t ~now (fm : Of_msg.flow_mod) =
           (selected t ~strict:(fm.fm_command = Of_msg.Delete_strict) fm)
       in
       List.iter (remove_entry t) removed;
-      Ok removed
+      Ok (removed, [])
 
 let expired ~now e =
   let age_since from limit =

@@ -56,12 +56,16 @@ val lookup_linear : t -> Of_match.key -> entry option
 val account : entry -> now:Rf_sim.Vtime.t -> bytes:int -> unit
 
 val apply_flow_mod :
-  t -> now:Rf_sim.Vtime.t -> Of_msg.flow_mod -> (entry list, string) result
-(** Returns the entries removed by a delete command ([] for add and
-    modify). Add with an existing identical (match, priority) entry
-    replaces it, resetting counters. Add and the strict commands touch
-    only the entries of their own match; the non-strict ones sort every
-    entry. *)
+  t ->
+  now:Rf_sim.Vtime.t ->
+  Of_msg.flow_mod ->
+  (entry list * entry list, string) result
+(** Returns what changed: (the entries that left, the entries that
+    entered). Add with an existing identical (match, priority) entry
+    replaces it, resetting counters, and reports both. A modify changes
+    its hits' actions in place and reports them in both lists; a delete
+    reports what it removed. Add and the strict commands touch only the
+    entries of their own match; the non-strict ones sort every entry. *)
 
 val expire : t -> now:Rf_sim.Vtime.t -> (entry * removal_reason) list
 (** Removes and returns timed-out entries in canonical eviction order:

@@ -227,6 +227,11 @@ let boot_fails t ss =
       true
   | Some _ | None -> false
 
+let is_current t ss =
+  match Hashtbl.find_opt t.switches ss.ss_dpid with
+  | Some s -> s == ss
+  | None -> false
+
 let rec start_boots t =
   match t.boot_queue with
   | [] -> ()
@@ -243,16 +248,17 @@ let rec start_boots t =
           (Rf_sim.Engine.schedule ~entity:ss.ss_entity t.engine
              t.params.vm_boot_time (fun () ->
                t.booting <- t.booting - 1;
+               (* A switch that went down mid-boot is no longer the
+                  table's entry, even if it has come back since as a new
+                  one: its boot neither retries nor makes a VM. *)
                if boot_fails t ss then begin
                  Rf_sim.Engine.record t.engine
                    ?span:(Rf_obs.Phase.current (tracer t) Vm ss.ss_dpid)
                    ~component:"rf-server" ~event:"vm-boot-failed"
                    (Printf.sprintf "vm-%Ld" ss.ss_dpid);
-                 (* Retry unless the switch went away while booting. *)
-                 if Hashtbl.mem t.switches ss.ss_dpid then
-                   t.boot_queue <- t.boot_queue @ [ ss ]
+                 if is_current t ss then t.boot_queue <- t.boot_queue @ [ ss ]
                end
-               else finish_boot t ss;
+               else if is_current t ss then finish_boot t ss;
                start_boots t));
         start_boots t
       end
@@ -261,11 +267,7 @@ and finish_boot t ss =
   let vm = Vm.create t.engine ~dpid:ss.ss_dpid ~n_ports:ss.ss_ports () in
   ss.ss_vm <- Some vm;
   t.created <- t.created + 1;
-  (* A switch that went down mid-boot is no longer the table's entry;
-     its VM is not configured. *)
-  (match Hashtbl.find_opt t.switches ss.ss_dpid with
-  | Some s when s == ss -> t.configured <- t.configured + 1
-  | Some _ | None -> ());
+  t.configured <- t.configured + 1;
   Rf_vs.register_vm t.vs vm;
   Vm.add_on_flows_changed vm
     (Rf_controller_app.sync_flows t.app ~dpid:ss.ss_dpid vm);

@@ -5,40 +5,55 @@
    E9 leader-crash replay pins its violation windows at seed 42. *)
 
 open Rf_packet
-module A = Rf_obs.Auditor
-module Fwd = Rf_obs.Fwd_model
+module A = Rf_net.Auditor
+module Flow_table = Rf_net.Flow_table
 module Of_match = Rf_openflow.Of_match
 module Of_action = Rf_openflow.Of_action
+module Of_msg = Rf_openflow.Of_msg
 module Experiment = Rf_core.Experiment
 
 let pfx s = Ipv4_addr.Prefix.of_string_exn s
 
 let rf_prio = 0x4000 + (24 * 64)
 
-let rule ?(prio = rf_prio) ?(seq = 0) ?(rewrites = false) ~dst port =
-  let actions =
-    (if rewrites then
-       [ Of_action.Set_dl_src Mac.zero; Of_action.Set_dl_dst Mac.broadcast ]
-     else [])
-    @ [ Of_action.output port ]
-  in
-  Fwd.rule_of_actions ~match_:(Of_match.nw_dst_prefix (pfx dst)) ~priority:prio
-    ~seq actions
+let add ?(prio = rf_prio) ~dst port =
+  Of_msg.flow_add ~priority:prio
+    (Of_match.nw_dst_prefix (pfx dst))
+    [ Of_action.output port ]
+
+(* An auditor over per-switch flow tables, registered the way a
+   scenario registers its datapaths' tables. *)
+type fixture = { au : A.t; tables : (int64, Flow_table.t) Hashtbl.t }
+
+let fixture ?clock () = { au = A.create ?clock (); tables = Hashtbl.create 8 }
+
+let add_switch ?(table = Flow_table.create ()) fx d =
+  Hashtbl.replace fx.tables d table;
+  A.add_switch fx.au d table
+
+(* Applies a flow-mod to a switch's table and hands the auditor what
+   changed, as a datapath's table-change hook does. *)
+let flow_mod fx d fm =
+  match
+    Flow_table.apply_flow_mod (Hashtbl.find fx.tables d) ~now:Rf_sim.Vtime.zero
+      fm
+  with
+  | Ok (left, entered) -> A.table_changed fx.au d ~left ~entered
+  | Error e -> failwith e
 
 (* A manual clock the tests advance between updates, so window
    endpoints are checkable exactly. *)
 let manual () =
   let now = ref 0 in
-  let au = A.create ~clock:(fun () -> !now) () in
-  (au, now)
+  (fixture ~clock:(fun () -> !now) (), now)
 
 (* Triangle: sw1 port1 <-> sw2 port2, sw2 port1 <-> sw3 port2,
    sw3 port1 <-> sw1 port2; the host subnet sits on sw1 port 3. *)
-let triangle au =
-  List.iter (fun d -> A.add_switch au (Int64.of_int d)) [ 1; 2; 3 ];
-  A.add_link au ~a:(1L, 1) ~b:(2L, 2);
-  A.add_link au ~a:(2L, 1) ~b:(3L, 2);
-  A.add_link au ~a:(3L, 1) ~b:(1L, 2)
+let triangle fx =
+  List.iter (fun d -> add_switch fx (Int64.of_int d)) [ 1; 2; 3 ];
+  A.add_link fx.au ~a:(1L, 1) ~b:(2L, 2);
+  A.add_link fx.au ~a:(2L, 1) ~b:(3L, 2);
+  A.add_link fx.au ~a:(3L, 1) ~b:(1L, 2)
 
 let windows_of au kind =
   List.filter (fun (w : A.window) -> w.A.w_kind = kind) (A.windows au)
@@ -55,22 +70,24 @@ let open_of au kind =
 (* --- Invariant windows --------------------------------------------- *)
 
 let test_loop_window () =
-  let au, now = manual () in
-  triangle au;
+  let fx, now = manual () in
+  let au = fx.au in
+  triangle fx;
   (* Ring the prefix around the cycle: the loop forms (and the window
-     opens) the moment the third rule closes it — loops are violations
+     opens) the moment the third flow closes it — loops are violations
      regardless of host coverage. *)
-  A.set_switch_rules au 1L [ rule ~dst:"10.0.1.0/24" 1 ];
-  A.set_switch_rules au 2L [ rule ~dst:"10.0.1.0/24" 1 ];
+  flow_mod fx 1L (add ~dst:"10.0.1.0/24" 1);
+  flow_mod fx 2L (add ~dst:"10.0.1.0/24" 1);
   now := 5;
-  A.set_switch_rules au 3L [ rule ~dst:"10.0.1.0/24" 1 ];
+  flow_mod fx 3L (add ~dst:"10.0.1.0/24" 1);
   A.add_host au ~dpid:1L ~port:3 (pfx "10.0.1.0/24");
   Alcotest.(check int) "loop window opened" 1 (A.violations_total au A.Loop);
   Alcotest.(check (list string))
     "loop open for the ringed prefix" [ "10.0.1.0/24" ] (open_of au A.Loop);
-  (* Point sw1 at its host port: every walk now delivers. *)
+  (* Point sw1 at its host port (an add replacing the identical
+     entry): every walk now delivers. *)
   now := 9;
-  A.set_switch_rules au 1L [ rule ~dst:"10.0.1.0/24" 3 ];
+  flow_mod fx 1L (add ~dst:"10.0.1.0/24" 3);
   Alcotest.(check (list string)) "loop closed" [] (open_of au A.Loop);
   match windows_of au A.Loop with
   | [ w ] ->
@@ -79,8 +96,9 @@ let test_loop_window () =
   | ws -> Alcotest.failf "expected one loop window, got %d" (List.length ws)
 
 let test_blackhole_and_slow_path () =
-  let au, now = manual () in
-  triangle au;
+  let fx, now = manual () in
+  let au = fx.au in
+  triangle fx;
   now := 2;
   A.add_host au ~dpid:1L ~port:3 (pfx "10.0.1.0/24");
   (* sw1 delivers unmatched traffic for its own subnet via the
@@ -90,8 +108,8 @@ let test_blackhole_and_slow_path () =
     "blackhole opens for the covered prefix" [ "10.0.1.0/24" ]
     (open_of au A.Blackhole);
   now := 7;
-  A.set_switch_rules au 2L [ rule ~dst:"10.0.1.0/24" 2 ];
-  A.set_switch_rules au 3L [ rule ~dst:"10.0.1.0/24" 1 ];
+  flow_mod fx 2L (add ~dst:"10.0.1.0/24" 2);
+  flow_mod fx 3L (add ~dst:"10.0.1.0/24" 1);
   Alcotest.(check (list string))
     "routes installed, blackhole closed" [] (open_of au A.Blackhole);
   (match windows_of au A.Blackhole with
@@ -107,11 +125,12 @@ let test_blackhole_and_slow_path () =
     (A.reachability au)
 
 let test_link_down_blackhole () =
-  let au, now = manual () in
-  triangle au;
+  let fx, now = manual () in
+  let au = fx.au in
+  triangle fx;
   A.add_host au ~dpid:1L ~port:3 (pfx "10.0.1.0/24");
-  A.set_switch_rules au 2L [ rule ~dst:"10.0.1.0/24" 2 ];
-  A.set_switch_rules au 3L [ rule ~dst:"10.0.1.0/24" 1 ];
+  flow_mod fx 2L (add ~dst:"10.0.1.0/24" 2);
+  flow_mod fx 3L (add ~dst:"10.0.1.0/24" 1);
   Alcotest.(check (list string)) "healthy" [] (open_of au A.Blackhole);
   now := 11;
   A.set_link_state au ~a:(1L, 1) ~b:(2L, 2) false;
@@ -122,8 +141,9 @@ let test_link_down_blackhole () =
   Alcotest.(check (list string)) "restored" [] (open_of au A.Blackhole)
 
 let test_rib_fib_window () =
-  let au, now = manual () in
-  A.add_switch au 1L;
+  let fx, now = manual () in
+  let au = fx.au in
+  add_switch fx 1L;
   now := 3;
   A.set_rib au 1L [ (pfx "10.0.5.0/24", 1) ];
   Alcotest.(check (list (pair string string)))
@@ -131,12 +151,11 @@ let test_rib_fib_window () =
     [ ("rib_fib", "sw1") ]
     (List.map (fun (k, key) -> (A.kind_to_string k, key)) (A.open_violations au));
   now := 6;
-  A.set_switch_rules au 1L [ rule ~dst:"10.0.5.0/24" 1 ];
+  flow_mod fx 1L (add ~dst:"10.0.5.0/24" 1);
   Alcotest.(check int) "converged" 0 (List.length (A.open_violations au));
-  (* Low-priority rules (the slow-path defaults) are not part of the
+  (* Low-priority flows (the slow-path defaults) are not part of the
      installed FIB and must not count as divergence. *)
-  A.set_switch_rules au 1L
-    [ rule ~dst:"10.0.5.0/24" 1; rule ~prio:100 ~seq:1 ~dst:"0.0.0.0/0" 2 ];
+  flow_mod fx 1L (add ~prio:100 ~dst:"0.0.0.0/0" 2);
   Alcotest.(check int) "floor filters low priorities" 0
     (List.length (A.open_violations au));
   match windows_of au A.Rib_fib with
@@ -146,17 +165,19 @@ let test_rib_fib_window () =
   | ws -> Alcotest.failf "expected one rib_fib window, got %d" (List.length ws)
 
 let test_slice_isolation () =
-  let au, _now = manual () in
-  A.add_switch au 1L;
+  let fx, _now = manual () in
+  let au = fx.au in
+  add_switch fx 1L;
   A.set_slice au "data" [ Of_match.nw_dst_prefix (pfx "10.0.0.0/8") ];
   let escape = Of_match.nw_dst_prefix (pfx "192.168.1.0/24") in
   A.attribute au ~dpid:1L ~match_:escape ~priority:rf_prio "data";
   Alcotest.(check (list string)) "attribution alone is no violation" []
     (open_of au A.Slice);
-  A.set_switch_rules au 1L [ rule ~dst:"192.168.1.0/24" 1 ];
+  flow_mod fx 1L (add ~dst:"192.168.1.0/24" 1);
   Alcotest.(check (list string))
     "installed flow escapes the flowspace" [ "data" ] (open_of au A.Slice);
-  A.set_switch_rules au 1L [ rule ~dst:"10.0.9.0/24" 1 ];
+  flow_mod fx 1L (Of_msg.flow_delete ~strict:true ~priority:rf_prio escape);
+  flow_mod fx 1L (add ~dst:"10.0.9.0/24" 1);
   Alcotest.(check (list string)) "inside the flowspace" []
     (open_of au A.Slice);
   Alcotest.(check int) "one slice window total" 1
@@ -164,20 +185,34 @@ let test_slice_isolation () =
 
 (* --- qcheck: incremental vs brute-force rebuild -------------------- *)
 
-(* Random ring topologies fed random update sequences (rule pushes
-   with equal-priority overlaps and slices, some matching the ingress
-   port or destination MAC; link flaps; RIB publications). The incrementally-maintained auditor must agree
-   with (a) a fresh auditor fed only the final state and (b) itself
-   after a full recheck. *)
+(* Random ring topologies fed random update sequences: flow-mods (adds
+   with equal-priority overlaps and identical replaces, strict deletes,
+   non-strict deletes with and without an out_port, modifies), some
+   matching the ingress port or destination MAC; link flaps; RIB
+   publications; slice attributions. The incrementally-maintained
+   auditor must agree with (a) a fresh auditor over the same final
+   tables and state and (b) itself after a full recheck. *)
 
 type op =
-  | Push of int * Fwd.rule list
+  | Fm of int * Of_msg.flow_mod
   | Flap of int * bool
   | Rib of int * (Ipv4_addr.Prefix.t * int) list
   | Attr of int * Ipv4_addr.Prefix.t * int
 
 let pp_op = function
-  | Push (d, rules) -> Printf.sprintf "push sw%d (%d rules)" d (List.length rules)
+  | Fm (d, fm) ->
+      Format.asprintf "%s sw%d %a prio %d%s (%d actions)"
+        (match fm.Of_msg.fm_command with
+        | Of_msg.Add -> "add"
+        | Of_msg.Modify -> "modify"
+        | Of_msg.Modify_strict -> "modify-strict"
+        | Of_msg.Delete -> "delete"
+        | Of_msg.Delete_strict -> "delete-strict")
+        d Of_match.pp fm.Of_msg.fm_match fm.Of_msg.fm_priority
+        (match fm.Of_msg.fm_out_port with
+        | Some p -> Printf.sprintf " out_port %d" p
+        | None -> "")
+        (List.length fm.Of_msg.fm_actions)
   | Flap (l, up) -> Printf.sprintf "link %d %s" l (if up then "up" else "down")
   | Rib (d, routes) -> Printf.sprintf "rib sw%d (%d)" d (List.length routes)
   | Attr (d, p, prio) ->
@@ -192,34 +227,65 @@ let gen_case =
       pfx "10.0.0.0/16"; pfx "10.0.1.128/25"; pfx "192.168.7.0/24";
     ]
   in
-  (* Some rules match the fields a walk rewrites or changes per hop:
+  (* Some flows match the fields a walk rewrites or changes per hop:
      the ingress port (a ring port) and the destination MAC, which
      starts as [Mac.zero] and becomes [other_mac] after a rewrite. *)
   let other_mac = Mac.of_int64 0x020000000001L in
   let sometimes g = frequency [ (3, return None); (1, map Option.some g) ] in
-  let gen_rule seq =
+  let gen_match =
     let* p = oneofl prefix_pool in
-    let* prio = oneofl [ rf_prio; rf_prio; 0x4000 + (16 * 64); 0x4800 ] in
+    let* m_in_port = sometimes (int_range 1 2) in
+    let* m_dl_dst = sometimes (oneofl [ Mac.zero; other_mac ]) in
+    return { (Of_match.nw_dst_prefix p) with m_in_port; m_dl_dst }
+  in
+  let gen_prio = oneofl [ rf_prio; rf_prio; 0x4000 + (16 * 64); 0x4800 ] in
+  let gen_actions =
     let* port = int_range 1 3 in
     let* rewrite =
       oneofl
         [ []; [ Of_action.Set_dl_src Mac.zero ]; [ Of_action.Set_dl_dst other_mac ] ]
     in
-    let* m_in_port = sometimes (int_range 1 2) in
-    let* m_dl_dst = sometimes (oneofl [ Mac.zero; other_mac ]) in
-    let match_ = { (Of_match.nw_dst_prefix p) with m_in_port; m_dl_dst } in
-    return
-      (Fwd.rule_of_actions ~match_ ~priority:prio ~seq
-         (rewrite @ [ Of_action.output port ]))
+    return (rewrite @ [ Of_action.output port ])
+  in
+  let gen_fm =
+    frequency
+      [
+        ( 6,
+          let* m = gen_match in
+          let* priority = gen_prio in
+          let* actions = gen_actions in
+          return (Of_msg.flow_add ~priority m actions) );
+        ( 2,
+          let* m = gen_match in
+          let* priority = gen_prio in
+          return (Of_msg.flow_delete ~strict:true ~priority m) );
+        ( 2,
+          let* p = oneofl prefix_pool in
+          let* out_port = sometimes (int_range 1 3) in
+          return
+            {
+              (Of_msg.flow_delete (Of_match.nw_dst_prefix p)) with
+              Of_msg.fm_out_port = out_port;
+            } );
+        ( 1,
+          let* m = gen_match in
+          let* priority = gen_prio in
+          let* actions = gen_actions in
+          let* command = oneofl [ Of_msg.Modify; Of_msg.Modify_strict ] in
+          return
+            {
+              (Of_msg.flow_add ~priority m actions) with
+              Of_msg.fm_command = command;
+            } );
+      ]
   in
   let gen_op =
     let* d = int_range 1 n in
     frequency
       [
         ( 5,
-          let* k = int_range 0 4 in
-          let* rules = flatten_l (List.init k gen_rule) in
-          return (Push (d, rules)) );
+          let* fm = gen_fm in
+          return (Fm (d, fm)) );
         ( 2,
           let* l = int_range 1 n in
           let* up = bool in
@@ -241,7 +307,7 @@ let gen_case =
           return (Attr (d, p, prio)) );
       ]
   in
-  let* len = int_range 1 20 in
+  let* len = int_range 1 30 in
   let* ops = flatten_l (List.init len (fun _ -> gen_op)) in
   return (n, ops)
 
@@ -252,34 +318,36 @@ let arb_case =
     gen_case
 
 (* Ring of n switches: sw_i port1 <-> sw_(i+1) port2, host subnet
-   10.0.i.0/24 on port 3 of each switch. *)
-let setup_topology au n =
+   10.0.i.0/24 on port 3 of each switch. [table_of] gives each
+   switch's flow table (fresh ones by default). *)
+let setup_topology ?(table_of = fun _ -> Flow_table.create ()) fx n =
   for i = 1 to n do
-    A.add_switch au (Int64.of_int i)
+    let d = Int64.of_int i in
+    add_switch ~table:(table_of d) fx d
   done;
   for i = 1 to n do
     let j = (i mod n) + 1 in
-    A.add_link au ~a:(Int64.of_int i, 1) ~b:(Int64.of_int j, 2)
+    A.add_link fx.au ~a:(Int64.of_int i, 1) ~b:(Int64.of_int j, 2)
   done;
   for i = 1 to n do
-    A.add_host au ~dpid:(Int64.of_int i) ~port:3
+    A.add_host fx.au ~dpid:(Int64.of_int i) ~port:3
       (pfx (Printf.sprintf "10.0.%d.0/24" i))
   done;
-  A.set_slice au "data" [ Of_match.nw_dst_prefix (pfx "10.0.0.0/8") ]
+  A.set_slice fx.au "data" [ Of_match.nw_dst_prefix (pfx "10.0.0.0/8") ]
 
 let link_of n l =
   let i = ((l - 1) mod n) + 1 in
   let j = (i mod n) + 1 in
   ((Int64.of_int i, 1), (Int64.of_int j, 2))
 
-let apply_op au n = function
-  | Push (d, rules) -> A.set_switch_rules au (Int64.of_int d) rules
+let apply_op fx n = function
+  | Fm (d, fm) -> flow_mod fx (Int64.of_int d) fm
   | Flap (l, up) ->
       let a, b = link_of n l in
-      A.set_link_state au ~a ~b up
-  | Rib (d, routes) -> A.set_rib au (Int64.of_int d) routes
+      A.set_link_state fx.au ~a ~b up
+  | Rib (d, routes) -> A.set_rib fx.au (Int64.of_int d) routes
   | Attr (d, p, prio) ->
-      A.attribute au ~dpid:(Int64.of_int d)
+      A.attribute fx.au ~dpid:(Int64.of_int d)
         ~match_:(Of_match.nw_dst_prefix p) ~priority:prio "data"
 
 let observable au =
@@ -287,38 +355,38 @@ let observable au =
     A.reachability au,
     A.eq_classes au )
 
-(* The final state an op sequence leaves behind, replayable as a
-   single batch: last rule push per switch, last link state per
-   link, last RIB per switch, every attribution. *)
-let replay_final au n ops =
-  setup_topology au n;
+(* A fresh auditor over the final state an op sequence leaves behind:
+   the same flow tables, replayed as a single batch with the last link
+   state per link, the last RIB per switch and every attribution. *)
+let replay_final inc n ops =
+  let fx = fixture () in
+  setup_topology ~table_of:(Hashtbl.find inc.tables) fx n;
   let final = Hashtbl.create 16 in
   List.iter
     (fun op ->
-      let key =
-        match op with
-        | Push (d, _) -> ("push", d)
-        | Flap (l, _) -> ("flap", ((l - 1) mod n) + 1)
-        | Rib (d, _) -> ("rib", d)
-        | Attr (d, p, prio) ->
+      match op with
+      | Fm _ -> ()
+      | Flap (l, _) -> Hashtbl.replace final ("flap", ((l - 1) mod n) + 1) op
+      | Rib (d, _) -> Hashtbl.replace final ("rib", d) op
+      | Attr (d, p, prio) ->
+          Hashtbl.replace final
             ("attr-" ^ Ipv4_addr.Prefix.to_string p ^ string_of_int prio, d)
-      in
-      Hashtbl.replace final key op)
+            op)
     ops;
   Hashtbl.fold (fun _ op acc -> op :: acc) final []
   |> List.sort compare
-  |> List.iter (fun op -> apply_op au n op)
+  |> List.iter (fun op -> apply_op fx n op);
+  fx
 
 let prop_incremental_matches_rebuild =
   QCheck.Test.make ~count:200 ~name:"incremental audit = brute-force rebuild"
     arb_case (fun (n, ops) ->
-      let inc = A.create () in
+      let inc = fixture () in
       setup_topology inc n;
       List.iter (fun op -> apply_op inc n op) ops;
-      let brute = A.create () in
-      replay_final brute n ops;
-      let vi, ri, ci = observable inc in
-      let vb, rb, cb = observable brute in
+      let brute = replay_final inc n ops in
+      let vi, ri, ci = observable inc.au in
+      let vb, rb, cb = observable brute.au in
       if vi <> vb then
         QCheck.Test.fail_reportf "violations differ: inc=[%s] brute=[%s]"
           (String.concat "," (List.map (fun (k, s) -> k ^ ":" ^ s) vi))
@@ -331,12 +399,12 @@ let prop_incremental_matches_rebuild =
 let prop_full_recheck_idempotent =
   QCheck.Test.make ~count:200 ~name:"full recheck changes nothing"
     arb_case (fun (n, ops) ->
-      let au = A.create () in
-      setup_topology au n;
-      List.iter (fun op -> apply_op au n op) ops;
-      let before = observable au in
-      A.full_recheck au;
-      let after = observable au in
+      let fx = fixture () in
+      setup_topology fx n;
+      List.iter (fun op -> apply_op fx n op) ops;
+      let before = observable fx.au in
+      A.full_recheck fx.au;
+      let after = observable fx.au in
       before = after)
 
 (* --- E9 leader-crash replay, reduced ring, seed 42 ----------------- *)

@@ -149,7 +149,7 @@ let test_flow_table_delete_nonstrict () =
      Flow_table.apply_flow_mod table ~now
        (Of_msg.flow_delete (Of_match.nw_dst_prefix (pfx "10.0.0.0/8")))
    with
-  | Ok removed -> Alcotest.(check int) "removed" 2 (List.length removed)
+  | Ok (removed, _) -> Alcotest.(check int) "removed" 2 (List.length removed)
   | Error e -> Alcotest.fail e);
   Alcotest.(check int) "one left" 1 (Flow_table.size table)
 
@@ -163,7 +163,7 @@ let test_flow_table_delete_strict () =
        (Of_msg.flow_delete ~strict:true ~priority:200
           (Of_match.nw_dst_prefix (pfx "10.0.0.0/8")))
    with
-  | Ok removed -> Alcotest.(check int) "only exact" 1 (List.length removed)
+  | Ok (removed, _) -> Alcotest.(check int) "only exact" 1 (List.length removed)
   | Error e -> Alcotest.fail e);
   Alcotest.(check int) "one left" 1 (Flow_table.size table);
   match Flow_table.lookup table (key_for (ip "10.0.0.5")) with
@@ -229,8 +229,8 @@ let test_flow_table_capacity () =
    and to a naive model — a list of (entry, expected actions) in table
    order, priority descending and then installation order. After every
    step the two must agree on the entries (physically, in order), on
-   what each step removed, on the counters, and on every lookup of a
-   probe grid through [lookup], [lookup_linear] and the model's first
+   the entries each step reports as left, on the counters, and on
+   every lookup of a probe grid through [lookup], [lookup_linear] and the model's first
    match. The matches span six signatures, so entries of one projected
    key at several priorities and ties across buckets both occur. *)
 let model_probes =
@@ -275,7 +275,7 @@ let prop_flow_table_model =
         let same (e : Flow_table.entry) =
           Of_match.equal fm.fm_match e.e_match && fm.fm_priority = e.e_priority
         in
-        let kept = List.filter (fun (e, _) -> not (same e)) !model in
+        let replaced, kept = List.partition (fun (e, _) -> same e) !model in
         if List.length kept >= capacity then Error "all tables full"
         else begin
           incr seq;
@@ -299,7 +299,7 @@ let prop_flow_table_model =
             List.partition (fun (e, _) -> not (before expected e)) kept
           in
           model := higher @ ((expected, fm.fm_actions) :: lower);
-          Ok []
+          Ok (List.map fst replaced)
         end
       in
       (* The model's answer to one step, computed before the table's. *)
@@ -316,13 +316,13 @@ let prop_flow_table_model =
             let strict = fm.fm_command = Of_msg.Modify_strict in
             match List.filter (fun (e, _) -> selects ~strict e) !model with
             | [] -> model_add ~now fm
-            | _ ->
+            | hits ->
                 model :=
                   List.map
                     (fun (e, a) ->
                       if selects ~strict e then (e, fm.fm_actions) else (e, a))
                     !model;
-                Ok [])
+                Ok (List.map fst hits))
         | Of_msg.Delete | Of_msg.Delete_strict ->
             let strict = fm.fm_command = Of_msg.Delete_strict in
             let outputs (e : Flow_table.entry) =
@@ -455,11 +455,83 @@ let prop_flow_table_model =
             | _ -> (
                 let expected = model_step ~now fm in
                 match (expected, Flow_table.apply_flow_mod table ~now fm) with
-                | Ok a, Ok b -> same_entries a b
+                | Ok a, Ok (left, _) -> same_entries a left
                 | Error a, Error b -> a = b
                 | _ -> false)
           in
           step_ok && agree ())
+        ops)
+
+(* The table reports exactly what changed: after every step of random
+   adds (identical replaces included), modify and modify-strict, delete
+   and delete-strict (with and without an out_port) and expiry, taking
+   the reported [left] entries out of a model multiset and adding the
+   [entered] ones gives the table's entries, physically. *)
+let prop_flow_table_reports_changes =
+  QCheck.Test.make ~name:"flow table reports exactly what changed" ~count:200
+    QCheck.(
+      list_of_size (Gen.int_bound 60)
+        (quad (int_bound 6) (int_bound 9) (int_bound 2) (int_bound 31)))
+    (fun ops ->
+      let table = Flow_table.create () in
+      let model = ref [] and clock = ref 0. in
+      let rec take e = function
+        | [] -> None
+        | x :: rest when x == e -> Some rest
+        | x :: rest -> Option.map (List.cons x) (take e rest)
+      in
+      let by_seq l =
+        List.sort
+          (fun (a : Flow_table.entry) (b : Flow_table.entry) ->
+            Int.compare a.e_seq b.e_seq)
+          l
+      in
+      List.for_all
+        (fun (kind, mi, prio, bits) ->
+          let left, entered =
+            if kind = 6 then begin
+              clock := !clock +. float_of_int (1 + (bits land 3));
+              let gone = Flow_table.expire table ~now:(Vtime.of_s !clock) in
+              (List.map fst gone, [])
+            end
+            else
+              let port = 1 + (bits land 1) in
+              let fm =
+                {
+                  (Of_msg.flow_add ~priority:(100 + prio)
+                     ~idle_timeout:(if bits land 4 <> 0 then 2 else 0)
+                     ~hard_timeout:(if bits land 8 <> 0 then 3 else 0)
+                     model_matches.(mi) [ Of_action.output port ])
+                  with
+                  Of_msg.fm_out_port =
+                    (if bits land 2 <> 0 then Some port else None);
+                  fm_command =
+                    (match kind with
+                    | 0 | 1 -> Of_msg.Add
+                    | 2 -> Of_msg.Modify
+                    | 3 -> Of_msg.Modify_strict
+                    | 4 -> Of_msg.Delete
+                    | _ -> Of_msg.Delete_strict);
+                }
+              in
+              match
+                Flow_table.apply_flow_mod table ~now:(Vtime.of_s !clock) fm
+              with
+              | Ok change -> change
+              | Error e -> failwith e
+          in
+          match
+            List.fold_left
+              (fun acc e -> Option.bind acc (take e))
+              (Some !model) left
+          with
+          | None -> false
+          | Some kept ->
+              model := entered @ kept;
+              let want = by_seq !model
+              and have = by_seq (Flow_table.entries table) in
+              List.length want = List.length have
+              && List.for_all2 ( == ) want have)
         ops)
 
 (* Differential oracle for the bucketed store: lookup and lookup_linear
@@ -1510,6 +1582,7 @@ let suite =
       test_untimed_datapath_schedules_no_expiry;
     Alcotest.test_case "timed entry expires on the 1 s grid" `Quick
       test_timed_entry_expires_on_grid;
+    QCheck_alcotest.to_alcotest prop_flow_table_reports_changes;
     Alcotest.test_case "forwarded frame within word budget" `Quick
       test_forward_hop_word_budget;
     Alcotest.test_case "expire on an untimed table allocates nothing" `Quick

@@ -525,12 +525,14 @@ let test_rf_system_configured_count () =
     Alcotest.(check int) (label ^ ": vms") expected n;
     Alcotest.(check int) (label ^ ": count") n (Rf_system.configured_count rf)
   in
+  let sw3_ready = ref 0 in
+  Rf_system.add_on_vm_ready rf (fun d -> if d = 3L then incr sw3_ready);
   Rf_system.switch_up rf ~dpid:1L ~n_ports:2;
   Rf_system.switch_up rf ~dpid:2L ~n_ports:2;
   ignore (Engine.run ~until:(Vtime.of_s 6.0) engine);
   check "both booted" 2;
   (* sw3 goes down mid-boot and comes back before the first boot ends:
-     the orphaned boot must not count, the second one must. *)
+     the orphaned boot must make no VM, the second one must. *)
   Rf_system.switch_up rf ~dpid:3L ~n_ports:2;
   ignore (Engine.run ~until:(Vtime.of_s 8.0) engine);
   Rf_system.switch_down rf ~dpid:3L;
@@ -539,6 +541,8 @@ let test_rf_system_configured_count () =
   check "orphaned boot finished" 2;
   ignore (Engine.run ~until:(Vtime.of_s 20.0) engine);
   check "re-up booted" 3;
+  Alcotest.(check int) "sw3 ready once" 1 !sw3_ready;
+  Alcotest.(check int) "VMs created" 3 (Rf_system.vms_created rf);
   Rf_system.switch_down rf ~dpid:1L;
   check "configured switch down" 2
 
