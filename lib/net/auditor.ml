@@ -384,26 +384,31 @@ let rib_key dpid = Printf.sprintf "sw%Ld" dpid
 
 let rf_priority_floor = 0x4000
 
-let entries t dpid =
+(* [f] of each of the switch's entries that it keeps, in no particular
+   order: both checks below sort or dedupe what they keep. *)
+let filter_entries t dpid f =
   match Fwd_model.table t.model dpid with
-  | Some table -> Flow_table.entries table
+  | Some table ->
+      let kept = ref [] in
+      Flow_table.iter table (fun e ->
+          match f e with Some x -> kept := x :: !kept | None -> ());
+      !kept
   | None -> []
 
 let installed_fib t dpid =
-  entries t dpid
-  |> List.filter_map (fun (e : Flow_table.entry) ->
-         if e.e_priority < rf_priority_floor then None
-         else if e.e_match.Of_match.m_dl_type <> Some 0x800 then None
-         else
-           match e.e_match.Of_match.m_nw_dst with
-           | None -> None
-           | Some p -> (
-               match
-                 List.find_opt Rf_openflow.Of_port.is_physical
-                   (Of_action.outputs e.e_actions)
-               with
-               | Some port -> Some (p, port)
-               | None -> None))
+  filter_entries t dpid (fun (e : Flow_table.entry) ->
+      if e.e_priority < rf_priority_floor then None
+      else if e.e_match.Of_match.m_dl_type <> Some 0x800 then None
+      else
+        match e.e_match.Of_match.m_nw_dst with
+        | None -> None
+        | Some p -> (
+            match
+              List.find_opt Rf_openflow.Of_port.is_physical
+                (Of_action.outputs e.e_actions)
+            with
+            | Some port -> Some (p, port)
+            | None -> None))
   |> List.sort (fun (p1, o1) (p2, o2) ->
          match Prefix.compare p1 p2 with 0 -> compare o1 o2 | c -> c)
 
@@ -432,28 +437,27 @@ let attribution_key dpid (m : Of_match.t) priority =
 
 let recheck_slice t dpid =
   let viol =
-    entries t dpid
-    |> List.filter_map (fun (e : Flow_table.entry) ->
-           match
-             Hashtbl.find_opt t.attribution
-               (attribution_key dpid e.e_match e.e_priority)
-           with
-           | None -> None
-           | Some flows -> (
-               match
-                 List.find_opt (fun (m, _) -> Of_match.equal m e.e_match) flows
-               with
-               | None -> None
-               | Some (_, slice) ->
-                   let permitted =
-                     match Hashtbl.find_opt t.slices slice with
-                     | Some patterns ->
-                         List.exists
-                           (fun pat -> Of_match.subsumes pat e.e_match)
-                           patterns
-                     | None -> false
-                   in
-                   if permitted then None else Some slice))
+    filter_entries t dpid (fun (e : Flow_table.entry) ->
+        match
+          Hashtbl.find_opt t.attribution
+            (attribution_key dpid e.e_match e.e_priority)
+        with
+        | None -> None
+        | Some flows -> (
+            match
+              List.find_opt (fun (m, _) -> Of_match.equal m e.e_match) flows
+            with
+            | None -> None
+            | Some (_, slice) ->
+                let permitted =
+                  match Hashtbl.find_opt t.slices slice with
+                  | Some patterns ->
+                      List.exists
+                        (fun pat -> Of_match.subsumes pat e.e_match)
+                        patterns
+                  | None -> false
+                in
+                if permitted then None else Some slice))
     |> List.sort_uniq String.compare
   in
   let old = Option.value (Hashtbl.find_opt t.slice_bad dpid) ~default:[] in

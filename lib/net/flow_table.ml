@@ -40,16 +40,28 @@ type bucket = {
   mutable b_count : int;
 }
 
+(* A chain of remembered lookups: each key asked for, with its answer. *)
+type chain = Nil | Cached of Of_match.key * entry option * chain
+
+(* The lookup cache answers a key from an earlier key with the same
+   projection onto the union of the buckets' signatures: every field any
+   bucket pins, and the longest source and destination prefixes. Each
+   bucket reads only its own signature's fields, so keys that agree on
+   the union reach the same slots and pass the same matches, and get
+   the same answer. [cache] is [||] until the first lookup and doubles
+   once it holds more answers than slots; an add or a remove empties it
+   in place, and it is emptied when it holds [cache_cap] answers. *)
 type t = {
   mutable buckets : bucket list;
   capacity : int;
   mutable next_seq : int;
   mutable size : int;
   mutable timed : int;  (* entries with an idle or hard timeout *)
+  mutable union_hash : Of_match.key -> int;
+  mutable union_equal : Of_match.key -> Of_match.key -> bool;
+  mutable cache : chain array;  (* length a power of two, or 0 *)
+  mutable cached : int;
 }
-
-let create ?(capacity = 65536) () =
-  { buckets = []; capacity; next_seq = 0; size = 0; timed = 0 }
 
 let is_timed e = e.e_idle_timeout > 0 || e.e_hard_timeout > 0
 
@@ -186,6 +198,23 @@ module View (S : SIGNATURE) = struct
     let h = (h lxor (h lsr 33)) * 0x3f51afd7ed558ccd in
     let h = (h lxor (h lsr 33)) * 0x34ceb9fe1a85ec53 in
     (h lxor (h lsr 33)) land max_int
+
+  (* Equal projections: every pinned field and prefix bit agrees. *)
+  let equal (a : t) (b : t) =
+    (a.in_port lxor b.in_port) land in_port = 0
+    && (Mac.to_int a.dl_src lxor Mac.to_int b.dl_src) land dl_src = 0
+    && (Mac.to_int a.dl_dst lxor Mac.to_int b.dl_dst) land dl_dst = 0
+    && (a.dl_vlan lxor b.dl_vlan) land dl_vlan = 0
+    && (a.dl_pcp lxor b.dl_pcp) land dl_pcp = 0
+    && (a.dl_type lxor b.dl_type) land dl_type = 0
+    && (a.nw_tos lxor b.nw_tos) land nw_tos = 0
+    && (a.nw_proto lxor b.nw_proto) land nw_proto = 0
+    && (Ipv4_addr.to_int a.nw_src lxor Ipv4_addr.to_int b.nw_src) land nw_src
+       = 0
+    && (Ipv4_addr.to_int a.nw_dst lxor Ipv4_addr.to_int b.nw_dst) land nw_dst
+       = 0
+    && (a.tp_src lxor b.tp_src) land tp_src = 0
+    && (a.tp_dst lxor b.tp_dst) land tp_dst = 0
 end
 
 let signature_of (m : Of_match.t) =
@@ -196,6 +225,38 @@ let signature_of (m : Of_match.t) =
 
     let dst = prefix_len m.m_nw_dst
   end : SIGNATURE)
+
+(* The hash and equality of keys projected onto the union of the
+   buckets' signatures. *)
+let union_view buckets =
+  let module V = View (struct
+    let mask = List.fold_left (fun m b -> m lor b.b_mask) 0 buckets
+
+    let src = List.fold_left (fun l b -> max l b.b_src) (-1) buckets
+
+    let dst = List.fold_left (fun l b -> max l b.b_dst) (-1) buckets
+  end) in
+  (V.hash, V.equal)
+
+let create ?(capacity = 65536) () =
+  let union_hash, union_equal = union_view [] in
+  {
+    buckets = [];
+    capacity;
+    next_seq = 0;
+    size = 0;
+    timed = 0;
+    union_hash;
+    union_equal;
+    cache = [||];
+    cached = 0;
+  }
+
+(* Called when a bucket appears or goes. *)
+let set_union t =
+  let union_hash, union_equal = union_view t.buckets in
+  t.union_hash <- union_hash;
+  t.union_equal <- union_equal
 
 let bucket_hash m key =
   let module V = View ((val signature_of m)) in
@@ -292,7 +353,7 @@ let rec first_match key = function
 (* Highest priority across buckets wins; within equal priority the
    earliest-installed entry ([e_seq]) — exactly the entry the linear
    scan finds. *)
-let lookup t key =
+let walk t key =
   let rec go best = function
     | [] -> best
     | b :: rest -> (
@@ -305,19 +366,64 @@ let lookup t key =
   in
   go None t.buckets
 
+let cache_cap = 1024
+
+let empty_cache t =
+  if t.cached > 0 then begin
+    Array.fill t.cache 0 (Array.length t.cache) Nil;
+    t.cached <- 0
+  end
+
+let cache_slot t key = t.union_hash key land (Array.length t.cache - 1)
+
+let grow_cache t =
+  let old = t.cache in
+  if t.cached > Array.length old then begin
+    t.cache <- Array.make (2 * Array.length old) Nil;
+    let rec move = function
+      | Nil -> ()
+      | Cached (key, hit, rest) ->
+          let i = cache_slot t key in
+          t.cache.(i) <- Cached (key, hit, t.cache.(i));
+          move rest
+    in
+    Array.iter move old
+  end
+
+let remember t key =
+  let hit = walk t key in
+  if t.cached >= cache_cap then empty_cache t;
+  let i = cache_slot t key in
+  t.cache.(i) <- Cached (key, hit, t.cache.(i));
+  t.cached <- t.cached + 1;
+  grow_cache t;
+  hit
+
+let rec probe t key = function
+  | Nil -> remember t key
+  | Cached (k, hit, rest) ->
+      if t.union_equal k key then hit else probe t key rest
+
+let lookup t key =
+  if Array.length t.cache = 0 then t.cache <- Array.make 8 Nil;
+  probe t key t.cache.(cache_slot t key)
+
 let account e ~now ~bytes =
   e.e_packets <- e.e_packets + 1;
   e.e_bytes <- e.e_bytes + bytes;
   e.e_last_used <- now
 
-(* Every change to the store goes through this pair. *)
+(* Every change to the store goes through this pair, and each empties
+   the lookup cache. *)
 let add_entry t e =
+  empty_cache t;
   let b =
     match find_bucket t e.e_match with
     | Some b -> b
     | None ->
         let b = new_bucket e.e_match in
         t.buckets <- b :: t.buckets;
+        set_union t;
         b
   in
   let rec insert = function
@@ -335,10 +441,14 @@ let remove_entry t e =
   match find_bucket t e.e_match with
   | None -> ()
   | Some b ->
+      empty_cache t;
       let i = entry_slot b e in
       b.b_slots.(i) <- List.filter (fun x -> x != e) b.b_slots.(i);
       b.b_count <- b.b_count - 1;
-      if b.b_count = 0 then t.buckets <- List.filter (( != ) b) t.buckets;
+      if b.b_count = 0 then begin
+        t.buckets <- List.filter (( != ) b) t.buckets;
+        set_union t
+      end;
       t.size <- t.size - 1;
       if is_timed e then t.timed <- t.timed - 1
 

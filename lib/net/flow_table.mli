@@ -35,13 +35,20 @@ val size : t -> int
 val entries : t -> entry list
 (** Priority-descending, then insertion order; sorted on each call. *)
 
+val iter : t -> (entry -> unit) -> unit
+(** Every entry, in no particular order, without sorting. *)
+
 val lookup : t -> Of_match.key -> entry option
 (** Highest-priority matching entry (insertion order breaks ties).
     The table stores its entries by wildcard signature in exact-match
     hash buckets, so the cost is one hash probe per distinct signature
     rather than a scan of every entry. A probe hashes the key as it is,
-    through the bucket's mask, and allocates nothing. Does not touch
-    counters; callers account explicitly. *)
+    through the bucket's mask, and allocates nothing. In front of the
+    buckets sits a cache of earlier answers, keyed on the key's
+    projection onto every field some bucket reads: a key that agrees
+    there with an earlier one since the last add or remove costs one
+    probe, and gets the same entry the buckets would give. Does not
+    touch counters; callers account explicitly. *)
 
 val bucket_hash : Of_match.t -> Of_match.key -> int
 (** The hash {!lookup} computes for a key in the bucket of entries

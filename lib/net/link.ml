@@ -3,11 +3,14 @@ type attachment = To_switch of Datapath.t * int | To_host of Host.t
 type capacity = { bandwidth_bps : int; queue_frames : int }
 
 (* Per-direction transmitter state: [busy_until] is when the serializer
-   frees up, [queued] counts frames buffered or on the wire (the frame
-   being serialized occupies a queue slot until transmission ends). *)
+   frees up, [draining] holds the finish times of the frames buffered or
+   on the wire, oldest first (the frame being serialized occupies a
+   queue slot until transmission ends). A frame leaves it lazily, at
+   the next transmit at or after its finish time, so a frame costs no
+   event of its own when serialization ends. *)
 type direction = {
   mutable busy_until : Rf_sim.Vtime.t;
-  mutable queued : int;
+  draining : Rf_sim.Vtime.t Queue.t;
   mutable queue_dropped : int;
 }
 
@@ -18,6 +21,7 @@ type t = {
   a : attachment;
   b : attachment;
   mutable up : bool;
+  mutable downs : int;  (* [set_up false] transitions so far *)
   mutable capacity : capacity option;
   dir_ab : direction;
   dir_ba : direction;
@@ -32,15 +36,15 @@ let deliver side frame =
   | To_switch (dp, port) -> Datapath.receive_frame dp ~in_port:port frame
   | To_host h -> Host.receive_frame h frame
 
+let carry t other frame =
+  t.carried <- t.carried + 1;
+  (match t.tap with Some f -> f frame | None -> ());
+  deliver other frame
+
 let propagate t other frame =
   ignore
     (Rf_sim.Engine.schedule ~entity:t.entity t.engine t.latency (fun () ->
-         if t.up then begin
-           t.carried <- t.carried + 1;
-           (match t.tap with Some f -> f frame | None -> ());
-           deliver other frame
-         end
-         else t.dropped <- t.dropped + 1))
+         if t.up then carry t other frame else t.dropped <- t.dropped + 1))
 
 let serialization_delay cap frame =
   let bits = 8 * String.length frame in
@@ -55,14 +59,19 @@ let attach t side other dir =
       match t.capacity with
       | None -> propagate t other frame
       | Some cap ->
-          if dir.queued >= cap.queue_frames then begin
+          let now = Rf_sim.Engine.now t.engine in
+          while
+            (not (Queue.is_empty dir.draining))
+            && Rf_sim.Vtime.(Queue.peek dir.draining <= now)
+          do
+            ignore (Queue.pop dir.draining)
+          done;
+          if Queue.length dir.draining >= cap.queue_frames then begin
             (* Bounded FIFO: tail drop. *)
             dir.queue_dropped <- dir.queue_dropped + 1;
             t.dropped <- t.dropped + 1
           end
           else begin
-            dir.queued <- dir.queued + 1;
-            let now = Rf_sim.Engine.now t.engine in
             let start =
               if Rf_sim.Vtime.compare dir.busy_until now > 0 then
                 dir.busy_until
@@ -72,11 +81,15 @@ let attach t side other dir =
               Rf_sim.Vtime.add start (serialization_delay cap frame)
             in
             dir.busy_until <- finish;
+            Queue.push finish dir.draining;
+            (* One event per frame, at its arrival: a link that went
+               down since the frame was accepted lost it, even if it is
+               up again by then. *)
+            let downs = t.downs in
             ignore
-              (Rf_sim.Engine.schedule_at ~entity:t.entity t.engine finish
-                 (fun () ->
-                   dir.queued <- dir.queued - 1;
-                   if t.up then propagate t other frame
+              (Rf_sim.Engine.schedule_at ~entity:t.entity t.engine
+                 (Rf_sim.Vtime.add finish t.latency) (fun () ->
+                   if t.up && t.downs = downs then carry t other frame
                    else t.dropped <- t.dropped + 1))
           end
   in
@@ -96,7 +109,11 @@ let attribution a b =
 
 let connect engine ?(latency = Rf_sim.Vtime.span_ms 1) ?capacity a b =
   let direction () =
-    { busy_until = Rf_sim.Vtime.zero; queued = 0; queue_dropped = 0 }
+    {
+      busy_until = Rf_sim.Vtime.zero;
+      draining = Queue.create ();
+      queue_dropped = 0;
+    }
   in
   let t =
     {
@@ -106,6 +123,7 @@ let connect engine ?(latency = Rf_sim.Vtime.span_ms 1) ?capacity a b =
       a;
       b;
       up = true;
+      downs = 0;
       capacity;
       dir_ab = direction ();
       dir_ba = direction ();
@@ -126,6 +144,7 @@ let capacity t = t.capacity
 let set_up t up =
   if t.up <> up then begin
     t.up <- up;
+    if not up then t.downs <- t.downs + 1;
     let toggle = function
       | To_switch (dp, port) -> Datapath.set_port_up dp port up
       | To_host _ -> ()

@@ -28,11 +28,15 @@ val connect :
     dropped.
 
     Without [capacity] the link is ideal (infinite bandwidth, no
-    queueing) and behaves exactly as before the capacity model was
-    introduced. With [capacity], each direction serializes frames at
+    queueing): a frame arrives if the link is up [latency] after it was
+    sent. With [capacity], each direction serializes frames at
     [bandwidth_bps] through a bounded FIFO of [queue_frames] slots;
     frames arriving at a full queue are tail-dropped and counted in
-    {!frames_queue_dropped}. *)
+    {!frames_queue_dropped}. A frame leaves the FIFO when its
+    serialization ends (before any frame sent at that instant is
+    queued) and arrives [latency] later, one engine event per frame;
+    it is lost if the link went down at any time since it was
+    accepted, even if the link is up again when it would arrive. *)
 
 val set_capacity : t -> capacity option -> unit
 (** Changes the capacity model for subsequent frames. [None] restores

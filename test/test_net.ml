@@ -231,18 +231,31 @@ let test_flow_table_capacity () =
    step the two must agree on the entries (physically, in order), on
    the entries each step reports as left, on the counters, and on
    every lookup of a probe grid through [lookup], [lookup_linear] and the model's first
-   match. The matches span six signatures, so entries of one projected
-   key at several priorities and ties across buckets both occur. *)
+   match. The matches span seven signatures, so entries of one projected
+   key at several priorities and ties across buckets both occur. Each
+   grid key also comes in three variants, asked after it: a different
+   [tp_src], a different [dl_src] (fields only the exact matches pin)
+   and a source outside the one source prefix. A lookup cache that
+   answered a variant from its grid key while some installed signature
+   tells them apart, or from before a change, disagrees with the model. *)
 let model_probes =
-  List.concat_map
-    (fun in_port ->
-      List.concat_map
-        (fun dl_type ->
-          List.map
-            (fun dst -> { (key_for (ip dst)) with in_port; dl_type })
-            [ "10.1.2.9"; "10.2.7.9"; "10.1.9.9"; "10.3.3.3"; "11.0.0.1" ])
-        [ 0x0800; 0x0806 ])
-    [ 1; 2 ]
+  let grid =
+    List.concat_map
+      (fun in_port ->
+        List.concat_map
+          (fun dl_type ->
+            List.map
+              (fun dst -> { (key_for (ip dst)) with in_port; dl_type })
+              [ "10.1.2.9"; "10.2.7.9"; "10.1.9.9"; "10.3.3.3"; "11.0.0.1" ])
+          [ 0x0800; 0x0806 ])
+      [ 1; 2 ]
+  in
+  grid
+  @ List.concat_map
+      (fun (k : Of_match.key) ->
+        [ { k with tp_src = 7 }; { k with dl_src = Mac.make_local 9 };
+          { k with nw_src = ip "10.0.1.1" } ])
+      grid
 
 let model_matches =
   Array.of_list
@@ -253,7 +266,8 @@ let model_matches =
     @ [ Of_match.dl_type_is 0x0800; Of_match.dl_type_is 0x0806;
         Of_match.wildcard_all;
         Of_match.exact_of_key (List.nth model_probes 0);
-        Of_match.exact_of_key (List.nth model_probes 10) ])
+        Of_match.exact_of_key (List.nth model_probes 10);
+        { Of_match.wildcard_all with m_nw_src = Some (pfx "10.0.0.0/24") } ])
 
 let prop_flow_table_model =
   QCheck.Test.make ~name:"flow table agrees with naive reference model"
@@ -261,7 +275,7 @@ let prop_flow_table_model =
     QCheck.(
       pair (oneofl [ 4; 12; 64 ])
         (list_of_size (Gen.int_bound 60)
-           (quad (int_bound 7) (int_bound 9) (int_bound 2) (int_bound 31))))
+           (quad (int_bound 7) (int_bound 10) (int_bound 2) (int_bound 31))))
     (fun (capacity, ops) ->
       let table = Flow_table.create ~capacity () in
       let model = ref [] and seq = ref 0 and clock = ref 0. in

@@ -127,6 +127,65 @@ let test_link_tail_drop_bounds_queue () =
   Alcotest.(check bool) "not all datagrams survived" true
     (Host.udp_received h2 < 100)
 
+(* --- link hop: serialization, propagation, flaps ---------------------- *)
+
+(* Sends [n] equal datagrams from h1 at [at], all in one instant, over a
+   64 kbit/s link with a 4-deep queue; [flap] may schedule link changes.
+   Returns the link and, earliest first, the instant and length of each
+   frame the tap saw arrive. *)
+let hop_burst ?(flap = fun _ _ -> ()) ~at n =
+  let engine = Engine.create () in
+  let capacity = { Link.bandwidth_bps = 64_000; queue_frames = 4 } in
+  let h1, h2, link = linked_host_pair engine ~capacity () in
+  prime_arp engine h1 h2;
+  let arrivals = ref [] in
+  Link.set_tap link (fun frame ->
+      arrivals := (Engine.now engine, String.length frame) :: !arrivals);
+  ignore
+    (Engine.schedule_at engine at (fun () ->
+         for _ = 1 to n do
+           Host.send_udp h1 ~src_port:5000 ~dst:(ip "10.0.0.2") ~dst_port:9
+             (String.make 100 'x')
+         done));
+  flap engine link;
+  ignore (Engine.run ~until:(Vtime.of_s 10.0) engine);
+  (link, List.rev !arrivals)
+
+let test_link_burst_arrivals () =
+  (* The k-th accepted frame waits for k serializations, then the 1 ms
+     latency; the frames beyond the queue depth are tail drops. *)
+  let t0 = Vtime.of_s 2.0 in
+  let link, arrivals = hop_burst ~at:t0 10 in
+  let len = match arrivals with (_, len) :: _ -> len | [] -> 0 in
+  let serialization_us = 8 * len * 1_000_000 / 64_000 in
+  Alcotest.(check (list int))
+    "arrivals"
+    (List.init 4 (fun k -> Vtime.to_us t0 + ((k + 1) * serialization_us) + 1000))
+    (List.map (fun (at, _) -> Vtime.to_us at) arrivals);
+  Alcotest.(check int) "queue drops" 6 (Link.frames_queue_dropped link);
+  Alcotest.(check int) "conservation"
+    (Link.frames_offered link)
+    (Link.frames_carried link + Link.frames_dropped link)
+
+let test_link_flap_drops_in_flight () =
+  (* Down and up again while the frame serializes: it is lost, although
+     the link is up when it would have arrived. *)
+  let t0 = Vtime.of_s 2.0 in
+  let flap engine link =
+    ignore
+      (Engine.schedule_at engine (Vtime.add t0 (Vtime.span_ms 5)) (fun () ->
+           Link.set_up link false));
+    ignore
+      (Engine.schedule_at engine (Vtime.add t0 (Vtime.span_ms 6)) (fun () ->
+           Link.set_up link true))
+  in
+  let link, arrivals = hop_burst ~flap ~at:t0 1 in
+  Alcotest.(check int) "nothing arrives" 0 (List.length arrivals);
+  Alcotest.(check bool) "link up" true (Link.is_up link);
+  Alcotest.(check int) "offered" 3 (Link.frames_offered link);
+  Alcotest.(check int) "dropped" 1 (Link.frames_dropped link);
+  Alcotest.(check int) "not a queue drop" 0 (Link.frames_queue_dropped link)
+
 (* --- workload conservation over an ideal fabric ----------------------- *)
 
 let workload_spec =
@@ -718,4 +777,8 @@ let suite =
       test_resolved_flow_word_budget;
     Alcotest.test_case "scaling run is deterministic" `Quick
       test_scaling_deterministic;
+    Alcotest.test_case "burst arrives one serialization apart" `Quick
+      test_link_burst_arrivals;
+    Alcotest.test_case "a flap loses the frame in flight" `Quick
+      test_link_flap_drops_in_flight;
   ]
