@@ -5,9 +5,9 @@
 # For each workload it runs one traced unit,
 #   sh bench/e2e/run.sh --workload W --seed 42 --seconds 5 --trace 1
 # reads sim.events, routeflow.flow_exports, routeflow.flow_mods,
-# routing.spf_runs, obs.spans, rpc.sent, rpc.retx,
-# controller.discovery.probes, net.dp.forwarded, net.queue_drops and
-# traffic.lost from the run's last stdout line (JSON),
+# routing.spf_runs, obs.spans, rpc.sent, rpc.retx, controller.of_msgs,
+# flowvisor.msgs, controller.discovery.probes, net.dp.forwarded,
+# net.queue_drops and traffic.lost from the run's last stdout line (JSON),
 # and prints them beside the same counters in that file as a Markdown
 # table, marking each one that differs. The counters follow the
 # virtual clock only, so the short --seconds does not move them.
@@ -33,6 +33,7 @@ import json, sys
 bench_file, out, workloads = sys.argv[1], sys.argv[2], sys.argv[3:]
 counters = ["sim.events", "routeflow.flow_exports", "routeflow.flow_mods",
             "routing.spf_runs", "obs.spans", "rpc.sent", "rpc.retx",
+            "controller.of_msgs", "flowvisor.msgs",
             "controller.discovery.probes", "net.dp.forwarded",
             "net.queue_drops", "traffic.lost"]
 recorded = json.load(open(bench_file))["workloads"]

@@ -10,8 +10,6 @@ type t = {
   mutable handshake_done : bool;
   mutable on_handshake : Of_msg.features -> unit;
   mutable on_message : Of_msg.t -> unit;
-  mutable on_close : unit -> unit;
-  mutable echo_timer : Rf_sim.Engine.timer option;
   mutable faults : (Rf_sim.Rng.t * Rf_sim.Faults.chan_profile) option;
   mutable role : role;
   mutable msgs_dropped : int;
@@ -62,7 +60,7 @@ let send_msg t (m : Of_msg.t) =
       Rf_obs.Metrics.incr t.m_faulted
 
 (* OFPP 1.2-style role filtering: a slave controller keeps its channel
-   (handshake, echo) but must not mutate switch state or emit packets.
+   (handshake, echo replies) but must not mutate switch state or emit packets.
    Standby cluster replicas hold their connections in this role. *)
 let state_changing (payload : Of_msg.payload) =
   match payload with
@@ -97,7 +95,7 @@ let handle t (m : Of_msg.t) =
   | Of_msg.Barrier_reply ->
       t.on_message m
 
-let create engine ?(echo_interval = Rf_sim.Vtime.span_s 15.0) chan =
+let create engine chan =
   let t =
     {
       engine;
@@ -107,8 +105,6 @@ let create engine ?(echo_interval = Rf_sim.Vtime.span_s 15.0) chan =
       handshake_done = false;
       on_handshake = (fun _ -> ());
       on_message = (fun _ -> ());
-      on_close = (fun () -> ());
-      echo_timer = None;
       faults = None;
       role = Master;
       msgs_dropped = 0;
@@ -127,11 +123,6 @@ let create engine ?(echo_interval = Rf_sim.Vtime.span_s 15.0) chan =
       entity = Rf_obs.Profiler.component "of-conn";
     }
   in
-  Rf_net.Channel.set_on_close chan (fun () ->
-      (match t.echo_timer with
-      | Some timer -> Rf_sim.Engine.cancel timer
-      | None -> ());
-      t.on_close ());
   Rf_net.Channel.set_receiver chan (fun bytes ->
       match Of_codec.of_wire bytes with
       | Ok m -> handle t m
@@ -139,11 +130,6 @@ let create engine ?(echo_interval = Rf_sim.Vtime.span_s 15.0) chan =
           Rf_sim.Engine.record engine ~component:"of-conn" ~event:"decode-error" e;
           Rf_net.Channel.close chan);
   send_msg t (Of_msg.msg ~xid:0l Of_msg.Hello);
-  t.echo_timer <-
-    Some
-      (Rf_sim.Engine.periodic ~entity:t.entity engine echo_interval (fun () ->
-           if Rf_net.Channel.is_open chan then
-             ignore (send t (Of_msg.Echo_request "keepalive"))));
   t
 
 let dpid t = Option.map (fun f -> f.Of_msg.datapath_id) t.features
@@ -168,7 +154,7 @@ let messages_duplicated t = t.msgs_duplicated
 
 let messages_delayed t = t.msgs_delayed
 
-let set_on_close t f = t.on_close <- f
+let set_on_close t f = Rf_net.Channel.set_on_close t.chan f
 
 let is_open t = Rf_net.Channel.is_open t.chan
 

@@ -8,20 +8,19 @@ open Rf_openflow
 
 type role = Master | Slave
 (** OpenFlow 1.2-style controller role. A [Slave] keeps the channel
-    alive (handshake, echo, reads) but its state-changing sends —
+    open (handshake, echo replies, reads) but its state-changing sends —
     [Flow_mod] and [Packet_out] — are suppressed, each leaving a
     [slave-suppressed] trace record. Standby cluster replicas hold
     their switch connections as slaves until failover promotes them. *)
 
 type t
 
-val create :
-  Rf_sim.Engine.t ->
-  ?echo_interval:Rf_sim.Vtime.span ->
-  Rf_net.Channel.endpoint ->
-  t
+val create : Rf_sim.Engine.t -> Rf_net.Channel.endpoint -> t
 (** Sends Hello immediately; requests features once the peer's Hello
-    arrives. [echo_interval] (default 15 s) paces keepalives. *)
+    arrives. The connection sends no keepalive and schedules no timer:
+    it answers a peer's [Echo_request] but never originates one. Its
+    liveness is the channel's: a dead switch closes the channel, and
+    [set_on_close] is how the owner learns of it. *)
 
 val dpid : t -> int64 option
 (** Known after the handshake completes. *)
@@ -55,6 +54,8 @@ val messages_duplicated : t -> int
 val messages_delayed : t -> int
 
 val set_on_close : t -> (unit -> unit) -> unit
+(** Runs once when the channel closes, at either end (see
+    {!Rf_net.Channel.close}); replaces any earlier callback. *)
 
 val send : t -> Of_msg.payload -> int32
 (** Assigns and returns a fresh xid. *)

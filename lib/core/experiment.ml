@@ -787,6 +787,19 @@ let fault_rpc_params ~resync =
     resync;
   }
 
+(* The fault replays (E4, E6, E9, E12) all cut the sw2-sw3 ring link,
+   most of them while a controller is down across the cut. *)
+let link_cut ~at_s = Rf_sim.Faults.link_down ~at_s 2L 3L
+
+let crash_cut_recover ?replica ~crash_at_s ~cut_at_s ~recover_at_s () =
+  Rf_sim.Faults.(
+    plan
+      [
+        controller_crash ~at_s:crash_at_s ?replica ();
+        link_cut ~at_s:cut_at_s;
+        controller_recover ~at_s:recover_at_s ?replica ();
+      ])
+
 let restart ?(seed = 42) ?(switches = 8) ?(crash_at_s = 4.0)
     ?(cut_at_s = 8.0) ?(recover_at_s = 20.0) ?(horizon_s = 120.0)
     ?(audit = false) ?telemetry () =
@@ -803,17 +816,9 @@ let restart ?(seed = 42) ?(switches = 8) ?(crash_at_s = 4.0)
      so the stale virtual link is pruned); the legacy session never
      hears of it at all. *)
   let replay ?telemetry label ~faulty ~resync =
-    let cut = Rf_sim.Faults.link_down ~at_s:cut_at_s 2L 3L in
     let faults =
-      if faulty then
-        Rf_sim.Faults.(
-          plan
-            [
-              controller_crash ~at_s:crash_at_s ();
-              cut;
-              controller_recover ~at_s:recover_at_s ();
-            ])
-      else Rf_sim.Faults.plan [ cut ]
+      if faulty then crash_cut_recover ~crash_at_s ~cut_at_s ~recover_at_s ()
+      else Rf_sim.Faults.plan [ link_cut ~at_s:cut_at_s ]
     in
     let options =
       {
@@ -1394,7 +1399,6 @@ let traffic_disruption ?(seed = 42) ?(switches = 8) ?(fail_at_s = 40.0)
     ?(manual_response_s = 25.0) ?(horizon_s = 90.0) ?telemetry ?profiler () =
   if switches < 8 then invalid_arg "traffic_disruption: need a ring of >= 8";
   let crash_at_s = 25.0 and cut_at_s = 30.0 and recover_at_s = 45.0 in
-  let cut_fault at = Rf_sim.Faults.link_down ~at_s:at 2L 3L in
   let run ?telemetry ?profiler ~label ~resync faults =
     (cluster_ring_run ?telemetry ?profiler ~experiment:"traffic" ~label ~seed
        ~switches ~replicas:1 ~horizon_s ~traffic_start_s:20.0 ~parallel_boot:4
@@ -1405,30 +1409,19 @@ let traffic_disruption ?(seed = 42) ?(switches = 8) ?(fail_at_s = 40.0)
      and the virtual topology reconverges on its own. *)
   let auto =
     run ?telemetry ?profiler ~label:"automatic" ~resync:true
-      (Rf_sim.Faults.plan [ cut_fault fail_at_s ])
+      (Rf_sim.Faults.plan [ link_cut ~at_s:fail_at_s ])
   in
   (* Manual baseline: the same cut, but the routing control platform is
      down across it — the operator notices and brings it back only
      [manual_response_s] later, as with hand-driven configuration. *)
   let manual =
     run ~label:"manual" ~resync:true
-      Rf_sim.Faults.(
-        plan
-          [
-            controller_crash ~at_s:(fail_at_s -. 2.0) ();
-            cut_fault fail_at_s;
-            controller_recover ~at_s:(fail_at_s +. manual_response_s) ();
-          ])
+      (crash_cut_recover ~crash_at_s:(fail_at_s -. 2.0) ~cut_at_s:fail_at_s
+         ~recover_at_s:(fail_at_s +. manual_response_s) ())
   in
   (* E4 scenario: crash + cut + restart, reconciled vs legacy RPC. *)
   let restart_faults =
-    Rf_sim.Faults.(
-      plan
-        [
-          controller_crash ~at_s:crash_at_s ();
-          cut_fault cut_at_s;
-          controller_recover ~at_s:recover_at_s ();
-        ])
+    crash_cut_recover ~crash_at_s ~cut_at_s ~recover_at_s ()
   in
   let reconciled =
     run ~label:"reconciled" ~resync:true restart_faults
@@ -1628,7 +1621,6 @@ let cluster_failover ?(seed = 42) ?(switches = 28) ?(replicas = 3)
   if replicas < 3 then invalid_arg "cluster_failover: need >= 3 replicas";
   if not (crash_at_s < cut_at_s && cut_at_s < recover_at_s) then
     invalid_arg "cluster_failover: need crash < cut < recover";
-  let cut_fault at = Rf_sim.Faults.link_down ~at_s:at 2L 3L in
   (* Replicated: the acting leader (replica 0, the deterministic
      bootstrap winner) dies just before the link cut. The survivors
      elect a new leader within seconds, it takes the switch sessions
@@ -1640,13 +1632,7 @@ let cluster_failover ?(seed = 42) ?(switches = 28) ?(replicas = 3)
       ~label:"automatic" ~seed ~switches ~replicas ~horizon_s ~traffic_start_s
       ~parallel_boot ~resync:true
       ~faults:
-        Rf_sim.Faults.(
-          plan
-            [
-              controller_crash ~at_s:crash_at_s ~replica:0 ();
-              cut_fault cut_at_s;
-              controller_recover ~at_s:recover_at_s ~replica:0 ();
-            ])
+        (crash_cut_recover ~replica:0 ~crash_at_s ~cut_at_s ~recover_at_s ())
       ()
   in
   (* Single controller: the same crash takes the whole control plane
@@ -1657,13 +1643,8 @@ let cluster_failover ?(seed = 42) ?(switches = 28) ?(replicas = 3)
       ~switches ~replicas:1 ~horizon_s ~traffic_start_s ~parallel_boot
       ~resync:true
       ~faults:
-        Rf_sim.Faults.(
-          plan
-            [
-              controller_crash ~at_s:crash_at_s ();
-              cut_fault cut_at_s;
-              controller_recover ~at_s:(crash_at_s +. manual_response_s) ();
-            ])
+        (crash_cut_recover ~crash_at_s ~cut_at_s
+           ~recover_at_s:(crash_at_s +. manual_response_s) ())
       ()
   in
   {
@@ -1859,7 +1840,6 @@ let audit_windows ?(seed = 42) ?(e3_switches = 6) ?(e4_switches = 8)
     invalid_arg "audit_windows: need rings of >= 4";
   if e9_switches < 8 then invalid_arg "audit_windows: need an E9 ring >= 8";
   if e9_replicas < 3 then invalid_arg "audit_windows: need >= 3 replicas";
-  let cut at = Rf_sim.Faults.link_down ~at_s:at 2L 3L in
   (* E3 replay: link sw2-sw3 cut at t=60 s with the controller up
      (automatic) vs. down across the cut until the operator responds
      (legacy, the E6 manual baseline). *)
@@ -1867,20 +1847,15 @@ let audit_windows ?(seed = 42) ?(e3_switches = 6) ?(e4_switches = 8)
     let auto =
       audit_ring_run ~scenario:"e3-link-cut" ~label:"automatic" ~seed
         ~switches:e3_switches ~replicas:1 ~resync:true
-        ~faults:(Rf_sim.Faults.plan [ cut 60.0 ])
+        ~faults:(Rf_sim.Faults.plan [ link_cut ~at_s:60.0 ])
         ~first_fault_s:60.0 ~horizon_s:150.0 ()
     in
     let legacy =
       audit_ring_run ~scenario:"e3-link-cut" ~label:"legacy" ~seed
         ~switches:e3_switches ~replicas:1 ~resync:true
         ~faults:
-          Rf_sim.Faults.(
-            plan
-              [
-                controller_crash ~at_s:58.0 ();
-                cut 60.0;
-                controller_recover ~at_s:85.0 ();
-              ])
+          (crash_cut_recover ~crash_at_s:58.0 ~cut_at_s:60.0
+             ~recover_at_s:85.0 ())
         ~first_fault_s:58.0 ~horizon_s:150.0 ()
     in
     {
@@ -1897,13 +1872,7 @@ let audit_windows ?(seed = 42) ?(e3_switches = 6) ?(e4_switches = 8)
      never hears of the cut. *)
   let e4 =
     let faults =
-      Rf_sim.Faults.(
-        plan
-          [
-            controller_crash ~at_s:4.0 ();
-            cut 8.0;
-            controller_recover ~at_s:20.0 ();
-          ])
+      crash_cut_recover ~crash_at_s:4.0 ~cut_at_s:8.0 ~recover_at_s:20.0 ()
     in
     let run label resync =
       audit_ring_run ~scenario:"e4-restart" ~label ~seed
@@ -1929,26 +1898,16 @@ let audit_windows ?(seed = 42) ?(e3_switches = 6) ?(e4_switches = 8)
       audit_ring_run ?telemetry ~scenario:"e9-leader-crash" ~label:"automatic"
         ~seed ~switches:e9_switches ~replicas:e9_replicas ~resync:true
         ~faults:
-          Rf_sim.Faults.(
-            plan
-              [
-                controller_crash ~at_s:30.0 ~replica:0 ();
-                cut 36.0;
-                controller_recover ~at_s:60.0 ~replica:0 ();
-              ])
+          (crash_cut_recover ~replica:0 ~crash_at_s:30.0 ~cut_at_s:36.0
+             ~recover_at_s:60.0 ())
         ~first_fault_s:30.0 ~horizon_s:120.0 ()
     in
     let legacy =
       audit_ring_run ~scenario:"e9-leader-crash" ~label:"legacy" ~seed
         ~switches:e9_switches ~replicas:1 ~resync:true
         ~faults:
-          Rf_sim.Faults.(
-            plan
-              [
-                controller_crash ~at_s:30.0 ();
-                cut 36.0;
-                controller_recover ~at_s:55.0 ();
-              ])
+          (crash_cut_recover ~crash_at_s:30.0 ~cut_at_s:36.0
+             ~recover_at_s:55.0 ())
         ~first_fault_s:30.0 ~horizon_s:120.0 ()
     in
     {

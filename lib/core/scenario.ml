@@ -374,11 +374,8 @@ let build ?(options = default_options) topo =
           | Rf_openflow.Of_msg.Delete | Rf_openflow.Of_msg.Delete_strict -> ());
       List.iter
         (fun (dpid, dp) ->
-          let changed = Rf_net.Auditor.table_changed au dpid in
-          Rf_net.Datapath.set_on_table_changed dp changed;
-          (* Subscribing audits the switch once, with nothing changed:
-             every run's audited update count includes it. *)
-          changed ~left:[] ~entered:[])
+          Rf_net.Datapath.set_on_table_changed dp
+            (Rf_net.Auditor.table_changed au dpid))
         (Network.datapaths net);
       Network.set_on_link_state net (fun a b up ->
           match (a, b) with

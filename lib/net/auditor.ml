@@ -227,9 +227,10 @@ let probe_key ~in_port rep =
   }
 
 let contribution cls = function
-  | Fwd_model.Loop _ -> Some (Loop, cls.c_key)
-  | Fwd_model.Blackhole _ -> if cls.c_covered then Some (Blackhole, cls.c_key) else None
-  | Fwd_model.Delivered _ -> None
+  | Fwd_model.Loop -> Some (Loop, cls.c_key)
+  | Fwd_model.Blackhole ->
+      if cls.c_covered then Some (Blackhole, cls.c_key) else None
+  | Fwd_model.Delivered -> None
 
 let index_remove t (ckey, src) path =
   List.iter

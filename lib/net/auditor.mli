@@ -121,8 +121,8 @@ val reachability : t -> (string * int64 * string) list
 (** One row per (equivalence class, ingress switch): the class's
     prefix, the ingress dpid and the walk verdict ("delivered" /
     "blackhole" / "loop" / "unprobed" when the class has no coverable
-    representative). Sorted; the qcheck oracle diffs this against
-    brute-force per-packet simulation. *)
+    representative). Sorted; the qcheck oracle diffs this against a
+    fresh auditor built over the same final tables and state. *)
 
 val updates : t -> int
 (** Audited updates processed. *)

@@ -3,12 +3,12 @@ module Of_match = Rf_openflow.Of_match
 module Of_action = Rf_openflow.Of_action
 module Of_port = Rf_openflow.Of_port
 
-type verdict = Delivered of int64 * int | Blackhole of int64 | Loop of int64 list
+type verdict = Delivered | Blackhole | Loop
 
 let verdict_to_string = function
-  | Delivered _ -> "delivered"
-  | Blackhole _ -> "blackhole"
-  | Loop _ -> "loop"
+  | Delivered -> "delivered"
+  | Blackhole -> "blackhole"
+  | Loop -> "loop"
 
 type t = {
   tables : (int64, Flow_table.t) Hashtbl.t;
@@ -60,11 +60,10 @@ let host_port t dpid =
    switch installs host /32s only after its VM has ARP-resolved the
    host, so a packet that matches no entry at a switch owning a
    connected prefix covering its destination is not blackholed — it
-   goes packet-in to the VM's slow path, which ARPs and delivers.
-   Lowest port wins for determinism. *)
+   goes packet-in to the VM's slow path, which ARPs and delivers. *)
 let local_delivery t dpid nw_dst =
-  List.find_map
-    (fun (p, prefix) -> if Ipv4_addr.Prefix.mem nw_dst prefix then Some p else None)
+  List.exists
+    (fun (_, prefix) -> Ipv4_addr.Prefix.mem nw_dst prefix)
     (hosts_of t dpid)
 
 (* The entry's MAC rewrites applied to [key], and its first usable
@@ -86,7 +85,7 @@ let rec follow ~in_port (key : Of_match.key) out = function
 let walk t ~dpid ~in_port key =
   let seen = Hashtbl.create 16 in
   let rec go dpid in_port (key : Of_match.key) trail =
-    if Hashtbl.mem seen (dpid, in_port) then (Loop (List.rev trail), trail)
+    if Hashtbl.mem seen (dpid, in_port) then (Loop, trail)
     else begin
       Hashtbl.add seen (dpid, in_port) ();
       let trail = if List.mem dpid trail then trail else dpid :: trail in
@@ -97,24 +96,23 @@ let walk t ~dpid ~in_port key =
         | None -> None
       in
       match hit with
-      | None -> (
-          match local_delivery t dpid key.Of_match.nw_dst with
-          | Some port -> (Delivered (dpid, port), trail)
-          | None -> (Blackhole dpid, trail))
+      | None ->
+          if local_delivery t dpid key.Of_match.nw_dst then (Delivered, trail)
+          else (Blackhole, trail)
       | Some e -> (
           match follow ~in_port key None e.Flow_table.e_actions with
-          | _, None -> (Blackhole dpid, trail)
+          | _, None -> (Blackhole, trail)
           | key, Some port -> (
               match List.assoc_opt port (hosts_of t dpid) with
               | Some prefix ->
                   if Ipv4_addr.Prefix.mem key.Of_match.nw_dst prefix then
-                    (Delivered (dpid, port), trail)
-                  else (Blackhole dpid, trail)
+                    (Delivered, trail)
+                  else (Blackhole, trail)
               | None -> (
-                  if Hashtbl.mem t.down (dpid, port) then (Blackhole dpid, trail)
+                  if Hashtbl.mem t.down (dpid, port) then (Blackhole, trail)
                   else
                     match Hashtbl.find_opt t.peers (dpid, port) with
-                    | None -> (Blackhole dpid, trail)
+                    | None -> (Blackhole, trail)
                     | Some (d2, p2) -> go d2 p2 key trail)))
     end
   in

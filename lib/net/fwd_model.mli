@@ -11,11 +11,11 @@
 open Rf_packet
 
 type verdict =
-  | Delivered of int64 * int  (** egress switch and host port *)
-  | Blackhole of int64
+  | Delivered  (** reached a host port whose host serves the destination *)
+  | Blackhole
       (** no matching entry, no usable output, a dead link, or delivery
           to a host that does not serve the destination *)
-  | Loop of int64 list  (** switches visited, in order, on the cycle *)
+  | Loop  (** a (switch, ingress port) pair was revisited *)
 
 val verdict_to_string : verdict -> string
 (** ["delivered"], ["blackhole"] or ["loop"]. *)

@@ -41,10 +41,14 @@ let carry t other frame =
   (match t.tap with Some f -> f frame | None -> ());
   deliver other frame
 
-let propagate t other frame =
+(* A frame's one event, at its arrival: a link that went down since the
+   frame was accepted lost it, even if it is up again by then. *)
+let propagate t other ~at frame =
+  let downs = t.downs in
   ignore
-    (Rf_sim.Engine.schedule ~entity:t.entity t.engine t.latency (fun () ->
-         if t.up then carry t other frame else t.dropped <- t.dropped + 1))
+    (Rf_sim.Engine.schedule_at ~entity:t.entity t.engine at (fun () ->
+         if t.up && t.downs = downs then carry t other frame
+         else t.dropped <- t.dropped + 1))
 
 let serialization_delay cap frame =
   let bits = 8 * String.length frame in
@@ -56,10 +60,10 @@ let attach t side other dir =
     t.offered <- t.offered + 1;
     if not t.up then t.dropped <- t.dropped + 1
     else
+      let now = Rf_sim.Engine.now t.engine in
       match t.capacity with
-      | None -> propagate t other frame
+      | None -> propagate t other ~at:(Rf_sim.Vtime.add now t.latency) frame
       | Some cap ->
-          let now = Rf_sim.Engine.now t.engine in
           while
             (not (Queue.is_empty dir.draining))
             && Rf_sim.Vtime.(Queue.peek dir.draining <= now)
@@ -82,15 +86,7 @@ let attach t side other dir =
             in
             dir.busy_until <- finish;
             Queue.push finish dir.draining;
-            (* One event per frame, at its arrival: a link that went
-               down since the frame was accepted lost it, even if it is
-               up again by then. *)
-            let downs = t.downs in
-            ignore
-              (Rf_sim.Engine.schedule_at ~entity:t.entity t.engine
-                 (Rf_sim.Vtime.add finish t.latency) (fun () ->
-                   if t.up && t.downs = downs then carry t other frame
-                   else t.dropped <- t.dropped + 1))
+            propagate t other ~at:(Rf_sim.Vtime.add finish t.latency) frame
           end
   in
   match side with

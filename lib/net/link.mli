@@ -24,19 +24,18 @@ val connect :
   t
 (** Wires the two attachments together: installs each side's transmit
     function so frames appear at the other side after [latency]
-    (default 1 ms). Frames in flight when the link goes down are
-    dropped.
+    (default 1 ms), one engine event per frame. A frame is lost if the
+    link went down at any time since it was accepted, even if the link
+    is up again when it would arrive.
 
     Without [capacity] the link is ideal (infinite bandwidth, no
-    queueing): a frame arrives if the link is up [latency] after it was
-    sent. With [capacity], each direction serializes frames at
-    [bandwidth_bps] through a bounded FIFO of [queue_frames] slots;
-    frames arriving at a full queue are tail-dropped and counted in
+    queueing): a frame arrives [latency] after it was sent. With
+    [capacity], each direction serializes frames at [bandwidth_bps]
+    through a bounded FIFO of [queue_frames] slots; frames arriving at
+    a full queue are tail-dropped and counted in
     {!frames_queue_dropped}. A frame leaves the FIFO when its
     serialization ends (before any frame sent at that instant is
-    queued) and arrives [latency] later, one engine event per frame;
-    it is lost if the link went down at any time since it was
-    accepted, even if the link is up again when it would arrive. *)
+    queued) and arrives [latency] later. *)
 
 val set_capacity : t -> capacity option -> unit
 (** Changes the capacity model for subsequent frames. [None] restores

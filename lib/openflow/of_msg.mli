@@ -1,7 +1,7 @@
 (** OpenFlow 1.0 messages.
 
     The subset implemented is what Open vSwitch 1.4, FlowVisor, NOX
-    discovery and RouteFlow exchange: the handshake, echo keepalives,
+    discovery and RouteFlow exchange: the handshake, echo request/reply,
     packet-in/out, flow-mod/flow-removed, port-status, barrier, the
     desc/flow/port statistics families, and vendor messages. *)
 

@@ -42,16 +42,44 @@ let test_of_conn_late_handshake_callback () =
   Of_conn.set_on_handshake conn (fun _ -> fired := true);
   Alcotest.(check bool) "late callback fired" true !fired
 
+(* A connection sends no keepalive: once the handshake is done an idle
+   connection sends nothing, and its liveness is the channel's close.
+   It still answers a peer's echo request, echoing xid and payload. *)
 let test_of_conn_echo_keepalive () =
   let engine = Engine.create () in
-  let dp, ctl_end = attach_switch engine 3L 1 in
-  ignore dp;
-  let conn = Of_conn.create engine ~echo_interval:(Vtime.span_s 5.0) ctl_end in
-  ignore conn;
-  ignore (Engine.run ~until:(Vtime.of_s 30.0) engine);
-  (* The agent answered several echo requests: connection stayed open
-     and the trace carries no decode errors. *)
-  Alcotest.(check bool) "still open" true (Of_conn.is_open conn)
+  let _dp, ctl_end = attach_switch engine 3L 1 in
+  let conn = Of_conn.create engine ctl_end in
+  let sent =
+    Rf_obs.Metrics.counter (Engine.metrics engine) "of_messages_sent_total"
+  in
+  ignore (Engine.run ~until:(Vtime.of_s 2.0) engine);
+  Alcotest.(check bool) "handshake done" true (Of_conn.dpid conn = Some 3L);
+  let after_handshake = Rf_obs.Metrics.counter_value sent in
+  ignore (Engine.run ~until:(Vtime.of_s 60.0) engine);
+  Alcotest.(check int) "idle connection sends nothing" after_handshake
+    (Rf_obs.Metrics.counter_value sent);
+  Alcotest.(check bool) "still open" true (Of_conn.is_open conn);
+  let engine = Engine.create () in
+  let peer, ctl_end = Channel.create engine () in
+  let _conn = Of_conn.create engine ctl_end in
+  let received = ref [] in
+  Channel.set_receiver peer (fun bytes ->
+      match Of_codec.of_wire bytes with
+      | Ok m -> received := m :: !received
+      | Error e -> Alcotest.fail e);
+  Channel.send peer
+    (Of_codec.to_wire (Of_msg.msg ~xid:42l (Of_msg.Echo_request "ping")));
+  ignore (Engine.run ~until:(Vtime.of_s 1.0) engine);
+  let replies =
+    List.filter_map
+      (fun (m : Of_msg.t) ->
+        match m.payload with
+        | Of_msg.Echo_reply data -> Some (m.xid, data)
+        | _ -> None)
+      !received
+  in
+  Alcotest.(check (list (pair int32 string)))
+    "echo answered" [ (42l, "ping") ] replies
 
 (* Build a discovery instance watching a whole emulated network,
    without FlowVisor (direct attachment). *)

@@ -377,7 +377,8 @@ let test_lossy_traces_pinned () =
   let md5 s = Digest.to_hex (Digest.string s) in
   Alcotest.(check string) "lossy rpc outage, seed 9" "fc4d225c0181d579271b0a931f8bc464"
     (md5 (trace_of_outage_run 9));
-  Alcotest.(check string) "lossy control channel, seed 5" "3de74044a972071190faadb7b27791c9"
+  Alcotest.(check string) "lossy control channel, seed 5"
+    "a718e50e61809609a3a48f3d2eb065cc"
     (md5 (trace_of_run 5))
 
 (* --- fate draws -------------------------------------------------------- *)

@@ -130,13 +130,13 @@ let test_link_tail_drop_bounds_queue () =
 (* --- link hop: serialization, propagation, flaps ---------------------- *)
 
 (* Sends [n] equal datagrams from h1 at [at], all in one instant, over a
-   64 kbit/s link with a 4-deep queue; [flap] may schedule link changes.
-   Returns the link and, earliest first, the instant and length of each
-   frame the tap saw arrive. *)
-let hop_burst ?(flap = fun _ _ -> ()) ~at n =
+   link with 1 ms latency, by default of 64 kbit/s with a 4-deep queue;
+   [flap] may schedule link changes. Returns the link and, earliest
+   first, the instant and length of each frame the tap saw arrive. *)
+let hop_burst ?(flap = fun _ _ -> ())
+    ?(capacity = Some { Link.bandwidth_bps = 64_000; queue_frames = 4 }) ~at n =
   let engine = Engine.create () in
-  let capacity = { Link.bandwidth_bps = 64_000; queue_frames = 4 } in
-  let h1, h2, link = linked_host_pair engine ~capacity () in
+  let h1, h2, link = linked_host_pair engine ?capacity () in
   prime_arp engine h1 h2;
   let arrivals = ref [] in
   Link.set_tap link (fun frame ->
@@ -168,23 +168,37 @@ let test_link_burst_arrivals () =
     (Link.frames_carried link + Link.frames_dropped link)
 
 let test_link_flap_drops_in_flight () =
-  (* Down and up again while the frame serializes: it is lost, although
-     the link is up when it would have arrived. *)
+  (* Down and up again while the frame is in flight: it is lost,
+     although the link is up when it would have arrived. On the capacity
+     link the flap falls while the frame serializes; on the link without
+     capacity, within its 1 ms latency. *)
   let t0 = Vtime.of_s 2.0 in
-  let flap engine link =
-    ignore
-      (Engine.schedule_at engine (Vtime.add t0 (Vtime.span_ms 5)) (fun () ->
-           Link.set_up link false));
-    ignore
-      (Engine.schedule_at engine (Vtime.add t0 (Vtime.span_ms 6)) (fun () ->
-           Link.set_up link true))
-  in
-  let link, arrivals = hop_burst ~flap ~at:t0 1 in
-  Alcotest.(check int) "nothing arrives" 0 (List.length arrivals);
-  Alcotest.(check bool) "link up" true (Link.is_up link);
-  Alcotest.(check int) "offered" 3 (Link.frames_offered link);
-  Alcotest.(check int) "dropped" 1 (Link.frames_dropped link);
-  Alcotest.(check int) "not a queue drop" 0 (Link.frames_queue_dropped link)
+  List.iter
+    (fun (name, capacity, down_us, up_us) ->
+      let flap engine link =
+        ignore
+          (Engine.schedule_at engine
+             (Vtime.add t0 (Vtime.span_us down_us))
+             (fun () -> Link.set_up link false));
+        ignore
+          (Engine.schedule_at engine
+             (Vtime.add t0 (Vtime.span_us up_us))
+             (fun () -> Link.set_up link true))
+      in
+      let link, arrivals = hop_burst ~flap ~capacity ~at:t0 1 in
+      let check what = Alcotest.(check int) (name ^ ": " ^ what) in
+      check "nothing arrives" 0 (List.length arrivals);
+      Alcotest.(check bool) (name ^ ": link up") true (Link.is_up link);
+      check "offered" 3 (Link.frames_offered link);
+      check "dropped" 1 (Link.frames_dropped link);
+      check "not a queue drop" 0 (Link.frames_queue_dropped link))
+    [
+      ( "64 kbit/s",
+        Some { Link.bandwidth_bps = 64_000; queue_frames = 4 },
+        5_000,
+        6_000 );
+      ("no capacity", None, 200, 500);
+    ]
 
 (* --- workload conservation over an ideal fabric ----------------------- *)
 
