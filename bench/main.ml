@@ -257,6 +257,56 @@ let flow_export_fixture () =
     Rf_routing.Rib.update rib (route 500 (if !flip then 3 else 2));
     run_for 0.02
 
+(* A data slice's flow-mod relayed by FlowVisor toward a switch behind
+   a tap that drops flow-mods, so the step times FlowVisor's relay (the
+   slice channel's delivery, the policy check on the match, the xid
+   rewrite and the send) rather than the switch's table. *)
+let flowvisor_relay_fixture () =
+  let engine = Rf_sim.Engine.create () in
+  let fv = Rf_flowvisor.Flowvisor.create engine in
+  let slice = ref None in
+  Rf_flowvisor.Flowvisor.add_slice fv
+    (Rf_flowvisor.Flowspace.data_slice ~name:"data")
+    ~attach:(fun ~dpid:_ endpoint ->
+      Rf_net.Channel.set_receiver endpoint ignore;
+      slice := Some endpoint);
+  let dp = Rf_net.Datapath.create engine ~dpid:1L ~n_ports:2 in
+  let fv_end, tap_a = Rf_net.Channel.create engine () in
+  let tap_b, sw_end = Rf_net.Channel.create engine () in
+  let ofpt_flow_mod = 14 in
+  Rf_net.Channel.set_receiver tap_a (fun m ->
+      if Char.code m.[1] <> ofpt_flow_mod then Rf_net.Channel.send tap_b m);
+  Rf_net.Channel.set_receiver tap_b (Rf_net.Channel.send tap_a);
+  ignore (Rf_net.Of_agent.create engine dp sw_end);
+  Rf_flowvisor.Flowvisor.switch_attach fv ~dpid:1L fv_end;
+  ignore (Rf_sim.Engine.run ~until:(Rf_sim.Vtime.of_s 1.0) engine);
+  let slice =
+    match !slice with
+    | Some s -> s
+    | None -> failwith "flowvisor_relay_fixture: no slice connection"
+  in
+  let wire =
+    Rf_openflow.Of_codec.to_wire
+      (Rf_openflow.Of_msg.msg ~xid:7l
+         (Rf_openflow.Of_msg.Flow_mod
+            (Rf_openflow.Of_msg.flow_add
+               ~priority:(0x4000 + (24 * 64))
+               (Rf_openflow.Of_match.nw_dst_prefix (pfx "10.1.0.0/24"))
+               [
+                 Rf_openflow.Of_action.Set_dl_src (Mac.make_local 1);
+                 Rf_openflow.Of_action.Set_dl_dst (Mac.make_local 2);
+                 Rf_openflow.Of_action.output 2;
+               ])))
+  in
+  fun () ->
+    Rf_net.Channel.send slice wire;
+    ignore
+      (Rf_sim.Engine.run
+         ~until:
+           (Rf_sim.Vtime.add (Rf_sim.Engine.now engine)
+              (Rf_sim.Vtime.span_ms 5))
+         engine)
+
 let trie_fixture () =
   let trie = Rf_routing.Prefix_trie.create () in
   let rng = Rf_sim.Rng.create 11 in
@@ -533,6 +583,8 @@ let micro_tests () =
       (Staged.stage (leaf_join_fixture 250));
     Test.make ~name:"flow_export_1k_one_change"
       (Staged.stage (flow_export_fixture ()));
+    Test.make ~name:"flowvisor_relay_flow_mod"
+      (Staged.stage (flowvisor_relay_fixture ()));
     Test.make ~name:"lpm_lookup_10k_prefixes"
       (Staged.stage (fun () ->
            ignore (Rf_routing.Prefix_trie.lookup trie (ip "10.57.3.9"))));

@@ -41,7 +41,7 @@ let () =
                (Rf_openflow.Of_match.nw_dst_prefix
                   (Ipv4_addr.Prefix.of_string_exn "10.0.0.0/8"))
                [ Rf_openflow.Of_action.output 1 ]));
-      Of_conn.set_on_message conn (fun (m : Of_msg.t) ->
+      Of_conn.set_on_message conn (fun (m : Of_msg.t) _wire ->
           match m.payload with
           | Of_msg.Packet_in _ -> incr lldp_seen
           | Of_msg.Error _ -> incr denied
@@ -53,7 +53,7 @@ let () =
     (Flowspace.data_slice ~name:"hub")
     ~attach:(fun ~dpid:_ endpoint ->
       let conn = Of_conn.create engine endpoint in
-      Of_conn.set_on_message conn (fun (m : Of_msg.t) ->
+      Of_conn.set_on_message conn (fun (m : Of_msg.t) _wire ->
           match m.payload with
           | Of_msg.Packet_in pi ->
               incr data_packet_ins;

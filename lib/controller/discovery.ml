@@ -159,7 +159,7 @@ let attach t conn =
       (* First probe round immediately: discovery latency matters to the
          configuration-time experiment. *)
       send_probes t dpid st);
-  Of_conn.set_on_message conn (fun (m : Of_msg.t) ->
+  Of_conn.set_on_message conn (fun (m : Of_msg.t) _wire ->
       match m.payload with
       | Of_msg.Packet_in pi -> (
           match Of_conn.dpid conn with

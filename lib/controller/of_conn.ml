@@ -9,7 +9,7 @@ type t = {
   mutable features : Of_msg.features option;
   mutable handshake_done : bool;
   mutable on_handshake : Of_msg.features -> unit;
-  mutable on_message : Of_msg.t -> unit;
+  mutable on_message : Of_msg.t -> string -> unit;
   mutable faults : (Rf_sim.Rng.t * Rf_sim.Faults.chan_profile) option;
   mutable role : role;
   mutable msgs_dropped : int;
@@ -24,29 +24,31 @@ let fresh_xid t =
   t.next_xid <- Int32.add t.next_xid 1l;
   t.next_xid
 
-let raw_send t m =
+let raw_send t wire =
   Rf_obs.Metrics.incr t.m_sent;
-  Rf_net.Channel.send t.chan (Of_codec.to_wire m)
+  Rf_net.Channel.send t.chan wire
 
 (* Faults apply per message, never to part of one. The handshake
    openers are exempt from drop and duplication — there is no
    application-level retry for them, and the lossy profile models an
    overloaded channel, not a broken TCP — but they can still be
    delayed. *)
-let handshake_critical (m : Of_msg.t) =
-  match m.payload with
-  | Of_msg.Hello | Of_msg.Features_request -> true
-  | _ -> false
+let hello_code = Of_msg.type_code Of_msg.Hello
 
-let send_msg t (m : Of_msg.t) =
+let features_request_code = Of_msg.type_code Of_msg.Features_request
+
+let send_wire t wire =
+  let code = Of_codec.msg_type wire in
   let record event =
     Rf_obs.Metrics.incr t.m_faulted;
     Rf_sim.Engine.record t.engine ~component:"of-conn" ~event
-      (Of_msg.type_name m.payload)
+      (Of_msg.type_code_name code)
   in
   match
     Rf_sim.Faults.transmit t.engine ~entity:t.entity
-      ~exempt:(handshake_critical m) t.faults (fun () -> raw_send t m)
+      ~exempt:(code = hello_code || code = features_request_code)
+      t.faults
+      (fun () -> raw_send t wire)
   with
   | Rf_sim.Faults.Deliver -> ()
   | Rf_sim.Faults.Drop ->
@@ -58,6 +60,8 @@ let send_msg t (m : Of_msg.t) =
   | Rf_sim.Faults.Delay _ ->
       t.msgs_delayed <- t.msgs_delayed + 1;
       Rf_obs.Metrics.incr t.m_faulted
+
+let send_msg t m = send_wire t (Of_codec.to_wire m)
 
 (* OFPP 1.2-style role filtering: a slave controller keeps its channel
    (handshake, echo replies) but must not mutate switch state or emit packets.
@@ -76,7 +80,7 @@ let send t payload =
   else send_msg t (Of_msg.msg ~xid payload);
   xid
 
-let handle t (m : Of_msg.t) =
+let handle t (m : Of_msg.t) wire =
   match m.payload with
   | Of_msg.Hello -> ignore (send t Of_msg.Features_request)
   | Of_msg.Echo_request data -> send_msg t (Of_msg.msg ~xid:m.xid (Of_msg.Echo_reply data))
@@ -93,7 +97,7 @@ let handle t (m : Of_msg.t) =
   | Of_msg.Packet_out _ | Of_msg.Flow_mod _ | Of_msg.Port_mod _
   | Of_msg.Stats_request _ | Of_msg.Stats_reply _ | Of_msg.Barrier_request
   | Of_msg.Barrier_reply ->
-      t.on_message m
+      t.on_message m wire
 
 let create engine chan =
   let t =
@@ -104,7 +108,7 @@ let create engine chan =
       features = None;
       handshake_done = false;
       on_handshake = (fun _ -> ());
-      on_message = (fun _ -> ());
+      on_message = (fun _ _ -> ());
       faults = None;
       role = Master;
       msgs_dropped = 0;
@@ -125,7 +129,7 @@ let create engine chan =
   in
   Rf_net.Channel.set_receiver chan (fun bytes ->
       match Of_codec.of_wire bytes with
-      | Ok m -> handle t m
+      | Ok m -> handle t m bytes
       | Error e ->
           Rf_sim.Engine.record engine ~component:"of-conn" ~event:"decode-error" e;
           Rf_net.Channel.close chan);

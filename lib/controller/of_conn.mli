@@ -29,9 +29,10 @@ val features : t -> Of_msg.features option
 
 val set_on_handshake : t -> (Of_msg.features -> unit) -> unit
 
-val set_on_message : t -> (Of_msg.t -> unit) -> unit
+val set_on_message : t -> (Of_msg.t -> string -> unit) -> unit
 (** Receives every message except Hello, Echo and Features_reply
-    (handled internally). *)
+    (handled internally), with the bytes it arrived as, so a proxy can
+    relay them without encoding the message again. *)
 
 val set_fault_profile : t -> Rf_sim.Rng.t -> Rf_sim.Faults.chan_profile -> unit
 (** Makes this connection's outgoing messages subject to the lossy
@@ -61,6 +62,11 @@ val send : t -> Of_msg.payload -> int32
 (** Assigns and returns a fresh xid. *)
 
 val send_msg : t -> Of_msg.t -> unit
+(** [send_wire] of the message's encoding. *)
+
+val send_wire : t -> string -> unit
+(** Sends one encoded message as it is: the one path every send takes,
+    with the fault profile applied per message. *)
 
 val is_open : t -> bool
 

@@ -14,7 +14,7 @@ type slice_state = {
 type xid_slot = {
   mutable x_xid : int;  (* switch-side xid; [free_slot] when empty *)
   mutable x_slice : string;
-  mutable x_orig : int32;
+  mutable x_orig : int;
 }
 
 type switch_state = {
@@ -23,14 +23,16 @@ type switch_state = {
   slice_conns : (string, Rf_net.Channel.endpoint) Hashtbl.t;
       (** FlowVisor's end of each slice's impersonated connection *)
   xid_ring : xid_slot array;
-  mutable next_xid : int32;
+  mutable next_xid : int;
 }
 
 type t = {
   engine : Rf_sim.Engine.t;
   mutable slice_list : slice_state list;  (** registration order *)
   switches : (int64, switch_state) Hashtbl.t;
-  mutable on_flow_mod : dpid:int64 -> slice:string -> Of_msg.flow_mod -> unit;
+  (* When set, slice flow-mods are decoded in full for it. *)
+  mutable on_flow_mod :
+    (dpid:int64 -> slice:string -> Of_msg.flow_mod -> unit) option;
 }
 
 let create engine =
@@ -38,10 +40,10 @@ let create engine =
     engine;
     slice_list = [];
     switches = Hashtbl.create 64;
-    on_flow_mod = (fun ~dpid:_ ~slice:_ _ -> ());
+    on_flow_mod = None;
   }
 
-let set_on_flow_mod t f = t.on_flow_mod <- f
+let set_on_flow_mod t f = t.on_flow_mod <- Some f
 
 let add_slice t def ~attach =
   let m = Rf_sim.Engine.metrics t.engine in
@@ -68,12 +70,17 @@ let add_slice t def ~attach =
 let slice_named t name =
   List.find_opt (fun s -> String.equal s.def.Flowspace.fs_name name) t.slice_list
 
-let send_to_slice slice conn (m : Of_msg.t) =
+(* Relays are the bytes FlowVisor received; only its own answers are
+   encoded here. *)
+let relay_to_slice slice conn wire =
   Rf_obs.Metrics.incr slice.to_slice;
-  Rf_net.Channel.send conn (Of_codec.to_wire m)
+  Rf_net.Channel.send conn wire
 
+let send_to_slice slice conn m = relay_to_slice slice conn (Of_codec.to_wire m)
+
+(* Xids are 32-bit, kept as unsigned ints. *)
 let fresh_xid sw =
-  sw.next_xid <- Int32.add sw.next_xid 1l;
+  sw.next_xid <- (sw.next_xid + 1) land 0xFFFFFFFF;
   sw.next_xid
 
 (* Most forwarded messages (flow-mods, packet-outs) are never answered,
@@ -86,20 +93,20 @@ let free_slot = min_int
 
 let new_xid_ring () =
   Array.init xid_ring_size (fun _ ->
-      { x_xid = free_slot; x_slice = ""; x_orig = 0l })
+      { x_xid = free_slot; x_slice = ""; x_orig = 0 })
 
-let xid_slot sw xid =
-  sw.xid_ring.(Int32.to_int xid land (xid_ring_size - 1))
+let xid_slot sw xid = sw.xid_ring.(xid land (xid_ring_size - 1))
 
-(* Forward a controller-originated request to the switch, remembering
-   which slice and original xid a reply must return to. *)
-let forward_to_switch sw ~slice_name (m : Of_msg.t) =
+(* Forward a controller-originated request to the switch as the bytes
+   the slice sent with only the xid rewritten, remembering which slice
+   and original xid a reply must return to. *)
+let forward_to_switch sw ~slice_name wire =
   let xid = fresh_xid sw in
   let slot = xid_slot sw xid in
-  slot.x_xid <- Int32.to_int xid;
+  slot.x_xid <- xid;
   slot.x_slice <- slice_name;
-  slot.x_orig <- m.xid;
-  Of_conn.send_msg sw.sw_conn { m with xid }
+  slot.x_orig <- Of_codec.xid wire;
+  Of_conn.send_wire sw.sw_conn (Of_codec.with_xid wire xid)
 
 let classify_frame t frame ~in_port =
   match Of_match.key_of_frame ~in_port frame with
@@ -107,8 +114,9 @@ let classify_frame t frame ~in_port =
   | Some key ->
       List.find_opt (fun s -> Flowspace.owns_key s.def key) t.slice_list
 
-let eperm_flow_mod xid =
-  Of_msg.msg ~xid
+(* Denials answer under the slice's xid, read from its bytes. *)
+let eperm_flow_mod wire =
+  Of_msg.msg ~xid:(Int32.of_int (Of_codec.xid wire))
     (Of_msg.Error
        {
          err_type = Of_msg.error_flow_mod_failed;
@@ -116,8 +124,8 @@ let eperm_flow_mod xid =
          err_data = "flowvisor: match outside slice flowspace";
        })
 
-let eperm_packet_out xid =
-  Of_msg.msg ~xid
+let eperm_packet_out wire =
+  Of_msg.msg ~xid:(Int32.of_int (Of_codec.xid wire))
     (Of_msg.Error
        {
          err_type = Of_msg.error_bad_request;
@@ -125,84 +133,123 @@ let eperm_packet_out xid =
          err_data = "flowvisor: packet outside slice flowspace";
        })
 
-let handle_from_slice t sw slice conn (m : Of_msg.t) =
-  Rf_obs.Metrics.incr slice.from_slice;
-  let reply msg = send_to_slice slice conn msg in
-  match m.payload with
-  | Of_msg.Hello -> ()
-  | Of_msg.Echo_request data -> reply (Of_msg.msg ~xid:m.xid (Of_msg.Echo_reply data))
-  | Of_msg.Echo_reply _ -> ()
-  | Of_msg.Features_request ->
-      reply (Of_msg.msg ~xid:m.xid (Of_msg.Features_reply sw.features))
-  | Of_msg.Get_config_request ->
-      reply
-        (Of_msg.msg ~xid:m.xid
-           (Of_msg.Get_config_reply { flags = 0; miss_send_len = 128 }))
-  | Of_msg.Set_config _ ->
-      (* Pass through: slices sharing a switch share its miss_send_len;
-         the RouteFlow slice raises it to get whole frames relayed. *)
-      forward_to_switch sw ~slice_name:slice.def.Flowspace.fs_name m
-  | Of_msg.Flow_mod fm ->
-      if Flowspace.permits_match slice.def fm.fm_match then begin
-        t.on_flow_mod ~dpid:sw.features.Of_msg.datapath_id
-          ~slice:slice.def.Flowspace.fs_name fm;
-        forward_to_switch sw ~slice_name:slice.def.Flowspace.fs_name m
-      end
-      else begin
-        Rf_obs.Metrics.incr slice.denied;
-        reply (eperm_flow_mod m.xid)
-      end
-  | Of_msg.Packet_out po ->
-      let allowed =
-        match Of_match.key_of_frame ~in_port:po.po_in_port po.po_data with
-        | None -> po.po_buffer_id <> None
-        | Some key -> Flowspace.owns_key slice.def key
-      in
-      if allowed then
-        forward_to_switch sw ~slice_name:slice.def.Flowspace.fs_name m
-      else begin
-        Rf_obs.Metrics.incr slice.denied;
-        reply (eperm_packet_out m.xid)
-      end
-  | Of_msg.Stats_request _ | Of_msg.Barrier_request ->
-      forward_to_switch sw ~slice_name:slice.def.Flowspace.fs_name m
-  | Of_msg.Port_mod _ ->
-      (* Port state is shared by every slice; FlowVisor denies it. *)
-      Rf_obs.Metrics.incr slice.denied;
-      reply
-        (Of_msg.msg ~xid:m.xid
-           (Of_msg.Error
-              { err_type = 4 (* PORT_MOD_FAILED *); err_code = 1 (* EPERM *);
-                err_data = "flowvisor: port-mod not permitted" }))
-  | Of_msg.Vendor _ ->
-      reply
-        (Of_msg.msg ~xid:m.xid
-           (Of_msg.Error
-              {
-                err_type = Of_msg.error_bad_request;
-                err_code = 3;
-                err_data = "";
-              }))
-  | Of_msg.Error _ | Of_msg.Features_reply _ | Of_msg.Get_config_reply _
-  | Of_msg.Packet_in _ | Of_msg.Flow_removed _ | Of_msg.Port_status _
-  | Of_msg.Stats_reply _ | Of_msg.Barrier_reply ->
-      ()
+let police_flow_mod t sw slice conn wire fm_match fm =
+  if Flowspace.permits_match slice.def fm_match then begin
+    (match (t.on_flow_mod, fm) with
+    | Some f, Some fm ->
+        f ~dpid:sw.features.Of_msg.datapath_id
+          ~slice:slice.def.Flowspace.fs_name fm
+    | Some _, None | None, _ -> ());
+    forward_to_switch sw ~slice_name:slice.def.Flowspace.fs_name wire
+  end
+  else begin
+    Rf_obs.Metrics.incr slice.denied;
+    send_to_slice slice conn (eperm_flow_mod wire)
+  end
 
-let broadcast_to_slices t sw msg =
+let police_packet_out sw slice conn wire key ~buffered =
+  let allowed =
+    match key with
+    | None -> buffered
+    | Some key -> Flowspace.owns_key slice.def key
+  in
+  if allowed then
+    forward_to_switch sw ~slice_name:slice.def.Flowspace.fs_name wire
+  else begin
+    Rf_obs.Metrics.incr slice.denied;
+    send_to_slice slice conn (eperm_packet_out wire)
+  end
+
+let handle_from_slice t sw slice conn wire (view : Of_codec.peek) =
+  Rf_obs.Metrics.incr slice.from_slice;
+  match view with
+  | Of_codec.Flow_mod_match m -> police_flow_mod t sw slice conn wire m None
+  | Of_codec.Packet_out_key (key, buffered) ->
+      police_packet_out sw slice conn wire key ~buffered
+  | Of_codec.Message m -> (
+      let reply msg = send_to_slice slice conn msg in
+      match m.payload with
+      | Of_msg.Hello -> ()
+      | Of_msg.Echo_request data ->
+          reply (Of_msg.msg ~xid:m.xid (Of_msg.Echo_reply data))
+      | Of_msg.Echo_reply _ -> ()
+      | Of_msg.Features_request ->
+          reply (Of_msg.msg ~xid:m.xid (Of_msg.Features_reply sw.features))
+      | Of_msg.Get_config_request ->
+          reply
+            (Of_msg.msg ~xid:m.xid
+               (Of_msg.Get_config_reply { flags = 0; miss_send_len = 128 }))
+      | Of_msg.Set_config _ ->
+          (* Pass through: slices sharing a switch share its
+             miss_send_len; the RouteFlow slice raises it to get whole
+             frames relayed. *)
+          forward_to_switch sw ~slice_name:slice.def.Flowspace.fs_name wire
+      | Of_msg.Flow_mod fm ->
+          police_flow_mod t sw slice conn wire fm.fm_match (Some fm)
+      | Of_msg.Packet_out po ->
+          police_packet_out sw slice conn wire
+            (Of_match.key_of_frame ~in_port:po.po_in_port po.po_data)
+            ~buffered:(po.po_buffer_id <> None)
+      | Of_msg.Stats_request _ | Of_msg.Barrier_request ->
+          forward_to_switch sw ~slice_name:slice.def.Flowspace.fs_name wire
+      | Of_msg.Port_mod _ ->
+          (* Port state is shared by every slice; FlowVisor denies it. *)
+          Rf_obs.Metrics.incr slice.denied;
+          reply
+            (Of_msg.msg ~xid:m.xid
+               (Of_msg.Error
+                  {
+                    err_type = 4 (* PORT_MOD_FAILED *);
+                    err_code = 1 (* EPERM *);
+                    err_data = "flowvisor: port-mod not permitted";
+                  }))
+      | Of_msg.Vendor _ ->
+          reply
+            (Of_msg.msg ~xid:m.xid
+               (Of_msg.Error
+                  {
+                    err_type = Of_msg.error_bad_request;
+                    err_code = 3;
+                    err_data = "";
+                  }))
+      | Of_msg.Error _ | Of_msg.Features_reply _ | Of_msg.Get_config_reply _
+      | Of_msg.Packet_in _ | Of_msg.Flow_removed _ | Of_msg.Port_status _
+      | Of_msg.Stats_reply _ | Of_msg.Barrier_reply ->
+          ())
+
+(* What FlowVisor reads of a slice's message: the flow-mod's match and
+   the packet-out's frame key, or, with an [on_flow_mod] observer, every
+   flow-mod in full. *)
+let receive_from_slice t sw slice conn wire =
+  let view =
+    match t.on_flow_mod with
+    | None -> Of_codec.peek wire
+    | Some _ -> Result.map (fun m -> Of_codec.Message m) (Of_codec.of_wire wire)
+  in
+  match view with
+  | Ok view -> handle_from_slice t sw slice conn wire view
+  | Error e ->
+      Rf_sim.Engine.record t.engine ~component:"flowvisor"
+        ~event:"decode-error" e;
+      Rf_net.Channel.close conn
+
+let broadcast_to_slices t sw wire =
   Hashtbl.iter
     (fun name conn ->
       match slice_named t name with
-      | Some slice -> send_to_slice slice conn msg
+      | Some slice -> relay_to_slice slice conn wire
       | None -> ())
     sw.slice_conns
 
-let handle_from_switch t sw (m : Of_msg.t) =
+(* Toward a slice FlowVisor relays the switch's bytes unchanged, or with
+   a reply's xid translated back. *)
+let handle_from_switch t sw (m : Of_msg.t) wire =
   match m.payload with
   | Of_msg.Packet_in pi -> (
       match classify_frame t pi.pi_data ~in_port:pi.pi_in_port with
       | Some slice -> (
           match Hashtbl.find_opt sw.slice_conns slice.def.Flowspace.fs_name with
-          | Some conn -> send_to_slice slice conn m
+          | Some conn -> relay_to_slice slice conn wire
           | None -> ())
       | None -> ())
   | Of_msg.Flow_removed fr -> (
@@ -214,13 +261,14 @@ let handle_from_switch t sw (m : Of_msg.t) =
       match owner with
       | Some slice -> (
           match Hashtbl.find_opt sw.slice_conns slice.def.Flowspace.fs_name with
-          | Some conn -> send_to_slice slice conn m
+          | Some conn -> relay_to_slice slice conn wire
           | None -> ())
       | None -> ())
-  | Of_msg.Port_status _ -> broadcast_to_slices t sw m
+  | Of_msg.Port_status _ -> broadcast_to_slices t sw wire
   | Of_msg.Error _ | Of_msg.Stats_reply _ | Of_msg.Barrier_reply ->
-      let slot = xid_slot sw m.xid in
-      if slot.x_xid = Int32.to_int m.xid then begin
+      let xid = Of_codec.xid wire in
+      let slot = xid_slot sw xid in
+      if slot.x_xid = xid then begin
         let slice_name = slot.x_slice and orig_xid = slot.x_orig in
         (match m.payload with
         | Of_msg.Error _ -> () (* keep mapping: stats may still reply *)
@@ -236,7 +284,7 @@ let handle_from_switch t sw (m : Of_msg.t) =
           (slice_named t slice_name, Hashtbl.find_opt sw.slice_conns slice_name)
         with
         | Some slice, Some conn ->
-            send_to_slice slice conn { m with xid = orig_xid }
+            relay_to_slice slice conn (Of_codec.with_xid wire orig_xid)
         | (Some _ | None), (Some _ | None) -> ()
       end
   | Of_msg.Hello | Of_msg.Echo_request _ | Of_msg.Echo_reply _ | Of_msg.Vendor _
@@ -262,11 +310,11 @@ let switch_attach t ~dpid endpoint =
           features;
           slice_conns = Hashtbl.create 4;
           xid_ring = new_xid_ring ();
-          next_xid = 0x40000000l;
+          next_xid = 0x40000000;
         }
       in
       Hashtbl.replace t.switches dpid sw;
-      Of_conn.set_on_message conn (fun m -> handle_from_switch t sw m);
+      Of_conn.set_on_message conn (handle_from_switch t sw);
       (* A switch disconnect tears down its impersonated connection in
          every slice, so slice controllers observe the loss. *)
       Of_conn.set_on_close conn (fun () ->
@@ -283,13 +331,8 @@ let switch_attach t ~dpid endpoint =
         (fun slice ->
           let fv_end, ctl_end = Rf_net.Channel.create t.engine () in
           Hashtbl.replace sw.slice_conns slice.def.Flowspace.fs_name fv_end;
-          Rf_net.Channel.set_receiver fv_end (fun bytes ->
-              match Of_codec.of_wire bytes with
-              | Ok m -> handle_from_slice t sw slice fv_end m
-              | Error e ->
-                  Rf_sim.Engine.record t.engine ~component:"flowvisor"
-                    ~event:"decode-error" e;
-                  Rf_net.Channel.close fv_end);
+          Rf_net.Channel.set_receiver fv_end
+            (receive_from_slice t sw slice fv_end);
           (* Behave like a switch: greet the slice controller. *)
           send_to_slice slice fv_end (Of_msg.msg ~xid:0l Of_msg.Hello);
           slice.attach ~dpid ctl_end)

@@ -108,6 +108,34 @@ let list_of_wire r =
   in
   try loop [] with Wire.Truncated -> Error "of_action: truncated"
 
+(* The body bytes [decode_one] reads for an action type; -1 for a type
+   it rejects. *)
+let body_size = function
+  | 0 -> 4
+  | 3 -> 0
+  | 4 | 5 -> 6
+  | 6 | 7 -> 4
+  | 8 -> 1
+  | 9 | 10 -> 2
+  | _ -> -1
+
+let rec check_from r =
+  if Wire.Reader.remaining r < 4 then Ok ()
+  else begin
+    let typ = Wire.Reader.u16 r in
+    let len = Wire.Reader.u16 r in
+    if len < 8 then Error "of_action: length too small"
+    else begin
+      Wire.Reader.skip r (len - 4);
+      let need = body_size typ in
+      if need < 0 then Error (Printf.sprintf "of_action: unsupported type %d" typ)
+      else if len - 4 < need then Error "of_action: truncated"
+      else check_from r
+    end
+  end
+
+let check_list r = try check_from r with Wire.Truncated -> Error "of_action: truncated"
+
 let pp ppf = function
   | Output { port; _ } -> Format.fprintf ppf "output(%a)" Of_port.pp port
   | Set_dl_src m -> Format.fprintf ppf "set_dl_src(%a)" Mac.pp m

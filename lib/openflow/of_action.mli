@@ -31,4 +31,9 @@ val write_list : Wire.Writer.t -> t list -> unit
 val list_of_wire : Wire.Reader.t -> (t list, string) result
 (** Consumes the whole reader. *)
 
+val check_list : Wire.Reader.t -> (unit, string) result
+(** [Ok ()] exactly when {!list_of_wire} would decode the reader's
+    remaining bytes, which it consumes, without building the actions:
+    the same lengths, types and errors. *)
+
 val pp : Format.formatter -> t -> unit

@@ -524,3 +524,58 @@ let of_wire s =
       else decode_body typ xid r
     end
   with Wire.Truncated -> Stdlib.Error "of_codec: truncated message"
+
+let msg_type s = Char.code s.[1]
+
+let xid s = (String.get_uint16_be s 4 lsl 16) lor String.get_uint16_be s 6
+
+let with_xid s xid =
+  let b = Bytes.of_string s in
+  Bytes.set_uint16_be b 4 ((xid lsr 16) land 0xFFFF);
+  Bytes.set_uint16_be b 6 (xid land 0xFFFF);
+  Bytes.unsafe_to_string b
+
+type peek =
+  | Flow_mod_match of Of_match.t
+  | Packet_out_key of Of_match.key option * bool
+  | Message of Of_msg.t
+
+let peek s =
+  try
+    let r = Wire.Reader.of_string s in
+    let v = Wire.Reader.u8 r in
+    if v <> version then
+      Stdlib.Error (Printf.sprintf "of_codec: bad version %d" v)
+    else begin
+      let typ = Wire.Reader.u8 r in
+      let length = Wire.Reader.u16 r in
+      Wire.Reader.skip r 4 (* xid *);
+      if length <> String.length s then Stdlib.Error "of_codec: bad length"
+      else
+        match typ with
+        | 14 -> (
+            match Of_match.of_wire r with
+            | Stdlib.Error _ as e -> e
+            | Ok m -> (
+                Wire.Reader.skip r 8 (* cookie *);
+                let command = Wire.Reader.u16 r in
+                Wire.Reader.skip r 14
+                (* timeouts, priority, buffer, out port, flags *);
+                match command_of_code command with
+                | Stdlib.Error _ as e -> e
+                | Ok _ -> (
+                    match Of_action.check_list r with
+                    | Ok () -> Ok (Flow_mod_match m)
+                    | Stdlib.Error _ as e -> e)))
+        | 13 -> (
+            let buffered = Wire.Reader.u32_int r <> 0xFFFFFFFF in
+            let in_port = Wire.Reader.u16 r in
+            let actions_len = Wire.Reader.u16 r in
+            match Of_action.check_list (Wire.Reader.sub r actions_len) with
+            | Ok () ->
+                let key = Of_match.key_of_frame ~in_port (Wire.Reader.rest r) in
+                Ok (Packet_out_key (key, buffered))
+            | Stdlib.Error _ as e -> e)
+        | _ -> Result.map (fun m -> Message m) (of_wire s)
+    end
+  with Wire.Truncated -> Stdlib.Error "of_codec: truncated message"

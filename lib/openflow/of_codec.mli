@@ -13,3 +13,32 @@ val of_wire : string -> (Of_msg.t, string) result
 (** Decodes exactly one message. [Error] when the header's length
     field differs from the string's length, so a trailing byte or a
     second message is rejected, never silently dropped. *)
+
+(** {1 Relaying encoded messages}
+
+    A proxy forwards the bytes it received. It reads the header and the
+    body fields its policy needs in place, and decodes nothing else. *)
+
+val msg_type : string -> int
+(** The type code, byte 1, of an encoded message: the
+    {!Of_msg.type_code} of its payload. *)
+
+val xid : string -> int
+(** Bytes 4-7 of an encoded message, the xid, as an unsigned int. *)
+
+val with_xid : string -> int -> string
+(** A copy of an encoded message with only its xid, bytes 4-7, set to
+    the low 32 bits of the int. *)
+
+type peek =
+  | Flow_mod_match of Of_match.t  (** a flow-mod: its match alone *)
+  | Packet_out_key of Of_match.key option * bool
+      (** a packet-out: the flow key of its frame at its in-port
+          ({!Of_match.key_of_frame}), and whether it names a buffer *)
+  | Message of Of_msg.t  (** any other message, decoded in full *)
+
+val peek : string -> (peek, string) result
+(** [Error] exactly where {!of_wire} would fail. A flow-mod or
+    packet-out is checked in full but decodes only the fields above
+    (its actions are checked by {!Of_action.check_list}, not built);
+    any other message is {!of_wire}'s. *)

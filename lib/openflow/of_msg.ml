@@ -176,27 +176,21 @@ let type_code = function
   | Barrier_request -> 18
   | Barrier_reply -> 19
 
-let type_name = function
-  | Hello -> "hello"
-  | Error _ -> "error"
-  | Echo_request _ -> "echo-request"
-  | Echo_reply _ -> "echo-reply"
-  | Vendor _ -> "vendor"
-  | Features_request -> "features-request"
-  | Features_reply _ -> "features-reply"
-  | Get_config_request -> "get-config-request"
-  | Get_config_reply _ -> "get-config-reply"
-  | Set_config _ -> "set-config"
-  | Packet_in _ -> "packet-in"
-  | Flow_removed _ -> "flow-removed"
-  | Port_status _ -> "port-status"
-  | Packet_out _ -> "packet-out"
-  | Flow_mod _ -> "flow-mod"
-  | Port_mod _ -> "port-mod"
-  | Stats_request _ -> "stats-request"
-  | Stats_reply _ -> "stats-reply"
-  | Barrier_request -> "barrier-request"
-  | Barrier_reply -> "barrier-reply"
+(* Indexed by {!type_code}. *)
+let type_names =
+  [|
+    "hello"; "error"; "echo-request"; "echo-reply"; "vendor";
+    "features-request"; "features-reply"; "get-config-request";
+    "get-config-reply"; "set-config"; "packet-in"; "flow-removed";
+    "port-status"; "packet-out"; "flow-mod"; "port-mod"; "stats-request";
+    "stats-reply"; "barrier-request"; "barrier-reply";
+  |]
+
+let type_code_name code =
+  if code >= 0 && code < Array.length type_names then type_names.(code)
+  else "unknown"
+
+let type_name p = type_names.(type_code p)
 
 let pp ppf t =
   Format.fprintf ppf "%s xid=%ld" (type_name t.payload) t.xid;

@@ -151,4 +151,8 @@ val type_code : payload -> int
 
 val type_name : payload -> string
 
+val type_code_name : int -> string
+(** [type_name] of the payload whose [type_code] is given; ["unknown"]
+    for a code outside OpenFlow 1.0's. *)
+
 val pp : Format.formatter -> t -> unit

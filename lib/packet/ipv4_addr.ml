@@ -58,7 +58,23 @@ let compare = Int.compare
 
 let equal = Int.equal
 
-let hash t = t
+(* Multiplicative (Fibonacci) hashing: the multiply carries the low
+   bits upward and the shift folds them back into the low bits that a
+   table's bucket index keeps, so keys that differ only in their high
+   bits — /24 networks, prefixes, router ids — still spread. *)
+let hash t =
+  let h = t * 0x9E3779B97F4A7C1 in
+  h lxor (h lsr 29)
+
+module Key = struct
+  type nonrec t = t
+
+  let equal = Int.equal
+
+  let hash = hash
+end
+
+module Tbl = Hashtbl.Make (Key)
 
 let is_multicast t = octet t 0 land 0xF0 = 0xE0
 
@@ -118,4 +134,17 @@ module Prefix = struct
   let to_string p = Printf.sprintf "%s/%d" (to_string (network p)) (length p)
 
   let pp ppf p = Format.pp_print_string ppf (to_string p)
+
+  module Tbl = Tbl
+
+  let sorted_keys tbl =
+    let keys = Array.make (Tbl.length tbl) global in
+    ignore
+      (Tbl.fold
+         (fun p _ i ->
+           keys.(i) <- p;
+           i + 1)
+         tbl 0);
+    Array.sort compare keys;
+    keys
 end

@@ -46,7 +46,14 @@ val compare : t -> t -> int
 (** Unsigned order: 128.0.0.0 sorts after 127.255.255.255. *)
 
 val equal : t -> t -> bool
+
 val hash : t -> int
+(** A well-mixed hash of the immediate int: its low bits depend on
+    every bit of the address. *)
+
+module Tbl : Hashtbl.S with type key = t
+(** Tables keyed by address, hashed by {!hash} in OCaml rather than by
+    the polymorphic [caml_hash]. *)
 
 val is_multicast : t -> bool
 
@@ -94,4 +101,10 @@ module Prefix : sig
 
   val pp : Format.formatter -> t -> unit
   val to_string : t -> string
+
+  module Tbl : Hashtbl.S with type key = t
+  (** Tables keyed by prefix, hashed like addresses. *)
+
+  val sorted_keys : 'a Tbl.t -> t array
+  (** The table's prefixes in {!compare} order. *)
 end

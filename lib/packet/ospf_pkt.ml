@@ -23,6 +23,12 @@ type lsa_header = {
   h_length : int;
 }
 
+type spf_input = {
+  p2p : Ipv4_addr.t array;
+  p2p_metric : int array;
+  stubs : (Ipv4_addr.Prefix.t * int) array;
+}
+
 type lsa = {
   age : int;
   options : int;
@@ -32,6 +38,7 @@ type lsa = {
   body : lsa_body;
   header : lsa_header;
   wire : string;
+  spf : spf_input;
 }
 
 let initial_seq = 0x80000001l
@@ -136,6 +143,38 @@ let encode ~age ~options ~link_state_id ~adv_router ~seq body =
   Wire.Writer.patch_u16 w 16 (lsa_checksum (Wire.Writer.contents w));
   Wire.Writer.contents w
 
+(* Set bits of the 32-bit netmask (SWAR popcount). *)
+let mask_len m =
+  let v = Ipv4_addr.to_int m in
+  let v = v - ((v lsr 1) land 0x55555555) in
+  let v = (v land 0x33333333) + ((v lsr 2) land 0x33333333) in
+  let v = (v + (v lsr 4)) land 0x0F0F0F0F in
+  ((v * 0x01010101) land 0xFFFFFFFF) lsr 24
+
+let no_spf_input = { p2p = [||]; p2p_metric = [||]; stubs = [||] }
+
+let spf_input_of_body = function
+  | Router { links } ->
+      let p2p =
+        List.filter (fun l -> l.link_type = Point_to_point) links
+        |> Array.of_list
+      in
+      {
+        p2p = Array.map (fun l -> l.link_id) p2p;
+        p2p_metric = Array.map (fun l -> l.metric) p2p;
+        stubs =
+          List.filter_map
+            (fun l ->
+              if l.link_type = Stub then
+                Some
+                  ( Ipv4_addr.Prefix.make l.link_id (mask_len l.link_data),
+                    l.metric )
+              else None)
+            links
+          |> Array.of_list;
+      }
+  | Network _ | Opaque _ -> no_spf_input
+
 let with_wire ~age ~options ~link_state_id ~adv_router ~seq body wire =
   {
     age;
@@ -155,6 +194,7 @@ let with_wire ~age ~options ~link_state_id ~adv_router ~seq body wire =
         h_length = String.length wire;
       };
     wire;
+    spf = spf_input_of_body body;
   }
 
 let make_lsa ~age ~options ~link_state_id ~adv_router ~seq body =

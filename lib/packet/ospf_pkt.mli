@@ -35,6 +35,16 @@ type lsa_header = {
   h_length : int;
 }
 
+type spf_input = private {
+  p2p : Ipv4_addr.t array;
+      (** the neighbours of the point-to-point links, in link order *)
+  p2p_metric : int array;  (** their metrics, index for index *)
+  stubs : (Ipv4_addr.Prefix.t * int) array;
+      (** the stub links as (prefix, metric), in link order *)
+}
+(** What SPF and route publication read of a router LSA, derived from
+    its body once per instance. Empty for other LSA types. *)
+
 type lsa = private {
   age : int;
   options : int;
@@ -44,6 +54,10 @@ type lsa = private {
   body : lsa_body;
   header : lsa_header;  (** Its header, checksum and length included. *)
   wire : string;  (** Its encoding, checksum included. *)
+  spf : spf_input;
+      (** Derived from [body] when the instance is built. Every daemon
+          holding the instance reads these same arrays, which nobody
+          mutates. *)
 }
 (** One LSA instance. It is encoded once, by {!make_lsa} at origination
     or on receipt by the decoder, and never changes after.

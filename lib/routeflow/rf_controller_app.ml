@@ -55,7 +55,7 @@ let attach t ~dpid:_ endpoint =
       ignore
         (Of_conn.send conn
            (Of_msg.Set_config { flags = 0; miss_send_len = 0xffff })));
-  Of_conn.set_on_message conn (fun (m : Of_msg.t) ->
+  Of_conn.set_on_message conn (fun (m : Of_msg.t) _wire ->
       match m.payload with
       | Of_msg.Packet_in pi -> (
           match Of_conn.dpid conn with

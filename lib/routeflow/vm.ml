@@ -1,7 +1,7 @@
 open Rf_packet
 open Rf_routing
 
-module Prefix_map = Map.Make (Ipv4_addr.Prefix)
+module Prefix_tbl = Ipv4_addr.Prefix.Tbl
 
 type pending_packet = { pp_ipv4 : Ipv4.t }
 
@@ -30,7 +30,7 @@ type t = {
   configs : (string, string) Hashtbl.t;
   mutable ospf_enabled : string list;  (** NIC names already under OSPF *)
   mutable rip_enabled : string list;
-  mutable table : flow_route list Prefix_map.t;
+  table : flow_route list Prefix_tbl.t;
       (** The exported flows by prefix; each list is non-empty and sorted
           by [compare_flow]. *)
   (* What the next export recomputes: the prefixes the RIB reported
@@ -39,10 +39,10 @@ type t = {
      for every prefix instead: set when the ARP table, a NIC address or
      a connected route changes, since connected flows come from ARP
      entries. *)
-  rib_changed : (Ipv4_addr.Prefix.t, unit) Hashtbl.t;
-  unresolved : (Ipv4_addr.Prefix.t, unit) Hashtbl.t;
-  recursive : (Ipv4_addr.Prefix.t, unit) Hashtbl.t;
-  connected : (Ipv4_addr.Prefix.t, unit) Hashtbl.t;
+  rib_changed : unit Prefix_tbl.t;
+  unresolved : unit Prefix_tbl.t;
+  recursive : unit Prefix_tbl.t;
+  connected : unit Prefix_tbl.t;
   mutable export_all : bool;
   mutable flow_listeners :
     (removed:flow_route list -> added:flow_route list -> unit) list;
@@ -118,12 +118,12 @@ let diff_flows olds fresh =
   in
   go olds fresh [] []
 
-let port_of_iface_name t name =
-  let result = ref None in
-  Array.iteri
-    (fun i ifc -> if String.equal (Iface.name ifc) name then result := Some (i + 1))
-    t.nics;
-  !result
+(* The port of the last NIC named [name] among ports 1 to [i], or 0. *)
+let rec last_port_named nics name i =
+  if i = 0 || String.equal (Iface.name nics.(i - 1)) name then i
+  else last_port_named nics name (i - 1)
+
+let port_named t name = last_port_named t.nics name (Array.length t.nics)
 
 let send_arp_request t port target =
   let ifc = nic t port in
@@ -138,18 +138,15 @@ let send_arp_request t port target =
 let is_recursive (r : Rib.route) =
   Option.is_some r.Rib.r_next_hop && String.equal r.Rib.r_iface ""
 
-(* Resolve a route to (output port, next-hop address). *)
-let resolve_route t (r : Rib.route) =
+(* A route's output port, or 0: its interface's, or a recursive
+   route's connected one. *)
+let route_port t (r : Rib.route) =
   match r.Rib.r_next_hop with
-  | None -> Option.map (fun p -> (p, None)) (port_of_iface_name t r.Rib.r_iface)
-  | Some nh -> (
-      if not (is_recursive r) then
-        Option.map (fun p -> (p, Some nh)) (port_of_iface_name t r.Rib.r_iface)
-      else
-        match Rib.lookup (rib t) nh with
-        | Some { Rib.r_proto = Rib.Connected; r_iface; _ } ->
-            Option.map (fun p -> (p, Some nh)) (port_of_iface_name t r_iface)
-        | Some _ | None -> None)
+  | Some nh when is_recursive r -> (
+      match Rib.lookup (rib t) nh with
+      | Some { Rib.r_proto = Rib.Connected; r_iface; _ } -> port_named t r_iface
+      | Some _ | None -> 0)
+  | Some _ | None -> port_named t r.Rib.r_iface
 
 (* The flows one selected route contributes, consed onto [acc]: one
    host flow per ARP entry on a connected subnet, else one flow toward
@@ -160,9 +157,9 @@ let resolve_route t (r : Rib.route) =
 let add_route_flows t acc (r : Rib.route) =
   match r.r_proto with
   | Rib.Connected -> (
-      match port_of_iface_name t r.r_iface with
-      | None -> acc
-      | Some port ->
+      match port_named t r.r_iface with
+      | 0 -> acc
+      | port ->
           let ifc = nic t port in
           Hashtbl.fold
             (fun key mac acc ->
@@ -182,82 +179,98 @@ let add_route_flows t acc (r : Rib.route) =
               else acc)
             t.arp acc)
   | Rib.Static | Rib.Ospf | Rib.Rip | Rib.Bgp -> (
-      match resolve_route t r with
-      | Some (port, Some nh) -> (
-          match Hashtbl.find_opt t.arp (arp_key port nh) with
-          | Some mac ->
-              {
-                fr_prefix = r.r_prefix;
-                fr_port = port;
-                fr_src_mac = Iface.mac (nic t port);
-                fr_dst_mac = mac;
-              }
-              :: acc
-          | None ->
-              Hashtbl.replace t.unresolved r.r_prefix ();
-              send_arp_request t port nh;
-              acc)
-      | Some (_, None) | None -> acc)
+      match r.r_next_hop with
+      | None -> acc
+      | Some nh -> (
+          let port = route_port t r in
+          if port = 0 then acc
+          else
+            match Hashtbl.find t.arp (arp_key port nh) with
+            | mac ->
+                {
+                  fr_prefix = r.r_prefix;
+                  fr_port = port;
+                  fr_src_mac = Iface.mac (nic t port);
+                  fr_dst_mac = mac;
+                }
+                :: acc
+            | exception Not_found ->
+                Prefix_tbl.replace t.unresolved r.r_prefix ();
+                send_arp_request t port nh;
+                acc))
 
 let flow_routes t =
-  Seq.fold_left (fun acc (_, flows) -> flows @ acc) []
-    (Prefix_map.to_rev_seq t.table)
+  Array.fold_right
+    (fun p acc -> Prefix_tbl.find t.table p @ acc)
+    (Ipv4_addr.Prefix.sorted_keys t.table) []
 
-(* One export: recompute the flows of the prefixes that can have
-   changed (every prefix when [export_all], or when one of them is a
-   host route that a connected subnet's host flow could share), diff
-   them against the table and store them there. Returns the flows
-   removed and added, each sorted. Routes outside that set read only
-   inputs that did not change — their own route, the ARP table and the
-   NIC addresses — so their flows stand. ARP requests go out for every
-   unresolved next hop in prefix order, exactly as a full recompute
-   sends them. *)
-let export_flows t =
-  let prefixes = Hashtbl.create 16 in
-  let add p () = Hashtbl.replace prefixes p () in
-  Hashtbl.iter add t.rib_changed;
-  Hashtbl.iter add t.unresolved;
-  Hashtbl.iter add t.recursive;
-  let all =
-    t.export_all
-    || Hashtbl.fold
-         (fun p () acc -> acc || Ipv4_addr.Prefix.length p = 32)
-         prefixes false
-  in
-  Hashtbl.reset t.rib_changed;
-  Hashtbl.reset t.unresolved;
-  t.export_all <- false;
-  (* Outside [all], no route recomputed is connected, so its flows lie
-     under its own prefix: the old flows are those of [ps]. *)
-  let ps =
-    Hashtbl.fold (fun p () acc -> p :: acc) prefixes []
-    |> List.sort Ipv4_addr.Prefix.compare
-  in
-  let routes =
-    if all then Rib.selected (rib t) else List.filter_map (Rib.best (rib t)) ps
-  in
+(* The flows that changed under one prefix [p] when only routes not
+   connected were recomputed: the route's flow, if any, lies under its
+   own prefix. *)
+let export_prefix t p ~removed ~added =
+  let olds = try Prefix_tbl.find t.table p with Not_found -> [] in
   let fresh =
-    List.sort_uniq compare_flow (List.fold_left (add_route_flows t) [] routes)
+    match Rib.best (rib t) p with
+    | Some r -> add_route_flows t [] r
+    | None -> []
   in
-  let olds =
-    if all then flow_routes t
-    else
-      List.concat_map
-        (fun p -> Option.value (Prefix_map.find_opt p t.table) ~default:[])
-        ps
+  if not (List.equal (fun a b -> compare_flow a b = 0) olds fresh) then begin
+    let r, a = diff_flows olds fresh in
+    removed := List.rev_append r !removed;
+    added := List.rev_append a !added;
+    match fresh with
+    | [] -> Prefix_tbl.remove t.table p
+    | _ :: _ -> Prefix_tbl.replace t.table p fresh
+  end
+
+(* Every flow recomputed from every selected route. *)
+let export_every_prefix t =
+  let fresh =
+    List.sort_uniq compare_flow
+      (List.fold_left (add_route_flows t) [] (Rib.selected (rib t)))
   in
-  let removed, added = diff_flows olds fresh in
+  let removed, added = diff_flows (flow_routes t) fresh in
   if removed <> [] || added <> [] then begin
-    let kept =
-      if all then Prefix_map.empty
-      else List.fold_left (fun m p -> Prefix_map.remove p m) t.table ps
-    in
-    t.table <-
-      List.fold_left
-        (fun m f -> Prefix_map.add_to_list f.fr_prefix f m)
-        kept (List.rev fresh)
+    Prefix_tbl.reset t.table;
+    List.iter
+      (fun f ->
+        let flows =
+          try Prefix_tbl.find t.table f.fr_prefix with Not_found -> []
+        in
+        Prefix_tbl.replace t.table f.fr_prefix (f :: flows))
+      (List.rev fresh)
   end;
   (removed, added)
+
+let add_all dst src =
+  Prefix_tbl.iter (fun p () -> Prefix_tbl.replace dst p ()) src
+
+(* One export: recompute the flows of the prefixes that can have
+   changed, in prefix order (every prefix when [export_all], or when one
+   of them is a host route that a connected subnet's host flow could
+   share), diff them against the table and store them there. Returns
+   the flows removed and added, each sorted. Routes outside that set
+   read only inputs that did not change — their own route, the ARP
+   table and the NIC addresses — so their flows stand. ARP requests go
+   out for every unresolved next hop in prefix order, exactly as a full
+   recompute sends them. *)
+let export_flows t =
+  let pending = t.rib_changed in
+  add_all pending t.unresolved;
+  add_all pending t.recursive;
+  let ps = Ipv4_addr.Prefix.sorted_keys pending in
+  let all =
+    t.export_all || Array.exists (fun p -> Ipv4_addr.Prefix.length p = 32) ps
+  in
+  Prefix_tbl.reset pending;
+  Prefix_tbl.reset t.unresolved;
+  t.export_all <- false;
+  if all then export_every_prefix t
+  else begin
+    let removed = ref [] and added = ref [] in
+    Array.iter (fun p -> export_prefix t p ~removed ~added) ps;
+    (List.rev !removed, List.rev !added)
+  end
 
 let refresh_flows t =
   if not t.flows_dirty then begin
@@ -282,18 +295,18 @@ let note_route t ev =
     | Rib.Best_added r | Rib.Best_changed r -> r.Rib.r_prefix
     | Rib.Best_removed p -> p
   in
-  if Hashtbl.mem t.connected p then t.export_all <- true;
-  Hashtbl.remove t.connected p;
-  Hashtbl.remove t.recursive p;
+  if Prefix_tbl.mem t.connected p then t.export_all <- true;
+  Prefix_tbl.remove t.connected p;
+  Prefix_tbl.remove t.recursive p;
   (match ev with
   | Rib.Best_added r | Rib.Best_changed r ->
       if r.Rib.r_proto = Rib.Connected then begin
-        Hashtbl.replace t.connected p ();
+        Prefix_tbl.replace t.connected p ();
         t.export_all <- true
       end
-      else if is_recursive r then Hashtbl.replace t.recursive p ()
+      else if is_recursive r then Prefix_tbl.replace t.recursive p ()
   | Rib.Best_removed _ -> ());
-  Hashtbl.replace t.rib_changed p ();
+  Prefix_tbl.replace t.rib_changed p ();
   refresh_flows t
 
 let add_on_flows_changed t f = t.flow_listeners <- t.flow_listeners @ [ f ]
@@ -361,10 +374,12 @@ let forward_ipv4 t (ip : Ipv4.t) =
       match Rib.lookup (rib t) ip.dst with
       | None -> ()
       | Some route -> (
-          match resolve_route t route with
-          | None -> ()
-          | Some (port, nh) -> (
-              let next_hop = match nh with Some nh -> nh | None -> ip.dst in
+          match route_port t route with
+          | 0 -> ()
+          | port -> (
+              let next_hop =
+                match route.Rib.r_next_hop with Some nh -> nh | None -> ip.dst
+              in
               let ifc = nic t port in
               match Hashtbl.find_opt t.arp (arp_key port next_hop) with
               | Some mac ->
@@ -440,11 +455,11 @@ let create engine ~dpid ~n_ports () =
       configs = Hashtbl.create 4;
       ospf_enabled = [];
       rip_enabled = [];
-      table = Prefix_map.empty;
-      rib_changed = Hashtbl.create 16;
-      unresolved = Hashtbl.create 8;
-      recursive = Hashtbl.create 4;
-      connected = Hashtbl.create 8;
+      table = Prefix_tbl.create 64;
+      rib_changed = Prefix_tbl.create 16;
+      unresolved = Prefix_tbl.create 8;
+      recursive = Prefix_tbl.create 4;
+      connected = Prefix_tbl.create 8;
       export_all = false;
       flow_listeners = [];
       flows_dirty = false;

@@ -58,15 +58,23 @@ type t = {
   graph : Spf.graph;
   (* Advertising routers whose LSAs changed since the last SPF run;
      drives the incremental recomputation. *)
-  spf_dirty : (Ipv4_addr.t, unit) Hashtbl.t;
-  (* Parsed stub links per advertising router — prefix, link metric —
-     refreshed when the router's LSA changes, so route publication does
-     not re-derive masks and prefixes from unchanged LSAs every run. *)
-  stub_cache : (Ipv4_addr.t, (Ipv4_addr.Prefix.t * int) array) Hashtbl.t;
+  spf_dirty : unit Ipv4_addr.Tbl.t;
+  (* Stub links per advertising router as of the last SPF run: the
+     [stubs] array of its LSA instance's {!Ospf_pkt.spf_input}, which
+     every daemon holding that instance shares. *)
+  stub_cache : (Ipv4_addr.Prefix.t * int) array Ipv4_addr.Tbl.t;
   (* Prefix -> routers whose cached stub links list it: the inverse of
      [stub_cache], so a publication recomputes one prefix from its
      advertisers alone. *)
-  advertisers : (Ipv4_addr.Prefix.t, Ipv4_addr.t list) Hashtbl.t;
+  advertisers : Ipv4_addr.t list Ipv4_addr.Prefix.Tbl.t;
+  (* The prefixes the current SPF run republishes after a repair: those
+     of the stub links that changed, old and new, and those of the
+     routers whose distance or first hop moved. *)
+  affected : unit Ipv4_addr.Prefix.Tbl.t;
+  (* [hop_nbr]'s last answer within one publication: the first hop, -1
+     for none yet, and its Full neighbour. *)
+  mutable memo_hop : int;
+  mutable memo_nbr : neighbor option;
   mutable my_seq : int32;
   mutable spf_scheduled : bool;
   mutable spf_count : int;
@@ -98,9 +106,12 @@ let create engine ?entity cfg rib =
     lsdb = Hashtbl.create 64;
     spf = Spf.create ~root:cfg.router_id;
     graph = Spf.graph_create ();
-    spf_dirty = Hashtbl.create 16;
-    stub_cache = Hashtbl.create 64;
-    advertisers = Hashtbl.create 64;
+    spf_dirty = Ipv4_addr.Tbl.create 16;
+    stub_cache = Ipv4_addr.Tbl.create 64;
+    advertisers = Ipv4_addr.Prefix.Tbl.create 64;
+    affected = Ipv4_addr.Prefix.Tbl.create 64;
+    memo_hop = -1;
+    memo_nbr = None;
     my_seq = Ospf_pkt.initial_seq;
     spf_scheduled = false;
     spf_count = 0;
@@ -279,91 +290,76 @@ let p2p_pairs lsa =
         links
   | Ospf_pkt.Network _ | Ospf_pkt.Opaque _ -> []
 
-(* Vertices = router LSAs; a p2p edge A->B counts only when B's LSA
-   links back to A (bidirectionality check of RFC 2328 §16.1) — the
-   back-link check lives in {!Spf}. *)
-let refresh_graph_node t rid =
-  match router_lsa t rid with
-  | Some lsa -> Spf.graph_set_links t.graph rid (p2p_pairs lsa)
-  | None -> Spf.graph_remove t.graph rid
+let mark_dirty t rid = Ipv4_addr.Tbl.replace t.spf_dirty rid ()
 
-let mark_dirty t rid = Hashtbl.replace t.spf_dirty rid ()
-
-(* Set bits of the 32-bit netmask (SWAR popcount, replacing a 32-step
-   shift loop on the route-build hot path). *)
-let mask_len_of m =
-  let v = Ipv4_addr.to_int m in
-  let v = v - ((v lsr 1) land 0x55555555) in
-  let v = (v land 0x33333333) + ((v lsr 2) land 0x33333333) in
-  let v = (v + (v lsr 4)) land 0x0F0F0F0F in
-  ((v * 0x01010101) land 0xFFFFFFFF) lsr 24
-
-(* Stub links of [rid]'s router LSA as (prefix, metric) pairs, parsed
-   once per LSA generation and entered into [advertisers]. A prefix is
-   an immediate int, so it is its own cheap hash key. *)
 let stub_links_of t rid =
-  match Hashtbl.find_opt t.stub_cache rid with
-  | Some a -> a
-  | None ->
-      let a =
-        match router_lsa t rid with
-        | Some { Ospf_pkt.body = Ospf_pkt.Router { links }; _ } ->
-            List.filter_map
-              (fun (l : Ospf_pkt.router_link) ->
-                if l.link_type = Ospf_pkt.Stub then
-                  Some
-                    ( Ipv4_addr.Prefix.make l.link_id (mask_len_of l.link_data),
-                      l.metric )
-                else None)
-              links
-            |> Array.of_list
-        | Some _ | None -> [||]
-      in
-      Hashtbl.add t.stub_cache rid a;
-      Array.iter
-        (fun (p, _) ->
-          let advs =
-            Option.value (Hashtbl.find_opt t.advertisers p) ~default:[]
-          in
-          if not (List.exists (Ipv4_addr.equal rid) advs) then
-            Hashtbl.replace t.advertisers p (rid :: advs))
-        a;
-      a
+  match Ipv4_addr.Tbl.find t.stub_cache rid with
+  | a -> a
+  | exception Not_found -> [||]
 
-(* Drops [rid]'s cached stub links, adding their prefixes to the set
-   [affected]. *)
-let forget_stub_links t rid affected =
-  match Hashtbl.find_opt t.stub_cache rid with
-  | None -> ()
-  | Some a ->
-      Hashtbl.remove t.stub_cache rid;
-      Array.iter
-        (fun (p, _) ->
-          Hashtbl.replace affected p ();
-          match Hashtbl.find_opt t.advertisers p with
-          | Some advs -> (
-              match List.filter (fun r -> not (Ipv4_addr.equal r rid)) advs with
-              | [] -> Hashtbl.remove t.advertisers p
-              | rest -> Hashtbl.replace t.advertisers p rest)
-          | None -> ())
-        a
+let note_affected t stubs =
+  for i = 0 to Array.length stubs - 1 do
+    Ipv4_addr.Prefix.Tbl.replace t.affected (fst stubs.(i)) ()
+  done
+
+let advertisers_of t p =
+  match Ipv4_addr.Prefix.Tbl.find t.advertisers p with
+  | advs -> advs
+  | exception Not_found -> []
+
+(* Brings [rid]'s graph node and stub links up to its LSA in the LSDB.
+   Vertices are router LSAs; a p2p edge A->B counts only when B's LSA
+   links back to A (bidirectionality check of RFC 2328 §16.1) — the
+   back-link check lives in {!Spf}. When the stub links changed, the
+   prefixes of the old and the new ones join [affected]; unchanged
+   stub links change no route unless [rid]'s distance or first hop
+   moved, and SPF reports those routers. *)
+let refresh_router t rid =
+  let stubs =
+    match router_lsa t rid with
+    | Some lsa ->
+        let input = lsa.Ospf_pkt.spf in
+        Spf.graph_set_links t.graph rid ~out:input.p2p ~metric:input.p2p_metric;
+        input.stubs
+    | None ->
+        Spf.graph_remove t.graph rid;
+        [||]
+  in
+  let old = stub_links_of t rid in
+  if old != stubs && old <> stubs then begin
+    note_affected t old;
+    note_affected t stubs;
+    Array.iter
+      (fun (p, _) ->
+        let others =
+          List.filter
+            (fun r -> not (Ipv4_addr.equal r rid))
+            (advertisers_of t p)
+        in
+        match others with
+        | [] -> Ipv4_addr.Prefix.Tbl.remove t.advertisers p
+        | rest -> Ipv4_addr.Prefix.Tbl.replace t.advertisers p rest)
+      old;
+    Ipv4_addr.Tbl.replace t.stub_cache rid stubs;
+    Array.iter
+      (fun (p, _) ->
+        let advs = advertisers_of t p in
+        if not (List.exists (Ipv4_addr.equal rid) advs) then
+          Ipv4_addr.Prefix.Tbl.replace t.advertisers p (rid :: advs))
+      stubs
+  end
 
 (* Takes the routers whose LSAs changed since the last run, refreshing
-   their graph nodes and stub links. Returns them with the set of
-   prefixes their old and new stub links cover. *)
+   their graph nodes and stub links, and starts [affected] afresh with
+   the prefixes of the stub links that changed. *)
 let take_dirty t =
-  let dirty = Hashtbl.fold (fun rid () acc -> rid :: acc) t.spf_dirty [] in
-  Hashtbl.reset t.spf_dirty;
-  let affected = Hashtbl.create 16 in
-  List.iter
-    (fun rid ->
-      refresh_graph_node t rid;
-      forget_stub_links t rid affected;
-      Array.iter
-        (fun (p, _) -> Hashtbl.replace affected p ())
-        (stub_links_of t rid))
-    dirty;
-  (dirty, affected)
+  let dirty =
+    Ipv4_addr.Tbl.fold (fun rid () acc -> rid :: acc) t.spf_dirty []
+  in
+  Ipv4_addr.Tbl.reset t.spf_dirty;
+  Ipv4_addr.Prefix.Tbl.reset t.affected;
+  List.iter (refresh_router t) dirty;
+  dirty
 
 let full_hops t =
   Hashtbl.fold
@@ -373,125 +369,127 @@ let full_hops t =
     t.nbr_tbl []
   |> List.sort (fun (a, _, _) (b, _, _) -> Ipv4_addr.compare a b)
 
-let same_hops =
-  List.equal (fun (r, a, i) (r', a', i') ->
-      Ipv4_addr.equal r r' && Ipv4_addr.equal a a' && String.equal i i')
+(* Whether [full_hops] still equals [t.hops], built without a list: as
+   many Full neighbours as recorded, each recorded one still Full at the
+   same address and interface. *)
+let same_hops t =
+  Hashtbl.fold (fun _ n c -> if n.n_state = Full then c + 1 else c) t.nbr_tbl 0
+  = List.length t.hops
+  && List.for_all
+       (fun (rid, addr, iface) ->
+         match Hashtbl.find t.nbr_tbl rid with
+         | n ->
+             n.n_state = Full
+             && Ipv4_addr.equal n.n_addr addr
+             && String.equal (Iface.name n.n_oiface.ifc) iface
+         | exception Not_found -> false)
+       t.hops
+
+let rec same_prefixes ifaces prefixes =
+  match (ifaces, prefixes) with
+  | [], [] -> true
+  | oif :: ifaces, p :: prefixes ->
+      Ipv4_addr.Prefix.equal (Iface.prefix oif.ifc) p
+      && same_prefixes ifaces prefixes
+  | _ :: _, [] | [], _ :: _ -> false
+
+(* The Full neighbour that is the first hop toward [rid], if [rid] is
+   reachable through one. Distinct first hops number at most the root's
+   degree, so it memoizes on the previous hop. *)
+let hop_nbr t rid =
+  match Spf.first_hop t.spf rid with
+  | None -> None
+  | Some hop ->
+      if Ipv4_addr.to_int hop <> t.memo_hop then begin
+        t.memo_hop <- Ipv4_addr.to_int hop;
+        t.memo_nbr <-
+          (match Hashtbl.find_opt t.nbr_tbl hop with
+          | Some nbr as found when nbr.n_state = Full -> found
+          | Some _ | None -> None)
+      end;
+      t.memo_nbr
+
+(* The least metric of [rid]'s stub links to [p], or -1. *)
+let stub_metric stubs p =
+  let best = ref (-1) in
+  for i = 0 to Array.length stubs - 1 do
+    let q, m = stubs.(i) in
+    if Ipv4_addr.Prefix.equal q p && (!best < 0 || m < !best) then best := m
+  done;
+  !best
+
+(* The OSPF route to [p] over its advertisers [advs]: the least metric
+   (distance to the advertiser plus its stub link's), ties to the
+   least advertising router id, so the result is independent of
+   advertiser order. [best] is the winner so far, at [metric] (-1 while
+   there is none) from [adv]. *)
+let rec best_route t p advs best metric adv =
+  match advs with
+  | [] -> (
+      match best with
+      | None -> None
+      | Some nbr ->
+          Some
+            {
+              Rib.r_prefix = p;
+              r_proto = Rib.Ospf;
+              r_distance = Rib.default_distance Rib.Ospf;
+              r_metric = metric;
+              r_next_hop = Some nbr.n_addr;
+              r_iface = Iface.name nbr.n_oiface.ifc;
+            })
+  | rid :: advs ->
+      let d = Spf.dist t.spf rid in
+      let m = if d < 0 then -1 else stub_metric (stub_links_of t rid) p in
+      if
+        m >= 0
+        && (metric < 0
+           || d + m < metric
+           || (d + m = metric && Ipv4_addr.compare rid adv < 0))
+      then
+        match hop_nbr t rid with
+        | Some _ as nbr -> best_route t p advs nbr (d + m) rid
+        | None -> best_route t p advs best metric adv
+      else best_route t p advs best metric adv
 
 (* Publish OSPF routes from remote routers' stub links, using the SPT
    held in [t.spf]. [changed] is [Some routers] after a repaired tree:
    only the prefixes in [affected] and those advertised by [routers]
    are recomputed, from their advertisers alone. [None] (a full SPF
-   run) recomputes every prefix. Equal-cost prefix candidates break
-   ties on the advertising router id, so the result is independent of
-   hash and advertiser order. *)
-let publish_routes t ~changed affected =
-  let hops = full_hops t in
-  let own_prefixes = List.map (fun oif -> Iface.prefix oif.ifc) t.ifaces in
+   run) recomputes every advertised prefix. *)
+let publish_routes t ~changed =
   let changed =
-    if
-      same_hops hops t.hops
-      && List.equal Ipv4_addr.Prefix.equal own_prefixes t.own_prefixes
-    then changed
-    else None
-  in
-  t.hops <- hops;
-  t.own_prefixes <- own_prefixes;
-  let candidates : (Ipv4_addr.Prefix.t, Rib.route * Ipv4_addr.t) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  (* Distinct first hops number at most the root's degree, so the
-     neighbor lookup memoizes on the previous hop. *)
-  let memo_hop = ref Ipv4_addr.any in
-  let memo_info = ref None in
-  let hop_info hop =
-    if Ipv4_addr.equal hop !memo_hop then !memo_info
+    if same_hops t && same_prefixes t.ifaces t.own_prefixes then changed
     else begin
-      memo_hop := hop;
-      let info =
-        match Hashtbl.find_opt t.nbr_tbl hop with
-        | Some hop_nbr when hop_nbr.n_state = Full ->
-            Some (Some hop_nbr.n_addr, Iface.name hop_nbr.n_oiface.ifc)
-        | Some _ | None -> None
-      in
-      memo_info := info;
-      info
+      t.hops <- full_hops t;
+      t.own_prefixes <- List.map (fun oif -> Iface.prefix oif.ifc) t.ifaces;
+      None
     end
   in
-  let offer ~wanted rid d hop =
-    match hop_info hop with
-    | Some (next_hop, iface) ->
-        Array.iter
-          (fun (prefix, link_metric) ->
-            if wanted prefix then begin
-              let metric = d + link_metric in
-              let better =
-                match Hashtbl.find_opt candidates prefix with
-                | None -> true
-                | Some (existing, adv) ->
-                    metric < existing.Rib.r_metric
-                    || metric = existing.Rib.r_metric
-                       && Ipv4_addr.compare rid adv < 0
-              in
-              if better then
-                Hashtbl.replace candidates prefix
-                  ( {
-                      Rib.r_prefix = prefix;
-                      r_proto = Rib.Ospf;
-                      r_distance = Rib.default_distance Rib.Ospf;
-                      r_metric = metric;
-                      r_next_hop = next_hop;
-                      r_iface = iface;
-                    },
-                    rid )
-            end)
-          (stub_links_of t rid)
-    | None -> ()
+  t.memo_hop <- -1;
+  let prefixes =
+    match changed with
+    | None -> Ipv4_addr.Prefix.sorted_keys t.advertisers
+    | Some routers ->
+        List.iter (fun rid -> note_affected t (stub_links_of t rid)) routers;
+        Ipv4_addr.Prefix.sorted_keys t.affected
   in
-  (match changed with
-  | None -> Spf.iter t.spf (offer ~wanted:(fun _ -> true))
-  | Some routers ->
-      List.iter
-        (fun rid ->
-          Array.iter
-            (fun (p, _) -> Hashtbl.replace affected p ())
-            (stub_links_of t rid))
-        routers;
-      let seen = Hashtbl.create 16 in
-      Hashtbl.iter
-        (fun p () ->
-          List.iter
-            (fun rid ->
-              if not (Hashtbl.mem seen rid) then begin
-                Hashtbl.add seen rid ();
-                match (Spf.dist t.spf rid, Spf.first_hop t.spf rid) with
-                | Some d, Some hop ->
-                    offer ~wanted:(Hashtbl.mem affected) rid d hop
-                | (Some _ | None), _ -> ()
-              end)
-            (Option.value (Hashtbl.find_opt t.advertisers p) ~default:[]))
-        affected);
   (* Prefixes we own directly are left out: connected wins anyway, but
      keeping them out of the OSPF table matches Quagga. Both lists go
      to the RIB in prefix order. A full run republishes every OSPF
      prefix; a repaired one only the affected prefixes. *)
-  let fresh =
-    Hashtbl.fold
-      (fun p (route, _) acc ->
-        if List.exists (Ipv4_addr.Prefix.equal p) own_prefixes then acc
-        else route :: acc)
-      candidates []
-    |> List.sort (fun (a : Rib.route) b ->
-           Ipv4_addr.Prefix.compare a.r_prefix b.r_prefix)
-  in
-  let scope =
-    match changed with
-    | None -> None
-    | Some _ ->
-        Some
-          (Hashtbl.fold (fun p () acc -> p :: acc) affected []
-          |> List.sort Ipv4_addr.Prefix.compare)
-  in
-  Rib.replace_proto t.rib ?scope Rib.Ospf fresh
+  let routes = ref [] and in_scope = ref [] in
+  for i = Array.length prefixes - 1 downto 0 do
+    let p = prefixes.(i) in
+    in_scope := p :: !in_scope;
+    if not (List.exists (Ipv4_addr.Prefix.equal p) t.own_prefixes) then
+      match best_route t p (advertisers_of t p) None (-1) Ipv4_addr.any with
+      | Some r -> routes := r :: !routes
+      | None -> ()
+  done;
+  match changed with
+  | None -> Rib.replace_proto t.rib Rib.Ospf !routes
+  | Some _ -> Rib.replace_proto t.rib ~scope:!in_scope Rib.Ospf !routes
 
 let rec schedule_spf t =
   if not t.spf_scheduled then begin
@@ -508,24 +506,29 @@ and run_spf t =
   (* Incremental SPF: refresh the adjacency cache and stub links of
      the routers whose LSAs changed, repair only the affected part of
      the tree, then republish only the prefixes it touched. *)
-  let dirty, affected = take_dirty t in
+  let dirty = take_dirty t in
   match Spf.update t.spf t.graph ~dirty with
-  | Spf.Full -> publish_routes t ~changed:None affected
-  | Spf.Repaired routers -> publish_routes t ~changed:(Some routers) affected
+  | Spf.Full -> publish_routes t ~changed:None
+  | Spf.Repaired routers -> publish_routes t ~changed:(Some routers)
 
 let spf_now_full t =
   Rf_obs.Metrics.incr t.m_spf;
   t.spf_count <- t.spf_count + 1;
   (* Reference oracle: rebuild the adjacency cache from the LSDB,
      recompute the tree from scratch and republish every prefix. *)
-  let _, affected = take_dirty t in
+  ignore (take_dirty t);
   Spf.graph_reset t.graph;
   Hashtbl.iter
     (fun (k : Ospf_pkt.lsa_key) lsa ->
-      if k.k_type = 1 then Spf.graph_set_links t.graph k.k_adv (p2p_pairs lsa))
+      if k.k_type = 1 then begin
+        let pairs = p2p_pairs lsa in
+        Spf.graph_set_links t.graph k.k_adv
+          ~out:(Array.of_list (List.map fst pairs))
+          ~metric:(Array.of_list (List.map snd pairs))
+      end)
     t.lsdb;
   Spf.full t.spf t.graph;
-  publish_routes t ~changed:None affected;
+  publish_routes t ~changed:None;
   Rib.count t.rib Rib.Ospf
 
 (* A MaxAge instance purges the LSA, as in the LS Update handler. *)

@@ -73,9 +73,16 @@ val spf_now : t -> int
     returns the number of OSPF routes in the RIB afterwards
     ({!Rib.count}). Incremental, like every scheduled run: repairs only
     the part of the shortest-path tree affected by LSAs changed since
-    the last run, and republishes only the prefixes advertised by those
-    LSAs and by the routers whose distance or first hop moved. For
-    benchmarks.
+    the last run, and republishes only the prefixes of the stub links
+    those LSAs changed and those advertised by the routers whose
+    distance or first hop moved. For benchmarks.
+
+    The run's state is keyed on immediate ints: the dirty routers and
+    the stub-link cache in {!Ipv4_addr.Tbl}s by router id, the
+    advertisers index and the affected prefixes in
+    {!Ipv4_addr.Prefix.Tbl}s. The graph and the stub cache hold the
+    arrays of each LSA instance's {!Ospf_pkt.spf_input}, shared with
+    every other daemon holding the instance, rather than a copy.
 
     Every run publishes through {!Rib.replace_proto}. The daemon keeps
     no copy of what it published, and has no route-change hook of its

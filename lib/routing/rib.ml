@@ -33,7 +33,8 @@ type event =
 type slot = { mutable candidates : route list; mutable selected : route option }
 
 type t = {
-  table : slot Prefix_trie.t;
+  table : slot Prefix_trie.t;  (* longest-prefix match and prefix order *)
+  slots : slot Ipv4_addr.Prefix.Tbl.t;  (* the same slots, for exact lookups *)
   mutable listeners : (event -> unit) list;
   mutable n_selected : int;
   mutable generation : int;
@@ -44,6 +45,7 @@ type t = {
 let create () =
   {
     table = Prefix_trie.create ();
+    slots = Ipv4_addr.Prefix.Tbl.create 64;
     listeners = [];
     n_selected = 0;
     generation = 0;
@@ -89,6 +91,10 @@ let route_equal a b =
   && Option.equal Ipv4_addr.equal a.r_next_hop b.r_next_hop
   && String.equal a.r_iface b.r_iface
 
+let remove_slot t prefix =
+  Prefix_trie.remove t.table prefix;
+  Ipv4_addr.Prefix.Tbl.remove t.slots prefix
+
 let reselect t prefix slot =
   let before = slot.selected in
   let after = pick_best slot.candidates in
@@ -99,18 +105,19 @@ let reselect t prefix slot =
       notify t (Best_added r)
   | Some _, None ->
       t.n_selected <- t.n_selected - 1;
-      if slot.candidates = [] then Prefix_trie.remove t.table prefix;
+      if slot.candidates = [] then remove_slot t prefix;
       notify t (Best_removed prefix)
   | Some old_r, Some new_r ->
       if not (route_equal old_r new_r) then notify t (Best_changed new_r)
-  | None, None -> if slot.candidates = [] then Prefix_trie.remove t.table prefix
+  | None, None -> if slot.candidates = [] then remove_slot t prefix
 
 let slot_of t prefix =
-  match Prefix_trie.find_exact t.table prefix with
-  | Some s -> s
-  | None ->
+  match Ipv4_addr.Prefix.Tbl.find t.slots prefix with
+  | s -> s
+  | exception Not_found ->
       let s = { candidates = []; selected = None } in
       Prefix_trie.insert t.table prefix s;
+      Ipv4_addr.Prefix.Tbl.add t.slots prefix s;
       s
 
 let update t route =
@@ -122,68 +129,92 @@ let update t route =
   reselect t route.r_prefix slot
 
 let withdraw t proto prefix =
-  match Prefix_trie.find_exact t.table prefix with
-  | None -> ()
-  | Some slot ->
+  match Ipv4_addr.Prefix.Tbl.find t.slots prefix with
+  | exception Not_found -> ()
+  | slot ->
       remove_candidate t slot proto;
       reselect t prefix slot
 
-let candidate proto slot =
-  List.find_opt (fun r -> r.r_proto = proto) slot.candidates
+(* A merge of two prefix-sorted lists: only prefixes whose candidate
+   appears, disappears or differs touch the table. *)
+let rec merge t proto olds news =
+  match (olds, news) with
+  | [], [] -> ()
+  | o :: os, [] ->
+      withdraw t proto o.r_prefix;
+      merge t proto os []
+  | [], n :: ns ->
+      update t n;
+      merge t proto [] ns
+  | o :: os, n :: ns ->
+      let c = Ipv4_addr.Prefix.compare o.r_prefix n.r_prefix in
+      if c < 0 then begin
+        withdraw t proto o.r_prefix;
+        merge t proto os news
+      end
+      else if c > 0 then begin
+        update t n;
+        merge t proto olds ns
+      end
+      else begin
+        if not (route_equal o n) then update t n;
+        merge t proto os ns
+      end
 
-(* [proto]'s candidates at the sorted [scope], or everywhere; sorted by
-   prefix either way. *)
-let candidates_in t proto scope =
-  match scope with
-  | None ->
-      Prefix_trie.fold
-        (fun _ slot acc ->
-          match candidate proto slot with Some r -> r :: acc | None -> acc)
-        t.table []
-      |> List.rev
-  | Some prefixes ->
-      List.filter_map
-        (fun p ->
-          Option.bind (Prefix_trie.find_exact t.table p) (candidate proto))
-        prefixes
+(* Stands for "no candidate" in [replace_in]; compared with [==]. *)
+let no_route =
+  {
+    r_prefix = Ipv4_addr.Prefix.global;
+    r_proto = Connected;
+    r_distance = -1;
+    r_metric = -1;
+    r_next_hop = None;
+    r_iface = "";
+  }
 
-let candidates t proto = candidates_in t proto None
+let rec candidate_route proto = function
+  | [] -> no_route
+  | r :: rest -> if r.r_proto = proto then r else candidate_route proto rest
+
+let candidates t proto =
+  Prefix_trie.fold
+    (fun _ slot acc ->
+      let r = candidate_route proto slot.candidates in
+      if r == no_route then acc else r :: acc)
+    t.table []
+  |> List.rev
 
 let count t proto = t.n_candidates.(proto_index proto)
 
+(* The same merge inside a sorted scope, one step per scope prefix, with
+   [routes] the new routes not yet placed: it reads each old candidate
+   in the table rather than listing them first. *)
+let rec replace_in t proto scope routes =
+  match scope with
+  | [] -> ()
+  | p :: scope -> (
+      let old =
+        match Ipv4_addr.Prefix.Tbl.find t.slots p with
+        | slot -> candidate_route proto slot.candidates
+        | exception Not_found -> no_route
+      in
+      match routes with
+      | n :: rest when Ipv4_addr.Prefix.equal n.r_prefix p ->
+          if old == no_route || not (route_equal old n) then update t n;
+          replace_in t proto scope rest
+      | _ ->
+          if old != no_route then withdraw t proto p;
+          replace_in t proto scope routes)
+
 let replace_proto t ?scope proto routes =
-  (* A merge of two prefix-sorted lists: only prefixes whose candidate
-     appears, disappears or differs touch the table. *)
-  let rec merge olds news =
-    match (olds, news) with
-    | [], [] -> ()
-    | o :: os, [] ->
-        withdraw t proto o.r_prefix;
-        merge os []
-    | [], n :: ns ->
-        update t n;
-        merge [] ns
-    | o :: os, n :: ns ->
-        let c = Ipv4_addr.Prefix.compare o.r_prefix n.r_prefix in
-        if c < 0 then begin
-          withdraw t proto o.r_prefix;
-          merge os news
-        end
-        else if c > 0 then begin
-          update t n;
-          merge olds ns
-        end
-        else begin
-          if not (route_equal o n) then update t n;
-          merge os ns
-        end
-  in
-  merge (candidates_in t proto scope) routes
+  match scope with
+  | Some scope -> replace_in t proto scope routes
+  | None -> merge t proto (candidates t proto) routes
 
 let best t prefix =
-  match Prefix_trie.find_exact t.table prefix with
-  | Some slot -> slot.selected
-  | None -> None
+  match Ipv4_addr.Prefix.Tbl.find t.slots prefix with
+  | slot -> slot.selected
+  | exception Not_found -> None
 
 let lookup t addr =
   (* Slots are removed as soon as their candidate list empties, so an

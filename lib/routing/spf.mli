@@ -18,18 +18,28 @@
 open Rf_packet
 
 type graph
-(** Mutable adjacency cache, keyed by router id. *)
+(** Mutable adjacency cache, an {!Ipv4_addr.Tbl} keyed by router id. *)
 
 val graph_create : unit -> graph
 
-val graph_set_links : graph -> Ipv4_addr.t -> (Ipv4_addr.t * int) list -> unit
-(** Replace [rid]'s out-links with [(neighbor, metric)] pairs. *)
+val graph_set_links :
+  graph -> Ipv4_addr.t -> out:Ipv4_addr.t array -> metric:int array -> unit
+(** Replace [rid]'s out-links with the neighbours [out] at the metrics
+    [metric], index for index. The graph keeps both arrays, unchanged
+    and unshared with its own state: ospfd passes the arrays of
+    {!Rf_packet.Ospf_pkt.spf_input}, which every daemon holding the LSA
+    instance reads. Raises [Invalid_argument] when the lengths differ. *)
 
 val graph_remove : graph -> Ipv4_addr.t -> unit
 
 val graph_reset : graph -> unit
 
 type t
+(** The tree: one mutable record per router ever seen, in an
+    {!Ipv4_addr.Tbl} keyed by router id, holding its distance, parent,
+    children, first hop and root-link preference. A run updates the
+    records in place, so an incremental run allocates little beyond
+    the list of routers it reports. *)
 
 val create : root:Ipv4_addr.t -> t
 
@@ -45,19 +55,18 @@ type outcome =
 val update : t -> graph -> dirty:Ipv4_addr.t list -> outcome
 (** Warm-start: repair the tree given that exactly the routers in
     [dirty] changed their links since the last run. The caller must
-    have refreshed [graph] for those routers first. Falls back to
+    have refreshed [graph] for those routers first. Only the dirty
+    routers that removed a link or raised its metric, and what the tree
+    reached through them, are re-relaxed from scratch; the others
+    relax their links from their standing distance. Falls back to
     {!full} when the tree has never been computed or when the root
-    itself is dirty. *)
+    removed a link or raised its metric. *)
 
-val dist : t -> Ipv4_addr.t -> int option
-(** Distance from the root; [None] when unreachable. *)
+val dist : t -> Ipv4_addr.t -> int
+(** Distance from the root; -1 when unreachable. *)
 
 val first_hop : t -> Ipv4_addr.t -> Ipv4_addr.t option
 (** First router on the canonical shortest path from the root. *)
-
-val iter : t -> (Ipv4_addr.t -> int -> Ipv4_addr.t -> unit) -> unit
-(** [iter t f] calls [f rid dist first_hop] for every reachable router
-    other than the root (iteration order unspecified). *)
 
 val reachable : t -> (Ipv4_addr.t * int * Ipv4_addr.t) list
 (** Sorted [(rid, dist, first_hop)] snapshot, for tests. *)

@@ -212,12 +212,14 @@ let send t msg =
   if t.crashed then t.dropped_while_down <- t.dropped_while_down + 1
   else send_tracked t (Rpc_msg.Request msg)
 
+let sort_by_seq =
+  List.sort (fun a b ->
+      if Int32.equal a.p_seq b.p_seq then 0
+      else if Rpc_msg.seq_after a.p_seq b.p_seq then 1
+      else -1)
+
 let pending_in_order t =
-  Hashtbl.fold (fun _ p acc -> p :: acc) t.pending []
-  |> List.sort (fun a b ->
-         if Int32.equal a.p_seq b.p_seq then 0
-         else if Rpc_msg.seq_after a.p_seq b.p_seq then 1
-         else -1)
+  sort_by_seq (Hashtbl.fold (fun _ p acc -> p :: acc) t.pending [])
 
 let send_snapshot t msgs =
   t.snapshots <- t.snapshots + 1;
@@ -285,9 +287,13 @@ let clear_acked t (a : Rpc_msg.ack) =
     (match Hashtbl.find_opt t.pending a.a_seq with
     | Some p -> clear p
     | None -> ());
-    List.iter
-      (fun p -> if not (Rpc_msg.seq_after p.p_seq a.a_cum) then clear p)
-      (pending_in_order t)
+    (* Only the frames at or before [a_cum] are sorted, not every
+       pending one. *)
+    Hashtbl.fold
+      (fun _ p acc ->
+        if Rpc_msg.seq_after p.p_seq a.a_cum then acc else p :: acc)
+      t.pending []
+    |> sort_by_seq |> List.iter clear
   end
 
 let handle_envelope t (env : Rpc_msg.envelope) =

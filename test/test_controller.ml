@@ -235,7 +235,7 @@ let test_port_stats_through_flowvisor () =
       let conn = Of_conn.create engine endpoint in
       Of_conn.set_on_handshake conn (fun feats ->
           let dpid = feats.Of_msg.datapath_id in
-          Of_conn.set_on_message conn (fun (m : Of_msg.t) ->
+          Of_conn.set_on_message conn (fun (m : Of_msg.t) _wire ->
               match m.Of_msg.payload with
               | Of_msg.Stats_reply (Of_msg.Port_reply stats) ->
                   Hashtbl.add replies dpid stats

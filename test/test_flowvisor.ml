@@ -81,12 +81,12 @@ let make_harness () =
   Flowvisor.add_slice fv (Flowspace.lldp_slice ~name:"topo")
     ~attach:(fun ~dpid:_ endpoint ->
       let conn = Of_conn.create engine endpoint in
-      Of_conn.set_on_message conn (fun m -> h.a_msgs <- m :: h.a_msgs);
+      Of_conn.set_on_message conn (fun m _wire -> h.a_msgs <- m :: h.a_msgs);
       h.slice_a <- Some conn);
   Flowvisor.add_slice fv (Flowspace.data_slice ~name:"data")
     ~attach:(fun ~dpid:_ endpoint ->
       let conn = Of_conn.create engine endpoint in
-      Of_conn.set_on_message conn (fun m -> h.b_msgs <- m :: h.b_msgs);
+      Of_conn.set_on_message conn (fun m _wire -> h.b_msgs <- m :: h.b_msgs);
       h.slice_b <- Some conn);
   let sw_end, ctl_end = Channel.create engine () in
   let _agent = Of_agent.create engine h.dp sw_end in
@@ -173,7 +173,7 @@ let test_stats_xid_translation () =
   let got_rep = ref None in
   (match h.slice_b with
   | Some conn ->
-      Of_conn.set_on_message conn (fun m ->
+      Of_conn.set_on_message conn (fun m _wire ->
           match m.Of_msg.payload with
           | Of_msg.Stats_reply _ -> got_rep := Some m
           | _ -> ());
@@ -267,7 +267,7 @@ let test_error_routed_back () =
   let h = make_harness () in
   let conn = Option.get h.slice_b in
   let errors = ref [] in
-  Of_conn.set_on_message conn (fun m ->
+  Of_conn.set_on_message conn (fun m _wire ->
       match m.Of_msg.payload with
       | Of_msg.Error _ -> errors := m.Of_msg.xid :: !errors
       | _ -> ());
@@ -294,6 +294,125 @@ let test_error_routed_back () =
             match m.Of_msg.payload with Of_msg.Error _ -> true | _ -> false)
           h.a_msgs))
 
+(* A slice's flow-mod reaches the switch as the bytes the slice sent,
+   with only the xid (bytes 4-7) rewritten. Its flags field (bytes
+   70-71) sets bits the decoder drops, since only bit 0 is read, so a
+   decode and re-encode on the way would show there. FlowVisor's part
+   of the relay, the event that takes the slice's bytes and hands the
+   switch's to the channel, costs at most 100 minor words. *)
+let test_flow_mod_relayed_as_received () =
+  let engine = Engine.create () in
+  let fv = Flowvisor.create engine in
+  let slice_end = ref None in
+  Flowvisor.add_slice fv (Flowspace.data_slice ~name:"data")
+    ~attach:(fun ~dpid:_ endpoint ->
+      Channel.set_receiver endpoint ignore;
+      slice_end := Some endpoint);
+  let dp = Datapath.create engine ~dpid:5L ~n_ports:4 in
+  let fv_end, tap_a = Channel.create engine () in
+  let tap_b, sw_end = Channel.create engine () in
+  let to_switch = ref [] and ofpt_flow_mod = 14 in
+  Channel.set_receiver tap_a (fun m ->
+      if Of_codec.msg_type m = ofpt_flow_mod then to_switch := m :: !to_switch;
+      Channel.send tap_b m);
+  Channel.set_receiver tap_b (Channel.send tap_a);
+  let _agent = Of_agent.create engine dp sw_end in
+  Flowvisor.switch_attach fv ~dpid:5L fv_end;
+  ignore (Engine.run ~until:(Vtime.of_s 2.0) engine);
+  let slice = Option.get !slice_end in
+  let sent =
+    let b =
+      Bytes.of_string
+        (Of_codec.to_wire
+           (Of_msg.msg ~xid:77l
+              (Of_msg.Flow_mod
+                 (Of_msg.flow_add (Of_match.nw_dst_prefix (pfx "10.1.0.0/24"))
+                    [ Of_action.output 2 ]))))
+    in
+    Bytes.set_uint16_be b 70 0x0006;
+    Bytes.to_string b
+  in
+  let relay () =
+    Channel.send slice sent;
+    ignore
+      (Engine.run
+         ~until:(Vtime.add (Engine.now engine) (Vtime.span_ms 10))
+         engine)
+  in
+  relay ();
+  (match !to_switch with
+  | [ got ] ->
+      Alcotest.(check int) "same length" (String.length sent)
+        (String.length got);
+      String.iteri
+        (fun i c ->
+          if i < 4 || i > 7 then
+            Alcotest.(check char) (Printf.sprintf "byte %d" i) sent.[i] c)
+        got
+  | l -> Alcotest.failf "%d flow-mods reached the switch" (List.length l));
+  Alcotest.(check int) "the switch installed it" 1
+    (Rf_net.Flow_table.size (Datapath.flow_table dp));
+  (* The words of the event that delivers the slice's bytes to
+     FlowVisor, which ends when it has sent the switch's. *)
+  let n = 1000 and words = ref 0. in
+  for _ = 1 to n do
+    Channel.send slice sent;
+    let until = Vtime.add (Engine.now engine) (Vtime.span_ms 1) in
+    let before = Gc.minor_words () in
+    ignore (Engine.run ~until engine);
+    words := !words +. (Gc.minor_words () -. before);
+    ignore
+      (Engine.run
+         ~until:(Vtime.add (Engine.now engine) (Vtime.span_ms 10))
+         engine)
+  done;
+  let words = !words /. float_of_int n in
+  Alcotest.(check int) "every flow-mod relayed" (n + 1)
+    (List.length !to_switch);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per relayed flow-mod" words)
+    true (words <= 100.)
+
+(* FlowVisor checks a slice's flow-mod in full though it decodes only
+   the match: one whose action type is unknown closes that slice's
+   connection and never reaches the switch, whose control channel, and
+   every other slice's, stays up. *)
+let test_malformed_flow_mod_stops_at_flowvisor () =
+  let engine = Engine.create () in
+  let fv = Flowvisor.create engine in
+  let slice_end = ref None in
+  Flowvisor.add_slice fv (Flowspace.data_slice ~name:"data")
+    ~attach:(fun ~dpid:_ endpoint ->
+      Channel.set_receiver endpoint ignore;
+      slice_end := Some endpoint);
+  let dp = Datapath.create engine ~dpid:5L ~n_ports:4 in
+  let fv_end, sw_end = Channel.create engine () in
+  let _agent = Of_agent.create engine dp sw_end in
+  Flowvisor.switch_attach fv ~dpid:5L fv_end;
+  ignore (Engine.run ~until:(Vtime.of_s 2.0) engine);
+  let slice = Option.get !slice_end in
+  let bad =
+    let b =
+      Bytes.of_string
+        (Of_codec.to_wire
+           (Of_msg.msg ~xid:77l
+              (Of_msg.Flow_mod
+                 (Of_msg.flow_add (Of_match.nw_dst_prefix (pfx "10.1.0.0/24"))
+                    [ Of_action.output 2 ]))))
+    in
+    (* The first action's type, right after the 72-byte fixed part. *)
+    Bytes.set_uint16_be b 72 0x7777;
+    Bytes.to_string b
+  in
+  Channel.send slice bad;
+  ignore (Engine.run ~until:(Vtime.of_s 4.0) engine);
+  Alcotest.(check bool) "the slice's connection closed" false
+    (Channel.is_open slice);
+  Alcotest.(check (list int64)) "the switch stays connected" [ 5L ]
+    (Flowvisor.switches_connected fv);
+  Alcotest.(check int) "nothing installed" 0
+    (Rf_net.Flow_table.size (Datapath.flow_table dp))
+
 let suite =
   [
     Alcotest.test_case "flowspace classification" `Quick test_flowspace_classify;
@@ -316,4 +435,8 @@ let suite =
       test_xid_translations_bounded;
     Alcotest.test_case "switch error routed back to its slice" `Quick
       test_error_routed_back;
+    Alcotest.test_case "a flow-mod reaches the switch as the slice's bytes"
+      `Quick test_flow_mod_relayed_as_received;
+    Alcotest.test_case "a malformed flow-mod stops at FlowVisor" `Quick
+      test_malformed_flow_mod_stops_at_flowvisor;
   ]

@@ -178,6 +178,96 @@ let test_lsdbs_share_lsa_values () =
         reference)
     routers
 
+(* A ring of [n] routers, router [i] wired to router [i + 1] over
+   172.16.[i].0/30, converged after 60 s. *)
+let converged_ring n =
+  let engine = Engine.create () in
+  let routers = Array.init n (fun i -> make_router engine (i + 1)) in
+  for i = 0 to n - 1 do
+    let nic side k =
+      Iface.create
+        ~name:(Printf.sprintf "eth%d%s" i side)
+        ~mac:(Mac.make_local (5000 + (2 * i) + k))
+        ~ip:(ip (Printf.sprintf "172.16.%d.%d" i (k + 1)))
+        ~prefix_len:30 ()
+    in
+    let a = nic "a" 0 and b = nic "b" 1 in
+    join engine a b;
+    add_iface routers.(i) a;
+    add_iface routers.((i + 1) mod n) b
+  done;
+  Array.iter (fun r -> Ospfd.start r.ospf) routers;
+  run_for engine 60.;
+  routers
+
+(* What SPF reads of a router LSA is derived once per instance: every
+   daemon holding the instance reads the very same arrays. *)
+let test_lsdbs_share_spf_input () =
+  let routers = converged_ring 4 in
+  let reference = Ospfd.lsdb routers.(0).ospf in
+  Array.iter
+    (fun r ->
+      List.iter
+        (fun (lsa : Ospf_pkt.lsa) ->
+          let mine =
+            List.find
+              (fun (l : Ospf_pkt.lsa) ->
+                Ipv4_addr.equal l.adv_router lsa.adv_router)
+              (Ospfd.lsdb r.ospf)
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s reads the SPF input of %s"
+               (Ipv4_addr.to_string r.rid)
+               (Ipv4_addr.to_string lsa.adv_router))
+            true
+            (mine.spf.p2p == lsa.spf.p2p
+            && mine.spf.p2p_metric == lsa.spf.p2p_metric
+            && mine.spf.stubs == lsa.spf.stubs))
+        reference)
+    routers
+
+(* An incremental SPF run at router 0 of a 24-router ring, as a far
+   router's LSA flaps its link metrics between 10 and 11: refreshing
+   the dirty router, repairing the tree and publishing the changed
+   routes costs at most 650 minor words a run. *)
+let test_incremental_spf_word_budget () =
+  let n = 24 in
+  let routers = converged_ring n in
+  let d = routers.(0).ospf in
+  let far = routers.(n / 2).rid in
+  let lsa =
+    List.find
+      (fun (l : Ospf_pkt.lsa) -> Ipv4_addr.equal l.adv_router far)
+      (Ospfd.lsdb d)
+  in
+  let instance seq metric =
+    let links =
+      match lsa.body with
+      | Ospf_pkt.Router { links } ->
+          List.map
+            (fun (l : Ospf_pkt.router_link) ->
+              if l.link_type = Ospf_pkt.Point_to_point then { l with metric }
+              else l)
+            links
+      | Ospf_pkt.Network _ | Ospf_pkt.Opaque _ -> []
+    in
+    Ospf_pkt.make_lsa ~age:lsa.age ~options:lsa.options
+      ~link_state_id:lsa.link_state_id ~adv_router:lsa.adv_router
+      ~seq:(Int32.add lsa.seq seq) (Ospf_pkt.Router { links })
+  in
+  let flaps = [| instance 1l 11; instance 2l 10 |] in
+  let runs = 200 and words = ref 0. in
+  for i = -2 to runs - 1 do
+    Ospfd.install_lsa d flaps.((i + 2) mod 2);
+    let before = Gc.minor_words () in
+    ignore (Ospfd.spf_now d);
+    if i >= 0 then words := !words +. (Gc.minor_words () -. before)
+  done;
+  let words = !words /. float_of_int runs in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per incremental SPF run" words)
+    true (words <= 650.)
+
 let test_neighbor_death_reconvergence () =
   let engine = Engine.create () in
   let routers = build_line engine 3 in
@@ -657,4 +747,8 @@ let suite =
       test_graceful_shutdown_fast_withdraw;
     Alcotest.test_case "hello parameter mismatch blocks adjacency" `Quick
       test_hello_mismatch_blocks_adjacency;
+    Alcotest.test_case "daemons holding one LSA read one SPF input" `Quick
+      test_lsdbs_share_spf_input;
+    Alcotest.test_case "an incremental SPF run within its word budget" `Quick
+      test_incremental_spf_word_budget;
   ]

@@ -532,6 +532,84 @@ let prop_header_matches_wire =
           h_checksum; h_length }
       && h_length = String.length (Ospf_pkt.lsa_to_wire lsa))
 
+(* Oracle for the SPF input an LSA instance carries: random router LSAs,
+   with links of every type drawn from a small pool of ids (so links
+   repeat) and stub-only LSAs among them, and the same derived afresh
+   from [body] here: point-to-point neighbours and metrics in link
+   order, and each stub as (prefix of its id under a mask as long as
+   its netmask's set bits, metric). The instance the decoder hands out
+   for the LSA's bytes carries the same. *)
+let prop_spf_input_matches_body =
+  let link_type = function
+    | 0 -> Ospf_pkt.Point_to_point
+    | 1 -> Ospf_pkt.Stub
+    | 2 -> Ospf_pkt.Transit
+    | _ -> Ospf_pkt.Virtual_link
+  in
+  QCheck.Test.make ~name:"an LSA's SPF input equals one derived from its body"
+    ~count:300
+    QCheck.(
+      pair bool
+        (list_of_size (Gen.int_bound 12)
+           (quad (int_bound 5) (int_bound 3) int32 (int_bound 0xFFFF))))
+    (fun (stub_only, raw) ->
+      let links =
+        List.map
+          (fun (id, kind, data, metric) ->
+            {
+              Ospf_pkt.link_id = ip (Printf.sprintf "10.%d.0.0" id);
+              link_data = Ipv4_addr.of_int32 data;
+              link_type = (if stub_only then Ospf_pkt.Stub else link_type kind);
+              metric;
+            })
+          raw
+      in
+      let lsa =
+        Ospf_pkt.make_lsa ~age:1 ~options:2 ~link_state_id:(ip "10.255.0.1")
+          ~adv_router:(ip "10.255.0.1") ~seq:Ospf_pkt.initial_seq
+          (Ospf_pkt.Router { links })
+      in
+      let ones m =
+        let rec go v n = if v = 0 then n else go (v lsr 1) (n + (v land 1)) in
+        go (Ipv4_addr.to_int m) 0
+      in
+      let body_links =
+        match lsa.body with
+        | Ospf_pkt.Router { links } -> links
+        | Ospf_pkt.Network _ | Ospf_pkt.Opaque _ -> []
+      in
+      let p2p =
+        List.filter
+          (fun (l : Ospf_pkt.router_link) ->
+            l.link_type = Ospf_pkt.Point_to_point)
+          body_links
+      in
+      let stubs =
+        List.filter_map
+          (fun (l : Ospf_pkt.router_link) ->
+            if l.link_type = Ospf_pkt.Stub then
+              Some
+                (Ipv4_addr.Prefix.make l.link_id (ones l.link_data), l.metric)
+            else None)
+          body_links
+      in
+      let matches (lsa : Ospf_pkt.lsa) =
+        Array.to_list lsa.spf.p2p
+        = List.map (fun (l : Ospf_pkt.router_link) -> l.link_id) p2p
+        && Array.to_list lsa.spf.p2p_metric
+           = List.map (fun (l : Ospf_pkt.router_link) -> l.metric) p2p
+        && Array.to_list lsa.spf.stubs = stubs
+      in
+      let pkt =
+        { Ospf_pkt.router_id = ip "10.255.0.1"; area_id = Ipv4_addr.any;
+          payload = Ospf_pkt.Ls_update [ lsa ] }
+      in
+      matches lsa
+      &&
+      match decode Ospf_pkt.read (encode Ospf_pkt.write pkt) with
+      | Ok { payload = Ospf_pkt.Ls_update [ lsa' ]; _ } -> matches lsa'
+      | Ok _ | Error _ -> false)
+
 let prop_icmp_roundtrip =
   QCheck.Test.make ~name:"icmp echoes round-trip" ~count:200
     QCheck.(triple (int_bound 0xFFFF) (int_bound 0xFFFF) (string_of_size (QCheck.Gen.int_bound 64)))
@@ -724,4 +802,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_icmp_roundtrip;
     Alcotest.test_case "one-buffer frames keep the layered encoders' bytes"
       `Quick test_golden_frames;
+    QCheck_alcotest.to_alcotest prop_spf_input_matches_body;
   ]

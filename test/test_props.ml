@@ -707,6 +707,56 @@ let decoders_total =
           total "Bgp_msg.of_wire" Rf_routing.Bgp_msg.of_wire
             (corrupt (Rf_routing.Bgp_msg.to_wire m) c))
 
+(* FlowVisor reads a slice's flow-mod or packet-out with
+   [Of_codec.peek], which checks the actions without building them. On
+   any bytes, corrupted or not, it must fail where [of_wire] fails, with
+   the same message, and otherwise read what [of_wire] decodes. *)
+let gen_peek_case =
+  let open G in
+  let packet_out =
+    let* po_buffer_id = gen_buffer_opt in
+    let* po_in_port = gen_u16 in
+    let* po_actions = gen_actions in
+    let* po_data =
+      oneof [ map snd (oneofl sample_frames); gen_small_string ]
+    in
+    return
+      { Of_msg.xid = 7l;
+        payload = Of_msg.Packet_out { po_buffer_id; po_in_port; po_actions; po_data } }
+  in
+  let* m =
+    frequency
+      [ (2, map (fun fm -> { Of_msg.xid = 7l; payload = Of_msg.Flow_mod fm })
+              gen_flow_mod);
+        (2, packet_out);
+        (1, gen_msg) ]
+  in
+  let* c = frequency [ (1, return ([], 0)); (3, gen_corruption) ] in
+  return (m, c)
+
+let peek_agrees_with_of_wire =
+  prop ~count:6000 "Of_codec.peek fails and reads where of_wire does"
+    gen_peek_case
+    (fun (m, c) -> print_wire_case (Msg m, c))
+    (fun (m, c) ->
+      let s = corrupt (Of_codec.to_wire m) c in
+      match (Of_codec.peek s, Of_codec.of_wire s) with
+      | ( Ok (Of_codec.Flow_mod_match fm_match),
+          Ok { Of_msg.payload = Of_msg.Flow_mod fm; _ } ) ->
+          Of_match.equal fm_match fm.fm_match
+      | ( Ok (Of_codec.Packet_out_key (key, buffered)),
+          Ok { Of_msg.payload = Of_msg.Packet_out po; _ } ) ->
+          key = Of_match.key_of_frame ~in_port:po.po_in_port po.po_data
+          && buffered = (po.po_buffer_id <> None)
+      | Ok (Of_codec.Message m'), Ok m'' -> (
+          m' = m''
+          &&
+          match m''.payload with
+          | Of_msg.Flow_mod _ | Of_msg.Packet_out _ -> false
+          | _ -> true)
+      | Error e, Error e' -> String.equal e e'
+      | Ok _, _ | Error _, Ok _ -> false)
+
 (* --- switch key extraction vs the full parser ------------------------ *)
 
 (* The 12-tuple as OF 1.0 §3.4 defines it over a decoded packet: the
@@ -1066,4 +1116,5 @@ let suite =
     trie_vs_naive;
     address_orders_agree;
     parse_returns_built;
+    peek_agrees_with_of_wire;
   ]

@@ -941,6 +941,56 @@ let vm_flows vm =
 
 let run_to engine s = ignore (Engine.run ~until:(Vtime.of_s s) engine)
 
+(* A VM holding 1,000 OSPF routes, one of which moves between two
+   resolved next hops: the export that follows, one flow removed and
+   one added, costs at most 270 minor words, whatever the table
+   holds. *)
+let test_one_route_export_word_budget () =
+  let engine = Engine.create () in
+  let vm = Vm.create engine ~dpid:7L ~n_ports:3 () in
+  let conf =
+    "hostname vm-7\npassword x\n!\n"
+    ^ String.concat ""
+        (List.init 3 (fun i ->
+             Printf.sprintf "interface eth%d\n ip address 10.0.%d.1/24\n!\n"
+               (i + 1) (i + 1)))
+  in
+  (match Vm.apply_zebra_config vm conf with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  List.iter
+    (fun port ->
+      let nic = Vm.nic vm port in
+      Iface.set_transmit nic (fun _ -> ());
+      let mac = Mac.make_local (port * 100) in
+      Iface.deliver nic
+        (Packet.arp ~src:mac ~dst:(Iface.mac nic)
+           (Arp.reply ~sender_mac:mac
+              ~sender_ip:(ip (Printf.sprintf "10.0.%d.2" port))
+              ~target_mac:(Iface.mac nic)
+              ~target_ip:(ip (Printf.sprintf "10.0.%d.1" port)))))
+    [ 1; 2 ];
+  for i = 0 to 999 do
+    ospf_via vm (Printf.sprintf "10.%d.%d.0/24" (100 + (i / 256)) (i mod 256)) 1
+  done;
+  run_to engine 1.0;
+  let exports = ref 0 in
+  Vm.add_on_flows_changed vm (fun ~removed ~added ->
+      if List.length removed = 1 && List.length added = 1 then incr exports);
+  let runs = 200 and words = ref 0. in
+  for i = 1 to runs do
+    ospf_via vm "10.101.244.0/24" (1 + (i mod 2));
+    let until = Vtime.add (Engine.now engine) (Vtime.span_ms 20) in
+    let before = Gc.minor_words () in
+    ignore (Engine.run ~until engine);
+    words := !words +. (Gc.minor_words () -. before)
+  done;
+  let words = !words /. float_of_int runs in
+  Alcotest.(check int) "one flow out, one in, every time" runs !exports;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per one-route export" words)
+    true (words <= 270.)
+
 let test_sync_flows_diff () =
   let engine = Engine.create () in
   let app = Rf_controller_app.create engine (Rf_vs.create engine) in
@@ -1058,4 +1108,6 @@ let suite =
       `Quick test_sync_flows_rehandshake;
     Alcotest.test_case "a second VM on an open connection deletes stale flows"
       `Quick test_sync_flows_second_vm;
+    Alcotest.test_case "a one-route export within its word budget" `Quick
+      test_one_route_export_word_budget;
   ]

@@ -619,7 +619,9 @@ let spf_sync g adj n i =
   for j = n - 1 downto 0 do
     if adj.(i).(j) > 0 then links := (spf_rid j, adj.(i).(j)) :: !links
   done;
-  Spf.graph_set_links g (spf_rid i) !links
+  Spf.graph_set_links g (spf_rid i)
+    ~out:(Array.of_list (List.map fst !links))
+    ~metric:(Array.of_list (List.map snd !links))
 
 let spf_snapshot t =
   List.map
