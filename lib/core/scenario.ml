@@ -364,13 +364,11 @@ let build ?(options = default_options) topo =
         (fun (fs : Flowspace.t) ->
           Rf_net.Auditor.set_slice au fs.Flowspace.fs_name fs.Flowspace.fs_patterns)
         [ lldp_fs; data_fs ];
-      Flowvisor.set_on_flow_mod fv (fun ~dpid ~slice fm ->
-          match fm.Rf_openflow.Of_msg.fm_command with
+      Flowvisor.set_on_flow_mod fv (fun ~dpid ~slice command match_ ~priority ->
+          match command with
           | Rf_openflow.Of_msg.Add | Rf_openflow.Of_msg.Modify
           | Rf_openflow.Of_msg.Modify_strict ->
-              Rf_net.Auditor.attribute au ~dpid
-                ~match_:fm.Rf_openflow.Of_msg.fm_match
-                ~priority:fm.Rf_openflow.Of_msg.fm_priority slice
+              Rf_net.Auditor.attribute au ~dpid ~match_ ~priority slice
           | Rf_openflow.Of_msg.Delete | Rf_openflow.Of_msg.Delete_strict -> ());
       List.iter
         (fun (dpid, dp) ->

@@ -30,9 +30,13 @@ type t = {
   engine : Rf_sim.Engine.t;
   mutable slice_list : slice_state list;  (** registration order *)
   switches : (int64, switch_state) Hashtbl.t;
-  (* When set, slice flow-mods are decoded in full for it. *)
   mutable on_flow_mod :
-    (dpid:int64 -> slice:string -> Of_msg.flow_mod -> unit) option;
+    dpid:int64 ->
+    slice:string ->
+    Of_msg.flow_mod_command ->
+    Of_match.t ->
+    priority:int ->
+    unit;
 }
 
 let create engine =
@@ -40,10 +44,10 @@ let create engine =
     engine;
     slice_list = [];
     switches = Hashtbl.create 64;
-    on_flow_mod = None;
+    on_flow_mod = (fun ~dpid:_ ~slice:_ _ _ ~priority:_ -> ());
   }
 
-let set_on_flow_mod t f = t.on_flow_mod <- Some f
+let set_on_flow_mod t f = t.on_flow_mod <- f
 
 let add_slice t def ~attach =
   let m = Rf_sim.Engine.metrics t.engine in
@@ -133,13 +137,10 @@ let eperm_packet_out wire =
          err_data = "flowvisor: packet outside slice flowspace";
        })
 
-let police_flow_mod t sw slice conn wire fm_match fm =
+let police_flow_mod t sw slice conn wire command fm_match ~priority =
   if Flowspace.permits_match slice.def fm_match then begin
-    (match (t.on_flow_mod, fm) with
-    | Some f, Some fm ->
-        f ~dpid:sw.features.Of_msg.datapath_id
-          ~slice:slice.def.Flowspace.fs_name fm
-    | Some _, None | None, _ -> ());
+    t.on_flow_mod ~dpid:sw.features.Of_msg.datapath_id
+      ~slice:slice.def.Flowspace.fs_name command fm_match ~priority;
     forward_to_switch sw ~slice_name:slice.def.Flowspace.fs_name wire
   end
   else begin
@@ -163,7 +164,8 @@ let police_packet_out sw slice conn wire key ~buffered =
 let handle_from_slice t sw slice conn wire (view : Of_codec.peek) =
   Rf_obs.Metrics.incr slice.from_slice;
   match view with
-  | Of_codec.Flow_mod_match m -> police_flow_mod t sw slice conn wire m None
+  | Of_codec.Flow_mod_head { command; fm_match; priority } ->
+      police_flow_mod t sw slice conn wire command fm_match ~priority
   | Of_codec.Packet_out_key (key, buffered) ->
       police_packet_out sw slice conn wire key ~buffered
   | Of_codec.Message m -> (
@@ -184,12 +186,6 @@ let handle_from_slice t sw slice conn wire (view : Of_codec.peek) =
              miss_send_len; the RouteFlow slice raises it to get whole
              frames relayed. *)
           forward_to_switch sw ~slice_name:slice.def.Flowspace.fs_name wire
-      | Of_msg.Flow_mod fm ->
-          police_flow_mod t sw slice conn wire fm.fm_match (Some fm)
-      | Of_msg.Packet_out po ->
-          police_packet_out sw slice conn wire
-            (Of_match.key_of_frame ~in_port:po.po_in_port po.po_data)
-            ~buffered:(po.po_buffer_id <> None)
       | Of_msg.Stats_request _ | Of_msg.Barrier_request ->
           forward_to_switch sw ~slice_name:slice.def.Flowspace.fs_name wire
       | Of_msg.Port_mod _ ->
@@ -215,18 +211,15 @@ let handle_from_slice t sw slice conn wire (view : Of_codec.peek) =
       | Of_msg.Error _ | Of_msg.Features_reply _ | Of_msg.Get_config_reply _
       | Of_msg.Packet_in _ | Of_msg.Flow_removed _ | Of_msg.Port_status _
       | Of_msg.Stats_reply _ | Of_msg.Barrier_reply ->
+          ()
+      | Of_msg.Flow_mod _ | Of_msg.Packet_out _ ->
+          (* [peek] never decodes these in full. *)
           ())
 
-(* What FlowVisor reads of a slice's message: the flow-mod's match and
-   the packet-out's frame key, or, with an [on_flow_mod] observer, every
-   flow-mod in full. *)
+(* What FlowVisor reads of a slice's flow-mod or packet-out is what its
+   policy and [on_flow_mod] need: see {!Of_codec.peek}. *)
 let receive_from_slice t sw slice conn wire =
-  let view =
-    match t.on_flow_mod with
-    | None -> Of_codec.peek wire
-    | Some _ -> Result.map (fun m -> Of_codec.Message m) (Of_codec.of_wire wire)
-  in
-  match view with
+  match Of_codec.peek wire with
   | Ok view -> handle_from_slice t sw slice conn wire view
   | Error e ->
       Rf_sim.Engine.record t.engine ~component:"flowvisor"

@@ -31,11 +31,18 @@ val switch_attach : t -> dpid:int64 -> Rf_net.Channel.endpoint -> unit
     handshake and only used for bookkeeping labels. *)
 
 val set_on_flow_mod :
-  t -> (dpid:int64 -> slice:string -> Rf_openflow.Of_msg.flow_mod -> unit) ->
+  t ->
+  (dpid:int64 ->
+  slice:string ->
+  Rf_openflow.Of_msg.flow_mod_command ->
+  Rf_openflow.Of_match.t ->
+  priority:int ->
+  unit) ->
   unit
 (** Observer fired for every flow-mod a slice controller was permitted
-    to install, before it is forwarded to the switch — the auditor's
-    slice-attribution feed. Denied flow-mods never reach it. *)
+    to install, before it is forwarded to the switch, with its command,
+    match and priority — the auditor's slice-attribution feed. Denied
+    flow-mods never reach it. *)
 
 (** {1 Introspection} *)
 

@@ -77,39 +77,8 @@ let rec write_list w = function
       encode w a;
       write_list w rest
 
-let decode_one r =
-  let typ = Wire.Reader.u16 r in
-  let len = Wire.Reader.u16 r in
-  if len < 8 then Error "of_action: length too small"
-  else
-    let body = Wire.Reader.sub r (len - 4) in
-    match typ with
-    | 0 ->
-        let port = Wire.Reader.u16 body in
-        let max_len = Wire.Reader.u16 body in
-        Ok (Output { port; max_len })
-    | 3 -> Ok Strip_vlan
-    | 4 -> Ok (Set_dl_src (Mac.read body))
-    | 5 -> Ok (Set_dl_dst (Mac.read body))
-    | 6 -> Ok (Set_nw_src (Ipv4_addr.read body))
-    | 7 -> Ok (Set_nw_dst (Ipv4_addr.read body))
-    | 8 -> Ok (Set_nw_tos (Wire.Reader.u8 body))
-    | 9 -> Ok (Set_tp_src (Wire.Reader.u16 body))
-    | 10 -> Ok (Set_tp_dst (Wire.Reader.u16 body))
-    | n -> Error (Printf.sprintf "of_action: unsupported type %d" n)
-
-let list_of_wire r =
-  let rec loop acc =
-    if Wire.Reader.remaining r < 4 then Ok (List.rev acc)
-    else
-      match decode_one r with
-      | Ok a -> loop (a :: acc)
-      | Error e -> Error e
-  in
-  try loop [] with Wire.Truncated -> Error "of_action: truncated"
-
-(* The body bytes [decode_one] reads for an action type; -1 for a type
-   it rejects. *)
+(* The body bytes an action of type [typ] carries before its padding;
+   -1 for a type this codec rejects. *)
 let body_size = function
   | 0 -> 4
   | 3 -> 0
@@ -119,22 +88,53 @@ let body_size = function
   | 9 | 10 -> 2
   | _ -> -1
 
-let rec check_from r =
-  if Wire.Reader.remaining r < 4 then Ok ()
+(* Builds an action from [r] at a body [body_size] has already found
+   long enough for its type; reads exactly [body_size typ] bytes. *)
+let of_body typ r =
+  match typ with
+  | 0 ->
+      let port = Wire.Reader.u16 r in
+      let max_len = Wire.Reader.u16 r in
+      Output { port; max_len }
+  | 3 -> Strip_vlan
+  | 4 -> Set_dl_src (Mac.read r)
+  | 5 -> Set_dl_dst (Mac.read r)
+  | 6 -> Set_nw_src (Ipv4_addr.read r)
+  | 7 -> Set_nw_dst (Ipv4_addr.read r)
+  | 8 -> Set_nw_tos (Wire.Reader.u8 r)
+  | 9 -> Set_tp_src (Wire.Reader.u16 r)
+  | 10 -> Set_tp_dst (Wire.Reader.u16 r)
+  | _ -> assert false (* [body_size] rejects every other type *)
+
+(* Folds [f] over the actions from [r]'s position to its end, checking
+   each one's header and length first. [f] gets the type and [r] at the
+   body, and the fold then moves to the next action whatever [f] read.
+   Both {!list_of_wire} and {!check_list} read actions here, so they
+   fail alike. *)
+let rec fold_from r f acc =
+  if Wire.Reader.remaining r < 4 then Ok acc
   else begin
     let typ = Wire.Reader.u16 r in
     let len = Wire.Reader.u16 r in
+    let need = body_size typ in
     if len < 8 then Error "of_action: length too small"
+    else if Wire.Reader.remaining r < len - 4 then Error "of_action: truncated"
+    else if need < 0 then Error (Printf.sprintf "of_action: unsupported type %d" typ)
+    else if len - 4 < need then Error "of_action: truncated"
     else begin
-      Wire.Reader.skip r (len - 4);
-      let need = body_size typ in
-      if need < 0 then Error (Printf.sprintf "of_action: unsupported type %d" typ)
-      else if len - 4 < need then Error "of_action: truncated"
-      else check_from r
+      let body_end = Wire.Reader.pos r + len - 4 in
+      let acc = f acc typ r in
+      Wire.Reader.skip r (body_end - Wire.Reader.pos r);
+      fold_from r f acc
     end
   end
 
-let check_list r = try check_from r with Wire.Truncated -> Error "of_action: truncated"
+let list_of_wire r =
+  match fold_from r (fun acc typ r -> of_body typ r :: acc) [] with
+  | Ok actions -> Ok (List.rev actions)
+  | Error _ as e -> e
+
+let check_list r = fold_from r (fun () _ _ -> ()) ()
 
 let pp ppf = function
   | Output { port; _ } -> Format.fprintf ppf "output(%a)" Of_port.pp port

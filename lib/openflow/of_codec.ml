@@ -7,7 +7,8 @@ let no_buffer = 0xFFFFFFFFl
 
 let buffer_to_wire = function None -> no_buffer | Some b -> b
 
-let buffer_of_wire v = if Int32.equal v no_buffer then None else Some v
+let buffer_of_int v =
+  if v = 0xFFFFFFFF then None else Some (Int32.of_int v)
 
 let encode_phys_port w (p : phys_port) =
   Wire.Writer.u16 w p.port_no;
@@ -294,6 +295,35 @@ let decode_port_stats r =
   in
   loop []
 
+(* A flow-mod's fixed part, between the header and the actions, which
+   are left unread: [k] gets its fields. {!decode_body} and {!peek} both
+   read it here. *)
+let flow_mod_fixed r k =
+  match Of_match.of_wire r with
+  | Stdlib.Error e -> Stdlib.Error e
+  | Ok fm_match -> (
+      let cookie = Wire.Reader.u64 r in
+      let command = Wire.Reader.u16 r in
+      let idle = Wire.Reader.u16 r in
+      let hard = Wire.Reader.u16 r in
+      let priority = Wire.Reader.u16 r in
+      let buffer = Wire.Reader.u32_int r in
+      let out_port = Wire.Reader.u16 r in
+      let flags = Wire.Reader.u16 r in
+      match command_of_code command with
+      | Stdlib.Error e -> Stdlib.Error e
+      | Ok command ->
+          k ~fm_match ~cookie ~command ~idle ~hard ~priority ~buffer ~out_port
+            ~flags)
+
+(* A packet-out's fixed part: [k] gets its buffer, its in-port and a
+   reader over its actions; the frame is the rest. *)
+let packet_out_fixed r k =
+  let buffer = Wire.Reader.u32_int r in
+  let in_port = Wire.Reader.u16 r in
+  let actions_len = Wire.Reader.u16 r in
+  k ~buffer ~in_port (Wire.Reader.sub r actions_len)
+
 let decode_body typ xid r =
   match typ with
   | 0 -> Ok (msg ~xid Hello)
@@ -339,7 +369,7 @@ let decode_body typ xid r =
       let miss_send_len = Wire.Reader.u16 r in
       Ok (msg ~xid (Set_config { flags; miss_send_len }))
   | 10 ->
-      let buffer = buffer_of_wire (Wire.Reader.u32 r) in
+      let buffer = buffer_of_int (Wire.Reader.u32_int r) in
       let total_len = Wire.Reader.u16 r in
       let in_port = Wire.Reader.u16 r in
       let reason_code = Wire.Reader.u8 r in
@@ -404,52 +434,41 @@ let decode_body typ xid r =
       in
       Ok (msg ~xid (Port_status { reason; desc }))
   | 13 ->
-      let buffer = buffer_of_wire (Wire.Reader.u32 r) in
-      let in_port = Wire.Reader.u16 r in
-      let actions_len = Wire.Reader.u16 r in
-      let actions_reader = Wire.Reader.sub r actions_len in
-      let* actions = Of_action.list_of_wire actions_reader in
-      Ok
-        (msg ~xid
-           (Packet_out
-              {
-                po_buffer_id = buffer;
-                po_in_port = in_port;
-                po_actions = actions;
-                po_data = Wire.Reader.rest r;
-              }))
+      packet_out_fixed r (fun ~buffer ~in_port actions ->
+          let* po_actions = Of_action.list_of_wire actions in
+          Ok
+            (msg ~xid
+               (Packet_out
+                  {
+                    po_buffer_id = buffer_of_int buffer;
+                    po_in_port = in_port;
+                    po_actions;
+                    po_data = Wire.Reader.rest r;
+                  })))
   | 14 ->
-      let* fm_match = Of_match.of_wire r in
-      (* Every RouteFlow flow has cookie 0: share the constant rather
-         than keep a boxed int64 per flow entry. *)
-      let fm_cookie =
-        match Wire.Reader.u64 r with 0L -> 0L | cookie -> cookie
-      in
-      let command_code = Wire.Reader.u16 r in
-      let fm_idle_timeout = Wire.Reader.u16 r in
-      let fm_hard_timeout = Wire.Reader.u16 r in
-      let fm_priority = Wire.Reader.u16 r in
-      let buffer = buffer_of_wire (Wire.Reader.u32 r) in
-      let out_port = Wire.Reader.u16 r in
-      let flags = Wire.Reader.u16 r in
-      let* fm_command = command_of_code command_code in
-      let* fm_actions = Of_action.list_of_wire r in
-      Ok
-        (msg ~xid
-           (Flow_mod
-              {
-                fm_match;
-                fm_cookie;
-                fm_command;
-                fm_idle_timeout;
-                fm_hard_timeout;
-                fm_priority;
-                fm_buffer_id = buffer;
-                fm_out_port =
-                  (if out_port = Of_port.none then None else Some out_port);
-                fm_notify_removed = flags land 1 <> 0;
-                fm_actions;
-              }))
+      flow_mod_fixed r
+        (fun ~fm_match ~cookie ~command ~idle ~hard ~priority ~buffer
+             ~out_port ~flags ->
+          let* fm_actions = Of_action.list_of_wire r in
+          Ok
+            (msg ~xid
+               (Flow_mod
+                  {
+                    fm_match;
+                    (* Every RouteFlow flow has cookie 0: share the
+                       constant rather than keep a boxed int64 per flow
+                       entry. *)
+                    fm_cookie = (match cookie with 0L -> 0L | c -> c);
+                    fm_command = command;
+                    fm_idle_timeout = idle;
+                    fm_hard_timeout = hard;
+                    fm_priority = priority;
+                    fm_buffer_id = buffer_of_int buffer;
+                    fm_out_port =
+                      (if out_port = Of_port.none then None else Some out_port);
+                    fm_notify_removed = flags land 1 <> 0;
+                    fm_actions;
+                  })))
   | 15 ->
       let pm_port_no = Wire.Reader.u16 r in
       let pm_hw_addr = Mac.read r in
@@ -511,20 +530,6 @@ let decode_body typ xid r =
   | 19 -> Ok (msg ~xid Barrier_reply)
   | n -> Stdlib.Error (Printf.sprintf "of_codec: unsupported message type %d" n)
 
-let of_wire s =
-  try
-    let r = Wire.Reader.of_string s in
-    let v = Wire.Reader.u8 r in
-    if v <> version then Stdlib.Error (Printf.sprintf "of_codec: bad version %d" v)
-    else begin
-      let typ = Wire.Reader.u8 r in
-      let length = Wire.Reader.u16 r in
-      let xid = Wire.Reader.u32 r in
-      if length <> String.length s then Stdlib.Error "of_codec: bad length"
-      else decode_body typ xid r
-    end
-  with Wire.Truncated -> Stdlib.Error "of_codec: truncated message"
-
 let msg_type s = Char.code s.[1]
 
 let xid s = (String.get_uint16_be s 4 lsl 16) lor String.get_uint16_be s 6
@@ -535,47 +540,53 @@ let with_xid s xid =
   Bytes.set_uint16_be b 6 (xid land 0xFFFF);
   Bytes.unsafe_to_string b
 
-type peek =
-  | Flow_mod_match of Of_match.t
-  | Packet_out_key of Of_match.key option * bool
-  | Message of Of_msg.t
-
-let peek s =
+(* Checks an encoded message's header, then reads its body with
+   [body typ xid r], [r] just past the header: {!of_wire} and {!peek}
+   both read headers here. *)
+let framed body s =
   try
     let r = Wire.Reader.of_string s in
     let v = Wire.Reader.u8 r in
-    if v <> version then
-      Stdlib.Error (Printf.sprintf "of_codec: bad version %d" v)
+    if v <> version then Stdlib.Error (Printf.sprintf "of_codec: bad version %d" v)
     else begin
       let typ = Wire.Reader.u8 r in
       let length = Wire.Reader.u16 r in
-      Wire.Reader.skip r 4 (* xid *);
+      Wire.Reader.skip r 4 (* the xid, read by [xid] *);
       if length <> String.length s then Stdlib.Error "of_codec: bad length"
-      else
-        match typ with
-        | 14 -> (
-            match Of_match.of_wire r with
-            | Stdlib.Error _ as e -> e
-            | Ok m -> (
-                Wire.Reader.skip r 8 (* cookie *);
-                let command = Wire.Reader.u16 r in
-                Wire.Reader.skip r 14
-                (* timeouts, priority, buffer, out port, flags *);
-                match command_of_code command with
-                | Stdlib.Error _ as e -> e
-                | Ok _ -> (
-                    match Of_action.check_list r with
-                    | Ok () -> Ok (Flow_mod_match m)
-                    | Stdlib.Error _ as e -> e)))
-        | 13 -> (
-            let buffered = Wire.Reader.u32_int r <> 0xFFFFFFFF in
-            let in_port = Wire.Reader.u16 r in
-            let actions_len = Wire.Reader.u16 r in
-            match Of_action.check_list (Wire.Reader.sub r actions_len) with
-            | Ok () ->
-                let key = Of_match.key_of_frame ~in_port (Wire.Reader.rest r) in
-                Ok (Packet_out_key (key, buffered))
-            | Stdlib.Error _ as e -> e)
-        | _ -> Result.map (fun m -> Message m) (of_wire s)
+      else body typ (xid s) r
     end
   with Wire.Truncated -> Stdlib.Error "of_codec: truncated message"
+
+let of_wire = framed (fun typ xid r -> decode_body typ (Int32.of_int xid) r)
+
+type peek =
+  | Flow_mod_head of {
+      command : flow_mod_command;
+      fm_match : Of_match.t;
+      priority : int;
+    }
+  | Packet_out_key of Of_match.key option * bool
+  | Message of Of_msg.t
+
+let peek_body typ xid r =
+  match typ with
+  | 14 ->
+      flow_mod_fixed r
+        (fun ~fm_match ~cookie:_ ~command ~idle:_ ~hard:_ ~priority ~buffer:_
+             ~out_port:_ ~flags:_ ->
+          match Of_action.check_list r with
+          | Ok () -> Ok (Flow_mod_head { command; fm_match; priority })
+          | Stdlib.Error e -> Stdlib.Error e)
+  | 13 ->
+      packet_out_fixed r (fun ~buffer ~in_port actions ->
+          match Of_action.check_list actions with
+          | Ok () ->
+              let key = Of_match.key_of_frame ~in_port (Wire.Reader.rest r) in
+              Ok (Packet_out_key (key, Option.is_some (buffer_of_int buffer)))
+          | Stdlib.Error e -> Stdlib.Error e)
+  | _ -> (
+      match decode_body typ (Int32.of_int xid) r with
+      | Ok m -> Ok (Message m)
+      | Stdlib.Error e -> Stdlib.Error e)
+
+let peek = framed peek_body

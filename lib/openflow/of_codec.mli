@@ -31,14 +31,19 @@ val with_xid : string -> int -> string
     the low 32 bits of the int. *)
 
 type peek =
-  | Flow_mod_match of Of_match.t  (** a flow-mod: its match alone *)
+  | Flow_mod_head of {
+      command : Of_msg.flow_mod_command;
+      fm_match : Of_match.t;
+      priority : int;
+    }  (** a flow-mod: what it does to which rule *)
   | Packet_out_key of Of_match.key option * bool
       (** a packet-out: the flow key of its frame at its in-port
           ({!Of_match.key_of_frame}), and whether it names a buffer *)
   | Message of Of_msg.t  (** any other message, decoded in full *)
 
 val peek : string -> (peek, string) result
-(** [Error] exactly where {!of_wire} would fail. A flow-mod or
-    packet-out is checked in full but decodes only the fields above
-    (its actions are checked by {!Of_action.check_list}, not built);
-    any other message is {!of_wire}'s. *)
+(** [Error] exactly where {!of_wire} would fail: both read the header
+    and a flow-mod's or packet-out's fixed part with the same code. A
+    flow-mod's or packet-out's actions are checked by
+    {!Of_action.check_list}, not built; any other message is decoded as
+    {!of_wire} decodes it. *)

@@ -14,6 +14,8 @@ val insert : 'a t -> Ipv4_addr.Prefix.t -> 'a -> unit
 val remove : 'a t -> Ipv4_addr.Prefix.t -> unit
 
 val find_exact : 'a t -> Ipv4_addr.Prefix.t -> 'a option
+(** Walks one level per prefix bit. {!Rib} answers exact lookups from
+    its own prefix hash table, so only the trie's tests call this. *)
 
 val lookup : 'a t -> Ipv4_addr.t -> (Ipv4_addr.Prefix.t * 'a) option
 (** Longest matching prefix. *)

@@ -135,81 +135,59 @@ let withdraw t proto prefix =
       remove_candidate t slot proto;
       reselect t prefix slot
 
-(* A merge of two prefix-sorted lists: only prefixes whose candidate
-   appears, disappears or differs touch the table. *)
-let rec merge t proto olds news =
-  match (olds, news) with
-  | [], [] -> ()
-  | o :: os, [] ->
-      withdraw t proto o.r_prefix;
-      merge t proto os []
-  | [], n :: ns ->
-      update t n;
-      merge t proto [] ns
-  | o :: os, n :: ns ->
-      let c = Ipv4_addr.Prefix.compare o.r_prefix n.r_prefix in
-      if c < 0 then begin
-        withdraw t proto o.r_prefix;
-        merge t proto os news
-      end
-      else if c > 0 then begin
-        update t n;
-        merge t proto olds ns
-      end
-      else begin
-        if not (route_equal o n) then update t n;
-        merge t proto os ns
-      end
+let candidate proto slot =
+  List.find_opt (fun r -> r.r_proto = proto) slot.candidates
 
-(* Stands for "no candidate" in [replace_in]; compared with [==]. *)
-let no_route =
-  {
-    r_prefix = Ipv4_addr.Prefix.global;
-    r_proto = Connected;
-    r_distance = -1;
-    r_metric = -1;
-    r_next_hop = None;
-    r_iface = "";
-  }
+(* [proto]'s candidates at the sorted [scope], or everywhere; sorted by
+   prefix either way. *)
+let candidates_in t proto scope =
+  match scope with
+  | None ->
+      Prefix_trie.fold
+        (fun _ slot acc ->
+          match candidate proto slot with Some r -> r :: acc | None -> acc)
+        t.table []
+      |> List.rev
+  | Some prefixes ->
+      List.filter_map
+        (fun p ->
+          match Ipv4_addr.Prefix.Tbl.find t.slots p with
+          | slot -> candidate proto slot
+          | exception Not_found -> None)
+        prefixes
 
-let rec candidate_route proto = function
-  | [] -> no_route
-  | r :: rest -> if r.r_proto = proto then r else candidate_route proto rest
-
-let candidates t proto =
-  Prefix_trie.fold
-    (fun _ slot acc ->
-      let r = candidate_route proto slot.candidates in
-      if r == no_route then acc else r :: acc)
-    t.table []
-  |> List.rev
+let candidates t proto = candidates_in t proto None
 
 let count t proto = t.n_candidates.(proto_index proto)
 
-(* The same merge inside a sorted scope, one step per scope prefix, with
-   [routes] the new routes not yet placed: it reads each old candidate
-   in the table rather than listing them first. *)
-let rec replace_in t proto scope routes =
-  match scope with
-  | [] -> ()
-  | p :: scope -> (
-      let old =
-        match Ipv4_addr.Prefix.Tbl.find t.slots p with
-        | slot -> candidate_route proto slot.candidates
-        | exception Not_found -> no_route
-      in
-      match routes with
-      | n :: rest when Ipv4_addr.Prefix.equal n.r_prefix p ->
-          if old == no_route || not (route_equal old n) then update t n;
-          replace_in t proto scope rest
-      | _ ->
-          if old != no_route then withdraw t proto p;
-          replace_in t proto scope routes)
-
 let replace_proto t ?scope proto routes =
-  match scope with
-  | Some scope -> replace_in t proto scope routes
-  | None -> merge t proto (candidates t proto) routes
+  (* A merge of two prefix-sorted lists: only prefixes whose candidate
+     appears, disappears or differs touch the table. *)
+  let rec merge olds news =
+    match (olds, news) with
+    | [], [] -> ()
+    | o :: os, [] ->
+        withdraw t proto o.r_prefix;
+        merge os []
+    | [], n :: ns ->
+        update t n;
+        merge [] ns
+    | o :: os, n :: ns ->
+        let c = Ipv4_addr.Prefix.compare o.r_prefix n.r_prefix in
+        if c < 0 then begin
+          withdraw t proto o.r_prefix;
+          merge os news
+        end
+        else if c > 0 then begin
+          update t n;
+          merge olds ns
+        end
+        else begin
+          if not (route_equal o n) then update t n;
+          merge os ns
+        end
+  in
+  merge (candidates_in t proto scope) routes
 
 let best t prefix =
   match Ipv4_addr.Prefix.Tbl.find t.slots prefix with

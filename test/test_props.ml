@@ -741,9 +741,11 @@ let peek_agrees_with_of_wire =
     (fun (m, c) ->
       let s = corrupt (Of_codec.to_wire m) c in
       match (Of_codec.peek s, Of_codec.of_wire s) with
-      | ( Ok (Of_codec.Flow_mod_match fm_match),
+      | ( Ok (Of_codec.Flow_mod_head { command; fm_match; priority }),
           Ok { Of_msg.payload = Of_msg.Flow_mod fm; _ } ) ->
-          Of_match.equal fm_match fm.fm_match
+          command = fm.fm_command
+          && Of_match.equal fm_match fm.fm_match
+          && priority = fm.fm_priority
       | ( Ok (Of_codec.Packet_out_key (key, buffered)),
           Ok { Of_msg.payload = Of_msg.Packet_out po; _ } ) ->
           key = Of_match.key_of_frame ~in_port:po.po_in_port po.po_data
